@@ -109,7 +109,6 @@ def _config(args) -> SolveConfig:
     return SolveConfig(
         node_limit=args.node_limit,
         seed=getattr(args, "seed", None),
-        parallel=args.parallel,
     )
 
 
@@ -288,7 +287,6 @@ def build_parser() -> _Parser:
             sp.add_argument("--torus", action="store_true")
         if solveflags:
             sp.add_argument("--node-limit", type=int, default=None)
-            sp.add_argument("--parallel", type=int, default=1)
 
     sp = sub.add_parser("counts", help="set statistics and reduced sizes")
     add_common(sp)

@@ -443,6 +443,7 @@ def facet_action(f: Isometry, kind: ShapeKind) -> tuple[int, ...]:
     return tuple(perm)
 
 
+@lru_cache(maxsize=None)
 def facet_action_code(kind: ShapeKind, code: str) -> tuple[int, ...]:
     return facet_action(orientation_lift(kind, code), kind)
 

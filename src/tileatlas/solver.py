@@ -15,17 +15,28 @@ Two search targets:
   additionally checked corona-by-corona against a materialized atlas when
   one is supplied.
 
+One engine serves both, an explicit-stack depth-first search, so region size
+is not bounded by Python's recursion limit.  Each cell keeps a colour index:
+a memo from the colours its earlier neighbours show on the checked facets to
+the candidates that match them all.  A miss fills it by filtering the cell's
+candidate list with the facet rule; extent-1 wraps, where a candidate meets
+itself, are filtered once up front.  Cells with the same candidate list and
+the same checked facets share one memo.
+
+A node is a candidate tried in scan order.  The index skips candidates that
+the earlier neighbours rule out, but each still counts as a node, as if it
+had been tried and rejected, so node counts and `node_limit` do not depend
+on the index.
+
 With a seed, each cell's candidate order is shuffled up front, so the first
-solution found is a reproducible pseudo-random patch.  `parallel` splits the
-first cell's candidates over worker threads; results are deterministic only
-at width 1.
+solution found is a reproducible pseudo-random patch.
 """
 
 from __future__ import annotations
 
 import random
-import threading
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .atlas import Atlas, corona_in_atlas, corona_of
 from .geometry import (
@@ -42,7 +53,6 @@ from .tileset import (
     RegionSpec,
     TileSet,
     effective_facets,
-    identity_code,
     patch_valid,
     placement_orientations,
     region_cells,
@@ -59,7 +69,6 @@ LIMIT = "limit"
 class SolveConfig:
     node_limit: int | None = None
     seed: int | None = None
-    parallel: int = 1
 
 
 @dataclass
@@ -118,130 +127,111 @@ def _schedule(region: RegionSpec, cells):
     return checks
 
 
-class _Budget:
-    def __init__(self, limit):
-        self.limit = limit
-        self.nodes = 0
-
-    def spend(self) -> bool:
-        self.nodes += 1
-        return self.limit is not None and self.nodes > self.limit
+def _getter(idx):
+    """itemgetter over idx that always returns a tuple, the memo key."""
+    if len(idx) == 1:
+        get = itemgetter(idx[0])
+        return lambda seq: (get(seq),)
+    return itemgetter(*idx) if idx else (lambda seq: ())
 
 
-def _run(cells, per_cell, checks, rule, budget, stop, on_solution, start=0,
-         first_slice=None):
-    """Depth-first search; returns True when a solution asked to stop."""
-    n = len(cells)
-    eff = [None] * n
+def _search(per_cell, checks, width, rule, limit, collect_all=False):
+    """Depth-first search over the cells with an explicit stack.
+
+    `width` is the facet count of every cell.  Returns (status, first
+    solution's labels or None, nodes, solutions seen).
+    """
+    n = len(per_cell)
+    tables = {}  # (candidate list, own checks, earlier facets) -> table
+    table, keys = [], []
+    for i, lst in enumerate(per_cell):
+        own = tuple((f, nf) for f, nf, j in checks[i] if j == i)
+        earlier = [(f, nf, j) for f, nf, j in checks[i] if j != i]
+        sig = (id(lst), own, tuple(f for f, _, _ in earlier))
+        if sig not in tables:
+            # extent-1 wraps: the candidate meets itself, whatever is around
+            base = [(p, (t, c), e) for p, (t, c, e) in enumerate(lst)
+                    if all(rule_eval(rule, e[f], e[nf]) for f, nf in own)]
+            tables[sig] = (base, sig[2], len(lst), {})
+        table.append(tables[sig])
+        keys.append(_getter([j * width + nf for _, nf, j in earlier]))
+
+    limit = float("inf") if limit is None else limit
+    colours = [None] * (n * width)  # cell i's facets at i * width
     labels = [None] * n
+    stack = []  # (survivors, next survivor, nodes charged) of earlier cells
+    # the current cell: its survivors under the colours of its earlier
+    # neighbours, the next survivor to try, and its candidates charged so far
+    i, surv, k, spent = 0, table[0][0], 0, 0  # cell 0 has no earlier cells
+    nodes = count = 0
+    first = None
+    while True:
+        if k < len(surv):
+            p, label, e = surv[k]
+            k += 1
+            # every candidate up to p counts: the ones skipped would fail
+            nodes += p + 1 - spent
+            spent = p + 1
+            if nodes > limit:
+                break
+            colours[i * width:(i + 1) * width] = e
+            labels[i] = label
+            if i + 1 == n:
+                count += 1
+                if first is None:
+                    first = list(labels)
+                if not collect_all:
+                    return FOUND, first, nodes, count
+                continue
+            stack.append((surv, k, spent))
+            i += 1
+            base, facets, _, memo = table[i]
+            key = keys[i](colours)
+            surv = memo.get(key)
+            if surv is None:
+                surv = memo[key] = [
+                    cand for cand in base
+                    if all(rule_eval(rule, cand[2][f], v)
+                           for f, v in zip(facets, key))]
+            k = spent = 0
+        else:
+            nodes += table[i][2] - spent
+            if nodes > limit or i == 0:
+                break
+            i -= 1
+            surv, k, spent = stack.pop()
+    if nodes > limit:
+        return (LIMIT if first is None else FOUND), first, limit + 1, count
+    return (EXHAUSTED if first is None else FOUND), first, nodes, count
 
-    def bt(i):
-        if stop is not None and stop.is_set():
-            return True
-        if i == n:
-            return on_solution(list(labels))
-        options = first_slice if (i == start and first_slice is not None) \
-            else per_cell[i]
-        for (label_tile, label_code, cand_eff) in options:
-            if budget.spend():
-                raise _OutOfBudget
-            ok = True
-            for (f, nf, j) in checks[i]:
-                # j == i is an extent-1 wrap: the candidate meets itself
-                theirs = cand_eff[nf] if j == i else eff[j][nf]
-                if not rule_eval(rule, cand_eff[f], theirs):
-                    ok = False
-                    break
-            if ok:
-                eff[i] = cand_eff
-                labels[i] = (label_tile, label_code)
-                if bt(i + 1):
-                    return True
-                eff[i] = None
-                labels[i] = None
-        return False
 
-    return bt(start)
+def _region_search(candidates, rule, region, config, collect_all=False):
+    """Compile the region's cells and checks, then search them.
 
-
-class _OutOfBudget(Exception):
-    pass
-
-
-def _search(region, per_cell, checks, rule, config, collect_all=False):
-    """Run the search, possibly across threads on the first cell's options."""
+    `candidates(kinds)` maps each cell kind to its candidate list.  Without a
+    seed, cells of one kind share one list, so they also share its memo.
+    """
     cells = region_cells(region)
-    results = []
-    count = [0]
-    lock = threading.Lock()
-
-    def on_solution(labels):
-        with lock:
-            count[0] += 1
-            if not results:
-                results.append(labels)
-        return not collect_all
-
-    width = max(1, config.parallel)
-    if width == 1 or collect_all:
-        budget = _Budget(config.node_limit)
-        try:
-            _run(cells, per_cell, checks, rule, budget, None, on_solution)
-            status = FOUND if results else EXHAUSTED
-        except _OutOfBudget:
-            status = FOUND if results else LIMIT
-        return status, results, budget.nodes, count[0]
-
-    stop = threading.Event()
-    slices = [per_cell[0][k::width] for k in range(width)]
-    budgets = [
-        _Budget(None if config.node_limit is None else
-                max(1, config.node_limit // width))
-        for _ in range(width)
-    ]
-    statuses = [EXHAUSTED] * width
-
-    def worker(k):
-        def stopping_solution(labels):
-            took = on_solution(labels)
-            if took:
-                stop.set()
-            return took
-        try:
-            if _run(cells, per_cell, checks, rule, budgets[k], stop,
-                    stopping_solution, first_slice=slices[k]):
-                statuses[k] = FOUND
-        except _OutOfBudget:
-            statuses[k] = LIMIT
-
-    threads = [threading.Thread(target=worker, args=(k,)) for k in range(width)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    nodes = sum(b.nodes for b in budgets)
-    if results:
-        return FOUND, results, nodes, count[0]
-    if LIMIT in statuses:
-        return LIMIT, results, nodes, count[0]
-    return EXHAUSTED, results, nodes, count[0]
-
-
-def _prepare(per_kind, cells, space, seed):
-    rng = random.Random(seed) if seed is not None else None
+    space = region.space
+    kinds = {cell_kind(space, c) for c in cells}
+    per_kind = candidates(kinds)
+    rng = random.Random(config.seed) if config.seed is not None else None
     per_cell = []
     for c in cells:
-        lst = list(per_kind[cell_kind(space, c)])
+        lst = per_kind[cell_kind(space, c)]
         if rng is not None:
+            lst = list(lst)
             rng.shuffle(lst)
         per_cell.append(lst)
-    return per_cell
+    # the kinds of one lattice all have the same facet count
+    width = max(FACET_COUNT[kind] for kind in kinds)
+    return _search(per_cell, _schedule(region, cells), width, rule,
+                   config.node_limit, collect_all)
 
 
 def _labels_to_patch(name, region, labels):
-    cells = region_cells(region)
     placements = {}
-    for cell, (tid, code) in zip(cells, labels):
+    for cell, (tid, code) in zip(region_cells(region), labels):
         placements[cell] = Placement(cell, tid, code)
     return Patch(name, region, placements)
 
@@ -249,16 +239,12 @@ def _labels_to_patch(name, region, labels):
 def solve(ts: TileSet, region: RegionSpec, config: SolveConfig | None = None
           ) -> SolveResult:
     """Find one valid full placement of the region, or prove none exists."""
-    config = config or SolveConfig()
-    cells = region_cells(region)
-    kinds = {cell_kind(region.space, c) for c in cells}
-    per_kind = _facet_candidates(ts, kinds)
-    per_cell = _prepare(per_kind, cells, region.space, config.seed)
-    checks = _schedule(region, cells)
-    status, results, nodes, _ = _search(region, per_cell, checks, ts.rule, config)
+    status, labels, nodes, _ = _region_search(
+        lambda kinds: _facet_candidates(ts, kinds), ts.rule, region,
+        config or SolveConfig())
     patch = None
-    if results:
-        patch = _labels_to_patch(ts.name, region, results[0])
+    if labels is not None:
+        patch = _labels_to_patch(ts.name, region, labels)
         ok, report = patch_valid(ts, patch)
         if not ok:
             raise RuntimeError(f"solver produced an invalid patch: {report}")
@@ -267,16 +253,11 @@ def solve(ts: TileSet, region: RegionSpec, config: SolveConfig | None = None
 
 def count_solutions(ts: TileSet, region: RegionSpec,
                     config: SolveConfig | None = None) -> SolveResult:
-    """Count all valid full placements (single-threaded)."""
-    config = config or SolveConfig()
-    cells = region_cells(region)
-    kinds = {cell_kind(region.space, c) for c in cells}
-    per_kind = _facet_candidates(ts, kinds)
-    per_cell = _prepare(per_kind, cells, region.space, config.seed)
-    checks = _schedule(region, cells)
-    status, results, nodes, count = _search(region, per_cell, checks, ts.rule,
-                                            config, collect_all=True)
-    patch = _labels_to_patch(ts.name, region, results[0]) if results else None
+    """Count all valid full placements."""
+    status, labels, nodes, count = _region_search(
+        lambda kinds: _facet_candidates(ts, kinds), ts.rule, region,
+        config or SolveConfig(), collect_all=True)
+    patch = _labels_to_patch(ts.name, region, labels) if labels else None
     return SolveResult(status, patch, nodes, count)
 
 
@@ -289,17 +270,12 @@ def solve_atlas(rs: ReducedSet, region: RegionSpec,
     materialized atlas is supplied every complete corona of the found patch
     is confirmed to be an atlas member.
     """
-    config = config or SolveConfig()
-    cells = region_cells(region)
-    kinds = {cell_kind(region.space, c) for c in cells}
-    per_kind = _atlas_candidates(rs, kinds)
-    per_cell = _prepare(per_kind, cells, region.space, config.seed)
-    checks = _schedule(region, cells)
-    status, results, nodes, _ = _search(region, per_cell, checks,
-                                        rs.source.rule, config)
+    status, labels, nodes, _ = _region_search(
+        lambda kinds: _atlas_candidates(rs, kinds), rs.source.rule, region,
+        config or SolveConfig())
     patch = None
-    if results:
-        patch = _labels_to_patch(rs.name, region, results[0])
+    if labels is not None:
+        patch = _labels_to_patch(rs.name, region, labels)
         decoded = decode_patch(rs, patch)
         ok, report = patch_valid(rs.source, decoded)
         if not ok:
@@ -323,6 +299,5 @@ def random_patch(ts: TileSet, extents, seed: int, torus: bool = False,
                  config: SolveConfig | None = None) -> SolveResult:
     """A reproducible pseudo-random valid patch (first hit of a seeded search)."""
     base = config or SolveConfig()
-    cfg = SolveConfig(node_limit=base.node_limit, seed=seed,
-                      parallel=base.parallel)
+    cfg = SolveConfig(node_limit=base.node_limit, seed=seed)
     return solve(ts, RegionSpec(ts.space, tuple(extents), torus), cfg)

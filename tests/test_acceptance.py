@@ -442,15 +442,14 @@ def test_criterion_8_byte_identical_artifacts():
             rs = reduce_set(load_bundled(name), mode)
             chunks.append(serialize_atlas(derive_atlas(rs)))
         wang = load_bundled("wang13")
-        result = random_patch(wang, (5, 5), seed=11,
-                              config=SolveConfig(parallel=1))
+        result = random_patch(wang, (5, 5), seed=11)
         assert result.status == FOUND
         chunks.append(serialize_patch(result.patch))
         chunks.append(render_source_patch(wang, result.patch))
         tri = load_bundled("triangles6")
         rs = reduce_set(tri, "c2")
         reduced_result = solve_atlas(rs, RegionSpec("tri2d", (2, 2), True),
-                                     SolveConfig(seed=11, parallel=1))
+                                     SolveConfig(seed=11))
         assert reduced_result.status == FOUND
         chunks.append(serialize_patch(reduced_result.patch))
         chunks.append(render_reduced_patch(rs, reduced_result.patch))

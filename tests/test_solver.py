@@ -157,20 +157,55 @@ def test_node_limit_reports_limit_status():
     assert r.nodes == 11  # the limit is detected on the first node past it
 
 
-def test_parallel_agrees_on_verdicts():
+def test_node_counts_are_pinned():
+    # A node is a candidate tried in scan order; the colour index skips
+    # candidates but counts them, so the counts do not depend on the index.
     wang = load_bundled("wang13")
-    for width in (2, 4):
-        r = solve(wang, RegionSpec("square2d", (4, 4), False),
-                  SolveConfig(parallel=width))
-        assert r.status == FOUND
-        ok, _ = patch_valid(wang, r.patch)
-        assert ok
-        rt = solve(wang, RegionSpec("square2d", (2, 2), True),
-                   SolveConfig(parallel=width))
-        assert rt.status == EXHAUSTED
+    want = [13, 559, 6461, 56940, 192062, 631189]
+    for k, nodes in enumerate(want, start=1):
+        r = exhaust_torus(wang, (k, k))
+        assert (r.status, r.nodes) == (EXHAUSTED, nodes), k
+    cubes = load_bundled("cubes21")
+    for k, nodes in ((1, 21), (2, 3045)):
+        r = exhaust_torus(cubes, (k, k, k))
+        assert (r.status, r.nodes) == (EXHAUSTED, nodes), k
     tri = load_bundled("triangles6")
-    r = solve(tri, RegionSpec("tri2d", (2, 2), True), SolveConfig(parallel=3))
+    r = count_solutions(tri, RegionSpec("tri2d", (12, 12), True))
+    assert (r.status, r.count, r.nodes) == (FOUND, 3, 2586)
+
+
+def test_node_limit_is_exact():
+    wang = load_bundled("wang13")
+    torus = RegionSpec("square2d", (2, 2), True)
+    for limit in range(601):
+        r = solve(wang, torus, SolveConfig(node_limit=limit))
+        if limit < 559:
+            assert (r.status, r.nodes) == (LIMIT, limit + 1), limit
+        else:
+            assert (r.status, r.nodes) == (EXHAUSTED, 559), limit
+    free = RegionSpec("square2d", (4, 4), False)
+    full = solve(wang, free)
+    assert full.status == FOUND
+    short = solve(wang, free, SolveConfig(node_limit=full.nodes - 1))
+    assert (short.status, short.nodes, short.patch) == (LIMIT, full.nodes, None)
+    exact = solve(wang, free, SolveConfig(node_limit=full.nodes))
+    assert (exact.status, exact.nodes) == (FOUND, full.nodes)
+    assert serialize_patch(exact.patch) == serialize_patch(full.patch)
+
+
+def test_large_regions_do_not_recurse():
+    # 1,800 cells: deeper than Python's default recursion limit
+    tri = load_bundled("triangles6")
+    region = RegionSpec("tri2d", (30, 30), True)
+    r = solve(tri, region)
     assert r.status == FOUND
+    ok, _ = patch_valid(tri, r.patch)
+    assert ok
+    rs = reduce_set(tri, "c2")
+    ra = solve_atlas(rs, region, atlas=derive_atlas(rs))
+    assert ra.status == FOUND
+    ok, _ = patch_valid(tri, decode_patch(rs, ra.patch))
+    assert ok
 
 
 def test_no_candidates_means_exhausted():
