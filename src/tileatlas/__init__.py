@@ -46,7 +46,6 @@ from .atlas import (
     Atlas,
     BudgetExceeded,
     Corona,
-    corona_in_atlas,
     corona_in_atlas_implicit,
     corona_of,
     derive_atlas,
@@ -82,9 +81,9 @@ __all__ = [
     "encode_patch", "parse_reduced", "reduce_set", "reduced_cardinality",
     "serialize_reduced",
     # coronas and atlases
-    "Atlas", "BudgetExceeded", "Corona", "corona_in_atlas",
-    "corona_in_atlas_implicit", "corona_of", "derive_atlas",
-    "enumerate_source_coronas", "parse_atlas", "serialize_atlas",
+    "Atlas", "BudgetExceeded", "Corona", "corona_in_atlas_implicit",
+    "corona_of", "derive_atlas", "enumerate_source_coronas", "parse_atlas",
+    "serialize_atlas",
     # solving
     "EXHAUSTED", "FOUND", "LIMIT", "SolveConfig", "SolveResult",
     "count_solutions", "exhaust_torus", "random_patch", "solve",

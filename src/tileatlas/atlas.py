@@ -12,6 +12,10 @@ all facet-sharing pairs satisfy the facet rule.  Membership can be tested
 against the materialized atlas, or implicitly by decoding the corona back to
 source tiles and checking the facet rule directly; the two routes agree.
 
+Source coronas are enumerated on the region solver's engine (`search`), one
+search per centre kind over the corona window, centre first.  A node is a
+candidate tried at any window cell, the centre included.
+
 Atlas text format:
 
     atlas <name>
@@ -23,14 +27,17 @@ with ring entries in touching-offset order and lines sorted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .geometry import (
     FACET_COUNT,
     KIND_SPACE,
+    SPACE_KINDS,
     ShapeKind,
     cell_kind,
     facet_neighbor,
     origin_cell,
+    space_dim,
     touching_cell,
     touching_offsets,
 )
@@ -40,13 +47,14 @@ from .tileset import (
     Placement,
     RegionSpec,
     TileSet,
+    _content_lines,
     effective_facets,
     identity_code,
     patch_valid,
-    rule_eval,
     wrap_cell,
 )
 from .reduction import ReducedSet
+from .search import _schedule, _search
 
 
 class BudgetExceeded(RuntimeError):
@@ -109,20 +117,20 @@ def corona_of(placements: dict, region: RegionSpec, cell) -> Corona | None:
 # Locally valid source coronas
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _corona_window(kind: ShapeKind):
-    """The corona's cells, an assignment order (most-constrained first), and
-    the facet-adjacent pairs internal to the window.
+    """The corona window's free region, its cells (centre first, then the
+    ring in touching-offset order) and an assignment order (most-constrained
+    first).
 
-    Cells are shifted so the window fits a small free region with
-    non-negative coordinates; the centre sits at the lattice point (1,1[,1]).
+    Cells are shifted so the window fits the region with non-negative
+    coordinates; the centre sits at the lattice point (1,1[,1]).
     """
     space = KIND_SPACE[kind]
-    shift = (1, 1, 1) if space == "cube3d" else (1, 1)
+    dim = space_dim(space)
 
-    def shifted(c):
-        if space == "tri2d":
-            return (c[0] + 1, c[1] + 1, c[2])
-        return tuple(x + s for x, s in zip(c, shift))
+    def shifted(c):  # a triangle's orientation bit is not a coordinate
+        return tuple(x + 1 for x in c[:dim]) + tuple(c[dim:])
 
     center = shifted(origin_cell(kind))
     cells = [center]
@@ -130,15 +138,11 @@ def _corona_window(kind: ShapeKind):
         cells.append(shifted(touching_cell(kind, origin_cell(kind), off)))
     cell_set = set(cells)
     adj = {c: [] for c in cells}
-    pairs = []
     for c in cells:
-        ck = cell_kind(space, c)
-        for f in range(FACET_COUNT[ck]):
-            n, nf = facet_neighbor(space, c, f)
-            if n in cell_set and (n, nf) > (c, f):
-                pairs.append((c, f, n, nf))
+        for f in range(FACET_COUNT[cell_kind(space, c)]):
+            n, _ = facet_neighbor(space, c, f)
+            if n in cell_set:
                 adj[c].append(n)
-                adj[n].append(c)
     # assignment order: centre first, then repeatedly the cell with the most
     # already-ordered facet neighbours (ties: scan order) so constraints bind
     # as early as possible
@@ -147,23 +151,19 @@ def _corona_window(kind: ShapeKind):
     rest = [c for c in cells if c != center]
     while rest:
         best = max(rest, key=lambda c: (sum(n in placed for n in adj[c]),
-                                        [-x for x in _cell_key(c)]))
+                                        [-x for x in c]))
         order.append(best)
         placed.add(best)
         rest.remove(best)
-    return center, cells, order, pairs
-
-
-def _cell_key(c):
-    return tuple(c)
+    return RegionSpec(space, (3,) * dim, False), tuple(cells), tuple(order)
 
 
 def enumerate_source_coronas(ts: TileSet, node_cap: int = 10 ** 7) -> set:
     """All locally valid coronas of a translation-placed source set.
 
-    Backtracking over the corona window with incremental facet checks; every
-    complete assignment is re-verified independently with patch_valid before
-    being admitted.
+    `node_cap` bounds the nodes summed over the centre kinds.  Every complete
+    assignment is re-verified independently with patch_valid before being
+    admitted.
     """
     if ts.allowed != "translations":
         raise FormatError("corona enumeration expects a translation-placed set")
@@ -171,67 +171,35 @@ def enumerate_source_coronas(ts: TileSet, node_cap: int = 10 ** 7) -> set:
     if space is None:
         raise FormatError("mixed-kind sets have no corona atlas")
     ident = identity_code(space)
-    eff = {p.id: effective_facets(ts, Placement(origin_cell(p.kind), p.id, ident))
-           for p in ts.prototiles}
-    by_kind = {}
+    # kind -> (tile, code, facet colours); cells of a kind share its memo
+    by_kind = {kind: [] for kind in SPACE_KINDS[space]}
     for p in ts.prototiles:
-        by_kind.setdefault(p.kind, []).append(p.id)
-
+        eff = effective_facets(ts, Placement(origin_cell(p.kind), p.id, ident))
+        by_kind[p.kind].append((p.id, ident, eff))
     out = set()
     nodes = 0
-    extent = (3, 3, 3) if space == "cube3d" else (3, 3)
-    region = RegionSpec(space, extent, False)
+    for kind in by_kind:
+        region, cells, order = _corona_window(kind)
+        ring = [order.index(c) for c in cells[1:]]
 
-    for center_tile in ts.prototiles:
-        center, cells, order, pairs = _corona_window(center_tile.kind)
-        # facet constraints indexed by the later-ordered cell of each pair
-        pos = {c: i for i, c in enumerate(order)}
-        checks = {c: [] for c in order}
-        for (c, f, n, nf) in pairs:
-            late, lf, early, ef = (c, f, n, nf) if pos[c] > pos[n] else (n, nf, c, f)
-            checks[late].append((lf, early, ef))
-        assign = {center: center_tile.id}
+        def admit(labels):
+            placements = {c: Placement(c, t, code)
+                          for c, (t, code) in zip(order, labels)}
+            ok, report = patch_valid(ts, Patch(ts.name, region, placements))
+            if not ok:
+                raise RuntimeError(
+                    f"incremental checks admitted an invalid corona: {report}")
+            out.add(Corona(labels[0], tuple(labels[j] for j in ring)))
 
-        def backtrack(i):
-            nonlocal nodes
-            if i == len(order):
-                placements = {c: Placement(c, assign[c], ident) for c in order}
-                ok, report = patch_valid(ts, Patch(ts.name, region, placements))
-                if not ok:
-                    raise RuntimeError(
-                        f"incremental checks admitted an invalid corona: {report}")
-                ring = []
-                for off in touching_offsets(center_tile.kind):
-                    ncell = _shift_like(space, touching_cell(
-                        center_tile.kind, origin_cell(center_tile.kind), off))
-                    ring.append((assign[ncell], ident))
-                out.add(Corona((center_tile.id, ident), tuple(ring)))
-                return
-            cell = order[i]
-            kind = cell_kind(space, cell)
-            for tid in by_kind.get(kind, ()):
-                nodes += 1
-                if nodes > node_cap:
-                    raise BudgetExceeded(
-                        f"corona enumeration exceeded {node_cap} nodes")
-                good = True
-                for (lf, early, ef) in checks[cell]:
-                    if not rule_eval(ts.rule, eff[tid][lf], eff[assign[early]][ef]):
-                        good = False
-                        break
-                if good:
-                    assign[cell] = tid
-                    backtrack(i + 1)
-                    del assign[cell]
-
-        backtrack(1)
+        per_cell = [by_kind[cell_kind(space, c)] for c in order]
+        _, _, spent, _ = _search(per_cell, _schedule(region, order),
+                                 FACET_COUNT[kind], ts.rule, node_cap - nodes,
+                                 admit)
+        nodes += spent  # node_cap + 1 once the cap is crossed
+        if nodes > node_cap:
+            raise BudgetExceeded(
+                f"corona enumeration exceeded {node_cap} nodes")
     return out
-
-
-def _shift_like(space, c):
-    if space == "tri2d":
-        return (c[0] + 1, c[1] + 1, c[2])
-    return tuple(x + 1 for x in c)
 
 
 def derive_atlas(rs: ReducedSet, node_cap: int = 10 ** 7) -> Atlas:
@@ -248,10 +216,6 @@ def derive_atlas(rs: ReducedSet, node_cap: int = 10 ** 7) -> Atlas:
 # Membership, two routes
 # ---------------------------------------------------------------------------
 
-def corona_in_atlas(atlas: Atlas, corona: Corona) -> bool:
-    return corona in atlas.coronas
-
-
 def corona_in_atlas_implicit(rs: ReducedSet, corona: Corona) -> bool:
     """Decide membership without the materialized atlas: decode every
     placement and check the source facet rule over the corona window."""
@@ -259,23 +223,17 @@ def corona_in_atlas_implicit(rs: ReducedSet, corona: Corona) -> bool:
     if key not in rs.inverse:
         return False
     center_tile = rs.inverse[key]
-    kind = rs.source.by_id[center_tile].kind
-    offs = touching_offsets(kind)
-    if len(corona.ring) != len(offs):
+    region, cells, _ = _corona_window(rs.source.by_id[center_tile].kind)
+    if len(corona.ring) != len(cells) - 1:
         return False
-    space = rs.source.space
-    ident = identity_code(space)
-    placements = {}
-    ccell = _shift_like(space, origin_cell(kind))
-    placements[ccell] = Placement(ccell, center_tile, ident)
-    for off, entry in zip(offs, corona.ring):
+    tiles = [center_tile]
+    for entry in corona.ring:
         if entry not in rs.inverse:
             return False
-        ncell = _shift_like(space, touching_cell(kind, origin_cell(kind), off))
-        placements[ncell] = Placement(ncell, rs.inverse[entry], ident)
-    extent = (3, 3, 3) if space == "cube3d" else (3, 3)
-    ok, _ = patch_valid(rs.source, Patch(rs.source.name, RegionSpec(
-        space, extent, False), placements))
+        tiles.append(rs.inverse[entry])
+    ident = identity_code(region.space)
+    placements = {c: Placement(c, t, ident) for c, t in zip(cells, tiles)}
+    ok, _ = patch_valid(rs.source, Patch(rs.source.name, region, placements))
     return ok
 
 
@@ -294,11 +252,7 @@ def serialize_atlas(atlas: Atlas) -> str:
 def parse_atlas(text: str) -> Atlas:
     name = None
     coronas = set()
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
+    for ln, toks in _content_lines(text):
         if name is None:
             if toks[0] != "atlas" or len(toks) != 2:
                 raise FormatError(f"line {ln}: expected atlas header")

@@ -21,12 +21,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .atlas import (
-    BudgetExceeded,
-    corona_in_atlas,
-    corona_of,
-    derive_atlas,
-)
+from .atlas import BudgetExceeded, corona_of, derive_atlas
 from .reduction import (
     DecodeError,
     class_group,
@@ -206,7 +201,7 @@ def cmd_verify(args) -> int:
                 if corona is None:
                     continue
                 complete += 1
-                if not corona_in_atlas(atlas, corona):
+                if corona not in atlas:
                     print(f"invalid: corona at {cell} not in atlas")
                     bad += 1
             if bad:

@@ -247,6 +247,7 @@ _TRI_DOWN_TOUCH = tuple(sorted(
 ))
 
 
+@lru_cache(maxsize=None)
 def touching_offsets(kind: ShapeKind) -> tuple[tuple, ...]:
     """Cell offsets of every cell touching the origin cell of this kind.
 
@@ -343,6 +344,7 @@ def space_elements(space: str) -> tuple[tuple[str, Mat], ...]:
     return _tri_elements()
 
 
+@lru_cache(maxsize=None)
 def space_codes(space: str) -> tuple[str, ...]:
     return tuple(c for c, _ in space_elements(space))
 

@@ -44,7 +44,14 @@ from .geometry import (
     point_group,
     space_codes,
 )
-from .tileset import FormatError, Patch, Placement, TileSet, identity_code
+from .tileset import (
+    FormatError,
+    Patch,
+    Placement,
+    TileSet,
+    _content_lines,
+    identity_code,
+)
 
 # Marked interior point of each shape, as (numerators, denominator) in cell
 # coordinates (squares and cubes are centred on their lattice point; triangle
@@ -295,13 +302,9 @@ def parse_reduced(text: str, source: TileSet) -> ReducedSet:
     name = None
     mode = None
     reps = []
-    rep_ids = set()
+    rep_kind = {}
     forward = {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
+    for ln, toks in _content_lines(text):
         if name is None:
             if toks[0] != "reduced" or len(toks) != 3:
                 raise FormatError(f"line {ln}: expected reduced header")
@@ -311,9 +314,9 @@ def parse_reduced(text: str, source: TileSet) -> ReducedSet:
         elif toks[0] == "rep":
             if len(toks) != 3 or toks[2] not in _KIND_TOKEN:
                 raise FormatError(f"line {ln}: bad rep line")
-            if toks[1] in rep_ids:
+            if toks[1] in rep_kind:
                 raise FormatError(f"line {ln}: duplicate rep id {toks[1]!r}")
-            rep_ids.add(toks[1])
+            rep_kind[toks[1]] = _KIND_TOKEN[toks[2]]
             reps.append(DecoratedPrototile(toks[1], _KIND_TOKEN[toks[2]]))
         else:
             if len(toks) != 4 or toks[1] != "->":
@@ -321,12 +324,19 @@ def parse_reduced(text: str, source: TileSet) -> ReducedSet:
             tid, _, rep_id, code = toks
             if tid not in source.by_id:
                 raise FormatError(f"line {ln}: unknown source tile {tid!r}")
-            if rep_id not in rep_ids:
+            if rep_id not in rep_kind:
                 raise FormatError(f"line {ln}: unknown rep {rep_id!r}")
             if tid in forward:
                 raise FormatError(f"line {ln}: duplicate mapping for {tid!r}")
-            if code not in space_codes(KIND_SPACE[source.by_id[tid].kind]):
+            kind = source.by_id[tid].kind
+            if code not in space_codes(KIND_SPACE[kind]):
                 raise FormatError(f"line {ln}: unknown code {code!r}")
+            rk = rep_kind[rep_id]
+            if (KIND_SPACE[rk] != KIND_SPACE[kind]
+                    or image_kind(rk, code) is not kind):
+                raise FormatError(
+                    f"line {ln}: {code} does not map rep {rep_id}'s shape onto "
+                    f"tile {tid}'s")
             forward[tid] = (rep_id, code)
     if name is None:
         raise FormatError("missing reduced header")

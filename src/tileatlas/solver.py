@@ -1,9 +1,7 @@
 """Backtracking search for valid patches and torus tilings.
 
-Cells are filled in scan order.  Every facet-sharing pair of cells (including
-torus wrap pairs) is checked exactly once, when the later cell of the pair is
-placed, so a complete assignment needs no further facet checks — found
-patches are still re-verified independently before being returned.
+Cells are filled in scan order.  Found patches are re-verified
+independently before being returned.
 
 Two search targets:
 
@@ -15,18 +13,10 @@ Two search targets:
   additionally checked corona-by-corona against a materialized atlas when
   one is supplied.
 
-One engine serves both, an explicit-stack depth-first search, so region size
-is not bounded by Python's recursion limit.  Each cell keeps a colour index:
-a memo from the colours its earlier neighbours show on the checked facets to
-the candidates that match them all.  A miss fills it by filtering the cell's
-candidate list with the facet rule; extent-1 wraps, where a candidate meets
-itself, are filtered once up front.  Cells with the same candidate list and
-the same checked facets share one memo.
-
-A node is a candidate tried in scan order.  The index skips candidates that
-the earlier neighbours rule out, but each still counts as a node, as if it
-had been tried and rejected, so node counts and `node_limit` do not depend
-on the index.
+Both run on one engine, `search._search`, an explicit-stack depth-first
+search with a per-cell colour index; the corona enumerator runs on it too.
+A node is a candidate tried in scan order, whether the index skips it or
+not, so node counts and `node_limit` do not depend on the index.
 
 With a seed, each cell's candidate order is shuffled up front, so the first
 solution found is a reproducible pseudo-random patch.
@@ -36,17 +26,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from operator import itemgetter
 
-from .atlas import Atlas, corona_in_atlas, corona_of
-from .geometry import (
-    FACET_COUNT,
-    cell_kind,
-    facet_neighbor,
-    image_kind,
-    origin_cell,
-)
+from .atlas import Atlas, corona_of
+from .geometry import FACET_COUNT, cell_kind, image_kind, origin_cell
 from .reduction import ReducedSet, decode_patch
+# the status constants are re-exported as part of the solver's API
+from .search import EXHAUSTED, FOUND, LIMIT, _schedule, _search
 from .tileset import (
     Patch,
     Placement,
@@ -56,13 +41,7 @@ from .tileset import (
     patch_valid,
     placement_orientations,
     region_cells,
-    rule_eval,
-    wrap_cell,
 )
-
-FOUND = "found"
-EXHAUSTED = "exhausted"
-LIMIT = "limit"
 
 
 @dataclass(frozen=True)
@@ -107,105 +86,7 @@ def _atlas_candidates(rs: ReducedSet, kinds):
     return out
 
 
-def _schedule(region: RegionSpec, cells):
-    """checks[i] = (facet, neighbour facet, earlier cell index) triples."""
-    space = region.space
-    index = {c: i for i, c in enumerate(cells)}
-    checks = [[] for _ in cells]
-    for c in cells:
-        kind = cell_kind(space, c)
-        for f in range(FACET_COUNT[kind]):
-            n, nf = facet_neighbor(space, c, f)
-            if region.torus:
-                n = wrap_cell(region, n)
-            j = index.get(n)
-            if j is None:
-                continue
-            i = index[c]
-            if j < i or (j == i and nf > f):
-                checks[i].append((f, nf, j))
-    return checks
-
-
-def _getter(idx):
-    """itemgetter over idx that always returns a tuple, the memo key."""
-    if len(idx) == 1:
-        get = itemgetter(idx[0])
-        return lambda seq: (get(seq),)
-    return itemgetter(*idx) if idx else (lambda seq: ())
-
-
-def _search(per_cell, checks, width, rule, limit, collect_all=False):
-    """Depth-first search over the cells with an explicit stack.
-
-    `width` is the facet count of every cell.  Returns (status, first
-    solution's labels or None, nodes, solutions seen).
-    """
-    n = len(per_cell)
-    tables = {}  # (candidate list, own checks, earlier facets) -> table
-    table, keys = [], []
-    for i, lst in enumerate(per_cell):
-        own = tuple((f, nf) for f, nf, j in checks[i] if j == i)
-        earlier = [(f, nf, j) for f, nf, j in checks[i] if j != i]
-        sig = (id(lst), own, tuple(f for f, _, _ in earlier))
-        if sig not in tables:
-            # extent-1 wraps: the candidate meets itself, whatever is around
-            base = [(p, (t, c), e) for p, (t, c, e) in enumerate(lst)
-                    if all(rule_eval(rule, e[f], e[nf]) for f, nf in own)]
-            tables[sig] = (base, sig[2], len(lst), {})
-        table.append(tables[sig])
-        keys.append(_getter([j * width + nf for _, nf, j in earlier]))
-
-    limit = float("inf") if limit is None else limit
-    colours = [None] * (n * width)  # cell i's facets at i * width
-    labels = [None] * n
-    stack = []  # (survivors, next survivor, nodes charged) of earlier cells
-    # the current cell: its survivors under the colours of its earlier
-    # neighbours, the next survivor to try, and its candidates charged so far
-    i, surv, k, spent = 0, table[0][0], 0, 0  # cell 0 has no earlier cells
-    nodes = count = 0
-    first = None
-    while True:
-        if k < len(surv):
-            p, label, e = surv[k]
-            k += 1
-            # every candidate up to p counts: the ones skipped would fail
-            nodes += p + 1 - spent
-            spent = p + 1
-            if nodes > limit:
-                break
-            colours[i * width:(i + 1) * width] = e
-            labels[i] = label
-            if i + 1 == n:
-                count += 1
-                if first is None:
-                    first = list(labels)
-                if not collect_all:
-                    return FOUND, first, nodes, count
-                continue
-            stack.append((surv, k, spent))
-            i += 1
-            base, facets, _, memo = table[i]
-            key = keys[i](colours)
-            surv = memo.get(key)
-            if surv is None:
-                surv = memo[key] = [
-                    cand for cand in base
-                    if all(rule_eval(rule, cand[2][f], v)
-                           for f, v in zip(facets, key))]
-            k = spent = 0
-        else:
-            nodes += table[i][2] - spent
-            if nodes > limit or i == 0:
-                break
-            i -= 1
-            surv, k, spent = stack.pop()
-    if nodes > limit:
-        return (LIMIT if first is None else FOUND), first, limit + 1, count
-    return (EXHAUSTED if first is None else FOUND), first, nodes, count
-
-
-def _region_search(candidates, rule, region, config, collect_all=False):
+def _region_search(candidates, rule, region, config, each=None):
     """Compile the region's cells and checks, then search them.
 
     `candidates(kinds)` maps each cell kind to its candidate list.  Without a
@@ -226,7 +107,7 @@ def _region_search(candidates, rule, region, config, collect_all=False):
     # the kinds of one lattice all have the same facet count
     width = max(FACET_COUNT[kind] for kind in kinds)
     return _search(per_cell, _schedule(region, cells), width, rule,
-                   config.node_limit, collect_all)
+                   config.node_limit, each)
 
 
 def _labels_to_patch(name, region, labels):
@@ -256,7 +137,7 @@ def count_solutions(ts: TileSet, region: RegionSpec,
     """Count all valid full placements."""
     status, labels, nodes, count = _region_search(
         lambda kinds: _facet_candidates(ts, kinds), ts.rule, region,
-        config or SolveConfig(), collect_all=True)
+        config or SolveConfig(), each=lambda labels: None)
     patch = _labels_to_patch(ts.name, region, labels) if labels else None
     return SolveResult(status, patch, nodes, count)
 
@@ -283,7 +164,7 @@ def solve_atlas(rs: ReducedSet, region: RegionSpec,
         if atlas is not None:
             for cell in patch.placements:
                 corona = corona_of(patch.placements, region, cell)
-                if corona is not None and not corona_in_atlas(atlas, corona):
+                if corona is not None and corona not in atlas:
                     raise RuntimeError(
                         f"corona at {cell} missing from the atlas")
     return SolveResult(status, patch, nodes)

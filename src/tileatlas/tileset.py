@@ -343,20 +343,20 @@ def parse_patch(text: str, space: str, ids: set[str] | None = None) -> Patch:
     placements = {}
     region = None
     for ln, toks in _content_lines(text):
-        if header is None:
-            if toks[0] != "patch":
-                raise FormatError(f"line {ln}: expected patch header")
-            dims = space_dim(space)
-            if len(toks) != 3 + dims:
-                raise FormatError(f"line {ln}: bad patch header for {space}")
-            header = toks[1]
-            extents = tuple(int(t) for t in toks[2:2 + dims])
-            boundary = toks[2 + dims]
-            if boundary not in ("free", "torus"):
-                raise FormatError(f"line {ln}: expected free|torus")
-            region = RegionSpec(space, extents, boundary == "torus")
-            continue
         try:
+            if header is None:
+                if toks[0] != "patch":
+                    raise FormatError(f"line {ln}: expected patch header")
+                dims = space_dim(space)
+                if len(toks) != 3 + dims:
+                    raise FormatError(f"line {ln}: bad patch header for {space}")
+                header = toks[1]
+                extents = tuple(int(t) for t in toks[2:2 + dims])
+                boundary = toks[2 + dims]
+                if boundary not in ("free", "torus"):
+                    raise FormatError(f"line {ln}: expected free|torus")
+                region = RegionSpec(space, extents, boundary == "torus")
+                continue
             if space == "square2d":
                 x, y, tid, code = toks
                 cell: Cell = (int(x), int(y))

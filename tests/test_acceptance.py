@@ -24,7 +24,6 @@ import time
 
 from conftest import random_tileset
 from tileatlas.atlas import (
-    corona_in_atlas,
     corona_of,
     derive_atlas,
     enumerate_source_coronas,
@@ -161,7 +160,7 @@ def test_criterion_3_round_trip_and_interior_coronas():
                     if corona is None:
                         continue
                     interior += 1
-                    assert corona_in_atlas(atlas, corona), (name, mode, cell)
+                    assert corona in atlas, (name, mode, cell)
                 if min(extents) >= 3:
                     assert interior > 0
             assert produced == 25
@@ -225,7 +224,7 @@ def _membership_vs_decode(ts, mode, seen_true):
             placements = {c: Placement(c, t, o)
                           for c, (t, o) in zip(cells, combo)}
             corona = corona_of(placements, region, center)
-            member = corona_in_atlas(atlas, corona)
+            member = corona in atlas
             valid = _decodes_valid(rs, ts, region, placements)
             assert member == valid, (ts.name, mode, kind, combo)
             checked += 1
@@ -264,8 +263,7 @@ def _membership_vs_decode(ts, mode, seen_true):
         tampered[slot] = rng.choice(pool)
         placements = {c: Placement(c, t, o)
                       for c, (t, o) in zip(cells, tampered)}
-        assert not corona_in_atlas(atlas,
-                                   corona_of(placements, region, center))
+        assert corona_of(placements, region, center) not in atlas
         assert not _decodes_valid(rs, ts, region, placements)
         non_image_checked += 1
 

@@ -1,8 +1,9 @@
 """Corona and atlas tests.
 
 Oracle for the enumerator: on small square sets, brute-force every window
-assignment (center times 3^8 ring fillings) through patch_valid and compare
-the resulting corona sets.  Membership is checked along two routes
+assignment (center times 3^8 ring fillings) through patch_valid; on small
+triangle sets, grow every filling of the 13-cell window through patch_valid;
+and compare the resulting corona sets.  Membership is checked along two routes
 (materialized atlas vs decode-and-check) that must always agree.
 """
 
@@ -16,7 +17,6 @@ from tileatlas.atlas import (
     Atlas,
     BudgetExceeded,
     Corona,
-    corona_in_atlas,
     corona_in_atlas_implicit,
     corona_of,
     derive_atlas,
@@ -62,6 +62,34 @@ def brute_square_coronas(ts):
     return found
 
 
+def brute_tri_coronas(ts):
+    """Independent route for triangles: the 13 window cells come from
+    touching_offsets, and every tile is tried on every cell in ring order.
+    A partial filling that patch_valid rejects is dropped; absent
+    neighbours are unconstrained, so no valid filling is lost."""
+    region = RegionSpec("tri2d", (3, 3), False)
+    ids = [p.id for p in ts.prototiles]
+    found = set()
+    for center in ids:
+        kind = ts.by_id[center].kind
+        ccell = (1, 1, 0 if kind is ShapeKind.TRI_UP else 1)
+        ring_cells = [(1 + a, 1 + b, o) for a, b, o in touching_offsets(kind)]
+        partial = [{ccell: Placement(ccell, center, "t0")}]
+        for cell in ring_cells:
+            grown = []
+            for placements in partial:
+                for tid in ids:
+                    trial = dict(placements)
+                    trial[cell] = Placement(cell, tid, "t0")
+                    if patch_valid(ts, Patch(ts.name, region, trial))[0]:
+                        grown.append(trial)
+            partial = grown
+        for placements in partial:
+            ring = tuple((placements[c].tile, "t0") for c in ring_cells)
+            found.add(Corona((center, "t0"), ring))
+    return found
+
+
 def small_square_set(seed, n, colours):
     rng = random.Random(seed)
     return random_tileset(rng, "square2d", n, colours, name=f"s{seed}")
@@ -71,6 +99,15 @@ def test_enumerator_matches_brute_force_on_small_sets():
     for seed, n, colours in ((1, 2, 2), (2, 3, 2), (3, 3, 3), (4, 1, 1)):
         ts = small_square_set(seed, n, colours)
         assert enumerate_source_coronas(ts) == brute_square_coronas(ts)
+    both_kinds = 0
+    for seed, n, colours in ((11, 3, 1), (7, 4, 1), (14, 4, 1), (2, 3, 2),
+                             (12, 2, 1)):
+        ts = random_tileset(random.Random(seed), "tri2d", n, colours)
+        coronas = enumerate_source_coronas(ts)
+        assert coronas == brute_tri_coronas(ts)
+        centre_kinds = {ts.by_id[c.center[0]].kind for c in coronas}
+        both_kinds += len(centre_kinds) == 2
+    assert both_kinds > 0
 
 
 def test_triangles6_atlas_is_one_corona_per_tile():
@@ -100,6 +137,13 @@ def test_budget_guard():
     ts = load_bundled("wang13")
     with pytest.raises(BudgetExceeded):
         enumerate_source_coronas(ts, node_cap=50)
+    # the smallest caps that succeed: every candidate tried in the window
+    # counts, one per prototile at the centre included
+    for name, cap in (("wang13", 40248), ("triangles6", 222)):
+        ts = load_bundled(name)
+        with pytest.raises(BudgetExceeded):
+            enumerate_source_coronas(ts, node_cap=cap - 1)
+        assert enumerate_source_coronas(ts, node_cap=cap)
 
 
 def test_membership_routes_agree_on_random_coronas():
@@ -128,7 +172,7 @@ def test_membership_routes_agree_on_random_coronas():
                 (rng.choice(rep_ids), rng.choice(codes)),
                 tuple((rng.choice(rep_ids), rng.choice(codes)) for _ in range(8)),
             )
-        a = corona_in_atlas(atlas, corona)
+        a = corona in atlas
         b = corona_in_atlas_implicit(rs, corona)
         assert a == b, corona
         agree_in += a
@@ -136,7 +180,7 @@ def test_membership_routes_agree_on_random_coronas():
     assert agree_out > 0
     # every atlas corona passes both routes
     for corona in valid:
-        assert corona_in_atlas(atlas, corona)
+        assert corona in atlas
         assert corona_in_atlas_implicit(rs, corona)
 
 
@@ -148,12 +192,12 @@ def test_implicit_route_rejects_non_image_pairs():
     # (x1, m3) decodes to nothing (only 13 of the 16 pairs are used)
     bad_center = Corona(("x1", "m3"), some.ring)
     assert not corona_in_atlas_implicit(rs, bad_center)
-    assert not corona_in_atlas(atlas, bad_center)
+    assert bad_center not in atlas
     ring = list(some.ring)
     ring[3] = ("x1", "m3")
     bad_ring = Corona(some.center, tuple(ring))
     assert not corona_in_atlas_implicit(rs, bad_ring)
-    assert not corona_in_atlas(atlas, bad_ring)
+    assert bad_ring not in atlas
 
 
 # ---------------------------------------------------------------------------

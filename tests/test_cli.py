@@ -6,11 +6,14 @@ stderr and exit codes are checked against the documented contract
 One test runs the real ``python -m tileatlas.cli`` entry point.
 """
 
+import os
 import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
+import tileatlas
 from tileatlas.cli import main
 from tileatlas.geometry import ShapeKind
 from tileatlas.reduction import decode_patch, parse_reduced, reduce_set, serialize_reduced
@@ -211,12 +214,13 @@ def test_verify_unknown_tile_is_input_error(tmp_path, capsys):
 
 def test_verify_malformed_header_is_input_error(tmp_path, capsys):
     path = tmp_path / "odd.patch"
-    path.write_text("patch wang13 1 1\n0 0 a1 r0\n", encoding="utf-8")
-    code, out, err = run(capsys, "verify", "--in", "@wang13", "--patch",
-                         str(path))
-    assert code == 1
-    assert err.startswith("error:")
-    assert out == ""
+    for header in ("patch wang13 1 1", "patch wang13 x 3 free"):
+        path.write_text(f"{header}\n0 0 a1 r0\n", encoding="utf-8")
+        code, out, err = run(capsys, "verify", "--in", "@wang13", "--patch",
+                             str(path))
+        assert code == 1
+        assert err.startswith("error:")
+        assert out == ""
 
 
 def test_verify_reduced_with_atlas(tmp_path, capsys):
@@ -334,8 +338,11 @@ def test_missing_file_is_input_error(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the same package as this process, installed or not
+    src = str(Path(tileatlas.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "tileatlas.cli", "counts", "--in", "@wang13"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert proc.stdout.strip() == COUNTS_LINES["wang13"]

@@ -336,9 +336,14 @@ def test_parse_reduced_errors():
         good.replace("u2 -> x0 t1", "u1 -> x0 t1"),  # duplicate tile
         good + "u1 -> x0 t5\n",
         good.replace("rep x1 down", "rep x1 sideways"),
+        good.replace("rep x1 down", "rep x1 square"),  # another lattice
     ):
         with pytest.raises(FormatError):
             parse_reduced(bad, ts)
     # a non-injective map is rejected at construction
     with pytest.raises(FormatError):
         parse_reduced(good.replace("u2 -> x0 t1", "u2 -> x0 t0"), ts)
+    # ut0 is unused in c2, but it maps the up representative onto a down cell
+    c2 = serialize_reduced(reduce_set(ts, "c2"))
+    with pytest.raises(FormatError):
+        parse_reduced(c2.replace("u1 -> x0 t0", "u1 -> x0 ut0"), ts)

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from conftest import random_tileset
-from tileatlas.atlas import corona_in_atlas, corona_of, derive_atlas
+from tileatlas.atlas import corona_of, derive_atlas
 from tileatlas.geometry import ShapeKind, cell_kind
 from tileatlas.reduction import decode_patch, reduce_set
 from tileatlas.solver import (
@@ -235,7 +235,7 @@ def test_atlas_mode_square_free_patch():
     assert interior
     for c in interior:
         corona = corona_of(r.patch.placements, r.patch.region, c)
-        assert corona_in_atlas(atlas, corona)
+        assert corona in atlas
 
 
 def test_atlas_mode_agrees_with_facet_mode_on_torus_verdicts():
@@ -259,7 +259,7 @@ def test_atlas_mode_agrees_with_facet_mode_on_torus_verdicts():
         for c in reduced.patch.placements:
             corona = corona_of(reduced.patch.placements, reduced.patch.region, c)
             assert corona is not None
-            assert corona_in_atlas(at, corona)
+            assert corona in at
 
 
 def test_atlas_mode_respects_node_limit_and_seed():
