@@ -14,7 +14,12 @@ source tiles and checking the facet rule directly; the two routes agree.
 
 Source coronas are enumerated on the region solver's engine (`search`), one
 search per centre kind over the corona window, centre first.  A node is a
-candidate tried at any window cell, the centre included.
+candidate tried at any window cell, the centre included.  Every corona the
+engine yields is re-checked before it is admitted, by a check compiled once
+per window in each enumeration: candidate legality and facet colours per
+window cell, and the window's facet-sharing pairs from `facet_pairs`, which
+is also the pair walk of `patch_valid`.  It reads no colour or schedule
+table of the engine.
 
 Atlas text format:
 
@@ -33,10 +38,12 @@ from .geometry import (
     FACET_COUNT,
     KIND_SPACE,
     SPACE_KINDS,
+    SPACES,
     ShapeKind,
     cell_kind,
     facet_neighbor,
     origin_cell,
+    space_codes,
     space_dim,
     touching_cell,
     touching_offsets,
@@ -49,8 +56,11 @@ from .tileset import (
     TileSet,
     _content_lines,
     effective_facets,
+    facet_pairs,
     identity_code,
     patch_valid,
+    placement_ok,
+    rule_eval,
     wrap_cell,
 )
 from .reduction import ReducedSet
@@ -162,8 +172,10 @@ def enumerate_source_coronas(ts: TileSet, node_cap: int = 10 ** 7) -> set:
     """All locally valid coronas of a translation-placed source set.
 
     `node_cap` bounds the nodes summed over the centre kinds.  Every complete
-    assignment is re-verified independently with patch_valid before being
-    admitted.
+    assignment is re-verified independently before being admitted, by a
+    check compiled once per window: each candidate is placed on each window
+    cell with placement_ok and its facet colours read there, and every pair
+    that facet_pairs lists for the window is tested against the rule.
     """
     if ts.allowed != "translations":
         raise FormatError("corona enumeration expects a translation-placed set")
@@ -176,24 +188,40 @@ def enumerate_source_coronas(ts: TileSet, node_cap: int = 10 ** 7) -> set:
     for p in ts.prototiles:
         eff = effective_facets(ts, Placement(origin_cell(p.kind), p.id, ident))
         by_kind[p.kind].append((p.id, ident, eff))
+    rule = ts.rule
     out = set()
     nodes = 0
     for kind in by_kind:
         region, cells, order = _corona_window(kind)
         ring = [order.index(c) for c in cells[1:]]
+        per_cell = [by_kind[cell_kind(space, c)] for c in order]
+        # the re-check's tables, from its own walk of the window
+        colours = []  # per window cell: (tile, code) -> facet colours there
+        for c, cands in zip(order, per_cell):
+            table = {}
+            for t, code, _ in cands:
+                pl = Placement(c, t, code)
+                msg = placement_ok(ts, region, pl)
+                if msg is not None:
+                    raise RuntimeError(f"illegal corona window candidate: {msg}")
+                table[(t, code)] = effective_facets(ts, pl)
+            colours.append(table)
+        pairs = facet_pairs(region, order)
 
         def admit(labels):
-            placements = {c: Placement(c, t, code)
-                          for c, (t, code) in zip(order, labels)}
-            ok, report = patch_valid(ts, Patch(ts.name, region, placements))
-            if not ok:
-                raise RuntimeError(
-                    f"incremental checks admitted an invalid corona: {report}")
+            eff = [table[label] for table, label in zip(colours, labels)]
+            for i, f, j, nf in pairs:
+                a, b = eff[i][f], eff[j][nf]
+                if not rule_eval(rule, a, b):
+                    raise RuntimeError(
+                        "incremental checks admitted an invalid corona: "
+                        f"facet rule fails between {order[i]} facet {f} "
+                        f"(colour {a}) and {order[j]} facet {nf} (colour {b}) "
+                        f"in {list(zip(order, labels))}")
             out.add(Corona(labels[0], tuple(labels[j] for j in ring)))
 
-        per_cell = [by_kind[cell_kind(space, c)] for c in order]
         _, _, spent, _ = _search(per_cell, _schedule(region, order),
-                                 FACET_COUNT[kind], ts.rule, node_cap - nodes,
+                                 FACET_COUNT[kind], rule, node_cap - nodes,
                                  admit)
         nodes += spent  # node_cap + 1 once the cap is crossed
         if nodes > node_cap:
@@ -249,8 +277,22 @@ def serialize_atlas(atlas: Atlas) -> str:
     return "\n".join(out) + "\n"
 
 
+@lru_cache(maxsize=None)
+def _lattice_of_code() -> dict:
+    """Orientation code -> (lattice, ring length); the lattices' code sets
+    are disjoint, so a code names its lattice."""
+    return {code: (space, len(touching_offsets(SPACE_KINDS[space][0])))
+            for space in SPACES for code in space_codes(space)}
+
+
 def parse_atlas(text: str) -> Atlas:
+    """Read atlas text.  Every code must be one lattice's orientation code,
+    all codes must come from the same lattice, and every ring must have that
+    lattice's touching count of entries."""
+    lattice_of = _lattice_of_code()
     name = None
+    lattice = None
+    codes = frozenset()
     coronas = set()
     for ln, toks in _content_lines(text):
         if name is None:
@@ -263,9 +305,25 @@ def parse_atlas(text: str) -> Atlas:
         sep = toks.index(":")
         if sep != 2 or (len(toks) - 3) % 2 != 0:
             raise FormatError(f"line {ln}: bad corona line")
+        line_codes = [toks[1], *toks[4::2]]
+        if not codes.issuperset(line_codes):
+            for code in line_codes:
+                if code not in lattice_of:
+                    raise FormatError(
+                        f"line {ln}: unknown orientation code {code!r}")
+                if lattice is None:
+                    lattice = lattice_of[code]
+                    codes = frozenset(space_codes(lattice[0]))
+                elif lattice_of[code] != lattice:
+                    raise FormatError(
+                        f"line {ln}: code {code!r} is not a {lattice[0]} code")
         center = (toks[0], toks[1])
         rest = toks[3:]
         ring = tuple((rest[i], rest[i + 1]) for i in range(0, len(rest), 2))
+        if len(ring) != lattice[1]:
+            raise FormatError(
+                f"line {ln}: ring of {len(ring)} entries; {lattice[0]} "
+                f"coronas have {lattice[1]}")
         coronas.add(Corona(center, ring))
     if name is None:
         raise FormatError("missing atlas header")

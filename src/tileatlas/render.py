@@ -19,6 +19,7 @@ randomness are involved, so equal inputs give byte-identical SVG text.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .geometry import (
     FACET_COUNT,
@@ -228,22 +229,29 @@ def render_source_patch(ts: TileSet, patch: Patch, scale: float = 40.0) -> str:
     return cv.to_svg(scale)
 
 
-def _lift_points(rep_kind: ShapeKind, code: str, cell, space, pts):
-    """Carry exact rep-frame points onto the placement's cell."""
+@lru_cache(maxsize=None)
+def _lift_rep(rep_kind: ShapeKind, code: str):
+    """The representative's glyph strokes and decoration point under the
+    placement's exact lift, before the cell's base is added."""
     lift = orientation_lift(rep_kind, code)
-    if space == "tri2d":
-        base = (cell[0], cell[1])
-    else:
-        base = cell
-    out = []
-    for p in pts:
-        img = [
+
+    def image(p):
+        return tuple(
             sum(Fraction(lift.matrix[i][j]) * p[j] for j in range(len(p)))
             + lift.shift[i]
             for i in range(len(p))
-        ]
-        out.append(tuple(img[i] + base[i] for i in range(len(base))))
-    return out
+        )
+
+    nums, den = DECORATION_POINT[rep_kind]
+    strokes = tuple(tuple(image(p) for p in stroke)
+                    for stroke in GLYPH.get(rep_kind, ()))
+    return strokes, image(tuple(Fraction(n, den) for n in nums))
+
+
+def _at_cell(cell, space, p):
+    """Carry a lifted rep-frame point onto the placement's cell."""
+    base = cell[:2] if space == "tri2d" else cell
+    return tuple(x + b for x, b in zip(p, base))
 
 
 def render_reduced_patch(rs: ReducedSet, patch: Patch, scale: float = 40.0
@@ -261,11 +269,8 @@ def render_reduced_patch(rs: ReducedSet, patch: Patch, scale: float = 40.0
             cx = x + offs[z]
             outline = _square_outline(cx, y)
             cv.polygon(outline, "white", "#222222", 0.03)
-            kind = rep_kind[pl.tile]
-            nums, den = DECORATION_POINT[kind]
-            (mx, my, _) = _lift_points(
-                kind, pl.orientation, cell, space,
-                [tuple(Fraction(n, den) for n in nums)])[0]
+            _, mark = _lift_rep(rep_kind[pl.tile], pl.orientation)
+            (mx, my, _) = _at_cell(cell, space, mark)
             cv.circle((float(mx) + offs[z], float(my)), 0.08,
                       colour_hex(rep_index[pl.tile] + 1))
             cv.text((cx, y - 0.32), f"{pl.tile} {pl.orientation}", 0.16)
@@ -277,13 +282,10 @@ def render_reduced_patch(rs: ReducedSet, patch: Patch, scale: float = 40.0
         else:
             outline = _square_outline(cell[0], cell[1])
         cv.polygon(outline, "white", "#222222", 0.03)
-        kind = rep_kind[pl.tile]
+        strokes, mark = _lift_rep(rep_kind[pl.tile], pl.orientation)
         stroke = colour_hex(rep_index[pl.tile] + 1)
-        for a, b in GLYPH[kind]:
-            (pa, pb) = _lift_points(kind, pl.orientation, cell, space, [a, b])
-            cv.polyline([_embed2(pa, space), _embed2(pb, space)], stroke, 0.05)
-        nums, den = DECORATION_POINT[kind]
-        (m,) = _lift_points(kind, pl.orientation, cell, space,
-                            [tuple(Fraction(n, den) for n in nums)])
-        cv.circle(_embed2(m, space), 0.05, "#222222")
+        for a, b in strokes:
+            cv.polyline([_embed2(_at_cell(cell, space, a), space),
+                         _embed2(_at_cell(cell, space, b), space)], stroke, 0.05)
+        cv.circle(_embed2(_at_cell(cell, space, mark), space), 0.05, "#222222")
     return cv.to_svg(scale)

@@ -221,15 +221,37 @@ def placement_ok(ts: TileSet, region: RegionSpec, pl: Placement) -> str | None:
     return None
 
 
+def facet_pairs(region: RegionSpec, cells) -> list[tuple[int, int, int, int]]:
+    """Each facet-sharing pair of the listed cells once, as (i, facet, j,
+    nfacet) index quads in the order of `cells`.
+
+    Torus regions wrap.  A pair is listed from the side whose (cell, facet)
+    is smaller, so a facet that meets itself (an extent-1 wrap) is no pair;
+    a cell that meets itself on two facets is.
+    """
+    space = region.space
+    index = {c: i for i, c in enumerate(cells)}
+    out = []
+    for i, cell in enumerate(cells):
+        for facet in range(FACET_COUNT[cell_kind(space, cell)]):
+            nbr, nfacet = facet_neighbor(space, cell, facet)
+            if region.torus:
+                nbr = wrap_cell(region, nbr)
+            j = index.get(nbr)
+            if j is not None and (nbr, nfacet) > (cell, facet):
+                out.append((i, facet, j, nfacet))
+    return out
+
+
 def patch_valid(ts: TileSet, patch: Patch) -> tuple[bool, tuple[str, ...]]:
     """Check every placement and every facet-sharing pair of placements.
 
-    Returns (ok, violations).  Boundary facets of free patches and absent
+    Returns (ok, violations): placement messages first, then facet failures
+    in sorted cell, facet order.  Boundary facets of free patches and absent
     neighbours are unconstrained; corner/edge point contacts are always legal
     (lower-dimensional boundary points are uncoloured).
     """
     region = patch.region
-    space = region.space
     violations = []
     eff = {}
     for cell, pl in patch.placements.items():
@@ -238,25 +260,15 @@ def patch_valid(ts: TileSet, patch: Patch) -> tuple[bool, tuple[str, ...]]:
             violations.append(msg)
             continue
         eff[cell] = effective_facets(ts, pl)
-    for cell in sorted(eff):
-        kind = cell_kind(space, cell)
-        for facet in range(FACET_COUNT[kind]):
-            nbr, nfacet = facet_neighbor(space, cell, facet)
-            if region.torus:
-                nbr = wrap_cell(region, nbr)
-            if nbr not in eff:
-                continue
-            if (nbr, nfacet) < (cell, facet):
-                continue  # each pair once
-            if nbr == cell and nfacet == facet:
-                continue  # degenerate wrap (extent 1): a facet meets itself
-            a = eff[cell][facet]
-            b = eff[nbr][nfacet]
-            if not rule_eval(ts.rule, a, b):
-                violations.append(
-                    f"facet rule fails between {cell} facet {facet} (colour {a}) "
-                    f"and {nbr} facet {nfacet} (colour {b})"
-                )
+    cells = sorted(eff)
+    for i, facet, j, nfacet in facet_pairs(region, cells):
+        a = eff[cells[i]][facet]
+        b = eff[cells[j]][nfacet]
+        if not rule_eval(ts.rule, a, b):
+            violations.append(
+                f"facet rule fails between {cells[i]} facet {facet} (colour {a}) "
+                f"and {cells[j]} facet {nfacet} (colour {b})"
+            )
     return (not violations, tuple(violations))
 
 

@@ -253,9 +253,37 @@ def test_parse_atlas_errors():
         "atlas a\nx0 : x0 r0\n",
         "atlas a\nx0 r0 x0 r0\n",
         "atlas a\nx0 r0 : x0 r0 x1\n",
+        # a 1-entry ring and the unknown code q9
+        "atlas a\nx0 r0 : x0 r0\nzz q9 : x0 r0\n",
+        "atlas a\nx0 q9 : " + "x0 r0 " * 8 + "\n",  # no lattice has q9
+        "atlas a\nx0 u : " + "x0 t0 " * 12 + "\n",  # patch alias, not a code
+        "atlas a\nx0 r0 : " + "x0 r0 " * 7 + "x0 t0\n",  # two lattices
+        "atlas a\nx0 r0 : " + "x0 r0 " * 8 + "\nx0 t0 : " + "x0 t0 " * 12,
+        "atlas a\nx0 t0 : " + "x0 t0 " * 8 + "\n",  # tri rings have 12
+        "atlas a\nx0 sXYZ:+++/XYZ : " + "x0 sXYZ:+++/XYZ " * 8 + "\n",
     ):
         with pytest.raises(FormatError):
             parse_atlas(bad)
+
+
+def test_parse_atlas_accepts_each_lattice():
+    for code, ring in (("r0", 8), ("sXYZ:+++/XYZ", 26), ("ut3", 12)):
+        text = "atlas a\n" + f"x0 {code} : " + f"x1 {code} " * ring + "\n"
+        (corona,) = parse_atlas(text).coronas
+        assert len(corona.ring) == ring
+    assert parse_atlas("atlas empty\n").coronas == frozenset()
+
+
+def test_admit_recheck_catches_engine_faults(monkeypatch):
+    # an engine whose facet filter accepts every pair yields invalid
+    # coronas; the enumerator's own re-check must refuse the first of them.
+    # The cap keeps a dropped re-check from enumerating all 13^9 fillings:
+    # it ends in BudgetExceeded, whose message does not match.
+    import tileatlas.search
+    monkeypatch.setattr(tileatlas.search, "rule_eval", lambda rule, a, b: True)
+    with pytest.raises(RuntimeError,
+                       match="incremental checks admitted an invalid corona"):
+        enumerate_source_coronas(load_bundled("wang13"), node_cap=1000)
 
 
 def test_atlas_contains_dunder():

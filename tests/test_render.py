@@ -5,8 +5,11 @@ orientation of a placed representative is visually distinct) and that output
 bytes are a pure function of the patch.
 """
 
+import hashlib
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+
+import pytest
 
 from tileatlas.geometry import ShapeKind, orientation_lift, point_group, space_codes
 from tileatlas.render import (
@@ -15,7 +18,7 @@ from tileatlas.render import (
     render_reduced_patch,
     render_source_patch,
 )
-from tileatlas.reduction import reduce_set
+from tileatlas.reduction import encode_patch, reduce_set
 from tileatlas.solver import random_patch, solve_atlas, SolveConfig
 from tileatlas.tileset import (
     Patch,
@@ -140,6 +143,25 @@ def test_rendering_is_deterministic_and_order_independent():
                      SolveConfig(seed=4))
     assert render_reduced_patch(rs, xp.patch) == \
         render_reduced_patch(rs, xp.patch)
+
+
+@pytest.mark.parametrize("name, extents, torus, seed, digest", [
+    ("wang13", (4, 4), False, 1,
+     "46febdede6e32f073e13e479c442b6912dd5a7d899c31712cc31908a6f2efa77"),
+    ("triangles6", (3, 2), True, 0,
+     "2fc84658d49a1d580445c1e886fabc8447457e557bbfe8dfc8ec965aeb04d594"),
+    ("cubes21", (2, 2, 2), False, 3,
+     "601bf120f8960273e9b443062ba573bab9994be14b7b3fad2dfe9200c2a0c7e3"),
+], ids=["square", "tri", "cube"])
+def test_reduced_render_bytes_are_pinned(name, extents, torus, seed, digest):
+    # exact-arithmetic output, pinned byte for byte: memoizing or reordering
+    # the lifts must not move a single coordinate
+    ts = load_bundled(name)
+    rs = reduce_set(ts, "c2")
+    patch = encode_patch(rs, random_patch(ts, extents, seed=seed,
+                                          torus=torus).patch)
+    svg = render_reduced_patch(rs, patch)
+    assert hashlib.sha256(svg.encode()).hexdigest() == digest
 
 
 def test_palette():

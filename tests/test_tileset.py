@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from conftest import random_tileset
 from tileatlas.geometry import (
     FACET_COUNT,
     ShapeKind,
@@ -184,65 +185,134 @@ def test_placement_ok_messages():
 # ---------------------------------------------------------------------------
 
 def oracle_patch_valid(ts, patch):
-    """Each shared facet midpoint must carry a rule-compatible colour pair.
+    """The violations patch_valid must report, in its order.
 
-    Collect (midpoint -> [(colour, owner)]) over all placements, wrapping
-    torus regions by recomputing the neighbour's midpoint from the wrapped
-    cell.  This re-derives adjacency from exact midpoint coincidence instead
-    of facet_neighbor.
+    Placement messages come first, in placement order.  Then each shared
+    facet midpoint must carry a rule-compatible colour pair: collect
+    (midpoint -> [(cell, facet, colour)]) over the legal placements, folding
+    torus midpoints into the doubled extents.  This re-derives adjacency
+    from exact midpoint coincidence instead of facet_neighbor.  A failing
+    pair is reported from its smaller (cell, facet) side, and the failures
+    in sorted order.
     """
     region = patch.region
     space = region.space
+    violations = []
     claims = {}
     for cell, pl in patch.placements.items():
-        if placement_ok(ts, region, pl) is not None:
-            return False
+        msg = placement_ok(ts, region, pl)
+        if msg is not None:
+            violations.append(msg)
+            continue
         eff = effective_facets(ts, pl)
-        kind = cell_kind(space, cell)
-        for f in range(FACET_COUNT[kind]):
-            claims.setdefault(facet_midpoint2(space, cell, f), []).append(eff[f])
-    if region.torus:
-        # fold midpoints: doubled coords live in a 2W x 2H (x 2D) torus
-        folded = {}
-        mod = tuple(2 * e for e in region.extents)
-        for mid, cols in claims.items():
-            key = tuple(c % m for c, m in zip(mid, mod))
-            folded.setdefault(key, []).extend(cols)
-        claims = folded
-    for cols in claims.values():
-        assert len(cols) <= 2
-        if len(cols) == 2 and not rule_eval(ts.rule, cols[0], cols[1]):
-            return False
-    return True
+        for f in range(FACET_COUNT[cell_kind(space, cell)]):
+            mid = facet_midpoint2(space, cell, f)
+            if region.torus:
+                mid = tuple(c % (2 * e) for c, e in zip(mid, region.extents))
+            claims.setdefault(mid, []).append((cell, f, eff[f]))
+    fails = []
+    for sides in claims.values():
+        assert len(sides) <= 2
+        if len(sides) == 2:
+            (c1, f1, a), (c2, f2, b) = sorted(sides)
+            if not rule_eval(ts.rule, a, b):
+                fails.append((c1, f1, a, c2, f2, b))
+    for c1, f1, a, c2, f2, b in sorted(fails):
+        violations.append(f"facet rule fails between {c1} facet {f1} "
+                          f"(colour {a}) and {c2} facet {f2} (colour {b})")
+    return tuple(violations)
 
 
-def random_square_patch(rng, ts, w, h, torus, density=0.8):
-    region = RegionSpec("square2d", (w, h), torus)
+def random_patch_in(rng, ts, region, density=0.8, bad=0.0):
+    """Random placements over the region.  With probability `bad` a
+    placement is illegal: an unknown id, a cell outside the region or an
+    orientation its cell does not allow."""
+    space = region.space
+    ids = [p.id for p in ts.prototiles]
     placements = {}
     for cell in region_cells(region):
-        if rng.random() < density:
-            tid = rng.choice([p.id for p in ts.prototiles])
-            kind = ts.by_id[tid].kind
-            code = rng.choice(placement_orientations(ts.allowed, kind, SQ))
-            placements[cell] = Placement(cell, tid, code)
+        if rng.random() >= density:
+            continue
+        tid = rng.choice(ids)
+        codes = placement_orientations(ts.allowed, ts.by_id[tid].kind,
+                                       cell_kind(space, cell))
+        code = rng.choice(codes or space_codes(space))
+        if rng.random() < bad:
+            fault = rng.randrange(3)
+            if fault == 0:
+                tid = "zz"
+            elif fault == 1:
+                cell = (cell[0] + region.extents[0],) + cell[1:]
+            else:
+                code = rng.choice(space_codes(space))
+        placements[cell] = Placement(cell, tid, code)
     return Patch(ts.name, region, placements)
+
+
+def tri_set(seed, allowed):
+    ts = random_tileset(random.Random(seed), "tri2d", 4, 2)
+    return TileSet(ts.name, ts.prototiles, ts.rule, allowed)
 
 
 def test_patch_valid_matches_oracle_on_random_patches():
     rng = random.Random(20260815)
-    ts = square_set([(1, 2, 1, 2), (2, 1, 2, 1), (1, 1, 2, 2)])
-    seen_valid = 0
-    seen_invalid = 0
-    for trial in range(300):
-        torus = trial % 2 == 0
-        patch = random_square_patch(rng, ts, rng.randint(1, 4), rng.randint(1, 4),
-                                    torus)
+    sets = [square_set([(1, 2, 1, 2), (2, 1, 2, 1), (1, 1, 2, 2)]),
+            square_set([(1, 2, 1, 2), (1, 1, 2, 2)], allowed="translations"),
+            tri_set(3, "all"), tri_set(5, "translations")]
+    seen_valid = seen_invalid = seen_placement = 0
+    for trial in range(600):
+        ts = sets[trial % 4]
+        torus = trial % 3 != 0
+        region = RegionSpec(ts.space, (rng.randint(1, 4), rng.randint(1, 4)),
+                            torus)
+        patch = random_patch_in(rng, ts, region,
+                                bad=0.1 if trial % 5 == 0 else 0.0)
         ok, violations = patch_valid(ts, patch)
-        assert ok == oracle_patch_valid(ts, patch)
+        assert violations == oracle_patch_valid(ts, patch), patch
         assert ok == (not violations)
         seen_valid += ok
         seen_invalid += not ok
-    assert seen_valid > 10 and seen_invalid > 10
+        seen_placement += any("facet rule" not in v for v in violations)
+    assert seen_valid > 10 and seen_invalid > 10 and seen_placement > 10
+
+
+def test_patch_valid_reports_on_extent_one_tori():
+    # cells are their own facet neighbours across every extent-1 axis
+    rng = random.Random(7)
+    sets = [square_set([(1, 2, 1, 2), (2, 1, 2, 1), (1, 1, 2, 2)]),
+            tri_set(3, "all"), tri_set(5, "translations")]
+    seen_invalid = 0
+    for ts in sets:
+        for extents in ((1, 1), (1, 2), (3, 1)):
+            region = RegionSpec(ts.space, extents, True)
+            for _ in range(20):
+                patch = random_patch_in(rng, ts, region, density=1.0)
+                ok, violations = patch_valid(ts, patch)
+                assert violations == oracle_patch_valid(ts, patch), patch
+                seen_invalid += not ok
+    assert seen_invalid > 10
+
+
+def test_patch_valid_reports_on_sparse_patch_with_holes():
+    ts = square_set([(1, 2, 1, 2), (2, 1, 2, 1), (1, 1, 2, 2)])
+    rng = random.Random(11)
+    # a few clusters in a huge region: the check walks the placements only
+    region = RegionSpec("square2d", (100000, 100000), False)
+    placements = {}
+    for cx, cy in ((0, 0), (500, 99998), (99998, 4)):
+        for dx in range(3):
+            for dy in range(2):
+                if rng.random() < 0.7:
+                    cell = (cx + dx, cy + dy)
+                    tid = rng.choice(["p0", "p1", "p2"])
+                    code = rng.choice(space_codes("square2d"))
+                    placements[cell] = Placement(cell, tid, code)
+    placements[(100000, 0)] = Placement((100000, 0), "p0", "r0")  # outside
+    patch = Patch(ts.name, region, placements)
+    ok, violations = patch_valid(ts, patch)
+    assert not ok and "outside" in violations[0]
+    assert violations == oracle_patch_valid(ts, patch)
+    assert any("facet rule" in v for v in violations)
 
 
 def test_patch_valid_free_boundary_is_unconstrained():
