@@ -12,14 +12,14 @@ all facet-sharing pairs satisfy the facet rule.  Membership can be tested
 against the materialized atlas, or implicitly by decoding the corona back to
 source tiles and checking the facet rule directly; the two routes agree.
 
-Source coronas are enumerated on the region solver's engine (`search`), one
+Source coronas are enumerated by the solver's search, `region_search`: one
 search per centre kind over the corona window, centre first.  A node is a
-candidate tried at any window cell, the centre included.  Every corona the
-engine yields is re-checked before it is admitted, by a check compiled once
-per window in each enumeration: candidate legality and facet colours per
-window cell, and the window's facet-sharing pairs from `facet_pairs`, which
-is also the pair walk of `patch_valid`.  It reads no colour or schedule
-table of the engine.
+candidate tried at any window cell, the centre included.  Every corona it
+yields is re-checked before it is admitted, by a check compiled once per
+window in each call from the prototiles, not from the engine's lists: the
+legal placements on each window cell (`placement_ok`) with their facet
+colours there, and the window's facet-sharing pairs from `facet_pairs`, the
+pair walk of `patch_valid`.
 
 Atlas text format:
 
@@ -64,7 +64,7 @@ from .tileset import (
     wrap_cell,
 )
 from .reduction import ReducedSet
-from .search import _schedule, _search
+from .search import region_search
 
 
 class BudgetExceeded(RuntimeError):
@@ -123,6 +123,19 @@ def corona_of(placements: dict, region: RegionSpec, cell) -> Corona | None:
     return Corona((pl.tile, pl.orientation), tuple(ring))
 
 
+def missing_coronas(atlas: Atlas, patch: Patch) -> tuple[list, int]:
+    """The sorted cells whose complete corona is not in the atlas, and the
+    number of complete coronas in the patch."""
+    missing, complete = [], 0
+    for cell in sorted(patch.placements):
+        corona = corona_of(patch.placements, patch.region, cell)
+        if corona is not None:
+            complete += 1
+            if corona not in atlas:
+                missing.append(cell)
+    return missing, complete
+
+
 # ---------------------------------------------------------------------------
 # Locally valid source coronas
 # ---------------------------------------------------------------------------
@@ -172,10 +185,10 @@ def enumerate_source_coronas(ts: TileSet, node_cap: int = 10 ** 7) -> set:
     """All locally valid coronas of a translation-placed source set.
 
     `node_cap` bounds the nodes summed over the centre kinds.  Every complete
-    assignment is re-verified independently before being admitted, by a
-    check compiled once per window: each candidate is placed on each window
-    cell with placement_ok and its facet colours read there, and every pair
-    that facet_pairs lists for the window is tested against the rule.
+    assignment is re-verified independently before being admitted: each
+    label must be a placement that placement_ok accepts on its window cell,
+    and every pair that facet_pairs lists for the window is tested against
+    the rule on the facet colours read there.
     """
     if ts.allowed != "translations":
         raise FormatError("corona enumeration expects a translation-placed set")
@@ -183,33 +196,32 @@ def enumerate_source_coronas(ts: TileSet, node_cap: int = 10 ** 7) -> set:
     if space is None:
         raise FormatError("mixed-kind sets have no corona atlas")
     ident = identity_code(space)
-    # kind -> (tile, code, facet colours); cells of a kind share its memo
-    by_kind = {kind: [] for kind in SPACE_KINDS[space]}
-    for p in ts.prototiles:
-        eff = effective_facets(ts, Placement(origin_cell(p.kind), p.id, ident))
-        by_kind[p.kind].append((p.id, ident, eff))
     rule = ts.rule
     out = set()
     nodes = 0
-    for kind in by_kind:
+    for kind in SPACE_KINDS[space]:
         region, cells, order = _corona_window(kind)
         ring = [order.index(c) for c in cells[1:]]
-        per_cell = [by_kind[cell_kind(space, c)] for c in order]
         # the re-check's tables, from its own walk of the window
-        colours = []  # per window cell: (tile, code) -> facet colours there
-        for c, cands in zip(order, per_cell):
+        colours = []  # per window cell: legal (tile, code) -> facet colours
+        for c in order:
+            shape = cell_kind(space, c)
             table = {}
-            for t, code, _ in cands:
-                pl = Placement(c, t, code)
-                msg = placement_ok(ts, region, pl)
-                if msg is not None:
-                    raise RuntimeError(f"illegal corona window candidate: {msg}")
-                table[(t, code)] = effective_facets(ts, pl)
+            for p in ts.prototiles:
+                pl = Placement(c, p.id, ident)
+                if p.kind is shape and placement_ok(ts, region, pl) is None:
+                    table[(p.id, ident)] = effective_facets(ts, pl)
             colours.append(table)
         pairs = facet_pairs(region, order)
 
         def admit(labels):
-            eff = [table[label] for table, label in zip(colours, labels)]
+            try:
+                eff = [table[label] for table, label in zip(colours, labels)]
+            except KeyError as e:
+                raise RuntimeError(
+                    "incremental checks admitted an invalid corona: "
+                    f"{e.args[0]} is no legal placement in "
+                    f"{list(zip(order, labels))}") from None
             for i, f, j, nf in pairs:
                 a, b = eff[i][f], eff[j][nf]
                 if not rule_eval(rule, a, b):
@@ -220,9 +232,8 @@ def enumerate_source_coronas(ts: TileSet, node_cap: int = 10 ** 7) -> set:
                         f"in {list(zip(order, labels))}")
             out.add(Corona(labels[0], tuple(labels[j] for j in ring)))
 
-        _, _, spent, _ = _search(per_cell, _schedule(region, order),
-                                 FACET_COUNT[kind], rule, node_cap - nodes,
-                                 admit)
+        _, _, spent, _ = region_search(ts, region, node_cap - nodes,
+                                       each=admit, cells=order)
         nodes += spent  # node_cap + 1 once the cap is crossed
         if nodes > node_cap:
             raise BudgetExceeded(

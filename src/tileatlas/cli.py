@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .atlas import BudgetExceeded, corona_of, derive_atlas
+from .atlas import BudgetExceeded, derive_atlas, missing_coronas
 from .reduction import (
     DecodeError,
     class_group,
@@ -33,6 +33,7 @@ from .reduction import (
     reduced_cardinality,
     serialize_reduced,
 )
+from .geometry import space_dim
 from .render import render_reduced_patch, render_source_patch
 from .solver import (
     EXHAUSTED,
@@ -84,10 +85,25 @@ def _write(path: str | None, text: str):
 
 
 def _load_set(source: str):
-    """A tileset from a file path, or a bundled set named `@name`."""
+    """A tileset on one lattice, from a file path or a bundled set named
+    `@name`."""
     if source.startswith("@"):
-        return load_bundled(source[1:])
-    return parse_tileset(_read(source))
+        ts = load_bundled(source[1:])
+    else:
+        ts = parse_tileset(_read(source))
+    if ts.space is None:
+        raise FormatError("set has no single lattice")
+    return ts
+
+
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than `low`."""
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below {low}")
+        return value
+    return integer
 
 
 def _region_extents(args, space: str):
@@ -132,8 +148,6 @@ def cmd_reduce(args) -> int:
 
 def cmd_tile(args) -> int:
     ts = _load_set(args.inp)
-    if ts.space is None:
-        raise FormatError("set has no single lattice")
     region = RegionSpec(ts.space, _region_extents(args, ts.space), args.torus)
     cfg = _config(args)
     if args.reduced:
@@ -149,11 +163,9 @@ def cmd_tile(args) -> int:
 
 def cmd_exhaust(args) -> int:
     ts = _load_set(args.inp)
-    if ts.space is None:
-        raise FormatError("set has no single lattice")
     cfg = _config(args)
     if args.kmax is not None:
-        dims = 3 if ts.space == "cube3d" else 2
+        dims = space_dim(ts.space)
         worst = EXHAUSTED
         for k in range(1, args.kmax + 1):
             result = exhaust_torus(ts, (k,) * dims, cfg)
@@ -177,8 +189,6 @@ def cmd_exhaust(args) -> int:
 
 def cmd_verify(args) -> int:
     ts = _load_set(args.inp)
-    if ts.space is None:
-        raise FormatError("set has no single lattice")
     if args.reduced:
         rs = parse_reduced(_read(args.reduced), ts)
         patch = parse_patch(_read(args.patch), ts.space, rs.rep_ids)
@@ -194,17 +204,10 @@ def cmd_verify(args) -> int:
             return EXIT_NEGATIVE
         if args.with_atlas:
             atlas = derive_atlas(rs, node_cap=args.atlas_budget)
-            bad = 0
-            complete = 0
-            for cell in sorted(patch.placements):
-                corona = corona_of(patch.placements, patch.region, cell)
-                if corona is None:
-                    continue
-                complete += 1
-                if corona not in atlas:
-                    print(f"invalid: corona at {cell} not in atlas")
-                    bad += 1
-            if bad:
+            missing, complete = missing_coronas(atlas, patch)
+            for cell in missing:
+                print(f"invalid: corona at {cell} not in atlas")
+            if missing:
                 return EXIT_NEGATIVE
             print(f"ok (decoded facets valid; {complete} coronas in atlas)")
         else:
@@ -221,8 +224,6 @@ def cmd_verify(args) -> int:
 
 def cmd_roundtrip(args) -> int:
     ts = _load_set(args.inp)
-    if ts.space is None:
-        raise FormatError("set has no single lattice")
     rs = reduce_set(ts, args.mode)
     extents = _region_extents(args, ts.space)
     failures = 0
@@ -251,8 +252,6 @@ def cmd_roundtrip(args) -> int:
 
 def cmd_render(args) -> int:
     ts = _load_set(args.inp)
-    if ts.space is None:
-        raise FormatError("set has no single lattice")
     if args.reduced:
         rs = parse_reduced(_read(args.reduced), ts)
         patch = parse_patch(_read(args.patch), ts.space, rs.rep_ids)
@@ -281,7 +280,7 @@ def build_parser() -> _Parser:
             sp.add_argument("--depth", type=int, default=None)
             sp.add_argument("--torus", action="store_true")
         if solveflags:
-            sp.add_argument("--node-limit", type=int, default=None)
+            sp.add_argument("--node-limit", type=_at_least(0), default=None)
 
     sp = sub.add_parser("counts", help="set statistics and reduced sizes")
     add_common(sp)
@@ -304,7 +303,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--width", type=int, default=None)
     sp.add_argument("--height", type=int, default=None)
     sp.add_argument("--depth", type=int, default=None)
-    sp.add_argument("--kmax", type=int, default=None,
+    sp.add_argument("--kmax", type=_at_least(1), default=None,
                     help="sweep square/cubic tori with k = 1..kmax")
     sp.set_defaults(func=cmd_exhaust)
 
@@ -314,14 +313,14 @@ def build_parser() -> _Parser:
     sp.add_argument("--reduced", default=None)
     sp.add_argument("--with-atlas", action="store_true",
                     help="also check every complete corona against the atlas")
-    sp.add_argument("--atlas-budget", type=int, default=10 ** 7)
+    sp.add_argument("--atlas-budget", type=_at_least(0), default=10 ** 7)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("roundtrip", help="encode/decode seeded random patches")
     add_common(sp, solveflags=True, extents=True)
     sp.add_argument("--mode", choices=("c1", "c2"), required=True)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--count", type=int, default=1)
+    sp.add_argument("--count", type=_at_least(1), default=1)
     sp.set_defaults(func=cmd_roundtrip)
 
     sp = sub.add_parser("render", help="draw a patch as SVG")

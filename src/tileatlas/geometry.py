@@ -129,10 +129,6 @@ class Isometry:
         return tuple(m[i] + self.shift[i] for i in range(len(v)))
 
 
-def iso_identity(n: int) -> Isometry:
-    return Isometry(identity_mat(n), (0,) * n)
-
-
 def compose(f: Isometry, g: Isometry) -> Isometry:
     """The isometry applying g first, then f."""
     return Isometry(
@@ -144,10 +140,6 @@ def compose(f: Isometry, g: Isometry) -> Isometry:
 def inverse(f: Isometry) -> Isometry:
     mi = mat_inv(f.matrix)
     return Isometry(mi, tuple(-x for x in mat_vec(mi, f.shift)))
-
-
-def translation(v: Vec) -> Isometry:
-    return Isometry(identity_mat(len(v)), tuple(v))
 
 
 # ---------------------------------------------------------------------------
@@ -449,10 +441,3 @@ def facet_action(f: Isometry, kind: ShapeKind) -> tuple[int, ...]:
 def facet_action_code(kind: ShapeKind, code: str) -> tuple[int, ...]:
     return facet_action(orientation_lift(kind, code), kind)
 
-
-def orientations_onto(kind: ShapeKind, target: ShapeKind) -> tuple[str, ...]:
-    """Codes whose matrices carry `kind` cells onto `target`-kind cells."""
-    space = KIND_SPACE[kind]
-    return tuple(
-        code for code, _ in space_elements(space) if image_kind(kind, code) is target
-    )

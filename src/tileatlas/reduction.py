@@ -299,6 +299,8 @@ def serialize_reduced(rs: ReducedSet) -> str:
 
 
 def parse_reduced(text: str, source: TileSet) -> ReducedSet:
+    if source.allowed != "translations":
+        raise FormatError("reduction is defined for translation-placed sets")
     name = None
     mode = None
     reps = []

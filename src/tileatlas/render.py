@@ -25,9 +25,7 @@ from .geometry import (
     FACET_COUNT,
     ShapeKind,
     cell_kind,
-    facet_neighbor,
     orientation_lift,
-    origin_cell,
     tri_vertices,
 )
 from .reduction import DECORATION_POINT, ReducedSet

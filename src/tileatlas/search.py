@@ -1,17 +1,19 @@
 """The search engine shared by the region solver and the corona enumerator.
 
-One explicit-stack depth-first search over a list of cells, each with its own
-candidate list, so the number of cells is not bounded by Python's recursion
-limit.  Every facet-sharing pair of listed cells (including torus wrap pairs)
-is checked exactly once, when the later cell of the pair is placed;
-neighbours outside the list are unconstrained.
+`region_search` is its one entry point: it builds each cell kind's candidate
+list, (tile, code, facet colours), once, and runs one explicit-stack
+depth-first search over the region's cells, so the number of cells is not
+bounded by Python's recursion limit.  Every facet-sharing pair of listed
+cells (including torus wrap pairs) is checked exactly once, when the later
+cell of the pair is placed; neighbours outside the list are unconstrained.
+The engine re-checks nothing it finds; its callers do.
 
 Each cell keeps a colour index: a memo from the colours its earlier
 neighbours show on the checked facets to the candidates that match them all.
 A miss fills it by filtering the cell's candidate list with the facet rule;
 extent-1 wraps, where a candidate meets itself, are filtered once up front.
 Cells with the same candidate list and the same checked facets share one
-memo.
+memo; without a seed, the cells of one kind have the same list.
 
 A node is a candidate tried in list order.  The index skips candidates that
 the earlier neighbours rule out, but each still counts as a node, as if it
@@ -21,14 +23,59 @@ on the index.
 
 from __future__ import annotations
 
+import random
 from operator import itemgetter
 
-from .geometry import FACET_COUNT, cell_kind, facet_neighbor
-from .tileset import RegionSpec, rule_eval, wrap_cell
+from .geometry import FACET_COUNT, cell_kind, facet_neighbor, origin_cell
+from .tileset import (
+    Placement,
+    RegionSpec,
+    TileSet,
+    effective_facets,
+    placement_orientations,
+    region_cells,
+    rule_eval,
+    wrap_cell,
+)
 
 FOUND = "found"
 EXHAUSTED = "exhausted"
 LIMIT = "limit"
+
+
+def region_search(ts: TileSet, region: RegionSpec, limit=None, seed=None,
+                  each=None, cells=None):
+    """Search the region's cells (all of them, in scan order, unless `cells`
+    lists them) for placements of `ts` under its facet rule.
+
+    With a seed, each cell's candidate list is shuffled up front, so the
+    first solution is a reproducible pseudo-random one.  `limit` bounds the
+    nodes; `each` is as in `_search`, whose result this returns.
+    """
+    if cells is None:
+        cells = region_cells(region)
+    space = region.space
+    per_kind = {}  # kind -> (tile, code, facet colours)
+    for c in cells:
+        kind = cell_kind(space, c)
+        if kind not in per_kind:
+            per_kind[kind] = [
+                (p.id, code, effective_facets(
+                    ts, Placement(origin_cell(kind), p.id, code)))
+                for p in ts.prototiles
+                for code in placement_orientations(ts.allowed, p.kind, kind)]
+    rng = random.Random(seed) if seed is not None else None
+    per_cell = []
+    for c in cells:
+        lst = per_kind[cell_kind(space, c)]
+        if rng is not None:
+            lst = list(lst)
+            rng.shuffle(lst)
+        per_cell.append(lst)
+    # the kinds of one lattice all have the same facet count
+    width = max(FACET_COUNT[kind] for kind in per_kind)
+    return _search(per_cell, _schedule(region, cells), width, ts.rule, limit,
+                   each)
 
 
 def _schedule(region: RegionSpec, cells):

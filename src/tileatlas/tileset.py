@@ -283,26 +283,25 @@ def _content_lines(text: str):
             yield ln, line.split()
 
 
+_HEADER_KEYS = ("tileset", "space", "isometries", "rule")
+
+
 def parse_tileset(text: str) -> TileSet:
-    name = None
+    header = {}  # each of _HEADER_KEYS once
     space = None
-    allowed = None
-    rule_kind = None
     pairs = set()
     tiles = []
     for ln, toks in _content_lines(text):
         key = toks[0]
         try:
-            if key == "tileset":
-                (name,) = toks[1:]
-            elif key == "space":
-                (space,) = toks[1:]
-                if space not in SPACE_KINDS:
-                    raise FormatError(f"line {ln}: unknown space {space!r}")
-            elif key == "isometries":
-                (allowed,) = toks[1:]
-            elif key == "rule":
-                (rule_kind,) = toks[1:]
+            if key in _HEADER_KEYS:
+                if key in header:
+                    raise FormatError(f"line {ln}: repeated {key} line")
+                (header[key],) = toks[1:]
+                if key == "space":
+                    space = header[key]
+                    if space not in SPACE_KINDS:
+                        raise FormatError(f"line {ln}: unknown space {space!r}")
             elif key == "pair":
                 a, b = toks[1:]
                 pairs.add((int(a), int(b)))
@@ -324,13 +323,15 @@ def parse_tileset(text: str) -> TileSet:
             if isinstance(e, FormatError):
                 raise
             raise FormatError(f"line {ln}: {e}") from None
-    if name is None or space is None or allowed is None or rule_kind is None:
+    if len(header) < len(_HEADER_KEYS):
         raise FormatError("tileset header incomplete (name/space/isometries/rule)")
+    rule_kind = header["rule"]
     if rule_kind == "identical" and pairs:
         raise FormatError("pair lines are only valid with rule table")
     if not tiles:
         raise FormatError("tileset has no tiles")
-    return TileSet(name, tuple(tiles), FacetRule(rule_kind, frozenset(pairs)), allowed)
+    return TileSet(header["tileset"], tuple(tiles),
+                   FacetRule(rule_kind, frozenset(pairs)), header["isometries"])
 
 
 def serialize_tileset(ts: TileSet) -> str:

@@ -286,6 +286,17 @@ def test_admit_recheck_catches_engine_faults(monkeypatch):
         enumerate_source_coronas(load_bundled("wang13"), node_cap=1000)
 
 
+def test_admit_recheck_catches_illegal_labels(monkeypatch):
+    # an engine that offers every tile on every cell kind yields up
+    # triangles on down cells; the re-check's own legality tables refuse it
+    import tileatlas.search
+    legal = tileatlas.search.placement_orientations
+    monkeypatch.setattr(tileatlas.search, "placement_orientations",
+                        lambda allowed, kind, target: legal(allowed, kind, kind))
+    with pytest.raises(RuntimeError, match="is no legal placement"):
+        enumerate_source_coronas(load_bundled("triangles6"))
+
+
 def test_atlas_contains_dunder():
     ts = load_bundled("triangles6")
     rs = reduce_set(ts, "c1")

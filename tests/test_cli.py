@@ -324,6 +324,14 @@ def test_usage_errors(capsys):
         ["tile", "--in", "@cubes21", "--width", "2", "--height", "2"],
         ["tile", "--in", "@wang13", "--width", "2", "--height", "2",
          "--depth", "2"],
+        ["tile", "--in", "@wang13", "--width", "2", "--height", "2",
+         "--node-limit", "-5"],
+        ["exhaust", "--in", "@wang13", "--kmax", "0"],
+        ["exhaust", "--in", "@wang13", "--kmax", "2", "--node-limit", "-1"],
+        ["verify", "--in", "@wang13", "--patch", "p", "--reduced", "r",
+         "--with-atlas", "--atlas-budget", "-1"],
+        ["roundtrip", "--in", "@wang13", "--mode", "c1", "--width", "2",
+         "--height", "2", "--count", "0"],
     ]
     for argv in cases:
         code = main(argv)

@@ -347,3 +347,6 @@ def test_parse_reduced_errors():
     c2 = serialize_reduced(reduce_set(ts, "c2"))
     with pytest.raises(FormatError):
         parse_reduced(c2.replace("u1 -> x0 t0", "u1 -> x0 ut0"), ts)
+    # the encoding is defined for translation-placed sources only
+    with pytest.raises(FormatError):
+        parse_reduced(good, TileSet(ts.name, ts.prototiles, ts.rule, "all"))

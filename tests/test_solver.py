@@ -5,13 +5,14 @@ full assignment with patch_valid, compared against the backtracking search's
 solution counts and verdicts.
 """
 
+import hashlib
 import itertools
 import random
 
 import pytest
 
 from conftest import random_tileset
-from tileatlas.atlas import corona_of, derive_atlas
+from tileatlas.atlas import Atlas, corona_of, derive_atlas
 from tileatlas.geometry import ShapeKind, cell_kind
 from tileatlas.reduction import decode_patch, reduce_set
 from tileatlas.solver import (
@@ -260,6 +261,41 @@ def test_atlas_mode_agrees_with_facet_mode_on_torus_verdicts():
             corona = corona_of(reduced.patch.placements, reduced.patch.region, c)
             assert corona is not None
             assert corona in at
+
+
+# status, nodes and the serialize_patch sha256 of seeded atlas-mode searches
+ATLAS_MODE_PINS = [
+    ("wang13", "c1", RegionSpec("square2d", (4, 4), False), 5, FOUND, 2184,
+     "f77c34f446fa106608cec5d439920c5987c988e8436bdbf7e089803a2b330286"),
+    ("wang13", "c2", RegionSpec("square2d", (4, 4), False), 5, FOUND, 2184,
+     "336c51fc2185e851946b349baca0ee1062171bd7d2c8453de89afa75b12e126d"),
+    ("triangles6", "c2", RegionSpec("tri2d", (20, 20), True), 1, FOUND, 1601,
+     "7da01145695113e575a5645ccce099f1e486bd919bd62de13d99b2961138b3d9"),
+]
+
+
+@pytest.mark.parametrize("name,mode,region,seed,status,nodes,digest",
+                         ATLAS_MODE_PINS)
+def test_atlas_mode_results_are_pinned(name, mode, region, seed, status,
+                                       nodes, digest):
+    rs = reduce_set(load_bundled(name), mode)
+    r = solve_atlas(rs, region, SolveConfig(seed=seed))
+    assert (r.status, r.nodes) == (status, nodes)
+    text = serialize_patch(r.patch)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_atlas_mode_refuses_a_patch_outside_the_atlas():
+    rs = reduce_set(load_bundled("wang13"), "c1")
+    atlas = derive_atlas(rs)
+    region = RegionSpec("square2d", (4, 4), False)
+    r = solve_atlas(rs, region, SolveConfig(seed=5), atlas=atlas)
+    cell = (1, 1)  # the first cell with a complete corona, in sorted order
+    corona = corona_of(r.patch.placements, region, cell)
+    holed = Atlas(atlas.name, atlas.coronas - {corona})
+    with pytest.raises(RuntimeError,
+                       match=r"corona at \(1, 1\) missing from the atlas"):
+        solve_atlas(rs, region, SolveConfig(seed=5), atlas=holed)
 
 
 def test_atlas_mode_respects_node_limit_and_seed():

@@ -449,6 +449,13 @@ def test_parse_tileset_comments_and_errors():
     ):
         with pytest.raises(FormatError):
             parse_tileset(bad)
+    # each header line appears once: a second space line would mix lattices
+    head = ("tileset x\nspace square2d\nisometries all\nrule identical\n"
+            "tile a 1 1 1 1\n")
+    for line in ("tileset y", "space tri2d\ntile b up 1 1 1",
+                 "isometries translations", "rule table"):
+        with pytest.raises(FormatError, match="line 6: repeated"):
+            parse_tileset(head + line + "\n")
 
 
 PATCH_TEXT = """\
