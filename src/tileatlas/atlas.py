@@ -21,12 +21,7 @@ legal placements on each window cell (`placement_ok`) with their facet
 colours there, and the window's facet-sharing pairs from `facet_pairs`, the
 pair walk of `patch_valid`.
 
-Atlas text format:
-
-    atlas <name>
-    <center-tile> <center-code> : <tile> <code> <tile> <code> ...
-
-with ring entries in touching-offset order and lines sorted.
+The atlas text format is specified in docs/FORMATS.md.
 """
 
 from __future__ import annotations

@@ -188,6 +188,8 @@ def cmd_exhaust(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.with_atlas and not args.reduced:
+        raise UsageError("--with-atlas needs --reduced")
     ts = _load_set(args.inp)
     if args.reduced:
         rs = parse_reduced(_read(args.reduced), ts)

@@ -36,7 +36,7 @@ Orientation codes (bit-exact, used by every serialization format)
   tri2d     t0..t5 = the up-triangle stabilizer (t0 identity, t1/t2 rotations
             by 120/240 about the centroid, t3/t4/t5 the reflections fixing
             vertex 0/1/2), then ut0..ut5 = the up/down swapping coset
-            (u = rotation by 60 composed after t_i).  Bare "u" parses as ut0.
+            (u = rotation by 60 composed after t_i).
 
 A code denotes one matrix (one element of the point group modulo lattice
 translations).  The affine lift that places a prototile is the unique
@@ -352,8 +352,6 @@ def _matrix_index(space: str) -> dict[Mat, int]:
 
 
 def code_matrix(space: str, code: str) -> Mat:
-    if space == "tri2d" and code == "u":
-        code = "ut0"
     return space_elements(space)[_code_index(space)[code]][1]
 
 
@@ -394,27 +392,18 @@ def image_kind(kind: ShapeKind, code: str) -> ShapeKind:
 
 @dataclass(frozen=True)
 class PointGroup:
-    """Stabilizer of the origin cell of one shape kind: canonical lifts in
-    canonical code order."""
+    """Stabilizer of the origin cell of one shape kind, as its orientation
+    codes in canonical order."""
 
     kind: ShapeKind
     codes: tuple[str, ...]
-    elements: tuple[Isometry, ...]
-
-    def __len__(self) -> int:
-        return len(self.elements)
 
 
 @lru_cache(maxsize=None)
 def point_group(kind: ShapeKind) -> PointGroup:
     space = KIND_SPACE[kind]
-    codes = []
-    elements = []
-    for code, _ in space_elements(space):
-        if image_kind(kind, code) is kind:
-            codes.append(code)
-            elements.append(orientation_lift(kind, code))
-    return PointGroup(kind, tuple(codes), tuple(elements))
+    return PointGroup(kind, tuple(
+        code for code in space_codes(space) if image_kind(kind, code) is kind))
 
 
 def facet_action(f: Isometry, kind: ShapeKind) -> tuple[int, ...]:

@@ -1,31 +1,26 @@
 """Reduction of a coloured prototile set to a small decorated set.
 
-A set of |P| coloured prototiles over one lattice, placed by translations
-only, is re-encoded over k decorated representative tiles, where each shape
-class contributes ceil(|P_s| / |G_s|) representatives (G_s the shape's
-rotation/reflection stabilizer).  Tile number j of a class becomes
-representative floor(j / |G_s|) placed with the stabilizer's j-th element,
-so the pair (representative, orientation) identifies the source tile.
+A set of coloured prototiles over one lattice, placed by translations only,
+is re-encoded over decorated representative tiles.  The mode picks one
+grouping of the tiles (`_groups`), and each group has a host shape:
 
-Two groupings are supported:
+* mode "c1": a group is one shape translation class (squares; cubes; up
+  and down triangles separately), hosted by its own shape;
+* mode "c2": a group is one lattice's translation classes (up and down
+  triangles together), hosted by its largest class (ties: first in input
+  order), whose members come first.
 
-* mode "c1": classes are shape translation classes (squares; cubes; up and
-  down triangles separately).
-* mode "c2": translation classes that are isometric are merged first (up and
-  down triangles become one class).  The largest translation class (ties:
-  first in input order) hosts the representatives; members of the other
-  classes store their element composed with a fixed carrier isometry, so
-  their orientation codes land in the coset that maps the representative's
-  shape onto theirs.
+A group of m members over a host with stabilizer G contributes
+ceil(m / |G|) representatives of the host shape.  Member j becomes
+representative floor(j / |G|) placed with the stabilizer's (j mod |G|)-th
+code; a member of another shape stores that code composed with the inverse
+of a carrier code mapping its shape onto the host's, so the code lands in
+the coset that maps the host shape onto the member's.  The pair
+(representative, code) identifies the source tile.
 
 Each representative is decorated with a marked interior point with trivial
 stabilizer, so a placed representative's orientation is always readable.
-
-Reduced-set text format:
-
-    reduced <name> c1|c2
-    rep <rep-id> square|cube|up|down
-    <source-id> -> <rep-id> <code>
+The reduced-set text format is specified in docs/FORMATS.md.
 """
 
 from __future__ import annotations
@@ -35,12 +30,9 @@ from dataclasses import dataclass, field
 from .geometry import (
     KIND_SPACE,
     ShapeKind,
-    code_matrix,
+    compose_codes,
     image_kind,
-    inverse,
-    mat_mul,
-    matrix_code,
-    orientation_lift,
+    inverse_code,
     point_group,
     space_codes,
 )
@@ -111,43 +103,23 @@ def partition_translation(ts: TileSet) -> list[list[str]]:
     other, which on these lattices means equal cell kind.
     """
     classes = {}
-    order = []
     for p in ts.prototiles:
-        if p.kind not in classes:
-            classes[p.kind] = []
-            order.append(p.kind)
-        classes[p.kind].append(p.id)
-    return [classes[k] for k in order]
-
-
-def _kinds_isometric(a: ShapeKind, b: ShapeKind) -> bool:
-    if a is b:
-        return True
-    if KIND_SPACE[a] != KIND_SPACE[b]:
-        return False
-    return any(image_kind(a, c) is b for c in space_codes(KIND_SPACE[a]))
+        classes.setdefault(p.kind, []).append(p.id)
+    return list(classes.values())
 
 
 def partition_isometry(ts: TileSet) -> list[list[list[str]]]:
     """Groups of translation classes whose shapes are isometric.
 
-    Within each group the translation classes keep their input order.
+    A lattice's cell kinds form one isometry class (up and down triangles
+    map onto each other by the ut codes) and kinds of two lattices never do,
+    so the groups are the lattices' classes.  Groups and the classes within
+    each keep their input order.
     """
-    tclasses = partition_translation(ts)
-    kinds = [ts.by_id[c[0]].kind for c in tclasses]
-    groups = []
-    used = [False] * len(tclasses)
-    for i in range(len(tclasses)):
-        if used[i]:
-            continue
-        group = [tclasses[i]]
-        used[i] = True
-        for j in range(i + 1, len(tclasses)):
-            if not used[j] and _kinds_isometric(kinds[i], kinds[j]):
-                group.append(tclasses[j])
-                used[j] = True
-        groups.append(group)
-    return groups
+    groups = {}
+    for cls in partition_translation(ts):
+        groups.setdefault(KIND_SPACE[ts.by_id[cls[0]].kind], []).append(cls)
+    return list(groups.values())
 
 
 def class_group(kind: ShapeKind) -> tuple[str, ...]:
@@ -167,72 +139,51 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
+def _groups(ts: TileSet, mode: str) -> list[tuple[list[str], ShapeKind]]:
+    """(member ids, host kind) per group of the mode, in input order.
+
+    A c1 group is one translation class.  A c2 group is one isometry group,
+    hosted by its largest class (the first on ties), whose members come
+    first.
+    """
+    if mode == "c1":
+        return [(cls, ts.by_id[cls[0]].kind) for cls in partition_translation(ts)]
+    if mode != "c2":
+        raise FormatError(f"unknown reduction mode {mode!r}")
+    out = []
+    for group in partition_isometry(ts):
+        host = max(group, key=len)  # max is stable: first largest
+        members = host + [t for cls in group if cls is not host for t in cls]
+        out.append((members, ts.by_id[host[0]].kind))
+    return out
+
+
 def reduced_cardinality(ts: TileSet, mode: str) -> int:
     """Number of representatives, from the counting formula alone."""
-    if mode == "c1":
-        return sum(
-            _ceil_div(len(c), len(class_group(ts.by_id[c[0]].kind)))
-            for c in partition_translation(ts)
-        )
-    if mode == "c2":
-        total = 0
-        for group in partition_isometry(ts):
-            members = sum(len(c) for c in group)
-            rep_class = max(group, key=len)  # max is stable: first largest
-            g = len(class_group(ts.by_id[rep_class[0]].kind))
-            total += _ceil_div(members, g)
-        return total
-    raise FormatError(f"unknown reduction mode {mode!r}")
+    return sum(_ceil_div(len(members), len(class_group(host)))
+               for members, host in _groups(ts, mode))
 
 
 def build_encoding(ts: TileSet, mode: str):
     """Representatives and the source-tile -> (rep, code) map."""
     if ts.allowed != "translations":
         raise FormatError("reduction is defined for translation-placed sets")
-    if mode not in ("c1", "c2"):
-        raise FormatError(f"unknown reduction mode {mode!r}")
     reps = []
     forward = {}
-    counter = 0
-
-    def emit_class(member_ids, member_kinds, rep_kind):
-        nonlocal counter
-        codes = class_group(rep_kind)
+    for members, host in _groups(ts, mode):
+        space = KIND_SPACE[host]
+        codes = class_group(host)
         g = len(codes)
-        k = _ceil_div(len(member_ids), g)
-        class_reps = []
-        for _ in range(k):
-            class_reps.append(DecoratedPrototile(f"x{counter}", rep_kind))
-            counter += 1
-        reps.extend(class_reps)
-        carriers = {}
-        for j, (tid, kind) in enumerate(zip(member_ids, member_kinds)):
+        base = len(reps)
+        reps.extend(DecoratedPrototile(f"x{base + i}", host)
+                    for i in range(_ceil_div(len(members), g)))
+        for j, tid in enumerate(members):
             code = codes[j % g]
-            if kind is not rep_kind:
-                if kind not in carriers:
-                    carriers[kind] = inverse(
-                        orientation_lift(kind, _carrier_code(kind, rep_kind))
-                    ).matrix
-                code = matrix_code(
-                    KIND_SPACE[kind],
-                    mat_mul(carriers[kind], code_matrix(KIND_SPACE[kind], code)),
-                )
-            forward[tid] = (class_reps[j // g].id, code)
-
-    if mode == "c1":
-        for cls in partition_translation(ts):
-            kind = ts.by_id[cls[0]].kind
-            emit_class(cls, [kind] * len(cls), kind)
-    else:
-        for group in partition_isometry(ts):
-            rep_class = max(group, key=len)
-            rep_kind = ts.by_id[rep_class[0]].kind
-            member_ids = list(rep_class)
-            for cls in group:
-                if cls is not rep_class:
-                    member_ids.extend(cls)
-            kinds = [ts.by_id[t].kind for t in member_ids]
-            emit_class(member_ids, kinds, rep_kind)
+            kind = ts.by_id[tid].kind
+            if kind is not host:
+                carrier = inverse_code(space, _carrier_code(kind, host))
+                code = compose_codes(space, carrier, code)
+            forward[tid] = (f"x{base + j // g}", code)
     return tuple(reps), forward
 
 

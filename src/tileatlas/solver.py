@@ -53,36 +53,33 @@ class SolveResult:
     count: int = 0  # solutions seen (only counting searches set this > 1)
 
 
-def _labels_to_patch(name, region, labels):
-    placements = {}
-    for cell, (tid, code) in zip(region_cells(region), labels):
-        placements[cell] = Placement(cell, tid, code)
-    return Patch(name, region, placements)
+def _checked_search(ts: TileSet, region: RegionSpec, config, each=None
+                    ) -> SolveResult:
+    """Run the engine and re-check the first patch it finds."""
+    config = config or SolveConfig()
+    status, labels, nodes, count = region_search(
+        ts, region, config.node_limit, config.seed, each)
+    patch = None
+    if labels is not None:
+        patch = Patch(ts.name, region, {
+            cell: Placement(cell, tid, code)
+            for cell, (tid, code) in zip(region_cells(region), labels)})
+        ok, report = patch_valid(ts, patch)
+        if not ok:
+            raise RuntimeError(f"solver produced an invalid patch: {report}")
+    return SolveResult(status, patch, nodes, count)
 
 
 def solve(ts: TileSet, region: RegionSpec, config: SolveConfig | None = None
           ) -> SolveResult:
     """Find one valid full placement of the region, or prove none exists."""
-    config = config or SolveConfig()
-    status, labels, nodes, _ = region_search(ts, region, config.node_limit,
-                                             config.seed)
-    patch = None
-    if labels is not None:
-        patch = _labels_to_patch(ts.name, region, labels)
-        ok, report = patch_valid(ts, patch)
-        if not ok:
-            raise RuntimeError(f"solver produced an invalid patch: {report}")
-    return SolveResult(status, patch, nodes)
+    return _checked_search(ts, region, config)
 
 
 def count_solutions(ts: TileSet, region: RegionSpec,
                     config: SolveConfig | None = None) -> SolveResult:
     """Count all valid full placements."""
-    config = config or SolveConfig()
-    status, labels, nodes, count = region_search(
-        ts, region, config.node_limit, config.seed, each=lambda labels: None)
-    patch = _labels_to_patch(ts.name, region, labels) if labels else None
-    return SolveResult(status, patch, nodes, count)
+    return _checked_search(ts, region, config, each=lambda labels: None)
 
 
 def solve_atlas(rs: ReducedSet, region: RegionSpec,

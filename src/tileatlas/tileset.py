@@ -1,26 +1,9 @@
 """Coloured prototile sets, facet matching rules, placements and patches.
 
-Tileset text format (line oriented, '#' starts a comment, blank lines ok):
-
-    tileset <name>
-    space square2d|cube3d|tri2d
-    isometries translations|all
-    rule identical|table
-    pair <a> <b>                      # table rule entries, symmetric
-    tile <id> <c0> ... <ck-1>         # square2d: 4 colours, cube3d: 6
-    tile <id> up|down <c0> <c1> <c2>  # tri2d
-
+The tile-set and patch text formats are specified in docs/FORMATS.md.
 Colours are non-negative integers in canonical facet order; 0 is the
-uncoloured value and every rule accepts the pair (0, 0).
-
-Patch text format:
-
-    patch <set-name> <W> <H> [<D>] free|torus
-    <x> <y> <id> <code>               # square2d
-    <x> <y> <z> <id> <code>           # cube3d
-    <a> <b> u|d <id> <code>           # tri2d
-
-Orientation codes are the geometry module's canonical element codes.
+uncoloured value and every rule accepts the pair (0, 0).  Orientation codes
+are the geometry module's canonical element codes.
 """
 
 from __future__ import annotations
@@ -60,6 +43,8 @@ class FacetRule:
     def __post_init__(self):
         if self.kind not in ("identical", "table"):
             raise FormatError(f"unknown rule kind {self.kind!r}")
+        if any(c < 0 for pair in self.pairs for c in pair):
+            raise FormatError("rule pair with a negative colour")
         if self.kind == "table":
             closed = set()
             for a, b in self.pairs:

@@ -332,6 +332,8 @@ def test_usage_errors(capsys):
          "--with-atlas", "--atlas-budget", "-1"],
         ["roundtrip", "--in", "@wang13", "--mode", "c1", "--width", "2",
          "--height", "2", "--count", "0"],
+        # the atlas check needs a reduced set; refused before any file is read
+        ["verify", "--in", "@wang13", "--patch", "p", "--with-atlas"],
     ]
     for argv in cases:
         code = main(argv)

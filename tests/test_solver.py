@@ -209,6 +209,17 @@ def test_large_regions_do_not_recurse():
     assert ok
 
 
+def test_counting_rechecks_its_first_patch(monkeypatch):
+    # with the engine's facet filter accepting every pair, both entry points
+    # refuse the patch it finds, as patch_valid still applies the rule
+    monkeypatch.setattr("tileatlas.search.rule_eval", lambda rule, a, b: True)
+    wang = load_bundled("wang13")
+    region = RegionSpec("square2d", (2, 1), False)
+    for search in (solve, count_solutions):
+        with pytest.raises(RuntimeError, match="invalid patch"):
+            search(wang, region)
+
+
 def test_no_candidates_means_exhausted():
     ups = tuple(Prototile(f"u{i}", ShapeKind.TRI_UP, (1, 1, 1)) for i in range(2))
     ts = TileSet("ups", ups, FacetRule("identical"), "translations")

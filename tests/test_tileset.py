@@ -71,6 +71,9 @@ def test_rule_table_is_symmetric_and_accepts_uncoloured():
 def test_rule_rejects_unknown_kind():
     with pytest.raises(FormatError):
         FacetRule("majority")
+    # colours are non-negative, in rule pairs as on tiles
+    with pytest.raises(FormatError):
+        FacetRule("table", frozenset({(-1, 2)}))
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +449,8 @@ def test_parse_tileset_comments_and_errors():
         "tileset x\nspace tri2d\nisometries all\nrule identical\n"
         "tile a sideways 1 1 1\n",
         "space square2d\nisometries all\nrule identical\ntile a 1 1 1 1\n",
+        "tileset x\nspace square2d\nisometries all\nrule table\n"
+        "pair -1 2\ntile a 1 1 1 1\n",  # negative pair colour
     ):
         with pytest.raises(FormatError):
             parse_tileset(bad)
