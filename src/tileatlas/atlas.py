@@ -12,14 +12,18 @@ all facet-sharing pairs satisfy the facet rule.  Membership can be tested
 against the materialized atlas, or implicitly by decoding the corona back to
 source tiles and checking the facet rule directly; the two routes agree.
 
+Both the enumerator's re-check and the implicit route run one window check,
+compiled once per source set and centre kind and kept on the set: the legal
+placements on each window cell (`placement_ok`) with their facet colours
+there, and the window's facet-sharing pairs from `facet_pairs`, the pair
+walk of `patch_valid`.  The check is built from the prototiles and never
+reads the search engine's candidate lists or check schedule, so it stays an
+independent check of the engine.
+
 Source coronas are enumerated by the solver's search, `region_search`: one
 search per centre kind over the corona window, centre first.  A node is a
 candidate tried at any window cell, the centre included.  Every corona it
-yields is re-checked before it is admitted, by a check compiled once per
-window in each call from the prototiles, not from the engine's lists: the
-legal placements on each window cell (`placement_ok`) with their facet
-colours there, and the window's facet-sharing pairs from `facet_pairs`, the
-pair walk of `patch_valid`.
+yields passes the window check before it is admitted.
 
 The atlas text format is specified in docs/FORMATS.md.
 """
@@ -53,10 +57,8 @@ from .tileset import (
     effective_facets,
     facet_pairs,
     identity_code,
-    patch_valid,
     placement_ok,
     rule_eval,
-    wrap_cell,
 )
 from .reduction import ReducedSet
 from .search import region_search
@@ -105,12 +107,33 @@ def corona_of(placements: dict, region: RegionSpec, cell) -> Corona | None:
     pl = placements.get(cell)
     if pl is None:
         return None
-    kind = cell_kind(region.space, cell)
-    ring = []
-    for off in touching_offsets(kind):
-        ncell = touching_cell(kind, cell, off)
+    space = region.space
+    offs = touching_offsets(cell_kind(space, cell))
+    # touching_cell and wrap_cell, inlined per lattice
+    if space == "cube3d":
+        x, y, z = cell
         if region.torus:
-            ncell = wrap_cell(region, ncell)
+            w, h, d = region.extents
+            nbrs = [((x + dx) % w, (y + dy) % h, (z + dz) % d)
+                    for dx, dy, dz in offs]
+        else:
+            nbrs = [(x + dx, y + dy, z + dz) for dx, dy, dz in offs]
+    elif space == "square2d":
+        x, y = cell
+        if region.torus:
+            w, h = region.extents
+            nbrs = [((x + dx) % w, (y + dy) % h) for dx, dy in offs]
+        else:
+            nbrs = [(x + dx, y + dy) for dx, dy in offs]
+    else:  # a triangle offset's third entry is the neighbour's orientation
+        a, b, _ = cell
+        if region.torus:
+            w, h = region.extents
+            nbrs = [((a + da) % w, (b + db) % h, o) for da, db, o in offs]
+        else:
+            nbrs = [(a + da, b + db, o) for da, db, o in offs]
+    ring = []
+    for ncell in nbrs:
         npl = placements.get(ncell)
         if npl is None:
             return None
@@ -176,56 +199,80 @@ def _corona_window(kind: ShapeKind):
     return RegionSpec(space, (3,) * dim, False), tuple(cells), tuple(order)
 
 
+def _window_check(ts: TileSet, kind: ShapeKind):
+    """The corona window's check for `ts`: the window's cells (centre first,
+    then the ring in touching-offset order), per cell the legal (tile, code)
+    placements that placement_ok accepts there with their facet colours, and
+    the window's facet-sharing pairs from facet_pairs, the pair walk of
+    patch_valid.
+
+    It is compiled from the prototiles, not from the engine's candidate
+    lists, once per set and kind, and kept on the set.
+    """
+    check = ts.window_checks.get(kind)
+    if check is None:
+        region, cells, _ = _corona_window(kind)
+        ident = identity_code(region.space)
+        colours = []
+        for c in cells:
+            table = {}
+            for p in ts.prototiles:
+                pl = Placement(c, p.id, ident)
+                if placement_ok(ts, region, pl) is None:
+                    table[(p.id, ident)] = effective_facets(ts, pl)
+            colours.append(table)
+        check = ts.window_checks[kind] = (
+            cells, colours, facet_pairs(region, cells))
+    return check
+
+
+def _window_fault(ts: TileSet, check, labels) -> str | None:
+    """None when the window's (tile, code) labels, centre first, pass the
+    compiled check; else what fails first."""
+    cells, colours, pairs = check
+    try:
+        eff = [table[label] for table, label in zip(colours, labels)]
+    except KeyError as e:
+        return (f"{e.args[0]} is no legal placement in "
+                f"{list(zip(cells, labels))}")
+    rule = ts.rule
+    for i, f, j, nf in pairs:
+        a, b = eff[i][f], eff[j][nf]
+        if not rule_eval(rule, a, b):
+            return (f"facet rule fails between {cells[i]} facet {f} (colour "
+                    f"{a}) and {cells[j]} facet {nf} (colour {b}) in "
+                    f"{list(zip(cells, labels))}")
+    return None
+
+
 def enumerate_source_coronas(ts: TileSet, node_cap: int = 10 ** 7) -> set:
     """All locally valid coronas of a translation-placed source set.
 
     `node_cap` bounds the nodes summed over the centre kinds.  Every complete
-    assignment is re-verified independently before being admitted: each
-    label must be a placement that placement_ok accepts on its window cell,
-    and every pair that facet_pairs lists for the window is tested against
-    the rule on the facet colours read there.
+    assignment is re-verified by the set's window check before it is
+    admitted: each label must be a placement that placement_ok accepts on
+    its window cell, and every pair that facet_pairs lists for the window is
+    tested against the rule on the facet colours read there.
     """
     if ts.allowed != "translations":
         raise FormatError("corona enumeration expects a translation-placed set")
     space = ts.space
     if space is None:
         raise FormatError("mixed-kind sets have no corona atlas")
-    ident = identity_code(space)
-    rule = ts.rule
     out = set()
     nodes = 0
     for kind in SPACE_KINDS[space]:
         region, cells, order = _corona_window(kind)
-        ring = [order.index(c) for c in cells[1:]]
-        # the re-check's tables, from its own walk of the window
-        colours = []  # per window cell: legal (tile, code) -> facet colours
-        for c in order:
-            shape = cell_kind(space, c)
-            table = {}
-            for p in ts.prototiles:
-                pl = Placement(c, p.id, ident)
-                if p.kind is shape and placement_ok(ts, region, pl) is None:
-                    table[(p.id, ident)] = effective_facets(ts, pl)
-            colours.append(table)
-        pairs = facet_pairs(region, order)
+        check = _window_check(ts, kind)
+        at = [order.index(c) for c in cells]  # window cell -> search index
 
         def admit(labels):
-            try:
-                eff = [table[label] for table, label in zip(colours, labels)]
-            except KeyError as e:
+            window = [labels[j] for j in at]
+            fault = _window_fault(ts, check, window)
+            if fault is not None:
                 raise RuntimeError(
-                    "incremental checks admitted an invalid corona: "
-                    f"{e.args[0]} is no legal placement in "
-                    f"{list(zip(order, labels))}") from None
-            for i, f, j, nf in pairs:
-                a, b = eff[i][f], eff[j][nf]
-                if not rule_eval(rule, a, b):
-                    raise RuntimeError(
-                        "incremental checks admitted an invalid corona: "
-                        f"facet rule fails between {order[i]} facet {f} "
-                        f"(colour {a}) and {order[j]} facet {nf} (colour {b}) "
-                        f"in {list(zip(order, labels))}")
-            out.add(Corona(labels[0], tuple(labels[j] for j in ring)))
+                    f"incremental checks admitted an invalid corona: {fault}")
+            out.add(Corona(window[0], tuple(window[1:])))
 
         _, _, spent, _ = region_search(ts, region, node_cap - nodes,
                                        each=admit, cells=order)
@@ -252,23 +299,20 @@ def derive_atlas(rs: ReducedSet, node_cap: int = 10 ** 7) -> Atlas:
 
 def corona_in_atlas_implicit(rs: ReducedSet, corona: Corona) -> bool:
     """Decide membership without the materialized atlas: decode every
-    placement and check the source facet rule over the corona window."""
-    key = corona.center
-    if key not in rs.inverse:
+    placement and run the source set's window check, as the enumerator's
+    re-check does, over the corona window."""
+    inverse = rs.inverse
+    center = inverse.get(corona.center)
+    if center is None:
         return False
-    center_tile = rs.inverse[key]
-    region, cells, _ = _corona_window(rs.source.by_id[center_tile].kind)
-    if len(corona.ring) != len(cells) - 1:
+    ts = rs.source
+    kind = ts.by_id[center].kind
+    if len(corona.ring) != len(touching_offsets(kind)):
         return False
-    tiles = [center_tile]
-    for entry in corona.ring:
-        if entry not in rs.inverse:
-            return False
-        tiles.append(rs.inverse[entry])
-    ident = identity_code(region.space)
-    placements = {c: Placement(c, t, ident) for c, t in zip(cells, tiles)}
-    ok, _ = patch_valid(rs.source, Patch(rs.source.name, region, placements))
-    return ok
+    ident = identity_code(KIND_SPACE[kind])
+    labels = [(center, ident)]
+    labels += [(inverse.get(entry), ident) for entry in corona.ring]
+    return _window_fault(ts, _window_check(ts, kind), labels) is None
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +335,12 @@ def _lattice_of_code() -> dict:
             for space in SPACES for code in space_codes(space)}
 
 
-def parse_atlas(text: str) -> Atlas:
+def parse_atlas(text: str, rs: ReducedSet | None = None) -> Atlas:
     """Read atlas text.  Every code must be one lattice's orientation code,
     all codes must come from the same lattice, and every ring must have that
-    lattice's touching count of entries."""
+    lattice's touching count of entries.  Given the reduced set, every
+    (tile, code) label must also be one of its encodings."""
+    known = None if rs is None else rs.inverse
     lattice_of = _lattice_of_code()
     name = None
     lattice = None
@@ -330,6 +376,12 @@ def parse_atlas(text: str) -> Atlas:
             raise FormatError(
                 f"line {ln}: ring of {len(ring)} entries; {lattice[0]} "
                 f"coronas have {lattice[1]}")
+        if known is not None:
+            for label in (center, *ring):
+                if label not in known:
+                    raise FormatError(
+                        f"line {ln}: {label[0]} {label[1]} encodes no tile "
+                        f"of {rs.name}")
         coronas.add(Corona(center, ring))
     if name is None:
         raise FormatError("missing atlas header")

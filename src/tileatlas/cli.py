@@ -73,7 +73,11 @@ class UsageError(Exception):
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as e:
+            raise FormatError(f"{path}: not UTF-8 text ({e.reason} at byte "
+                              f"{e.start})") from None
 
 
 def _write(path: str | None, text: str):

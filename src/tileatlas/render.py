@@ -10,10 +10,14 @@ patches are laid out as one slice per layer, left to right; out-of-plane
 facet colours appear as two corner dots, and reduced cube placements print
 their orientation code beside the decoration marker.
 
-All geometry is computed in exact lattice arithmetic and embedded to
-Cartesian floats only for output; numbers are formatted with fixed
-precision, placements are emitted in sorted cell order, and no timestamps or
-randomness are involved, so equal inputs give byte-identical SVG text.
+All geometry is computed in exact lattice arithmetic.  A lifted glyph
+point is kept as integer (numerator, denominator) pairs and carried onto its
+cell by one integer division, (n + b*d) / d, which Python rounds correctly,
+as float(Fraction(n, d) + b) does: each lattice coordinate becomes the
+nearest double to the exact one.  Points are embedded to Cartesian floats
+only for output; numbers are formatted with fixed precision, placements are
+emitted in sorted cell order, and no timestamps or randomness are involved,
+so equal inputs give byte-identical SVG text.
 """
 
 from __future__ import annotations
@@ -230,15 +234,17 @@ def render_source_patch(ts: TileSet, patch: Patch, scale: float = 40.0) -> str:
 @lru_cache(maxsize=None)
 def _lift_rep(rep_kind: ShapeKind, code: str):
     """The representative's glyph strokes and decoration point under the
-    placement's exact lift, before the cell's base is added."""
+    placement's exact lift, before the cell's base is added; each coordinate
+    is an integer (numerator, denominator) pair."""
     lift = orientation_lift(rep_kind, code)
 
     def image(p):
-        return tuple(
+        exact = (
             sum(Fraction(lift.matrix[i][j]) * p[j] for j in range(len(p)))
             + lift.shift[i]
             for i in range(len(p))
         )
+        return tuple((x.numerator, x.denominator) for x in exact)
 
     nums, den = DECORATION_POINT[rep_kind]
     strokes = tuple(tuple(image(p) for p in stroke)
@@ -247,9 +253,10 @@ def _lift_rep(rep_kind: ShapeKind, code: str):
 
 
 def _at_cell(cell, space, p):
-    """Carry a lifted rep-frame point onto the placement's cell."""
+    """Carry a lifted rep-frame point onto the placement's cell, as floats:
+    the correctly rounded quotient that float(Fraction(n, d) + b) gives."""
     base = cell[:2] if space == "tri2d" else cell
-    return tuple(x + b for x, b in zip(p, base))
+    return tuple([(n + b * d) / d for (n, d), b in zip(p, base)])
 
 
 def render_reduced_patch(rs: ReducedSet, patch: Patch, scale: float = 40.0
@@ -269,7 +276,7 @@ def render_reduced_patch(rs: ReducedSet, patch: Patch, scale: float = 40.0
             cv.polygon(outline, "white", "#222222", 0.03)
             _, mark = _lift_rep(rep_kind[pl.tile], pl.orientation)
             (mx, my, _) = _at_cell(cell, space, mark)
-            cv.circle((float(mx) + offs[z], float(my)), 0.08,
+            cv.circle((mx + offs[z], my), 0.08,
                       colour_hex(rep_index[pl.tile] + 1))
             cv.text((cx, y - 0.32), f"{pl.tile} {pl.orientation}", 0.16)
         return cv.to_svg(scale)

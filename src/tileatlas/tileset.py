@@ -83,6 +83,9 @@ class TileSet:
     rule: FacetRule
     allowed: str  # "translations" | "all"
     by_id: dict = field(init=False, repr=False, compare=False)
+    # corona kind -> the atlas module's compiled window check, built on first
+    # use; it lives and dies with this set
+    window_checks: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.allowed not in ("translations", "all"):
@@ -94,6 +97,7 @@ class TileSet:
         if len(dims) > 1:
             raise FormatError("prototiles mix ambient dimensions")
         object.__setattr__(self, "by_id", {p.id: p for p in self.prototiles})
+        object.__setattr__(self, "window_checks", {})
 
     @property
     def space(self) -> str | None:

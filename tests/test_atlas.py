@@ -4,11 +4,15 @@ Oracle for the enumerator: on small square sets, brute-force every window
 assignment (center times 3^8 ring fillings) through patch_valid; on small
 triangle sets, grow every filling of the 13-cell window through patch_valid;
 and compare the resulting corona sets.  Membership is checked along two routes
-(materialized atlas vs decode-and-check) that must always agree.
+(materialized atlas vs decode-and-check) that must always agree, and the
+implicit route's compiled window check is compared with decoding the corona
+and running patch_valid on the whole window.
 """
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -24,8 +28,18 @@ from tileatlas.atlas import (
     parse_atlas,
     serialize_atlas,
 )
-from tileatlas.geometry import ShapeKind, origin_cell, touching_offsets
-from tileatlas.reduction import reduce_set
+from tileatlas.geometry import (
+    KIND_SPACE,
+    ShapeKind,
+    cell_kind,
+    origin_cell,
+    space_codes,
+    space_dim,
+    touching_cell,
+    touching_offsets,
+)
+from tileatlas.reduction import encode_patch, reduce_set
+from tileatlas.solver import solve
 from tileatlas.tileset import (
     FacetRule,
     FormatError,
@@ -37,6 +51,7 @@ from tileatlas.tileset import (
     load_bundled,
     patch_valid,
     region_cells,
+    wrap_cell,
 )
 
 
@@ -200,6 +215,123 @@ def test_implicit_route_rejects_non_image_pairs():
     assert bad_ring not in atlas
 
 
+def decode_and_check(rs, corona):
+    """Oracle for the implicit route: decode every label and run patch_valid
+    on the corona window, a free 3-wide region around the centre."""
+    center = rs.inverse.get(corona.center)
+    if center is None:
+        return False
+    kind = rs.source.by_id[center].kind
+    space = KIND_SPACE[kind]
+    offs = touching_offsets(kind)
+    if len(corona.ring) != len(offs):
+        return False
+    dim = space_dim(space)
+    ccell = tuple(x + 1 for x in origin_cell(kind)[:dim]) \
+        + origin_cell(kind)[dim:]
+    cells = [ccell] + [touching_cell(kind, ccell, off) for off in offs]
+    ident = space_codes(space)[0]
+    placements = {}
+    for cell, label in zip(cells, (corona.center, *corona.ring)):
+        tile = rs.inverse.get(label)
+        if tile is None:
+            return False
+        placements[cell] = Placement(cell, tile, ident)
+    region = RegionSpec(space, (3,) * dim, False)
+    return patch_valid(rs.source, Patch(rs.source.name, region, placements))[0]
+
+
+def oracle_inputs(rs, valid, rng):
+    """Valid coronas, one-entry mutations of them, unknown and undecodable
+    labels, random coronas and rings of the wrong lengths."""
+    space = KIND_SPACE[rs.reps[0].kind]
+    labels = [(r.id, code) for r in rs.reps for code in space_codes(space)]
+    dead = [label for label in labels if label not in rs.inverse]
+    ring_len = len(valid[0].ring)
+    yield from valid
+    for base in rng.sample(valid, min(len(valid), 300)):
+        ring = list(base.ring)
+        i = rng.randrange(ring_len + 1)
+        entry = rng.choice(labels)
+        if i == ring_len:
+            yield Corona(entry, base.ring)
+        else:
+            ring[i] = entry
+            yield Corona(base.center, tuple(ring))
+    for base in valid[:20]:
+        for bad in [("zz", "r0"), ("zz", space_codes(space)[1])] + dead[:4]:
+            yield Corona(bad, base.ring)
+            i = rng.randrange(ring_len)
+            yield Corona(base.center, base.ring[:i] + (bad,) + base.ring[i + 1:])
+        for n in (7, 8, 12, 26):
+            ring = (base.ring * 4)[:n]
+            yield Corona(base.center, ring)
+    for _ in range(200):
+        yield Corona(rng.choice(labels),
+                     tuple(rng.choice(labels) for _ in range(ring_len)))
+
+
+def assert_routes_match_oracle(rs, valid, rng):
+    seen = {True: 0, False: 0}
+    for corona in oracle_inputs(rs, valid, rng):
+        expected = decode_and_check(rs, corona)
+        assert corona_in_atlas_implicit(rs, corona) == expected, corona
+        seen[expected] += 1
+    assert seen[True] >= len(valid) and seen[False] > 0
+
+
+def test_implicit_route_matches_decode_oracle():
+    rng = random.Random(20261018)
+    for name in ("wang13", "triangles6", "cubes21"):
+        ts = load_bundled(name)
+        for mode in ("c1", "c2"):
+            rs = reduce_set(ts, mode)
+            if name == "cubes21":
+                # its atlas exceeds the default budget: take the interior
+                # coronas of a found patch instead
+                region = RegionSpec("cube3d", (4, 4, 4), False)
+                patch = encode_patch(rs, solve(ts, region).patch)
+                found = (corona_of(patch.placements, region, cell)
+                         for cell in sorted(patch.placements))
+                valid = [c for c in found if c is not None]
+                assert len(valid) == 8
+            else:
+                valid = sorted(derive_atlas(rs).coronas, key=Corona.sort_key)
+            assert_routes_match_oracle(rs, valid, rng)
+    sets = {"square2d": 0, "tri2d": 0}
+    for seed in range(40):
+        space = ("square2d", "tri2d")[seed % 2]
+        ts = random_tileset(random.Random(seed), space, 3 + seed % 4,
+                            1 + seed % 2, name=f"r{seed}")
+        for mode in ("c1", "c2"):
+            rs = reduce_set(ts, mode)
+            valid = sorted(derive_atlas(rs).coronas, key=Corona.sort_key)
+            if valid:
+                assert_routes_match_oracle(rs, valid, rng)
+                sets[space] += 1
+    assert sets["square2d"] >= 20 and sets["tri2d"] >= 10
+
+
+def test_window_check_dies_with_its_set():
+    base = load_bundled("wang13")
+    rng = random.Random(5)
+    args = (base.name, tuple(rng.sample(base.prototiles, len(base.prototiles))),
+            base.rule, base.allowed)
+    ts, twin = TileSet(*args), TileSet(*args)
+    rs = reduce_set(ts, "c2")
+    atlas = derive_atlas(rs)
+    some = next(iter(atlas.coronas))
+    assert corona_in_atlas_implicit(rs, some)
+    assert ts.window_checks and not twin.window_checks
+    # the cache is invisible to equality, hashing and repr
+    assert ts == twin and hash(ts) == hash(twin) and repr(ts) == repr(twin)
+    assert "window_checks" not in repr(ts)
+    ref = weakref.ref(ts)
+    del ts, rs
+    gc.collect()
+    assert ref() is None
+
+
 # ---------------------------------------------------------------------------
 # Corona extraction from patches
 # ---------------------------------------------------------------------------
@@ -218,6 +350,35 @@ def test_corona_of_torus_patch_wraps():
     offs = touching_offsets(ShapeKind.TRI_UP)
     for off, entry in zip(offs, c.ring):
         assert entry == (("u2", "t0") if off[2] == 0 else ("d2", "t0"))
+
+
+def test_corona_of_matches_touching_cell_walk():
+    # oracle: the ring read through touching_cell and wrap_cell, on free and
+    # torus regions of every lattice with unequal extents
+    rng = random.Random(7)
+    complete = 0
+    for space, extents in (("square2d", (4, 6)), ("square2d", (1, 2)),
+                           ("tri2d", (5, 4)), ("tri2d", (1, 3)),
+                           ("cube3d", (4, 5, 6)), ("cube3d", (1, 2, 3))):
+        for torus in (False, True):
+            region = RegionSpec(space, extents, torus)
+            cells = region_cells(region)
+            placements = {c: Placement(c, f"t{rng.randrange(5)}",
+                                       rng.choice(space_codes(space)))
+                          for c in cells if rng.random() < 0.97}
+            for cell in cells:
+                kind = cell_kind(space, cell)
+                ring = []
+                for off in touching_offsets(kind):
+                    n = touching_cell(kind, cell, off)
+                    pl = placements.get(wrap_cell(region, n) if torus else n)
+                    ring.append(None if pl is None else (pl.tile, pl.orientation))
+                pl = placements.get(cell)
+                expected = None if pl is None or None in ring else Corona(
+                    (pl.tile, pl.orientation), tuple(ring))
+                assert corona_of(placements, region, cell) == expected
+                complete += expected is not None
+    assert complete > 100
 
 
 def test_corona_of_free_patch_boundary_is_none():
@@ -264,6 +425,21 @@ def test_parse_atlas_errors():
     ):
         with pytest.raises(FormatError):
             parse_atlas(bad)
+    # given the reduced set, every label must encode one of its tiles
+    rs = reduce_set(load_bundled("wang13"), "c1")
+    text = serialize_atlas(derive_atlas(rs))
+    assert parse_atlas(text, rs) == parse_atlas(text)
+    header, first, *_ = text.splitlines()
+    center, ring = first.split(" : ")
+    for label, line in (
+            ("zz r0", f"zz r0 : {ring}"),  # unknown representative
+            ("x1 m3", f"x1 m3 : {ring}"),  # a code no source tile uses
+            ("x1 m3", f"{center} : x1 m3 {ring.split(' ', 2)[2]}"),
+            ("zz r0", f"{center} : {ring.rsplit(' ', 2)[0]} zz r0")):
+        bad = f"{header}\n{first}\n{line}\n"
+        parse_atlas(bad)  # the label is only checked against a reduced set
+        with pytest.raises(FormatError, match=f"line 3: {label} "):
+            parse_atlas(bad, rs)
 
 
 def test_parse_atlas_accepts_each_lattice():

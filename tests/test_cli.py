@@ -347,6 +347,23 @@ def test_missing_file_is_input_error(capsys):
     assert err.startswith("error:")
 
 
+def test_non_utf8_file_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe\x00")
+    good = tmp_path / "good.patch"
+    good.write_text("patch wang13 1 1 free\n0 0 a1 r0\n", encoding="utf-8")
+    for argv in (("verify", "--in", str(bad), "--patch", str(good)),
+                 ("verify", "--in", "@wang13", "--patch", str(bad)),
+                 ("render", "--in", "@wang13", "--patch", str(bad),
+                  "--svg", str(tmp_path / "out.svg")),
+                 ("verify", "--in", "@wang13", "--reduced", str(bad),
+                  "--patch", str(good))):
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert err.startswith("error:") and "not UTF-8" in err, argv
+        assert "Traceback" not in err and out == "", argv
+
+
 def test_module_entry_point():
     # the child imports the same package as this process, installed or not
     src = str(Path(tileatlas.__file__).resolve().parent.parent)

@@ -11,7 +11,16 @@ from fractions import Fraction
 
 import pytest
 
-from tileatlas.geometry import ShapeKind, orientation_lift, point_group, space_codes
+import tileatlas.render as render
+from tileatlas.geometry import (
+    KIND_SPACE,
+    ShapeKind,
+    image_kind,
+    orientation_lift,
+    point_group,
+    space_codes,
+)
+from tileatlas.reduction import DECORATION_POINT
 from tileatlas.render import (
     GLYPH,
     colour_hex,
@@ -36,16 +45,16 @@ def glyph_point_set(kind):
     return pts
 
 
+def lift_point(lift, p):
+    return tuple(
+        sum(Fraction(lift.matrix[i][j]) * p[j] for j in range(len(p)))
+        + lift.shift[i]
+        for i in range(len(p))
+    )
+
+
 def apply_lift(lift, pts):
-    out = set()
-    for p in pts:
-        img = tuple(
-            sum(Fraction(lift.matrix[i][j]) * p[j] for j in range(len(p)))
-            + lift.shift[i]
-            for i in range(len(p))
-        )
-        out.add(img)
-    return out
+    return {lift_point(lift, p) for p in pts}
 
 
 def test_glyphs_have_trivial_stabilizer():
@@ -162,6 +171,63 @@ def test_reduced_render_bytes_are_pinned(name, extents, torus, seed, digest):
                                           torus=torus).patch)
     svg = render_reduced_patch(rs, patch)
     assert hashlib.sha256(svg.encode()).hexdigest() == digest
+
+
+def exact_lift_rep(rep_kind, code):
+    """Exact route: the lifted glyph and decoration point as Fractions."""
+    lift = orientation_lift(rep_kind, code)
+    nums, den = DECORATION_POINT[rep_kind]
+    strokes = tuple(tuple(lift_point(lift, p) for p in stroke)
+                    for stroke in GLYPH.get(rep_kind, ()))
+    return strokes, lift_point(lift, tuple(Fraction(n, den) for n in nums))
+
+
+def exact_at_cell(cell, space, p):
+    """Exact route: add the cell's base as a Fraction, then round once."""
+    base = cell[:2] if space == "tri2d" else cell
+    return tuple(float(x + b) for x, b in zip(p, base))
+
+
+def test_reduced_render_matches_exact_fraction_route(monkeypatch):
+    # every representative under every code, far from the origin, must
+    # render to the same bytes as the Fraction route
+    far = 10 ** 6
+    for name in ("wang13", "triangles6", "cubes21"):
+        ts = load_bundled(name)
+        for mode in ("c1", "c2"):
+            rs = reduce_set(ts, mode)
+            space = KIND_SPACE[rs.reps[0].kind]
+            placements = {}
+            i = 0
+            for rep in rs.reps:
+                for code in space_codes(space):
+                    i += 1
+                    if space == "cube3d":
+                        cell = (far + 7 * i, far - 3 * i, i % 2)
+                    elif space == "tri2d":
+                        up = image_kind(rep.kind, code) is ShapeKind.TRI_UP
+                        cell = (far + 7 * i, far - 3 * i, 0 if up else 1)
+                    else:
+                        cell = (far + 7 * i, far - 3 * i)
+                    placements[cell] = Placement(cell, rep.id, code)
+            extents = (1, 1, 2) if space == "cube3d" else (1, 1)
+            patch = Patch(rs.name, RegionSpec(space, extents, False),
+                          placements)
+            svg = render_reduced_patch(rs, patch)
+            with monkeypatch.context() as m:
+                m.setattr(render, "_lift_rep", exact_lift_rep)
+                m.setattr(render, "_at_cell", exact_at_cell)
+                assert render_reduced_patch(rs, patch) == svg, (name, mode)
+            # the integer quotient is the Fraction's correctly rounded
+            # float, also past 2**53 where a float sum would round twice
+            for rep in rs.reps:
+                for code in space_codes(space):
+                    _, mark = render._lift_rep(rep.kind, code)
+                    _, exact = exact_lift_rep(rep.kind, code)
+                    for b in (0, -far, far, 2 ** 53 + 1, -(3 ** 40)):
+                        cell = (b, b, b)
+                        assert render._at_cell(cell, space, mark) == \
+                            exact_at_cell(cell, space, exact)
 
 
 def test_palette():
