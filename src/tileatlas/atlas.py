@@ -25,13 +25,23 @@ search per centre kind over the corona window, centre first.  A node is a
 candidate tried at any window cell, the centre included.  Every corona it
 yields passes the window check before it is admitted.
 
+An `Atlas` is stored packed: a sorted table of the (tile, code) labels its
+coronas use, and one `bytes` row per corona holding label indices, centre
+first and then the ring, at a fixed width of one byte per label up to 256
+labels (two bytes big-endian up to 65,536, and so on).  Sorted rows are in
+`Corona.sort_key` order.  `Corona` stays the public type: `atlas.coronas`
+decodes rows on demand, and `corona in atlas` encodes the query.
+
 The atlas text format is specified in docs/FORMATS.md.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Set
+from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
+from operator import itemgetter
 
 from .geometry import (
     FACET_COUNT,
@@ -82,13 +92,123 @@ class Corona:
         return (self.center, self.ring)
 
 
-@dataclass(frozen=True)
-class Atlas:
-    name: str
-    coronas: frozenset
+def _width(n_labels: int) -> int:
+    """Bytes per label index in a table of n_labels labels."""
+    return max(1, ((n_labels - 1).bit_length() + 7) // 8)
 
-    def __contains__(self, corona: Corona) -> bool:
-        return corona in self.coronas
+
+def _pieces(labels) -> dict:
+    """label -> its packed index."""
+    width = _width(len(labels))
+    return {label: i.to_bytes(width, "big") for i, label in enumerate(labels)}
+
+
+def _pack(indices, width: int) -> bytes:
+    """A row of label indices, packed."""
+    if width == 1:
+        return bytes(indices)
+    return b"".join([i.to_bytes(width, "big") for i in indices])
+
+
+def _indices(row: bytes, width: int):
+    """The label indices of a packed row."""
+    if width == 1:
+        return row
+    return [int.from_bytes(row[i:i + width], "big")
+            for i in range(0, len(row), width)]
+
+
+def _renumber(rows, order, width: int, new_width: int) -> set:
+    """`rows` with label index order[k] renumbered to k, repacked at
+    new_width."""
+    to = {old: new for new, old in enumerate(order)}
+    if width == new_width == 1:
+        table = bytes(to.get(i, 0) for i in range(256))
+        return {row.translate(table) for row in rows}
+    return {_pack([to[i] for i in _indices(row, width)], new_width)
+            for row in rows}
+
+
+@dataclass(frozen=True, init=False)
+class Atlas:
+    """A named set of coronas, packed: `labels` is the sorted table of the
+    (tile, code) labels they use, `rows` one label-index row per corona.
+
+    `Atlas(name, coronas)` packs Corona values; `coronas` is a read-only set
+    view that decodes rows as it is iterated.
+    """
+
+    name: str
+    labels: tuple = field(repr=False)
+    rows: frozenset = field(repr=False)
+    _pieces: dict = field(repr=False, compare=False)
+
+    def __init__(self, name: str, coronas):
+        coronas = list(coronas)
+        labels = sorted({label for c in coronas
+                         for label in (c.center, *c.ring)})
+        self._set(name, labels, ())
+        object.__setattr__(self, "rows", frozenset(map(self._key, coronas)))
+
+    def _set(self, name, labels, rows):
+        for key, value in (("name", name), ("labels", tuple(labels)),
+                           ("rows", frozenset(rows)),
+                           ("_pieces", _pieces(labels))):
+            object.__setattr__(self, key, value)
+
+    @classmethod
+    def _packed(cls, name: str, labels, rows) -> Atlas:
+        """The atlas of rows already packed over the sorted table `labels`,
+        every label of which some row uses."""
+        atlas = cls.__new__(cls)
+        atlas._set(name, labels, rows)
+        return atlas
+
+    @property
+    def coronas(self) -> _Coronas:
+        return _Coronas(self)
+
+    def _key(self, corona: Corona) -> bytes:
+        """The corona's row; KeyError when a label is not in the table."""
+        pieces = self._pieces
+        return b"".join([pieces[corona.center],
+                         *map(pieces.__getitem__, corona.ring)])
+
+    def __contains__(self, corona) -> bool:
+        if not isinstance(corona, Corona):
+            return False
+        try:
+            return self._key(corona) in self.rows
+        except KeyError:
+            return False
+
+
+class _Coronas(Set):
+    """An atlas's coronas as a set of Corona values."""
+
+    __slots__ = ("_atlas",)
+
+    def __init__(self, atlas: Atlas):
+        self._atlas = atlas
+
+    def __len__(self):
+        return len(self._atlas.rows)
+
+    def __contains__(self, corona):
+        return corona in self._atlas
+
+    def __iter__(self):
+        labels = self._atlas.labels
+        width = _width(len(labels))
+        for row in self._atlas.rows:
+            center, *ring = _indices(row, width)
+            yield Corona(labels[center], tuple(map(labels.__getitem__, ring)))
+
+    __hash__ = Set._hash  # hashable, as the frozenset it stands for
+
+    @classmethod
+    def _from_iterable(cls, it):
+        return frozenset(it)
 
 
 def corona_of(placements: dict, region: RegionSpec, cell) -> Corona | None:
@@ -202,9 +322,10 @@ def _corona_window(kind: ShapeKind):
 def _window_check(ts: TileSet, kind: ShapeKind):
     """The corona window's check for `ts`: the window's cells (centre first,
     then the ring in touching-offset order), per cell the legal (tile, code)
-    placements that placement_ok accepts there with their facet colours, and
-    the window's facet-sharing pairs from facet_pairs, the pair walk of
-    patch_valid.
+    placements that placement_ok accepts there with their facet colours, the
+    window's facet-sharing pairs from facet_pairs, the pair walk of
+    patch_valid, and two getters that read the pairs' two colour sequences
+    off the cells' colours laid end to end.
 
     It is compiled from the prototiles, not from the engine's candidate
     lists, once per set and kind, and kept on the set.
@@ -221,28 +342,67 @@ def _window_check(ts: TileSet, kind: ShapeKind):
                 if placement_ok(ts, region, pl) is None:
                     table[(p.id, ident)] = effective_facets(ts, pl)
             colours.append(table)
-        check = ts.window_checks[kind] = (
-            cells, colours, facet_pairs(region, cells))
+        pairs = facet_pairs(region, cells)
+        w = FACET_COUNT[kind]  # every kind of a lattice has as many facets
+        # a window has many pairs, so the getters return tuples
+        left = itemgetter(*[i * w + f for i, f, _, _ in pairs])
+        right = itemgetter(*[j * w + nf for _, _, j, nf in pairs])
+        check = ts.window_checks[kind] = (cells, colours, pairs, left, right)
     return check
 
 
 def _window_fault(ts: TileSet, check, labels) -> str | None:
     """None when the window's (tile, code) labels, centre first, pass the
     compiled check; else what fails first."""
-    cells, colours, pairs = check
+    cells, colours, pairs, left, right = check
     try:
-        eff = [table[label] for table, label in zip(colours, labels)]
+        flat = list(chain.from_iterable(
+            map(dict.__getitem__, colours, labels)))
     except KeyError as e:
         return (f"{e.args[0]} is no legal placement in "
                 f"{list(zip(cells, labels))}")
     rule = ts.rule
-    for i, f, j, nf in pairs:
-        a, b = eff[i][f], eff[j][nf]
-        if not rule_eval(rule, a, b):
+    for (i, f, j, nf), x, y in zip(pairs, left(flat), right(flat)):
+        if not rule_eval(rule, x, y):
             return (f"facet rule fails between {cells[i]} facet {f} (colour "
-                    f"{a}) and {cells[j]} facet {nf} (colour {b}) in "
+                    f"{x}) and {cells[j]} facet {nf} (colour {y}) in "
                     f"{list(zip(cells, labels))}")
     return None
+
+
+def _corona_space(ts: TileSet) -> str:
+    """The lattice of a set whose coronas can be enumerated."""
+    if ts.allowed != "translations":
+        raise FormatError("corona enumeration expects a translation-placed set")
+    if ts.space is None:
+        raise FormatError("mixed-kind sets have no corona atlas")
+    return ts.space
+
+
+def _enumerate(ts: TileSet, node_cap: int, emit) -> None:
+    """Pass every locally valid corona window of `ts` to emit, as its
+    (tile, code) labels, centre first, once the window check has passed it."""
+    nodes = 0
+    for kind in SPACE_KINDS[_corona_space(ts)]:
+        region, cells, order = _corona_window(kind)
+        check = _window_check(ts, kind)
+        # search labels -> window labels
+        pick = itemgetter(*[order.index(c) for c in cells])
+
+        def admit(labels):
+            window = pick(labels)
+            fault = _window_fault(ts, check, window)
+            if fault is not None:
+                raise RuntimeError(
+                    f"incremental checks admitted an invalid corona: {fault}")
+            emit(window)
+
+        _, _, spent, _ = region_search(ts, region, node_cap - nodes,
+                                       each=admit, cells=order)
+        nodes += spent  # node_cap + 1 once the cap is crossed
+        if nodes > node_cap:
+            raise BudgetExceeded(
+                f"corona enumeration exceeded {node_cap} nodes")
 
 
 def enumerate_source_coronas(ts: TileSet, node_cap: int = 10 ** 7) -> set:
@@ -254,43 +414,32 @@ def enumerate_source_coronas(ts: TileSet, node_cap: int = 10 ** 7) -> set:
     its window cell, and every pair that facet_pairs lists for the window is
     tested against the rule on the facet colours read there.
     """
-    if ts.allowed != "translations":
-        raise FormatError("corona enumeration expects a translation-placed set")
-    space = ts.space
-    if space is None:
-        raise FormatError("mixed-kind sets have no corona atlas")
     out = set()
-    nodes = 0
-    for kind in SPACE_KINDS[space]:
-        region, cells, order = _corona_window(kind)
-        check = _window_check(ts, kind)
-        at = [order.index(c) for c in cells]  # window cell -> search index
-
-        def admit(labels):
-            window = [labels[j] for j in at]
-            fault = _window_fault(ts, check, window)
-            if fault is not None:
-                raise RuntimeError(
-                    f"incremental checks admitted an invalid corona: {fault}")
-            out.add(Corona(window[0], tuple(window[1:])))
-
-        _, _, spent, _ = region_search(ts, region, node_cap - nodes,
-                                       each=admit, cells=order)
-        nodes += spent  # node_cap + 1 once the cap is crossed
-        if nodes > node_cap:
-            raise BudgetExceeded(
-                f"corona enumeration exceeded {node_cap} nodes")
+    _enumerate(ts, node_cap, lambda w: out.add(Corona(w[0], tuple(w[1:]))))
     return out
 
 
 def derive_atlas(rs: ReducedSet, node_cap: int = 10 ** 7) -> Atlas:
-    """The reduced set's atlas: encodings of all locally valid source coronas."""
-    coronas = set()
-    for sc in enumerate_source_coronas(rs.source, node_cap):
-        center = rs.forward[sc.center[0]]
-        ring = tuple(rs.forward[t] for (t, _) in sc.ring)
-        coronas.add(Corona(center, ring))
-    return Atlas(rs.name, frozenset(coronas))
+    """The reduced set's atlas: encodings of all locally valid source coronas.
+
+    Each window the enumerator admits is packed at once, its source labels
+    read through a map to the encoded labels' packed indices."""
+    labels = sorted(rs.forward.values())
+    pieces = _pieces(labels)
+    ident = identity_code(_corona_space(rs.source))
+    piece = {(tid, ident): pieces[label] for tid, label in rs.forward.items()}
+    rows = set()
+    _enumerate(rs.source, node_cap,
+               lambda w: rows.add(b"".join(map(piece.__getitem__, w))))
+    width = _width(len(labels))
+    used = set()
+    for row in rows:
+        used.update(_indices(row, width))
+    if len(used) < len(labels):  # some encoded tile is in no corona
+        order = sorted(used)
+        rows = _renumber(rows, order, width, _width(len(order)))
+        labels = [labels[i] for i in order]
+    return Atlas._packed(rs.name, labels, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +469,13 @@ def corona_in_atlas_implicit(rs: ReducedSet, corona: Corona) -> bool:
 # ---------------------------------------------------------------------------
 
 def serialize_atlas(atlas: Atlas) -> str:
+    texts = [f"{t} {code}" for t, code in atlas.labels]
+    width = _width(len(texts))
     out = [f"atlas {atlas.name}"]
-    for c in sorted(atlas.coronas, key=Corona.sort_key):
-        ring = " ".join(f"{t} {code}" for (t, code) in c.ring)
-        out.append(f"{c.center[0]} {c.center[1]} : {ring}")
+    for row in sorted(atlas.rows):
+        center, *ring = _indices(row, width)
+        ring = " ".join(map(texts.__getitem__, ring))
+        out.append(f"{texts[center]} : {ring}")
     return "\n".join(out) + "\n"
 
 
@@ -335,17 +487,36 @@ def _lattice_of_code() -> dict:
             for space in SPACES for code in space_codes(space)}
 
 
+class _Interner(dict):
+    """label -> index, in order of first use."""
+
+    def __missing__(self, label):
+        i = self[label] = len(self)
+        return i
+
+
+def _first_line(text: str, toks: list) -> int:
+    """The number of the first content line of `text` whose tokens are toks."""
+    return next(ln for ln, t in _content_lines(text) if t == toks)
+
+
 def parse_atlas(text: str, rs: ReducedSet | None = None) -> Atlas:
     """Read atlas text.  Every code must be one lattice's orientation code,
-    all codes must come from the same lattice, and every ring must have that
-    lattice's touching count of entries.  Given the reduced set, every
-    (tile, code) label must also be one of its encodings."""
+    all codes must come from the same lattice, every ring must have that
+    lattice's touching count of entries, and no corona may be listed twice.
+    Given the reduced set, every (tile, code) label must also be one of its
+    encodings.
+
+    Labels are interned in order of first use and each line is packed as it
+    is read; the table is sorted and the rows renumbered at the end."""
     known = None if rs is None else rs.inverse
     lattice_of = _lattice_of_code()
     name = None
     lattice = None
     codes = frozenset()
-    coronas = set()
+    index = _Interner()
+    width, room = 1, 256  # row width, and the labels it can index
+    rows = set()
     for ln, toks in _content_lines(text):
         if name is None:
             if toks[0] != "atlas" or len(toks) != 2:
@@ -369,20 +540,30 @@ def parse_atlas(text: str, rs: ReducedSet | None = None) -> Atlas:
                 elif lattice_of[code] != lattice:
                     raise FormatError(
                         f"line {ln}: code {code!r} is not a {lattice[0]} code")
-        center = (toks[0], toks[1])
-        rest = toks[3:]
-        ring = tuple((rest[i], rest[i + 1]) for i in range(0, len(rest), 2))
-        if len(ring) != lattice[1]:
+        labels = [(toks[0], toks[1]), *zip(toks[3::2], toks[4::2])]
+        if len(labels) - 1 != lattice[1]:
             raise FormatError(
-                f"line {ln}: ring of {len(ring)} entries; {lattice[0]} "
+                f"line {ln}: ring of {len(labels) - 1} entries; {lattice[0]} "
                 f"coronas have {lattice[1]}")
         if known is not None:
-            for label in (center, *ring):
+            for label in labels:
                 if label not in known:
                     raise FormatError(
                         f"line {ln}: {label[0]} {label[1]} encodes no tile "
                         f"of {rs.name}")
-        coronas.add(Corona(center, ring))
+        idx = list(map(index.__getitem__, labels))
+        while len(index) > room:  # widen the rows read so far
+            rows = _renumber(rows, range(room), width, width + 1)
+            width, room = width + 1, room << 8
+        n = len(rows)
+        rows.add(_pack(idx, width))
+        if len(rows) == n:
+            raise FormatError(f"line {ln}: repeats the corona of line "
+                              f"{_first_line(text, toks)}")
     if name is None:
         raise FormatError("missing atlas header")
-    return Atlas(name, frozenset(coronas))
+    labels = sorted(index)
+    order = [index[label] for label in labels]
+    if order != sorted(order):
+        rows = _renumber(rows, order, width, width)
+    return Atlas._packed(name, labels, rows)

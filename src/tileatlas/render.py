@@ -33,7 +33,8 @@ from .geometry import (
     tri_vertices,
 )
 from .reduction import DECORATION_POINT, ReducedSet
-from .tileset import Patch, TileSet, effective_facets
+from .tileset import (FormatError, Patch, TileSet, cell_in_region,
+                      effective_facets)
 
 SQRT3 = 3 ** 0.5
 
@@ -173,6 +174,18 @@ def _tri_edge(cell, facet):
     return verts[(facet + 1) % 3], verts[(facet + 2) % 3]
 
 
+def _placed_cells(patch):
+    """The patch's placed cells, sorted.  Raises FormatError naming the
+    first one that lies outside the patch's region."""
+    cells = sorted(patch.placements)
+    region = patch.region
+    for cell in cells:
+        if not cell_in_region(region, cell):
+            extents = "x".join(map(str, region.extents))
+            raise FormatError(f"cell {cell} lies outside the {extents} region")
+    return cells
+
+
 def _layer_positions(patch):
     """For cube patches: horizontal offset per layer so slices sit side by
     side, ordered by z."""
@@ -181,12 +194,13 @@ def _layer_positions(patch):
 
 
 def render_source_patch(ts: TileSet, patch: Patch, scale: float = 40.0) -> str:
-    """Facet-coloured rendering of a source-set patch."""
+    """Facet-coloured rendering of a source-set patch.  A placed cell
+    outside the patch's region is a FormatError."""
     space = patch.region.space
     cv = _Canvas()
     if space == "cube3d":
         offs = _layer_positions(patch)
-        for cell in sorted(patch.placements):
+        for cell in _placed_cells(patch):
             pl = patch.placements[cell]
             eff = effective_facets(ts, pl)
             x, y, z = cell
@@ -208,7 +222,7 @@ def render_source_patch(ts: TileSet, patch: Patch, scale: float = 40.0) -> str:
             cv.circle((cx + 0.2, y - 0.2), 0.13, colour_hex(eff[5]))
             cv.polygon(outline, "none", "#222222", 0.03)
         return cv.to_svg(scale)
-    for cell in sorted(patch.placements):
+    for cell in _placed_cells(patch):
         pl = patch.placements[cell]
         eff = effective_facets(ts, pl)
         kind = cell_kind(space, cell)
@@ -261,14 +275,15 @@ def _at_cell(cell, space, p):
 
 def render_reduced_patch(rs: ReducedSet, patch: Patch, scale: float = 40.0
                          ) -> str:
-    """Glyph rendering of a reduced-set patch."""
+    """Glyph rendering of a reduced-set patch.  A placed cell outside the
+    patch's region is a FormatError."""
     space = patch.region.space
     rep_kind = {r.id: r.kind for r in rs.reps}
     rep_index = {r.id: i for i, r in enumerate(rs.reps)}
     cv = _Canvas()
     if space == "cube3d":
         offs = _layer_positions(patch)
-        for cell in sorted(patch.placements):
+        for cell in _placed_cells(patch):
             pl = patch.placements[cell]
             x, y, z = cell
             cx = x + offs[z]
@@ -280,7 +295,7 @@ def render_reduced_patch(rs: ReducedSet, patch: Patch, scale: float = 40.0
                       colour_hex(rep_index[pl.tile] + 1))
             cv.text((cx, y - 0.32), f"{pl.tile} {pl.orientation}", 0.16)
         return cv.to_svg(scale)
-    for cell in sorted(patch.placements):
+    for cell in _placed_cells(patch):
         pl = patch.placements[cell]
         if space == "tri2d":
             outline = [_embed2(v, space) for v in tri_vertices(cell)]

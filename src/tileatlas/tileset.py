@@ -267,9 +267,9 @@ def patch_valid(ts: TileSet, patch: Patch) -> tuple[bool, tuple[str, ...]]:
 
 def _content_lines(text: str):
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield ln, line.split()
+        toks = raw.split("#", 1)[0].split()
+        if toks:
+            yield ln, toks
 
 
 _HEADER_KEYS = ("tileset", "space", "isometries", "rule")

@@ -10,6 +10,7 @@ and running patch_valid on the whole window.
 """
 
 import gc
+import hashlib
 import itertools
 import random
 import weakref
@@ -409,6 +410,9 @@ def test_atlas_serialization_roundtrip_and_determinism():
 
 
 def test_parse_atlas_errors():
+    repeated = ("atlas a\nx0 r0 : " + "x1 r0 " * 8
+                + "\nx1 r0 : " + "x0 r0 " * 8
+                + "\n# again\nx0  r0 :  " + "x1 r0 " * 8 + "\n")
     for bad in (
         "x0 r0 : x0 r0\n",
         "atlas a\nx0 : x0 r0\n",
@@ -422,9 +426,13 @@ def test_parse_atlas_errors():
         "atlas a\nx0 r0 : " + "x0 r0 " * 8 + "\nx0 t0 : " + "x0 t0 " * 12,
         "atlas a\nx0 t0 : " + "x0 t0 " * 8 + "\n",  # tri rings have 12
         "atlas a\nx0 sXYZ:+++/XYZ : " + "x0 sXYZ:+++/XYZ " * 8 + "\n",
+        repeated,  # one corona listed twice
     ):
         with pytest.raises(FormatError):
             parse_atlas(bad)
+    with pytest.raises(FormatError,
+                       match="line 5: repeats the corona of line 2$"):
+        parse_atlas(repeated)
     # given the reduced set, every label must encode one of its tiles
     rs = reduce_set(load_bundled("wang13"), "c1")
     text = serialize_atlas(derive_atlas(rs))
@@ -462,6 +470,15 @@ def test_admit_recheck_catches_engine_faults(monkeypatch):
         enumerate_source_coronas(load_bundled("wang13"), node_cap=1000)
 
 
+def test_derive_atlas_rechecks_every_corona(monkeypatch):
+    # derive_atlas packs what the same re-check admits
+    import tileatlas.search
+    monkeypatch.setattr(tileatlas.search, "rule_eval", lambda rule, a, b: True)
+    with pytest.raises(RuntimeError,
+                       match="incremental checks admitted an invalid corona"):
+        derive_atlas(reduce_set(load_bundled("wang13"), "c2"), node_cap=1000)
+
+
 def test_admit_recheck_catches_illegal_labels(monkeypatch):
     # an engine that offers every tile on every cell kind yields up
     # triangles on down cells; the re-check's own legality tables refuse it
@@ -480,3 +497,97 @@ def test_atlas_contains_dunder():
     some = next(iter(atlas.coronas))
     assert some in atlas
     assert Corona(("x0", "t5"), some.ring) not in atlas
+
+
+def shuffled(ts, seed):
+    """`ts` with its prototiles in a seeded random order."""
+    rng = random.Random(seed)
+    return TileSet(ts.name, tuple(rng.sample(ts.prototiles,
+                                             len(ts.prototiles))),
+                   ts.rule, ts.allowed)
+
+
+@pytest.mark.parametrize("name, mode, seed, digest", [
+    ("wang13", "c1", None,
+     "7069563faa079f986987dc233fbc2f6c42644754e63734237fc77b453bf7ead7"),
+    ("wang13", "c2", None,
+     "fee2b299aa397ed41d29f9993023e314d13880bf9428be5b8d45e67b2331dc39"),
+    ("wang13", "c2", 1,
+     "8b059cab7bd5bd5c257ef10147f86e7edc74edddd0aae4dc335acfe23ef73079"),
+    ("wang13", "c2", 2,
+     "7d235f181ed07d2a71d6f38d0038fe9c21ca38e7b8f7920aa487a19515fb31ef"),
+    ("triangles6", "c1", None,
+     "b8ffc44d8941da92ce0e36c11cc654f4d8ef58fab43e7128f7f57a7ebe242b67"),
+    ("triangles6", "c2", None,
+     "4ec14d0717a5dec5f1989d5b40366af46e9c91598f4316cb07a01e994bf5adb8"),
+    ("triangles6", "c2", 1,
+     "b3924e00d764ee19fab9a3f6e0f591cf1c2a63c88f1d4faba263ef2d499810fa"),
+    ("triangles6", "c2", 2,
+     "406a1fe77694b473b45d873fdc7707e7b9190af296aa31f587efc8c04945d5c7"),
+])
+def test_atlas_text_is_pinned(name, mode, seed, digest):
+    # the atlas text byte for byte, in the bundled and two shuffled
+    # prototile orders: packing and sorting must not move a line
+    ts = load_bundled(name)
+    if seed is not None:
+        ts = shuffled(ts, seed)
+    text = serialize_atlas(derive_atlas(reduce_set(ts, mode)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_wide_label_table():
+    # more than 256 labels: rows take two bytes per label.  Ids are chosen
+    # so that string order differs from numeric order, and the lines are
+    # read shuffled, so the table widens part way through the text.
+    rng = random.Random(2026)
+    labels = [(f"x{i}", code) for i in range(150) for code in ("r0", "m3")]
+    coronas = {Corona(rng.choice(labels),
+                      tuple(rng.choice(labels) for _ in range(8)))
+               for _ in range(600)}
+
+    def line(c):
+        return " ".join([*c.center, ":", *(t for e in c.ring for t in e)])
+
+    lines = [line(c) for c in coronas]
+    rng.shuffle(lines)
+    atlas = parse_atlas("atlas wide\n" + "\n".join(lines) + "\n")
+    assert len(atlas.labels) > 256
+    assert {len(row) for row in atlas.rows} == {2 * 9}
+    text = serialize_atlas(atlas)
+    assert text.splitlines() == ["atlas wide"] + [
+        line(c) for c in sorted(coronas, key=Corona.sort_key)]
+    back = parse_atlas(text)
+    assert back == atlas == Atlas("wide", coronas)
+    assert serialize_atlas(back) == text
+    assert len(atlas.coronas) == len(coronas)
+    assert set(atlas.coronas) == coronas
+    assert all(c in atlas for c in coronas)
+    some = next(iter(coronas))
+    for stranger in (Corona(("zz", "r0"), some.ring),
+                     Corona(some.center, some.ring[:3] + (("x1", "q9"),)
+                            + some.ring[4:]),
+                     Corona(some.center, some.ring[:7]),
+                     Corona(some.center, some.ring + some.ring[:1]),
+                     Corona(some.center, ())):
+        assert stranger not in atlas
+        assert stranger not in atlas.coronas
+
+
+def test_packed_rows_follow_sort_key_order():
+    # one-byte rows sort as Corona.sort_key does, and the coronas view
+    # behaves as the set it replaced
+    atlas = derive_atlas(reduce_set(load_bundled("wang13"), "c2"))
+    assert list(atlas.labels) == sorted(atlas.labels)
+    assert {len(row) for row in atlas.rows} == {9}
+    assert Atlas("none", []).labels == ()
+    order = sorted(atlas.coronas, key=Corona.sort_key)
+    by_rows = [Corona(atlas.labels[r[0]],
+                      tuple(atlas.labels[i] for i in r[1:]))
+               for r in sorted(atlas.rows)]
+    assert by_rows == order
+    assert atlas.coronas == frozenset(order) == set(atlas.coronas)
+    assert hash(atlas.coronas) == hash(frozenset(order))
+    assert {atlas.coronas: 1}[frozenset(order)] == 1
+    some = order[0]
+    assert atlas.coronas - {some} == frozenset(order[1:])
+    assert Atlas(atlas.name, atlas.coronas - {some}) != atlas

@@ -314,6 +314,32 @@ def test_render_reduced_patch(tmp_path, capsys):
     ET.fromstring(text)
 
 
+def test_render_refuses_cells_outside_the_region(tmp_path, capsys):
+    # a cube layer past the header's depth, and a square cell past its
+    # height: exit 1 with the first such cell named, no traceback
+    red = tmp_path / "c.reduced"
+    run(capsys, "reduce", "--in", "@cubes21", "--mode", "c1",
+        "--out", str(red))
+    cube = tmp_path / "c.patch"
+    cube.write_text("patch cubes21-c1 2 2 2 free\n"
+                    "0 0 0 x0 sXYZ:+++/XYZ\n0 0 5 x0 sXYZ:+++/XYZ\n"
+                    "1 0 7 x0 sXYZ:+++/XYZ\n", encoding="utf-8")
+    square = tmp_path / "s.patch"
+    square.write_text("patch wang13 2 2 free\n0 0 a1 r0\n0 5 a1 r0\n",
+                      encoding="utf-8")
+    for argv, where in (
+            (("render", "--in", "@cubes21", "--reduced", str(red),
+              "--patch", str(cube)), "(0, 0, 5) lies outside the 2x2x2"),
+            (("render", "--in", "@wang13", "--patch", str(square)),
+             "(0, 5) lies outside the 2x2")):
+        svg = tmp_path / "out.svg"
+        code, out, err = run(capsys, *argv, "--svg", str(svg))
+        assert code == 1, argv
+        assert err == f"error: cell {where} region\n", err
+        assert out == "", argv
+        assert not svg.exists()
+
+
 def test_usage_errors(capsys):
     cases = [
         [],

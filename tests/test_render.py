@@ -19,6 +19,7 @@ from tileatlas.geometry import (
     orientation_lift,
     point_group,
     space_codes,
+    space_dim,
 )
 from tileatlas.reduction import DECORATION_POINT
 from tileatlas.render import (
@@ -210,7 +211,9 @@ def test_reduced_render_matches_exact_fraction_route(monkeypatch):
                     else:
                         cell = (far + 7 * i, far - 3 * i)
                     placements[cell] = Placement(cell, rep.id, code)
-            extents = (1, 1, 2) if space == "cube3d" else (1, 1)
+            # the region holds every cell; render refuses cells outside it
+            extents = tuple(max(c[k] for c in placements) + 1
+                            for k in range(space_dim(space)))
             patch = Patch(rs.name, RegionSpec(space, extents, False),
                           placements)
             svg = render_reduced_patch(rs, patch)
