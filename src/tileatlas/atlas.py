@@ -26,9 +26,11 @@ candidate tried at any window cell, the centre included.  Every corona it
 yields passes the window check before it is admitted.
 
 An `Atlas` is stored packed: a sorted table of the (tile, code) labels its
-coronas use, and one `bytes` row per corona holding label indices, centre
-first and then the ring, at a fixed width of one byte per label up to 256
-labels (two bytes big-endian up to 65,536, and so on).  Sorted rows are in
+coronas use, and one `str` row per corona whose characters are label
+indices, chr(i) for the i-th label, centre first and then the ring.  Python
+keeps such a string at one byte per character while every index is below
+256 and widens it by itself beyond.  A table holds at most `LABEL_LIMIT`
+labels, the range of chr.  Strings sort by code point, so sorted rows are in
 `Corona.sort_key` order.  `Corona` stays the public type: `atlas.coronas`
 decodes rows on demand, and `corona in atlas` encodes the query.
 
@@ -37,6 +39,7 @@ The atlas text format is specified in docs/FORMATS.md.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Set
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -92,47 +95,26 @@ class Corona:
         return (self.center, self.ring)
 
 
-def _width(n_labels: int) -> int:
-    """Bytes per label index in a table of n_labels labels."""
-    return max(1, ((n_labels - 1).bit_length() + 7) // 8)
+LABEL_LIMIT = sys.maxunicode + 1  # label indices are characters, chr(i)
+# covers the cubes21 c2 enumeration, which charges 169,232,238 nodes
+DEFAULT_NODE_CAP = 2 * 10 ** 8
 
 
-def _pieces(labels) -> dict:
-    """label -> its packed index."""
-    width = _width(len(labels))
-    return {label: i.to_bytes(width, "big") for i, label in enumerate(labels)}
+class _Interner(dict):
+    """label -> its row character, chr(index), in order of first use."""
 
-
-def _pack(indices, width: int) -> bytes:
-    """A row of label indices, packed."""
-    if width == 1:
-        return bytes(indices)
-    return b"".join([i.to_bytes(width, "big") for i in indices])
-
-
-def _indices(row: bytes, width: int):
-    """The label indices of a packed row."""
-    if width == 1:
-        return row
-    return [int.from_bytes(row[i:i + width], "big")
-            for i in range(0, len(row), width)]
-
-
-def _renumber(rows, order, width: int, new_width: int) -> set:
-    """`rows` with label index order[k] renumbered to k, repacked at
-    new_width."""
-    to = {old: new for new, old in enumerate(order)}
-    if width == new_width == 1:
-        table = bytes(to.get(i, 0) for i in range(256))
-        return {row.translate(table) for row in rows}
-    return {_pack([to[i] for i in _indices(row, width)], new_width)
-            for row in rows}
+    def __missing__(self, label):
+        if len(self) >= LABEL_LIMIT:
+            raise FormatError(f"an atlas holds at most {LABEL_LIMIT} labels")
+        ch = self[label] = chr(len(self))
+        return ch
 
 
 @dataclass(frozen=True, init=False)
 class Atlas:
     """A named set of coronas, packed: `labels` is the sorted table of the
-    (tile, code) labels they use, `rows` one label-index row per corona.
+    (tile, code) labels they use, `rows` one string per corona whose
+    characters are label indices, chr(i) for labels[i], centre first.
 
     `Atlas(name, coronas)` packs Corona values; `coronas` is a read-only set
     view that decodes rows as it is iterated.
@@ -141,25 +123,29 @@ class Atlas:
     name: str
     labels: tuple = field(repr=False)
     rows: frozenset = field(repr=False)
-    _pieces: dict = field(repr=False, compare=False)
+    _chars: dict = field(repr=False, compare=False)
 
     def __init__(self, name: str, coronas):
-        coronas = list(coronas)
-        labels = sorted({label for c in coronas
-                         for label in (c.center, *c.ring)})
-        self._set(name, labels, ())
-        object.__setattr__(self, "rows", frozenset(map(self._key, coronas)))
+        index = _Interner()
+        rows = ["".join(map(index.__getitem__, (c.center, *c.ring)))
+                for c in coronas]
+        self._set(name, list(index), rows)
 
     def _set(self, name, labels, rows):
-        for key, value in (("name", name), ("labels", tuple(labels)),
-                           ("rows", frozenset(rows)),
-                           ("_pieces", _pieces(labels))):
+        """Store `rows`, strings in which chr(i) stands for labels[i], over
+        the sorted table of the labels they use; the rows are renumbered
+        only when that table moves an index."""
+        used = sorted(map(ord, set().union(*rows)), key=labels.__getitem__)
+        if used != list(range(len(used))):
+            to = dict(zip(used, range(len(used))))
+            rows = [row.translate(to) for row in rows]
+        chars = {labels[i]: chr(k) for k, i in enumerate(used)}
+        for key, value in (("name", name), ("labels", tuple(chars)),
+                           ("rows", frozenset(rows)), ("_chars", chars)):
             object.__setattr__(self, key, value)
 
     @classmethod
     def _packed(cls, name: str, labels, rows) -> Atlas:
-        """The atlas of rows already packed over the sorted table `labels`,
-        every label of which some row uses."""
         atlas = cls.__new__(cls)
         atlas._set(name, labels, rows)
         return atlas
@@ -168,11 +154,11 @@ class Atlas:
     def coronas(self) -> _Coronas:
         return _Coronas(self)
 
-    def _key(self, corona: Corona) -> bytes:
+    def _key(self, corona: Corona) -> str:
         """The corona's row; KeyError when a label is not in the table."""
-        pieces = self._pieces
-        return b"".join([pieces[corona.center],
-                         *map(pieces.__getitem__, corona.ring)])
+        chars = self._chars
+        return "".join([chars[corona.center],
+                        *map(chars.__getitem__, corona.ring)])
 
     def __contains__(self, corona) -> bool:
         if not isinstance(corona, Corona):
@@ -199,10 +185,9 @@ class _Coronas(Set):
 
     def __iter__(self):
         labels = self._atlas.labels
-        width = _width(len(labels))
         for row in self._atlas.rows:
-            center, *ring = _indices(row, width)
-            yield Corona(labels[center], tuple(map(labels.__getitem__, ring)))
+            center, *ring = map(labels.__getitem__, map(ord, row))
+            yield Corona(center, tuple(ring))
 
     __hash__ = Set._hash  # hashable, as the frozenset it stands for
 
@@ -405,7 +390,8 @@ def _enumerate(ts: TileSet, node_cap: int, emit) -> None:
                 f"corona enumeration exceeded {node_cap} nodes")
 
 
-def enumerate_source_coronas(ts: TileSet, node_cap: int = 10 ** 7) -> set:
+def enumerate_source_coronas(ts: TileSet,
+                             node_cap: int = DEFAULT_NODE_CAP) -> set:
     """All locally valid coronas of a translation-placed source set.
 
     `node_cap` bounds the nodes summed over the centre kinds.  Every complete
@@ -419,27 +405,19 @@ def enumerate_source_coronas(ts: TileSet, node_cap: int = 10 ** 7) -> set:
     return out
 
 
-def derive_atlas(rs: ReducedSet, node_cap: int = 10 ** 7) -> Atlas:
+def derive_atlas(rs: ReducedSet, node_cap: int = DEFAULT_NODE_CAP) -> Atlas:
     """The reduced set's atlas: encodings of all locally valid source coronas.
 
     Each window the enumerator admits is packed at once, its source labels
-    read through a map to the encoded labels' packed indices."""
-    labels = sorted(rs.forward.values())
-    pieces = _pieces(labels)
+    read through a map to the characters of the sorted encoded labels."""
     ident = identity_code(_corona_space(rs.source))
-    piece = {(tid, ident): pieces[label] for tid, label in rs.forward.items()}
-    rows = set()
+    index = _Interner()  # interned in sorted order, so nothing renumbers
+    char = {(tid, ident): index[label]
+            for tid, label in sorted(rs.forward.items(), key=itemgetter(1))}
+    rows = []  # the search yields each window once
     _enumerate(rs.source, node_cap,
-               lambda w: rows.add(b"".join(map(piece.__getitem__, w))))
-    width = _width(len(labels))
-    used = set()
-    for row in rows:
-        used.update(_indices(row, width))
-    if len(used) < len(labels):  # some encoded tile is in no corona
-        order = sorted(used)
-        rows = _renumber(rows, order, width, _width(len(order)))
-        labels = [labels[i] for i in order]
-    return Atlas._packed(rs.name, labels, rows)
+               lambda w: rows.append("".join(map(char.__getitem__, w))))
+    return Atlas._packed(rs.name, list(index), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -469,13 +447,11 @@ def corona_in_atlas_implicit(rs: ReducedSet, corona: Corona) -> bool:
 # ---------------------------------------------------------------------------
 
 def serialize_atlas(atlas: Atlas) -> str:
-    texts = [f"{t} {code}" for t, code in atlas.labels]
-    width = _width(len(texts))
+    text = {ch: f"{t} {code}" for (t, code), ch in atlas._chars.items()}
     out = [f"atlas {atlas.name}"]
     for row in sorted(atlas.rows):
-        center, *ring = _indices(row, width)
-        ring = " ".join(map(texts.__getitem__, ring))
-        out.append(f"{texts[center]} : {ring}")
+        center, *ring = map(text.__getitem__, row)
+        out.append(f"{center} : {' '.join(ring)}")
     return "\n".join(out) + "\n"
 
 
@@ -485,14 +461,6 @@ def _lattice_of_code() -> dict:
     are disjoint, so a code names its lattice."""
     return {code: (space, len(touching_offsets(SPACE_KINDS[space][0])))
             for space in SPACES for code in space_codes(space)}
-
-
-class _Interner(dict):
-    """label -> index, in order of first use."""
-
-    def __missing__(self, label):
-        i = self[label] = len(self)
-        return i
 
 
 def _first_line(text: str, toks: list) -> int:
@@ -508,14 +476,13 @@ def parse_atlas(text: str, rs: ReducedSet | None = None) -> Atlas:
     encodings.
 
     Labels are interned in order of first use and each line is packed as it
-    is read; the table is sorted and the rows renumbered at the end."""
+    is read; the table is sorted, and the rows renumbered to it, at the end."""
     known = None if rs is None else rs.inverse
     lattice_of = _lattice_of_code()
     name = None
     lattice = None
     codes = frozenset()
     index = _Interner()
-    width, room = 1, 256  # row width, and the labels it can index
     rows = set()
     for ln, toks in _content_lines(text):
         if name is None:
@@ -551,19 +518,11 @@ def parse_atlas(text: str, rs: ReducedSet | None = None) -> Atlas:
                     raise FormatError(
                         f"line {ln}: {label[0]} {label[1]} encodes no tile "
                         f"of {rs.name}")
-        idx = list(map(index.__getitem__, labels))
-        while len(index) > room:  # widen the rows read so far
-            rows = _renumber(rows, range(room), width, width + 1)
-            width, room = width + 1, room << 8
         n = len(rows)
-        rows.add(_pack(idx, width))
+        rows.add("".join(map(index.__getitem__, labels)))
         if len(rows) == n:
             raise FormatError(f"line {ln}: repeats the corona of line "
                               f"{_first_line(text, toks)}")
     if name is None:
         raise FormatError("missing atlas header")
-    labels = sorted(index)
-    order = [index[label] for label in labels]
-    if order != sorted(order):
-        rows = _renumber(rows, order, width, width)
-    return Atlas._packed(name, labels, rows)
+    return Atlas._packed(name, list(index), rows)

@@ -21,7 +21,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .atlas import BudgetExceeded, derive_atlas, missing_coronas
+from .atlas import (
+    DEFAULT_NODE_CAP,
+    BudgetExceeded,
+    derive_atlas,
+    missing_coronas,
+)
 from .reduction import (
     DecodeError,
     class_group,
@@ -319,7 +324,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--reduced", default=None)
     sp.add_argument("--with-atlas", action="store_true",
                     help="also check every complete corona against the atlas")
-    sp.add_argument("--atlas-budget", type=_at_least(0), default=10 ** 7)
+    sp.add_argument("--atlas-budget", type=_at_least(0),
+                    default=DEFAULT_NODE_CAP)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("roundtrip", help="encode/decode seeded random patches")

@@ -257,6 +257,7 @@ def parse_reduced(text: str, source: TileSet) -> ReducedSet:
     reps = []
     rep_kind = {}
     forward = {}
+    lattices = {KIND_SPACE[p.kind] for p in source.prototiles}
     for ln, toks in _content_lines(text):
         if name is None:
             if toks[0] != "reduced" or len(toks) != 3:
@@ -269,6 +270,9 @@ def parse_reduced(text: str, source: TileSet) -> ReducedSet:
                 raise FormatError(f"line {ln}: bad rep line")
             if toks[1] in rep_kind:
                 raise FormatError(f"line {ln}: duplicate rep id {toks[1]!r}")
+            if KIND_SPACE[_KIND_TOKEN[toks[2]]] not in lattices:
+                raise FormatError(f"line {ln}: rep {toks[1]}'s shape {toks[2]} "
+                                  f"is on no lattice of {source.name}")
             rep_kind[toks[1]] = _KIND_TOKEN[toks[2]]
             reps.append(DecoratedPrototile(toks[1], _KIND_TOKEN[toks[2]]))
         else:

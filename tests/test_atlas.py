@@ -13,12 +13,15 @@ import gc
 import hashlib
 import itertools
 import random
+import sys
 import weakref
 
 import pytest
 
 from conftest import random_tileset
+import tileatlas.atlas
 from tileatlas.atlas import (
+    LABEL_LIMIT,
     Atlas,
     BudgetExceeded,
     Corona,
@@ -536,9 +539,10 @@ def test_atlas_text_is_pinned(name, mode, seed, digest):
 
 
 def test_wide_label_table():
-    # more than 256 labels: rows take two bytes per label.  Ids are chosen
-    # so that string order differs from numeric order, and the lines are
-    # read shuffled, so the table widens part way through the text.
+    # more than 256 labels, so some row holds an index of 256 or more.  Ids
+    # are chosen so that string order differs from numeric order, and the
+    # lines are read shuffled, so the table grows past 256 part way through
+    # the text and the first-use order is far from the sorted one.
     rng = random.Random(2026)
     labels = [(f"x{i}", code) for i in range(150) for code in ("r0", "m3")]
     coronas = {Corona(rng.choice(labels),
@@ -552,7 +556,8 @@ def test_wide_label_table():
     rng.shuffle(lines)
     atlas = parse_atlas("atlas wide\n" + "\n".join(lines) + "\n")
     assert len(atlas.labels) > 256
-    assert {len(row) for row in atlas.rows} == {2 * 9}
+    assert {len(row) for row in atlas.rows} == {9}
+    assert max(max(map(ord, row)) for row in atlas.rows) >= 256
     text = serialize_atlas(atlas)
     assert text.splitlines() == ["atlas wide"] + [
         line(c) for c in sorted(coronas, key=Corona.sort_key)]
@@ -573,16 +578,32 @@ def test_wide_label_table():
         assert stranger not in atlas.coronas
 
 
+def test_label_limit(monkeypatch):
+    # a label index is a character, so a table holds at most the range of
+    # chr; past the limit the interner refuses the text instead of chr
+    # raising ValueError
+    assert LABEL_LIMIT == sys.maxunicode + 1
+    monkeypatch.setattr(tileatlas.atlas, "LABEL_LIMIT", 4)
+    three = "atlas a\nx0 r0 : " + "x1 r0 x2 r0 " * 4 + "\n"
+    four = three + "x3 r0 : " + "x0 r0 " * 8 + "\n"
+    assert len(parse_atlas(four).labels) == 4
+    with pytest.raises(FormatError, match="at most 4 labels"):
+        parse_atlas(four + "x4 r0 : " + "x0 r0 " * 8 + "\n")
+    with pytest.raises(FormatError, match="at most 4 labels"):
+        Atlas("a", [Corona((f"x{i}", "r0"), (("x0", "r0"),) * 8)
+                    for i in range(5)])
+
+
 def test_packed_rows_follow_sort_key_order():
-    # one-byte rows sort as Corona.sort_key does, and the coronas view
-    # behaves as the set it replaced
+    # rows sort as Corona.sort_key does, and the coronas view behaves as
+    # the set it replaced
     atlas = derive_atlas(reduce_set(load_bundled("wang13"), "c2"))
     assert list(atlas.labels) == sorted(atlas.labels)
     assert {len(row) for row in atlas.rows} == {9}
     assert Atlas("none", []).labels == ()
     order = sorted(atlas.coronas, key=Corona.sort_key)
-    by_rows = [Corona(atlas.labels[r[0]],
-                      tuple(atlas.labels[i] for i in r[1:]))
+    by_rows = [Corona(atlas.labels[ord(r[0])],
+                      tuple(atlas.labels[ord(i)] for i in r[1:]))
                for r in sorted(atlas.rows)]
     assert by_rows == order
     assert atlas.coronas == frozenset(order) == set(atlas.coronas)

@@ -6,6 +6,7 @@ stderr and exit codes are checked against the documented contract
 One test runs the real ``python -m tileatlas.cli`` entry point.
 """
 
+import inspect
 import os
 import re
 import subprocess
@@ -14,7 +15,8 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import tileatlas
-from tileatlas.cli import main
+from tileatlas.atlas import DEFAULT_NODE_CAP, derive_atlas, enumerate_source_coronas
+from tileatlas.cli import build_parser, main
 from tileatlas.geometry import ShapeKind
 from tileatlas.reduction import decode_patch, parse_reduced, reduce_set, serialize_reduced
 from tileatlas.solver import SolveConfig, solve
@@ -338,6 +340,34 @@ def test_render_refuses_cells_outside_the_region(tmp_path, capsys):
         assert err == f"error: cell {where} region\n", err
         assert out == "", argv
         assert not svg.exists()
+
+
+def test_render_refuses_rep_on_another_lattice(tmp_path, capsys):
+    # a rep no tile maps to, on another lattice: refused while the reduced
+    # text is read, before a patch could place it
+    red = tmp_path / "w.reduced"
+    run(capsys, "reduce", "--in", "@wang13", "--mode", "c2", "--out", str(red))
+    lines = red.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines.insert(3, "rep x9 cube\n")
+    red.write_text("".join(lines), encoding="utf-8")
+    patch = tmp_path / "p.patch"
+    patch.write_text("patch wang13-c2 1 1 free\n0 0 x9 r0\n", encoding="utf-8")
+    svg = tmp_path / "out.svg"
+    code, out, err = run(capsys, "render", "--in", "@wang13", "--reduced",
+                         str(red), "--patch", str(patch), "--svg", str(svg))
+    assert code == 1
+    assert err.startswith("error: line 4: "), err
+    assert "Traceback" not in err and out == ""
+    assert not svg.exists()
+
+
+def test_default_atlas_budget_is_one_constant():
+    args = build_parser().parse_args(["verify", "--in", "@wang13",
+                                      "--patch", "p"])
+    assert args.atlas_budget == DEFAULT_NODE_CAP == 2 * 10 ** 8
+    for fn in (derive_atlas, enumerate_source_coronas):
+        default = inspect.signature(fn).parameters["node_cap"].default
+        assert default == DEFAULT_NODE_CAP, fn
 
 
 def test_usage_errors(capsys):

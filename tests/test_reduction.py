@@ -385,6 +385,8 @@ def test_parse_reduced_errors():
         good + "u1 -> x0 t5\n",
         good.replace("rep x1 down", "rep x1 sideways"),
         good.replace("rep x1 down", "rep x1 square"),  # another lattice
+        # on another lattice, though no tile maps to it
+        good.replace("rep x1 down", "rep x1 down\nrep x9 cube"),
     ):
         with pytest.raises(FormatError):
             parse_reduced(bad, ts)
