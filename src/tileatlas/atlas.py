@@ -382,8 +382,8 @@ def _enumerate(ts: TileSet, node_cap: int, emit) -> None:
                     f"incremental checks admitted an invalid corona: {fault}")
             emit(window)
 
-        _, _, spent, _ = region_search(ts, region, node_cap - nodes,
-                                       each=admit, cells=order)
+        _, _, spent, _, _ = region_search(ts, region, node_cap - nodes,
+                                          each=admit, cells=order)
         nodes += spent  # node_cap + 1 once the cap is crossed
         if nodes > node_cap:
             raise BudgetExceeded(

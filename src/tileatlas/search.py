@@ -19,6 +19,14 @@ A node is a candidate tried in list order.  The index skips candidates that
 the earlier neighbours rule out, but each still counts as a node, as if it
 had been tried and rejected, so node counts and the node limit do not depend
 on the index.
+
+Below cell i the search depends only on i's frontier: the colours of earlier
+cells that cells from i on check.  Cells whose frontier is narrower than the
+next cell's (row and plane starts on square and cube lattices) record, for up
+to RECORD_SIZE frontiers at a time, the nodes a solution-free subtree charged.
+When such a frontier comes back, those nodes are charged again (`replayed`)
+instead of searched, so every count, limit and result is the plain
+depth-first search's.
 """
 
 from __future__ import annotations
@@ -41,6 +49,9 @@ from .tileset import (
 FOUND = "found"
 EXHAUSTED = "exhausted"
 LIMIT = "limit"
+
+# frontier keys a record cell keeps before its record is cleared
+RECORD_SIZE = 16
 
 
 def region_search(ts: TileSet, region: RegionSpec, limit=None, seed=None,
@@ -106,6 +117,23 @@ def _getter(idx):
     return itemgetter(*idx) if idx else (lambda seq: ())
 
 
+def _records(checks, width):
+    """The last cell that checks each facet slot (cell * width + facet; -1
+    if none does), and per cell an empty record (frontier key -> nodes)
+    where its frontier is narrower than the next cell's, else None."""
+    last = [-1] * (len(checks) * width)
+    for i, cs in enumerate(checks):
+        for _, nf, j in cs:
+            if j != i:
+                last[j * width + nf] = i
+    grow = [0] * len(checks)  # frontier width at cell i + 1 minus at cell i
+    for s, i in enumerate(last):
+        if i >= 0:
+            grow[s // width] += 1
+            grow[i] -= 1
+    return last, [{} if g > 0 else None for g in grow]
+
+
 def _search(per_cell, checks, width, rule, limit, each=None):
     """Depth-first search over the cells with an explicit stack.
 
@@ -114,7 +142,7 @@ def _search(per_cell, checks, width, rule, limit, each=None):
     stops at the first solution; with it, `each(labels)` is called on every
     solution (a list of (tile, code) pairs that the search goes on to
     change) and the search runs to exhaustion.  Returns (status, first
-    solution's labels or None, nodes, solutions seen).
+    solution's labels or None, nodes, solutions seen, nodes replayed).
     """
     n = len(per_cell)
     tables = {}  # (candidate list, own checks, earlier facets) -> table
@@ -131,14 +159,18 @@ def _search(per_cell, checks, width, rule, limit, each=None):
         table.append(tables[sig])
         keys.append(_getter([j * width + nf for _, nf, j in earlier]))
 
+    last, records = _records(checks, width)
+    fronts = [None] * n  # a cell's frontier key, made at its first record
     limit = float("inf") if limit is None else limit
     colours = [None] * (n * width)  # cell i's facets at i * width
     labels = [None] * n
-    stack = []  # (survivors, next survivor, nodes charged) of earlier cells
+    # per earlier cell: (survivors, next survivor, nodes charged), then the
+    # nodes and solutions counted when the search entered the next cell
+    stack = []
     # the current cell: its survivors under the colours of its earlier
     # neighbours, the next survivor to try, and its candidates charged so far
     i, surv, k, spent = 0, table[0][0], 0, 0  # cell 0 has no earlier cells
-    nodes = count = 0
+    nodes = count = replayed = 0
     first = None
     while True:
         if k < len(surv):
@@ -156,11 +188,23 @@ def _search(per_cell, checks, width, rule, limit, each=None):
                 if first is None:
                     first = list(labels)
                 if each is None:
-                    return FOUND, first, nodes, count
+                    return FOUND, first, nodes, count, replayed
                 each(labels)
                 continue
-            stack.append((surv, k, spent))
+            stack.append((surv, k, spent, nodes, count))
             i += 1
+            record = records[i]
+            if record:
+                charge = record.get(fronts[i](colours))
+                if charge is not None:
+                    # charged up to the limit at most; a crossing ends the
+                    # search at the earlier cell's next step
+                    charge = min(charge, limit + 1 - nodes)
+                    nodes += charge
+                    replayed += charge
+                    i -= 1
+                    surv, k, spent, _, _ = stack.pop()
+                    continue
             base, facets, _, memo = table[i]
             key = keys[i](colours)
             surv = memo.get(key)
@@ -174,8 +218,16 @@ def _search(per_cell, checks, width, rule, limit, each=None):
             nodes += table[i][2] - spent
             if nodes > limit or i == 0:
                 break
+            surv, k, spent, before, seen = stack.pop()
+            record = records[i]
+            if record is not None and seen == count:
+                if len(record) == RECORD_SIZE:
+                    record.clear()
+                if fronts[i] is None:
+                    fronts[i] = _getter([s for s, c in enumerate(last)
+                                         if s // width < i <= c])
+                record[fronts[i](colours)] = nodes - before
             i -= 1
-            surv, k, spent = stack.pop()
-    if nodes > limit:
-        return (LIMIT if first is None else FOUND), first, limit + 1, count
-    return (EXHAUSTED if first is None else FOUND), first, nodes, count
+    status = LIMIT if nodes > limit else EXHAUSTED
+    nodes = min(nodes, limit + 1)
+    return (status if first is None else FOUND), first, nodes, count, replayed

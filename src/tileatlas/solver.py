@@ -15,7 +15,10 @@ Two search targets:
 
 Both call the engine's one entry point, `search.region_search`, as does the
 corona enumerator.  A node is a candidate tried in scan order, so node
-counts and `node_limit` do not depend on the engine's colour index.
+counts and `node_limit` do not depend on the engine's colour index.  Nor do
+they depend on its records: a solution-free subtree met again under the
+same frontier has its recorded nodes charged again instead of being
+searched, and `SolveResult.replayed` is the part of `nodes` so charged.
 
 With a seed, each cell's candidate order is shuffled up front, so the first
 solution found is a reproducible pseudo-random patch.
@@ -51,13 +54,14 @@ class SolveResult:
     patch: Patch | None
     nodes: int
     count: int = 0  # solutions seen (only counting searches set this > 1)
+    replayed: int = 0  # the part of nodes charged from the engine's records
 
 
 def _checked_search(ts: TileSet, region: RegionSpec, config, each=None
                     ) -> SolveResult:
     """Run the engine and re-check the first patch it finds."""
     config = config or SolveConfig()
-    status, labels, nodes, count = region_search(
+    status, labels, nodes, count, replayed = region_search(
         ts, region, config.node_limit, config.seed, each)
     patch = None
     if labels is not None:
@@ -67,7 +71,7 @@ def _checked_search(ts: TileSet, region: RegionSpec, config, each=None
         ok, report = patch_valid(ts, patch)
         if not ok:
             raise RuntimeError(f"solver produced an invalid patch: {report}")
-    return SolveResult(status, patch, nodes, count)
+    return SolveResult(status, patch, nodes, count, replayed)
 
 
 def solve(ts: TileSet, region: RegionSpec, config: SolveConfig | None = None

@@ -265,8 +265,22 @@ def patch_valid(ts: TileSet, patch: Patch) -> tuple[bool, tuple[str, ...]]:
 # Text formats
 # ---------------------------------------------------------------------------
 
+def _lines(text: str, chunk: int = 1 << 16):
+    """text.splitlines(), one slice of about `chunk` characters at a time, so
+    no list of every line is held.  Each slice ends just after a "\\n",
+    which always ends a line."""
+    pos = 0
+    while pos < len(text):
+        cut = text.rfind("\n", pos, pos + chunk)
+        if cut < 0:
+            cut = text.find("\n", pos + chunk)
+        cut = len(text) if cut < 0 else cut + 1
+        yield from text[pos:cut].splitlines()
+        pos = cut
+
+
 def _content_lines(text: str):
-    for ln, raw in enumerate(text.splitlines(), start=1):
+    for ln, raw in enumerate(_lines(text), start=1):
         toks = raw.split("#", 1)[0].split()
         if toks:
             yield ln, toks

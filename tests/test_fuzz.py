@@ -5,7 +5,8 @@ Two properties per format: parsing any text raises nothing but FormatError,
 and serialize(parse(serialize(x))) is byte-identical for values drawn over
 every lattice.  The texts mix arbitrary strings with near-misses built from
 the format's own tokens.  Examples are derandomized and bounded, so runs are
-repeatable and quick.
+repeatable and quick.  The line splitter all four readers share must split
+as str.splitlines does.
 """
 
 import pytest
@@ -34,6 +35,7 @@ from tileatlas.tileset import (  # noqa: E402
     Prototile,
     RegionSpec,
     TileSet,
+    _lines,
     load_bundled,
     parse_patch,
     parse_tileset,
@@ -212,3 +214,33 @@ def test_reduced_text_round_trip_is_byte_identical(ts, mode):
     back = parse_reduced(text, ts)
     assert back == rs
     assert serialize_reduced(back) == text
+
+
+# every line boundary str.splitlines knows, "\r\n" and "\n\r" among them
+BOUNDARIES = ["\n", "\r", "\r\n", "\n\r", "\x0b", "\x0c", "\x1c", "\x1d",
+              "\x1e", "\x85", "\u2028", "\u2029"]
+line_texts = st.lists(
+    st.one_of(st.sampled_from(BOUNDARIES),
+              st.sampled_from(["", " ", "x", "tile a", "#", "\t", "\x84",
+                               "\u2027", "\x1f"]),
+              st.text(max_size=5)),
+    max_size=40).map("".join)
+
+
+@FUZZ
+@given(line_texts, st.integers(1, 12))
+def test_lazy_lines_equal_splitlines(text, chunk):
+    # small slices put slice ends between every pair of boundaries
+    assert list(_lines(text, chunk)) == text.splitlines()
+    assert list(_lines(text)) == text.splitlines()
+
+
+def test_errors_keep_line_numbers_across_every_boundary():
+    # the fourth content line is bad; "\n\r" is two boundaries, so an
+    # empty line follows each content line there
+    for sep in BOUNDARIES:
+        step = len(("x" + sep).splitlines())
+        text = sep.join(["tileset t", "isometries translations",
+                         "rule identical", "space hexagon"])
+        with pytest.raises(FormatError, match=f"^line {3 * step + 1}: "):
+            parse_tileset(text)

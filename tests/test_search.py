@@ -1,0 +1,178 @@
+"""Search engine tests.
+
+Oracle: the plain depth-first search, a copy of the engine's loop before it
+kept records of solution-free subtrees.  Both run on the same candidate
+lists and check schedule (each through `region_search`), and must agree on
+status, first solution, nodes and solutions seen, and make the same `each`
+calls in the same order.
+"""
+
+import random
+from dataclasses import replace
+
+import pytest
+
+from conftest import random_tileset
+from tileatlas import search
+from tileatlas.search import EXHAUSTED, FOUND, LIMIT, _getter, region_search
+from tileatlas.solver import SolveConfig, count_solutions, exhaust_torus, solve
+from tileatlas.tileset import FacetRule, RegionSpec, load_bundled, rule_eval
+
+ENGINE = search._search
+
+
+def _plain_search(per_cell, checks, width, rule, limit, each=None):
+    n = len(per_cell)
+    tables = {}  # (candidate list, own checks, earlier facets) -> table
+    table, keys = [], []
+    for i, lst in enumerate(per_cell):
+        own = tuple((f, nf) for f, nf, j in checks[i] if j == i)
+        earlier = [(f, nf, j) for f, nf, j in checks[i] if j != i]
+        sig = (id(lst), own, tuple(f for f, _, _ in earlier))
+        if sig not in tables:
+            # extent-1 wraps: the candidate meets itself, whatever is around
+            base = [(p, (t, c), e) for p, (t, c, e) in enumerate(lst)
+                    if all(rule_eval(rule, e[f], e[nf]) for f, nf in own)]
+            tables[sig] = (base, sig[2], len(lst), {})
+        table.append(tables[sig])
+        keys.append(_getter([j * width + nf for _, nf, j in earlier]))
+
+    limit = float("inf") if limit is None else limit
+    colours = [None] * (n * width)  # cell i's facets at i * width
+    labels = [None] * n
+    stack = []  # (survivors, next survivor, nodes charged) of earlier cells
+    # the current cell: its survivors under the colours of its earlier
+    # neighbours, the next survivor to try, and its candidates charged so far
+    i, surv, k, spent = 0, table[0][0], 0, 0  # cell 0 has no earlier cells
+    nodes = count = 0
+    first = None
+    while True:
+        if k < len(surv):
+            p, label, e = surv[k]
+            k += 1
+            # every candidate up to p counts: the ones skipped would fail
+            nodes += p + 1 - spent
+            spent = p + 1
+            if nodes > limit:
+                break
+            colours[i * width:(i + 1) * width] = e
+            labels[i] = label
+            if i + 1 == n:
+                count += 1
+                if first is None:
+                    first = list(labels)
+                if each is None:
+                    return FOUND, first, nodes, count
+                each(labels)
+                continue
+            stack.append((surv, k, spent))
+            i += 1
+            base, facets, _, memo = table[i]
+            key = keys[i](colours)
+            surv = memo.get(key)
+            if surv is None:
+                surv = memo[key] = [
+                    cand for cand in base
+                    if all(rule_eval(rule, cand[2][f], v)
+                           for f, v in zip(facets, key))]
+            k = spent = 0
+        else:
+            nodes += table[i][2] - spent
+            if nodes > limit or i == 0:
+                break
+            i -= 1
+            surv, k, spent = stack.pop()
+    if nodes > limit:
+        return (LIMIT if first is None else FOUND), first, limit + 1, count
+    return (EXHAUSTED if first is None else FOUND), first, nodes, count
+
+
+def _run(engine, ts, region, limit, seed, counting):
+    """(status, labels, nodes, count), the `each` calls and the nodes
+    replayed (None for the oracle) of one search under `engine`."""
+    calls = []
+    each = (lambda labels: calls.append(tuple(labels))) if counting else None
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(search, "_search", engine)
+        status, labels, nodes, count, *replayed = region_search(
+            ts, region, limit, seed, each)
+    return ((status, labels, nodes, count), calls,
+            replayed[0] if replayed else None)
+
+
+CAP = 20000  # nodes per search; a search that reaches it ends in LIMIT
+
+
+def test_engine_matches_plain_search():
+    rng = random.Random(20261018)
+    runs = 0
+    replaying = set()  # (trial, lattice) of the searches that replayed
+    for trial in range(90):
+        space = ("square2d", "tri2d", "cube3d")[trial % 3]
+        dim = 3 if space == "cube3d" else 2
+        ts = random_tileset(rng, space, rng.randint(3, 8),
+                            colours=rng.randint(2, 4))
+        if trial % 2:
+            ts = replace(ts, allowed="all")
+        if trial % 4 == 2:
+            pairs = {(rng.randint(0, 4), rng.randint(0, 4)) for _ in range(5)}
+            ts = replace(ts, rule=FacetRule("table", frozenset(pairs)))
+        torus = rng.random() < 0.6
+        kmax = 3 if space == "cube3d" else 5
+        extents = tuple(rng.randint(1, kmax) for _ in range(dim))
+        region = RegionSpec(space, extents, torus)
+        seed = rng.randrange(1000) if rng.random() < 0.5 else None
+        for counting in (False, True):
+            want, want_calls, _ = _run(_plain_search, ts, region, CAP, seed,
+                                       counting)
+            limits = {CAP} if want[2] > CAP else {CAP, None}
+            limits.update(rng.randrange(want[2] + 1) for _ in range(3))
+            for limit in limits:
+                want, want_calls, _ = _run(_plain_search, ts, region, limit,
+                                           seed, counting)
+                got, got_calls, rep = _run(ENGINE, ts, region, limit, seed,
+                                           counting)
+                case = (trial, region, ts.allowed, ts.rule.kind, seed,
+                        counting, limit)
+                assert got == want, case
+                assert got_calls == want_calls, case
+                assert 0 <= rep <= got[2], case
+                if rep:
+                    replaying.add((trial, space))
+                runs += 1
+    # the comparison means something only where records were replayed
+    assert runs > 800 and len(replaying) >= 10
+    assert {space for _, space in replaying} == {"square2d", "tri2d", "cube3d"}
+
+
+def test_limit_inside_a_replayed_charge():
+    # with a limit falling inside a replayed charge, the engine answers
+    # limit + 1, as the plain search does when it crosses the limit inside
+    # the subtree
+    wang = load_bundled("wang13")
+    region = RegionSpec("square2d", (4, 4), True)
+    full = _run(ENGINE, wang, region, None, None, False)
+    assert full[0][0] == EXHAUSTED and full[2] > 0
+    rng = random.Random(7)
+    for limit in sorted(rng.sample(range(full[0][2]), 150)):
+        want = _run(_plain_search, wang, region, limit, None, False)[0]
+        got, _, rep = _run(ENGINE, wang, region, limit, None, False)
+        assert got == want == (LIMIT, None, limit + 1, 0), limit
+        assert rep <= limit + 1
+
+
+def test_solver_results_carry_replayed_nodes():
+    wang = load_bundled("wang13")
+    r = exhaust_torus(wang, (5, 5))
+    assert (r.status, r.nodes) == (EXHAUSTED, 192062)
+    assert 0 < r.replayed < r.nodes
+    free = solve(wang, RegionSpec("square2d", (6, 6), False))
+    assert free.status == FOUND and 0 <= free.replayed <= free.nodes
+    tri = count_solutions(load_bundled("triangles6"),
+                          RegionSpec("tri2d", (6, 6), True))
+    assert tri.count == 3 and 0 <= tri.replayed <= tri.nodes
+    # a limit caps the replayed part with the nodes
+    short = solve(wang, RegionSpec("square2d", (5, 5), True),
+                  SolveConfig(node_limit=r.nodes - 1))
+    assert (short.status, short.nodes) == (LIMIT, r.nodes)
+    assert short.replayed <= short.nodes

@@ -175,6 +175,41 @@ def test_node_counts_are_pinned():
     assert (r.status, r.count, r.nodes) == (FOUND, 3, 2586)
 
 
+def test_larger_node_counts_are_pinned():
+    # cheap since the engine replays repeated solution-free subtrees; the
+    # counts are the plain depth-first search's
+    r = exhaust_torus(load_bundled("wang13"), (7, 7))
+    assert (r.status, r.nodes) == (EXHAUSTED, 2360176)
+    assert 0 < r.replayed < r.nodes
+    r = exhaust_torus(load_bundled("cubes21"), (3, 3, 3))
+    assert (r.status, r.nodes) == (EXHAUSTED, 1676409)
+    assert 0 < r.replayed < r.nodes
+
+
+def test_node_limit_is_exact_across_replays():
+    # cubes21 2x2x2 torus: some subtrees are replayed, so some limits fall
+    # inside a replayed charge; every limit still ends where the plain
+    # search would
+    cubes = load_bundled("cubes21")
+    torus = RegionSpec("cube3d", (2, 2, 2), True)
+    full = solve(cubes, torus)
+    assert (full.status, full.nodes) == (EXHAUSTED, 3045)
+    assert full.replayed > 0
+    replayed = 0
+    for limit in range(3101):
+        r = solve(cubes, torus, SolveConfig(node_limit=limit))
+        if limit < 3045:
+            assert (r.status, r.nodes, r.patch) == (LIMIT, limit + 1,
+                                                    None), limit
+        else:
+            assert (r.status, r.nodes) == (EXHAUSTED, 3045), limit
+        # one node more is one node more replayed or searched: a charge the
+        # limit falls inside counts only up to the limit
+        assert r.replayed - replayed in (0, 1), limit
+        replayed = r.replayed
+    assert replayed == full.replayed
+
+
 def test_node_limit_is_exact():
     wang = load_bundled("wang13")
     torus = RegionSpec("square2d", (2, 2), True)
