@@ -171,66 +171,72 @@ def cmd_tile(args) -> int:
 
 
 def cmd_exhaust(args) -> int:
+    extent_flags = (args.width, args.height, args.depth) != (None,) * 3
+    if args.kmax is not None and extent_flags:
+        raise UsageError("--kmax sweeps its own tori: give it no "
+                         "--width/--height/--depth")
     ts = _load_set(args.inp)
     cfg = _config(args)
     if args.kmax is not None:
         dims = space_dim(ts.space)
-        worst = EXHAUSTED
-        for k in range(1, args.kmax + 1):
-            result = exhaust_torus(ts, (k,) * dims, cfg)
-            print(f"k={k}: {result.status} nodes={result.nodes}")
-            if result.status == FOUND:
-                if args.out is not None:
-                    _write(args.out, serialize_patch(result.patch))
-                return EXIT_OK
-            if result.status == LIMIT:
-                worst = LIMIT
-        return _status_exit(worst)
-    if args.width is None or args.height is None:
+        regions = [(f"k={k}: ", (k,) * dims) for k in range(1, args.kmax + 1)]
+    elif args.width is None or args.height is None:
         raise UsageError("exhaust needs --kmax or --width/--height")
-    region_extents = _region_extents(args, ts.space)
-    result = exhaust_torus(ts, region_extents, cfg)
-    print(f"{result.status} nodes={result.nodes}")
-    if result.patch is not None and args.out is not None:
-        _write(args.out, serialize_patch(result.patch))
-    return _status_exit(result.status)
+    else:
+        regions = [("", _region_extents(args, ts.space))]
+    worst = EXHAUSTED
+    for prefix, extents in regions:
+        result = exhaust_torus(ts, extents, cfg)
+        print(f"{prefix}{result.status} nodes={result.nodes}")
+        if result.status == FOUND:
+            if args.out is not None:
+                _write(args.out, serialize_patch(result.patch))
+            return EXIT_OK
+        if result.status == LIMIT:
+            worst = LIMIT
+    return _status_exit(worst)
+
+
+def _load_patch(args, ts):
+    """(reduced set, patch) from --reduced and --patch: with --reduced the
+    patch's tile ids are checked against the reps, without it against the
+    set's ids and the reduced set is None."""
+    if args.reduced:
+        rs = parse_reduced(_read(args.reduced), ts)
+        return rs, parse_patch(_read(args.patch), ts.space, rs.rep_ids)
+    return None, parse_patch(_read(args.patch), ts.space, set(ts.by_id))
 
 
 def cmd_verify(args) -> int:
     if args.with_atlas and not args.reduced:
         raise UsageError("--with-atlas needs --reduced")
     ts = _load_set(args.inp)
-    if args.reduced:
-        rs = parse_reduced(_read(args.reduced), ts)
-        patch = parse_patch(_read(args.patch), ts.space, rs.rep_ids)
+    rs, patch = _load_patch(args, ts)
+    facets = patch
+    if rs is not None:
         try:
-            decoded = decode_patch(rs, patch)
+            facets = decode_patch(rs, patch)
         except DecodeError as e:
             print(f"invalid: {e}")
             return EXIT_NEGATIVE
-        ok, violations = patch_valid(ts, decoded)
-        for v in violations:
-            print(f"invalid: {v}")
-        if not ok:
-            return EXIT_NEGATIVE
-        if args.with_atlas:
-            atlas = derive_atlas(rs, node_cap=args.atlas_budget)
-            missing, complete = missing_coronas(atlas, patch)
-            for cell in missing:
-                print(f"invalid: corona at {cell} not in atlas")
-            if missing:
-                return EXIT_NEGATIVE
-            print(f"ok (decoded facets valid; {complete} coronas in atlas)")
-        else:
-            print("ok (decoded facets valid)")
-        return EXIT_OK
-    patch = parse_patch(_read(args.patch), ts.space, set(ts.by_id))
-    ok, violations = patch_valid(ts, patch)
+    ok, violations = patch_valid(ts, facets)
     for v in violations:
         print(f"invalid: {v}")
-    if ok:
+    if not ok:
+        return EXIT_NEGATIVE
+    if rs is None:
         print("ok")
-    return EXIT_OK if ok else EXIT_NEGATIVE
+    elif args.with_atlas:
+        atlas = derive_atlas(rs, node_cap=args.atlas_budget)
+        missing, complete = missing_coronas(atlas, patch)
+        for cell in missing:
+            print(f"invalid: corona at {cell} not in atlas")
+        if missing:
+            return EXIT_NEGATIVE
+        print(f"ok (decoded facets valid; {complete} coronas in atlas)")
+    else:
+        print("ok (decoded facets valid)")
+    return EXIT_OK
 
 
 def cmd_roundtrip(args) -> int:
@@ -263,13 +269,11 @@ def cmd_roundtrip(args) -> int:
 
 def cmd_render(args) -> int:
     ts = _load_set(args.inp)
-    if args.reduced:
-        rs = parse_reduced(_read(args.reduced), ts)
-        patch = parse_patch(_read(args.patch), ts.space, rs.rep_ids)
-        svg = render_reduced_patch(rs, patch)
-    else:
-        patch = parse_patch(_read(args.patch), ts.space, set(ts.by_id))
+    rs, patch = _load_patch(args, ts)
+    if rs is None:
         svg = render_source_patch(ts, patch)
+    else:
+        svg = render_reduced_patch(rs, patch)
     _write(args.svg, svg)
     return EXIT_OK
 

@@ -265,7 +265,9 @@ def parse_reduced(text: str, source: TileSet) -> ReducedSet:
             name, mode = toks[1], toks[2]
             if mode not in ("c1", "c2"):
                 raise FormatError(f"line {ln}: unknown mode {mode!r}")
-        elif toks[0] == "rep":
+        elif toks[0] == "rep" and toks[1:2] != ["->"]:
+            # a second token "->" makes an arrow line: a source tile may
+            # be named rep
             if len(toks) != 3 or toks[2] not in _KIND_TOKEN:
                 raise FormatError(f"line {ln}: bad rep line")
             if toks[1] in rep_kind:

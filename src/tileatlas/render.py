@@ -25,13 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .geometry import (
-    FACET_COUNT,
-    ShapeKind,
-    cell_kind,
-    orientation_lift,
-    tri_vertices,
-)
+from .geometry import ShapeKind, orientation_lift, tri_vertices
 from .reduction import DECORATION_POINT, ReducedSet
 from .tileset import (FormatError, Patch, TileSet, cell_in_region,
                       effective_facets)
@@ -151,16 +145,6 @@ def _embed2(p, space):
     return (x, y)
 
 
-def _square_outline(cx, cy):
-    return [(cx - 0.5, cy - 0.5), (cx + 0.5, cy - 0.5),
-            (cx + 0.5, cy + 0.5), (cx - 0.5, cy + 0.5)]
-
-
-def _centroid(pts):
-    n = len(pts)
-    return (sum(p[0] for p in pts) / n, sum(p[1] for p in pts) / n)
-
-
 def _strip(c, v1, v2, t=0.3):
     """Trapezoid along edge v1-v2, pulled towards the centroid c."""
     p1 = (v1[0] + t * (c[0] - v1[0]), v1[1] + t * (c[1] - v1[1]))
@@ -168,29 +152,39 @@ def _strip(c, v1, v2, t=0.3):
     return [v1, v2, p2, p1]
 
 
-def _tri_edge(cell, facet):
-    """The two vertices of a triangle cell's facet (opposite vertex i)."""
-    verts = tri_vertices(cell)
-    return verts[(facet + 1) % 3], verts[(facet + 2) % 3]
+# Per lattice, the two outline vertices each facet's edge joins, in facet
+# order; the vertex order fixes the byte order of the strip polygons.  Cube
+# outlines are the square's, and only the in-plane facets have an edge:
+# X+ right, X- left, Y+ top, Y- bottom.
+_EDGES = {
+    "square2d": ((3, 2), (1, 2), (0, 1), (0, 3)),
+    "cube3d": ((1, 2), (3, 0), (2, 3), (0, 1)),
+    "tri2d": ((1, 2), (2, 0), (0, 1)),
+}
 
 
-def _placed_cells(patch):
-    """The patch's placed cells, sorted.  Raises FormatError naming the
-    first one that lies outside the patch's region."""
+def _frames(patch):
+    """Each placed cell of the patch, in sorted order, as (cell, placement,
+    outline, shift): its outline on the canvas and the x shift that sets a
+    cube layer z beside the layers below it (0 on the planar lattices).
+    Raises FormatError naming the first placed cell outside the region
+    before any cell is yielded."""
     cells = sorted(patch.placements)
     region = patch.region
     for cell in cells:
         if not cell_in_region(region, cell):
             extents = "x".join(map(str, region.extents))
             raise FormatError(f"cell {cell} lies outside the {extents} region")
-    return cells
-
-
-def _layer_positions(patch):
-    """For cube patches: horizontal offset per layer so slices sit side by
-    side, ordered by z."""
-    w = patch.region.extents[0]
-    return {z: z * (w + 1) for z in range(patch.region.extents[2])}
+    space = region.space
+    for cell in cells:
+        shift = cell[2] * (region.extents[0] + 1) if space == "cube3d" else 0
+        if space == "tri2d":
+            outline = [_embed2(v, space) for v in tri_vertices(cell)]
+        else:
+            x, y = cell[0] + shift, cell[1]
+            outline = [(x - 0.5, y - 0.5), (x + 0.5, y - 0.5),
+                       (x + 0.5, y + 0.5), (x - 0.5, y + 0.5)]
+        yield cell, patch.placements[cell], outline, shift
 
 
 def render_source_patch(ts: TileSet, patch: Patch, scale: float = 40.0) -> str:
@@ -198,49 +192,19 @@ def render_source_patch(ts: TileSet, patch: Patch, scale: float = 40.0) -> str:
     outside the patch's region is a FormatError."""
     space = patch.region.space
     cv = _Canvas()
-    if space == "cube3d":
-        offs = _layer_positions(patch)
-        for cell in _placed_cells(patch):
-            pl = patch.placements[cell]
-            eff = effective_facets(ts, pl)
-            x, y, z = cell
-            cx = x + offs[z]
-            outline = _square_outline(cx, y)
-            centre = (cx, y)
-            cv.polygon(outline, "white", "#222222", 0.03)
-            # in-plane facets: X+ right, X- left, Y+ top, Y- bottom
-            edges = {
-                0: (outline[1], outline[2]),
-                1: (outline[3], outline[0]),
-                2: (outline[2], outline[3]),
-                3: (outline[0], outline[1]),
-            }
-            for f, (v1, v2) in edges.items():
-                cv.polygon(_strip(centre, v1, v2), colour_hex(eff[f]))
-            # out-of-plane: Z+ upper-left dot, Z- lower-right dot
-            cv.circle((cx - 0.2, y + 0.2), 0.13, colour_hex(eff[4]))
-            cv.circle((cx + 0.2, y - 0.2), 0.13, colour_hex(eff[5]))
-            cv.polygon(outline, "none", "#222222", 0.03)
-        return cv.to_svg(scale)
-    for cell in _placed_cells(patch):
-        pl = patch.placements[cell]
+    for _, pl, outline, _ in _frames(patch):
         eff = effective_facets(ts, pl)
-        kind = cell_kind(space, cell)
-        if space == "tri2d":
-            outline = [_embed2(v, space) for v in tri_vertices(cell)]
-        else:
-            outline = _square_outline(cell[0], cell[1])
-        centre = _centroid(outline)
+        n = len(outline)
+        cx = sum(p[0] for p in outline) / n
+        cy = sum(p[1] for p in outline) / n
         cv.polygon(outline, "white", "#222222", 0.03)
-        for f in range(FACET_COUNT[kind]):
-            if space == "tri2d":
-                a, b = _tri_edge(cell, f)
-                v1, v2 = _embed2(a, space), _embed2(b, space)
-            else:
-                corners = {0: (outline[3], outline[2]), 1: (outline[1], outline[2]),
-                           2: (outline[0], outline[1]), 3: (outline[0], outline[3])}
-                v1, v2 = corners[f]
-            cv.polygon(_strip(centre, v1, v2), colour_hex(eff[f]))
+        for f, (i, j) in enumerate(_EDGES[space]):
+            cv.polygon(_strip((cx, cy), outline[i], outline[j]),
+                       colour_hex(eff[f]))
+        if space == "cube3d":
+            # out-of-plane: Z+ upper-left dot, Z- lower-right dot
+            cv.circle((cx - 0.2, cy + 0.2), 0.13, colour_hex(eff[4]))
+            cv.circle((cx + 0.2, cy - 0.2), 0.13, colour_hex(eff[5]))
         cv.polygon(outline, "none", "#222222", 0.03)
     return cv.to_svg(scale)
 
@@ -281,31 +245,18 @@ def render_reduced_patch(rs: ReducedSet, patch: Patch, scale: float = 40.0
     rep_kind = {r.id: r.kind for r in rs.reps}
     rep_index = {r.id: i for i, r in enumerate(rs.reps)}
     cv = _Canvas()
-    if space == "cube3d":
-        offs = _layer_positions(patch)
-        for cell in _placed_cells(patch):
-            pl = patch.placements[cell]
-            x, y, z = cell
-            cx = x + offs[z]
-            outline = _square_outline(cx, y)
-            cv.polygon(outline, "white", "#222222", 0.03)
-            _, mark = _lift_rep(rep_kind[pl.tile], pl.orientation)
-            (mx, my, _) = _at_cell(cell, space, mark)
-            cv.circle((mx + offs[z], my), 0.08,
-                      colour_hex(rep_index[pl.tile] + 1))
-            cv.text((cx, y - 0.32), f"{pl.tile} {pl.orientation}", 0.16)
-        return cv.to_svg(scale)
-    for cell in _placed_cells(patch):
-        pl = patch.placements[cell]
-        if space == "tri2d":
-            outline = [_embed2(v, space) for v in tri_vertices(cell)]
-        else:
-            outline = _square_outline(cell[0], cell[1])
+    for cell, pl, outline, shift in _frames(patch):
         cv.polygon(outline, "white", "#222222", 0.03)
         strokes, mark = _lift_rep(rep_kind[pl.tile], pl.orientation)
-        stroke = colour_hex(rep_index[pl.tile] + 1)
-        for a, b in strokes:
+        colour = colour_hex(rep_index[pl.tile] + 1)
+        for a, b in strokes:  # a cube representative has no glyph
             cv.polyline([_embed2(_at_cell(cell, space, a), space),
-                         _embed2(_at_cell(cell, space, b), space)], stroke, 0.05)
-        cv.circle(_embed2(_at_cell(cell, space, mark), space), 0.05, "#222222")
+                         _embed2(_at_cell(cell, space, b), space)], colour, 0.05)
+        mx, my = _embed2(_at_cell(cell, space, mark), space)
+        if space == "cube3d":
+            cv.circle((mx + shift, my), 0.08, colour)
+            cv.text((cell[0] + shift, cell[1] - 0.32),
+                    f"{pl.tile} {pl.orientation}", 0.16)
+        else:
+            cv.circle((mx, my), 0.05, "#222222")
     return cv.to_svg(scale)

@@ -384,6 +384,11 @@ def test_usage_errors(capsys):
          "--node-limit", "-5"],
         ["exhaust", "--in", "@wang13", "--kmax", "0"],
         ["exhaust", "--in", "@wang13", "--kmax", "2", "--node-limit", "-1"],
+        # a sweep chooses its own tori; extents beside it are refused,
+        # also one that does not apply to the lattice
+        ["exhaust", "--in", "@wang13", "--kmax", "2", "--width", "5",
+         "--height", "5"],
+        ["exhaust", "--in", "@wang13", "--kmax", "2", "--depth", "5"],
         ["verify", "--in", "@wang13", "--patch", "p", "--reduced", "r",
          "--with-atlas", "--atlas-budget", "-1"],
         ["roundtrip", "--in", "@wang13", "--mode", "c1", "--width", "2",

@@ -46,6 +46,7 @@ from tileatlas.tileset import (
     RegionSpec,
     TileSet,
     load_bundled,
+    parse_tileset,
     region_cells,
 )
 
@@ -372,6 +373,17 @@ def test_reduced_serialization_roundtrip():
             assert serialize_reduced(back) == text
 
 
+def test_source_tile_named_rep_roundtrips():
+    # "rep -> x0 r0" is an arrow line, not a malformed rep line
+    ts = parse_tileset("tileset t\nspace square2d\nisometries translations\n"
+                       "rule identical\ntile rep 1 2 3 4\ntile b 1 1 2 2\n")
+    for mode in ("c1", "c2"):
+        rs = reduce_set(ts, mode)
+        text = serialize_reduced(rs)
+        assert "\nrep -> " in text
+        assert parse_reduced(text, ts) == rs
+
+
 def test_parse_reduced_errors():
     ts = load_bundled("triangles6")
     rs = reduce_set(ts, "c1")
@@ -389,6 +401,12 @@ def test_parse_reduced_errors():
         good.replace("rep x1 down", "rep x1 down\nrep x9 cube"),
     ):
         with pytest.raises(FormatError):
+            parse_reduced(bad, ts)
+    for bad, message in (
+        (good + "rep x0 up\n", "duplicate rep id 'x0'"),
+        (good + "zz -> x0 t0\n", "unknown source tile 'zz'"),
+    ):
+        with pytest.raises(FormatError, match=message):
             parse_reduced(bad, ts)
     # a non-injective map is rejected at construction
     with pytest.raises(FormatError):

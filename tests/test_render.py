@@ -174,6 +174,23 @@ def test_reduced_render_bytes_are_pinned(name, extents, torus, seed, digest):
     assert hashlib.sha256(svg.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("name, extents, torus, seed, digest", [
+    ("wang13", (4, 4), False, 1,
+     "fc7bf002d65c31aa23b3d442c19bdeb1d0f07ffdeb72051d027762c9257612e9"),
+    ("triangles6", (3, 2), True, 0,
+     "5d108b13b7b84ea522bb3254bb1080b72cdfc823c593d4d166c4846f65016cdc"),
+    ("cubes21", (2, 2, 2), False, 3,
+     "de4910a8eef780a417e01baccad528f9b43e2fd0846db6f78c1e64a41f3b0722"),
+], ids=["square", "tri", "cube"])
+def test_source_render_bytes_are_pinned(name, extents, torus, seed, digest):
+    # the strips' vertex order, the cube layer shifts and the Z dots all
+    # reach the bytes: a new layout of the cells must not move any of them
+    ts = load_bundled(name)
+    patch = random_patch(ts, extents, seed=seed, torus=torus).patch
+    svg = render_source_patch(ts, patch)
+    assert hashlib.sha256(svg.encode()).hexdigest() == digest
+
+
 def exact_lift_rep(rep_kind, code):
     """Exact route: the lifted glyph and decoration point as Fractions."""
     lift = orientation_lift(rep_kind, code)
