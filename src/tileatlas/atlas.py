@@ -359,8 +359,6 @@ def _corona_space(ts: TileSet) -> str:
     """The lattice of a set whose coronas can be enumerated."""
     if ts.allowed != "translations":
         raise FormatError("corona enumeration expects a translation-placed set")
-    if ts.space is None:
-        raise FormatError("mixed-kind sets have no corona atlas")
     return ts.space
 
 

@@ -94,15 +94,10 @@ def _write(path: str | None, text: str):
 
 
 def _load_set(source: str):
-    """A tileset on one lattice, from a file path or a bundled set named
-    `@name`."""
+    """A tileset from a file path, or a bundled set named `@name`."""
     if source.startswith("@"):
-        ts = load_bundled(source[1:])
-    else:
-        ts = parse_tileset(_read(source))
-    if ts.space is None:
-        raise FormatError("set has no single lattice")
-    return ts
+        return load_bundled(source[1:])
+    return parse_tileset(_read(source))
 
 
 def _at_least(low: int):
@@ -290,9 +285,9 @@ def build_parser() -> _Parser:
             sp.add_argument("--out", default=None,
                             help="output path ('-' or omit for stdout)")
         if extents:
-            sp.add_argument("--width", type=int, required=True)
-            sp.add_argument("--height", type=int, required=True)
-            sp.add_argument("--depth", type=int, default=None)
+            sp.add_argument("--width", type=_at_least(1), required=True)
+            sp.add_argument("--height", type=_at_least(1), required=True)
+            sp.add_argument("--depth", type=_at_least(1), default=None)
             sp.add_argument("--torus", action="store_true")
         if solveflags:
             sp.add_argument("--node-limit", type=_at_least(0), default=None)
@@ -315,11 +310,11 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("exhaust", help="exhaustive torus search")
     add_common(sp, out=True, solveflags=True)
-    sp.add_argument("--width", type=int, default=None)
-    sp.add_argument("--height", type=int, default=None)
-    sp.add_argument("--depth", type=int, default=None)
+    sp.add_argument("--width", type=_at_least(1), default=None)
+    sp.add_argument("--height", type=_at_least(1), default=None)
+    sp.add_argument("--depth", type=_at_least(1), default=None)
     sp.add_argument("--kmax", type=_at_least(1), default=None,
-                    help="sweep square/cubic tori with k = 1..kmax")
+                    help="sweep tori on the set's lattice with k = 1..kmax")
     sp.set_defaults(func=cmd_exhaust)
 
     sp = sub.add_parser("verify", help="validate a patch file")
@@ -360,7 +355,10 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (FormatError, DecodeError, BudgetExceeded, OSError) as e:
+    except BudgetExceeded as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_LIMIT
+    except (FormatError, DecodeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NEGATIVE
 

@@ -6,9 +6,9 @@ grouping of the tiles (`_groups`), and each group has a host shape:
 
 * mode "c1": a group is one shape translation class (squares; cubes; up
   and down triangles separately), hosted by its own shape;
-* mode "c2": a group is one lattice's translation classes (up and down
-  triangles together), hosted by its largest class (ties: first in input
-  order), whose members come first.
+* mode "c2": the one group is the whole set (up and down triangles
+  together), hosted by its largest class (ties: first in input order),
+  whose members come first.
 
 A group of m members over a host with stabilizer G contributes
 ceil(m / |G|) representatives of the host shape.  Member j becomes
@@ -108,20 +108,6 @@ def partition_translation(ts: TileSet) -> list[list[str]]:
     return list(classes.values())
 
 
-def partition_isometry(ts: TileSet) -> list[list[list[str]]]:
-    """Groups of translation classes whose shapes are isometric.
-
-    A lattice's cell kinds form one isometry class (up and down triangles
-    map onto each other by the ut codes) and kinds of two lattices never do,
-    so the groups are the lattices' classes.  Groups and the classes within
-    each keep their input order.
-    """
-    groups = {}
-    for cls in partition_translation(ts):
-        groups.setdefault(KIND_SPACE[ts.by_id[cls[0]].kind], []).append(cls)
-    return list(groups.values())
-
-
 def class_group(kind: ShapeKind) -> tuple[str, ...]:
     """The shape stabilizer's orientation codes in canonical order."""
     return point_group(kind).codes
@@ -142,20 +128,19 @@ def _ceil_div(a: int, b: int) -> int:
 def _groups(ts: TileSet, mode: str) -> list[tuple[list[str], ShapeKind]]:
     """(member ids, host kind) per group of the mode, in input order.
 
-    A c1 group is one translation class.  A c2 group is one isometry group,
-    hosted by its largest class (the first on ties), whose members come
-    first.
+    A c1 group is one translation class.  The one c2 group is every class,
+    since a lattice's cell kinds are isometric (up and down triangles map
+    onto each other by the ut codes); its largest class (the first on ties)
+    hosts it, and its members come first.
     """
+    classes = partition_translation(ts)
     if mode == "c1":
-        return [(cls, ts.by_id[cls[0]].kind) for cls in partition_translation(ts)]
+        return [(cls, ts.by_id[cls[0]].kind) for cls in classes]
     if mode != "c2":
         raise FormatError(f"unknown reduction mode {mode!r}")
-    out = []
-    for group in partition_isometry(ts):
-        host = max(group, key=len)  # max is stable: first largest
-        members = host + [t for cls in group if cls is not host for t in cls]
-        out.append((members, ts.by_id[host[0]].kind))
-    return out
+    host = max(classes, key=len)  # max is stable: first largest
+    members = host + [t for cls in classes if cls is not host for t in cls]
+    return [(members, ts.by_id[host[0]].kind)]
 
 
 def reduced_cardinality(ts: TileSet, mode: str) -> int:
@@ -168,10 +153,10 @@ def build_encoding(ts: TileSet, mode: str):
     """Representatives and the source-tile -> (rep, code) map."""
     if ts.allowed != "translations":
         raise FormatError("reduction is defined for translation-placed sets")
+    space = ts.space
     reps = []
     forward = {}
     for members, host in _groups(ts, mode):
-        space = KIND_SPACE[host]
         codes = class_group(host)
         g = len(codes)
         base = len(reps)
@@ -257,7 +242,6 @@ def parse_reduced(text: str, source: TileSet) -> ReducedSet:
     reps = []
     rep_kind = {}
     forward = {}
-    lattices = {KIND_SPACE[p.kind] for p in source.prototiles}
     for ln, toks in _content_lines(text):
         if name is None:
             if toks[0] != "reduced" or len(toks) != 3:
@@ -272,9 +256,9 @@ def parse_reduced(text: str, source: TileSet) -> ReducedSet:
                 raise FormatError(f"line {ln}: bad rep line")
             if toks[1] in rep_kind:
                 raise FormatError(f"line {ln}: duplicate rep id {toks[1]!r}")
-            if KIND_SPACE[_KIND_TOKEN[toks[2]]] not in lattices:
+            if KIND_SPACE[_KIND_TOKEN[toks[2]]] != source.space:
                 raise FormatError(f"line {ln}: rep {toks[1]}'s shape {toks[2]} "
-                                  f"is on no lattice of {source.name}")
+                                  f"is not on {source.name}'s lattice")
             rep_kind[toks[1]] = _KIND_TOKEN[toks[2]]
             reps.append(DecoratedPrototile(toks[1], _KIND_TOKEN[toks[2]]))
         else:
@@ -288,11 +272,9 @@ def parse_reduced(text: str, source: TileSet) -> ReducedSet:
             if tid in forward:
                 raise FormatError(f"line {ln}: duplicate mapping for {tid!r}")
             kind = source.by_id[tid].kind
-            if code not in space_codes(KIND_SPACE[kind]):
+            if code not in space_codes(source.space):
                 raise FormatError(f"line {ln}: unknown code {code!r}")
-            rk = rep_kind[rep_id]
-            if (KIND_SPACE[rk] != KIND_SPACE[kind]
-                    or image_kind(rk, code) is not kind):
+            if image_kind(rep_kind[rep_id], code) is not kind:
                 raise FormatError(
                     f"line {ln}: {code} does not map rep {rep_id}'s shape onto "
                     f"tile {tid}'s")

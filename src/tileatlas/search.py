@@ -36,6 +36,7 @@ from operator import itemgetter
 
 from .geometry import FACET_COUNT, cell_kind, facet_neighbor, origin_cell
 from .tileset import (
+    FormatError,
     Placement,
     RegionSpec,
     TileSet,
@@ -61,8 +62,12 @@ def region_search(ts: TileSet, region: RegionSpec, limit=None, seed=None,
 
     With a seed, each cell's candidate list is shuffled up front, so the
     first solution is a reproducible pseudo-random one.  `limit` bounds the
-    nodes; `each` is as in `_search`, whose result this returns.
+    nodes; `each` is as in `_search`, whose result this returns.  A region
+    off the set's lattice is refused, not searched.
     """
+    if region.space != ts.space:
+        raise FormatError(f"{ts.name} is a {ts.space} set; the region is "
+                          f"on {region.space}")
     if cells is None:
         cells = region_cells(region)
     space = region.space

@@ -78,10 +78,15 @@ class Prototile:
 
 @dataclass(frozen=True)
 class TileSet:
+    """A non-empty prototile set on exactly one lattice, `space`, worked out
+    from the prototiles' shapes; a set with tiles of two lattices is
+    refused."""
+
     name: str
     prototiles: tuple[Prototile, ...]
     rule: FacetRule
     allowed: str  # "translations" | "all"
+    space: str = field(init=False, repr=False, compare=False)
     by_id: dict = field(init=False, repr=False, compare=False)
     # corona kind -> the atlas module's compiled window check, built on first
     # use; it lives and dies with this set
@@ -93,21 +98,13 @@ class TileSet:
         ids = [p.id for p in self.prototiles]
         if len(set(ids)) != len(ids):
             raise FormatError("duplicate prototile ids")
-        dims = {space_dim(KIND_SPACE[p.kind]) for p in self.prototiles}
-        if len(dims) > 1:
-            raise FormatError("prototiles mix ambient dimensions")
+        spaces = {KIND_SPACE[p.kind] for p in self.prototiles}
+        if len(spaces) != 1:
+            raise FormatError(f"prototiles must lie on one lattice, not on "
+                              f"{sorted(spaces)}")
+        object.__setattr__(self, "space", spaces.pop())
         object.__setattr__(self, "by_id", {p.id: p for p in self.prototiles})
         object.__setattr__(self, "window_checks", {})
-
-    @property
-    def space(self) -> str | None:
-        """The common lattice, or None for mixed-kind sets (which support
-        reduction but not placement)."""
-        kinds = {p.kind for p in self.prototiles}
-        for space, sk in SPACE_KINDS.items():
-            if kinds <= set(sk):
-                return space
-        return None
 
 
 @dataclass(frozen=True)
@@ -196,7 +193,7 @@ def placement_ok(ts: TileSet, region: RegionSpec, pl: Placement) -> str | None:
     if proto is None:
         return f"unknown tile id {pl.tile!r} at {pl.cell}"
     space = region.space
-    if KIND_SPACE[proto.kind] != space:
+    if ts.space != space:
         return f"tile {pl.tile} does not live on the {space} lattice"
     if not cell_in_region(region, pl.cell):
         return f"cell {pl.cell} outside region {region.extents}"
@@ -291,7 +288,6 @@ _HEADER_KEYS = ("tileset", "space", "isometries", "rule")
 
 def parse_tileset(text: str) -> TileSet:
     header = {}  # each of _HEADER_KEYS once
-    space = None
     pairs = set()
     tiles = []
     for ln, toks in _content_lines(text):
@@ -301,16 +297,16 @@ def parse_tileset(text: str) -> TileSet:
                 if key in header:
                     raise FormatError(f"line {ln}: repeated {key} line")
                 (header[key],) = toks[1:]
-                if key == "space":
-                    space = header[key]
-                    if space not in SPACE_KINDS:
-                        raise FormatError(f"line {ln}: unknown space {space!r}")
+                if key == "space" and header[key] not in SPACE_KINDS:
+                    raise FormatError(f"line {ln}: unknown space "
+                                      f"{header[key]!r}")
             elif key == "pair":
                 a, b = toks[1:]
                 pairs.add((int(a), int(b)))
             elif key == "tile":
-                if space is None:
+                if "space" not in header:
                     raise FormatError(f"line {ln}: tile before space")
+                space = header["space"]
                 if space == "tri2d":
                     tid, orient, *cols = toks[1:]
                     if orient not in ("up", "down"):
@@ -338,8 +334,6 @@ def parse_tileset(text: str) -> TileSet:
 
 
 def serialize_tileset(ts: TileSet) -> str:
-    if ts.space is None:
-        raise FormatError("mixed-kind tilesets have no file form")
     out = [f"tileset {ts.name}", f"space {ts.space}", f"isometries {ts.allowed}",
            f"rule {ts.rule.kind}"]
     if ts.rule.kind == "table":

@@ -244,6 +244,21 @@ def test_verify_reduced_with_atlas(tmp_path, capsys):
     assert out.strip() == "ok (decoded facets valid)"
 
 
+def test_verify_atlas_budget_crossed_is_node_limit(tmp_path, capsys):
+    red = tmp_path / "w.reduced"
+    run(capsys, "reduce", "--in", "@wang13", "--mode", "c2", "--out", str(red))
+    patch_path = tmp_path / "w.patch"
+    code, _, _ = run(capsys, "tile", "--in", "@wang13", "--reduced", str(red),
+                     "--width", "3", "--height", "3", "--out", str(patch_path))
+    assert code == 0
+    code, out, err = run(capsys, "verify", "--in", "@wang13", "--reduced",
+                         str(red), "--patch", str(patch_path), "--with-atlas",
+                         "--atlas-budget", "100")
+    assert code == 2
+    assert err == "error: corona enumeration exceeded 100 nodes\n"
+    assert out == ""
+
+
 def test_verify_reduced_decode_error(tmp_path, capsys):
     red = tmp_path / "t.reduced"
     run(capsys, "reduce", "--in", "@triangles6", "--mode", "c1",
@@ -383,6 +398,14 @@ def test_usage_errors(capsys):
         ["tile", "--in", "@wang13", "--width", "2", "--height", "2",
          "--node-limit", "-5"],
         ["exhaust", "--in", "@wang13", "--kmax", "0"],
+        # extents below 1, on every subcommand that takes them
+        ["tile", "--in", "@wang13", "--width", "0", "--height", "3"],
+        ["tile", "--in", "@wang13", "--width", "3", "--height", "-2"],
+        ["tile", "--in", "@cubes21", "--width", "2", "--height", "2",
+         "--depth", "0"],
+        ["exhaust", "--in", "@wang13", "--width", "0", "--height", "3"],
+        ["roundtrip", "--in", "@wang13", "--mode", "c1", "--width", "2",
+         "--height", "0"],
         ["exhaust", "--in", "@wang13", "--kmax", "2", "--node-limit", "-1"],
         # a sweep chooses its own tori; extents beside it are refused,
         # also one that does not apply to the lattice

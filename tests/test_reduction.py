@@ -23,6 +23,7 @@ from tileatlas.geometry import (
 )
 from tileatlas.reduction import (
     DECORATION_POINT,
+    _groups,
     DecodeError,
     DecoratedPrototile,
     ReducedSet,
@@ -31,7 +32,6 @@ from tileatlas.reduction import (
     decode_patch,
     encode_patch,
     parse_reduced,
-    partition_isometry,
     partition_translation,
     reduce_set,
     reduced_cardinality,
@@ -62,53 +62,54 @@ def test_partition_translation_square_and_tri():
     assert partition_translation(tri) == [["u1", "u2", "u3"], ["d1", "d2", "d3"]]
 
 
-def mixed_set():
-    """Up, square and down tiles interleaved, placed by translations."""
-    kinds = {"up": ShapeKind.TRI_UP, "down": ShapeKind.TRI_DOWN,
-             "square": ShapeKind.SQUARE}
-    spec = ("a up", "s1 square", "b down", "c up", "d up", "s2 square",
-            "e down", "f up", "g up", "h up", "i up")
+def up_down_set():
+    """Up and down tiles interleaved, placed by translations."""
+    kinds = {"up": ShapeKind.TRI_UP, "down": ShapeKind.TRI_DOWN}
+    spec = ("a up", "b down", "c up", "d up", "e down", "f up", "g up",
+            "h up", "i up")
     tiles = []
     for entry in spec:
         tid, kind = entry.split()
-        colours = (1,) * (4 if kind == "square" else 3)
-        tiles.append(Prototile(tid, kinds[kind], colours))
-    return TileSet("mix", tuple(tiles), FacetRule("identical"), "translations")
+        tiles.append(Prototile(tid, kinds[kind], (1, 1, 1)))
+    return TileSet("updown", tuple(tiles), FacetRule("identical"),
+                   "translations")
 
 
-def test_partition_isometry_merges_up_and_down():
+def test_c2_merges_up_and_down():
+    # c2 hosts every translation class of a set in one group: the largest
+    # class first, the others after it in input order
     tri = load_bundled("triangles6")
-    assert partition_isometry(tri) == [[["u1", "u2", "u3"], ["d1", "d2", "d3"]]]
+    assert _groups(tri, "c2") == [
+        (["u1", "u2", "u3", "d1", "d2", "d3"], ShapeKind.TRI_UP)]
     ts = load_bundled("wang13")
-    assert partition_isometry(ts) == [[[p.id for p in ts.prototiles]]]
-    # two lattices: groups in order of each lattice's first tile
-    assert partition_isometry(mixed_set()) == [
-        [["a", "c", "d", "f", "g", "h", "i"], ["b", "e"]], [["s1", "s2"]]]
+    assert _groups(ts, "c2") == [
+        ([p.id for p in ts.prototiles], ShapeKind.SQUARE)]
+    down_first = TileSet("t", tuple(reversed(tri.prototiles)), tri.rule,
+                         tri.allowed)
+    assert _groups(down_first, "c2") == [
+        (["d3", "d2", "d1", "u3", "u2", "u1"], ShapeKind.TRI_DOWN)]
 
 
-def test_mixed_set_encoding_is_pinned():
-    ts = mixed_set()
-    assert (reduced_cardinality(ts, "c1"), reduced_cardinality(ts, "c2")) == (4, 3)
+def test_up_down_encoding_is_pinned():
+    ts = up_down_set()
+    assert (reduced_cardinality(ts, "c1"), reduced_cardinality(ts, "c2")) == (3, 2)
     up = {"a": ("x0", "t0"), "c": ("x0", "t1"), "d": ("x0", "t2"),
           "f": ("x0", "t3"), "g": ("x0", "t4"), "h": ("x0", "t5"),
           "i": ("x1", "t0")}
     c1 = reduce_set(ts, "c1")
     assert [(r.id, r.kind) for r in c1.reps] == [
         ("x0", ShapeKind.TRI_UP), ("x1", ShapeKind.TRI_UP),
-        ("x2", ShapeKind.SQUARE), ("x3", ShapeKind.TRI_DOWN)]
-    assert c1.forward == {**up, "s1": ("x2", "r0"), "s2": ("x2", "r1"),
-                          "b": ("x3", "t0"), "e": ("x3", "t1")}
+        ("x2", ShapeKind.TRI_DOWN)]
+    assert c1.forward == {**up, "b": ("x2", "t0"), "e": ("x2", "t1")}
     c2 = reduce_set(ts, "c2")
     assert [(r.id, r.kind) for r in c2.reps] == [
-        ("x0", ShapeKind.TRI_UP), ("x1", ShapeKind.TRI_UP),
-        ("x2", ShapeKind.SQUARE)]
+        ("x0", ShapeKind.TRI_UP), ("x1", ShapeKind.TRI_UP)]
     # the down members continue the up host's numbering in the carrier coset
-    assert c2.forward == {**up, "b": ("x1", "ut0"), "e": ("x1", "ut1"),
-                          "s1": ("x2", "r0"), "s2": ("x2", "r1")}
+    assert c2.forward == {**up, "b": ("x1", "ut0"), "e": ("x1", "ut1")}
 
 
 def test_each_lattice_is_one_isometry_class():
-    # partition_isometry groups translation classes by lattice on this fact
+    # c2 hosts all translation classes of a set in one group on this fact
     for space, kinds in SPACE_KINDS.items():
         for a in kinds:
             for b in kinds:

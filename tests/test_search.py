@@ -15,8 +15,21 @@ import pytest
 from conftest import random_tileset
 from tileatlas import search
 from tileatlas.search import EXHAUSTED, FOUND, LIMIT, _getter, region_search
-from tileatlas.solver import SolveConfig, count_solutions, exhaust_torus, solve
-from tileatlas.tileset import FacetRule, RegionSpec, load_bundled, rule_eval
+from tileatlas.reduction import reduce_set
+from tileatlas.solver import (
+    SolveConfig,
+    count_solutions,
+    exhaust_torus,
+    solve,
+    solve_atlas,
+)
+from tileatlas.tileset import (
+    FacetRule,
+    FormatError,
+    RegionSpec,
+    load_bundled,
+    rule_eval,
+)
 
 ENGINE = search._search
 
@@ -176,3 +189,17 @@ def test_solver_results_carry_replayed_nodes():
                   SolveConfig(node_limit=r.nodes - 1))
     assert (short.status, short.nodes) == (LIMIT, r.nodes)
     assert short.replayed <= short.nodes
+
+
+def test_region_on_another_lattice_is_refused():
+    # no search runs: a wrong-lattice region is no "exhausted" verdict
+    wang = load_bundled("wang13")
+    tri = load_bundled("triangles6")
+    cases = ((solve, wang, RegionSpec("tri2d", (2, 2), True)),
+             (count_solutions, tri, RegionSpec("square2d", (2, 2), True)),
+             (solve_atlas, reduce_set(wang, "c2"),
+              RegionSpec("cube3d", (2, 2, 2), False)),
+             (region_search, tri, RegionSpec("square2d", (1, 1), False)))
+    for fn, ts, region in cases:
+        with pytest.raises(FormatError, match="region is on"):
+            fn(ts, region)

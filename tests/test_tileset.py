@@ -95,10 +95,14 @@ def test_tileset_rejects_duplicate_ids_and_mixed_dimensions():
         TileSet("x", (Prototile("a", SQ, (1, 1, 1, 1)),
                       Prototile("a", SQ, (2, 2, 2, 2))),
                 FacetRule("identical"), "all")
-    with pytest.raises(FormatError):
-        TileSet("x", (Prototile("a", SQ, (1, 1, 1, 1)),
-                      Prototile("b", ShapeKind.CUBE, (1,) * 6)),
-                FacetRule("identical"), "all")
+    # one lattice per set: two lattices, or none, are refused
+    for tiles in ((Prototile("a", SQ, (1, 1, 1, 1)),
+                   Prototile("b", ShapeKind.CUBE, (1,) * 6)),
+                  (Prototile("a", SQ, (1, 1, 1, 1)),
+                   Prototile("u", ShapeKind.TRI_UP, (1, 1, 1))),
+                  ()):
+        with pytest.raises(FormatError):
+            TileSet("x", tiles, FacetRule("identical"), "all")
 
 
 def test_tileset_space_inference():
@@ -108,10 +112,10 @@ def test_tileset_space_inference():
                         Prototile("d", ShapeKind.TRI_DOWN, (1, 2, 3))),
                   FacetRule("identical"), "all")
     assert tri.space == "tri2d"
-    mixed = TileSet("m", (Prototile("a", SQ, (1, 1, 1, 1)),
-                          Prototile("u", ShapeKind.TRI_UP, (1, 1, 1))),
-                    FacetRule("identical"), "all")
-    assert mixed.space is None
+    with pytest.raises(FormatError, match="one lattice"):
+        TileSet("m", (Prototile("a", SQ, (1, 1, 1, 1)),
+                      Prototile("u", ShapeKind.TRI_UP, (1, 1, 1))),
+                FacetRule("identical"), "all")
 
 
 # ---------------------------------------------------------------------------
