@@ -77,6 +77,14 @@ def _fmt(v: float) -> str:
     return "0.000" if s == "-0.000" else s
 
 
+def _coords(pts) -> str:
+    """The points as "x,y" pairs, y flipped, each number as `_fmt` writes
+    it.  Every number has three decimals, so "-0.000" is only ever a whole
+    number."""
+    return " ".join([f"{x:.3f},{-y:.3f}" for x, y in pts]).replace(
+        "-0.000", "0.000")
+
+
 class _Canvas:
     def __init__(self):
         self.parts = []
@@ -84,22 +92,25 @@ class _Canvas:
         self.max_x = self.max_y = float("-inf")
 
     def bump(self, pts):
-        for (x, y) in pts:
-            self.min_x = min(self.min_x, x)
-            self.max_x = max(self.max_x, x)
-            self.min_y = min(self.min_y, y)
-            self.max_y = max(self.max_y, y)
+        # one min and one max per bound and shape; on ties they keep the
+        # earlier value, as a fold over the points one at a time would
+        if pts:
+            xs, ys = zip(*pts)
+            self.min_x = min(self.min_x, *xs)
+            self.max_x = max(self.max_x, *xs)
+            self.min_y = min(self.min_y, *ys)
+            self.max_y = max(self.max_y, *ys)
 
     def polygon(self, pts, fill, stroke="none", width=0.0):
         self.bump(pts)
-        coords = " ".join(f"{_fmt(x)},{_fmt(-y)}" for (x, y) in pts)
+        coords = _coords(pts)
         extra = "" if stroke == "none" else \
             f' stroke="{stroke}" stroke-width="{_fmt(width)}"'
         self.parts.append(f'<polygon points="{coords}" fill="{fill}"{extra}/>')
 
     def polyline(self, pts, stroke, width):
         self.bump(pts)
-        coords = " ".join(f"{_fmt(x)},{_fmt(-y)}" for (x, y) in pts)
+        coords = _coords(pts)
         self.parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{stroke}" '
             f'stroke-width="{_fmt(width)}" stroke-linecap="round"/>')

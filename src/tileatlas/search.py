@@ -25,8 +25,23 @@ cells that cells from i on check.  Cells whose frontier is narrower than the
 next cell's (row and plane starts on square and cube lattices) record, for up
 to RECORD_SIZE frontiers at a time, the nodes a solution-free subtree charged.
 When such a frontier comes back, those nodes are charged again (`replayed`)
-instead of searched, so every count, limit and result is the plain
-depth-first search's.
+instead of searched.
+
+The cells from one record cell to the next form a segment (a row, on a
+square torus).  Its inlet is the colours of earlier cells that its cells
+check; for a middle torus row, the top colours of the row below.  The walk
+of a segment depends only on its inlet, so segments of SEGMENT_MIN cells or
+more memoize their fills by inlet: a fill is one completion of the segment's
+cells, kept with the nodes the segment charged since the fill before it.
+When a segment's head is exhausted the memo stores its fills and the charge
+after the last one, or, if no fill completed it, its whole charge.  Met
+again under that inlet, the segment is replayed: each fill's nodes are
+charged (`replayed`, at most up to the limit), its colours and labels
+written, and the search goes on below it; then the last charge is added.
+Segments with the same candidate tables and the same checks relative to
+the head share a memo.  An inlet's fills are kept on its second walk, so a
+segment whose inlets never repeat keeps none.  Every count, limit, solution
+and `each` call is the plain depth-first search's.
 """
 
 from __future__ import annotations
@@ -53,6 +68,8 @@ LIMIT = "limit"
 
 # frontier keys a record cell keeps before its record is cleared
 RECORD_SIZE = 16
+# fewest cells a segment needs to keep a memo of its fills
+SEGMENT_MIN = 3
 
 
 def region_search(ts: TileSet, region: RegionSpec, limit=None, seed=None,
@@ -139,6 +156,81 @@ def _records(checks, width):
     return last, [{} if g > 0 else None for g in grow]
 
 
+class _Segment:
+    """Cells head..end, between two record cells.
+
+    `fills` is None unless the search is walking the segment.  Then it is
+    the list of fills kept so far, or, on an inlet's first walk, 0 or 1 for
+    whether a fill was found; `mark` is the nodes at the walk's start, moved
+    to the nodes at each fill and at each return from below the end, so the
+    nodes charged since the mark are the segment's own.  `memo` maps an
+    inlet key to what a finished walk stored: a dead end's charge; () for an
+    inlet walked once with fills; or a tuple of the charge after the last
+    fill and, per fill, the charge since the fill before it and the
+    candidate placed on each cell.  Segments of one shape share a memo,
+    linked when a segment's first walk ends."""
+
+    __slots__ = ("head", "end", "mark", "fills", "memo", "inlet")
+
+    def __init__(self, head, end):
+        self.head, self.end, self.mark = head, end, 0
+        self.fills = self.memo = self.inlet = None
+
+    def link(self, table, checks, width, memos):
+        """Take the memo of the segment's shape from `memos` and build its
+        inlet getter."""
+        # the shape: the cells' tables, which fix how many checks each cell
+        # makes, and the checks relative to the head
+        h, end = self.head, self.end + 1
+        own = checks[h:end]
+        shape = (tuple(map(id, table[h:end])),
+                 tuple([(f, nf, j - h) for cs in own for f, nf, j in cs]))
+        self.memo = memos.setdefault(shape, {})
+        self.inlet = _getter(sorted({j * width + nf for cs in own
+                                     for _, nf, j in cs if j < h}))
+
+    def fill(self, nodes, stack, frames, last=None):
+        """Note that the walk has filled the segment, or keep the fill: the
+        charge since the mark, then the candidate placed on each cell, as
+        the top `frames` frames of the stack and then `last`, if given,
+        hold them."""
+        if self.fills.__class__ is int:
+            self.fills = 1
+        else:
+            self.fills.append(nodes - self.mark)
+            self.fills.extend([s[0][s[1] - 1]
+                               for s in stack[len(stack) - frames:]])
+            if last is not None:
+                self.fills.append(last)
+        self.mark = nodes
+
+    def store(self, nodes, colours):
+        """End the walk and store what it found under its inlet."""
+        fills, self.fills = self.fills, None
+        if fills.__class__ is list and fills:
+            stored = (nodes - self.mark, *fills)
+        elif fills:  # found but not kept: kept on the next walk
+            stored = ()
+        else:  # a dead end
+            stored = nodes - self.mark
+        self.memo[self.inlet(colours)] = stored
+
+
+def _segments(records):
+    """Per cell i, the segment that starts at i and the one that ends at
+    i - 1 (the last ends at n - 1), for every segment of SEGMENT_MIN cells or
+    more whose head has two cells or more before it.  A head at cell 0 is
+    entered once, and one at cell 1 once per candidate of cell 0, so their
+    inlets hardly repeat."""
+    n = len(records)
+    heads = [i for i, r in enumerate(records) if r is not None] + [n]
+    starts, ends = [None] * n, [None] * (n + 1)
+    for h, nxt in zip(heads, heads[1:]):
+        if h > 1 and nxt - h >= SEGMENT_MIN:
+            starts[h] = ends[nxt] = _Segment(h, nxt - 1)
+    return starts, ends
+
+
 def _search(per_cell, checks, width, rule, limit, each=None):
     """Depth-first search over the cells with an explicit stack.
 
@@ -166,15 +258,20 @@ def _search(per_cell, checks, width, rule, limit, each=None):
 
     last, records = _records(checks, width)
     fronts = [None] * n  # a cell's frontier key, made at its first record
+    starts, ends = _segments(records)
+    memos = {}  # segment shape -> inlet key -> stored fills
+
     limit = float("inf") if limit is None else limit
     colours = [None] * (n * width)  # cell i's facets at i * width
     labels = [None] * n
-    # per earlier cell: (survivors, next survivor, nodes charged), then the
-    # nodes and solutions counted when the search entered the next cell
+    # per earlier frame: its surv, k, spent and run (below), then the nodes
+    # and solutions counted when the search went on
     stack = []
-    # the current cell: its survivors under the colours of its earlier
-    # neighbours, the next survivor to try, and its candidates charged so far
-    i, surv, k, spent = 0, table[0][0], 0, 0  # cell 0 has no earlier cells
+    # the current frame, cells run..i: one cell (run == i), with its
+    # survivors under the colours of its earlier neighbours, the next one to
+    # try and its candidates charged so far; or a segment being replayed,
+    # with its stored fills, their length and the next fill's position
+    i, surv, k, spent, run = 0, table[0][0], 0, 0, 0  # no earlier cells
     nodes = count = replayed = 0
     first = None
     while True:
@@ -188,51 +285,107 @@ def _search(per_cell, checks, width, rule, limit, each=None):
                 break
             colours[i * width:(i + 1) * width] = e
             labels[i] = label
-            if i + 1 == n:
-                count += 1
-                if first is None:
-                    first = list(labels)
-                if each is None:
-                    return FOUND, first, nodes, count, replayed
-                each(labels)
-                continue
-            stack.append((surv, k, spent, nodes, count))
-            i += 1
-            record = records[i]
-            if record:
-                charge = record.get(fronts[i](colours))
-                if charge is not None:
-                    # charged up to the limit at most; a crossing ends the
-                    # search at the earlier cell's next step
-                    charge = min(charge, limit + 1 - nodes)
-                    nodes += charge
-                    replayed += charge
-                    i -= 1
-                    surv, k, spent, _, _ = stack.pop()
-                    continue
-            base, facets, _, memo = table[i]
-            key = keys[i](colours)
-            surv = memo.get(key)
-            if surv is None:
-                surv = memo[key] = [
-                    cand for cand in base
-                    if all(rule_eval(rule, cand[2][f], v)
-                           for f, v in zip(facets, key))]
-            k = spent = 0
-        else:
-            nodes += table[i][2] - spent
-            if nodes > limit or i == 0:
+        elif run != i and spent < k:
+            # the next stored fill: its charge, charged up to the limit at
+            # most, then one candidate per cell
+            charge = min(surv[spent], limit + 1 - nodes)
+            nodes += charge
+            replayed += charge
+            if nodes > limit:
                 break
-            surv, k, spent, before, seen = stack.pop()
-            record = records[i]
-            if record is not None and seen == count:
-                if len(record) == RECORD_SIZE:
-                    record.clear()
-                if fronts[i] is None:
-                    fronts[i] = _getter([s for s, c in enumerate(last)
-                                         if s // width < i <= c])
-                record[fronts[i](colours)] = nodes - before
-            i -= 1
+            for j, (_, label, e) in enumerate(
+                    surv[spent + 1:spent + 2 + i - run], run):
+                colours[j * width:(j + 1) * width] = e
+                labels[j] = label
+            spent += 2 + i - run
+        else:
+            if run == i:
+                nodes += table[i][2] - spent
+            else:
+                # the replayed segment's charge after its last fill
+                charge = min(surv[0], limit + 1 - nodes)
+                nodes += charge
+                replayed += charge
+            if nodes > limit or run == 0:
+                break
+            h = run
+            i = h - 1
+            surv, k, spent, run, before, seen = stack.pop()
+            record = records[h]
+            if record is not None:
+                # a subtree that never left its start costs no more to
+                # search than to look up, so it is not recorded
+                if seen == count and nodes - before > table[h][2]:
+                    if len(record) == RECORD_SIZE:
+                        record.clear()
+                    if fronts[h] is None:
+                        fronts[h] = _getter([s for s, c in enumerate(last)
+                                             if s // width < h <= c])
+                    record[fronts[h](colours)] = nodes - before
+                seg = starts[h]
+                if seg is not None and seg.fills is not None:
+                    if seg.memo is None:
+                        seg.link(table, checks, width, memos)
+                    seg.store(nodes, colours)
+                seg = ends[h]
+                if seg is not None and seg.fills is not None:
+                    seg.mark = nodes
+            continue
+        if i + 1 == n:
+            seg = ends[n]
+            if seg is not None and seg.fills is not None:
+                seg.fill(nodes, stack, i - seg.head, surv[k - 1])
+            count += 1
+            if first is None:
+                first = list(labels)
+            if each is None:
+                return FOUND, first, nodes, count, replayed
+            each(labels)
+            continue
+        stack.append((surv, k, spent, run, nodes, count))
+        i += 1
+        run = i
+        base, facets, _, memo = table[i]
+        key = keys[i](colours)
+        surv = memo.get(key)
+        if surv is None:
+            surv = memo[key] = [
+                cand for cand in base
+                if all(rule_eval(rule, cand[2][f], v)
+                       for f, v in zip(facets, key))]
+        k = spent = 0
+        record = records[i]
+        # i starts a segment; the one before it has just been filled.  A
+        # start without survivors costs no more to exhaust than to look up.
+        if record is not None:
+            seg = ends[i]
+            if seg is not None and seg.fills is not None:
+                seg.fill(nodes, stack, i - seg.head)
+            if not surv:
+                continue
+            charge = record.get(fronts[i](colours)) if record else None
+            seg = starts[i]
+            if charge is None and seg is not None:
+                stored = (seg.memo.get(seg.inlet(colours))
+                          if seg.memo is not None else None)
+                if not stored:
+                    # an inlet's fills are kept on its second walk
+                    seg.mark, seg.fills = nodes, 0 if stored is None else []
+                elif stored.__class__ is int:  # a dead end
+                    charge = stored
+                else:  # replayed as one frame, its first fill at 1
+                    surv, k, spent, i = stored, len(stored), 1, seg.end
+            if charge is not None:
+                # charged up to the limit at most; a crossing ends the
+                # search at the earlier frame's next step
+                charge = min(charge, limit + 1 - nodes)
+                nodes += charge
+                replayed += charge
+                seg = ends[i]
+                if seg is not None and seg.fills is not None:
+                    seg.mark = nodes
+                i -= 1
+                surv, k, spent, run, _, _ = stack.pop()
     status = LIMIT if nodes > limit else EXHAUSTED
     nodes = min(nodes, limit + 1)
     return (status if first is None else FOUND), first, nodes, count, replayed

@@ -158,6 +158,34 @@ def test_engine_matches_plain_search():
     assert {space for _, space in replaying} == {"square2d", "tri2d", "cube3d"}
 
 
+def test_engine_matches_plain_search_on_longer_rows():
+    # square regions of 4 to 7 cells a side, whose rows are segments that
+    # meet the same inlet again; with a seed each row has its own candidate
+    # order, so a memo shared by two rows would replay one row's order in
+    # the other, which the solutions' order and count at the limit show
+    rng = random.Random(1)
+    memo = 0  # searches that replayed more with segments than without
+    for trial in range(24):
+        ts = random_tileset(rng, "square2d", rng.randint(4, 10),
+                            colours=rng.randint(2, 3))
+        region = RegionSpec("square2d", (rng.randint(4, 7), rng.randint(4, 7)),
+                            rng.random() < 0.5)
+        seed = rng.randrange(1000) if trial % 3 else None
+        for counting in (False, True):
+            want, want_calls, _ = _run(_plain_search, ts, region, 5 * CAP,
+                                       seed, counting)
+            got, got_calls, rep = _run(ENGINE, ts, region, 5 * CAP, seed,
+                                       counting)
+            case = (trial, region, seed, counting)
+            assert got == want, case
+            assert got_calls == want_calls, case
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(search, "SEGMENT_MIN", 50)  # longer than any
+                memo += rep > _run(ENGINE, ts, region, 5 * CAP, seed,
+                                   counting)[2]
+    assert memo >= 10
+
+
 def test_limit_inside_a_replayed_charge():
     # with a limit falling inside a replayed charge, the engine answers
     # limit + 1, as the plain search does when it crosses the limit inside
@@ -203,3 +231,42 @@ def test_region_on_another_lattice_is_refused():
     for fn, ts, region in cases:
         with pytest.raises(FormatError, match="region is on"):
             fn(ts, region)
+
+
+def test_segment_fills_replay_more_than_records():
+    # records alone replay 136,006 of these nodes; the segment memo replays
+    # rows on top of them
+    r = exhaust_torus(load_bundled("wang13"), (6, 6))
+    assert (r.status, r.nodes) == (EXHAUSTED, 631189)
+    assert 136_006 < r.replayed < r.nodes
+
+
+def test_limit_inside_a_replayed_fill():
+    # wang13 5x5 torus, unseeded and seeded: every limit ends where the plain
+    # search ends, and some limits fall on nodes that the segment memo
+    # replays but the subtree records alone would search
+    wang = load_bundled("wang13")
+    region = RegionSpec("square2d", (5, 5), True)
+
+    def replayed(limit, seed, segments=True):
+        with pytest.MonkeyPatch.context() as m:
+            if not segments:
+                m.setattr(search, "SEGMENT_MIN", 26)  # longer than any
+            return _run(ENGINE, wang, region, limit, seed, False)[2]
+
+    rng = random.Random(1306)
+    for seed in (None, 4):
+        full = _run(ENGINE, wang, region, None, seed, False)[0]
+        assert full == (EXHAUSTED, None, 192062, 0)
+        memo_only = 0
+        for limit in sorted(rng.sample(range(1, full[2]), 40)):
+            want = _run(_plain_search, wang, region, limit, seed, False)[0]
+            got, _, rep = _run(ENGINE, wang, region, limit, seed, False)
+            assert got == want == (LIMIT, None, limit + 1, 0), (seed, limit)
+            assert rep <= got[2]
+            # node limit + 1 is replayed with segments, searched without
+            if (rep - replayed(limit - 1, seed) == 1
+                    and replayed(limit, seed, False)
+                    == replayed(limit - 1, seed, False)):
+                memo_only += 1
+        assert memo_only >= 5, (seed, memo_only)

@@ -186,6 +186,16 @@ def test_larger_node_counts_are_pinned():
     assert 0 < r.replayed < r.nodes
 
 
+def test_sweep_node_counts_are_pinned_at_memo_scale():
+    # the k x k sweep at the sizes where replayed rows pay most; about 1 s
+    # for k = 9, and the counts are the plain depth-first search's
+    wang = load_bundled("wang13")
+    for k, nodes in ((8, 15707198), (9, 30135001)):
+        r = exhaust_torus(wang, (k, k))
+        assert (r.status, r.nodes) == (EXHAUSTED, nodes), k
+        assert 0 < r.replayed < r.nodes
+
+
 def test_node_limit_is_exact_across_replays():
     # cubes21 2x2x2 torus: some subtrees are replayed, so some limits fall
     # inside a replayed charge; every limit still ends where the plain
