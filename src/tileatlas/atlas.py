@@ -16,9 +16,11 @@ Both the enumerator's re-check and the implicit route run one window check,
 compiled once per source set and centre kind and kept on the set: the legal
 placements on each window cell (`placement_ok`) with their facet colours
 there, and the window's facet-sharing pairs from `facet_pairs`, the pair
-walk of `patch_valid`.  The check is built from the prototiles and never
-reads the search engine's candidate lists or check schedule, so it stays an
-independent check of the engine.
+walk of `patch_valid`.  It reads the pairs' two colour tuples and tests them
+at once with the rule's compiled test, `rule_test`; only a window that fails
+is walked pair by pair, to name the first failing pair.  The check is built
+from the prototiles and never reads the search engine's candidate lists or
+check schedule, so it stays an independent check of the engine.
 
 Source coronas are enumerated by the solver's search, `region_search`: one
 search per centre kind over the corona window, centre first.  A node is a
@@ -72,6 +74,7 @@ from .tileset import (
     identity_code,
     placement_ok,
     rule_eval,
+    rule_test,
 )
 from .reduction import ReducedSet
 from .search import region_search
@@ -309,8 +312,9 @@ def _window_check(ts: TileSet, kind: ShapeKind):
     then the ring in touching-offset order), per cell the legal (tile, code)
     placements that placement_ok accepts there with their facet colours, the
     window's facet-sharing pairs from facet_pairs, the pair walk of
-    patch_valid, and two getters that read the pairs' two colour sequences
-    off the cells' colours laid end to end.
+    patch_valid, two getters that read the pairs' two colour sequences off
+    the cells' colours laid end to end, and the rule's test of two such
+    sequences.
 
     It is compiled from the prototiles, not from the engine's candidate
     lists, once per set and kind, and kept on the set.
@@ -332,23 +336,27 @@ def _window_check(ts: TileSet, kind: ShapeKind):
         # a window has many pairs, so the getters return tuples
         left = itemgetter(*[i * w + f for i, f, _, _ in pairs])
         right = itemgetter(*[j * w + nf for _, _, j, nf in pairs])
-        check = ts.window_checks[kind] = (cells, colours, pairs, left, right)
+        check = ts.window_checks[kind] = (cells, colours, pairs, left, right,
+                                          rule_test(ts.rule))
     return check
 
 
 def _window_fault(ts: TileSet, check, labels) -> str | None:
     """None when the window's (tile, code) labels, centre first, pass the
     compiled check; else what fails first."""
-    cells, colours, pairs, left, right = check
+    cells, colours, pairs, left, right, test = check
     try:
         flat = list(chain.from_iterable(
             map(dict.__getitem__, colours, labels)))
     except KeyError as e:
         return (f"{e.args[0]} is no legal placement in "
                 f"{list(zip(cells, labels))}")
-    rule = ts.rule
-    for (i, f, j, nf), x, y in zip(pairs, left(flat), right(flat)):
-        if not rule_eval(rule, x, y):
+    xs, ys = left(flat), right(flat)
+    if test(xs, ys):
+        return None
+    # the first failing pair names the fault
+    for (i, f, j, nf), x, y in zip(pairs, xs, ys):
+        if not rule_eval(ts.rule, x, y):
             return (f"facet rule fails between {cells[i]} facet {f} (colour "
                     f"{x}) and {cells[j]} facet {nf} (colour {y}) in "
                     f"{list(zip(cells, labels))}")

@@ -10,8 +10,10 @@ The engine re-checks nothing it finds; its callers do.
 
 Each cell keeps a colour index: a memo from the colours its earlier
 neighbours show on the checked facets to the candidates that match them all.
-A miss fills it by filtering the cell's candidate list with the facet rule;
-extent-1 wraps, where a candidate meets itself, are filtered once up front.
+A miss fills it by filtering the cell's candidate list with the facet rule,
+compiled once per search into one test of each candidate's colour tuple on
+those facets against the key; extent-1 wraps, where a candidate meets
+itself, are filtered once up front by the same test.
 Cells with the same candidate list and the same checked facets share one
 memo; without a seed, the cells of one kind have the same list.
 
@@ -58,7 +60,7 @@ from .tileset import (
     effective_facets,
     placement_orientations,
     region_cells,
-    rule_eval,
+    rule_test,
     wrap_cell,
 )
 
@@ -242,6 +244,7 @@ def _search(per_cell, checks, width, rule, limit, each=None):
     solution's labels or None, nodes, solutions seen, nodes replayed).
     """
     n = len(per_cell)
+    test = rule_test(rule)
     tables = {}  # (candidate list, own checks, earlier facets) -> table
     table, keys = [], []
     for i, lst in enumerate(per_cell):
@@ -250,9 +253,13 @@ def _search(per_cell, checks, width, rule, limit, each=None):
         sig = (id(lst), own, tuple(f for f, _, _ in earlier))
         if sig not in tables:
             # extent-1 wraps: the candidate meets itself, whatever is around
+            mine = _getter([f for f, _ in own])
+            theirs = _getter([nf for _, nf in own])
             base = [(p, (t, c), e) for p, (t, c, e) in enumerate(lst)
-                    if all(rule_eval(rule, e[f], e[nf]) for f, nf in own)]
-            tables[sig] = (base, sig[2], len(lst), {})
+                    if test(mine(e), theirs(e))]
+            # the table's getter reads a candidate's colours on the facets
+            # that the key's colours face, in the key's order
+            tables[sig] = (base, _getter(sig[2]), len(lst), {})
         table.append(tables[sig])
         keys.append(_getter([j * width + nf for _, nf, j in earlier]))
 
@@ -345,14 +352,11 @@ def _search(per_cell, checks, width, rule, limit, each=None):
         stack.append((surv, k, spent, run, nodes, count))
         i += 1
         run = i
-        base, facets, _, memo = table[i]
+        base, proj, _, memo = table[i]
         key = keys[i](colours)
         surv = memo.get(key)
         if surv is None:
-            surv = memo[key] = [
-                cand for cand in base
-                if all(rule_eval(rule, cand[2][f], v)
-                       for f, v in zip(facets, key))]
+            surv = memo[key] = [c for c in base if test(proj(c[2]), key)]
         k = spent = 0
         record = records[i]
         # i starts a segment; the one before it has just been filled.  A

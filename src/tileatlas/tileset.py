@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import eq
 
 from .geometry import (
     FACET_COUNT,
@@ -43,6 +44,8 @@ class FacetRule:
     def __post_init__(self):
         if self.kind not in ("identical", "table"):
             raise FormatError(f"unknown rule kind {self.kind!r}")
+        if self.kind == "identical" and self.pairs:
+            raise FormatError("pair lines are only valid with rule table")
         if any(c < 0 for pair in self.pairs for c in pair):
             raise FormatError("rule pair with a negative colour")
         if self.kind == "table":
@@ -58,6 +61,15 @@ def rule_eval(rule: FacetRule, a: Colour, b: Colour) -> bool:
     if rule.kind == "identical":
         return a == b
     return (a, b) in rule.pairs
+
+
+def rule_test(rule: FacetRule):
+    """The rule as one test of two equal-length colour tuples: true when
+    rule_eval accepts every position's pair."""
+    if rule.kind == "identical":
+        return eq
+    pairs = rule.pairs
+    return lambda xs, ys: pairs.issuperset(zip(xs, ys))
 
 
 @dataclass(frozen=True)
@@ -207,9 +219,12 @@ def placement_ok(ts: TileSet, region: RegionSpec, pl: Placement) -> str | None:
     return None
 
 
-def facet_pairs(region: RegionSpec, cells) -> list[tuple[int, int, int, int]]:
+@lru_cache(maxsize=8)
+def facet_pairs(region: RegionSpec,
+                cells: tuple) -> tuple[tuple[int, int, int, int], ...]:
     """Each facet-sharing pair of the listed cells once, as (i, facet, j,
-    nfacet) index quads in the order of `cells`.
+    nfacet) index quads in the order of `cells`; kept for the last few
+    regions and cell tuples, since one patch is often checked again.
 
     Torus regions wrap.  A pair is listed from the side whose (cell, facet)
     is smaller, so a facet that meets itself (an extent-1 wrap) is no pair;
@@ -226,7 +241,7 @@ def facet_pairs(region: RegionSpec, cells) -> list[tuple[int, int, int, int]]:
             j = index.get(nbr)
             if j is not None and (nbr, nfacet) > (cell, facet):
                 out.append((i, facet, j, nfacet))
-    return out
+    return tuple(out)
 
 
 def patch_valid(ts: TileSet, patch: Patch) -> tuple[bool, tuple[str, ...]]:
@@ -246,15 +261,18 @@ def patch_valid(ts: TileSet, patch: Patch) -> tuple[bool, tuple[str, ...]]:
             violations.append(msg)
             continue
         eff[cell] = effective_facets(ts, pl)
-    cells = sorted(eff)
-    for i, facet, j, nfacet in facet_pairs(region, cells):
-        a = eff[cells[i]][facet]
-        b = eff[cells[j]][nfacet]
-        if not rule_eval(ts.rule, a, b):
-            violations.append(
-                f"facet rule fails between {cells[i]} facet {facet} (colour {a}) "
-                f"and {cells[j]} facet {nfacet} (colour {b})"
-            )
+    cells = tuple(sorted(eff))
+    pairs = facet_pairs(region, cells)
+    cols = [eff[c] for c in cells]
+    xs = tuple([cols[i][f] for i, f, _, _ in pairs])
+    ys = tuple([cols[j][nf] for _, _, j, nf in pairs])
+    if not rule_test(ts.rule)(xs, ys):
+        for (i, facet, j, nfacet), a, b in zip(pairs, xs, ys):
+            if not rule_eval(ts.rule, a, b):
+                violations.append(
+                    f"facet rule fails between {cells[i]} facet {facet} "
+                    f"(colour {a}) and {cells[j]} facet {nfacet} (colour {b})"
+                )
     return (not violations, tuple(violations))
 
 
@@ -324,13 +342,11 @@ def parse_tileset(text: str) -> TileSet:
             raise FormatError(f"line {ln}: {e}") from None
     if len(header) < len(_HEADER_KEYS):
         raise FormatError("tileset header incomplete (name/space/isometries/rule)")
-    rule_kind = header["rule"]
-    if rule_kind == "identical" and pairs:
-        raise FormatError("pair lines are only valid with rule table")
     if not tiles:
         raise FormatError("tileset has no tiles")
     return TileSet(header["tileset"], tuple(tiles),
-                   FacetRule(rule_kind, frozenset(pairs)), header["isometries"])
+                   FacetRule(header["rule"], frozenset(pairs)),
+                   header["isometries"])
 
 
 def serialize_tileset(ts: TileSet) -> str:

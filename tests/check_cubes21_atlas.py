@@ -16,9 +16,10 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/check_cubes21_atlas.py
 
-It takes 30-45 s on a 2-core machine.  Serializing and parsing the 352.7 MB
-text take the process past 1 GB, so the RSS check is read before them.  The
-file name does not match pytest's `test_*.py`, so the suite does not run it.
+It takes 32-39 s on a 2-core machine, of which the derivation takes 15-20 s.
+Serializing and parsing the 352.7 MB text take the process past 1 GB, so the
+RSS check is read before them.  The file name does not match pytest's
+`test_*.py`, so the suite does not run it.
 """
 
 import hashlib

@@ -462,12 +462,13 @@ def test_parse_atlas_accepts_each_lattice():
 
 
 def test_admit_recheck_catches_engine_faults(monkeypatch):
-    # an engine whose facet filter accepts every pair yields invalid
+    # an engine whose facet test accepts every tuple yields invalid
     # coronas; the enumerator's own re-check must refuse the first of them.
     # The cap keeps a dropped re-check from enumerating all 13^9 fillings:
     # it ends in BudgetExceeded, whose message does not match.
     import tileatlas.search
-    monkeypatch.setattr(tileatlas.search, "rule_eval", lambda rule, a, b: True)
+    monkeypatch.setattr(tileatlas.search, "rule_test",
+                        lambda rule: lambda xs, ys: True)
     with pytest.raises(RuntimeError,
                        match="incremental checks admitted an invalid corona"):
         enumerate_source_coronas(load_bundled("wang13"), node_cap=1000)
@@ -476,7 +477,8 @@ def test_admit_recheck_catches_engine_faults(monkeypatch):
 def test_derive_atlas_rechecks_every_corona(monkeypatch):
     # derive_atlas packs what the same re-check admits
     import tileatlas.search
-    monkeypatch.setattr(tileatlas.search, "rule_eval", lambda rule, a, b: True)
+    monkeypatch.setattr(tileatlas.search, "rule_test",
+                        lambda rule: lambda xs, ys: True)
     with pytest.raises(RuntimeError,
                        match="incremental checks admitted an invalid corona"):
         derive_atlas(reduce_set(load_bundled("wang13"), "c2"), node_cap=1000)

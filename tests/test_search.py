@@ -186,6 +186,43 @@ def test_engine_matches_plain_search_on_longer_rows():
     assert memo >= 10
 
 
+def test_engine_matches_plain_search_on_longer_rows_under_table_rules():
+    # the test above under random table rules, whose compiled test checks
+    # colour pairs against the table instead of comparing colours; the
+    # pairs are one-sided, as written in tile-set text, and the rule closes
+    # them
+    rng = random.Random(2)
+    memo = 0  # searches that replayed more with segments than without
+    for trial in range(24):
+        colours = rng.randint(2, 3)
+        ts = random_tileset(rng, "square2d", rng.randint(4, 10),
+                            colours=colours)
+        pairs = {(rng.randint(0, colours), rng.randint(0, colours))
+                 for _ in range(rng.randint(2, 5))}
+        ts = replace(ts, rule=FacetRule("table", frozenset(pairs)))
+        region = RegionSpec("square2d", (rng.randint(4, 7), rng.randint(4, 7)),
+                            rng.random() < 0.5)
+        seed = rng.randrange(1000) if trial % 3 else None
+        for counting in (False, True):
+            want, want_calls, _ = _run(_plain_search, ts, region, 5 * CAP,
+                                       seed, counting)
+            got, got_calls, rep = _run(ENGINE, ts, region, 5 * CAP, seed,
+                                       counting)
+            case = (trial, region, pairs, seed, counting)
+            assert got == want, case
+            assert got_calls == want_calls, case
+            # a limit inside the search ends where the plain search ends
+            limit = rng.randrange(want[2] + 1)
+            assert (_run(ENGINE, ts, region, limit, seed, counting)[:2]
+                    == _run(_plain_search, ts, region, limit, seed,
+                            counting)[:2]), case + (limit,)
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(search, "SEGMENT_MIN", 50)  # longer than any
+                memo += rep > _run(ENGINE, ts, region, 5 * CAP, seed,
+                                   counting)[2]
+    assert memo >= 10
+
+
 def test_limit_inside_a_replayed_charge():
     # with a limit falling inside a replayed charge, the engine answers
     # limit + 1, as the plain search does when it crosses the limit inside

@@ -255,9 +255,10 @@ def test_large_regions_do_not_recurse():
 
 
 def test_counting_rechecks_its_first_patch(monkeypatch):
-    # with the engine's facet filter accepting every pair, both entry points
+    # with the engine's facet test accepting every tuple, both entry points
     # refuse the patch it finds, as patch_valid still applies the rule
-    monkeypatch.setattr("tileatlas.search.rule_eval", lambda rule, a, b: True)
+    monkeypatch.setattr("tileatlas.search.rule_test",
+                        lambda rule: lambda xs, ys: True)
     wang = load_bundled("wang13")
     region = RegionSpec("square2d", (2, 1), False)
     for search in (solve, count_solutions):

@@ -34,6 +34,7 @@ from tileatlas.tileset import (
     placement_orientations,
     region_cells,
     rule_eval,
+    rule_test,
     serialize_patch,
     serialize_tileset,
     wrap_cell,
@@ -74,6 +75,44 @@ def test_rule_rejects_unknown_kind():
     # colours are non-negative, in rule pairs as on tiles
     with pytest.raises(FormatError):
         FacetRule("table", frozenset({(-1, 2)}))
+
+
+def test_identical_rule_takes_no_pairs():
+    # the compiled test of an identical rule compares colours and would
+    # ignore the pairs
+    with pytest.raises(FormatError, match="only valid with rule table"):
+        FacetRule("identical", frozenset({(1, 2)}))
+    with pytest.raises(FormatError, match="only valid with rule table"):
+        parse_tileset(TS_TEXT.replace("rule table", "rule identical"))
+
+
+def test_rule_test_matches_rule_eval_pair_by_pair():
+    rng = random.Random(14)
+    for trial in range(200):
+        if trial % 2:
+            # one-sided pairs, which the rule closes, and (0, 0) listed or not
+            pairs = {(rng.randint(0, 4), rng.randint(0, 4))
+                     for _ in range(rng.randint(0, 6))}
+            rule = FacetRule("table", frozenset(pairs))
+        else:
+            rule = FacetRule("identical")
+        test = rule_test(rule)
+        n = rng.randint(0, 6)
+        xs = tuple(rng.randint(0, 4) for _ in range(n))
+        ys = tuple(rng.randint(0, 4) for _ in range(n))
+        want = all(rule_eval(rule, x, y) for x, y in zip(xs, ys))
+        assert test(xs, ys) == want, (rule, xs, ys)
+        # a tuple that passes everywhere but at its last position
+        ok = [(x, y) for x in range(5) for y in range(5)
+              if rule_eval(rule, x, y)]
+        bad = [(x, y) for x in range(5) for y in range(5)
+               if not rule_eval(rule, x, y)]
+        if bad and n:
+            good = [rng.choice(ok) for _ in range(n - 1)] + [rng.choice(bad)]
+            xs, ys = (tuple(c) for c in zip(*good))
+            assert not test(xs, ys), (rule, xs, ys)
+            assert test(xs[:-1], ys[:-1]), (rule, xs, ys)
+        assert test((), ()) and test((0,), (0,)) and test((0, 0), (0, 0))
 
 
 # ---------------------------------------------------------------------------
