@@ -69,6 +69,7 @@ from .tileset import (
     RegionSpec,
     TileSet,
     _content_lines,
+    _token,
     effective_facets,
     facet_pairs,
     identity_code,
@@ -453,8 +454,10 @@ def corona_in_atlas_implicit(rs: ReducedSet, corona: Corona) -> bool:
 # ---------------------------------------------------------------------------
 
 def serialize_atlas(atlas: Atlas) -> str:
-    text = {ch: f"{t} {code}" for (t, code), ch in atlas._chars.items()}
-    out = [f"atlas {atlas.name}"]
+    # a centre tile named ":" would read as the separator
+    text = {ch: f"{_token(t, 'tile id', ':')} {code}"
+            for (t, code), ch in atlas._chars.items()}
+    out = [f"atlas {_token(atlas.name, 'atlas name')}"]
     for row in sorted(atlas.rows):
         center, *ring = map(text.__getitem__, row)
         out.append(f"{center} : {' '.join(ring)}")
@@ -531,4 +534,6 @@ def parse_atlas(text: str, rs: ReducedSet | None = None) -> Atlas:
                               f"{_first_line(text, toks)}")
     if name is None:
         raise FormatError("missing atlas header")
+    if any(t == ":" for t, _ in index):  # a ring entry; writers refuse it
+        raise FormatError("':' is no atlas tile id")
     return Atlas._packed(name, list(index), rows)

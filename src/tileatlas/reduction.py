@@ -42,6 +42,7 @@ from .tileset import (
     Placement,
     TileSet,
     _content_lines,
+    _token,
     identity_code,
 )
 
@@ -225,12 +226,13 @@ _KIND_TOKEN = {k.value: k for k in ShapeKind}
 
 
 def serialize_reduced(rs: ReducedSet) -> str:
-    out = [f"reduced {rs.name} {rs.mode}"]
+    out = [f"reduced {_token(rs.name, 'set name')} {rs.mode}"]
     for rep in rs.reps:
-        out.append(f"rep {rep.id} {rep.kind.value}")
+        # a rep line whose id is "->" would read as an arrow line
+        out.append(f"rep {_token(rep.id, 'rep id', '->')} {rep.kind.value}")
     for p in rs.source.prototiles:
         rep_id, code = rs.forward[p.id]
-        out.append(f"{p.id} -> {rep_id} {code}")
+        out.append(f"{_token(p.id, 'tile id')} -> {rep_id} {code}")
     return "\n".join(out) + "\n"
 
 

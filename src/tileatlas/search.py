@@ -24,16 +24,22 @@ on the index.
 
 Below cell i the search depends only on i's frontier: the colours of earlier
 cells that cells from i on check.  Cells whose frontier is narrower than the
-next cell's (row and plane starts on square and cube lattices) record, for up
-to RECORD_SIZE frontiers at a time, the nodes a solution-free subtree charged.
-When such a frontier comes back, those nodes are charged again (`replayed`)
-instead of searched.
+next cell's (row and plane starts on square and cube lattices) are record
+cells, and the cells from one to the next form a segment (a row, on a square
+torus).  A record cell records the nodes a solution-free subtree charged,
+with its reach: the last cell of the deepest segment it entered, counting
+the segments of the records it was charged from.  A subtree read only the
+frontier colours that cells up to its reach check, so the record is keyed
+on those alone, for up to RECORD_SIZE keys per reach at a time.  When such a
+key comes back under any reach, those nodes are charged again (`replayed`)
+instead of searched.  On a torus only the last row reads row 0's bottom
+colours, so a subtree that dies before it is searched under one row 0 and
+charged under the others.
 
-The cells from one record cell to the next form a segment (a row, on a
-square torus).  Its inlet is the colours of earlier cells that its cells
-check; for a middle torus row, the top colours of the row below.  The walk
-of a segment depends only on its inlet, so segments of SEGMENT_MIN cells or
-more memoize their fills by inlet: a fill is one completion of the segment's
+A segment's inlet is the colours of earlier cells that its cells check; for
+a middle torus row, the top colours of the row below.  The walk of a
+segment depends only on its inlet, so segments of SEGMENT_MIN cells or more
+memoize their fills by inlet: a fill is one completion of the segment's
 cells, kept with the nodes the segment charged since the fill before it.
 When a segment's head is exhausted the memo stores its fills and the charge
 after the last one, or, if no fill completed it, its whole charge.  Met
@@ -143,19 +149,26 @@ def _getter(idx):
 
 def _records(checks, width):
     """The last cell that checks each facet slot (cell * width + facet; -1
-    if none does), and per cell an empty record (frontier key -> nodes)
-    where its frontier is narrower than the next cell's, else None."""
-    last = [-1] * (len(checks) * width)
+    if none does); per cell an empty record (reach -> frontier getter and
+    keys) where its frontier is narrower than the next cell's, else None;
+    and per cell the last cell of its segment, the cells before the next
+    record cell."""
+    n = len(checks)
+    last = [-1] * (n * width)
     for i, cs in enumerate(checks):
         for _, nf, j in cs:
             if j != i:
                 last[j * width + nf] = i
-    grow = [0] * len(checks)  # frontier width at cell i + 1 minus at cell i
+    grow = [0] * n  # frontier width at cell i + 1 minus at cell i
     for s, i in enumerate(last):
         if i >= 0:
             grow[s // width] += 1
             grow[i] -= 1
-    return last, [{} if g > 0 else None for g in grow]
+    records = [{} if g > 0 else None for g in grow]
+    tail = [n - 1] * n
+    for i in range(n - 1, 0, -1):
+        tail[i - 1] = i - 1 if records[i] is not None else tail[i]
+    return last, records, tail
 
 
 class _Segment:
@@ -263,8 +276,10 @@ def _search(per_cell, checks, width, rule, limit, each=None):
         table.append(tables[sig])
         keys.append(_getter([j * width + nf for _, nf, j in earlier]))
 
-    last, records = _records(checks, width)
-    fronts = [None] * n  # a cell's frontier key, made at its first record
+    last, records, tail = _records(checks, width)
+    # the reach of the subtree being searched, and per record cell the reach
+    # of the one around it when it was entered
+    deep, outer = 0, [0] * n
     starts, ends = _segments(records)
     memos = {}  # segment shape -> inlet key -> stored fills
 
@@ -320,15 +335,20 @@ def _search(per_cell, checks, width, rule, limit, each=None):
             surv, k, spent, run, before, seen = stack.pop()
             record = records[h]
             if record is not None:
+                reach, deep = deep, max(deep, outer[h])
                 # a subtree that never left its start costs no more to
                 # search than to look up, so it is not recorded
                 if seen == count and nodes - before > table[h][2]:
-                    if len(record) == RECORD_SIZE:
-                        record.clear()
-                    if fronts[h] is None:
-                        fronts[h] = _getter([s for s, c in enumerate(last)
-                                             if s // width < h <= c])
-                    record[fronts[h](colours)] = nodes - before
+                    got = record.get(reach)
+                    if got is None:
+                        got = record[reach] = (_getter(
+                            [s for s, c in enumerate(last)
+                             if s // width < h <= c <= reach]), {})
+                        records[h] = dict(sorted(record.items()))
+                    front, charges = got
+                    if len(charges) == RECORD_SIZE:
+                        charges.clear()
+                    charges[front(colours)] = nodes - before
                 seg = starts[h]
                 if seg is not None and seg.fills is not None:
                     if seg.memo is None:
@@ -365,9 +385,17 @@ def _search(per_cell, checks, width, rule, limit, each=None):
             seg = ends[i]
             if seg is not None and seg.fills is not None:
                 seg.fill(nodes, stack, i - seg.head)
+            # a walk of i's segment, a replayed fill and a dead end all reach
+            # its end, and a hit below reaches as far as its record
+            outer[i], deep = deep, tail[i]
             if not surv:
                 continue
-            charge = record.get(fronts[i](colours)) if record else None
+            charge = None
+            for reach, (front, charges) in record.items():
+                charge = charges.get(front(colours))
+                if charge is not None:
+                    deep = reach
+                    break
             seg = starts[i]
             if charge is None and seg is not None:
                 stored = (seg.memo.get(seg.inlet(colours))
@@ -388,6 +416,7 @@ def _search(per_cell, checks, width, rule, limit, each=None):
                 seg = ends[i]
                 if seg is not None and seg.fills is not None:
                     seg.mark = nodes
+                deep = max(deep, outer[i])
                 i -= 1
                 surv, k, spent, run, _, _ = stack.pop()
     status = LIMIT if nodes > limit else EXHAUSTED

@@ -301,6 +301,16 @@ def _content_lines(text: str):
             yield ln, toks
 
 
+def _token(value: str, what: str, *reserved: str) -> str:
+    """`value`, which a writer is about to emit as one token; a value the
+    readers would not read back as that token (empty, holding whitespace or
+    `#`, or one of the format's `reserved` tokens) raises FormatError."""
+    if value.split() != [value] or "#" in value or value in reserved:
+        raise FormatError(f"cannot write {what} {value!r}: it is not one "
+                          "token, or it holds '#', or it is reserved here")
+    return value
+
+
 _HEADER_KEYS = ("tileset", "space", "isometries", "rule")
 
 
@@ -350,17 +360,18 @@ def parse_tileset(text: str) -> TileSet:
 
 
 def serialize_tileset(ts: TileSet) -> str:
-    out = [f"tileset {ts.name}", f"space {ts.space}", f"isometries {ts.allowed}",
-           f"rule {ts.rule.kind}"]
+    out = [f"tileset {_token(ts.name, 'set name')}", f"space {ts.space}",
+           f"isometries {ts.allowed}", f"rule {ts.rule.kind}"]
     if ts.rule.kind == "table":
         for a, b in sorted(p for p in ts.rule.pairs if p[0] <= p[1]):
             out.append(f"pair {a} {b}")
     for p in ts.prototiles:
         cols = " ".join(str(c) for c in p.colours)
+        tid = _token(p.id, "tile id")
         if ts.space == "tri2d":
-            out.append(f"tile {p.id} {p.kind.value} {cols}")
+            out.append(f"tile {tid} {p.kind.value} {cols}")
         else:
-            out.append(f"tile {p.id} {cols}")
+            out.append(f"tile {tid} {cols}")
     return "\n".join(out) + "\n"
 
 
@@ -416,7 +427,9 @@ def serialize_patch(patch: Patch) -> str:
     region = patch.region
     boundary = "torus" if region.torus else "free"
     ext = " ".join(str(e) for e in region.extents)
-    out = [f"patch {patch.set_name} {ext} {boundary}"]
+    out = [f"patch {_token(patch.set_name, 'set name')} {ext} {boundary}"]
+    for tid in {pl.tile for pl in patch.placements.values()}:
+        _token(tid, "tile id")
     for cell in sorted(patch.placements):
         pl = patch.placements[cell]
         if region.space == "tri2d":

@@ -12,6 +12,11 @@ SPACE_TILE_KINDS = {
 }
 
 
+# names and tile ids that no text reader returns as written: the comment
+# cuts the first, whitespace splits the next two, and the last is no token
+UNREADABLE = ("a#b", "a b", "a\u2028b", "")
+
+
 def random_tileset(rng: random.Random, space: str, n: int, colours: int = 5,
                    name: str = "rand") -> TileSet:
     """A random translation-placed set of n tiles on the given lattice."""

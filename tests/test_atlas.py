@@ -13,12 +13,13 @@ import gc
 import hashlib
 import itertools
 import random
+import re
 import sys
 import weakref
 
 import pytest
 
-from conftest import random_tileset
+from conftest import UNREADABLE, random_tileset
 import tileatlas.atlas
 from tileatlas.atlas import (
     LABEL_LIMIT,
@@ -412,6 +413,19 @@ def test_atlas_serialization_roundtrip_and_determinism():
     assert lines == sorted(lines)
 
 
+def test_atlas_writer_refuses_what_the_reader_cannot_return():
+    ring = (("x1", "r0"),) * 8
+    # a centre tile named ":" would read as the separator
+    for bad in (*UNREADABLE, ":"):
+        changed = [Atlas("a", {Corona((bad, "r0"), ring)}),
+                   Atlas("a", {Corona(("x0", "r0"), (*ring[1:], (bad, "r0")))})]
+        if bad != ":":
+            changed.append(Atlas(bad, {Corona(("x0", "r0"), ring)}))
+        for atlas in changed:
+            with pytest.raises(FormatError, match=re.escape(repr(bad))):
+                serialize_atlas(atlas)
+
+
 def test_parse_atlas_errors():
     repeated = ("atlas a\nx0 r0 : " + "x1 r0 " * 8
                 + "\nx1 r0 : " + "x0 r0 " * 8
@@ -429,6 +443,7 @@ def test_parse_atlas_errors():
         "atlas a\nx0 r0 : " + "x0 r0 " * 8 + "\nx0 t0 : " + "x0 t0 " * 12,
         "atlas a\nx0 t0 : " + "x0 t0 " * 8 + "\n",  # tri rings have 12
         "atlas a\nx0 sXYZ:+++/XYZ : " + "x0 sXYZ:+++/XYZ " * 8 + "\n",
+        "atlas a\nx0 r0 : " + "x0 r0 " * 7 + ": r0\n",  # a tile named ":"
         repeated,  # one corona listed twice
     ):
         with pytest.raises(FormatError):

@@ -7,11 +7,13 @@ sets are frozen as regression anchors.
 """
 
 import random
+import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_tileset
+from conftest import UNREADABLE, random_tileset
 from tileatlas.geometry import (
     KIND_SPACE,
     SPACE_KINDS,
@@ -383,6 +385,22 @@ def test_source_tile_named_rep_roundtrips():
         text = serialize_reduced(rs)
         assert "\nrep -> " in text
         assert parse_reduced(text, ts) == rs
+
+
+def test_reduced_writer_refuses_what_the_reader_cannot_return():
+    ts = load_bundled("wang13")
+    rs = reduce_set(ts, "c2")
+    # a rep named "->" would make its rep line an arrow line
+    for bad in (*UNREADABLE, "->"):
+        tiles = (replace(ts.prototiles[0], id=bad), *ts.prototiles[1:])
+        changed = [replace(rs, reps=(replace(rs.reps[0], id=bad),
+                                     *rs.reps[1:]))]
+        if bad != "->":
+            changed += [replace(rs, name=bad),
+                        reduce_set(replace(ts, prototiles=tiles), "c2")]
+        for c in changed:
+            with pytest.raises(FormatError, match=re.escape(repr(bad))):
+                serialize_reduced(c)
 
 
 def test_parse_reduced_errors():

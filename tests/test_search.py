@@ -8,6 +8,7 @@ calls in the same order.
 """
 
 import random
+from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
@@ -28,6 +29,7 @@ from tileatlas.tileset import (
     FormatError,
     RegionSpec,
     load_bundled,
+    region_cells,
     rule_eval,
 )
 
@@ -193,7 +195,7 @@ def test_engine_matches_plain_search_on_longer_rows_under_table_rules():
     # them
     rng = random.Random(2)
     memo = 0  # searches that replayed more with segments than without
-    for trial in range(24):
+    for trial in range(25):
         colours = rng.randint(2, 3)
         ts = random_tileset(rng, "square2d", rng.randint(4, 10),
                             colours=colours)
@@ -271,11 +273,74 @@ def test_region_on_another_lattice_is_refused():
 
 
 def test_segment_fills_replay_more_than_records():
-    # records alone replay 136,006 of these nodes; the segment memo replays
+    # records alone replay 307,840 of these nodes; the segment memo replays
     # rows on top of them
     r = exhaust_torus(load_bundled("wang13"), (6, 6))
     assert (r.status, r.nodes) == (EXHAUSTED, 631189)
-    assert 136_006 < r.replayed < r.nodes
+    assert 307_840 < r.replayed < r.nodes
+
+
+@contextmanager
+def _records_only(region, frontier=False):
+    """A context in which the search keeps no segment memo and, if
+    `frontier`, keys every record on the whole frontier, as if each subtree
+    reached the last cell."""
+    records = search._records
+
+    def whole(checks, width):
+        last, recs, _ = records(checks, width)
+        return last, recs, [len(checks) - 1] * len(checks)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(search, "SEGMENT_MIN", 1 + len(region_cells(region)))
+        if frontier:
+            m.setattr(search, "_records", whole)
+        yield
+
+
+def test_reach_keyed_records_replay_more():
+    # on a torus the frontier holds row 0's bottom colours, which only the
+    # last row reads; a subtree that dies before it is keyed without them,
+    # so it is charged again under another row 0
+    wang = load_bundled("wang13")
+    region = RegionSpec("square2d", (6, 6), True)
+    for seed in (None, 4):
+        with _records_only(region, frontier=True):
+            whole = _run(ENGINE, wang, region, None, seed, False)
+        with _records_only(region):
+            got = _run(ENGINE, wang, region, None, seed, False)
+        assert got[0] == whole[0] == (EXHAUSTED, None, 631189, 0)
+        # frontier-keyed records replay 137,410 nodes unseeded
+        assert whole[2] <= 137_410 < got[2] < got[0][2], seed
+
+
+def test_limit_inside_a_reach_keyed_charge():
+    # wang13 5x5 torus without segments, unseeded and seeded: every limit
+    # ends where the plain search ends, and some limits fall on nodes that
+    # reach-keyed records replay but frontier-keyed ones would search
+    wang = load_bundled("wang13")
+    region = RegionSpec("square2d", (5, 5), True)
+
+    def replayed(limit, seed, frontier=False):
+        with _records_only(region, frontier):
+            return _run(ENGINE, wang, region, limit, seed, False)[2]
+
+    rng = random.Random(1)
+    for seed in (None, 4):
+        reach_only = 0
+        for limit in sorted(rng.sample(range(1, 192062), 40)):
+            want = _run(_plain_search, wang, region, limit, seed, False)[0]
+            with _records_only(region):
+                got, _, rep = _run(ENGINE, wang, region, limit, seed, False)
+            assert got == want == (LIMIT, None, limit + 1, 0), (seed, limit)
+            assert rep <= got[2]
+            # node limit + 1 is replayed keyed on its reach, searched keyed
+            # on the whole frontier
+            if (rep - replayed(limit - 1, seed) == 1
+                    and replayed(limit, seed, True)
+                    == replayed(limit - 1, seed, True)):
+                reach_only += 1
+        assert reach_only >= 5, (seed, reach_only)
 
 
 def test_limit_inside_a_replayed_fill():

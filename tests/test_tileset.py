@@ -6,10 +6,12 @@ requires each midpoint to carry a rule-compatible colour pair.
 """
 
 import random
+import re
+from dataclasses import replace
 
 import pytest
 
-from conftest import random_tileset
+from conftest import UNREADABLE, random_tileset
 from tileatlas.geometry import (
     FACET_COUNT,
     ShapeKind,
@@ -461,6 +463,21 @@ def test_parse_tileset_roundtrip():
     assert serialize_tileset(parse_tileset(text)) == text
 
 
+def test_tileset_writer_refuses_what_the_reader_cannot_return():
+    ts = parse_tileset(TS_TEXT)
+    for bad in UNREADABLE:
+        renamed = (replace(ts, name=bad),
+                   replace(ts, prototiles=(replace(ts.prototiles[0], id=bad),
+                                           *ts.prototiles[1:])))
+        for changed in renamed:
+            with pytest.raises(FormatError, match=re.escape(repr(bad))):
+                serialize_tileset(changed)
+    # a keyword is a token like any other
+    odd = replace(ts, name="tile", prototiles=(
+        replace(ts.prototiles[0], id="pair"), *ts.prototiles[1:]))
+    assert parse_tileset(serialize_tileset(odd)) == odd
+
+
 def test_parse_tileset_tri_format():
     text = """\
 tileset tri
@@ -522,6 +539,17 @@ def test_parse_patch_roundtrip():
     text = serialize_patch(p)
     assert parse_patch(text, "square2d", {"a", "b"}) == p
     assert serialize_patch(parse_patch(text, "square2d")) == text
+
+
+def test_patch_writer_refuses_what_the_reader_cannot_return():
+    p = parse_patch(PATCH_TEXT, "square2d", {"a", "b"})
+    for bad in UNREADABLE:
+        placements = dict(p.placements)
+        placements[(1, 0)] = replace(placements[(1, 0)], tile=bad)
+        for changed in (replace(p, set_name=bad),
+                        replace(p, placements=placements)):
+            with pytest.raises(FormatError, match=re.escape(repr(bad))):
+                serialize_patch(changed)
 
 
 def test_parse_patch_tri_and_bare_u_alias():
