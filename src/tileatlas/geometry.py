@@ -99,10 +99,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     )
 
 
-def identity_mat(n: int) -> Mat:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 def mat_inv(m: Mat) -> Mat:
     """Inverse of a 2x2 unimodular or 3x3 signed permutation matrix."""
     n = len(m)
@@ -257,15 +253,6 @@ def touching_cell(kind: ShapeKind, center: Cell, offset: tuple) -> Cell:
     if kind in (ShapeKind.SQUARE, ShapeKind.CUBE):
         return tuple(c + d for c, d in zip(center, offset))
     return (center[0] + offset[0], center[1] + offset[1], offset[2])
-
-
-def facet_offsets(kind: ShapeKind) -> tuple[tuple, ...]:
-    """The facet-sharing subset of touching_offsets, in facet order."""
-    space = KIND_SPACE[kind]
-    return tuple(
-        facet_neighbor(space, origin_cell(kind), i)[0]
-        for i in range(FACET_COUNT[kind])
-    )
 
 
 # ---------------------------------------------------------------------------

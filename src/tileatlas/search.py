@@ -26,30 +26,28 @@ Below cell i the search depends only on i's frontier: the colours of earlier
 cells that cells from i on check.  Cells whose frontier is narrower than the
 next cell's (row and plane starts on square and cube lattices) are record
 cells, and the cells from one to the next form a segment (a row, on a square
-torus).  A record cell records the nodes a solution-free subtree charged,
-with its reach: the last cell of the deepest segment it entered, counting
-the segments of the records it was charged from.  A subtree read only the
-frontier colours that cells up to its reach check, so the record is keyed
-on those alone, for up to RECORD_SIZE keys per reach at a time.  When such a
-key comes back under any reach, those nodes are charged again (`replayed`)
-instead of searched.  On a torus only the last row reads row 0's bottom
-colours, so a subtree that dies before it is searched under one row 0 and
-charged under the others.
-
-A segment's inlet is the colours of earlier cells that its cells check; for
-a middle torus row, the top colours of the row below.  The walk of a
-segment depends only on its inlet, so segments of SEGMENT_MIN cells or more
-memoize their fills by inlet: a fill is one completion of the segment's
-cells, kept with the nodes the segment charged since the fill before it.
-When a segment's head is exhausted the memo stores its fills and the charge
-after the last one, or, if no fill completed it, its whole charge.  Met
-again under that inlet, the segment is replayed: each fill's nodes are
-charged (`replayed`, at most up to the limit), its colours and labels
-written, and the search goes on below it; then the last charge is added.
-Segments with the same candidate tables and the same checks relative to
-the head share a memo.  An inlet's fills are kept on its second walk, so a
-segment whose inlets never repeat keeps none.  Every count, limit, solution
-and `each` call is the plain depth-first search's.
+torus).  Each record cell keeps one memo, grouped by reach, the last cell of
+a segment: what a walk from the cell stored at a reach depends only on the
+frontier colours that cells up to that reach check, so it is keyed on those
+alone.  A solution-free subtree stores the nodes it charged at its reach:
+the end of the deepest segment it entered, counting the reaches of the
+entries it was charged from.  On a torus only the last row reads row 0's
+bottom colours, so a subtree that dies before it is searched under one row
+0 and charged under the others.  A segment of SEGMENT_MIN cells or more
+stores its fills at its own end, whose key is the segment's inlet: the
+colours of earlier cells that its cells check (for a middle torus row, the
+top colours of the row below).  A fill is one completion of the segment's
+cells, kept with the nodes the segment charged since the fill before it,
+and the charge after the last fill ends the list.  An inlet's first walk
+stores only that it was walked, so a segment whose inlets never repeat
+keeps no fills.  A lookup tries each reach narrowest first.  A stored
+charge is charged again (`replayed`) instead of searched; failing one, the
+fills found at the segment's end are replayed: each fill's nodes are charged
+(at most up to the limit), its colours and labels written, and the search
+goes on below it; then the last charge is added.  One search's memo holds
+at most MEMO_SIZE entries, and the entry that would pass that clears them
+all first.  Every count, limit, solution and `each` call is the plain
+depth-first search's.
 """
 
 from __future__ import annotations
@@ -74,9 +72,10 @@ FOUND = "found"
 EXHAUSTED = "exhausted"
 LIMIT = "limit"
 
-# frontier keys a record cell keeps before its record is cleared
-RECORD_SIZE = 16
-# fewest cells a segment needs to keep a memo of its fills
+# entries one search's memo holds before they are all cleared
+MEMO_SIZE = 1 << 16
+# fewest cells a segment needs to keep its fills; at least 2, since a frame
+# replaying a segment is told from a cell's frame by spanning cells run..i
 SEGMENT_MIN = 3
 
 
@@ -149,8 +148,8 @@ def _getter(idx):
 
 def _records(checks, width):
     """The last cell that checks each facet slot (cell * width + facet; -1
-    if none does); per cell an empty record (reach -> frontier getter and
-    keys) where its frontier is narrower than the next cell's, else None;
+    if none does); per cell an empty memo (reach -> frontier getter and
+    entries) where its frontier is narrower than the next cell's, else None;
     and per cell the last cell of its segment, the cells before the next
     record cell."""
     n = len(checks)
@@ -178,31 +177,12 @@ class _Segment:
     the list of fills kept so far, or, on an inlet's first walk, 0 or 1 for
     whether a fill was found; `mark` is the nodes at the walk's start, moved
     to the nodes at each fill and at each return from below the end, so the
-    nodes charged since the mark are the segment's own.  `memo` maps an
-    inlet key to what a finished walk stored: a dead end's charge; () for an
-    inlet walked once with fills; or a tuple of the charge after the last
-    fill and, per fill, the charge since the fill before it and the
-    candidate placed on each cell.  Segments of one shape share a memo,
-    linked when a segment's first walk ends."""
+    nodes charged since the mark are the segment's own."""
 
-    __slots__ = ("head", "end", "mark", "fills", "memo", "inlet")
+    __slots__ = ("head", "end", "mark", "fills")
 
     def __init__(self, head, end):
-        self.head, self.end, self.mark = head, end, 0
-        self.fills = self.memo = self.inlet = None
-
-    def link(self, table, checks, width, memos):
-        """Take the memo of the segment's shape from `memos` and build its
-        inlet getter."""
-        # the shape: the cells' tables, which fix how many checks each cell
-        # makes, and the checks relative to the head
-        h, end = self.head, self.end + 1
-        own = checks[h:end]
-        shape = (tuple(map(id, table[h:end])),
-                 tuple([(f, nf, j - h) for cs in own for f, nf, j in cs]))
-        self.memo = memos.setdefault(shape, {})
-        self.inlet = _getter(sorted({j * width + nf for cs in own
-                                     for _, nf, j in cs if j < h}))
+        self.head, self.end, self.mark, self.fills = head, end, 0, None
 
     def fill(self, nodes, stack, frames, last=None):
         """Note that the walk has filled the segment, or keep the fill: the
@@ -218,17 +198,6 @@ class _Segment:
             if last is not None:
                 self.fills.append(last)
         self.mark = nodes
-
-    def store(self, nodes, colours):
-        """End the walk and store what it found under its inlet."""
-        fills, self.fills = self.fills, None
-        if fills.__class__ is list and fills:
-            stored = (nodes - self.mark, *fills)
-        elif fills:  # found but not kept: kept on the next walk
-            stored = ()
-        else:  # a dead end
-            stored = nodes - self.mark
-        self.memo[self.inlet(colours)] = stored
 
 
 def _segments(records):
@@ -277,11 +246,11 @@ def _search(per_cell, checks, width, rule, limit, each=None):
         keys.append(_getter([j * width + nf for _, nf, j in earlier]))
 
     last, records, tail = _records(checks, width)
+    size = 0  # entries the memo holds, at most MEMO_SIZE
     # the reach of the subtree being searched, and per record cell the reach
     # of the one around it when it was entered
     deep, outer = 0, [0] * n
     starts, ends = _segments(records)
-    memos = {}  # segment shape -> inlet key -> stored fills
 
     limit = float("inf") if limit is None else limit
     colours = [None] * (n * width)  # cell i's facets at i * width
@@ -338,22 +307,33 @@ def _search(per_cell, checks, width, rule, limit, each=None):
                 reach, deep = deep, max(deep, outer[h])
                 # a subtree that never left its start costs no more to
                 # search than to look up, so it is not recorded
-                if seen == count and nodes - before > table[h][2]:
+                kept = ([(reach, nodes - before)] if seen == count
+                        and nodes - before > table[h][2] else [])
+                seg = starts[h]
+                if seg is not None and seg.fills is not None:
+                    fills, seg.fills = seg.fills, None
+                    # the fills kept, or () on an inlet's first walk; a walk
+                    # without fills is a dead end, stored above if at all
+                    if fills:
+                        kept.append((seg.end, (nodes - seg.mark, *fills)
+                                     if fills.__class__ is list else ()))
+                for reach, stored in kept:
                     got = record.get(reach)
                     if got is None:
                         got = record[reach] = (_getter(
                             [s for s, c in enumerate(last)
                              if s // width < h <= c <= reach]), {})
-                        records[h] = dict(sorted(record.items()))
-                    front, charges = got
-                    if len(charges) == RECORD_SIZE:
-                        charges.clear()
-                    charges[front(colours)] = nodes - before
-                seg = starts[h]
-                if seg is not None and seg.fills is not None:
-                    if seg.memo is None:
-                        seg.link(table, checks, width, memos)
-                    seg.store(nodes, colours)
+                        records[h] = record = dict(sorted(record.items()))
+                    front, entries = got
+                    key = front(colours)
+                    if key not in entries:
+                        if size == MEMO_SIZE:
+                            for cell in filter(None, records):
+                                for _, held in cell.values():
+                                    held.clear()
+                            size = 0
+                        size += 1
+                    entries[key] = stored
                 seg = ends[h]
                 if seg is not None and seg.fills is not None:
                     seg.mark = nodes
@@ -390,21 +370,20 @@ def _search(per_cell, checks, width, rule, limit, each=None):
             outer[i], deep = deep, tail[i]
             if not surv:
                 continue
-            charge = None
-            for reach, (front, charges) in record.items():
-                charge = charges.get(front(colours))
-                if charge is not None:
-                    deep = reach
+            # any stored charge wins over fills stored at the segment's end
+            charge = stored = None
+            for reach, (front, entries) in record.items():
+                got = entries.get(front(colours))
+                if got.__class__ is int:
+                    charge, deep = got, reach
                     break
+                if got is not None:
+                    stored = got
             seg = starts[i]
             if charge is None and seg is not None:
-                stored = (seg.memo.get(seg.inlet(colours))
-                          if seg.memo is not None else None)
                 if not stored:
                     # an inlet's fills are kept on its second walk
                     seg.mark, seg.fills = nodes, 0 if stored is None else []
-                elif stored.__class__ is int:  # a dead end
-                    charge = stored
                 else:  # replayed as one frame, its first fill at 1
                     surv, k, spent, i = stored, len(stored), 1, seg.end
             if charge is not None:

@@ -16,14 +16,13 @@ Two search targets:
 Both call the engine's one entry point, `search.region_search`, as does the
 corona enumerator.  A node is a candidate tried in scan order, so node
 counts and `node_limit` do not depend on the engine's colour index.  Nor do
-they depend on its records or its segment memo: a solution-free subtree met
-again under the same colours on the part of the frontier it read (what the
-rows or planes it reached check) has its recorded nodes charged again
-instead of being searched, and a row or plane segment met again under the
-same inlet (the colours of earlier cells it checks) replays its stored
-fills, each fill's nodes charged before the search goes on below it.
-`SolveResult.replayed` is the part of `nodes` charged from records and
-replayed segments.
+they depend on its memo: a solution-free subtree met again under the same
+colours on the part of the frontier it read (what the rows or planes it
+reached check) has its stored nodes charged again instead of being
+searched, and a row or plane segment met again under the same inlet (the
+colours of earlier cells it checks) replays its stored fills, each fill's
+nodes charged before the search goes on below it.  `SolveResult.replayed`
+is the part of `nodes` charged from the memo.
 
 With a seed, each cell's candidate order is shuffled up front, so the first
 solution found is a reproducible pseudo-random patch.

@@ -25,8 +25,6 @@ from tileatlas.geometry import (
     facet_action_code,
     facet_midpoint2,
     facet_neighbor,
-    facet_offsets,
-    identity_mat,
     image_kind,
     inverse,
     inverse_code,
@@ -130,7 +128,9 @@ def test_code_system_sizes_and_identity():
     assert len(space_codes("tri2d")) == 12
     for space in SPACES:
         first = space_codes(space)[0]
-        assert code_matrix(space, first) == identity_mat(space_dim(space))
+        n = space_dim(space)
+        assert code_matrix(space, first) == tuple(
+            tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def test_codes_bijective_onto_matrices():
@@ -384,9 +384,6 @@ def test_facet_offsets_are_touching_offsets():
         for facet in range(FACET_COUNT[kind]):
             nbr, _ = facet_neighbor(space, cell, facet)
             assert nbr in touch
-        assert list(facet_offsets(kind)) == [
-            facet_neighbor(space, cell, f)[0] for f in range(FACET_COUNT[kind])
-        ]
 
 
 def test_touching_is_symmetric():

@@ -167,6 +167,7 @@ def test_engine_matches_plain_search_on_longer_rows():
     # the other, which the solutions' order and count at the limit show
     rng = random.Random(1)
     memo = 0  # searches that replayed more with segments than without
+    cleared = 0  # searches that replayed with a memo of 3 entries
     for trial in range(24):
         ts = random_tileset(rng, "square2d", rng.randint(4, 10),
                             colours=rng.randint(2, 3))
@@ -185,7 +186,13 @@ def test_engine_matches_plain_search_on_longer_rows():
                 m.setattr(search, "SEGMENT_MIN", 50)  # longer than any
                 memo += rep > _run(ENGINE, ts, region, 5 * CAP, seed,
                                    counting)[2]
-    assert memo >= 10
+            # a memo of a few entries, cleared again and again
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(search, "MEMO_SIZE", 3)
+                small = _run(ENGINE, ts, region, 5 * CAP, seed, counting)
+            assert small[:2] == (want, want_calls), case
+            cleared += small[2] > 0
+    assert memo >= 10 and cleared >= 10
 
 
 def test_engine_matches_plain_search_on_longer_rows_under_table_rules():
@@ -195,7 +202,7 @@ def test_engine_matches_plain_search_on_longer_rows_under_table_rules():
     # them
     rng = random.Random(2)
     memo = 0  # searches that replayed more with segments than without
-    for trial in range(25):
+    for trial in range(30):
         colours = rng.randint(2, 3)
         ts = random_tileset(rng, "square2d", rng.randint(4, 10),
                             colours=colours)
@@ -229,16 +236,20 @@ def test_limit_inside_a_replayed_charge():
     # with a limit falling inside a replayed charge, the engine answers
     # limit + 1, as the plain search does when it crosses the limit inside
     # the subtree
+    # the search's usual memo and one of 3 entries, cleared again and again
     wang = load_bundled("wang13")
     region = RegionSpec("square2d", (4, 4), True)
-    full = _run(ENGINE, wang, region, None, None, False)
-    assert full[0][0] == EXHAUSTED and full[2] > 0
-    rng = random.Random(7)
-    for limit in sorted(rng.sample(range(full[0][2]), 150)):
-        want = _run(_plain_search, wang, region, limit, None, False)[0]
-        got, _, rep = _run(ENGINE, wang, region, limit, None, False)
-        assert got == want == (LIMIT, None, limit + 1, 0), limit
-        assert rep <= limit + 1
+    for size in (search.MEMO_SIZE, 3):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(search, "MEMO_SIZE", size)
+            full = _run(ENGINE, wang, region, None, None, False)
+            assert full[0][0] == EXHAUSTED and full[2] > 0
+            rng = random.Random(7)
+            for limit in sorted(rng.sample(range(full[0][2]), 150)):
+                want = _run(_plain_search, wang, region, limit, None, False)[0]
+                got, _, rep = _run(ENGINE, wang, region, limit, None, False)
+                assert got == want == (LIMIT, None, limit + 1, 0), (size, limit)
+                assert rep <= limit + 1
 
 
 def test_solver_results_carry_replayed_nodes():
@@ -273,16 +284,16 @@ def test_region_on_another_lattice_is_refused():
 
 
 def test_segment_fills_replay_more_than_records():
-    # records alone replay 307,840 of these nodes; the segment memo replays
-    # rows on top of them
+    # records alone replay 421,590 of these nodes; replayed segment fills
+    # add rows on top of them
     r = exhaust_torus(load_bundled("wang13"), (6, 6))
     assert (r.status, r.nodes) == (EXHAUSTED, 631189)
-    assert 307_840 < r.replayed < r.nodes
+    assert 421_590 < r.replayed < r.nodes
 
 
 @contextmanager
 def _records_only(region, frontier=False):
-    """A context in which the search keeps no segment memo and, if
+    """A context in which the search keeps no segment fills and, if
     `frontier`, keys every record on the whole frontier, as if each subtree
     reached the last cell."""
     records = search._records
@@ -310,8 +321,8 @@ def test_reach_keyed_records_replay_more():
         with _records_only(region):
             got = _run(ENGINE, wang, region, None, seed, False)
         assert got[0] == whole[0] == (EXHAUSTED, None, 631189, 0)
-        # frontier-keyed records replay 137,410 nodes unseeded
-        assert whole[2] <= 137_410 < got[2] < got[0][2], seed
+        # frontier-keyed records replay 201,916 nodes, reach-keyed 421,590
+        assert whole[2] < got[2] < got[0][2], seed
 
 
 def test_limit_inside_a_reach_keyed_charge():
@@ -344,31 +355,53 @@ def test_limit_inside_a_reach_keyed_charge():
 
 
 def test_limit_inside_a_replayed_fill():
-    # wang13 5x5 torus, unseeded and seeded: every limit ends where the plain
-    # search ends, and some limits fall on nodes that the segment memo
-    # replays but the subtree records alone would search
+    # every limit ends where the plain search ends, and some limits fall on
+    # nodes that replayed segment fills charge but the subtree records alone
+    # would search: on the wang13 5x5 torus, unseeded and seeded, and in
+    # counting searches on small random square sets where fills replay more
+    # than records alone
     wang = load_bundled("wang13")
-    region = RegionSpec("square2d", (5, 5), True)
+    torus = RegionSpec("square2d", (5, 5), True)
+    searches = [(wang, torus, seed, False) for seed in (None, 4)]
 
-    def replayed(limit, seed, segments=True):
+    def replayed(ts, region, limit, seed, counting, segments=True):
         with pytest.MonkeyPatch.context() as m:
             if not segments:
-                m.setattr(search, "SEGMENT_MIN", 26)  # longer than any
-            return _run(ENGINE, wang, region, limit, seed, False)[2]
+                m.setattr(search, "SEGMENT_MIN", 50)  # longer than any
+            return _run(ENGINE, ts, region, limit, seed, counting)[2]
 
+    rng = random.Random(5)
+    while len(searches) < 5:
+        ts = random_tileset(rng, "square2d", rng.randint(3, 6),
+                            colours=rng.randint(2, 3))
+        region = RegionSpec("square2d", (rng.randint(4, 6), rng.randint(4, 6)),
+                            rng.random() < 0.5)
+        seed = rng.randrange(1000) if rng.random() < 0.5 else None
+        full, _, rep = _run(ENGINE, ts, region, CAP, seed, True)
+        if full[2] <= CAP and rep > replayed(ts, region, CAP, seed, True,
+                                             False):
+            searches.append((ts, region, seed, True))
     rng = random.Random(1306)
-    for seed in (None, 4):
-        full = _run(ENGINE, wang, region, None, seed, False)[0]
-        assert full == (EXHAUSTED, None, 192062, 0)
-        memo_only = 0
+    memo_only = 0
+    for ts, region, seed, counting in searches:
+        full = _run(ENGINE, ts, region, None, seed, counting)[0]
+        if ts is wang:
+            assert full == (EXHAUSTED, None, 192062, 0)
         for limit in sorted(rng.sample(range(1, full[2]), 40)):
-            want = _run(_plain_search, wang, region, limit, seed, False)[0]
-            got, _, rep = _run(ENGINE, wang, region, limit, seed, False)
-            assert got == want == (LIMIT, None, limit + 1, 0), (seed, limit)
-            assert rep <= got[2]
+            case = (region, seed, counting, limit)
+            want, want_calls, _ = _run(_plain_search, ts, region, limit, seed,
+                                       counting)
+            got, got_calls, rep = _run(ENGINE, ts, region, limit, seed,
+                                       counting)
+            assert got == want and got_calls == want_calls, case
+            assert got[2] == limit + 1 and rep <= got[2], case
+            if ts is wang:
+                assert got == (LIMIT, None, limit + 1, 0), case
             # node limit + 1 is replayed with segments, searched without
-            if (rep - replayed(limit - 1, seed) == 1
-                    and replayed(limit, seed, False)
-                    == replayed(limit - 1, seed, False)):
+            if (rep - replayed(ts, region, limit - 1, seed, counting) == 1
+                    and replayed(ts, region, limit, seed, counting, False)
+                    == replayed(ts, region, limit - 1, seed, counting,
+                                False)):
                 memo_only += 1
-        assert memo_only >= 5, (seed, memo_only)
+    # five a search on the average
+    assert memo_only >= 5 * len(searches), memo_only
