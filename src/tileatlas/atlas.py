@@ -311,11 +311,11 @@ def _corona_window(kind: ShapeKind):
 def _window_check(ts: TileSet, kind: ShapeKind):
     """The corona window's check for `ts`: the window's cells (centre first,
     then the ring in touching-offset order), per cell the legal (tile, code)
-    placements that placement_ok accepts there with their facet colours, the
-    window's facet-sharing pairs from facet_pairs, the pair walk of
-    patch_valid, two getters that read the pairs' two colour sequences off
-    the cells' colours laid end to end, and the rule's test of two such
-    sequences.
+    placements that placement_ok accepts there with the colours of the
+    facets the window's pairs read there (in facet order), the window's
+    facet-sharing pairs from facet_pairs, the pair walk of patch_valid, two
+    getters that read the pairs' two colour sequences off the cells' read
+    colours laid end to end, and the rule's test of two such sequences.
 
     It is compiled from the prototiles, not from the engine's candidate
     lists, once per set and kind, and kept on the set.
@@ -324,19 +324,25 @@ def _window_check(ts: TileSet, kind: ShapeKind):
     if check is None:
         region, cells, _ = _corona_window(kind)
         ident = identity_code(region.space)
+        pairs = facet_pairs(region, cells)
+        # the (cell index, facet) ends of the pairs in sorted order: each
+        # cell's read colours laid end to end, each in facet order
+        ends = sorted({(i, f) for i, f, _, _ in pairs}
+                      | {(j, nf) for _, _, j, nf in pairs})
+        slot = {end: k for k, end in enumerate(ends)}
         colours = []
-        for c in cells:
+        for c, cell in enumerate(cells):
+            facets = [f for i, f in ends if i == c]
             table = {}
             for p in ts.prototiles:
-                pl = Placement(c, p.id, ident)
+                pl = Placement(cell, p.id, ident)
                 if placement_ok(ts, region, pl) is None:
-                    table[(p.id, ident)] = effective_facets(ts, pl)
+                    eff = effective_facets(ts, pl)
+                    table[(p.id, ident)] = tuple(eff[f] for f in facets)
             colours.append(table)
-        pairs = facet_pairs(region, cells)
-        w = FACET_COUNT[kind]  # every kind of a lattice has as many facets
         # a window has many pairs, so the getters return tuples
-        left = itemgetter(*[i * w + f for i, f, _, _ in pairs])
-        right = itemgetter(*[j * w + nf for _, _, j, nf in pairs])
+        left = itemgetter(*[slot[i, f] for i, f, _, _ in pairs])
+        right = itemgetter(*[slot[j, nf] for _, _, j, nf in pairs])
         check = ts.window_checks[kind] = (cells, colours, pairs, left, right,
                                           rule_test(ts.rule))
     return check

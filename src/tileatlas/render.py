@@ -10,6 +10,16 @@ patches are laid out as one slice per layer, left to right; out-of-plane
 facet colours appear as two corner dots, and reduced cube placements print
 their orientation code beside the decoration marker.
 
+Both renderers make one pass over the placed cells in sorted order.  Each
+(tile, code) label is compiled once per render into a template: the fixed
+text of every element its cell draws, colours included, with a `%.3f` slot
+per number (and, for a reduced set, the label's lifted glyph).  A cell
+computes only its numbers and fills its template in one step.  The canvas
+bounds are folded from the cell outlines alone.  That is exact: a strip lies
+within its cell's outline, and every glyph point, marker with its radius and
+cube label strictly inside it, so no other point can be a bound (while cell
+coordinates stay below 2**53, past which a float rounds them together).
+
 All geometry is computed in exact lattice arithmetic.  A lifted glyph
 point is kept as integer (numerator, denominator) pairs and carried onto its
 cell by one integer division, (n + b*d) / d, which Python rounds correctly,
@@ -72,97 +82,6 @@ GLYPH = {
 }
 
 
-def _fmt(v: float) -> str:
-    s = f"{v:.3f}"
-    return "0.000" if s == "-0.000" else s
-
-
-def _coords(pts) -> str:
-    """The points as "x,y" pairs, y flipped, each number as `_fmt` writes
-    it.  Every number has three decimals, so "-0.000" is only ever a whole
-    number."""
-    return " ".join([f"{x:.3f},{-y:.3f}" for x, y in pts]).replace(
-        "-0.000", "0.000")
-
-
-class _Canvas:
-    def __init__(self):
-        self.parts = []
-        self.min_x = self.min_y = float("inf")
-        self.max_x = self.max_y = float("-inf")
-
-    def bump(self, pts):
-        # one min and one max per bound and shape; on ties they keep the
-        # earlier value, as a fold over the points one at a time would
-        if pts:
-            xs, ys = zip(*pts)
-            self.min_x = min(self.min_x, *xs)
-            self.max_x = max(self.max_x, *xs)
-            self.min_y = min(self.min_y, *ys)
-            self.max_y = max(self.max_y, *ys)
-
-    def polygon(self, pts, fill, stroke="none", width=0.0):
-        self.bump(pts)
-        coords = _coords(pts)
-        extra = "" if stroke == "none" else \
-            f' stroke="{stroke}" stroke-width="{_fmt(width)}"'
-        self.parts.append(f'<polygon points="{coords}" fill="{fill}"{extra}/>')
-
-    def polyline(self, pts, stroke, width):
-        self.bump(pts)
-        coords = _coords(pts)
-        self.parts.append(
-            f'<polyline points="{coords}" fill="none" stroke="{stroke}" '
-            f'stroke-width="{_fmt(width)}" stroke-linecap="round"/>')
-
-    def circle(self, center, r, fill):
-        (x, y) = center
-        self.bump([(x - r, y - r), (x + r, y + r)])
-        self.parts.append(
-            f'<circle cx="{_fmt(x)}" cy="{_fmt(-y)}" r="{_fmt(r)}" '
-            f'fill="{fill}"/>')
-
-    def text(self, pos, s, size):
-        from xml.sax.saxutils import escape
-        (x, y) = pos
-        self.bump([(x, y)])
-        self.parts.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(-y)}" font-size="{_fmt(size)}" '
-            f'font-family="monospace" text-anchor="middle">{escape(s)}</text>')
-
-    def to_svg(self, scale: float) -> str:
-        pad = 0.2
-        if not self.parts:
-            self.min_x = self.min_y = 0.0
-            self.max_x = self.max_y = 1.0
-        x0 = self.min_x - pad
-        y0 = -self.max_y - pad
-        w = (self.max_x - self.min_x) + 2 * pad
-        h = (self.max_y - self.min_y) + 2 * pad
-        head = (
-            f'<svg xmlns="http://www.w3.org/2000/svg" '
-            f'width="{_fmt(w * scale)}" height="{_fmt(h * scale)}" '
-            f'viewBox="{_fmt(x0)} {_fmt(y0)} {_fmt(w)} {_fmt(h)}">'
-        )
-        body = "\n".join(self.parts)
-        return f"{head}\n{body}\n</svg>\n"
-
-
-def _embed2(p, space):
-    """Lattice point (exact) to Cartesian floats."""
-    x, y = float(p[0]), float(p[1])
-    if space == "tri2d":
-        return (x + 0.5 * y, (SQRT3 / 2.0) * y)
-    return (x, y)
-
-
-def _strip(c, v1, v2, t=0.3):
-    """Trapezoid along edge v1-v2, pulled towards the centroid c."""
-    p1 = (v1[0] + t * (c[0] - v1[0]), v1[1] + t * (c[1] - v1[1]))
-    p2 = (v2[0] + t * (c[0] - v2[0]), v2[1] + t * (c[1] - v2[1]))
-    return [v1, v2, p2, p1]
-
-
 # Per lattice, the two outline vertices each facet's edge joins, in facet
 # order; the vertex order fixes the byte order of the strip polygons.  Cube
 # outlines are the square's, and only the in-plane facets have an edge:
@@ -173,51 +92,115 @@ _EDGES = {
     "tri2d": ((1, 2), (2, 0), (0, 1)),
 }
 
+_OUTLINE = 'stroke="#222222" stroke-width="0.030"'
 
-def _frames(patch):
-    """Each placed cell of the patch, in sorted order, as (cell, placement,
-    outline, shift): its outline on the canvas and the x shift that sets a
-    cube layer z beside the layers below it (0 on the planar lattices).
-    Raises FormatError naming the first placed cell outside the region
-    before any cell is yielded."""
-    cells = sorted(patch.placements)
+
+def _polygon(n: int, attrs: str) -> str:
+    """An n-vertex polygon's template: a %.3f pair per vertex."""
+    return f'<polygon points="{" ".join(["%.3f,%.3f"] * n)}" {attrs}/>'
+
+
+def _outline(space: str, cell, shift):
+    """The cell's outline vertices on the canvas, as an x list and a y list;
+    `shift` sets a cube layer beside the layers below it."""
+    if space == "tri2d":
+        vs = [(float(a), float(b)) for a, b in tri_vertices(cell)]
+        return ([a + 0.5 * b for a, b in vs],
+                [(SQRT3 / 2.0) * b for _, b in vs])
+    x, y = cell[0] + shift, cell[1]
+    return ([x - 0.5, x + 0.5, x + 0.5, x - 0.5],
+            [y - 0.5, y - 0.5, y + 0.5, y + 0.5])
+
+
+def _ring(xs, ys) -> list:
+    """The outline's numbers in template order, y flipped for the canvas."""
+    return [v for x, y in zip(xs, ys) for v in (x, -y)]
+
+
+def _render(patch: Patch, scale: float, compile_label, numbers) -> str:
+    """The SVG of every placed cell, in sorted order.
+
+    compile_label(placement) gives the label's (template, data, tail) once
+    per (tile, code) label; numbers(cell, shift, xs, ys, data) gives the
+    cell's numbers for its template, xs and ys being the outline.  A placed
+    cell outside the patch's region is a FormatError, raised before any
+    cell is drawn."""
     region = patch.region
+    cells = sorted(patch.placements)
     for cell in cells:
         if not cell_in_region(region, cell):
             extents = "x".join(map(str, region.extents))
             raise FormatError(f"cell {cell} lies outside the {extents} region")
     space = region.space
+    layer = region.extents[0] + 1 if space == "cube3d" else 0
+    labels = {}
+    parts = []
+    min_x = min_y = float("inf")
+    max_x = max_y = float("-inf")
     for cell in cells:
-        shift = cell[2] * (region.extents[0] + 1) if space == "cube3d" else 0
-        if space == "tri2d":
-            outline = [_embed2(v, space) for v in tri_vertices(cell)]
-        else:
-            x, y = cell[0] + shift, cell[1]
-            outline = [(x - 0.5, y - 0.5), (x + 0.5, y - 0.5),
-                       (x + 0.5, y + 0.5), (x - 0.5, y + 0.5)]
-        yield cell, patch.placements[cell], outline, shift
+        pl = patch.placements[cell]
+        shift = cell[2] * layer if layer else 0
+        xs, ys = _outline(space, cell, shift)
+        # on ties min and max keep the earlier value; only a zero's sign,
+        # which no output number shows, could tell them apart
+        min_x, max_x = min(min_x, *xs), max(max_x, *xs)
+        min_y, max_y = min(min_y, *ys), max(max_y, *ys)
+        label = labels.get((pl.tile, pl.orientation))
+        if label is None:
+            label = labels[pl.tile, pl.orientation] = compile_label(pl)
+        template, data, tail = label
+        # every number has three decimals, so "-0.000" is only ever a whole
+        # number, and no fixed text of a template holds it
+        parts.append((template % numbers(cell, shift, xs, ys, data))
+                     .replace("-0.000", "0.000") + tail)
+    if not parts:
+        min_x = min_y = 0.0
+        max_x = max_y = 1.0
+    pad = 0.2
+    w, h = (max_x - min_x) + 2 * pad, (max_y - min_y) + 2 * pad
+    head = ('<svg xmlns="http://www.w3.org/2000/svg" width="%.3f" '
+            'height="%.3f" viewBox="%.3f %.3f %.3f %.3f">' % (
+                w * scale, h * scale, min_x - pad, -max_y - pad, w, h))
+    body = "\n".join(parts)
+    return f'{head.replace("-0.000", "0.000")}\n{body}\n</svg>\n'
 
 
 def render_source_patch(ts: TileSet, patch: Patch, scale: float = 40.0) -> str:
     """Facet-coloured rendering of a source-set patch.  A placed cell
     outside the patch's region is a FormatError."""
     space = patch.region.space
-    cv = _Canvas()
-    for _, pl, outline, _ in _frames(patch):
+    edges = _EDGES[space]
+    n = 3 if space == "tri2d" else 4
+    cube = space == "cube3d"
+
+    def compile_label(pl):
+        # background, in-plane facet strips, a cube's Z+ and Z- dots, outline
         eff = effective_facets(ts, pl)
-        n = len(outline)
-        cx = sum(p[0] for p in outline) / n
-        cy = sum(p[1] for p in outline) / n
-        cv.polygon(outline, "white", "#222222", 0.03)
-        for f, (i, j) in enumerate(_EDGES[space]):
-            cv.polygon(_strip((cx, cy), outline[i], outline[j]),
-                       colour_hex(eff[f]))
-        if space == "cube3d":
-            # out-of-plane: Z+ upper-left dot, Z- lower-right dot
-            cv.circle((cx - 0.2, cy + 0.2), 0.13, colour_hex(eff[4]))
-            cv.circle((cx + 0.2, cy - 0.2), 0.13, colour_hex(eff[5]))
-        cv.polygon(outline, "none", "#222222", 0.03)
-    return cv.to_svg(scale)
+        elements = [_polygon(n, f'fill="white" {_OUTLINE}')]
+        elements += [_polygon(4, f'fill="{colour_hex(eff[f])}"')
+                     for f in range(len(edges))]
+        if cube:
+            elements += [f'<circle cx="%.3f" cy="%.3f" r="0.130" '
+                         f'fill="{colour_hex(eff[f])}"/>' for f in (4, 5)]
+        elements.append(_polygon(n, f'fill="none" {_OUTLINE}'))
+        return "\n".join(elements), None, ""
+
+    def numbers(cell, shift, xs, ys, _):
+        cx, cy = sum(xs) / n, sum(ys) / n
+        ring = _ring(xs, ys)
+        out = list(ring)
+        for i, j in edges:
+            # a trapezoid along the edge, its inner side pulled 0.3 of the
+            # way towards the centroid: v1, v2, p2, p1
+            x1, y1, x2, y2 = xs[i], ys[i], xs[j], ys[j]
+            out += (x1, -y1, x2, -y2,
+                    x2 + 0.3 * (cx - x2), -(y2 + 0.3 * (cy - y2)),
+                    x1 + 0.3 * (cx - x1), -(y1 + 0.3 * (cy - y1)))
+        if cube:  # Z+ upper-left dot, Z- lower-right dot
+            out += (cx - 0.2, -(cy + 0.2), cx + 0.2, -(cy - 0.2))
+        return tuple(out + ring)
+
+    return _render(patch, scale, compile_label, numbers)
 
 
 @lru_cache(maxsize=None)
@@ -241,13 +224,6 @@ def _lift_rep(rep_kind: ShapeKind, code: str):
     return strokes, image(tuple(Fraction(n, den) for n in nums))
 
 
-def _at_cell(cell, space, p):
-    """Carry a lifted rep-frame point onto the placement's cell, as floats:
-    the correctly rounded quotient that float(Fraction(n, d) + b) gives."""
-    base = cell[:2] if space == "tri2d" else cell
-    return tuple([(n + b * d) / d for (n, d), b in zip(p, base)])
-
-
 def render_reduced_patch(rs: ReducedSet, patch: Patch, scale: float = 40.0
                          ) -> str:
     """Glyph rendering of a reduced-set patch.  A placed cell outside the
@@ -255,19 +231,43 @@ def render_reduced_patch(rs: ReducedSet, patch: Patch, scale: float = 40.0
     space = patch.region.space
     rep_kind = {r.id: r.kind for r in rs.reps}
     rep_index = {r.id: i for i, r in enumerate(rs.reps)}
-    cv = _Canvas()
-    for cell, pl, outline, shift in _frames(patch):
-        cv.polygon(outline, "white", "#222222", 0.03)
+    tri, cube = space == "tri2d", space == "cube3d"
+
+    def compile_label(pl):
         strokes, mark = _lift_rep(rep_kind[pl.tile], pl.orientation)
         colour = colour_hex(rep_index[pl.tile] + 1)
-        for a, b in strokes:  # a cube representative has no glyph
-            cv.polyline([_embed2(_at_cell(cell, space, a), space),
-                         _embed2(_at_cell(cell, space, b), space)], colour, 0.05)
-        mx, my = _embed2(_at_cell(cell, space, mark), space)
-        if space == "cube3d":
-            cv.circle((mx + shift, my), 0.08, colour)
-            cv.text((cell[0] + shift, cell[1] - 0.32),
-                    f"{pl.tile} {pl.orientation}", 0.16)
+        elements = [_polygon(3 if tri else 4, f'fill="white" {_OUTLINE}')]
+        elements += [f'<polyline points="%.3f,%.3f %.3f,%.3f" fill="none" '
+                     f'stroke="{colour}" stroke-width="0.050" '
+                     f'stroke-linecap="round"/>'] * len(strokes)
+        if cube:  # a cube representative has no glyph
+            # imported here: the module pulls in urllib, 7 MB of peak RSS
+            # that no other render needs
+            from xml.sax.saxutils import escape
+            elements.append(
+                f'<circle cx="%.3f" cy="%.3f" r="0.080" fill="{colour}"/>\n'
+                f'<text x="%.3f" y="%.3f" font-size="0.160" '
+                f'font-family="monospace" text-anchor="middle">')
+            tail = f"{escape(f'{pl.tile} {pl.orientation}')}</text>"
         else:
-            cv.circle((mx, my), 0.05, "#222222")
-    return cv.to_svg(scale)
+            elements.append('<circle cx="%.3f" cy="%.3f" r="0.050" '
+                            'fill="#222222"/>')
+            tail = ""
+        # the x and y of each stroke end, then of the decoration point
+        points = [p[:2] for stroke in strokes for p in stroke] + [mark[:2]]
+        return "\n".join(elements), points, tail
+
+    def numbers(cell, shift, xs, ys, points):
+        a, b = cell[0], cell[1]
+        out = _ring(xs, ys)
+        for (n, d), (m, e) in points:
+            x, y = (n + a * d) / d, (m + b * e) / e
+            if tri:
+                x, y = x + 0.5 * y, (SQRT3 / 2.0) * y
+            out += (x, -y)
+        if cube:
+            out[-2] += shift
+            out += (a + shift, -(b - 0.32))
+        return tuple(out)
+
+    return _render(patch, scale, compile_label, numbers)

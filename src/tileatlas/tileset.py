@@ -375,6 +375,11 @@ def serialize_tileset(ts: TileSet) -> str:
     return "\n".join(out) + "\n"
 
 
+# the fields of a placement line, per lattice, as a refusal names them
+_PLACEMENT_FIELDS = {"square2d": "x y tile code", "cube3d": "x y z tile code",
+                     "tri2d": "a b u|d tile code"}
+
+
 def parse_patch(text: str, space: str, ids: set[str] | None = None) -> Patch:
     header = None
     placements = {}
@@ -394,6 +399,9 @@ def parse_patch(text: str, space: str, ids: set[str] | None = None) -> Patch:
                     raise FormatError(f"line {ln}: expected free|torus")
                 region = RegionSpec(space, extents, boundary == "torus")
                 continue
+            if len(toks) != len(_PLACEMENT_FIELDS[space].split()):
+                raise FormatError(
+                    f"line {ln}: expected {_PLACEMENT_FIELDS[space]}")
             if space == "square2d":
                 x, y, tid, code = toks
                 cell: Cell = (int(x), int(y))

@@ -357,6 +357,19 @@ def test_render_refuses_cells_outside_the_region(tmp_path, capsys):
         assert not svg.exists()
 
 
+def test_render_refuses_a_patch_of_another_lattice(tmp_path, capsys):
+    # a triangles6 placement line has one field more than a square one
+    patch = tmp_path / "t.patch"
+    patch.write_text("patch triangles6 2 2 torus\n0 0 u u1 t0\n",
+                     encoding="utf-8")
+    svg = tmp_path / "out.svg"
+    code, out, err = run(capsys, "render", "--in", "@wang13", "--patch",
+                         str(patch), "--svg", str(svg))
+    assert code == 1
+    assert err == "error: line 2: expected x y tile code\n", err
+    assert out == "" and not svg.exists()
+
+
 def test_render_refuses_rep_on_another_lattice(tmp_path, capsys):
     # a rep no tile maps to, on another lattice: refused while the reduced
     # text is read, before a patch could place it

@@ -11,7 +11,6 @@ from fractions import Fraction
 
 import pytest
 
-import tileatlas.render as render
 from tileatlas.geometry import (
     KIND_SPACE,
     ShapeKind,
@@ -162,7 +161,9 @@ def test_rendering_is_deterministic_and_order_independent():
      "2fc84658d49a1d580445c1e886fabc8447457e557bbfe8dfc8ec965aeb04d594"),
     ("cubes21", (2, 2, 2), False, 3,
      "601bf120f8960273e9b443062ba573bab9994be14b7b3fad2dfe9200c2a0c7e3"),
-], ids=["square", "tri", "cube"])
+    ("triangles6", (20, 20), True, 7,
+     "2d389660a6d1ff6c7ab8173140608f97d2b6849d53ea2e3e71a1ad8c8ebedd30"),
+], ids=["square", "tri", "cube", "tri-20x20"])
 def test_reduced_render_bytes_are_pinned(name, extents, torus, seed, digest):
     # exact-arithmetic output, pinned byte for byte: memoizing or reordering
     # the lifts must not move a single coordinate
@@ -181,7 +182,9 @@ def test_reduced_render_bytes_are_pinned(name, extents, torus, seed, digest):
      "5d108b13b7b84ea522bb3254bb1080b72cdfc823c593d4d166c4846f65016cdc"),
     ("cubes21", (2, 2, 2), False, 3,
      "de4910a8eef780a417e01baccad528f9b43e2fd0846db6f78c1e64a41f3b0722"),
-], ids=["square", "tri", "cube"])
+    ("triangles6", (20, 20), True, 7,
+     "95cd0163708a5b46301580014335eb29a8eb1a4beb5db41c25eac968ff20763a"),
+], ids=["square", "tri", "cube", "tri-20x20"])
 def test_source_render_bytes_are_pinned(name, extents, torus, seed, digest):
     # the strips' vertex order, the cube layer shifts and the Z dots all
     # reach the bytes: a new layout of the cells must not move any of them
@@ -200,54 +203,130 @@ def exact_lift_rep(rep_kind, code):
     return strokes, lift_point(lift, tuple(Fraction(n, den) for n in nums))
 
 
-def exact_at_cell(cell, space, p):
-    """Exact route: add the cell's base as a Fraction, then round once."""
-    base = cell[:2] if space == "tri2d" else cell
-    return tuple(float(x + b) for x, b in zip(p, base))
+def every_label(rs, base):
+    """A free patch of the reduced set with every representative under every
+    code of its lattice, one placement each, at cells from `base` on."""
+    space = KIND_SPACE[rs.reps[0].kind]
+    placements = {}
+    i = 0
+    for rep in rs.reps:
+        for code in space_codes(space):
+            i += 1
+            cell = (base + 7 * i, base + 3 * i)
+            if space == "cube3d":
+                cell += (i % 2,)
+            elif space == "tri2d":
+                up = image_kind(rep.kind, code) is ShapeKind.TRI_UP
+                cell += (0 if up else 1,)
+            placements[cell] = Placement(cell, rep.id, code)
+    # the region holds every cell; render refuses cells outside it
+    extents = tuple(max(c[k] for c in placements) + 1
+                    for k in range(space_dim(space)))
+    return Patch(rs.name, RegionSpec(space, extents, False), placements)
 
 
-def test_reduced_render_matches_exact_fraction_route(monkeypatch):
-    # every representative under every code, far from the origin, must
-    # render to the same bytes as the Fraction route
-    far = 10 ** 6
+def svg_elements(svg):
+    """The SVG's elements in document order, as (tag, attributes)."""
+    return [(el.tag.rpartition("}")[2], el.attrib)
+            for el in ET.fromstring(svg)]
+
+
+def three_decimals(v):
+    s = f"{v:.3f}"
+    return "0.000" if s == "-0.000" else s
+
+
+def exact_glyph_numbers(rs, patch):
+    """Exact route: each cell's stroke ends and decoration point, in drawing
+    order, as the SVG should write them.  Each lattice coordinate is the
+    Fraction plus the cell's base, rounded to a float once; only then is it
+    embedded in the plane (triangles) or shifted to its layer (cubes)."""
+    kinds = {r.id: r.kind for r in rs.reps}
+    space = patch.region.space
+    out = []
+    for cell in sorted(patch.placements):
+        pl = patch.placements[cell]
+        strokes, mark = exact_lift_rep(kinds[pl.tile], pl.orientation)
+        for p in [p for stroke in strokes for p in stroke] + [mark]:
+            x, y = float(p[0] + cell[0]), float(p[1] + cell[1])
+            if space == "tri2d":
+                x, y = x + 0.5 * y, (3 ** 0.5 / 2.0) * y
+            elif space == "cube3d":
+                x += cell[2] * (patch.region.extents[0] + 1)
+            out += [three_decimals(x), three_decimals(-y)]
+    return out
+
+
+def drawn_glyph_numbers(svg):
+    """The numbers of the SVG's stroke ends and decoration markers, in
+    document order, as written."""
+    out = []
+    for tag, at in svg_elements(svg):
+        if tag == "polyline":
+            out += [v for pt in at["points"].split() for v in pt.split(",")]
+        elif tag == "circle":
+            out += [at["cx"], at["cy"]]
+    return out
+
+
+def test_reduced_render_matches_exact_fraction_route():
+    # every representative under every code, near and far from the origin,
+    # also past 2**53 where a float sum of the cell and the point would round
+    # twice: each glyph number in the SVG is the exact route's
     for name in ("wang13", "triangles6", "cubes21"):
         ts = load_bundled(name)
         for mode in ("c1", "c2"):
             rs = reduce_set(ts, mode)
-            space = KIND_SPACE[rs.reps[0].kind]
-            placements = {}
-            i = 0
-            for rep in rs.reps:
-                for code in space_codes(space):
-                    i += 1
-                    if space == "cube3d":
-                        cell = (far + 7 * i, far - 3 * i, i % 2)
-                    elif space == "tri2d":
-                        up = image_kind(rep.kind, code) is ShapeKind.TRI_UP
-                        cell = (far + 7 * i, far - 3 * i, 0 if up else 1)
-                    else:
-                        cell = (far + 7 * i, far - 3 * i)
-                    placements[cell] = Placement(cell, rep.id, code)
-            # the region holds every cell; render refuses cells outside it
-            extents = tuple(max(c[k] for c in placements) + 1
-                            for k in range(space_dim(space)))
-            patch = Patch(rs.name, RegionSpec(space, extents, False),
-                          placements)
-            svg = render_reduced_patch(rs, patch)
-            with monkeypatch.context() as m:
-                m.setattr(render, "_lift_rep", exact_lift_rep)
-                m.setattr(render, "_at_cell", exact_at_cell)
-                assert render_reduced_patch(rs, patch) == svg, (name, mode)
-            # the integer quotient is the Fraction's correctly rounded
-            # float, also past 2**53 where a float sum would round twice
-            for rep in rs.reps:
-                for code in space_codes(space):
-                    _, mark = render._lift_rep(rep.kind, code)
-                    _, exact = exact_lift_rep(rep.kind, code)
-                    for b in (0, -far, far, 2 ** 53 + 1, -(3 ** 40)):
-                        cell = (b, b, b)
-                        assert render._at_cell(cell, space, mark) == \
-                            exact_at_cell(cell, space, exact)
+            for base in (0, 10 ** 6, 2 ** 53 + 1, 3 ** 40):
+                patch = every_label(rs, base)
+                svg = render_reduced_patch(rs, patch)
+                assert drawn_glyph_numbers(svg) == \
+                    exact_glyph_numbers(rs, patch), (name, mode, base)
+
+
+def outline_box(at):
+    """The bounding box of an outline polygon's points."""
+    pts = [tuple(map(float, pt.split(","))) for pt in at["points"].split()]
+    xs, ys = zip(*pts)
+    return min(xs), max(xs), min(ys), max(ys)
+
+
+def test_every_drawn_point_lies_inside_its_cell_outline():
+    # the canvas bounds are folded from the cell outlines alone, which is
+    # exact only if every other point a cell draws lies inside its outline's
+    # box: glyph points, markers with their radius, cube labels, strips and
+    # the source cubes' Z dots
+    for name in ("wang13", "triangles6", "cubes21"):
+        ts = load_bundled(name)
+        source = random_patch(ts, (2,) * space_dim(ts.space), seed=0).patch
+        patches = [(render_source_patch, ts, source)]
+        for mode in ("c1", "c2"):
+            rs = reduce_set(ts, mode)
+            patches.append((render_reduced_patch, rs, every_label(rs, 0)))
+        for render_patch, tiles, patch in patches:
+            box = None
+            for tag, at in svg_elements(render_patch(tiles, patch)):
+                if tag == "polygon" and at["fill"] == "white":
+                    box = lo_x, hi_x, lo_y, hi_y = outline_box(at)
+                    continue
+                if tag == "polygon":  # a strip, or the closing outline
+                    x0, x1, y0, y1 = outline_box(at)
+                    assert lo_x <= x0 and x1 <= hi_x, (name, at, box)
+                    assert lo_y <= y0 and y1 <= hi_y, (name, at, box)
+                    continue
+                if tag == "polyline":
+                    pts = [tuple(map(float, pt.split(",")))
+                           for pt in at["points"].split()]
+                    r = 0.0
+                elif tag == "circle":
+                    pts = [(float(at["cx"]), float(at["cy"]))]
+                    r = float(at["r"])
+                else:  # a cube label's anchor
+                    pts = [(float(at["x"]), float(at["y"]))]
+                    r = 0.0
+                for x, y in pts:
+                    assert lo_x < x - r and x + r < hi_x, (name, tag, at, box)
+                    assert lo_y < y - r and y + r < hi_y, (name, tag, at, box)
 
 
 def test_palette():

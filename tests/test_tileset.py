@@ -574,6 +574,21 @@ def test_parse_patch_errors():
             parse_patch(bad, "square2d", {"a", "b"})
 
 
+@pytest.mark.parametrize("space, header, fields", [
+    ("square2d", "patch demo 2 2 free", "x y tile code"),
+    ("cube3d", "patch demo 2 2 2 free", "x y z tile code"),
+    ("tri2d", "patch demo 2 2 free", "a b u|d tile code"),
+], ids=["square", "cube", "tri"])
+def test_parse_patch_names_the_fields_of_a_placement_line(space, header,
+                                                          fields):
+    # a line with one field too few or too many, as a patch of another
+    # lattice has, is refused with the fields this lattice expects
+    for line in ("0 0 a", "0 0 0 0 a t0"):
+        with pytest.raises(FormatError) as e:
+            parse_patch(f"{header}\n{line}\n", space)
+        assert str(e.value) == f"line 2: expected {fields}"
+
+
 def test_identity_codes():
     assert identity_code("square2d") == "r0"
     assert identity_code("cube3d") == "sXYZ:+++/XYZ"
