@@ -243,7 +243,7 @@ def cmd_roundtrip(args) -> int:
     for i in range(args.count):
         seed = args.seed + i
         result = random_patch(ts, extents, seed=seed, torus=args.torus,
-                              config=SolveConfig(node_limit=args.node_limit))
+                              node_limit=args.node_limit)
         if result.status != FOUND:
             print(f"seed {seed}: {result.status}")
             if result.status == LIMIT:

@@ -116,10 +116,6 @@ class Isometry:
     matrix: Mat
     shift: Vec
 
-    @property
-    def dim(self) -> int:
-        return len(self.shift)
-
     def point(self, v: Vec) -> Vec:
         m = mat_vec(self.matrix, v)
         return tuple(m[i] + self.shift[i] for i in range(len(v)))
@@ -216,13 +212,8 @@ def facet_midpoint2(space: str, cell: Cell, facet: int) -> Vec:
     return (p[0] + q[0], p[1] + q[1])
 
 
-def _offsets(deltas, exclude_zero=True):
-    out = []
-    for d in product(*deltas):
-        if exclude_zero and all(x == 0 for x in d):
-            continue
-        out.append(d)
-    return tuple(sorted(out))
+def _offsets(deltas):
+    return tuple(sorted(d for d in product(*deltas) if any(d)))
 
 
 _TRI_UP_TOUCH = tuple(sorted(

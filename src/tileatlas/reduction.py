@@ -68,10 +68,6 @@ class DecoratedPrototile:
     id: str
     kind: ShapeKind
 
-    @property
-    def decoration(self):
-        return DECORATION_POINT[self.kind]
-
 
 @dataclass(frozen=True)
 class ReducedSet:

@@ -41,6 +41,7 @@ from .tileset import (FormatError, Patch, TileSet, cell_in_region,
                       effective_facets)
 
 SQRT3 = 3 ** 0.5
+SCALE = 40.0  # SVG width and height per lattice unit
 
 # Fixed facet-colour palette; colour 0 is the uncoloured value.
 PALETTE = (
@@ -117,7 +118,7 @@ def _ring(xs, ys) -> list:
     return [v for x, y in zip(xs, ys) for v in (x, -y)]
 
 
-def _render(patch: Patch, scale: float, compile_label, numbers) -> str:
+def _render(patch: Patch, compile_label, numbers) -> str:
     """The SVG of every placed cell, in sorted order.
 
     compile_label(placement) gives the label's (template, data, tail) once
@@ -160,12 +161,12 @@ def _render(patch: Patch, scale: float, compile_label, numbers) -> str:
     w, h = (max_x - min_x) + 2 * pad, (max_y - min_y) + 2 * pad
     head = ('<svg xmlns="http://www.w3.org/2000/svg" width="%.3f" '
             'height="%.3f" viewBox="%.3f %.3f %.3f %.3f">' % (
-                w * scale, h * scale, min_x - pad, -max_y - pad, w, h))
+                w * SCALE, h * SCALE, min_x - pad, -max_y - pad, w, h))
     body = "\n".join(parts)
     return f'{head.replace("-0.000", "0.000")}\n{body}\n</svg>\n'
 
 
-def render_source_patch(ts: TileSet, patch: Patch, scale: float = 40.0) -> str:
+def render_source_patch(ts: TileSet, patch: Patch) -> str:
     """Facet-coloured rendering of a source-set patch.  A placed cell
     outside the patch's region is a FormatError."""
     space = patch.region.space
@@ -200,7 +201,7 @@ def render_source_patch(ts: TileSet, patch: Patch, scale: float = 40.0) -> str:
             out += (cx - 0.2, -(cy + 0.2), cx + 0.2, -(cy - 0.2))
         return tuple(out + ring)
 
-    return _render(patch, scale, compile_label, numbers)
+    return _render(patch, compile_label, numbers)
 
 
 @lru_cache(maxsize=None)
@@ -224,8 +225,7 @@ def _lift_rep(rep_kind: ShapeKind, code: str):
     return strokes, image(tuple(Fraction(n, den) for n in nums))
 
 
-def render_reduced_patch(rs: ReducedSet, patch: Patch, scale: float = 40.0
-                         ) -> str:
+def render_reduced_patch(rs: ReducedSet, patch: Patch) -> str:
     """Glyph rendering of a reduced-set patch.  A placed cell outside the
     patch's region is a FormatError."""
     space = patch.region.space
@@ -270,4 +270,4 @@ def render_reduced_patch(rs: ReducedSet, patch: Patch, scale: float = 40.0
             out += (a + shift, -(b - 0.32))
         return tuple(out)
 
-    return _render(patch, scale, compile_label, numbers)
+    return _render(patch, compile_label, numbers)

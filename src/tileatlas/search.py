@@ -33,20 +33,18 @@ alone.  A solution-free subtree stores the nodes it charged at its reach:
 the end of the deepest segment it entered, counting the reaches of the
 entries it was charged from.  On a torus only the last row reads row 0's
 bottom colours, so a subtree that dies before it is searched under one row
-0 and charged under the others.  A segment of SEGMENT_MIN cells or more
-stores its fills at its own end, whose key is the segment's inlet: the
-colours of earlier cells that its cells check (for a middle torus row, the
-top colours of the row below).  A fill is one completion of the segment's
-cells, kept with the nodes the segment charged since the fill before it,
-and the charge after the last fill ends the list.  An inlet's first walk
-stores only that it was walked, so a segment whose inlets never repeat
-keeps no fills.  A lookup tries each reach narrowest first.  A stored
-charge is charged again (`replayed`) instead of searched; failing one, the
-fills found at the segment's end are replayed: each fill's nodes are charged
-(at most up to the limit), its colours and labels written, and the search
-goes on below it; then the last charge is added.  One search's memo holds
-at most MEMO_SIZE entries, and the entry that would pass that clears them
-all first.  Every count, limit, solution and `each` call is the plain
+0 and charged under the others.  The last record cell, tip, has one reach,
+the last cell, and there a subtree with solutions stores its transcript in
+the same slot: the nodes charged before each solution and that solution's
+labels from tip on, then the nodes charged after the last one.  A frontier's
+first walk with solutions stores only that it was walked, so a tip whose
+frontiers never repeat keeps no transcripts.  A lookup tries each reach
+narrowest first, and a hit is charged again (`replayed`) instead of
+searched: a transcript's charges at most up to the limit, each solution's
+labels written and counted between them.  No later cell reads the colours
+of a replayed solution, so none are written.  One search's memo holds at
+most MEMO_SIZE entries, and the entry that would pass that clears them all
+first.  Every count, limit, solution and `each` call is the plain
 depth-first search's.
 """
 
@@ -74,9 +72,6 @@ LIMIT = "limit"
 
 # entries one search's memo holds before they are all cleared
 MEMO_SIZE = 1 << 16
-# fewest cells a segment needs to keep its fills; at least 2, since a frame
-# replaying a segment is told from a cell's frame by spanning cells run..i
-SEGMENT_MIN = 3
 
 
 def region_search(ts: TileSet, region: RegionSpec, limit=None, seed=None,
@@ -170,51 +165,6 @@ def _records(checks, width):
     return last, records, tail
 
 
-class _Segment:
-    """Cells head..end, between two record cells.
-
-    `fills` is None unless the search is walking the segment.  Then it is
-    the list of fills kept so far, or, on an inlet's first walk, 0 or 1 for
-    whether a fill was found; `mark` is the nodes at the walk's start, moved
-    to the nodes at each fill and at each return from below the end, so the
-    nodes charged since the mark are the segment's own."""
-
-    __slots__ = ("head", "end", "mark", "fills")
-
-    def __init__(self, head, end):
-        self.head, self.end, self.mark, self.fills = head, end, 0, None
-
-    def fill(self, nodes, stack, frames, last=None):
-        """Note that the walk has filled the segment, or keep the fill: the
-        charge since the mark, then the candidate placed on each cell, as
-        the top `frames` frames of the stack and then `last`, if given,
-        hold them."""
-        if self.fills.__class__ is int:
-            self.fills = 1
-        else:
-            self.fills.append(nodes - self.mark)
-            self.fills.extend([s[0][s[1] - 1]
-                               for s in stack[len(stack) - frames:]])
-            if last is not None:
-                self.fills.append(last)
-        self.mark = nodes
-
-
-def _segments(records):
-    """Per cell i, the segment that starts at i and the one that ends at
-    i - 1 (the last ends at n - 1), for every segment of SEGMENT_MIN cells or
-    more whose head has two cells or more before it.  A head at cell 0 is
-    entered once, and one at cell 1 once per candidate of cell 0, so their
-    inlets hardly repeat."""
-    n = len(records)
-    heads = [i for i, r in enumerate(records) if r is not None] + [n]
-    starts, ends = [None] * n, [None] * (n + 1)
-    for h, nxt in zip(heads, heads[1:]):
-        if h > 1 and nxt - h >= SEGMENT_MIN:
-            starts[h] = ends[nxt] = _Segment(h, nxt - 1)
-    return starts, ends
-
-
 def _search(per_cell, checks, width, rule, limit, each=None):
     """Depth-first search over the cells with an explicit stack.
 
@@ -246,23 +196,26 @@ def _search(per_cell, checks, width, rule, limit, each=None):
         keys.append(_getter([j * width + nf for _, nf, j in earlier]))
 
     last, records, tail = _records(checks, width)
+    # the last record cell, whose walks keep transcripts: the charge before
+    # each solution and its labels from tip on (`step` entries a solution),
+    # then the charge after the last solution
+    tip = max((i for i, r in enumerate(records) if r is not None), default=0)
+    step = n - tip + 1
+    script, mark = None, 0  # the transcript being kept, and its last charge
     size = 0  # entries the memo holds, at most MEMO_SIZE
     # the reach of the subtree being searched, and per record cell the reach
     # of the one around it when it was entered
     deep, outer = 0, [0] * n
-    starts, ends = _segments(records)
 
     limit = float("inf") if limit is None else limit
     colours = [None] * (n * width)  # cell i's facets at i * width
     labels = [None] * n
-    # per earlier frame: its surv, k, spent and run (below), then the nodes
-    # and solutions counted when the search went on
+    # per earlier cell: its surv, k and spent (below), then the nodes and
+    # solutions counted when the search went on
     stack = []
-    # the current frame, cells run..i: one cell (run == i), with its
-    # survivors under the colours of its earlier neighbours, the next one to
-    # try and its candidates charged so far; or a segment being replayed,
-    # with its stored fills, their length and the next fill's position
-    i, surv, k, spent, run = 0, table[0][0], 0, 0, 0  # no earlier cells
+    # the current cell: its survivors under the colours of its earlier
+    # neighbours, the next one to try and its candidates charged so far
+    i, surv, k, spent = 0, table[0][0], 0, 0  # cell 0 has no earlier cells
     nodes = count = replayed = 0
     first = None
     while True:
@@ -276,72 +229,52 @@ def _search(per_cell, checks, width, rule, limit, each=None):
                 break
             colours[i * width:(i + 1) * width] = e
             labels[i] = label
-        elif run != i and spent < k:
-            # the next stored fill: its charge, charged up to the limit at
-            # most, then one candidate per cell
-            charge = min(surv[spent], limit + 1 - nodes)
-            nodes += charge
-            replayed += charge
-            if nodes > limit:
-                break
-            for j, (_, label, e) in enumerate(
-                    surv[spent + 1:spent + 2 + i - run], run):
-                colours[j * width:(j + 1) * width] = e
-                labels[j] = label
-            spent += 2 + i - run
         else:
-            if run == i:
-                nodes += table[i][2] - spent
-            else:
-                # the replayed segment's charge after its last fill
-                charge = min(surv[0], limit + 1 - nodes)
-                nodes += charge
-                replayed += charge
-            if nodes > limit or run == 0:
+            nodes += table[i][2] - spent
+            if nodes > limit or i == 0:
                 break
-            h = run
-            i = h - 1
-            surv, k, spent, run, before, seen = stack.pop()
+            h = i
+            i -= 1
+            surv, k, spent, before, seen = stack.pop()
             record = records[h]
             if record is not None:
                 reach, deep = deep, max(deep, outer[h])
-                # a subtree that never left its start costs no more to
-                # search than to look up, so it is not recorded
-                kept = ([(reach, nodes - before)] if seen == count
-                        and nodes - before > table[h][2] else [])
-                seg = starts[h]
-                if seg is not None and seg.fills is not None:
-                    fills, seg.fills = seg.fills, None
-                    # the fills kept, or () on an inlet's first walk; a walk
-                    # without fills is a dead end, stored above if at all
-                    if fills:
-                        kept.append((seg.end, (nodes - seg.mark, *fills)
-                                     if fills.__class__ is list else ()))
-                for reach, stored in kept:
-                    got = record.get(reach)
-                    if got is None:
-                        got = record[reach] = (_getter(
-                            [s for s, c in enumerate(last)
-                             if s // width < h <= c <= reach]), {})
-                        records[h] = record = dict(sorted(record.items()))
-                    front, entries = got
-                    key = front(colours)
-                    if key not in entries:
-                        if size == MEMO_SIZE:
-                            for cell in filter(None, records):
-                                for _, held in cell.values():
-                                    held.clear()
-                            size = 0
-                        size += 1
-                    entries[key] = stored
-                seg = ends[h]
-                if seg is not None and seg.fills is not None:
-                    seg.mark = nodes
+                if seen != count:
+                    # solutions below: only tip keeps them, a transcript on
+                    # a frontier's second walk and () on its first
+                    if h != tip:
+                        continue
+                    if script is not None:
+                        script.append(nodes - mark)
+                    stored = () if script is None else script
+                elif nodes - before > table[h][2]:
+                    stored = nodes - before
+                else:
+                    # a subtree that never left its start costs no more to
+                    # search than to look up, so it is not recorded
+                    continue
+                got = record.get(reach)
+                if got is None:
+                    got = record[reach] = (_getter(
+                        [s for s, c in enumerate(last)
+                         if s // width < h <= c <= reach]), {})
+                    records[h] = record = dict(sorted(record.items()))
+                front, entries = got
+                key = front(colours)
+                if key not in entries:
+                    if size == MEMO_SIZE:
+                        for cell in filter(None, records):
+                            for _, held in cell.values():
+                                held.clear()
+                        size = 0
+                    size += 1
+                entries[key] = stored
             continue
         if i + 1 == n:
-            seg = ends[n]
-            if seg is not None and seg.fills is not None:
-                seg.fill(nodes, stack, i - seg.head, surv[k - 1])
+            if script is not None:
+                script.append(nodes - mark)
+                script += labels[tip:]
+                mark = nodes
             count += 1
             if first is None:
                 first = list(labels)
@@ -349,9 +282,8 @@ def _search(per_cell, checks, width, rule, limit, each=None):
                 return FOUND, first, nodes, count, replayed
             each(labels)
             continue
-        stack.append((surv, k, spent, run, nodes, count))
+        stack.append((surv, k, spent, nodes, count))
         i += 1
-        run = i
         base, proj, _, memo = table[i]
         key = keys[i](colours)
         surv = memo.get(key)
@@ -359,45 +291,46 @@ def _search(per_cell, checks, width, rule, limit, each=None):
             surv = memo[key] = [c for c in base if test(proj(c[2]), key)]
         k = spent = 0
         record = records[i]
-        # i starts a segment; the one before it has just been filled.  A
-        # start without survivors costs no more to exhaust than to look up.
         if record is not None:
-            seg = ends[i]
-            if seg is not None and seg.fills is not None:
-                seg.fill(nodes, stack, i - seg.head)
-            # a walk of i's segment, a replayed fill and a dead end all reach
-            # its end, and a hit below reaches as far as its record
+            # a walk from i reaches its segment's end, and a hit as far as
+            # its record
             outer[i], deep = deep, tail[i]
+            # a start without survivors costs no more to exhaust than to
+            # look up
             if not surv:
                 continue
-            # any stored charge wins over fills stored at the segment's end
-            charge = stored = None
+            got = None
             for reach, (front, entries) in record.items():
                 got = entries.get(front(colours))
-                if got.__class__ is int:
-                    charge, deep = got, reach
-                    break
                 if got is not None:
-                    stored = got
-            seg = starts[i]
-            if charge is None and seg is not None:
-                if not stored:
-                    # an inlet's fills are kept on its second walk
-                    seg.mark, seg.fills = nodes, 0 if stored is None else []
-                else:  # replayed as one frame, its first fill at 1
-                    surv, k, spent, i = stored, len(stored), 1, seg.end
-            if charge is not None:
-                # charged up to the limit at most; a crossing ends the
-                # search at the earlier frame's next step
-                charge = min(charge, limit + 1 - nodes)
-                nodes += charge
-                replayed += charge
-                seg = ends[i]
-                if seg is not None and seg.fills is not None:
-                    seg.mark = nodes
-                deep = max(deep, outer[i])
-                i -= 1
-                surv, k, spent, run, _, _ = stack.pop()
+                    break
+            if not got:
+                # searched; at tip a frontier walked once keeps its transcript
+                if i == tip:
+                    script, mark = (None if got is None else []), nodes
+                continue
+            if got.__class__ is list:
+                # a transcript: each solution's charge, then its labels
+                for s in range(0, len(got) - 1, step):
+                    charge = min(got[s], limit + 1 - nodes)
+                    nodes += charge
+                    replayed += charge
+                    if nodes > limit:
+                        break
+                    labels[tip:] = got[s + 1:s + step]
+                    count += 1
+                    if first is None:
+                        first = list(labels)
+                    each(labels)
+                got = got[-1]
+            # charged up to the limit at most; a crossing ends the search at
+            # the earlier cell's next step
+            charge = min(got, limit + 1 - nodes)
+            nodes += charge
+            replayed += charge
+            deep = max(reach, outer[i])
+            i -= 1
+            surv, k, spent, _, _ = stack.pop()
     status = LIMIT if nodes > limit else EXHAUSTED
     nodes = min(nodes, limit + 1)
     return (status if first is None else FOUND), first, nodes, count, replayed

@@ -19,10 +19,10 @@ counts and `node_limit` do not depend on the engine's colour index.  Nor do
 they depend on its memo: a solution-free subtree met again under the same
 colours on the part of the frontier it read (what the rows or planes it
 reached check) has its stored nodes charged again instead of being
-searched, and a row or plane segment met again under the same inlet (the
-colours of earlier cells it checks) replays its stored fills, each fill's
-nodes charged before the search goes on below it.  `SolveResult.replayed`
-is the part of `nodes` charged from the memo.
+searched, and the last row or plane, met again under a frontier it has
+been searched under twice, replays the transcript of its solutions: each
+solution's nodes are charged and the solution counted.
+`SolveResult.replayed` is the part of `nodes` charged from the memo.
 
 With a seed, each cell's candidate order is shuffled up front, so the first
 solution found is a reproducible pseudo-random patch.
@@ -58,7 +58,7 @@ class SolveResult:
     patch: Patch | None
     nodes: int
     count: int = 0  # solutions seen (only counting searches set this > 1)
-    replayed: int = 0  # nodes charged from records and replayed segments
+    replayed: int = 0  # nodes charged from records and replayed transcripts
 
 
 def _checked_search(ts: TileSet, region: RegionSpec, config, each=None
@@ -117,8 +117,7 @@ def exhaust_torus(ts: TileSet, extents, config: SolveConfig | None = None
 
 
 def random_patch(ts: TileSet, extents, seed: int, torus: bool = False,
-                 config: SolveConfig | None = None) -> SolveResult:
+                 node_limit: int | None = None) -> SolveResult:
     """A reproducible pseudo-random valid patch (first hit of a seeded search)."""
-    base = config or SolveConfig()
-    cfg = SolveConfig(node_limit=base.node_limit, seed=seed)
-    return solve(ts, RegionSpec(ts.space, tuple(extents), torus), cfg)
+    return solve(ts, RegionSpec(ts.space, tuple(extents), torus),
+                 SolveConfig(node_limit, seed))

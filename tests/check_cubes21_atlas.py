@@ -16,7 +16,7 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/check_cubes21_atlas.py
 
-It takes 32-39 s on a 2-core machine, of which the derivation takes 15-20 s.
+It takes 22-31 s on a 2-core machine, of which the derivation takes 6-14 s.
 Serializing and parsing the 352.7 MB text take the process past 1 GB, so the
 RSS check is read before them.  The file name does not match pytest's
 `test_*.py`, so the suite does not run it.

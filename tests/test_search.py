@@ -10,6 +10,7 @@ calls in the same order.
 import random
 from contextlib import contextmanager
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -29,14 +30,14 @@ from tileatlas.tileset import (
     FormatError,
     RegionSpec,
     load_bundled,
-    region_cells,
     rule_eval,
 )
 
 ENGINE = search._search
 
 
-def _plain_search(per_cell, checks, width, rule, limit, each=None):
+def _plain_search(per_cell, checks, width, rule, limit, each=None, at=None):
+    # `at`, if given, gets the node count at each solution
     n = len(per_cell)
     tables = {}  # (candidate list, own checks, earlier facets) -> table
     table, keys = [], []
@@ -74,6 +75,8 @@ def _plain_search(per_cell, checks, width, rule, limit, each=None):
             labels[i] = label
             if i + 1 == n:
                 count += 1
+                if at is not None:
+                    at.append(nodes)
                 if first is None:
                     first = list(labels)
                 if each is None:
@@ -161,12 +164,11 @@ def test_engine_matches_plain_search():
 
 
 def test_engine_matches_plain_search_on_longer_rows():
-    # square regions of 4 to 7 cells a side, whose rows are segments that
-    # meet the same inlet again; with a seed each row has its own candidate
-    # order, so a memo shared by two rows would replay one row's order in
-    # the other, which the solutions' order and count at the limit show
+    # square regions of 4 to 7 cells a side, whose rows meet the same
+    # frontier again; with a seed each row has its own candidate order, so
+    # a memo shared by two rows would replay one row's order in the other,
+    # which the solutions' order and count at the limit show
     rng = random.Random(1)
-    memo = 0  # searches that replayed more with segments than without
     cleared = 0  # searches that replayed with a memo of 3 entries
     for trial in range(24):
         ts = random_tileset(rng, "square2d", rng.randint(4, 10),
@@ -177,22 +179,18 @@ def test_engine_matches_plain_search_on_longer_rows():
         for counting in (False, True):
             want, want_calls, _ = _run(_plain_search, ts, region, 5 * CAP,
                                        seed, counting)
-            got, got_calls, rep = _run(ENGINE, ts, region, 5 * CAP, seed,
-                                       counting)
+            got, got_calls, _ = _run(ENGINE, ts, region, 5 * CAP, seed,
+                                     counting)
             case = (trial, region, seed, counting)
             assert got == want, case
             assert got_calls == want_calls, case
-            with pytest.MonkeyPatch.context() as m:
-                m.setattr(search, "SEGMENT_MIN", 50)  # longer than any
-                memo += rep > _run(ENGINE, ts, region, 5 * CAP, seed,
-                                   counting)[2]
             # a memo of a few entries, cleared again and again
             with pytest.MonkeyPatch.context() as m:
                 m.setattr(search, "MEMO_SIZE", 3)
                 small = _run(ENGINE, ts, region, 5 * CAP, seed, counting)
             assert small[:2] == (want, want_calls), case
             cleared += small[2] > 0
-    assert memo >= 10 and cleared >= 10
+    assert cleared >= 10
 
 
 def test_engine_matches_plain_search_on_longer_rows_under_table_rules():
@@ -201,7 +199,7 @@ def test_engine_matches_plain_search_on_longer_rows_under_table_rules():
     # pairs are one-sided, as written in tile-set text, and the rule closes
     # them
     rng = random.Random(2)
-    memo = 0  # searches that replayed more with segments than without
+    replaying = 0  # searches that replayed nodes
     for trial in range(30):
         colours = rng.randint(2, 3)
         ts = random_tileset(rng, "square2d", rng.randint(4, 10),
@@ -220,16 +218,13 @@ def test_engine_matches_plain_search_on_longer_rows_under_table_rules():
             case = (trial, region, pairs, seed, counting)
             assert got == want, case
             assert got_calls == want_calls, case
+            replaying += rep > 0
             # a limit inside the search ends where the plain search ends
             limit = rng.randrange(want[2] + 1)
             assert (_run(ENGINE, ts, region, limit, seed, counting)[:2]
                     == _run(_plain_search, ts, region, limit, seed,
                             counting)[:2]), case + (limit,)
-            with pytest.MonkeyPatch.context() as m:
-                m.setattr(search, "SEGMENT_MIN", 50)  # longer than any
-                memo += rep > _run(ENGINE, ts, region, 5 * CAP, seed,
-                                   counting)[2]
-    assert memo >= 10
+    assert replaying >= 10
 
 
 def test_limit_inside_a_replayed_charge():
@@ -283,19 +278,16 @@ def test_region_on_another_lattice_is_refused():
             fn(ts, region)
 
 
-def test_segment_fills_replay_more_than_records():
-    # records alone replay 421,590 of these nodes; replayed segment fills
-    # add rows on top of them
+def test_replayed_nodes_are_pinned():
+    # the subtree records replay exactly these nodes of an exhausted torus
     r = exhaust_torus(load_bundled("wang13"), (6, 6))
-    assert (r.status, r.nodes) == (EXHAUSTED, 631189)
-    assert 421_590 < r.replayed < r.nodes
+    assert (r.status, r.nodes, r.replayed) == (EXHAUSTED, 631189, 421590)
 
 
 @contextmanager
-def _records_only(region, frontier=False):
-    """A context in which the search keeps no segment fills and, if
-    `frontier`, keys every record on the whole frontier, as if each subtree
-    reached the last cell."""
+def _frontier_keyed(frontier=True):
+    """A context in which, if `frontier`, the search keys every record on
+    the whole frontier, as if each subtree reached the last cell."""
     records = search._records
 
     def whole(checks, width):
@@ -303,7 +295,6 @@ def _records_only(region, frontier=False):
         return last, recs, [len(checks) - 1] * len(checks)
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(search, "SEGMENT_MIN", 1 + len(region_cells(region)))
         if frontier:
             m.setattr(search, "_records", whole)
         yield
@@ -316,24 +307,23 @@ def test_reach_keyed_records_replay_more():
     wang = load_bundled("wang13")
     region = RegionSpec("square2d", (6, 6), True)
     for seed in (None, 4):
-        with _records_only(region, frontier=True):
+        with _frontier_keyed():
             whole = _run(ENGINE, wang, region, None, seed, False)
-        with _records_only(region):
-            got = _run(ENGINE, wang, region, None, seed, False)
+        got = _run(ENGINE, wang, region, None, seed, False)
         assert got[0] == whole[0] == (EXHAUSTED, None, 631189, 0)
         # frontier-keyed records replay 201,916 nodes, reach-keyed 421,590
         assert whole[2] < got[2] < got[0][2], seed
 
 
 def test_limit_inside_a_reach_keyed_charge():
-    # wang13 5x5 torus without segments, unseeded and seeded: every limit
-    # ends where the plain search ends, and some limits fall on nodes that
-    # reach-keyed records replay but frontier-keyed ones would search
+    # wang13 5x5 torus, unseeded and seeded: every limit ends where the
+    # plain search ends, and some limits fall on nodes that reach-keyed
+    # records replay but frontier-keyed ones would search
     wang = load_bundled("wang13")
     region = RegionSpec("square2d", (5, 5), True)
 
     def replayed(limit, seed, frontier=False):
-        with _records_only(region, frontier):
+        with _frontier_keyed(frontier):
             return _run(ENGINE, wang, region, limit, seed, False)[2]
 
     rng = random.Random(1)
@@ -341,8 +331,7 @@ def test_limit_inside_a_reach_keyed_charge():
         reach_only = 0
         for limit in sorted(rng.sample(range(1, 192062), 40)):
             want = _run(_plain_search, wang, region, limit, seed, False)[0]
-            with _records_only(region):
-                got, _, rep = _run(ENGINE, wang, region, limit, seed, False)
+            got, _, rep = _run(ENGINE, wang, region, limit, seed, False)
             assert got == want == (LIMIT, None, limit + 1, 0), (seed, limit)
             assert rep <= got[2]
             # node limit + 1 is replayed keyed on its reach, searched keyed
@@ -354,22 +343,14 @@ def test_limit_inside_a_reach_keyed_charge():
         assert reach_only >= 5, (seed, reach_only)
 
 
-def test_limit_inside_a_replayed_fill():
-    # every limit ends where the plain search ends, and some limits fall on
-    # nodes that replayed segment fills charge but the subtree records alone
-    # would search: on the wang13 5x5 torus, unseeded and seeded, and in
-    # counting searches on small random square sets where fills replay more
-    # than records alone
+def test_limit_inside_a_replayed_transcript():
+    # counting searches on free wang13 regions and on small random square
+    # sets: a limit just before or at the node that completes a solution
+    # ends where the plain search ends, and some of those nodes are
+    # replayed, which only a transcript does for a solution
     wang = load_bundled("wang13")
-    torus = RegionSpec("square2d", (5, 5), True)
-    searches = [(wang, torus, seed, False) for seed in (None, 4)]
-
-    def replayed(ts, region, limit, seed, counting, segments=True):
-        with pytest.MonkeyPatch.context() as m:
-            if not segments:
-                m.setattr(search, "SEGMENT_MIN", 50)  # longer than any
-            return _run(ENGINE, ts, region, limit, seed, counting)[2]
-
+    searches = [(wang, RegionSpec("square2d", extents, False), None)
+                for extents in ((5, 3), (4, 4))]
     rng = random.Random(5)
     while len(searches) < 5:
         ts = random_tileset(rng, "square2d", rng.randint(3, 6),
@@ -377,31 +358,27 @@ def test_limit_inside_a_replayed_fill():
         region = RegionSpec("square2d", (rng.randint(4, 6), rng.randint(4, 6)),
                             rng.random() < 0.5)
         seed = rng.randrange(1000) if rng.random() < 0.5 else None
-        full, _, rep = _run(ENGINE, ts, region, CAP, seed, True)
-        if full[2] <= CAP and rep > replayed(ts, region, CAP, seed, True,
-                                             False):
-            searches.append((ts, region, seed, True))
-    rng = random.Random(1306)
-    memo_only = 0
-    for ts, region, seed, counting in searches:
-        full = _run(ENGINE, ts, region, None, seed, counting)[0]
+        full = _run(ENGINE, ts, region, CAP, seed, True)[0]
+        if full[2] <= CAP and full[3] >= 20:
+            searches.append((ts, region, seed))
+    for ts, region, seed in searches:
+        at = []  # the node that completes each solution
+        full = _run(partial(_plain_search, at=at), ts, region, None, seed,
+                    True)[0]
+        assert full[0] == FOUND and len(at) == full[3]
         if ts is wang:
-            assert full == (EXHAUSTED, None, 192062, 0)
-        for limit in sorted(rng.sample(range(1, full[2]), 40)):
-            case = (region, seed, counting, limit)
-            want, want_calls, _ = _run(_plain_search, ts, region, limit, seed,
-                                       counting)
-            got, got_calls, rep = _run(ENGINE, ts, region, limit, seed,
-                                       counting)
-            assert got == want and got_calls == want_calls, case
-            assert got[2] == limit + 1 and rep <= got[2], case
-            if ts is wang:
-                assert got == (LIMIT, None, limit + 1, 0), case
-            # node limit + 1 is replayed with segments, searched without
-            if (rep - replayed(ts, region, limit - 1, seed, counting) == 1
-                    and replayed(ts, region, limit, seed, counting, False)
-                    == replayed(ts, region, limit - 1, seed, counting,
-                                False)):
-                memo_only += 1
-    # five a search on the average
-    assert memo_only >= 5 * len(searches), memo_only
+            assert full[2:] in ((537121, 10933), (482391, 7168))
+        on_replayed = 0  # solutions completed on a replayed node
+        for end in sorted(rng.sample(at, 20)):
+            reps = []
+            for limit in (end - 1, end):
+                case = (region, seed, limit)
+                want, want_calls, _ = _run(_plain_search, ts, region, limit,
+                                           seed, True)
+                got, got_calls, rep = _run(ENGINE, ts, region, limit, seed,
+                                           True)
+                assert got == want and got_calls == want_calls, case
+                assert rep <= got[2], case
+                reps.append(rep)
+            on_replayed += reps[1] - reps[0] == 1
+        assert on_replayed >= 5, (region, on_replayed)

@@ -149,6 +149,20 @@ def test_random_patch_is_seed_deterministic():
     assert len(texts) > 2  # different seeds explore different orders
 
 
+def test_random_patch_takes_its_seed_and_a_node_limit():
+    # the seed argument decides the search and node_limit caps it; a
+    # config, whose seed it would have to drop, is no longer taken
+    wang = load_bundled("wang13")
+    full = random_patch(wang, (5, 4), seed=42)
+    assert full == solve(wang, RegionSpec("square2d", (5, 4), False),
+                         SolveConfig(seed=42))
+    short = random_patch(wang, (5, 4), seed=42, node_limit=full.nodes - 1)
+    assert (short.status, short.patch, short.nodes) == (LIMIT, None,
+                                                         full.nodes)
+    with pytest.raises(TypeError):
+        random_patch(wang, (5, 4), seed=42, config=SolveConfig(seed=7))
+
+
 def test_node_limit_reports_limit_status():
     wang = load_bundled("wang13")
     r = solve(wang, RegionSpec("square2d", (6, 6), False),
