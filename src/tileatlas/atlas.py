@@ -18,9 +18,10 @@ placements on each window cell (`placement_ok`) with their facet colours
 there, and the window's facet-sharing pairs from `facet_pairs`, the pair
 walk of `patch_valid`.  It reads the pairs' two colour tuples and tests them
 at once with the rule's compiled test, `rule_test`; only a window that fails
-is walked pair by pair, to name the first failing pair.  The check is built
-from the prototiles and never reads the search engine's candidate lists or
-check schedule, so it stays an independent check of the engine.
+is walked pair by pair, by `pair_faults`, to name the first failing pair.
+The check is built from the prototiles and never reads the search engine's
+candidate lists or check schedule, so it stays an independent check of the
+engine.
 
 Source coronas are enumerated by the solver's search, `region_search`: one
 search per centre kind over the corona window, centre first.  A node is a
@@ -49,13 +50,11 @@ from itertools import chain
 from operator import itemgetter
 
 from .geometry import (
-    FACET_COUNT,
     KIND_SPACE,
     SPACE_KINDS,
     SPACES,
     ShapeKind,
     cell_kind,
-    facet_neighbor,
     origin_cell,
     space_codes,
     space_dim,
@@ -68,13 +67,14 @@ from .tileset import (
     Placement,
     RegionSpec,
     TileSet,
+    _code,
     _content_lines,
     _token,
     effective_facets,
     facet_pairs,
     identity_code,
+    pair_faults,
     placement_ok,
-    rule_eval,
     rule_test,
 )
 from .reduction import ReducedSet
@@ -270,8 +270,8 @@ def missing_coronas(atlas: Atlas, patch: Patch) -> tuple[list, int]:
 @lru_cache(maxsize=None)
 def _corona_window(kind: ShapeKind):
     """The corona window's free region, its cells (centre first, then the
-    ring in touching-offset order) and an assignment order (most-constrained
-    first).
+    ring in touching-offset order), an assignment order (most-constrained
+    first) and its facet-sharing pairs from facet_pairs.
 
     Cells are shifted so the window fits the region with non-negative
     coordinates; the centre sits at the lattice point (1,1[,1]).
@@ -283,16 +283,14 @@ def _corona_window(kind: ShapeKind):
         return tuple(x + 1 for x in c[:dim]) + tuple(c[dim:])
 
     center = shifted(origin_cell(kind))
-    cells = [center]
-    for off in touching_offsets(kind):
-        cells.append(shifted(touching_cell(kind, origin_cell(kind), off)))
-    cell_set = set(cells)
+    cells = (center, *(shifted(touching_cell(kind, origin_cell(kind), off))
+                       for off in touching_offsets(kind)))
+    region = RegionSpec(space, (3,) * dim, False)
+    pairs = facet_pairs(region, cells)
     adj = {c: [] for c in cells}
-    for c in cells:
-        for f in range(FACET_COUNT[cell_kind(space, c)]):
-            n, _ = facet_neighbor(space, c, f)
-            if n in cell_set:
-                adj[c].append(n)
+    for i, _, j, _ in pairs:
+        adj[cells[i]].append(cells[j])
+        adj[cells[j]].append(cells[i])
     # assignment order: centre first, then repeatedly the cell with the most
     # already-ordered facet neighbours (ties: scan order) so constraints bind
     # as early as possible
@@ -305,7 +303,7 @@ def _corona_window(kind: ShapeKind):
         order.append(best)
         placed.add(best)
         rest.remove(best)
-    return RegionSpec(space, (3,) * dim, False), tuple(cells), tuple(order)
+    return region, cells, tuple(order), pairs
 
 
 def _window_check(ts: TileSet, kind: ShapeKind):
@@ -322,9 +320,8 @@ def _window_check(ts: TileSet, kind: ShapeKind):
     """
     check = ts.window_checks.get(kind)
     if check is None:
-        region, cells, _ = _corona_window(kind)
+        region, cells, _, pairs = _corona_window(kind)
         ident = identity_code(region.space)
-        pairs = facet_pairs(region, cells)
         # the (cell index, facet) ends of the pairs in sorted order: each
         # cell's read colours laid end to end, each in facet order
         ends = sorted({(i, f) for i, f, _, _ in pairs}
@@ -362,12 +359,8 @@ def _window_fault(ts: TileSet, check, labels) -> str | None:
     if test(xs, ys):
         return None
     # the first failing pair names the fault
-    for (i, f, j, nf), x, y in zip(pairs, xs, ys):
-        if not rule_eval(ts.rule, x, y):
-            return (f"facet rule fails between {cells[i]} facet {f} (colour "
-                    f"{x}) and {cells[j]} facet {nf} (colour {y}) in "
-                    f"{list(zip(cells, labels))}")
-    return None
+    fault = next(pair_faults(ts.rule, cells, pairs, xs, ys))
+    return f"{fault} in {list(zip(cells, labels))}"
 
 
 def _corona_space(ts: TileSet) -> str:
@@ -382,7 +375,7 @@ def _enumerate(ts: TileSet, node_cap: int, emit) -> None:
     (tile, code) labels, centre first, once the window check has passed it."""
     nodes = 0
     for kind in SPACE_KINDS[_corona_space(ts)]:
-        region, cells, order = _corona_window(kind)
+        region, cells, order, _ = _corona_window(kind)
         check = _window_check(ts, kind)
         # search labels -> window labels
         pick = itemgetter(*[order.index(c) for c in cells])
@@ -460,8 +453,11 @@ def corona_in_atlas_implicit(rs: ReducedSet, corona: Corona) -> bool:
 # ---------------------------------------------------------------------------
 
 def serialize_atlas(atlas: Atlas) -> str:
+    # every code is of the lattice of the first label's code
+    lattice = atlas.labels and _lattice_of_code().get(atlas.labels[0][1])
+    codes = space_codes(lattice[0]) if lattice else ()
     # a centre tile named ":" would read as the separator
-    text = {ch: f"{_token(t, 'tile id', ':')} {code}"
+    text = {ch: f"{_token(t, 'tile id', ':')} {_code(code, codes)}"
             for (t, code), ch in atlas._chars.items()}
     out = [f"atlas {_token(atlas.name, 'atlas name')}"]
     for row in sorted(atlas.rows):
@@ -490,14 +486,32 @@ def parse_atlas(text: str, rs: ReducedSet | None = None) -> Atlas:
     Given the reduced set, every (tile, code) label must also be one of its
     encodings.
 
-    Labels are interned in order of first use and each line is packed as it
-    is read; the table is sorted, and the rows renumbered to it, at the end."""
+    Labels are interned in order of first use, and checked when first met;
+    each line is packed as it is read.  The table is sorted, and the rows
+    renumbered to it, at the end."""
     known = None if rs is None else rs.inverse
     lattice_of = _lattice_of_code()
     name = None
-    lattice = None
-    codes = frozenset()
-    index = _Interner()
+    lattice = None  # that of the first code: (lattice, ring length)
+
+    class Index(_Interner):
+        def __missing__(self, label):
+            nonlocal lattice
+            code = label[1]
+            if code not in lattice_of:
+                raise FormatError(
+                    f"line {ln}: unknown orientation code {code!r}")
+            if lattice is None:
+                lattice = lattice_of[code]
+            elif lattice_of[code] != lattice:
+                raise FormatError(
+                    f"line {ln}: code {code!r} is not a {lattice[0]} code")
+            if known is not None and label not in known:
+                raise FormatError(f"line {ln}: {label[0]} {code} encodes no "
+                                  f"tile of {rs.name}")
+            return _Interner.__missing__(self, label)
+
+    index = Index()
     rows = set()
     for ln, toks in _content_lines(text):
         if name is None:
@@ -510,31 +524,14 @@ def parse_atlas(text: str, rs: ReducedSet | None = None) -> Atlas:
         sep = toks.index(":")
         if sep != 2 or (len(toks) - 3) % 2 != 0:
             raise FormatError(f"line {ln}: bad corona line")
-        line_codes = [toks[1], *toks[4::2]]
-        if not codes.issuperset(line_codes):
-            for code in line_codes:
-                if code not in lattice_of:
-                    raise FormatError(
-                        f"line {ln}: unknown orientation code {code!r}")
-                if lattice is None:
-                    lattice = lattice_of[code]
-                    codes = frozenset(space_codes(lattice[0]))
-                elif lattice_of[code] != lattice:
-                    raise FormatError(
-                        f"line {ln}: code {code!r} is not a {lattice[0]} code")
-        labels = [(toks[0], toks[1]), *zip(toks[3::2], toks[4::2])]
-        if len(labels) - 1 != lattice[1]:
+        row = "".join(map(index.__getitem__, [
+            (toks[0], toks[1]), *zip(toks[3::2], toks[4::2])]))
+        if len(row) - 1 != lattice[1]:
             raise FormatError(
-                f"line {ln}: ring of {len(labels) - 1} entries; {lattice[0]} "
+                f"line {ln}: ring of {len(row) - 1} entries; {lattice[0]} "
                 f"coronas have {lattice[1]}")
-        if known is not None:
-            for label in labels:
-                if label not in known:
-                    raise FormatError(
-                        f"line {ln}: {label[0]} {label[1]} encodes no tile "
-                        f"of {rs.name}")
         n = len(rows)
-        rows.add("".join(map(index.__getitem__, labels)))
+        rows.add(row)
         if len(rows) == n:
             raise FormatError(f"line {ln}: repeats the corona of line "
                               f"{_first_line(text, toks)}")

@@ -29,7 +29,6 @@ from .atlas import (
 )
 from .reduction import (
     DecodeError,
-    class_group,
     decode_patch,
     encode_patch,
     parse_reduced,
@@ -38,7 +37,7 @@ from .reduction import (
     reduced_cardinality,
     serialize_reduced,
 )
-from .geometry import space_dim
+from .geometry import point_group, space_dim
 from .render import render_reduced_patch, render_source_patch
 from .solver import (
     EXHAUSTED,
@@ -135,7 +134,7 @@ def cmd_counts(args) -> int:
     ts = _load_set(args.inp)
     classes = partition_translation(ts)
     sizes = [len(c) for c in classes]
-    orders = [len(class_group(ts.by_id[c[0]].kind)) for c in classes]
+    orders = [len(point_group(ts.by_id[c[0]].kind).codes) for c in classes]
     c1 = reduced_cardinality(ts, "c1")
     c2 = reduced_cardinality(ts, "c2")
     print(f"|P|={len(ts.prototiles)}, classes: {sizes}, |G_s|: {orders}, "

@@ -277,13 +277,10 @@ def _cube_matrix(perm: tuple[int, ...], signs: tuple[int, ...]) -> Mat:
     )
 
 
-@lru_cache(maxsize=None)
 def _cube_elements() -> tuple[tuple[str, Mat], ...]:
-    out = []
-    for perm in permutations((0, 1, 2)):
-        for signs in product((1, -1), repeat=3):
-            out.append((_cube_code(perm, signs), _cube_matrix(perm, signs)))
-    return tuple(out)
+    return tuple((_cube_code(perm, signs), _cube_matrix(perm, signs))
+                 for perm in permutations((0, 1, 2))
+                 for signs in product((1, -1), repeat=3))
 
 
 _TRI_I = ((1, 0), (0, 1))
@@ -297,7 +294,6 @@ _TRI_S5 = ((1, 0), (-1, -1))
 _TRI_STAB_MATS = (_TRI_I, _TRI_R120, _TRI_R240, _TRI_S1, _TRI_S5, _TRI_S3)
 
 
-@lru_cache(maxsize=None)
 def _tri_elements() -> tuple[tuple[str, Mat], ...]:
     out = [(f"t{i}", m) for i, m in enumerate(_TRI_STAB_MATS)]
     out += [(f"ut{i}", mat_mul(_TRI_R60, m)) for i, m in enumerate(_TRI_STAB_MATS)]
@@ -305,36 +301,29 @@ def _tri_elements() -> tuple[tuple[str, Mat], ...]:
 
 
 @lru_cache(maxsize=None)
-def space_elements(space: str) -> tuple[tuple[str, Mat], ...]:
-    """(code, matrix) pairs of the full point group quotient, canonical order."""
+def _code_table(space: str) -> tuple[dict[str, Mat], dict[Mat, str]]:
+    """The full point group quotient as code -> matrix, in canonical order,
+    and matrix -> code."""
     if space == "square2d":
-        return _D4
-    if space == "cube3d":
-        return _cube_elements()
-    return _tri_elements()
+        elements = _D4
+    elif space == "cube3d":
+        elements = _cube_elements()
+    else:
+        elements = _tri_elements()
+    return dict(elements), {m: c for c, m in elements}
 
 
 @lru_cache(maxsize=None)
 def space_codes(space: str) -> tuple[str, ...]:
-    return tuple(c for c, _ in space_elements(space))
-
-
-@lru_cache(maxsize=None)
-def _code_index(space: str) -> dict[str, int]:
-    return {c: i for i, (c, _) in enumerate(space_elements(space))}
-
-
-@lru_cache(maxsize=None)
-def _matrix_index(space: str) -> dict[Mat, int]:
-    return {m: i for i, (_, m) in enumerate(space_elements(space))}
+    return tuple(_code_table(space)[0])
 
 
 def code_matrix(space: str, code: str) -> Mat:
-    return space_elements(space)[_code_index(space)[code]][1]
+    return _code_table(space)[0][code]
 
 
 def matrix_code(space: str, m: Mat) -> str:
-    return space_elements(space)[_matrix_index(space)[m]][0]
+    return _code_table(space)[1][m]
 
 
 def compose_codes(space: str, f: str, g: str) -> str:

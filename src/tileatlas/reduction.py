@@ -41,6 +41,7 @@ from .tileset import (
     Patch,
     Placement,
     TileSet,
+    _code,
     _content_lines,
     _token,
     identity_code,
@@ -105,11 +106,6 @@ def partition_translation(ts: TileSet) -> list[list[str]]:
     return list(classes.values())
 
 
-def class_group(kind: ShapeKind) -> tuple[str, ...]:
-    """The shape stabilizer's orientation codes in canonical order."""
-    return point_group(kind).codes
-
-
 def _carrier_code(member: ShapeKind, rep: ShapeKind) -> str:
     """The first code mapping the member shape onto the representative's."""
     for c in space_codes(KIND_SPACE[member]):
@@ -142,7 +138,7 @@ def _groups(ts: TileSet, mode: str) -> list[tuple[list[str], ShapeKind]]:
 
 def reduced_cardinality(ts: TileSet, mode: str) -> int:
     """Number of representatives, from the counting formula alone."""
-    return sum(_ceil_div(len(members), len(class_group(host)))
+    return sum(_ceil_div(len(members), len(point_group(host).codes))
                for members, host in _groups(ts, mode))
 
 
@@ -154,7 +150,7 @@ def build_encoding(ts: TileSet, mode: str):
     reps = []
     forward = {}
     for members, host in _groups(ts, mode):
-        codes = class_group(host)
+        codes = point_group(host).codes
         g = len(codes)
         base = len(reps)
         reps.extend(DecoratedPrototile(f"x{base + i}", host)
@@ -228,7 +224,8 @@ def serialize_reduced(rs: ReducedSet) -> str:
         out.append(f"rep {_token(rep.id, 'rep id', '->')} {rep.kind.value}")
     for p in rs.source.prototiles:
         rep_id, code = rs.forward[p.id]
-        out.append(f"{_token(p.id, 'tile id')} -> {rep_id} {code}")
+        out.append(f"{_token(p.id, 'tile id')} -> {rep_id} "
+                   f"{_code(code, space_codes(rs.source.space))}")
     return "\n".join(out) + "\n"
 
 

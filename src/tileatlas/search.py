@@ -24,9 +24,11 @@ on the index.
 
 Below cell i the search depends only on i's frontier: the colours of earlier
 cells that cells from i on check.  Cells whose frontier is narrower than the
-next cell's (row and plane starts on square and cube lattices) are record
-cells, and the cells from one to the next form a segment (a row, on a square
-torus).  Each record cell keeps one memo, grouped by reach, the last cell of
+next cell's are record cells: on a 7x7 square region cells 0-5, 7, 14, 21,
+28 and 35, every cell of the first row but its last and each later row
+start but the last row's; triangle and cube regions have them too (16 of
+the 32 cells of a 4x4 triangle torus).  The cells from one record cell to
+the next form a segment (after the first row, a row of a square region).  Each record cell keeps one memo, grouped by reach, the last cell of
 a segment: what a walk from the cell stored at a reach depends only on the
 frontier colours that cells up to that reach check, so it is keyed on those
 alone.  A solution-free subtree stores the nodes it charged at its reach:

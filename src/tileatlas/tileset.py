@@ -267,13 +267,17 @@ def patch_valid(ts: TileSet, patch: Patch) -> tuple[bool, tuple[str, ...]]:
     xs = tuple([cols[i][f] for i, f, _, _ in pairs])
     ys = tuple([cols[j][nf] for _, _, j, nf in pairs])
     if not rule_test(ts.rule)(xs, ys):
-        for (i, facet, j, nfacet), a, b in zip(pairs, xs, ys):
-            if not rule_eval(ts.rule, a, b):
-                violations.append(
-                    f"facet rule fails between {cells[i]} facet {facet} "
-                    f"(colour {a}) and {cells[j]} facet {nfacet} (colour {b})"
-                )
+        violations.extend(pair_faults(ts.rule, cells, pairs, xs, ys))
     return (not violations, tuple(violations))
+
+
+def pair_faults(rule: FacetRule, cells, pairs, xs, ys):
+    """The message for each pair the rule refuses, in order: `pairs` are
+    facet_pairs quads over `cells`, xs and ys their two sides' colours."""
+    for (i, facet, j, nfacet), a, b in zip(pairs, xs, ys):
+        if not rule_eval(rule, a, b):
+            yield (f"facet rule fails between {cells[i]} facet {facet} "
+                   f"(colour {a}) and {cells[j]} facet {nfacet} (colour {b})")
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +312,15 @@ def _token(value: str, what: str, *reserved: str) -> str:
     if value.split() != [value] or "#" in value or value in reserved:
         raise FormatError(f"cannot write {what} {value!r}: it is not one "
                           "token, or it holds '#', or it is reserved here")
+    return value
+
+
+def _code(value: str, codes) -> str:
+    """`value`, which a writer is about to emit as an orientation code; a
+    value outside `codes`, those of the text's lattice, raises FormatError."""
+    if value not in codes:
+        raise FormatError(f"cannot write orientation code {value!r}: it is "
+                          "no code of the text's lattice")
     return value
 
 
@@ -436,8 +449,10 @@ def serialize_patch(patch: Patch) -> str:
     boundary = "torus" if region.torus else "free"
     ext = " ".join(str(e) for e in region.extents)
     out = [f"patch {_token(patch.set_name, 'set name')} {ext} {boundary}"]
-    for tid in {pl.tile for pl in patch.placements.values()}:
+    for tid, code in {(pl.tile, pl.orientation)
+                      for pl in patch.placements.values()}:
         _token(tid, "tile id")
+        _code(code, space_codes(region.space))
     for cell in sorted(patch.placements):
         pl = patch.placements[cell]
         if region.space == "tri2d":

@@ -424,6 +424,15 @@ def test_atlas_writer_refuses_what_the_reader_cannot_return():
         for atlas in changed:
             with pytest.raises(FormatError, match=re.escape(repr(bad))):
                 serialize_atlas(atlas)
+    # a code no lattice has, or one of another lattice than the first
+    # label's; "r 0" would read as a bad corona line
+    for bad in ("r 0", "zz", "t0"):
+        changed = [Atlas("a", {Corona(("x0", "r0"), (*ring[1:], ("x1", bad)))})]
+        if bad != "t0":
+            changed.append(Atlas("a", {Corona(("x0", bad), ring)}))
+        for atlas in changed:
+            with pytest.raises(FormatError, match=re.escape(repr(bad))):
+                serialize_atlas(atlas)
 
 
 def test_parse_atlas_errors():
@@ -466,6 +475,53 @@ def test_parse_atlas_errors():
         parse_atlas(bad)  # the label is only checked against a reduced set
         with pytest.raises(FormatError, match=f"line 3: {label} "):
             parse_atlas(bad, rs)
+
+
+def test_parse_atlas_names_the_line_of_a_bad_ring_label():
+    # each bad label is first met in a ring, on line 4: labels are checked
+    # when first interned, whatever line that is
+    rs = reduce_set(load_bundled("wang13"), "c1")
+    header, first, second, *_ = serialize_atlas(derive_atlas(rs)).splitlines()
+    center, ring = second.split(" : ")
+    tail = ring.split(" ", 2)[2]  # the ring without its first entry
+    for label, given, fault in (
+            ("x1 q9", None, "unknown orientation code 'q9'"),
+            ("x1 t0", None, "code 't0' is not a square2d code"),
+            ("x1 m3", rs, "x1 m3 encodes no tile of wang13-c1")):
+        bad = f"{header}\n{first}\n# a comment\n{center} : {label} {tail}\n"
+        with pytest.raises(FormatError, match=f"^line 4: {re.escape(fault)}$"):
+            parse_atlas(bad, given)
+    # on a short ring the label is named before the ring's length
+    short = f"{header}\n{first}\n{center} : x1 m3 {tail.split(' ', 2)[2]}\n"
+    with pytest.raises(FormatError, match="^line 3: ring of 7 entries"):
+        parse_atlas(short)
+    with pytest.raises(FormatError, match="^line 3: x1 m3 encodes no tile"):
+        parse_atlas(short, rs)
+
+
+def test_corona_window_assignment_order_is_pinned():
+    # centre first, then the cell with the most ordered facet neighbours,
+    # ties broken by scan order
+    orders = {
+        ShapeKind.SQUARE: ((1, 1), (0, 1), (0, 0), (1, 0), (0, 2), (1, 2),
+                           (2, 0), (2, 1), (2, 2)),
+        ShapeKind.CUBE: (
+            (1, 1, 1), (0, 1, 1), (0, 0, 1), (1, 0, 1), (0, 0, 0), (0, 1, 0),
+            (1, 0, 0), (1, 1, 0), (0, 0, 2), (0, 1, 2), (1, 0, 2), (1, 1, 2),
+            (0, 2, 0), (0, 2, 1), (0, 2, 2), (1, 2, 0), (1, 2, 1), (1, 2, 2),
+            (2, 0, 0), (2, 0, 1), (2, 0, 2), (2, 1, 0), (2, 1, 1), (2, 1, 2),
+            (2, 2, 0), (2, 2, 1), (2, 2, 2)),
+        ShapeKind.TRI_UP: (
+            (1, 1, 0), (0, 1, 1), (0, 1, 0), (0, 0, 1), (0, 2, 0), (0, 2, 1),
+            (1, 0, 0), (1, 0, 1), (1, 1, 1), (1, 2, 0), (2, 0, 0), (2, 0, 1),
+            (2, 1, 0)),
+        ShapeKind.TRI_DOWN: (
+            (1, 1, 1), (1, 1, 0), (0, 1, 1), (0, 2, 0), (0, 2, 1), (1, 2, 0),
+            (1, 0, 1), (1, 2, 1), (2, 0, 0), (2, 0, 1), (2, 1, 0), (2, 1, 1),
+            (2, 2, 0)),
+    }
+    for kind, order in orders.items():
+        assert tileatlas.atlas._corona_window(kind)[2] == order, kind
 
 
 def test_parse_atlas_accepts_each_lattice():

@@ -159,6 +159,7 @@ def test_group_closure_and_inverses():
 
 
 def test_point_group_orders():
+    # the stabilizer orders |G| that the reduction's counting formula divides by
     assert len(point_group(ShapeKind.SQUARE).codes) == 8
     assert len(point_group(ShapeKind.CUBE).codes) == 48
     assert len(point_group(ShapeKind.TRI_UP).codes) == 6

@@ -30,7 +30,6 @@ from tileatlas.reduction import (
     DecoratedPrototile,
     ReducedSet,
     build_encoding,
-    class_group,
     decode_patch,
     encode_patch,
     parse_reduced,
@@ -117,13 +116,6 @@ def test_each_lattice_is_one_isometry_class():
             for b in kinds:
                 assert any(image_kind(a, c) is b for c in space_codes(space)), \
                     (a, b)
-
-
-def test_class_group_orders():
-    assert len(class_group(ShapeKind.SQUARE)) == 8
-    assert len(class_group(ShapeKind.CUBE)) == 48
-    assert len(class_group(ShapeKind.TRI_UP)) == 6
-    assert len(class_group(ShapeKind.TRI_DOWN)) == 6
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +393,12 @@ def test_reduced_writer_refuses_what_the_reader_cannot_return():
         for c in changed:
             with pytest.raises(FormatError, match=re.escape(repr(bad))):
                 serialize_reduced(c)
+    # a code outside the source set's lattice
+    tid = ts.prototiles[0].id
+    for bad in ("zz", "t0", "r 0"):
+        changed = replace(rs, forward={**rs.forward, tid: ("x0", bad)})
+        with pytest.raises(FormatError, match=re.escape(repr(bad))):
+            serialize_reduced(changed)
 
 
 def test_parse_reduced_errors():

@@ -550,6 +550,15 @@ def test_patch_writer_refuses_what_the_reader_cannot_return():
                         replace(p, placements=placements)):
             with pytest.raises(FormatError, match=re.escape(repr(bad))):
                 serialize_patch(changed)
+    # a code of another lattice, or none, and the triangle alias "u", which
+    # reads back as ut0
+    tri = parse_patch("patch t 1 1 free\n0 0 d d1 ut0\n", "tri2d")
+    for patch, bad in ((p, "t0"), (p, "zz"), (p, "r 0"), (tri, "u")):
+        cell = min(patch.placements)
+        placements = {**patch.placements,
+                      cell: replace(patch.placements[cell], orientation=bad)}
+        with pytest.raises(FormatError, match=re.escape(repr(bad))):
+            serialize_patch(replace(patch, placements=placements))
 
 
 def test_parse_patch_tri_and_bare_u_alias():
