@@ -118,6 +118,25 @@ def test_each_lattice_is_one_isometry_class():
                     (a, b)
 
 
+def test_class_group_orders():
+    # a c1 representative carries one member per element of its class's
+    # group: |G| members of one kind share one representative, |G| + 1 need two
+    width = {ShapeKind.SQUARE: 4, ShapeKind.CUBE: 6,
+             ShapeKind.TRI_UP: 3, ShapeKind.TRI_DOWN: 3}
+    for kind, order in ((ShapeKind.SQUARE, 8), (ShapeKind.CUBE, 48),
+                        (ShapeKind.TRI_UP, 6), (ShapeKind.TRI_DOWN, 6)):
+        assert len(point_group(kind).codes) == order
+        for n, count in ((order, 1), (order + 1, 2)):
+            tiles = tuple(Prototile(f"p{i}", kind, (1,) * width[kind])
+                          for i in range(n))
+            ts = TileSet("one", tiles, FacetRule("identical"), "translations")
+            assert reduced_cardinality(ts, "c1") == count
+            reps, forward = build_encoding(ts, "c1")
+            assert [r.kind for r in reps] == [kind] * count
+            assert {forward[t.id] for t in tiles[:order]} == {
+                ("x0", c) for c in point_group(kind).codes}
+
+
 # ---------------------------------------------------------------------------
 # Decoration points: exact rational stabilizer check
 # ---------------------------------------------------------------------------
