@@ -35,7 +35,8 @@ keeps such a string at one byte per character while every index is below
 256 and widens it by itself beyond.  A table holds at most `LABEL_LIMIT`
 labels, the range of chr.  Strings sort by code point, so sorted rows are in
 `Corona.sort_key` order.  `Corona` stays the public type: `atlas.coronas`
-decodes rows on demand, and `corona in atlas` encodes the query.
+decodes rows on demand, and `corona in atlas` encodes the query;
+`missing_coronas` joins a patch's rows from its labels' characters.
 
 The atlas text format is specified in docs/FORMATS.md.
 """
@@ -54,7 +55,6 @@ from .geometry import (
     SPACE_KINDS,
     SPACES,
     ShapeKind,
-    cell_kind,
     origin_cell,
     space_codes,
     space_dim,
@@ -200,6 +200,39 @@ class _Coronas(Set):
         return frozenset(it)
 
 
+# per lattice, the touching offsets of each of its kinds
+_TOUCHING = {space: tuple(map(touching_offsets, kinds))
+             for space, kinds in SPACE_KINDS.items()}
+
+
+def _ring_cells(region: RegionSpec):
+    """A function from a cell of the region to the cells touching it, in
+    the touching-offset order of the cell's kind; on a torus they wrap."""
+    space = region.space
+    # touching_cell and wrap_cell, inlined per lattice; a triangle offset's
+    # third entry is the neighbour's orientation
+    if space == "tri2d":
+        up, down = _TOUCHING[space]
+        if region.torus:
+            w, h = region.extents
+            return lambda c: [((c[0] + da) % w, (c[1] + db) % h, o)
+                              for da, db, o in (down if c[2] else up)]
+        return lambda c: [(c[0] + da, c[1] + db, o)
+                          for da, db, o in (down if c[2] else up)]
+    (offs,) = _TOUCHING[space]
+    if space == "square2d":
+        if region.torus:
+            w, h = region.extents
+            return lambda c: [((c[0] + dx) % w, (c[1] + dy) % h)
+                              for dx, dy in offs]
+        return lambda c: [(c[0] + dx, c[1] + dy) for dx, dy in offs]
+    if region.torus:
+        w, h, d = region.extents
+        return lambda c: [((c[0] + dx) % w, (c[1] + dy) % h, (c[2] + dz) % d)
+                          for dx, dy, dz in offs]
+    return lambda c: [(c[0] + dx, c[1] + dy, c[2] + dz) for dx, dy, dz in offs]
+
+
 def corona_of(placements: dict, region: RegionSpec, cell) -> Corona | None:
     """The corona at `cell`, or None when a touching cell is unfilled.
 
@@ -216,50 +249,33 @@ def corona_of(placements: dict, region: RegionSpec, cell) -> Corona | None:
     pl = placements.get(cell)
     if pl is None:
         return None
-    space = region.space
-    offs = touching_offsets(cell_kind(space, cell))
-    # touching_cell and wrap_cell, inlined per lattice
-    if space == "cube3d":
-        x, y, z = cell
-        if region.torus:
-            w, h, d = region.extents
-            nbrs = [((x + dx) % w, (y + dy) % h, (z + dz) % d)
-                    for dx, dy, dz in offs]
-        else:
-            nbrs = [(x + dx, y + dy, z + dz) for dx, dy, dz in offs]
-    elif space == "square2d":
-        x, y = cell
-        if region.torus:
-            w, h = region.extents
-            nbrs = [((x + dx) % w, (y + dy) % h) for dx, dy in offs]
-        else:
-            nbrs = [(x + dx, y + dy) for dx, dy in offs]
-    else:  # a triangle offset's third entry is the neighbour's orientation
-        a, b, _ = cell
-        if region.torus:
-            w, h = region.extents
-            nbrs = [((a + da) % w, (b + db) % h, o) for da, db, o in offs]
-        else:
-            nbrs = [(a + da, b + db, o) for da, db, o in offs]
-    ring = []
-    for ncell in nbrs:
-        npl = placements.get(ncell)
-        if npl is None:
-            return None
-        ring.append((npl.tile, npl.orientation))
+    try:
+        ring = [(npl.tile, npl.orientation)
+                for npl in map(placements.get, _ring_cells(region)(cell))]
+    except AttributeError:  # None: a touching cell is unfilled
+        return None
     return Corona((pl.tile, pl.orientation), tuple(ring))
 
 
 def missing_coronas(atlas: Atlas, patch: Patch) -> tuple[list, int]:
-    """The sorted cells whose complete corona is not in the atlas, and the
-    number of complete coronas in the patch."""
+    """The sorted cells whose complete corona (as corona_of reads it) is not
+    in the atlas, and the number of complete coronas in the patch.  Rows
+    are joined from each label's character ("" if the table lacks it, which
+    leaves the row short: missing), so no Corona is built."""
+    chars = atlas._chars
+    char = {cell: chars.get((pl.tile, pl.orientation), "")
+            for cell, pl in patch.placements.items()}
+    ring_cells = _ring_cells(patch.region)
     missing, complete = [], 0
-    for cell in sorted(patch.placements):
-        corona = corona_of(patch.placements, patch.region, cell)
-        if corona is not None:
-            complete += 1
-            if corona not in atlas:
-                missing.append(cell)
+    for cell in sorted(char):
+        ring = ring_cells(cell)
+        try:
+            row = char[cell] + "".join(map(char.__getitem__, ring))
+        except KeyError:  # a touching cell is unfilled
+            continue
+        complete += 1
+        if len(row) <= len(ring) or row not in atlas.rows:
+            missing.append(cell)
     return missing, complete
 
 

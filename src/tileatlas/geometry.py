@@ -64,6 +64,10 @@ class ShapeKind(Enum):
     TRI_UP = "up"
     TRI_DOWN = "down"
 
+    # members compare by identity, so the C hash of identity agrees with it;
+    # it varies between runs, so no output may iterate a set of kinds
+    __hash__ = object.__hash__
+
 
 SPACES = ("square2d", "cube3d", "tri2d")
 

@@ -25,29 +25,33 @@ on the index.
 Below cell i the search depends only on i's frontier: the colours of earlier
 cells that cells from i on check.  Cells whose frontier is narrower than the
 next cell's are record cells: on a 7x7 square region cells 0-5, 7, 14, 21,
-28 and 35, every cell of the first row but its last and each later row
-start but the last row's; triangle and cube regions have them too (16 of
-the 32 cells of a 4x4 triangle torus).  The cells from one record cell to
-the next form a segment (after the first row, a row of a square region).  Each record cell keeps one memo, grouped by reach, the last cell of
-a segment: what a walk from the cell stored at a reach depends only on the
-frontier colours that cells up to that reach check, so it is keyed on those
-alone.  A solution-free subtree stores the nodes it charged at its reach:
-the end of the deepest segment it entered, counting the reaches of the
-entries it was charged from.  On a torus only the last row reads row 0's
-bottom colours, so a subtree that dies before it is searched under one row
-0 and charged under the others.  The last record cell, tip, has one reach,
-the last cell, and there a subtree with solutions stores its transcript in
-the same slot: the nodes charged before each solution and that solution's
-labels from tip on, then the nodes charged after the last one.  A frontier's
-first walk with solutions stores only that it was walked, so a tip whose
-frontiers never repeat keeps no transcripts.  A lookup tries each reach
-narrowest first, and a hit is charged again (`replayed`) instead of
-searched: a transcript's charges at most up to the limit, each solution's
-labels written and counted between them.  No later cell reads the colours
-of a replayed solution, so none are written.  One search's memo holds at
-most MEMO_SIZE entries, and the entry that would pass that clears them all
-first.  Every count, limit, solution and `each` call is the plain
-depth-first search's.
+28 and 35, every cell of the first row but its last and each later row start
+but the last row's; triangle and cube regions have them too (16 of the 32
+cells of a 4x4 triangle torus).  The cells from one record cell to the next
+form a segment (after the first row, a row of a square region).  Each record
+cell keeps one memo, grouped by reach, the last cell of a segment: what a
+walk from the cell stored at a reach depends only on the frontier colours
+that cells up to that reach check, so it is keyed on those alone.  Reaches
+whose cells check the same frontier slots share one group, under the
+narrowest of them, the last cell to check one of those slots; so a lookup
+computes each distinct key once, and a hit passes that narrowest reach on,
+which reads the same slots for every enclosing record cell too.  A
+solution-free subtree stores the nodes it charged at its reach: the end of
+the deepest segment it entered, counting the reaches of the entries it was
+charged from.  On a torus only the last row reads row 0's bottom colours, so
+a subtree that dies before it is searched under one row 0 and charged under
+the others.  The last record cell, tip, has one group, and there a subtree
+with solutions stores its transcript in the same slot: the nodes charged
+before each solution and that solution's labels from tip on, then the nodes
+charged after the last one.  A frontier's first walk with solutions stores
+only that it was walked, so a tip whose frontiers never repeat keeps no
+transcripts.  A lookup tries each group narrowest first, and a hit is
+charged again (`replayed`) instead of searched: a transcript's charges at
+most up to the limit, each solution's labels written and counted between
+them.  No later cell reads the colours of a replayed solution, so none are
+written.  One search's memo holds at most MEMO_SIZE entries, and the entry
+that would pass that clears them all first.  Every count, limit, solution
+and `each` call is the plain depth-first search's.
 """
 
 from __future__ import annotations
@@ -208,6 +212,9 @@ def _search(per_cell, checks, width, rule, limit, each=None):
     # the reach of the subtree being searched, and per record cell the reach
     # of the one around it when it was entered
     deep, outer = 0, [0] * n
+    # (record cell, reach) -> the group of the narrowest reach whose cells
+    # check the same frontier slots
+    groups = {}
 
     limit = float("inf") if limit is None else limit
     colours = [None] * (n * width)  # cell i's facets at i * width
@@ -255,11 +262,13 @@ def _search(per_cell, checks, width, rule, limit, each=None):
                     # a subtree that never left its start costs no more to
                     # search than to look up, so it is not recorded
                     continue
-                got = record.get(reach)
+                got = groups.get((h, reach))
                 if got is None:
-                    got = record[reach] = (_getter(
-                        [s for s, c in enumerate(last)
-                         if s // width < h <= c <= reach]), {})
+                    slots = [s for s, c in enumerate(last)
+                             if s // width < h <= c <= reach]
+                    got = groups[h, reach] = record.setdefault(
+                        max([h, *map(last.__getitem__, slots)]),
+                        (_getter(slots), {}))
                     records[h] = record = dict(sorted(record.items()))
                 front, entries = got
                 key = front(colours)

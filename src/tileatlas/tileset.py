@@ -250,17 +250,23 @@ def patch_valid(ts: TileSet, patch: Patch) -> tuple[bool, tuple[str, ...]]:
     Returns (ok, violations): placement messages first, then facet failures
     in sorted cell, facet order.  Boundary facets of free patches and absent
     neighbours are unconstrained; corner/edge point contacts are always legal
-    (lower-dimensional boundary points are uncoloured).
+    (lower-dimensional boundary points are uncoloured).  placement_ok and
+    effective_facets run once per accepted (tile, code, cell kind).
     """
     region = patch.region
     violations = []
     eff = {}
+    accepted = {}  # (tile, code, cell kind) -> its facets, once accepted
     for cell, pl in patch.placements.items():
-        msg = placement_ok(ts, region, pl)
-        if msg is not None:
-            violations.append(msg)
-            continue
-        eff[cell] = effective_facets(ts, pl)
+        key = (pl.tile, pl.orientation, cell_kind(region.space, cell))
+        facets = accepted.get(key)
+        if facets is None or not cell_in_region(region, cell):
+            msg = placement_ok(ts, region, pl)
+            if msg is not None:
+                violations.append(msg)
+                continue
+            facets = accepted[key] = effective_facets(ts, pl)
+        eff[cell] = facets
     cells = tuple(sorted(eff))
     pairs = facet_pairs(region, cells)
     cols = [eff[c] for c in cells]

@@ -16,6 +16,7 @@ import random
 import re
 import sys
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -30,6 +31,7 @@ from tileatlas.atlas import (
     corona_of,
     derive_atlas,
     enumerate_source_coronas,
+    missing_coronas,
     parse_atlas,
     serialize_atlas,
 )
@@ -44,7 +46,7 @@ from tileatlas.geometry import (
     touching_offsets,
 )
 from tileatlas.reduction import encode_patch, reduce_set
-from tileatlas.solver import solve
+from tileatlas.solver import SolveConfig, solve
 from tileatlas.tileset import (
     FacetRule,
     FormatError,
@@ -394,6 +396,100 @@ def test_corona_of_free_patch_boundary_is_none():
     assert corona_of(placements, region, (0, 0)) is None
     assert corona_of(placements, region, (2, 1)) is None
     assert corona_of(placements, region, (9, 9)) is None
+
+
+def oracle_missing_coronas(atlas, patch):
+    """missing_coronas cell by cell: corona_of, then `in atlas`."""
+    missing, complete = [], 0
+    for cell in sorted(patch.placements):
+        corona = corona_of(patch.placements, patch.region, cell)
+        if corona is not None:
+            complete += 1
+            if corona not in atlas:
+                missing.append(cell)
+    return missing, complete
+
+
+def mutated_patches(rng, patch, labels):
+    """The patch, then copies with holes, with a label no atlas holds on a
+    few cells, and with a few cells relabelled from `labels`."""
+    yield "whole", patch
+    cells = sorted(patch.placements)
+    for what in ("hole", "unknown", "wrong"):
+        placements = dict(patch.placements)
+        for cell in rng.sample(cells, min(len(cells), rng.randint(1, 3))):
+            pl = placements[cell]
+            if what == "hole":
+                del placements[cell]
+            elif what == "unknown":
+                placements[cell] = Placement(cell, "zz", pl.orientation)
+            else:
+                tile, code = rng.choice(labels)
+                placements[cell] = Placement(cell, tile, code)
+        yield what, Patch(patch.set_name, patch.region, placements)
+
+
+def test_missing_coronas_matches_per_cell_oracle():
+    rng = random.Random(20261019)
+    seen = Counter()
+
+    def check(atlas, patch, labels):
+        for what, case in mutated_patches(rng, patch, labels):
+            got = missing_coronas(atlas, case)
+            assert got == oracle_missing_coronas(atlas, case), (what, case)
+            missing, complete = got
+            seen[what, "member"] += complete - len(missing)
+            seen[what, "missing"] += len(missing)
+
+    # derived atlases, c1 and c2, on the encodings of found patches; wang13
+    # has no torus patches
+    for name, space, extents, tori in (("wang13", "square2d", (5, 4), (False,)),
+                                       ("triangles6", "tri2d", (4, 3),
+                                        (False, True))):
+        ts = load_bundled(name)
+        for mode in ("c1", "c2"):
+            rs = reduce_set(ts, mode)
+            atlas = derive_atlas(rs)
+            for torus in tori:
+                for seed in range(3):
+                    found = solve(ts, RegionSpec(space, extents, torus),
+                                  SolveConfig(seed=seed)).patch
+                    check(atlas, encode_patch(rs, found), atlas.labels)
+    # every lattice, free and torus: atlases of half the coronas of a
+    # random patch over a few labels
+    for space, extents in (("square2d", (5, 4)), ("tri2d", (4, 3)),
+                           ("cube3d", (4, 3, 3))):
+        labels = [(t, code) for t in ("a", "b") for code in space_codes(space)[:2]]
+        for torus in (False, True):
+            region = RegionSpec(space, extents, torus)
+            for _ in range(4):
+                patch = Patch("p", region, {
+                    c: Placement(c, *rng.choice(labels))
+                    for c in region_cells(region)})
+                coronas = [corona_of(patch.placements, region, cell)
+                           for cell in region_cells(region)]
+                coronas = [c for c in coronas if c is not None]
+                atlas = Atlas("half", rng.sample(coronas, len(coronas) // 2))
+                check(atlas, patch, labels)
+    for what in ("whole", "hole", "unknown", "wrong"):
+        assert seen[what, "member"] > 20 and seen[what, "missing"] > 5, seen
+    assert seen["whole", "missing"] > 50
+
+
+def test_missing_coronas_counts_a_short_row_missing():
+    # a label the table lacks shortens the joined row; a hand-built atlas
+    # with a shorter ring must not take it for its own
+    region = RegionSpec("square2d", (3, 3), True)
+    placements = {c: Placement(c, "a", "r0") for c in region_cells(region)}
+    placements[(0, 0)] = Placement((0, 0), "zz", "r0")
+    patch = Patch("p", region, placements)
+    full = corona_of(placements, region, (1, 1))
+    assert ("zz", "r0") in full.ring
+    short = Corona(full.center, tuple(x for x in full.ring if x[0] != "zz"))
+    atlas = Atlas("short", [short])
+    expected = oracle_missing_coronas(atlas, patch)
+    assert expected == (sorted(placements), 9)
+    assert missing_coronas(atlas, patch) == expected
 
 
 # ---------------------------------------------------------------------------

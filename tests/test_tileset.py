@@ -341,6 +341,55 @@ def test_patch_valid_reports_on_extent_one_tori():
     assert seen_invalid > 10
 
 
+def test_patch_valid_repeated_labels_match_oracle():
+    # patch_valid checks a (tile, code, cell kind) once: one legal label
+    # placed in and out of the region, and an unknown id and an illegal
+    # orientation each on several cells, in shuffled order, must be
+    # reported as the oracle reports them
+    rng = random.Random(20261020)
+    sets = [square_set([(1, 2, 1, 2), (2, 1, 2, 1), (1, 1, 2, 2)]),
+            square_set([(1, 2, 1, 2), (1, 1, 2, 2)], allowed="translations"),
+            tri_set(3, "all"), tri_set(5, "translations")]
+    seen = {"outside": 0, "unknown": 0, "not allowed": 0, "facet rule": 0}
+    for trial in range(200):
+        ts = sets[trial % 4]
+        space = ts.space
+        region = RegionSpec(space, (rng.randint(1, 4), rng.randint(1, 4)),
+                            trial % 3 != 0)
+        cells = region_cells(region)
+        tid = rng.choice([p.id for p in ts.prototiles])
+        kind = cell_kind(space, rng.choice(cells))
+        legal = placement_orientations(ts.allowed, ts.by_id[tid].kind, kind)
+        illegal = [c for c in space_codes(space) if c not in legal]
+        code = rng.choice(legal or space_codes(space))
+        same = [c for c in cells if cell_kind(space, c) is kind]
+        placements = []
+        for c in rng.sample(same, min(len(same), rng.randint(1, 4))):
+            placements.append(Placement(c, tid, code))
+        for _ in range(rng.randint(1, 3)):  # the same label, outside
+            c = rng.choice(same)
+            shift = rng.choice([region.extents[0], -region.extents[0] - 1])
+            placements.append(Placement((c[0] + shift,) + c[1:], tid, code))
+        rest = [c for c in cells if c not in {p.cell for p in placements}]
+        rng.shuffle(rest)
+        for c in rest[:rng.randint(0, 3)]:
+            placements.append(Placement(c, "zz", code))
+        if illegal:
+            for c in [c for c in rest[3:] if cell_kind(space, c) is kind][:3]:
+                placements.append(Placement(c, tid, rng.choice(illegal)))
+        for c in rest[6:]:
+            if rng.random() < 0.5:
+                placements.append(Placement(c, rng.choice(
+                    [p.id for p in ts.prototiles]), code))
+        rng.shuffle(placements)
+        patch = Patch(ts.name, region, {p.cell: p for p in placements})
+        ok, violations = patch_valid(ts, patch)
+        assert violations == oracle_patch_valid(ts, patch), patch
+        for what in seen:
+            seen[what] += sum(what in v for v in violations)
+    assert min(seen.values()) > 20, seen
+
+
 def test_patch_valid_reports_on_sparse_patch_with_holes():
     ts = square_set([(1, 2, 1, 2), (2, 1, 2, 1), (1, 1, 2, 2)])
     rng = random.Random(11)
