@@ -19,9 +19,9 @@ there, and the window's facet-sharing pairs from `facet_pairs`, the pair
 walk of `patch_valid`.  It reads the pairs' two colour tuples and tests them
 at once with the rule's compiled test, `rule_test`; only a window that fails
 is walked pair by pair, by `pair_faults`, to name the first failing pair.
-The check is built from the prototiles and never reads the search engine's
-candidate lists or check schedule, so it stays an independent check of the
-engine.
+It is built from the prototiles, not the engine's candidate lists; the
+engine's schedule, `patch_valid` and this check read one pair list, which
+the tests check against an oracle of coinciding facet midpoints.
 
 Source coronas are enumerated by the solver's search, `region_search`: one
 search per centre kind over the corona window, centre first.  A node is a
@@ -479,7 +479,8 @@ def serialize_atlas(atlas: Atlas) -> str:
     for row in sorted(atlas.rows):
         center, *ring = map(text.__getitem__, row)
         out.append(f"{center} : {' '.join(ring)}")
-    return "\n".join(out) + "\n"
+    out.append("")  # the final newline, joined in without a copy
+    return "\n".join(out)
 
 
 @lru_cache(maxsize=None)

@@ -4,8 +4,9 @@
 list, (tile, code, facet colours), once, and runs one explicit-stack
 depth-first search over the region's cells, so the number of cells is not
 bounded by Python's recursion limit.  Every facet-sharing pair of listed
-cells (including torus wrap pairs) is checked exactly once, when the later
-cell of the pair is placed; neighbours outside the list are unconstrained.
+cells that `facet_pairs` lists (torus wrap pairs included) is checked
+exactly once, when the later cell of the pair is placed; neighbours outside
+the list are unconstrained.
 The engine re-checks nothing it finds; its callers do.
 
 Each cell keeps a colour index: a memo from the colours its earlier
@@ -59,17 +60,17 @@ from __future__ import annotations
 import random
 from operator import itemgetter
 
-from .geometry import FACET_COUNT, cell_kind, facet_neighbor, origin_cell
+from .geometry import FACET_COUNT, cell_kind, origin_cell
 from .tileset import (
     FormatError,
     Placement,
     RegionSpec,
     TileSet,
     effective_facets,
+    facet_pairs,
     placement_orientations,
     region_cells,
     rule_test,
-    wrap_cell,
 )
 
 FOUND = "found"
@@ -120,23 +121,18 @@ def region_search(ts: TileSet, region: RegionSpec, limit=None, seed=None,
 
 
 def _schedule(region: RegionSpec, cells):
-    """checks[i] = (facet, neighbour facet, earlier cell index) triples."""
-    space = region.space
-    index = {c: i for i, c in enumerate(cells)}
+    """checks[i] = (facet, neighbour facet, earlier cell index) triples, in
+    facet order: each facet_pairs quad goes to the later of its two cells.
+    The pairs are keyed on the sorted cells, patch_valid's key for a full
+    patch, so the re-check of a found patch reads the same walk."""
+    order = sorted(range(len(cells)), key=cells.__getitem__)
     checks = [[] for _ in cells]
-    for c in cells:
-        kind = cell_kind(space, c)
-        for f in range(FACET_COUNT[kind]):
-            n, nf = facet_neighbor(space, c, f)
-            if region.torus:
-                n = wrap_cell(region, n)
-            j = index.get(n)
-            if j is None:
-                continue
-            i = index[c]
-            if j < i or (j == i and nf > f):
-                checks[i].append((f, nf, j))
-    return checks
+    for a, f, b, nf in facet_pairs(region, tuple([cells[k] for k in order])):
+        i, j = order[a], order[b]
+        if i < j:
+            i, j, f, nf = j, i, nf, f
+        checks[i].append((f, nf, j))
+    return [sorted(cs) for cs in checks]
 
 
 def _getter(idx):
@@ -178,8 +174,9 @@ def _search(per_cell, checks, width, rule, limit, each=None):
     `width` is the facet count of every cell.  Without `each` the search
     stops at the first solution; with it, `each(labels)` is called on every
     solution (a list of (tile, code) pairs that the search goes on to
-    change) and the search runs to exhaustion.  Returns (status, first
-    solution's labels or None, nodes, solutions seen, nodes replayed).
+    change) and the search runs to exhaustion; a count the limit cuts ends
+    in LIMIT, its first solution kept.  Returns (status, first solution's
+    labels or None, nodes, solutions seen, nodes replayed).
     """
     n = len(per_cell)
     test = rule_test(rule)
@@ -342,6 +339,6 @@ def _search(per_cell, checks, width, rule, limit, each=None):
             deep = max(reach, outer[i])
             i -= 1
             surv, k, spent, _, _ = stack.pop()
-    status = LIMIT if nodes > limit else EXHAUSTED
-    nodes = min(nodes, limit + 1)
-    return (status if first is None else FOUND), first, nodes, count, replayed
+    if nodes > limit:  # LIMIT even with solutions seen: the count is cut
+        return LIMIT, first, limit + 1, count, replayed
+    return (EXHAUSTED if first is None else FOUND), first, nodes, count, replayed

@@ -14,15 +14,10 @@ Two search targets:
   encoded patch is also confirmed to be an atlas member.
 
 Both call the engine's one entry point, `search.region_search`, as does the
-corona enumerator.  A node is a candidate tried in scan order, so node
-counts and `node_limit` do not depend on the engine's colour index.  Nor do
-they depend on its memo: a solution-free subtree met again under the same
-colours on the part of the frontier it read (what the rows or planes it
-reached check) has its stored nodes charged again instead of being
-searched, and the last row or plane, met again under a frontier it has
-been searched under twice, replays the transcript of its solutions: each
-solution's nodes are charged and the solution counted.
-`SolveResult.replayed` is the part of `nodes` charged from the memo.
+corona enumerator.  A node is a candidate tried in scan order; node counts
+and `node_limit` are the plain depth-first search's, whatever the engine's
+colour index and memo skip (see `search.py`).  `SolveResult.replayed` is
+the part of `nodes` charged from the memo.
 
 With a seed, each cell's candidate order is shuffled up front, so the first
 solution found is a reproducible pseudo-random patch.
@@ -86,7 +81,9 @@ def solve(ts: TileSet, region: RegionSpec, config: SolveConfig | None = None
 
 def count_solutions(ts: TileSet, region: RegionSpec,
                     config: SolveConfig | None = None) -> SolveResult:
-    """Count all valid full placements."""
+    """Count all valid full placements; FOUND or EXHAUSTED means the count
+    is complete.  One the node limit cuts ends in LIMIT, with the solutions
+    seen before the cut in `count` and the first, re-checked, as `patch`."""
     return _checked_search(ts, region, config, each=lambda labels: None)
 
 

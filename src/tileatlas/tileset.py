@@ -224,7 +224,8 @@ def facet_pairs(region: RegionSpec,
                 cells: tuple) -> tuple[tuple[int, int, int, int], ...]:
     """Each facet-sharing pair of the listed cells once, as (i, facet, j,
     nfacet) index quads in the order of `cells`; kept for the last few
-    regions and cell tuples, since one patch is often checked again.
+    regions and cell tuples.  The engine's schedule and patch_valid both
+    pass sorted cells, so a found patch's re-check reads its search's walk.
 
     Torus regions wrap.  A pair is listed from the side whose (cell, facet)
     is smaller, so a facet that meets itself (an extent-1 wrap) is no pair;

@@ -101,7 +101,7 @@ def _plain_search(per_cell, checks, width, rule, limit, each=None, at=None):
             i -= 1
             surv, k, spent = stack.pop()
     if nodes > limit:
-        return (LIMIT if first is None else FOUND), first, limit + 1, count
+        return LIMIT, first, limit + 1, count
     return (EXHAUSTED if first is None else FOUND), first, nodes, count
 
 

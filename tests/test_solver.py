@@ -130,6 +130,56 @@ def test_wang13_free_patches_exist():
     assert len(r.patch.placements) == 36
 
 
+def _wang_blocks(colours, n):
+    """Each valid n x n block of Wang tiles (N, E, S, W colours), found in
+    plain Python, as its sides: the N, E, S and W colour tuples."""
+    rows = [(t,) for t in colours]
+    for _ in range(n - 1):
+        rows = [r + (t,) for r in rows for t in colours if r[-1][1] == t[3]]
+    above = {}  # a row's S colours -> the rows that show them
+    for r in rows:
+        above.setdefault(tuple(t[2] for t in r), []).append(r)
+    blocks = [(r,) for r in rows]  # rows from south to north
+    for _ in range(n - 1):
+        blocks = [b + (r,) for b in blocks
+                  for r in above.get(tuple(t[0] for t in b[-1]), ())]
+    return [(tuple(t[0] for t in b[-1]), tuple(r[-1][1] for r in b),
+             tuple(t[2] for t in b[0]), tuple(r[0][3] for r in b))
+            for b in blocks]
+
+
+def _trimmed(sides):
+    """The blocks left after dropping, again and again, every block with a
+    side that no block left can meet.  A tiling of the plane, cut into
+    blocks, uses only blocks that are never dropped, so an empty result
+    proves the set does not tile."""
+    while True:
+        meet = [{s[(f + 2) % 4] for s in sides} for f in range(4)]
+        kept = [s for s in sides if all(s[f] in meet[f] for f in range(4))]
+        if len(kept) == len(sides):
+            return kept
+        sides = kept
+
+
+def test_wang13_does_not_tile_the_plane():
+    # the certificate behind the data file's comment: none of the 7,168
+    # valid 4x4 blocks survives trimming, so no tiling exists, and the
+    # torus sweeps exhaust trees with no tiling in them
+    wang = [p.colours for p in load_bundled("wang13").prototiles]
+    blocks = _wang_blocks(wang, 4)
+    assert len(blocks) == 7168
+    assert _trimmed(blocks) == []
+    # positive control: the tiles of a random colouring of a 3x3 torus tile
+    # the plane periodically, and their blocks survive
+    rng = random.Random(3)
+    for _ in range(5):
+        h = [[rng.randrange(6) for _ in range(3)] for _ in range(3)]
+        v = [[rng.randrange(6) for _ in range(3)] for _ in range(3)]
+        torus = {(v[x][(y + 1) % 3], h[(x + 1) % 3][y], v[x][y], h[x][y])
+                 for x in range(3) for y in range(3)}
+        assert _trimmed(_wang_blocks(sorted(torus), 4))
+
+
 def test_cubes21_torus_exhaustion_and_free_patch():
     cubes = load_bundled("cubes21")
     assert exhaust_torus(cubes, (1, 1, 1)).status == EXHAUSTED
@@ -170,6 +220,21 @@ def test_node_limit_reports_limit_status():
     assert r.status == LIMIT
     assert r.patch is None
     assert r.nodes == 11  # the limit is detected on the first node past it
+
+
+def test_cut_count_reports_limit_status():
+    # a count the limit cuts is no finished count: it ends in LIMIT, and
+    # keeps the re-checked first patch
+    tri = load_bundled("triangles6")
+    torus = RegionSpec("tri2d", (6, 6), True)
+    full = count_solutions(tri, torus)
+    assert (full.status, full.count, full.nodes) == (FOUND, 3, 642)
+    cut = count_solutions(tri, torus, SolveConfig(node_limit=321))
+    assert (cut.status, cut.count, cut.nodes) == (LIMIT, 1, 322)
+    assert cut.patch == full.patch
+    cut = count_solutions(tri, torus, SolveConfig(node_limit=641))
+    assert (cut.status, cut.count, cut.nodes) == (LIMIT, 2, 642)
+    assert count_solutions(tri, torus, SolveConfig(node_limit=642)) == full
 
 
 def test_node_counts_are_pinned():

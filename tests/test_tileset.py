@@ -297,22 +297,31 @@ def random_patch_in(rng, ts, region, density=0.8, bad=0.0):
     return Patch(ts.name, region, placements)
 
 
-def tri_set(seed, allowed):
-    ts = random_tileset(random.Random(seed), "tri2d", 4, 2)
+def seeded_set(space, seed, allowed, colours):
+    ts = random_tileset(random.Random(seed), space, 4, colours)
     return TileSet(ts.name, ts.prototiles, ts.rule, allowed)
 
 
 def test_patch_valid_matches_oracle_on_random_patches():
+    # the oracle is the independent check of facet_pairs, the pair list
+    # that the search engine's schedule, patch_valid and the window check
+    # all read
     rng = random.Random(20260815)
     sets = [square_set([(1, 2, 1, 2), (2, 1, 2, 1), (1, 1, 2, 2)]),
             square_set([(1, 2, 1, 2), (1, 1, 2, 2)], allowed="translations"),
-            tri_set(3, "all"), tri_set(5, "translations")]
+            seeded_set("tri2d", 3, "all", 2),
+            seeded_set("tri2d", 5, "translations", 2),
+            seeded_set("cube3d", 7, "all", 1),
+            seeded_set("cube3d", 9, "translations", 1)]
     seen_valid = seen_invalid = seen_placement = 0
-    for trial in range(600):
-        ts = sets[trial % 4]
+    seen_cubes = [0, 0]  # cube patches found invalid, valid
+    for trial in range(900):
+        ts = sets[trial % len(sets)]
         torus = trial % 3 != 0
-        region = RegionSpec(ts.space, (rng.randint(1, 4), rng.randint(1, 4)),
-                            torus)
+        extents = ((rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3))
+                   if ts.space == "cube3d"
+                   else (rng.randint(1, 4), rng.randint(1, 4)))
+        region = RegionSpec(ts.space, extents, torus)
         patch = random_patch_in(rng, ts, region,
                                 bad=0.1 if trial % 5 == 0 else 0.0)
         ok, violations = patch_valid(ts, patch)
@@ -321,17 +330,25 @@ def test_patch_valid_matches_oracle_on_random_patches():
         seen_valid += ok
         seen_invalid += not ok
         seen_placement += any("facet rule" not in v for v in violations)
+        if ts.space == "cube3d":
+            seen_cubes[ok] += 1
     assert seen_valid > 10 and seen_invalid > 10 and seen_placement > 10
+    assert min(seen_cubes) > 10, seen_cubes
 
 
 def test_patch_valid_reports_on_extent_one_tori():
     # cells are their own facet neighbours across every extent-1 axis
     rng = random.Random(7)
     sets = [square_set([(1, 2, 1, 2), (2, 1, 2, 1), (1, 1, 2, 2)]),
-            tri_set(3, "all"), tri_set(5, "translations")]
+            seeded_set("tri2d", 3, "all", 2),
+            seeded_set("tri2d", 5, "translations", 2),
+            seeded_set("cube3d", 7, "all", 1),
+            seeded_set("cube3d", 9, "translations", 1)]
     seen_invalid = 0
     for ts in sets:
-        for extents in ((1, 1), (1, 2), (3, 1)):
+        tori = (((1, 1, 1), (1, 2, 1), (3, 1, 2)) if ts.space == "cube3d"
+                else ((1, 1), (1, 2), (3, 1)))
+        for extents in tori:
             region = RegionSpec(ts.space, extents, True)
             for _ in range(20):
                 patch = random_patch_in(rng, ts, region, density=1.0)
@@ -349,7 +366,8 @@ def test_patch_valid_repeated_labels_match_oracle():
     rng = random.Random(20261020)
     sets = [square_set([(1, 2, 1, 2), (2, 1, 2, 1), (1, 1, 2, 2)]),
             square_set([(1, 2, 1, 2), (1, 1, 2, 2)], allowed="translations"),
-            tri_set(3, "all"), tri_set(5, "translations")]
+            seeded_set("tri2d", 3, "all", 2),
+            seeded_set("tri2d", 5, "translations", 2)]
     seen = {"outside": 0, "unknown": 0, "not allowed": 0, "facet rule": 0}
     for trial in range(200):
         ts = sets[trial % 4]
