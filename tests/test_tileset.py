@@ -314,15 +314,20 @@ def test_patch_valid_matches_oracle_on_random_patches():
             seeded_set("cube3d", 7, "all", 1),
             seeded_set("cube3d", 9, "translations", 1)]
     seen_valid = seen_invalid = seen_placement = 0
-    seen_cubes = [0, 0]  # cube patches found invalid, valid
+    # cube patches by [torus][valid]: the engine reads the pair list of
+    # free cube regions (the cubes21 corona windows) as well as of tori
+    seen_cubes = [[0, 0], [0, 0]]
     for trial in range(900):
         ts = sets[trial % len(sets)]
-        torus = trial % 3 != 0
+        # independent of the set, so every set meets free regions and tori
+        torus = (trial // len(sets)) % 3 != 0
         extents = ((rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3))
                    if ts.space == "cube3d"
                    else (rng.randint(1, 4), rng.randint(1, 4)))
         region = RegionSpec(ts.space, extents, torus)
+        # sparse patches too: a dense random cube torus is seldom valid
         patch = random_patch_in(rng, ts, region,
+                                density=0.8 if trial % 4 else 0.3,
                                 bad=0.1 if trial % 5 == 0 else 0.0)
         ok, violations = patch_valid(ts, patch)
         assert violations == oracle_patch_valid(ts, patch), patch
@@ -331,9 +336,9 @@ def test_patch_valid_matches_oracle_on_random_patches():
         seen_invalid += not ok
         seen_placement += any("facet rule" not in v for v in violations)
         if ts.space == "cube3d":
-            seen_cubes[ok] += 1
+            seen_cubes[torus][ok] += 1
     assert seen_valid > 10 and seen_invalid > 10 and seen_placement > 10
-    assert min(seen_cubes) > 10, seen_cubes
+    assert min(min(row) for row in seen_cubes) > 10, seen_cubes
 
 
 def test_patch_valid_reports_on_extent_one_tori():
