@@ -26,7 +26,14 @@ the tests check against an oracle of coinciding facet midpoints.
 Source coronas are enumerated by the solver's search, `region_search`: one
 search per centre kind over the corona window, centre first.  A node is a
 candidate tried at any window cell, the centre included.  Every corona it
-yields passes the window check before it is admitted.
+yields passes the window check before it is admitted.  The enumerator packs
+each window as a row, one character per cell, and re-checks a centre kind's
+rows by column, a few thousand rows at a time: each cell's column, a slice
+of the joined rows, may hold only the characters of that cell's legal
+labels, and for each pair the two columns are translated to interned colour
+characters and tested by the rule once (one string comparison for
+`identical`).  A batch passes exactly when every row would pass the window
+check; only a failing batch is walked row by row, to name its first fault.
 
 An `Atlas` is stored packed: a sorted table of the (tile, code) labels its
 coronas use, and one `str` row per corona whose characters are label
@@ -44,17 +51,19 @@ The atlas text format is specified in docs/FORMATS.md.
 from __future__ import annotations
 
 import sys
-from collections.abc import Set
+from collections.abc import Callable, Set
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
+from typing import NamedTuple
 
 from .geometry import (
     KIND_SPACE,
     SPACE_KINDS,
     SPACES,
     ShapeKind,
+    cell_kind,
     origin_cell,
     space_codes,
     space_dim,
@@ -322,7 +331,22 @@ def _corona_window(kind: ShapeKind):
     return region, cells, tuple(order), pairs
 
 
-def _window_check(ts: TileSet, kind: ShapeKind):
+class _WindowCheck(NamedTuple):
+    """A corona window's compiled check for one source set; see
+    _window_check."""
+
+    cells: tuple  # centre first, then the ring in touching-offset order
+    colours: list  # per cell: legal (tile, code) -> the colours pairs read
+    pairs: tuple  # facet_pairs quads over cells
+    left: Callable  # flat read colours -> the pairs' first colours
+    right: Callable  # ... and their second colours
+    test: Callable  # the rule's test of two colour tuples
+    legal: list  # per cell: the row characters of its legal labels
+    paints: list  # per pair: (i, row char -> colour char, j, the same)
+    column_test: Callable  # the rule's test of two colour-character strings
+
+
+def _window_check(ts: TileSet, kind: ShapeKind) -> _WindowCheck:
     """The corona window's check for `ts`: the window's cells (centre first,
     then the ring in touching-offset order), per cell the legal (tile, code)
     placements that placement_ok accepts there with the colours of the
@@ -331,52 +355,108 @@ def _window_check(ts: TileSet, kind: ShapeKind):
     getters that read the pairs' two colour sequences off the cells' read
     colours laid end to end, and the rule's test of two such sequences.
 
+    For checking packed rows by column, in which chr(k) stands for the k-th
+    prototile's label: per cell the characters of its legal labels, and per
+    pair a str.translate table from those characters to the facet colour
+    each pair end reads, interned as characters, with the rule's test of
+    two such strings.
+
     It is compiled from the prototiles, not from the engine's candidate
-    lists, once per set and kind, and kept on the set.
+    lists, once per set and kind, and kept on the set.  placement_ok and
+    effective_facets run once per (tile, cell kind): every window cell lies
+    in the window's region, so its kind decides both.
     """
     check = ts.window_checks.get(kind)
     if check is None:
         region, cells, _, pairs = _corona_window(kind)
-        ident = identity_code(region.space)
+        space = region.space
+        ident = identity_code(space)
+        kinds = [cell_kind(space, cell) for cell in cells]
+        facets = {}  # cell kind -> legal label -> its facet colours
+        for cell, k in zip(cells, kinds):
+            if k not in facets:
+                table = facets[k] = {}
+                for p in ts.prototiles:
+                    pl = Placement(cell, p.id, ident)
+                    if placement_ok(ts, region, pl) is None:
+                        table[p.id, ident] = effective_facets(ts, pl)
         # the (cell index, facet) ends of the pairs in sorted order: each
         # cell's read colours laid end to end, each in facet order
         ends = sorted({(i, f) for i, f, _, _ in pairs}
                       | {(j, nf) for _, _, j, nf in pairs})
         slot = {end: k for k, end in enumerate(ends)}
         colours = []
-        for c, cell in enumerate(cells):
-            facets = [f for i, f in ends if i == c]
-            table = {}
-            for p in ts.prototiles:
-                pl = Placement(cell, p.id, ident)
-                if placement_ok(ts, region, pl) is None:
-                    eff = effective_facets(ts, pl)
-                    table[(p.id, ident)] = tuple(eff[f] for f in facets)
-            colours.append(table)
+        for c, k in enumerate(kinds):
+            read = [f for i, f in ends if i == c]
+            colours.append({label: tuple(eff[f] for f in read)
+                            for label, eff in facets[k].items()})
         # a window has many pairs, so the getters return tuples
         left = itemgetter(*[slot[i, f] for i, f, _, _ in pairs])
         right = itemgetter(*[slot[j, nf] for _, _, j, nf in pairs])
-        check = ts.window_checks[kind] = (cells, colours, pairs, left, right,
-                                          rule_test(ts.rule))
+        char = {(p.id, ident): chr(k) for k, p in enumerate(ts.prototiles)}
+        hue = {c: chr(h) for h, c in enumerate(sorted(
+            {c for table in facets.values() for eff in table.values()
+             for c in eff}))}
+
+        def paint(c, f):  # row char -> the colour char of facet f on cell c
+            return {ord(char[label]): hue[eff[f]]
+                    for label, eff in facets[kinds[c]].items()}
+
+        check = ts.window_checks[kind] = _WindowCheck(
+            cells, colours, pairs, left, right, rule_test(ts.rule),
+            [frozenset(map(char.__getitem__, facets[k])) for k in kinds],
+            [(i, paint(i, f), j, paint(j, nf)) for i, f, j, nf in pairs],
+            _hue_test(ts.rule, hue))
     return check
 
 
-def _window_fault(ts: TileSet, check, labels) -> str | None:
+def _hue_test(rule, hue: dict):
+    """rule_test for colours interned as characters, `hue` the map."""
+    if rule.kind == "identical":
+        return rule_test(rule)
+    pairs = {(hue[a], hue[b]) for a, b in rule.pairs if a in hue and b in hue}
+    return lambda xs, ys: pairs.issuperset(zip(xs, ys))
+
+
+def _window_fault(ts: TileSet, check: _WindowCheck, labels) -> str | None:
     """None when the window's (tile, code) labels, centre first, pass the
     compiled check; else what fails first."""
-    cells, colours, pairs, left, right, test = check
     try:
         flat = list(chain.from_iterable(
-            map(dict.__getitem__, colours, labels)))
+            map(dict.__getitem__, check.colours, labels)))
     except KeyError as e:
         return (f"{e.args[0]} is no legal placement in "
-                f"{list(zip(cells, labels))}")
-    xs, ys = left(flat), right(flat)
-    if test(xs, ys):
+                f"{list(zip(check.cells, labels))}")
+    xs, ys = check.left(flat), check.right(flat)
+    if check.test(xs, ys):
         return None
     # the first failing pair names the fault
-    fault = next(pair_faults(ts.rule, cells, pairs, xs, ys))
-    return f"{fault} in {list(zip(cells, labels))}"
+    fault = next(pair_faults(ts.rule, check.cells, check.pairs, xs, ys))
+    return f"{fault} in {list(zip(check.cells, labels))}"
+
+
+def _rows_fault(ts: TileSet, check: _WindowCheck, labels, rows) -> str | None:
+    """None when every row passes _window_fault; else the first failing
+    row's fault.  Rows are windows packed one character per cell, chr(k)
+    for labels[k], and labels[k] is the k-th prototile's label for every k
+    the check knows.
+
+    The rows are checked at once, a column at a time: each cell's column,
+    a slice of the joined rows, must hold only that cell's legal
+    characters, and each pair's two columns, translated to colour
+    characters, must pass the rule's test.  Only a batch that fails is
+    walked row by row, to name the first fault."""
+    n = len(check.cells)
+    joined = "".join(rows)
+    columns = [joined[c::n] for c in range(n)]
+    if (all(map(frozenset.issuperset, check.legal, columns))
+            and all(check.column_test(columns[i].translate(a),
+                                      columns[j].translate(b))
+                    for i, a, j, b in check.paints)):
+        return None
+    faults = (_window_fault(ts, check, [labels[ord(ch)] for ch in row])
+              for row in rows)
+    return next(filter(None, faults), None)
 
 
 def _corona_space(ts: TileSet) -> str:
@@ -386,30 +466,41 @@ def _corona_space(ts: TileSet) -> str:
     return ts.space
 
 
-def _enumerate(ts: TileSet, node_cap: int, emit) -> None:
-    """Pass every locally valid corona window of `ts` to emit, as its
-    (tile, code) labels, centre first, once the window check has passed it."""
-    nodes = 0
-    for kind in SPACE_KINDS[_corona_space(ts)]:
+# rows re-checked at once: their joined text and columns stay blocks that the
+# allocator reuses, instead of large ones it maps and unmaps
+_BATCH = 4096
+
+
+def _enumerate(ts: TileSet, node_cap: int) -> tuple[list, list]:
+    """Every locally valid corona window of `ts`, packed: a table of
+    (tile, code) labels, the k-th prototile's at k, and one row per window,
+    chr(k) for the k-th label, centre first.  Each centre kind's rows are re-checked by the window check
+    before they are admitted, and before the cap raises BudgetExceeded."""
+    ident = identity_code(_corona_space(ts))
+    index = _Interner()  # chr(k) for the k-th prototile, as in the checks
+    for p in ts.prototiles:
+        index[p.id, ident]
+    rows, nodes = [], 0
+    for kind in SPACE_KINDS[ts.space]:
         region, cells, order, _ = _corona_window(kind)
-        check = _window_check(ts, kind)
         # search labels -> window labels
         pick = itemgetter(*[order.index(c) for c in cells])
-
-        def admit(labels):
-            window = pick(labels)
-            fault = _window_fault(ts, check, window)
+        start = len(rows)
+        _, _, spent, _, _ = region_search(
+            ts, region, node_cap - nodes, cells=order,
+            each=lambda labels: rows.append(
+                "".join(map(index.__getitem__, pick(labels)))))
+        check, labels = _window_check(ts, kind), list(index)
+        for k in range(start, len(rows), _BATCH):
+            fault = _rows_fault(ts, check, labels, rows[k:k + _BATCH])
             if fault is not None:
                 raise RuntimeError(
                     f"incremental checks admitted an invalid corona: {fault}")
-            emit(window)
-
-        _, _, spent, _, _ = region_search(ts, region, node_cap - nodes,
-                                          each=admit, cells=order)
         nodes += spent  # node_cap + 1 once the cap is crossed
         if nodes > node_cap:
             raise BudgetExceeded(
                 f"corona enumeration exceeded {node_cap} nodes")
+    return list(index), rows
 
 
 def enumerate_source_coronas(ts: TileSet,
@@ -422,23 +513,21 @@ def enumerate_source_coronas(ts: TileSet,
     its window cell, and every pair that facet_pairs lists for the window is
     tested against the rule on the facet colours read there.
     """
-    out = set()
-    _enumerate(ts, node_cap, lambda w: out.add(Corona(w[0], tuple(w[1:]))))
-    return out
+    return set(Atlas._packed(ts.name, *_enumerate(ts, node_cap)).coronas)
 
 
 def derive_atlas(rs: ReducedSet, node_cap: int = DEFAULT_NODE_CAP) -> Atlas:
     """The reduced set's atlas: encodings of all locally valid source coronas.
 
-    Each window the enumerator admits is packed at once, its source labels
-    read through a map to the characters of the sorted encoded labels."""
-    ident = identity_code(_corona_space(rs.source))
+    The enumerator's rows are mapped to the characters of the sorted
+    encoded labels, one str.translate per row."""
+    labels, rows = _enumerate(rs.source, node_cap)
     index = _Interner()  # interned in sorted order, so nothing renumbers
-    char = {(tid, ident): index[label]
-            for tid, label in sorted(rs.forward.items(), key=itemgetter(1))}
-    rows = []  # the search yields each window once
-    _enumerate(rs.source, node_cap,
-               lambda w: rows.append("".join(map(char.__getitem__, w))))
+    for label in sorted(rs.forward.values()):
+        index[label]
+    to = {k: index[rs.forward[tid]] for k, (tid, _) in enumerate(labels)}
+    for k, row in enumerate(rows):  # in place: one list of rows at a time
+        rows[k] = row.translate(to)
     return Atlas._packed(rs.name, list(index), rows)
 
 
@@ -448,8 +537,8 @@ def derive_atlas(rs: ReducedSet, node_cap: int = DEFAULT_NODE_CAP) -> Atlas:
 
 def corona_in_atlas_implicit(rs: ReducedSet, corona: Corona) -> bool:
     """Decide membership without the materialized atlas: decode every
-    placement and run the source set's window check, as the enumerator's
-    re-check does, over the corona window."""
+    placement and run the source set's window check over the corona
+    window, whose tables the enumerator's re-check reads by column."""
     inverse = rs.inverse
     center = inverse.get(corona.center)
     if center is None:
@@ -508,7 +597,6 @@ def parse_atlas(text: str, rs: ReducedSet | None = None) -> Atlas:
     renumbered to it, at the end."""
     known = None if rs is None else rs.inverse
     lattice_of = _lattice_of_code()
-    name = None
     lattice = None  # that of the first code: (lattice, ring length)
 
     class Index(_Interner):
@@ -530,19 +618,22 @@ def parse_atlas(text: str, rs: ReducedSet | None = None) -> Atlas:
 
     index = Index()
     rows = set()
-    for ln, toks in _content_lines(text):
-        if name is None:
-            if toks[0] != "atlas" or len(toks) != 2:
-                raise FormatError(f"line {ln}: expected atlas header")
-            name = toks[1]
-            continue
-        if ":" not in toks or len(toks) < 3:
+    lines = _content_lines(text)
+    for ln, toks in lines:  # the first content line
+        if toks[0] != "atlas" or len(toks) != 2:
+            raise FormatError(f"line {ln}: expected atlas header")
+        name = toks[1]
+        break
+    else:
+        raise FormatError("missing atlas header")
+    for ln, toks in lines:
+        # a (tile, code) pair, ":" and the ring's pairs; no ":" before it
+        if (len(toks) % 2 == 0 or len(toks) < 3 or toks[2] != ":"
+                or ":" in toks[:2]):
             raise FormatError(f"line {ln}: bad corona line")
-        sep = toks.index(":")
-        if sep != 2 or (len(toks) - 3) % 2 != 0:
-            raise FormatError(f"line {ln}: bad corona line")
-        row = "".join(map(index.__getitem__, [
-            (toks[0], toks[1]), *zip(toks[3::2], toks[4::2])]))
+        del toks[2]
+        labels = iter(toks)
+        row = "".join(map(index.__getitem__, zip(labels, labels)))
         if len(row) - 1 != lattice[1]:
             raise FormatError(
                 f"line {ln}: ring of {len(row) - 1} entries; {lattice[0]} "
@@ -550,10 +641,9 @@ def parse_atlas(text: str, rs: ReducedSet | None = None) -> Atlas:
         n = len(rows)
         rows.add(row)
         if len(rows) == n:
+            toks.insert(2, ":")
             raise FormatError(f"line {ln}: repeats the corona of line "
                               f"{_first_line(text, toks)}")
-    if name is None:
-        raise FormatError("missing atlas header")
     if any(t == ":" for t, _ in index):  # a ring entry; writers refuse it
         raise FormatError("':' is no atlas tile id")
     return Atlas._packed(name, list(index), rows)

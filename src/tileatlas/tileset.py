@@ -219,12 +219,13 @@ def placement_ok(ts: TileSet, region: RegionSpec, pl: Placement) -> str | None:
     return None
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=16)
 def facet_pairs(region: RegionSpec,
                 cells: tuple) -> tuple[tuple[int, int, int, int], ...]:
     """Each facet-sharing pair of the listed cells once, as (i, facet, j,
-    nfacet) index quads in the order of `cells`; kept for the last few
-    regions and cell tuples.  The engine's schedule and patch_valid both
+    nfacet) index quads in the order of `cells`; kept for the last 16
+    regions and cell tuples, enough for a sweep of tori of several sizes
+    and sets to hit on its second pass.  The engine's schedule and patch_valid both
     pass sorted cells, so a found patch's re-check reads its search's walk.
 
     Torus regions wrap.  A pair is listed from the side whose (cell, facet)
@@ -306,8 +307,12 @@ def _lines(text: str, chunk: int = 1 << 16):
 
 
 def _content_lines(text: str):
+    """Each line's number and tokens, where it has any before a `#`; a line
+    without `#` is split once."""
     for ln, raw in enumerate(_lines(text), start=1):
-        toks = raw.split("#", 1)[0].split()
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        toks = raw.split()
         if toks:
             yield ln, toks
 

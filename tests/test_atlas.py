@@ -27,6 +27,9 @@ from tileatlas.atlas import (
     Atlas,
     BudgetExceeded,
     Corona,
+    _rows_fault,
+    _window_check,
+    _window_fault,
     corona_in_atlas_implicit,
     corona_of,
     derive_atlas,
@@ -46,6 +49,7 @@ from tileatlas.geometry import (
     touching_offsets,
 )
 from tileatlas.reduction import encode_patch, reduce_set
+from tileatlas.search import region_search
 from tileatlas.solver import SolveConfig, solve
 from tileatlas.tileset import (
     FacetRule,
@@ -55,8 +59,11 @@ from tileatlas.tileset import (
     Prototile,
     RegionSpec,
     TileSet,
+    effective_facets,
+    identity_code,
     load_bundled,
     patch_valid,
+    placement_ok,
     region_cells,
     wrap_cell,
 )
@@ -556,6 +563,34 @@ def test_parse_atlas_errors():
     with pytest.raises(FormatError,
                        match="line 5: repeats the corona of line 2$"):
         parse_atlas(repeated)
+    # every line shape the reader refuses, with its message
+    ring = "x1 r0 " * 8
+    for bad, message in (
+            ("", "missing atlas header"),
+            ("# only a comment\n", "missing atlas header"),
+            (f"x0 r0 : {ring}\n", "line 1: expected atlas header"),
+            ("\n# c\natlas a b\n", "line 3: expected atlas header"),
+            ("atlas a\nx0 r0\n", "line 2: bad corona line"),
+            (f"atlas a\nx0 r0 {ring}\n", "line 2: bad corona line"),  # no ':'
+            (f"atlas a\n: r0 : {ring}\n", "line 2: bad corona line"),
+            (f"atlas a\nx0 : : {ring}\n", "line 2: bad corona line"),
+            (f"atlas a\nx0 r0 x1 : {ring}\n", "line 2: bad corona line"),
+            (f"atlas a\nx0 r0 : {ring}x1\n", "line 2: bad corona line"),
+            (f"atlas a\n\nx0 r0 : {ring}: r0 x1\n", "line 3: bad corona line"),
+            ("atlas a\nx0 r0 : " + "x1 r0 " * 7 + "\n",
+             "line 2: ring of 7 entries; square2d coronas have 8"),
+            (f"atlas a\nx0 r0 : {ring}x1 r0\n",
+             "line 2: ring of 9 entries; square2d coronas have 8"),
+            ("atlas a\nx0 t0 : " + "x1 t0 " * 13 + "\n",
+             "line 2: ring of 13 entries; tri2d coronas have 12"),
+            (f"atlas a\nx0 r0 : x1 : {ring[6:]}\n",
+             "line 2: unknown orientation code ':'"),
+            (f"atlas a\nx0 r0 : : r0 {ring[6:]}\n", "':' is no atlas tile id"),
+            (f"atlas a\nx0 r0 : {ring}\n# c\nx1 r0 : {ring[:-3]}t0\n",
+             "line 4: code 't0' is not a square2d code"),
+    ):
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            parse_atlas(bad)
     # given the reduced set, every label must encode one of its tiles
     rs = reduce_set(load_bundled("wang13"), "c1")
     text = serialize_atlas(derive_atlas(rs))
@@ -660,6 +695,117 @@ def test_admit_recheck_catches_illegal_labels(monkeypatch):
                         lambda allowed, kind, target: legal(allowed, kind, kind))
     with pytest.raises(RuntimeError, match="is no legal placement"):
         enumerate_source_coronas(load_bundled("triangles6"))
+
+
+WINDOW_KINDS = (("wang13", (ShapeKind.SQUARE,)),
+                ("triangles6", (ShapeKind.TRI_UP, ShapeKind.TRI_DOWN)),
+                ("cubes21", (ShapeKind.CUBE,)))
+
+
+def test_window_check_tables_match_per_cell_placements():
+    # the check runs placement_ok and effective_facets once per (tile, cell
+    # kind); its tables must be those they give cell by cell
+    rng = random.Random(7)
+    sets = [(load_bundled(name), kinds) for name, kinds in WINDOW_KINDS]
+    sets.append((random_tileset(rng, "tri2d", 7, name="mixed"),
+                 WINDOW_KINDS[1][1]))
+    for ts, kinds in sets:
+        ident = identity_code(ts.space)
+        for kind in kinds:
+            region, cells, _, pairs = tileatlas.atlas._corona_window(kind)
+            check = _window_check(ts, kind)
+            for c, cell in enumerate(cells):
+                read = sorted({f for i, f, _, _ in pairs if i == c}
+                              | {nf for _, _, j, nf in pairs if j == c})
+                table = {}
+                for p in ts.prototiles:
+                    pl = Placement(cell, p.id, ident)
+                    if placement_ok(ts, region, pl) is None:
+                        eff = effective_facets(ts, pl)
+                        table[p.id, ident] = tuple(eff[f] for f in read)
+                assert check.colours[c] == table, (ts.name, cell)
+                assert check.legal[c] == {
+                    chr(k) for k, p in enumerate(ts.prototiles)
+                    if (p.id, ident) in table}, (ts.name, cell)
+            if ts.space == "tri2d":  # both kinds on every window
+                assert len({frozenset(t) for t in check.colours}) == 2
+
+
+def window_rows(ts, kind, limit):
+    """Valid windows of `ts` that the engine yields within `limit` nodes,
+    packed as the enumerator packs them: chr(k) for the k-th prototile."""
+    _, cells, order, _ = tileatlas.atlas._corona_window(kind)
+    ident = identity_code(ts.space)
+    char = {(p.id, ident): chr(k) for k, p in enumerate(ts.prototiles)}
+    at = [order.index(c) for c in cells]
+    rows = []
+    region_search(ts, tileatlas.atlas._corona_window(kind)[0], limit,
+                  cells=order, each=lambda labels: rows.append(
+                      "".join(char[labels[k]] for k in at)))
+    return rows
+
+
+def with_facet_variants(ts, rule):
+    """`ts` under `rule`, its prototiles first, then per prototile and facet
+    a copy whose colour there is new: put in a window for its original, it
+    fails the one pair that facet is in, if any."""
+    new = 1 + max(c for p in ts.prototiles for c in p.colours)
+    variants = [Prototile(f"{p.id}~{f}", p.kind,
+                          p.colours[:f] + (new,) + p.colours[f + 1:])
+                for p in ts.prototiles for f in range(len(p.colours))]
+    return TileSet(ts.name, ts.prototiles + tuple(variants), rule, ts.allowed)
+
+
+def test_column_recheck_matches_window_fault():
+    # a batch passes the column check exactly when every row passes
+    # _window_fault, and a failing batch names its first failing row's fault
+    rng = random.Random(2210)
+    seen = Counter()
+    for name, kinds in WINDOW_KINDS:
+        base = load_bundled(name)
+        colours = sorted({c for p in base.prototiles for c in p.colours})
+        extra = {tuple(rng.sample(colours, 2)) for _ in range(3)}
+        table = FacetRule("table", frozenset({(c, c) for c in colours}
+                                             | extra))
+        n, facets = len(base.prototiles), len(base.prototiles[0].colours)
+        for rule in (base.rule, table):
+            ts = with_facet_variants(base, rule)
+            ident = identity_code(ts.space)
+            # the last label is none of the set's, as a faulty engine's
+            labels = [(p.id, ident) for p in ts.prototiles] + [("zz", ident)]
+            for kind in kinds:
+                check = _window_check(ts, kind)
+                # rows of the set without variants are rows of ts
+                valid = window_rows(TileSet(name, base.prototiles, rule,
+                                            base.allowed), kind, 20000)
+                assert len(valid) >= 3, (name, kind)
+                # every one-cell change of a few valid windows to a tile of
+                # the set, the unknown label or a variant of the tile there,
+                # among valid rows and sometimes before a second changed row
+                cells = range(len(check.cells))
+                for row, c in itertools.product(valid[:3], cells):
+                    tile = ord(row[c])
+                    for k in (*range(n), len(labels) - 1,
+                              *range(n + tile * facets,
+                                     n + (tile + 1) * facets)):
+                        rows = rng.choices(valid, k=3)
+                        rows.insert(rng.randrange(4),
+                                    row[:c] + chr(k) + row[c + 1:])
+                        if rng.random() < 0.3:
+                            other, d = rng.choice(valid), rng.choice(cells)
+                            rows.append(other[:d] + rng.choice(valid)[d]
+                                        + other[d + 1:])
+                        expected = next(filter(None, (
+                            _window_fault(ts, check,
+                                          [labels[ord(x)] for x in row])
+                            for row in rows)), None)
+                        assert _rows_fault(ts, check, labels, rows) == expected
+                        seen[kind, rule.kind, expected is None] += 1
+    # every window kind and rule kind met batches that pass and that fail
+    for _, kinds in WINDOW_KINDS:
+        for kind in kinds:
+            for rule in ("identical", "table"):
+                assert seen[kind, rule, True] and seen[kind, rule, False]
 
 
 def test_atlas_contains_dunder():
