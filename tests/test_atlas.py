@@ -6,7 +6,8 @@ triangle sets, grow every filling of the 13-cell window through patch_valid;
 and compare the resulting corona sets.  Membership is checked along two routes
 (materialized atlas vs decode-and-check) that must always agree, and the
 implicit route's compiled window check is compared with decoding the corona
-and running patch_valid on the whole window.
+and running patch_valid on the whole window.  The enumerator's re-check by
+column is compared with that window check, row by row, on crafted batches.
 """
 
 import gc
@@ -734,13 +735,13 @@ def test_window_check_tables_match_per_cell_placements():
 def window_rows(ts, kind, limit):
     """Valid windows of `ts` that the engine yields within `limit` nodes,
     packed as the enumerator packs them: chr(k) for the k-th prototile."""
-    _, cells, order, _ = tileatlas.atlas._corona_window(kind)
+    region, cells, order, _ = tileatlas.atlas._corona_window(kind)
     ident = identity_code(ts.space)
     char = {(p.id, ident): chr(k) for k, p in enumerate(ts.prototiles)}
     at = [order.index(c) for c in cells]
     rows = []
-    region_search(ts, tileatlas.atlas._corona_window(kind)[0], limit,
-                  cells=order, each=lambda labels: rows.append(
+    region_search(ts, region, limit, cells=order,
+                  each=lambda labels: rows.append(
                       "".join(char[labels[k]] for k in at)))
     return rows
 
@@ -797,8 +798,8 @@ def test_column_recheck_matches_window_fault():
                                         + other[d + 1:])
                         expected = next(filter(None, (
                             _window_fault(ts, check,
-                                          [labels[ord(x)] for x in row])
-                            for row in rows)), None)
+                                          [labels[ord(x)] for x in r])
+                            for r in rows)), None)
                         assert _rows_fault(ts, check, labels, rows) == expected
                         seen[kind, rule.kind, expected is None] += 1
     # every window kind and rule kind met batches that pass and that fail
