@@ -12,28 +12,27 @@ all facet-sharing pairs satisfy the facet rule.  Membership can be tested
 against the materialized atlas, or implicitly by decoding the corona back to
 source tiles and checking the facet rule directly; the two routes agree.
 
-Both the enumerator's re-check and the implicit route run one window check,
-compiled once per source set and centre kind and kept on the set: the legal
-placements on each window cell (`placement_ok`) with their facet colours
-there, and the window's facet-sharing pairs from `facet_pairs`, the pair
-walk of `patch_valid`.  It reads the pairs' two colour tuples and tests them
-at once with the rule's compiled test, `rule_test`; only a window that fails
-is walked pair by pair, by `pair_faults`, to name the first failing pair.
-It is built from the prototiles, not the engine's candidate lists; the
-engine's schedule, `patch_valid` and this check read one pair list, which
-the tests check against an oracle of coinciding facet midpoints.
+Both the enumerator's re-check and the implicit route read one window
+check, compiled once per source set and centre kind and kept on the set.  A
+window is packed as a row, one character per cell, chr(k) for the k-th
+prototile.  Per cell the check holds the characters legal there
+(`placement_ok`); per pair of the window from `facet_pairs`, the pair walk
+of `patch_valid`, it holds a table from a character to the colour that each
+end's facet shows, interned as a character.  It is built from the
+prototiles, not the engine's candidate lists; the engine's schedule,
+`patch_valid` and this check read one pair list, which the tests check
+against an oracle of coinciding facet midpoints.
 
-Source coronas are enumerated by the solver's search, `region_search`: one
-search per centre kind over the corona window, centre first.  A node is a
-candidate tried at any window cell, the centre included.  Every corona it
-yields passes the window check before it is admitted.  The enumerator packs
-each window as a row, one character per cell, and re-checks a centre kind's
-rows by column, a few thousand rows at a time: each cell's column, a slice
-of the joined rows, may hold only the characters of that cell's legal
-labels, and for each pair the two columns are translated to interned colour
-characters and tested by the rule once (one string comparison for
-`identical`).  A batch passes exactly when every row would pass the window
-check; only a failing batch is walked row by row, to name its first fault.
+The implicit route packs the decoded corona and reads the row across the
+tables, testing the pairs' two colour sequences at once by the rule; only a
+failing row is walked by `pair_faults` to name its first failing pair.  The
+enumerator, one `region_search` per centre kind over the corona window
+(centre first; a node is a candidate tried at any window cell), reads its
+rows down the same tables, a few thousand at a time: each cell's column, a
+slice of the joined rows, may hold only that cell's legal characters, and
+each pair's two columns, translated to colours, are tested by the rule
+once.  A batch passes exactly when every row would; only a failing batch is
+read row by row, to name its first fault.
 
 An `Atlas` is stored packed: a sorted table of the (tile, code) labels its
 coronas use, and one `str` row per corona whose characters are label
@@ -54,7 +53,6 @@ import sys
 from collections.abc import Callable, Set
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -67,7 +65,6 @@ from .geometry import (
     origin_cell,
     space_codes,
     space_dim,
-    touching_cell,
     touching_offsets,
 )
 from .tileset import (
@@ -303,14 +300,10 @@ def _corona_window(kind: ShapeKind):
     """
     space = KIND_SPACE[kind]
     dim = space_dim(space)
-
-    def shifted(c):  # a triangle's orientation bit is not a coordinate
-        return tuple(x + 1 for x in c[:dim]) + tuple(c[dim:])
-
-    center = shifted(origin_cell(kind))
-    cells = (center, *(shifted(touching_cell(kind, origin_cell(kind), off))
-                       for off in touching_offsets(kind)))
     region = RegionSpec(space, (3,) * dim, False)
+    # a triangle's orientation bit is not a coordinate
+    center = (1,) * dim + origin_cell(kind)[dim:]
+    cells = (center, *_ring_cells(region)(center))
     pairs = facet_pairs(region, cells)
     adj = {c: [] for c in cells}
     for i, _, j, _ in pairs:
@@ -336,30 +329,21 @@ class _WindowCheck(NamedTuple):
     _window_check."""
 
     cells: tuple  # centre first, then the ring in touching-offset order
-    colours: list  # per cell: legal (tile, code) -> the colours pairs read
     pairs: tuple  # facet_pairs quads over cells
-    left: Callable  # flat read colours -> the pairs' first colours
-    right: Callable  # ... and their second colours
-    test: Callable  # the rule's test of two colour tuples
+    labels: tuple  # chr(k) stands for labels[k], the k-th prototile's label
+    chars: dict  # tile id -> its row character
     legal: list  # per cell: the row characters of its legal labels
     paints: list  # per pair: (i, row char -> colour char, j, the same)
-    column_test: Callable  # the rule's test of two colour-character strings
+    hues: tuple  # colour char chr(h) -> the colour hues[h]
+    test: Callable  # the rule's test of two colour-character sequences
 
 
 def _window_check(ts: TileSet, kind: ShapeKind) -> _WindowCheck:
-    """The corona window's check for `ts`: the window's cells (centre first,
-    then the ring in touching-offset order), per cell the legal (tile, code)
-    placements that placement_ok accepts there with the colours of the
-    facets the window's pairs read there (in facet order), the window's
-    facet-sharing pairs from facet_pairs, the pair walk of patch_valid, two
-    getters that read the pairs' two colour sequences off the cells' read
-    colours laid end to end, and the rule's test of two such sequences.
-
-    For checking packed rows by column, in which chr(k) stands for the k-th
-    prototile's label: per cell the characters of its legal labels, and per
-    pair a str.translate table from those characters to the facet colour
-    each pair end reads, interned as characters, with the rule's test of
-    two such strings.
+    """The corona window's check for `ts` over packed rows, chr(k) for the
+    k-th prototile's label: the window's cells and facet_pairs, per cell the
+    characters placement_ok accepts there, per pair and end a str.translate
+    table from those characters to the end's facet colour as a character,
+    and the rule's test of two sequences of such colours.
 
     It is compiled from the prototiles, not from the engine's candidate
     lists, once per set and kind, and kept on the set.  placement_ok and
@@ -372,41 +356,28 @@ def _window_check(ts: TileSet, kind: ShapeKind) -> _WindowCheck:
         space = region.space
         ident = identity_code(space)
         kinds = [cell_kind(space, cell) for cell in cells]
-        facets = {}  # cell kind -> legal label -> its facet colours
+        facets = {}  # cell kind -> legal tile -> its facet colours
         for cell, k in zip(cells, kinds):
             if k not in facets:
                 table = facets[k] = {}
                 for p in ts.prototiles:
                     pl = Placement(cell, p.id, ident)
                     if placement_ok(ts, region, pl) is None:
-                        table[p.id, ident] = effective_facets(ts, pl)
-        # the (cell index, facet) ends of the pairs in sorted order: each
-        # cell's read colours laid end to end, each in facet order
-        ends = sorted({(i, f) for i, f, _, _ in pairs}
-                      | {(j, nf) for _, _, j, nf in pairs})
-        slot = {end: k for k, end in enumerate(ends)}
-        colours = []
-        for c, k in enumerate(kinds):
-            read = [f for i, f in ends if i == c]
-            colours.append({label: tuple(eff[f] for f in read)
-                            for label, eff in facets[k].items()})
-        # a window has many pairs, so the getters return tuples
-        left = itemgetter(*[slot[i, f] for i, f, _, _ in pairs])
-        right = itemgetter(*[slot[j, nf] for _, _, j, nf in pairs])
-        char = {(p.id, ident): chr(k) for k, p in enumerate(ts.prototiles)}
+                        table[p.id] = effective_facets(ts, pl)
+        chars = {p.id: chr(k) for k, p in enumerate(ts.prototiles)}
         hue = {c: chr(h) for h, c in enumerate(sorted(
             {c for table in facets.values() for eff in table.values()
              for c in eff}))}
 
         def paint(c, f):  # row char -> the colour char of facet f on cell c
-            return {ord(char[label]): hue[eff[f]]
-                    for label, eff in facets[kinds[c]].items()}
+            return {ord(chars[t]): hue[eff[f]]
+                    for t, eff in facets[kinds[c]].items()}
 
         check = ts.window_checks[kind] = _WindowCheck(
-            cells, colours, pairs, left, right, rule_test(ts.rule),
-            [frozenset(map(char.__getitem__, facets[k])) for k in kinds],
+            cells, pairs, tuple((t, ident) for t in chars), chars,
+            [frozenset(map(chars.__getitem__, facets[k])) for k in kinds],
             [(i, paint(i, f), j, paint(j, nf)) for i, f, j, nf in pairs],
-            _hue_test(ts.rule, hue))
+            tuple(hue), _hue_test(ts.rule, hue))
     return check
 
 
@@ -418,44 +389,44 @@ def _hue_test(rule, hue: dict):
     return lambda xs, ys: pairs.issuperset(zip(xs, ys))
 
 
-def _window_fault(ts: TileSet, check: _WindowCheck, labels) -> str | None:
-    """None when the window's (tile, code) labels, centre first, pass the
-    compiled check; else what fails first."""
-    try:
-        flat = list(chain.from_iterable(
-            map(dict.__getitem__, check.colours, labels)))
-    except KeyError as e:
-        return (f"{e.args[0]} is no legal placement in "
-                f"{list(zip(check.cells, labels))}")
-    xs, ys = check.left(flat), check.right(flat)
-    if check.test(xs, ys):
-        return None
-    # the first failing pair names the fault
-    fault = next(pair_faults(ts.rule, check.cells, check.pairs, xs, ys))
-    return f"{fault} in {list(zip(check.cells, labels))}"
+def _window_fault(ts: TileSet, check: _WindowCheck, row: str,
+                  labels) -> str | None:
+    """None when the window packed as `row`, one character per cell, passes
+    the compiled check; else what fails first, named through `labels`: chr(k)
+    stands for labels[k]."""
+    legal = check.legal
+    if not all(map(frozenset.__contains__, legal, row)):
+        bad = next(ch for ch, ok in zip(row, legal) if ch not in ok)
+        fault = f"{labels[ord(bad)]} is no legal placement"
+    else:
+        codes = list(map(ord, row))
+        xs = [a[codes[i]] for i, a, _, _ in check.paints]
+        ys = [b[codes[j]] for _, _, j, b in check.paints]
+        if check.test(xs, ys):
+            return None
+        # the first failing pair names the fault, in colours
+        hues = check.hues
+        fault = next(pair_faults(ts.rule, check.cells, check.pairs,
+                                 [hues[ord(x)] for x in xs],
+                                 [hues[ord(y)] for y in ys]))
+    window = [labels[ord(ch)] for ch in row]
+    return f"{fault} in {list(zip(check.cells, window))}"
 
 
 def _rows_fault(ts: TileSet, check: _WindowCheck, labels, rows) -> str | None:
     """None when every row passes _window_fault; else the first failing
-    row's fault.  Rows are windows packed one character per cell, chr(k)
-    for labels[k], and labels[k] is the k-th prototile's label for every k
-    the check knows.
-
-    The rows are checked at once, a column at a time: each cell's column,
-    a slice of the joined rows, must hold only that cell's legal
-    characters, and each pair's two columns, translated to colour
-    characters, must pass the rule's test.  Only a batch that fails is
-    walked row by row, to name the first fault."""
+    row's fault, named through `labels`.  The rows are read down the
+    check's tables, a column at a time; only a batch that fails is read row
+    by row, to name its first fault."""
     n = len(check.cells)
     joined = "".join(rows)
     columns = [joined[c::n] for c in range(n)]
     if (all(map(frozenset.issuperset, check.legal, columns))
-            and all(check.column_test(columns[i].translate(a),
-                                      columns[j].translate(b))
+            and all(check.test(columns[i].translate(a),
+                               columns[j].translate(b))
                     for i, a, j, b in check.paints)):
         return None
-    faults = (_window_fault(ts, check, [labels[ord(ch)] for ch in row])
-              for row in rows)
+    faults = (_window_fault(ts, check, row, labels) for row in rows)
     return next(filter(None, faults), None)
 
 
@@ -472,10 +443,10 @@ _BATCH = 4096
 
 
 def _enumerate(ts: TileSet, node_cap: int) -> tuple[list, list]:
-    """Every locally valid corona window of `ts`, packed: a table of
-    (tile, code) labels, the k-th prototile's at k, and one row per window,
-    chr(k) for the k-th label, centre first.  Each centre kind's rows are re-checked by the window check
-    before they are admitted, and before the cap raises BudgetExceeded."""
+    """Every locally valid corona window of `ts`, packed: the prototiles'
+    (tile, code) labels and one row per window, chr(k) for the k-th label,
+    centre first.  Each centre kind's rows pass the window check before
+    they are admitted, and before the cap raises BudgetExceeded."""
     ident = identity_code(_corona_space(ts))
     index = _Interner()  # chr(k) for the k-th prototile, as in the checks
     for p in ts.prototiles:
@@ -537,8 +508,9 @@ def derive_atlas(rs: ReducedSet, node_cap: int = DEFAULT_NODE_CAP) -> Atlas:
 
 def corona_in_atlas_implicit(rs: ReducedSet, corona: Corona) -> bool:
     """Decide membership without the materialized atlas: decode every
-    placement and run the source set's window check over the corona
-    window, whose tables the enumerator's re-check reads by column."""
+    placement, pack the source tiles as a row and read it across the source
+    set's window check, the tables the enumerator's re-check reads by
+    column."""
     inverse = rs.inverse
     center = inverse.get(corona.center)
     if center is None:
@@ -547,10 +519,14 @@ def corona_in_atlas_implicit(rs: ReducedSet, corona: Corona) -> bool:
     kind = ts.by_id[center].kind
     if len(corona.ring) != len(touching_offsets(kind)):
         return False
-    ident = identity_code(KIND_SPACE[kind])
-    labels = [(center, ident)]
-    labels += [(inverse.get(entry), ident) for entry in corona.ring]
-    return _window_fault(ts, _window_check(ts, kind), labels) is None
+    check = _window_check(ts, kind)
+    chars = check.chars
+    try:
+        row = chars[center] + "".join([chars[inverse[entry]]
+                                       for entry in corona.ring])
+    except KeyError:  # a ring entry encodes no source tile
+        return False
+    return _window_fault(ts, check, row, check.labels) is None
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .geometry import (
 )
 
 Colour = int
+_CHUNK = 1 << 16  # characters of text split into lines at a time
 
 
 class FormatError(ValueError):
@@ -223,10 +224,10 @@ def placement_ok(ts: TileSet, region: RegionSpec, pl: Placement) -> str | None:
 def facet_pairs(region: RegionSpec,
                 cells: tuple) -> tuple[tuple[int, int, int, int], ...]:
     """Each facet-sharing pair of the listed cells once, as (i, facet, j,
-    nfacet) index quads in the order of `cells`; kept for the last 16
-    regions and cell tuples, enough for a sweep of tori of several sizes
-    and sets to hit on its second pass.  The engine's schedule and patch_valid both
-    pass sorted cells, so a found patch's re-check reads its search's walk.
+    nfacet) index quads in the order of `cells`; the last 16 regions and
+    cell tuples are kept, so a sweep over tori of several sizes and sets
+    hits on its second pass.  The engine's schedule and patch_valid pass
+    sorted cells, so a found patch's re-check reads its search's walk.
 
     Torus regions wrap.  A pair is listed from the side whose (cell, facet)
     is smaller, so a facet that meets itself (an extent-1 wrap) is no pair;
@@ -292,15 +293,15 @@ def pair_faults(rule: FacetRule, cells, pairs, xs, ys):
 # Text formats
 # ---------------------------------------------------------------------------
 
-def _lines(text: str, chunk: int = 1 << 16):
-    """text.splitlines(), one slice of about `chunk` characters at a time, so
+def _lines(text: str):
+    """text.splitlines(), one slice of about _CHUNK characters at a time, so
     no list of every line is held.  Each slice ends just after a "\\n",
     which always ends a line."""
     pos = 0
     while pos < len(text):
-        cut = text.rfind("\n", pos, pos + chunk)
+        cut = text.rfind("\n", pos, pos + _CHUNK)
         if cut < 0:
-            cut = text.find("\n", pos + chunk)
+            cut = text.find("\n", pos + _CHUNK)
         cut = len(text) if cut < 0 else cut + 1
         yield from text[pos:cut].splitlines()
         pos = cut

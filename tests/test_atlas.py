@@ -7,7 +7,8 @@ and compare the resulting corona sets.  Membership is checked along two routes
 (materialized atlas vs decode-and-check) that must always agree, and the
 implicit route's compiled window check is compared with decoding the corona
 and running patch_valid on the whole window.  The enumerator's re-check by
-column is compared with that window check, row by row, on crafted batches.
+column reads the same tables; it is compared with patch_valid on each
+window of crafted batches.
 """
 
 import gc
@@ -230,30 +231,34 @@ def test_implicit_route_rejects_non_image_pairs():
     assert bad_ring not in atlas
 
 
+def window_valid(ts, kind, tiles):
+    """patch_valid on the corona window of a `kind` centre, a free 3-wide
+    region around it, its cells laid out by touching_cell and holding
+    `tiles` (untransformed), centre first."""
+    space = KIND_SPACE[kind]
+    dim = space_dim(space)
+    ccell = tuple(x + 1 for x in origin_cell(kind)[:dim]) \
+        + origin_cell(kind)[dim:]
+    cells = [ccell] + [touching_cell(kind, ccell, off)
+                       for off in touching_offsets(kind)]
+    ident = space_codes(space)[0]
+    placements = {cell: Placement(cell, tile, ident)
+                  for cell, tile in zip(cells, tiles)}
+    region = RegionSpec(space, (3,) * dim, False)
+    return patch_valid(ts, Patch(ts.name, region, placements))[0]
+
+
 def decode_and_check(rs, corona):
     """Oracle for the implicit route: decode every label and run patch_valid
-    on the corona window, a free 3-wide region around the centre."""
+    on the corona window."""
     center = rs.inverse.get(corona.center)
     if center is None:
         return False
     kind = rs.source.by_id[center].kind
-    space = KIND_SPACE[kind]
-    offs = touching_offsets(kind)
-    if len(corona.ring) != len(offs):
+    if len(corona.ring) != len(touching_offsets(kind)):
         return False
-    dim = space_dim(space)
-    ccell = tuple(x + 1 for x in origin_cell(kind)[:dim]) \
-        + origin_cell(kind)[dim:]
-    cells = [ccell] + [touching_cell(kind, ccell, off) for off in offs]
-    ident = space_codes(space)[0]
-    placements = {}
-    for cell, label in zip(cells, (corona.center, *corona.ring)):
-        tile = rs.inverse.get(label)
-        if tile is None:
-            return False
-        placements[cell] = Placement(cell, tile, ident)
-    region = RegionSpec(space, (3,) * dim, False)
-    return patch_valid(rs.source, Patch(rs.source.name, region, placements))[0]
+    tiles = [rs.inverse.get(label) for label in (corona.center, *corona.ring)]
+    return None not in tiles and window_valid(rs.source, kind, tiles)
 
 
 def oracle_inputs(rs, valid, rng):
@@ -705,7 +710,8 @@ WINDOW_KINDS = (("wang13", (ShapeKind.SQUARE,)),
 
 def test_window_check_tables_match_per_cell_placements():
     # the check runs placement_ok and effective_facets once per (tile, cell
-    # kind); its tables must be those they give cell by cell
+    # kind); its legal characters and each pair's colour tables must be
+    # those they give cell by cell
     rng = random.Random(7)
     sets = [(load_bundled(name), kinds) for name, kinds in WINDOW_KINDS]
     sets.append((random_tileset(rng, "tri2d", 7, name="mixed"),
@@ -715,21 +721,24 @@ def test_window_check_tables_match_per_cell_placements():
         for kind in kinds:
             region, cells, _, pairs = tileatlas.atlas._corona_window(kind)
             check = _window_check(ts, kind)
-            for c, cell in enumerate(cells):
-                read = sorted({f for i, f, _, _ in pairs if i == c}
-                              | {nf for _, _, j, nf in pairs if j == c})
-                table = {}
-                for p in ts.prototiles:
+            facets = []  # per cell: legal row character -> facet colours
+            for cell in cells:
+                facets.append({})
+                for k, p in enumerate(ts.prototiles):
                     pl = Placement(cell, p.id, ident)
                     if placement_ok(ts, region, pl) is None:
-                        eff = effective_facets(ts, pl)
-                        table[p.id, ident] = tuple(eff[f] for f in read)
-                assert check.colours[c] == table, (ts.name, cell)
-                assert check.legal[c] == {
-                    chr(k) for k, p in enumerate(ts.prototiles)
-                    if (p.id, ident) in table}, (ts.name, cell)
+                        facets[-1][chr(k)] = effective_facets(ts, pl)
+            assert check.legal == [set(eff) for eff in facets], ts.name
+            assert len(check.paints) == len(pairs), ts.name
+            for (i, a, j, b), (pi, f, pj, nf) in zip(check.paints, pairs):
+                assert (i, j) == (pi, pj), ts.name
+                for c, paint, facet in ((i, a, f), (j, b, nf)):
+                    assert {chr(k): check.hues[ord(h)]
+                            for k, h in paint.items()} == {
+                        ch: eff[facet] for ch, eff in facets[c].items()
+                    }, (ts.name, cells[c], facet)
             if ts.space == "tri2d":  # both kinds on every window
-                assert len({frozenset(t) for t in check.colours}) == 2
+                assert len(set(check.legal)) == 2
 
 
 def window_rows(ts, kind, limit):
@@ -758,8 +767,9 @@ def with_facet_variants(ts, rule):
 
 
 def test_column_recheck_matches_window_fault():
-    # a batch passes the column check exactly when every row passes
-    # _window_fault, and a failing batch names its first failing row's fault
+    # a batch passes the column check exactly when patch_valid accepts the
+    # window of every row, and a failing batch names, as _window_fault
+    # does, the fault of the first row that patch_valid refuses
     rng = random.Random(2210)
     seen = Counter()
     for name, kinds in WINDOW_KINDS:
@@ -774,6 +784,7 @@ def test_column_recheck_matches_window_fault():
             ident = identity_code(ts.space)
             # the last label is none of the set's, as a faulty engine's
             labels = [(p.id, ident) for p in ts.prototiles] + [("zz", ident)]
+            tiles = [t for t, _ in labels]
             for kind in kinds:
                 check = _window_check(ts, kind)
                 # rows of the set without variants are rows of ts
@@ -796,12 +807,16 @@ def test_column_recheck_matches_window_fault():
                             other, d = rng.choice(valid), rng.choice(cells)
                             rows.append(other[:d] + rng.choice(valid)[d]
                                         + other[d + 1:])
-                        expected = next(filter(None, (
-                            _window_fault(ts, check,
-                                          [labels[ord(x)] for x in r])
-                            for r in rows)), None)
-                        assert _rows_fault(ts, check, labels, rows) == expected
-                        seen[kind, rule.kind, expected is None] += 1
+                        verdicts = [window_valid(ts, kind,
+                                                 [tiles[ord(x)] for x in r])
+                                    for r in rows]
+                        fault = _rows_fault(ts, check, labels, rows)
+                        assert (fault is None) == all(verdicts)
+                        if fault is not None:
+                            first = rows[verdicts.index(False)]
+                            assert fault == _window_fault(ts, check, first,
+                                                          labels)
+                        seen[kind, rule.kind, fault is None] += 1
     # every window kind and rule kind met batches that pass and that fail
     for _, kinds in WINDOW_KINDS:
         for kind in kinds:

@@ -9,11 +9,14 @@ repeatable and quick.  The line splitter all four readers share must split
 as str.splitlines does.
 """
 
+from unittest import mock
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+import tileatlas.tileset  # noqa: E402
 from tileatlas.atlas import Atlas, Corona, parse_atlas, serialize_atlas  # noqa: E402
 from tileatlas.geometry import (  # noqa: E402
     FACET_COUNT,
@@ -231,7 +234,8 @@ line_texts = st.lists(
 @given(line_texts, st.integers(1, 12))
 def test_lazy_lines_equal_splitlines(text, chunk):
     # small slices put slice ends between every pair of boundaries
-    assert list(_lines(text, chunk)) == text.splitlines()
+    with mock.patch.object(tileatlas.tileset, "_CHUNK", chunk):
+        assert list(_lines(text)) == text.splitlines()
     assert list(_lines(text)) == text.splitlines()
 
 
