@@ -11,7 +11,7 @@ Cells
             (a, b, 1) is its point reflection through the midpoint of the
             shared edge and has vertices (a+1, b+1), (a, b+1), (a+1, b).
 
-Facets (canonical order)
+Facets (canonical order; FACET_DIRS tabulates the square and cube ones)
   square    0..3 = N (0,+1), E (+1,0), S (0,-1), W (-1,0); facet i meets the
             neighbour's facet (i + 2) mod 4.
   cube      0..5 = X+, X-, Y+, Y-, Z+, Z-; facet i meets facet i ^ 1.
@@ -52,6 +52,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import permutations, product
+from operator import add
 
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
@@ -142,26 +143,25 @@ def inverse(f: Isometry) -> Isometry:
 # Cells and facets
 # ---------------------------------------------------------------------------
 
-SQUARE_DIRS: tuple[Vec, ...] = ((0, 1), (1, 0), (0, -1), (-1, 0))
-CUBE_DIRS: tuple[Vec, ...] = (
-    (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1),
-)
+# Z^d lattices: facet i's outward unit vector, and the facet it meets
+FACET_DIRS: dict[str, tuple[tuple[Vec, ...], tuple[int, ...]]] = {
+    "square2d": (((0, 1), (1, 0), (0, -1), (-1, 0)), (2, 3, 0, 1)),
+    "cube3d": (((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1),
+                (0, 0, -1)), (1, 0, 3, 2, 5, 4)),
+}
 
 
 def cell_kind(space: str, cell: Cell) -> ShapeKind:
-    if space == "square2d":
-        return ShapeKind.SQUARE
-    if space == "cube3d":
-        return ShapeKind.CUBE
-    return ShapeKind.TRI_UP if cell[2] == 0 else ShapeKind.TRI_DOWN
+    if space == "tri2d":
+        return ShapeKind.TRI_UP if cell[2] == 0 else ShapeKind.TRI_DOWN
+    return SPACE_KINDS[space][0]
 
 
 def origin_cell(kind: ShapeKind) -> Cell:
-    if kind is ShapeKind.SQUARE:
-        return (0, 0)
-    if kind is ShapeKind.CUBE:
-        return (0, 0, 0)
-    return (0, 0, 0) if kind is ShapeKind.TRI_UP else (0, 0, 1)
+    space = KIND_SPACE[kind]
+    if space == "tri2d":
+        return (0, 0, int(kind is ShapeKind.TRI_DOWN))
+    return (0,) * space_dim(space)
 
 
 def tri_vertices(cell: Cell) -> tuple[Vec, Vec, Vec]:
@@ -189,12 +189,9 @@ def apply_cell(f: Isometry, space: str, cell: Cell) -> Cell:
 
 def facet_neighbor(space: str, cell: Cell, facet: int) -> tuple[Cell, int]:
     """(neighbour cell, neighbour facet index) across the given facet."""
-    if space == "square2d":
-        d = SQUARE_DIRS[facet]
-        return (cell[0] + d[0], cell[1] + d[1]), (facet + 2) % 4
-    if space == "cube3d":
-        d = CUBE_DIRS[facet]
-        return tuple(c + e for c, e in zip(cell, d)), facet ^ 1
+    if space != "tri2d":
+        dirs, meets = FACET_DIRS[space]
+        return tuple(map(add, cell, dirs[facet])), meets[facet]
     a, b, o = cell
     if o == 0:
         nbr = ((a, b, 1), (a - 1, b, 1), (a, b - 1, 1))[facet]
@@ -205,19 +202,11 @@ def facet_neighbor(space: str, cell: Cell, facet: int) -> tuple[Cell, int]:
 
 def facet_midpoint2(space: str, cell: Cell, facet: int) -> Vec:
     """Facet midpoint in doubled lattice coordinates (exact integers)."""
-    if space == "square2d":
-        d = SQUARE_DIRS[facet]
-        return (2 * cell[0] + d[0], 2 * cell[1] + d[1])
-    if space == "cube3d":
-        d = CUBE_DIRS[facet]
-        return tuple(2 * c + e for c, e in zip(cell, d))
+    if space != "tri2d":
+        return tuple(2 * c + e for c, e in zip(cell, FACET_DIRS[space][0][facet]))
     vs = tri_vertices(cell)
     p, q = vs[(facet + 1) % 3], vs[(facet + 2) % 3]
     return (p[0] + q[0], p[1] + q[1])
-
-
-def _offsets(deltas):
-    return tuple(sorted(d for d in product(*deltas) if any(d)))
 
 
 _TRI_UP_TOUCH = tuple(sorted(
@@ -237,11 +226,11 @@ def touching_offsets(kind: ShapeKind) -> tuple[tuple, ...]:
     For triangles the third component of an offset is the neighbour's
     absolute orientation bit, not a difference.
     """
-    if kind is ShapeKind.SQUARE:
-        return _offsets(((-1, 0, 1),) * 2)
-    if kind is ShapeKind.CUBE:
-        return _offsets(((-1, 0, 1),) * 3)
-    return _TRI_UP_TOUCH if kind is ShapeKind.TRI_UP else _TRI_DOWN_TOUCH
+    space = KIND_SPACE[kind]
+    if space == "tri2d":
+        return _TRI_UP_TOUCH if kind is ShapeKind.TRI_UP else _TRI_DOWN_TOUCH
+    # the product of a sorted range comes out sorted
+    return tuple(d for d in product((-1, 0, 1), repeat=space_dim(space)) if any(d))
 
 
 def touching_cell(kind: ShapeKind, center: Cell, offset: tuple) -> Cell:
@@ -347,11 +336,8 @@ def orientation_lift(kind: ShapeKind, code: str) -> Isometry:
     m = code_matrix(space, code)
     probe = Isometry(m, (0,) * len(m))
     img = apply_cell(probe, space, origin_cell(kind))
-    if space == "tri2d":
-        t = (-img[0], -img[1])
-    else:
-        t = tuple(-x for x in img)
-    return Isometry(m, t)
+    # a triangle's orientation bit is not a coordinate
+    return Isometry(m, tuple(-x for x in img[:len(m)]))
 
 
 def image_kind(kind: ShapeKind, code: str) -> ShapeKind:

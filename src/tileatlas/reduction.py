@@ -126,6 +126,8 @@ def _groups(ts: TileSet, mode: str) -> list[tuple[list[str], ShapeKind]]:
     onto each other by the ut codes); its largest class (the first on ties)
     hosts it, and its members come first.
     """
+    if ts.allowed != "translations":
+        raise FormatError("reduction is defined for translation-placed sets")
     classes = partition_translation(ts)
     if mode == "c1":
         return [(cls, ts.by_id[cls[0]].kind) for cls in classes]
@@ -144,8 +146,6 @@ def reduced_cardinality(ts: TileSet, mode: str) -> int:
 
 def build_encoding(ts: TileSet, mode: str):
     """Representatives and the source-tile -> (rep, code) map."""
-    if ts.allowed != "translations":
-        raise FormatError("reduction is defined for translation-placed sets")
     space = ts.space
     reps = []
     forward = {}

@@ -53,6 +53,11 @@ them.  No later cell reads the colours of a replayed solution, so none are
 written.  One search's memo holds at most MEMO_SIZE entries, and the entry
 that would pass that clears them all first.  Every count, limit, solution
 and `each` call is the plain depth-first search's.
+
+Transcripts pay where frontiers with solutions below them come back.  On a
+2-core machine the cubes21 c2 corona-window search replays 153,740,181 of
+its 169,232,238 nodes from them: 1.7 s, 7.5-8.9 s without them.  The free
+wang13 8x4 count takes 1.5-2.1 s, 3.1-3.6 s without (32 MB peak, not 18).
 """
 
 from __future__ import annotations

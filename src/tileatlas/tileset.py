@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
 from operator import eq
 
 from .geometry import (
@@ -158,21 +159,17 @@ class Patch:
 def region_cells(region: RegionSpec) -> list[Cell]:
     """All cells of the region in scan order (last axis slowest; for tri2d the
     up cell precedes the down cell of the same rhombus)."""
-    if region.space == "square2d":
+    if region.space == "tri2d":
         w, h = region.extents
-        return [(x, y) for y in range(h) for x in range(w)]
-    if region.space == "cube3d":
-        w, h, d = region.extents
-        return [(x, y, z) for z in range(d) for y in range(h) for x in range(w)]
-    w, h = region.extents
-    return [(a, b, o) for b in range(h) for a in range(w) for o in (0, 1)]
+        return [(a, b, o) for b in range(h) for a in range(w) for o in (0, 1)]
+    # product varies its last factor fastest: the cells' first axis
+    return [c[::-1] for c in product(*map(range, reversed(region.extents)))]
 
 
 def wrap_cell(region: RegionSpec, cell: Cell) -> Cell:
+    # entries past the extents (a triangle's orientation bit) are kept
     w = region.extents
-    if region.space == "tri2d":
-        return (cell[0] % w[0], cell[1] % w[1], cell[2])
-    return tuple(c % e for c, e in zip(cell, w))
+    return tuple(c % e for c, e in zip(cell, w)) + cell[len(w):]
 
 
 def cell_in_region(region: RegionSpec, cell: Cell) -> bool:
@@ -428,17 +425,12 @@ def parse_patch(text: str, space: str, ids: set[str] | None = None) -> Patch:
             if len(toks) != len(_PLACEMENT_FIELDS[space].split()):
                 raise FormatError(
                     f"line {ln}: expected {_PLACEMENT_FIELDS[space]}")
-            if space == "square2d":
-                x, y, tid, code = toks
-                cell: Cell = (int(x), int(y))
-            elif space == "cube3d":
-                x, y, z, tid, code = toks
-                cell = (int(x), int(y), int(z))
-            else:
-                a, b, o, tid, code = toks
-                if o not in ("u", "d"):
+            *coords, tid, code = toks
+            if space == "tri2d":
+                if coords[2] not in ("u", "d"):
                     raise FormatError(f"line {ln}: expected u|d")
-                cell = (int(a), int(b), 0 if o == "u" else 1)
+                coords[2] = "ud".index(coords[2])
+            cell: Cell = tuple(map(int, coords))
         except ValueError as e:
             if isinstance(e, FormatError):
                 raise

@@ -2,10 +2,10 @@
 each one's count and peak RSS.
 
 - torus: the 11x11 torus exhausted, 612,610,024 nodes, at most 36 MB.  It
-  takes about 4-6 s.  The search's memo holds at most MEMO_SIZE entries;
+  takes 3.5-6 s.  The search's memo holds at most MEMO_SIZE entries;
   without that bound the process peaks near 46 MB.
 - free: the free 8x4 region counted, 653,036 solutions in 68,345,953 nodes,
-  at most 40 MB.  It takes about 1 s, with 88 % of the nodes charged from
+  at most 40 MB.  It takes 1.3-2.0 s, with 88 % of the nodes charged from
   the memo, the last row's transcripts included.  The process peaks near
   32 MB, and the bound leaves 25 % over that.
 

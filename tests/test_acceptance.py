@@ -22,16 +22,16 @@ import math
 import random
 import time
 
-from conftest import random_tileset
+from conftest import brute_square_coronas, random_tileset
 from tileatlas.atlas import (
     corona_of,
     derive_atlas,
     enumerate_source_coronas,
     serialize_atlas,
-    Corona,
 )
 from tileatlas.geometry import (
     FACET_COUNT,
+    SPACE_KINDS,
     ShapeKind,
     cell_kind,
     image_kind,
@@ -65,7 +65,6 @@ from tileatlas.tileset import (
     Prototile,
     RegionSpec,
     TileSet,
-    identity_code,
     load_bundled,
     patch_valid,
     placement_orientations,
@@ -99,16 +98,11 @@ def test_criterion_1_bundled_reduction_counts():
 def test_criterion_2_counting_formula_matches_construction():
     started = time.perf_counter()
     rng = random.Random(2001)
-    space_kinds = {
-        "square2d": [ShapeKind.SQUARE],
-        "cube3d": [ShapeKind.CUBE],
-        "tri2d": [ShapeKind.TRI_UP, ShapeKind.TRI_DOWN],
-    }
     for trial in range(200):
-        space = rng.choice(list(space_kinds))
-        kinds = [k for k in space_kinds[space] if rng.random() < 0.8]
+        space = rng.choice(list(SPACE_KINDS))
+        kinds = [k for k in SPACE_KINDS[space] if rng.random() < 0.8]
         if not kinds:
-            kinds = [rng.choice(space_kinds[space])]
+            kinds = [rng.choice(SPACE_KINDS[space])]
         counts = {k: rng.randint(1, 60) for k in kinds}
         tiles = []
         for k, n in counts.items():
@@ -321,27 +315,6 @@ def test_criterion_4_membership_equals_decode_validity():
     assert time.perf_counter() - started < 300.0
 
 
-def _brute_square_coronas(ts):
-    """Independent corona enumeration: fill the 8 ring cells of a 3x3 free
-    region in every possible way and keep what the validator accepts."""
-    ident = identity_code("square2d")
-    region = RegionSpec("square2d", (3, 3), False)
-    center = (1, 1)
-    ring_cells = [touching_cell(ShapeKind.SQUARE, center, off)
-                  for off in touching_offsets(ShapeKind.SQUARE)]
-    ids = [p.id for p in ts.prototiles]
-    out = set()
-    for ctile in ids:
-        for combo in itertools.product(ids, repeat=8):
-            placements = {center: Placement(center, ctile, ident)}
-            for cell, tid in zip(ring_cells, combo):
-                placements[cell] = Placement(cell, tid, ident)
-            if patch_valid(ts, Patch(ts.name, region, placements))[0]:
-                out.add(Corona((ctile, ident),
-                               tuple((t, ident) for t in combo)))
-    return out
-
-
 def test_criterion_5_corona_enumeration_matches_brute_force():
     started = time.perf_counter()
     rng = random.Random(501)
@@ -359,7 +332,7 @@ def test_criterion_5_corona_enumeration_matches_brute_force():
         sets.append(random_tileset(rng, "square2d", rng.randint(1, 3),
                                    colours=3, name=f"r{i}"))
     for ts in sets:
-        assert enumerate_source_coronas(ts) == _brute_square_coronas(ts), \
+        assert enumerate_source_coronas(ts) == brute_square_coronas(ts), \
             ts.name
     assert time.perf_counter() - started < 60.0
 

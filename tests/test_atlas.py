@@ -22,7 +22,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import UNREADABLE, random_tileset
+from conftest import UNREADABLE, brute_square_coronas, random_tileset
 import tileatlas.atlas
 from tileatlas.atlas import (
     LABEL_LIMIT,
@@ -69,28 +69,6 @@ from tileatlas.tileset import (
     region_cells,
     wrap_cell,
 )
-
-
-def brute_square_coronas(ts):
-    """Independent route: every filling of the 3x3 window, validated whole."""
-    region = RegionSpec("square2d", (3, 3), False)
-    cells = region_cells(region)
-    ids = [p.id for p in ts.prototiles]
-    found = set()
-    ring_cells = [c for c in cells if c != (1, 1)]
-    for center in ids:
-        for combo in itertools.product(ids, repeat=8):
-            placements = {(1, 1): Placement((1, 1), center, "r0")}
-            for c, tid in zip(ring_cells, combo):
-                placements[c] = Placement(c, tid, "r0")
-            ok, _ = patch_valid(ts, Patch(ts.name, region, placements))
-            if ok:
-                ring = []
-                for off in touching_offsets(ShapeKind.SQUARE):
-                    cc = (1 + off[0], 1 + off[1])
-                    ring.append((placements[cc].tile, "r0"))
-                found.add(Corona((center, "r0"), tuple(ring)))
-    return found
 
 
 def brute_tri_coronas(ts):

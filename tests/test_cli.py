@@ -61,6 +61,17 @@ def test_counts_from_file(tmp_path, capsys):
     assert out.strip() == COUNTS_LINES["wang13"]
 
 
+def test_counts_and_reduce_refuse_a_set_placed_by_every_isometry(tmp_path,
+                                                                 capsys):
+    ts = load_bundled("wang13")
+    path = tmp_path / "w.tiles"
+    path.write_text(serialize_tileset(
+        TileSet(ts.name, ts.prototiles, ts.rule, "all")), encoding="utf-8")
+    refusal = "error: reduction is defined for translation-placed sets\n"
+    for argv in (("counts",), ("reduce", "--mode", "c1")):
+        assert run(capsys, *argv, "--in", str(path)) == (1, "", refusal)
+
+
 def test_reduce_matches_library_output(tmp_path, capsys):
     for name in ("wang13", "cubes21", "triangles6"):
         ts = load_bundled(name)

@@ -296,8 +296,11 @@ def test_rep_class_is_largest_then_first():
 def test_encoding_requires_translation_placed_sets():
     ts = TileSet("t", (Prototile("a", ShapeKind.SQUARE, (1, 1, 1, 1)),),
                  FacetRule("identical"), "all")
-    with pytest.raises(FormatError):
-        build_encoding(ts, "c1")
+    # both read the groups, which refuse the set before the mode is read
+    for fn in (build_encoding, reduced_cardinality):
+        for mode in ("c1", "c2", "c3"):
+            with pytest.raises(FormatError, match="translation-placed"):
+                fn(ts, mode)
     with pytest.raises(FormatError):
         reduced_cardinality(load_bundled("wang13"), "c3")
 
