@@ -27,7 +27,7 @@ The implicit route packs the decoded corona and reads the row across the
 tables, testing the pairs' two colour sequences at once by the rule; only a
 failing row is walked by `pair_faults` to name its first failing pair.  The
 enumerator, one `region_search` per centre kind over the corona window
-(centre first; a node is a candidate tried at any window cell), reads its
+(in scan order; a node is a candidate tried at any window cell), reads its
 rows down the same tables, a few thousand at a time: each cell's column, a
 slice of the joined rows, may hold only that cell's legal characters, and
 each pair's two columns, translated to colours, are tested by the rule
@@ -81,6 +81,7 @@ from .tileset import (
     identity_code,
     pair_faults,
     placement_ok,
+    region_cells,
     rule_test,
 )
 from .reduction import ReducedSet
@@ -106,7 +107,7 @@ class Corona:
 
 
 LABEL_LIMIT = sys.maxunicode + 1  # label indices are characters, chr(i)
-# covers the cubes21 c2 enumeration, which charges 169,232,238 nodes
+# covers the cubes21 c2 enumeration, which charges 110,651,268 nodes
 DEFAULT_NODE_CAP = 2 * 10 ** 8
 
 
@@ -292,36 +293,20 @@ def missing_coronas(atlas: Atlas, patch: Patch) -> tuple[list, int]:
 @lru_cache(maxsize=None)
 def _corona_window(kind: ShapeKind):
     """The corona window's free region, its cells (centre first, then the
-    ring in touching-offset order), an assignment order (most-constrained
-    first) and its facet-sharing pairs from facet_pairs.
+    ring in touching-offset order), the order the search assigns them in,
+    the region's scan order, and their facet-sharing pairs (facet_pairs).
 
     Cells are shifted so the window fits the region with non-negative
-    coordinates; the centre sits at the lattice point (1,1[,1]).
-    """
+    coordinates; the centre sits at the lattice point (1,1[,1]).  A square
+    or cube window is the whole region, so its search is count_solutions'."""
     space = KIND_SPACE[kind]
     dim = space_dim(space)
     region = RegionSpec(space, (3,) * dim, False)
     # a triangle's orientation bit is not a coordinate
     center = (1,) * dim + origin_cell(kind)[dim:]
     cells = (center, *_ring_cells(region)(center))
-    pairs = facet_pairs(region, cells)
-    adj = {c: [] for c in cells}
-    for i, _, j, _ in pairs:
-        adj[cells[i]].append(cells[j])
-        adj[cells[j]].append(cells[i])
-    # assignment order: centre first, then repeatedly the cell with the most
-    # already-ordered facet neighbours (ties: scan order) so constraints bind
-    # as early as possible
-    order = [center]
-    placed = {center}
-    rest = [c for c in cells if c != center]
-    while rest:
-        best = max(rest, key=lambda c: (sum(n in placed for n in adj[c]),
-                                        [-x for x in c]))
-        order.append(best)
-        placed.add(best)
-        rest.remove(best)
-    return region, cells, tuple(order), pairs
+    order = tuple(filter(set(cells).__contains__, region_cells(region)))
+    return region, cells, order, facet_pairs(region, cells)
 
 
 class _WindowCheck(NamedTuple):
@@ -430,13 +415,6 @@ def _rows_fault(ts: TileSet, check: _WindowCheck, labels, rows) -> str | None:
     return next(filter(None, faults), None)
 
 
-def _corona_space(ts: TileSet) -> str:
-    """The lattice of a set whose coronas can be enumerated."""
-    if ts.allowed != "translations":
-        raise FormatError("corona enumeration expects a translation-placed set")
-    return ts.space
-
-
 # rows re-checked at once: their joined text and columns stay blocks that the
 # allocator reuses, instead of large ones it maps and unmaps
 _BATCH = 4096
@@ -447,7 +425,9 @@ def _enumerate(ts: TileSet, node_cap: int) -> tuple[list, list]:
     (tile, code) labels and one row per window, chr(k) for the k-th label,
     centre first.  Each centre kind's rows pass the window check before
     they are admitted, and before the cap raises BudgetExceeded."""
-    ident = identity_code(_corona_space(ts))
+    if ts.allowed != "translations":
+        raise FormatError("corona enumeration expects a translation-placed set")
+    ident = identity_code(ts.space)
     index = _Interner()  # chr(k) for the k-th prototile, as in the checks
     for p in ts.prototiles:
         index[p.id, ident]

@@ -35,13 +35,14 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .geometry import ShapeKind, orientation_lift, tri_vertices
+from .geometry import ShapeKind, cell_kind, orientation_lift, tri_vertices
 from .reduction import DECORATION_POINT, ReducedSet
 from .tileset import (FormatError, Patch, TileSet, cell_in_region,
-                      effective_facets)
+                      effective_facets, placement_orientations)
 
 SQRT3 = 3 ** 0.5
 SCALE = 40.0  # SVG width and height per lattice unit
+_FAR = 2 ** 1000  # from here on a canvas x or y could overflow a float
 
 # Fixed facet-colour palette; colour 0 is the uncoloured value.
 PALETTE = (
@@ -118,37 +119,48 @@ def _ring(xs, ys) -> list:
     return [v for x, y in zip(xs, ys) for v in (x, -y)]
 
 
-def _render(patch: Patch, compile_label, numbers) -> str:
+def _render(patch: Patch, kinds: dict, compile_label, numbers) -> str:
     """The SVG of every placed cell, in sorted order.
 
     compile_label(placement) gives the label's (template, data, tail) once
     per (tile, code) label; numbers(cell, shift, xs, ys, data) gives the
-    cell's numbers for its template, xs and ys being the outline.  A placed
-    cell outside the patch's region is a FormatError, raised before any
-    cell is drawn."""
+    cell's numbers for its template, xs and ys being the outline.  A cell
+    that cannot be drawn is a FormatError, raised before it is: one outside
+    the patch's region, one whose canvas x (cube layers included) or y
+    reaches _FAR, and one whose placement does not fit it: a tile id that
+    `kinds` (id -> shape kind) lacks, or a code whose image kind is not the
+    cell's, checked once per label and cell kind."""
     region = patch.region
-    cells = sorted(patch.placements)
-    for cell in cells:
-        if not cell_in_region(region, cell):
-            extents = "x".join(map(str, region.extents))
-            raise FormatError(f"cell {cell} lies outside the {extents} region")
     space = region.space
     layer = region.extents[0] + 1 if space == "cube3d" else 0
     labels = {}
     parts = []
     min_x = min_y = float("inf")
     max_x = max_y = float("-inf")
-    for cell in cells:
+    for cell in sorted(patch.placements):
+        if not cell_in_region(region, cell):
+            extents = "x".join(map(str, region.extents))
+            raise FormatError(f"cell {cell} lies outside the {extents} region")
         pl = patch.placements[cell]
         shift = cell[2] * layer if layer else 0
+        if max(cell[0] + shift, cell[1]) >= _FAR:
+            raise FormatError(f"cell {cell} lies at 2**1000 or beyond on the "
+                              "canvas, out of a float's range")
+        key = (pl.tile, pl.orientation, cell_kind(space, cell))
+        label = labels.get(key)
+        if label is None:
+            if pl.tile not in kinds:
+                raise FormatError(f"unknown tile id {pl.tile!r} at {cell}")
+            if pl.orientation not in placement_orientations(
+                    "all", kinds[pl.tile], key[2]):
+                raise FormatError(f"orientation {pl.orientation!r} does not "
+                                  f"fit tile {pl.tile} at {cell}")
+            label = labels[key] = compile_label(pl)
         xs, ys = _outline(space, cell, shift)
         # on ties min and max keep the earlier value; only a zero's sign,
         # which no output number shows, could tell them apart
         min_x, max_x = min(min_x, *xs), max(max_x, *xs)
         min_y, max_y = min(min_y, *ys), max(max_y, *ys)
-        label = labels.get((pl.tile, pl.orientation))
-        if label is None:
-            label = labels[pl.tile, pl.orientation] = compile_label(pl)
         template, data, tail = label
         # every number has three decimals, so "-0.000" is only ever a whole
         # number, and no fixed text of a template holds it
@@ -167,8 +179,8 @@ def _render(patch: Patch, compile_label, numbers) -> str:
 
 
 def render_source_patch(ts: TileSet, patch: Patch) -> str:
-    """Facet-coloured rendering of a source-set patch.  A placed cell
-    outside the patch's region is a FormatError."""
+    """Facet-coloured rendering of a source-set patch.  A placed cell that
+    _render cannot draw is a FormatError."""
     space = patch.region.space
     edges = _EDGES[space]
     n = 3 if space == "tri2d" else 4
@@ -201,7 +213,8 @@ def render_source_patch(ts: TileSet, patch: Patch) -> str:
             out += (cx - 0.2, -(cy + 0.2), cx + 0.2, -(cy - 0.2))
         return tuple(out + ring)
 
-    return _render(patch, compile_label, numbers)
+    return _render(patch, {p.id: p.kind for p in ts.prototiles},
+                   compile_label, numbers)
 
 
 @lru_cache(maxsize=None)
@@ -226,8 +239,8 @@ def _lift_rep(rep_kind: ShapeKind, code: str):
 
 
 def render_reduced_patch(rs: ReducedSet, patch: Patch) -> str:
-    """Glyph rendering of a reduced-set patch.  A placed cell outside the
-    patch's region is a FormatError."""
+    """Glyph rendering of a reduced-set patch.  A placed cell that _render
+    cannot draw is a FormatError."""
     space = patch.region.space
     rep_kind = {r.id: r.kind for r in rs.reps}
     rep_index = {r.id: i for i, r in enumerate(rs.reps)}
@@ -270,4 +283,4 @@ def render_reduced_patch(rs: ReducedSet, patch: Patch) -> str:
             out += (a + shift, -(b - 0.32))
         return tuple(out)
 
-    return _render(patch, compile_label, numbers)
+    return _render(patch, rep_kind, compile_label, numbers)

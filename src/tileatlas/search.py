@@ -55,8 +55,8 @@ that would pass that clears them all first.  Every count, limit, solution
 and `each` call is the plain depth-first search's.
 
 Transcripts pay where frontiers with solutions below them come back.  On a
-2-core machine the cubes21 c2 corona-window search replays 153,740,181 of
-its 169,232,238 nodes from them: 1.7 s, 7.5-8.9 s without them.  The free
+2-core machine the cubes21 c2 corona-window search replays 107,502,255 of
+its 110,651,268 nodes from them: 0.65-0.8 s, 4.3-4.4 s without.  The free
 wang13 8x4 count takes 1.5-2.1 s, 3.1-3.6 s without (32 MB peak, not 18).
 """
 

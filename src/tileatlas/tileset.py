@@ -173,7 +173,9 @@ def wrap_cell(region: RegionSpec, cell: Cell) -> Cell:
 
 
 def cell_in_region(region: RegionSpec, cell: Cell) -> bool:
-    return all(0 <= c < e for c, e in zip(cell, region.extents))
+    """Whether `cell` is a lattice cell (tri2d: bit 0 or 1) in the region."""
+    ext = region.extents + (2,) * (region.space == "tri2d")
+    return len(cell) == len(ext) and all(0 <= c < e for c, e in zip(cell, ext))
 
 
 def effective_facets(ts: TileSet, pl: Placement) -> tuple[Colour, ...]:
@@ -186,6 +188,7 @@ def effective_facets(ts: TileSet, pl: Placement) -> tuple[Colour, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def placement_orientations(allowed: str, kind: ShapeKind, target: ShapeKind):
     """Orientation codes legal for a prototile of `kind` on a `target` cell."""
     space = KIND_SPACE[kind]
@@ -258,9 +261,11 @@ def patch_valid(ts: TileSet, patch: Patch) -> tuple[bool, tuple[str, ...]]:
     eff = {}
     accepted = {}  # (tile, code, cell kind) -> its facets, once accepted
     for cell, pl in patch.placements.items():
-        key = (pl.tile, pl.orientation, cell_kind(region.space, cell))
+        # False for a cell outside the region, whose placement_ok fails
+        key = cell_in_region(region, cell) and (
+            pl.tile, pl.orientation, cell_kind(region.space, cell))
         facets = accepted.get(key)
-        if facets is None or not cell_in_region(region, cell):
+        if facets is None:
             msg = placement_ok(ts, region, pl)
             if msg is not None:
                 violations.append(msg)
@@ -458,14 +463,16 @@ def serialize_patch(patch: Patch) -> str:
                       for pl in patch.placements.values()}:
         _token(tid, "tile id")
         _code(code, space_codes(region.space))
+    tri = region.space == "tri2d"
+    arity = len(region.extents) + tri  # a triangle's orientation bit
     for cell in sorted(patch.placements):
         pl = patch.placements[cell]
-        if region.space == "tri2d":
-            a, b, o = cell
-            out.append(f"{a} {b} {'u' if o == 0 else 'd'} {pl.tile} {pl.orientation}")
-        else:
-            coords = " ".join(str(c) for c in cell)
-            out.append(f"{coords} {pl.tile} {pl.orientation}")
+        if len(cell) != arity or tri and cell[2] not in (0, 1):
+            raise FormatError(f"cannot write cell {cell}: it is no "
+                              f"{region.space} cell")
+        at = (f"{cell[0]} {cell[1]} {'ud'[cell[2]]}" if tri
+              else " ".join(map(str, cell)))
+        out.append(f"{at} {pl.tile} {pl.orientation}")
     return "\n".join(out) + "\n"
 
 

@@ -1,8 +1,12 @@
 """Derive the cubes21 c2 atlas, the one-prototile atlas behind the paper's R³
-claim, at the default node budget and check the stored artifact.
+claim, at a node budget of exactly its enumeration's charge, and check the
+stored artifact.
 
-Five checks, each printed with its figure; the exit code is 0 when all hold:
+Six checks, each printed with its figure; the exit code is 0 when all hold:
 
+- the derivation succeeds within NODE_CAP nodes, the charge of searching
+  the corona window in scan order, which the default budget covers; a
+  dearer enumeration prints FAILED, not a traceback;
 - the process's peak RSS right after derivation is at most 250 MB;
 - every complete corona of a free cubes21 4x4x4 patch (the solver's first,
   in the default candidate order), encoded with c2, is in the atlas by both
@@ -19,11 +23,11 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/check_cubes21_atlas.py
 
-It takes 24-27 s on a 2-core machine: the derivation 8-9 s, serializing
-3.5-4.5 s and parsing 12-14 s.  Serializing and parsing the 352.7 MB text
-raise the peak to about 861 MB, so the derivation's RSS is read before
-them.  The file name does not match
-pytest's `test_*.py`, so the suite does not run it.
+It takes 20-22 s on a 2-core machine: the derivation 5.4-6.1 s,
+serializing 3.8-4.1 s and parsing 9.6-11.1 s.  Serializing and parsing the
+352.7 MB text raise the peak to about 860 MB, so the derivation's RSS is
+read before them.  The file name does not match pytest's `test_*.py`, so
+the suite does not run it.
 """
 
 import hashlib
@@ -31,14 +35,16 @@ import resource
 import sys
 import time
 
-from tileatlas import (RegionSpec, corona_in_atlas_implicit, corona_of,
-                       derive_atlas, encode_patch, load_bundled, parse_atlas,
-                       reduce_set, serialize_atlas, solve)
+from tileatlas import (BudgetExceeded, RegionSpec, corona_in_atlas_implicit,
+                       corona_of, derive_atlas, encode_patch, load_bundled,
+                       parse_atlas, reduce_set, serialize_atlas, solve)
+from tileatlas.atlas import DEFAULT_NODE_CAP
 
 DIGEST = "733d3fd5913f93179d608a15fb7195f5031baee7deb679e1121849e611ca8d1a"
 DERIVE_RSS_MB = 250
 ROUND_TRIP_RSS_MB = 1000
 DERIVE_TARGET_S = 20
+NODE_CAP = 110_651_268  # the enumeration's exact charge
 
 
 def peak_rss_mb() -> float:
@@ -70,10 +76,15 @@ def patch_coronas(rs, atlas) -> bool:
 def main() -> int:
     start = time.perf_counter()
     rs = reduce_set(load_bundled("cubes21"), "c2")
-    atlas = derive_atlas(rs)
+    try:
+        atlas = derive_atlas(rs, NODE_CAP)
+    except BudgetExceeded as e:
+        print(f"derive: {e}\nFAILED")
+        return 1
     derived = time.perf_counter()
     rss = peak_rss_mb()
-    print(f"derive: {len(atlas.coronas)} coronas in {derived - start:.1f} s "
+    print(f"derive: {len(atlas.coronas)} coronas within {NODE_CAP} nodes "
+          f"(default budget {DEFAULT_NODE_CAP}) in {derived - start:.1f} s "
           f"(target {DERIVE_TARGET_S} s), peak RSS {rss:.0f} MB (limit "
           f"{DERIVE_RSS_MB})")
     in_atlas = patch_coronas(rs, atlas)
@@ -92,8 +103,8 @@ def main() -> int:
           f"(serialize plus parse {written - before + read - hashed:.1f} s); "
           f"peak RSS {trip_rss:.0f} MB (limit {ROUND_TRIP_RSS_MB}) after "
           f"{time.perf_counter() - start:.1f} s")
-    ok = (rss <= DERIVE_RSS_MB and in_atlas and digest == DIGEST and same
-          and trip_rss <= ROUND_TRIP_RSS_MB)
+    ok = (NODE_CAP <= DEFAULT_NODE_CAP and rss <= DERIVE_RSS_MB and in_atlas
+          and digest == DIGEST and same and trip_rss <= ROUND_TRIP_RSS_MB)
     print("ok" if ok else "FAILED")
     return 0 if ok else 1
 

@@ -52,7 +52,7 @@ from tileatlas.geometry import (
 )
 from tileatlas.reduction import encode_patch, reduce_set
 from tileatlas.search import region_search
-from tileatlas.solver import SolveConfig, solve
+from tileatlas.solver import SolveConfig, count_solutions, solve
 from tileatlas.tileset import (
     FacetRule,
     FormatError,
@@ -147,8 +147,8 @@ def test_budget_guard():
     with pytest.raises(BudgetExceeded):
         enumerate_source_coronas(ts, node_cap=50)
     # the smallest caps that succeed: every candidate tried in the window
-    # counts, one per prototile at the centre included
-    for name, cap in (("wang13", 40248), ("triangles6", 222)):
+    # counts, each window searched in scan order
+    for name, cap in (("wang13", 41626), ("triangles6", 240)):
         ts = load_bundled(name)
         with pytest.raises(BudgetExceeded):
             enumerate_source_coronas(ts, node_cap=cap - 1)
@@ -614,29 +614,39 @@ def test_parse_atlas_names_the_line_of_a_bad_ring_label():
         parse_atlas(short, rs)
 
 
-def test_corona_window_assignment_order_is_pinned():
-    # centre first, then the cell with the most ordered facet neighbours,
-    # ties broken by scan order
-    orders = {
-        ShapeKind.SQUARE: ((1, 1), (0, 1), (0, 0), (1, 0), (0, 2), (1, 2),
-                           (2, 0), (2, 1), (2, 2)),
-        ShapeKind.CUBE: (
-            (1, 1, 1), (0, 1, 1), (0, 0, 1), (1, 0, 1), (0, 0, 0), (0, 1, 0),
-            (1, 0, 0), (1, 1, 0), (0, 0, 2), (0, 1, 2), (1, 0, 2), (1, 1, 2),
-            (0, 2, 0), (0, 2, 1), (0, 2, 2), (1, 2, 0), (1, 2, 1), (1, 2, 2),
-            (2, 0, 0), (2, 0, 1), (2, 0, 2), (2, 1, 0), (2, 1, 1), (2, 1, 2),
-            (2, 2, 0), (2, 2, 1), (2, 2, 2)),
-        ShapeKind.TRI_UP: (
-            (1, 1, 0), (0, 1, 1), (0, 1, 0), (0, 0, 1), (0, 2, 0), (0, 2, 1),
-            (1, 0, 0), (1, 0, 1), (1, 1, 1), (1, 2, 0), (2, 0, 0), (2, 0, 1),
-            (2, 1, 0)),
-        ShapeKind.TRI_DOWN: (
-            (1, 1, 1), (1, 1, 0), (0, 1, 1), (0, 2, 0), (0, 2, 1), (1, 2, 0),
-            (1, 0, 1), (1, 2, 1), (2, 0, 0), (2, 0, 1), (2, 1, 0), (2, 1, 1),
-            (2, 2, 0)),
-    }
-    for kind, order in orders.items():
-        assert tileatlas.atlas._corona_window(kind)[2] == order, kind
+def test_corona_window_is_searched_in_scan_order():
+    # each kind's window is assigned in the scan order of its region,
+    # restricted to the window; a square or cube window is the whole region
+    for kind in ShapeKind:
+        region, cells, order, _ = tileatlas.atlas._corona_window(kind)
+        assert order == tuple(c for c in region_cells(region) if c in cells)
+        assert sorted(order) == sorted(cells), kind
+        if kind in (ShapeKind.SQUARE, ShapeKind.CUBE):
+            assert order == tuple(region_cells(region)), kind
+
+
+def test_enumeration_is_the_solvers_count_on_square_and_cube_windows():
+    # the enumerator's search over a square or cube window is the solver's
+    # count over the free 3^d region: as many coronas, and a budget of that
+    # count's nodes is the smallest that succeeds
+    rng = random.Random(3113)
+    sets = [load_bundled("wang13")]
+    sets += [random_tileset(rng, "square2d", rng.randint(2, 6), colours=1)
+             for _ in range(8)]
+    sets += [random_tileset(rng, "cube3d", rng.randint(2, 4), colours=1)
+             for _ in range(8)]
+    found = Counter()
+    for ts in sets:
+        region = RegionSpec(ts.space, (3,) * space_dim(ts.space), False)
+        full = count_solutions(ts, region)
+        assert full.status != "limit"
+        coronas = enumerate_source_coronas(ts, node_cap=full.nodes)
+        assert len(coronas) == full.count, ts
+        with pytest.raises(BudgetExceeded):
+            enumerate_source_coronas(ts, node_cap=full.nodes - 1)
+        found[ts.space] += full.count > 0
+    # coronas on both lattices, so the counts compared are not all empty
+    assert found["square2d"] and found["cube3d"], found
 
 
 def test_parse_atlas_accepts_each_lattice():

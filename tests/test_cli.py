@@ -368,6 +368,37 @@ def test_render_refuses_cells_outside_the_region(tmp_path, capsys):
         assert not svg.exists()
 
 
+def test_render_refuses_what_it_cannot_draw(tmp_path, capsys):
+    # an up triangle's code on a down cell, which verify refuses too, and a
+    # free wang13 cell whose x has 310 digits: exit 1, no traceback
+    red = tmp_path / "t.reduced"
+    run(capsys, "reduce", "--in", "@triangles6", "--mode", "c2",
+        "--out", str(red))
+    misfit = tmp_path / "m.patch"
+    misfit.write_text("patch triangles6-c2 1 1 free\n0 0 d x0 t0\n",
+                      encoding="utf-8")
+    far = 10 ** 309
+    wide = tmp_path / "w.patch"
+    wide.write_text(f"patch wang13 {far + 1} 1 free\n{far} 0 a1 r0\n",
+                    encoding="utf-8")
+    for argv, fault in (
+            (("--in", "@triangles6", "--reduced", str(red), "--patch",
+              str(misfit)),
+             "orientation 't0' does not fit tile x0 at (0, 0, 1)"),
+            (("--in", "@wang13", "--patch", str(wide)),
+             f"cell ({far}, 0) lies at 2**1000 or beyond on the canvas, out "
+             "of a float's range")):
+        svg = tmp_path / "out.svg"
+        code, out, err = run(capsys, "render", *argv, "--svg", str(svg))
+        assert code == 1, argv
+        assert err == f"error: {fault}\n", err
+        assert out == "" and not svg.exists()
+    code, out, _ = run(capsys, "verify", "--in", "@triangles6", "--reduced",
+                       str(red), "--patch", str(misfit))
+    assert code == 1
+    assert "orientation 't0' not allowed for tile u1 at (0, 0, 1)" in out
+
+
 def test_render_refuses_a_patch_of_another_lattice(tmp_path, capsys):
     # a triangles6 placement line has one field more than a square one
     patch = tmp_path / "t.patch"

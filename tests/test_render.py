@@ -6,6 +6,7 @@ bytes are a pure function of the patch.
 """
 
 import hashlib
+import re
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
@@ -30,10 +31,12 @@ from tileatlas.render import (
 from tileatlas.reduction import encode_patch, reduce_set
 from tileatlas.solver import random_patch, solve_atlas, SolveConfig
 from tileatlas.tileset import (
+    FormatError,
     Patch,
     Placement,
     RegionSpec,
     load_bundled,
+    parse_patch,
 )
 
 
@@ -334,3 +337,62 @@ def test_palette():
     first = [colour_hex(c) for c in range(1, 25)]
     assert len(set(first)) == 24
     assert colour_hex(25) == colour_hex(1)  # wraps past the palette
+
+
+def test_render_refuses_placements_that_do_not_fit_their_cell():
+    # an id the set lacks, a code that carries the tile onto the other
+    # triangle kind, and a code of another lattice are each refused with
+    # their cell named, not drawn nor a KeyError
+    rs = reduce_set(load_bundled("triangles6"), "c2")
+    cube_rs = reduce_set(load_bundled("cubes21"), "c1")
+    ts = load_bundled("wang13")
+    cube = "sXYZ:+++/XYZ"
+    for render, tiles, space, cell, tile, code, fault in (
+            (render_reduced_patch, rs, "tri2d", (0, 0, 1), "x0", "t0",
+             "orientation 't0' does not fit tile x0 at (0, 0, 1)"),
+            (render_reduced_patch, rs, "tri2d", (0, 0, 0), "zz", "t0",
+             "unknown tile id 'zz' at (0, 0, 0)"),
+            (render_reduced_patch, cube_rs, "cube3d", (0, 0, 0), "zz", cube,
+             "unknown tile id 'zz' at (0, 0, 0)"),
+            (render_reduced_patch, cube_rs, "cube3d", (0, 0, 0), "x0", "r0",
+             "orientation 'r0' does not fit tile x0 at (0, 0, 0)"),
+            (render_source_patch, rs.source, "tri2d", (0, 0, 1), "u1", "t0",
+             "orientation 't0' does not fit tile u1 at (0, 0, 1)"),
+            (render_source_patch, ts, "square2d", (0, 0), "zz", "r0",
+             "unknown tile id 'zz' at (0, 0)"),
+            (render_source_patch, ts, "square2d", (0, 0), "a1", "t0",
+             "orientation 't0' does not fit tile a1 at (0, 0)")):
+        region = RegionSpec(space, (1,) * space_dim(space), False)
+        patch = Patch("p", region, {cell: Placement(cell, tile, code)})
+        with pytest.raises(FormatError, match=f"^{re.escape(fault)}$"):
+            render(tiles, patch)
+    # the code that carries x0 onto the down cell draws
+    good = Patch("p", RegionSpec("tri2d", (1, 1), False),
+                 {(0, 0, 1): Placement((0, 0, 1), "x0", "ut4")})
+    assert "<polyline" in render_reduced_patch(rs, good)
+
+
+def test_render_refuses_coordinates_out_of_float_range():
+    # a 310-digit x overflowed the float conversion of the outline; a cube
+    # layer shift counts towards the bound, and a cell just below it draws
+    ts = load_bundled("wang13")
+    far = 10 ** 309
+    patch = parse_patch(f"patch w {far + 1} 1 free\n{far} 0 a1 r0\n",
+                        "square2d")
+    beyond = "lies at 2**1000 or beyond on the canvas, out of a float's range"
+    with pytest.raises(FormatError,
+                       match=re.escape(f"cell ({far}, 0) {beyond}")):
+        render_source_patch(ts, patch)
+    cubes = load_bundled("cubes21")
+    width = 2 ** 999
+    layered = parse_patch(f"patch c {width} 1 3 free\n"
+                          "0 0 2 a1p0 sXYZ:+++/XYZ\n", "cube3d")
+    with pytest.raises(FormatError,
+                       match=re.escape(f"cell (0, 0, 2) {beyond}")):
+        render_source_patch(cubes, layered)
+    near = 2 ** 1000 - 1
+    patch = parse_patch(f"patch w {near + 1} {near + 1} free\n"
+                        f"{near} {near} a1 r0\n", "square2d")
+    svg = render_source_patch(ts, patch)
+    ET.fromstring(svg)
+    assert "inf" not in svg and "nan" not in svg

@@ -31,6 +31,7 @@ from tileatlas.tileset import (
     identity_code,
     parse_patch,
     parse_tileset,
+    cell_in_region,
     patch_valid,
     placement_ok,
     placement_orientations,
@@ -503,6 +504,47 @@ def test_wrap_cell():
     assert wrap_cell(r, (-1, 2)) == (2, 0)
     rt = RegionSpec("tri2d", (3, 2), True)
     assert wrap_cell(rt, (-1, 2, 1)) == (2, 0, 1)
+
+
+def test_cells_off_the_lattice_are_no_cells_of_a_region():
+    # a tuple of another arity, or a triangle orientation bit other than 0
+    # or 1, lies in no region: patch_valid reports it as outside, and the
+    # patch writer refuses it rather than write what reads back otherwise
+    square = RegionSpec("square2d", (2, 2), False)
+    tri = RegionSpec("tri2d", (2, 2), False)
+    cube = RegionSpec("cube3d", (2, 2, 2), False)
+    for region, inside, off in (
+            (square, [(0, 0), (1, 1)], [(0, 0, 7), (1,), (), (0, 0, 0)]),
+            (tri, [(0, 0, 0), (1, 1, 1)], [(0, 0, 5), (0, 0, -1), (1,),
+                                           (0, 0), (0, 0, 0, 0)]),
+            (cube, [(0, 0, 0), (1, 1, 1)], [(0, 0), (0, 0, 0, 0)])):
+        assert all(cell_in_region(region, c) for c in inside), region
+        assert not any(cell_in_region(region, c) for c in off), region
+    # cell_kind still reads any non-zero bit as a down cell
+    assert cell_kind("tri2d", (0, 0, 5)) is ShapeKind.TRI_DOWN
+    ts = square_set([(1, 1, 1, 1)], allowed="translations")
+    for cell in ((0, 0, 7), (1,)):
+        patch = Patch("s", square, {(0, 0): Placement((0, 0), "p0", "r0"),
+                                    cell: Placement(cell, "p0", "r0")})
+        assert patch_valid(ts, patch) == (
+            False, (f"cell {cell} outside region (2, 2)",))
+        with pytest.raises(FormatError, match=re.escape(
+                f"cannot write cell {cell}: it is no square2d cell")):
+            serialize_patch(patch)
+    up = Prototile("u", ShapeKind.TRI_UP, (1, 2, 3))
+    tri_ts = TileSet("t", (up,), FacetRule("identical"), "translations")
+    for cell in ((0, 0, 5), (1,)):
+        patch = Patch("t", tri, {cell: Placement(cell, "u", "t0")})
+        assert patch_valid(tri_ts, patch) == (
+            False, (f"cell {cell} outside region (2, 2)",))
+        with pytest.raises(FormatError, match=re.escape(
+                f"cannot write cell {cell}: it is no tri2d cell")):
+            serialize_patch(patch)
+    # a lattice cell outside the region is still written, and read back
+    for region, cell, code in ((square, (-1, 5), "r0"),
+                               (tri, (3, -2, 1), "t0")):
+        patch = Patch("s", region, {cell: Placement(cell, "p0", code)})
+        assert parse_patch(serialize_patch(patch), region.space) == patch
 
 
 # ---------------------------------------------------------------------------
