@@ -24,15 +24,15 @@ prototiles, not the engine's candidate lists; the engine's schedule,
 against an oracle of coinciding facet midpoints.
 
 The implicit route packs the decoded corona and reads the row across the
-tables, testing the pairs' two colour sequences at once by the rule; only a
-failing row is walked by `pair_faults` to name its first failing pair.  The
+tables, testing the pairs' two colour sequences at once by the rule.  The
 enumerator, one `region_search` per centre kind over the corona window
 (in scan order; a node is a candidate tried at any window cell), reads its
 rows down the same tables, a few thousand at a time: each cell's column, a
 slice of the joined rows, may hold only that cell's legal characters, and
 each pair's two columns, translated to colours, are tested by the rule
-once.  A batch passes exactly when every row would; only a failing batch is
-read row by row, to name its first fault.
+once.  A batch passes exactly when every row would.  The check only
+decides: a batch it refuses, which only a faulty engine yields, is named by
+`patch_valid` on each row's window in turn.
 
 An `Atlas` is stored packed: a sorted table of the (tile, code) labels its
 coronas use, and one `str` row per corona whose characters are label
@@ -79,7 +79,7 @@ from .tileset import (
     effective_facets,
     facet_pairs,
     identity_code,
-    pair_faults,
+    patch_valid,
     placement_ok,
     region_cells,
     rule_test,
@@ -313,22 +313,19 @@ class _WindowCheck(NamedTuple):
     """A corona window's compiled check for one source set; see
     _window_check."""
 
-    cells: tuple  # centre first, then the ring in touching-offset order
-    pairs: tuple  # facet_pairs quads over cells
-    labels: tuple  # chr(k) stands for labels[k], the k-th prototile's label
-    chars: dict  # tile id -> its row character
+    chars: dict  # tile id -> its row character, chr(k) for the k-th
     legal: list  # per cell: the row characters of its legal labels
     paints: list  # per pair: (i, row char -> colour char, j, the same)
-    hues: tuple  # colour char chr(h) -> the colour hues[h]
     test: Callable  # the rule's test of two colour-character sequences
 
 
 def _window_check(ts: TileSet, kind: ShapeKind) -> _WindowCheck:
     """The corona window's check for `ts` over packed rows, chr(k) for the
-    k-th prototile's label: the window's cells and facet_pairs, per cell the
-    characters placement_ok accepts there, per pair and end a str.translate
-    table from those characters to the end's facet colour as a character,
-    and the rule's test of two sequences of such colours.
+    k-th prototile: each tile's character, per window cell the characters
+    placement_ok accepts there, per facet_pairs pair and end a str.translate
+    table from those characters to the end's facet colour as a character
+    (chr(h) for the h-th of the sorted colours), and the rule's test of two
+    sequences of such colours.
 
     It is compiled from the prototiles, not from the engine's candidate
     lists, once per set and kind, and kept on the set.  placement_ok and
@@ -359,10 +356,10 @@ def _window_check(ts: TileSet, kind: ShapeKind) -> _WindowCheck:
                     for t, eff in facets[kinds[c]].items()}
 
         check = ts.window_checks[kind] = _WindowCheck(
-            cells, pairs, tuple((t, ident) for t in chars), chars,
+            chars,
             [frozenset(map(chars.__getitem__, facets[k])) for k in kinds],
             [(i, paint(i, f), j, paint(j, nf)) for i, f, j, nf in pairs],
-            tuple(hue), _hue_test(ts.rule, hue))
+            _hue_test(ts.rule, hue))
     return check
 
 
@@ -374,45 +371,40 @@ def _hue_test(rule, hue: dict):
     return lambda xs, ys: pairs.issuperset(zip(xs, ys))
 
 
-def _window_fault(ts: TileSet, check: _WindowCheck, row: str,
-                  labels) -> str | None:
-    """None when the window packed as `row`, one character per cell, passes
-    the compiled check; else what fails first, named through `labels`: chr(k)
-    stands for labels[k]."""
-    legal = check.legal
-    if not all(map(frozenset.__contains__, legal, row)):
-        bad = next(ch for ch, ok in zip(row, legal) if ch not in ok)
-        fault = f"{labels[ord(bad)]} is no legal placement"
-    else:
-        codes = list(map(ord, row))
-        xs = [a[codes[i]] for i, a, _, _ in check.paints]
-        ys = [b[codes[j]] for _, _, j, b in check.paints]
-        if check.test(xs, ys):
-            return None
-        # the first failing pair names the fault, in colours
-        hues = check.hues
-        fault = next(pair_faults(ts.rule, check.cells, check.pairs,
-                                 [hues[ord(x)] for x in xs],
-                                 [hues[ord(y)] for y in ys]))
-    window = [labels[ord(ch)] for ch in row]
-    return f"{fault} in {list(zip(check.cells, window))}"
+def _row_ok(check: _WindowCheck, row: str) -> bool:
+    """Whether the window packed as `row`, one character per cell, passes
+    the compiled check."""
+    if not all(map(frozenset.__contains__, check.legal, row)):
+        return False
+    codes = list(map(ord, row))
+    return check.test([a[codes[i]] for i, a, _, _ in check.paints],
+                      [b[codes[j]] for _, _, j, b in check.paints])
 
 
-def _rows_fault(ts: TileSet, check: _WindowCheck, labels, rows) -> str | None:
-    """None when every row passes _window_fault; else the first failing
-    row's fault, named through `labels`.  The rows are read down the
-    check's tables, a column at a time; only a batch that fails is read row
-    by row, to name its first fault."""
-    n = len(check.cells)
-    joined = "".join(rows)
+def _rows_ok(check: _WindowCheck, rows) -> bool:
+    """Whether every row passes _row_ok, read down the check's tables a
+    column at a time."""
+    joined, n = "".join(rows), len(check.legal)
     columns = [joined[c::n] for c in range(n)]
-    if (all(map(frozenset.issuperset, check.legal, columns))
+    return (all(map(frozenset.issuperset, check.legal, columns))
             and all(check.test(columns[i].translate(a),
                                columns[j].translate(b))
-                    for i, a, j, b in check.paints)):
-        return None
-    faults = (_window_fault(ts, check, row, labels) for row in rows)
-    return next(filter(None, faults), None)
+                    for i, a, j, b in check.paints))
+
+
+def _refusal(ts: TileSet, kind: ShapeKind, labels, rows, first: int) -> str:
+    """Why the window check refuses `rows`, the `kind` centre's windows
+    `first` on, packed with chr(k) for labels[k]: patch_valid's first
+    violation on the first row it refuses, with that row's labels."""
+    region, cells, _, _ = _corona_window(kind)
+    for row in rows:
+        window = [labels[ord(ch)] for ch in row]
+        ok, faults = patch_valid(ts, Patch(ts.name, region, {
+            c: Placement(c, t, code) for c, (t, code) in zip(cells, window)}))
+        if not ok:
+            return f"{faults[0]} in {window}"
+    return (f"the window check refuses {kind.name} windows {first} to "
+            f"{first + len(rows) - 1}, which patch_valid accepts")
 
 
 # rows re-checked at once: their joined text and columns stay blocks that the
@@ -443,10 +435,11 @@ def _enumerate(ts: TileSet, node_cap: int) -> tuple[list, list]:
                 "".join(map(index.__getitem__, pick(labels)))))
         check, labels = _window_check(ts, kind), list(index)
         for k in range(start, len(rows), _BATCH):
-            fault = _rows_fault(ts, check, labels, rows[k:k + _BATCH])
-            if fault is not None:
+            batch = rows[k:k + _BATCH]
+            if not _rows_ok(check, batch):
                 raise RuntimeError(
-                    f"incremental checks admitted an invalid corona: {fault}")
+                    "incremental checks admitted an invalid corona: "
+                    + _refusal(ts, kind, labels, batch, k - start))
         nodes += spent  # node_cap + 1 once the cap is crossed
         if nodes > node_cap:
             raise BudgetExceeded(
@@ -506,7 +499,7 @@ def corona_in_atlas_implicit(rs: ReducedSet, corona: Corona) -> bool:
                                        for entry in corona.ring])
     except KeyError:  # a ring entry encodes no source tile
         return False
-    return _window_fault(ts, check, row, check.labels) is None
+    return _row_ok(check, row)
 
 
 # ---------------------------------------------------------------------------

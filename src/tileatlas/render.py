@@ -15,10 +15,10 @@ Both renderers make one pass over the placed cells in sorted order.  Each
 text of every element its cell draws, colours included, with a `%.3f` slot
 per number (and, for a reduced set, the label's lifted glyph).  A cell
 computes only its numbers and fills its template in one step.  The canvas
-bounds are folded from the cell outlines alone.  That is exact: a strip lies
-within its cell's outline, and every glyph point, marker with its radius and
-cube label strictly inside it, so no other point can be a bound (while cell
-coordinates stay below 2**53, past which a float rounds them together).
+bounds are folded from the cell outlines alone: a strip lies within its
+outline, and each glyph point, marker with its radius and cube label inside
+it.  Square and cube outlines round by the glyphs' own route, (2x -+ 1) / 2,
+so at any coordinate a rounded point can at most meet its rounded outline.
 
 All geometry is computed in exact lattice arithmetic.  A lifted glyph
 point is kept as integer (numerator, denominator) pairs and carried onto its
@@ -109,9 +109,10 @@ def _outline(space: str, cell, shift):
         vs = [(float(a), float(b)) for a, b in tri_vertices(cell)]
         return ([a + 0.5 * b for a, b in vs],
                 [(SQRT3 / 2.0) * b for _, b in vs])
-    x, y = cell[0] + shift, cell[1]
-    return ([x - 0.5, x + 0.5, x + 0.5, x - 0.5],
-            [y - 0.5, y - 0.5, y + 0.5, y + 0.5])
+    # the glyphs' integer route, (2x -+ 1) / 2, then the layer's shift
+    x0, x1 = (2 * cell[0] - 1) / 2 + shift, (2 * cell[0] + 1) / 2 + shift
+    y0, y1 = (2 * cell[1] - 1) / 2, (2 * cell[1] + 1) / 2
+    return [x0, x1, x1, x0], [y0, y0, y1, y1]
 
 
 def _ring(xs, ys) -> list:
@@ -254,14 +255,13 @@ def render_reduced_patch(rs: ReducedSet, patch: Patch) -> str:
                      f'stroke="{colour}" stroke-width="0.050" '
                      f'stroke-linecap="round"/>'] * len(strokes)
         if cube:  # a cube representative has no glyph
-            # imported here: the module pulls in urllib, 7 MB of peak RSS
-            # that no other render needs
-            from xml.sax.saxutils import escape
             elements.append(
                 f'<circle cx="%.3f" cy="%.3f" r="0.080" fill="{colour}"/>\n'
                 f'<text x="%.3f" y="%.3f" font-size="0.160" '
                 f'font-family="monospace" text-anchor="middle">')
-            tail = f"{escape(f'{pl.tile} {pl.orientation}')}</text>"
+            # the label escaped as XML text, & first
+            tail = (f"{pl.tile} {pl.orientation}".replace("&", "&amp;")
+                    .replace(">", "&gt;").replace("<", "&lt;") + "</text>")
         else:
             elements.append('<circle cx="%.3f" cy="%.3f" r="0.050" '
                             'fill="#222222"/>')
@@ -280,7 +280,7 @@ def render_reduced_patch(rs: ReducedSet, patch: Patch) -> str:
             out += (x, -y)
         if cube:
             out[-2] += shift
-            out += (a + shift, -(b - 0.32))
+            out += (float(a) + shift, -(b - 0.32))
         return tuple(out)
 
     return _render(patch, rep_kind, compile_label, numbers)

@@ -278,17 +278,12 @@ def patch_valid(ts: TileSet, patch: Patch) -> tuple[bool, tuple[str, ...]]:
     xs = tuple([cols[i][f] for i, f, _, _ in pairs])
     ys = tuple([cols[j][nf] for _, _, j, nf in pairs])
     if not rule_test(ts.rule)(xs, ys):
-        violations.extend(pair_faults(ts.rule, cells, pairs, xs, ys))
+        violations += [
+            f"facet rule fails between {cells[i]} facet {facet} (colour {a}) "
+            f"and {cells[j]} facet {nfacet} (colour {b})"
+            for (i, facet, j, nfacet), a, b in zip(pairs, xs, ys)
+            if not rule_eval(ts.rule, a, b)]
     return (not violations, tuple(violations))
-
-
-def pair_faults(rule: FacetRule, cells, pairs, xs, ys):
-    """The message for each pair the rule refuses, in order: `pairs` are
-    facet_pairs quads over `cells`, xs and ys their two sides' colours."""
-    for (i, facet, j, nfacet), a, b in zip(pairs, xs, ys):
-        if not rule_eval(rule, a, b):
-            yield (f"facet rule fails between {cells[i]} facet {facet} "
-                   f"(colour {a}) and {cells[j]} facet {nfacet} (colour {b})")
 
 
 # ---------------------------------------------------------------------------

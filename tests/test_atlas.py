@@ -29,9 +29,10 @@ from tileatlas.atlas import (
     Atlas,
     BudgetExceeded,
     Corona,
-    _rows_fault,
+    _refusal,
+    _row_ok,
+    _rows_ok,
     _window_check,
-    _window_fault,
     corona_in_atlas_implicit,
     corona_of,
     derive_atlas,
@@ -209,10 +210,10 @@ def test_implicit_route_rejects_non_image_pairs():
     assert bad_ring not in atlas
 
 
-def window_valid(ts, kind, tiles):
-    """patch_valid on the corona window of a `kind` centre, a free 3-wide
-    region around it, its cells laid out by touching_cell and holding
-    `tiles` (untransformed), centre first."""
+def window_faults(ts, kind, tiles):
+    """patch_valid's violations on the corona window of a `kind` centre, a
+    free 3-wide region around it, its cells laid out by touching_cell and
+    holding `tiles` (untransformed), centre first."""
     space = KIND_SPACE[kind]
     dim = space_dim(space)
     ccell = tuple(x + 1 for x in origin_cell(kind)[:dim]) \
@@ -223,7 +224,12 @@ def window_valid(ts, kind, tiles):
     placements = {cell: Placement(cell, tile, ident)
                   for cell, tile in zip(cells, tiles)}
     region = RegionSpec(space, (3,) * dim, False)
-    return patch_valid(ts, Patch(ts.name, region, placements))[0]
+    return patch_valid(ts, Patch(ts.name, region, placements))[1]
+
+
+def window_valid(ts, kind, tiles):
+    """Whether patch_valid accepts the window that window_faults reads."""
+    return not window_faults(ts, kind, tiles)
 
 
 def decode_and_check(rs, corona):
@@ -659,15 +665,28 @@ def test_parse_atlas_accepts_each_lattice():
 
 def test_admit_recheck_catches_engine_faults(monkeypatch):
     # an engine whose facet test accepts every tuple yields invalid
-    # coronas; the enumerator's own re-check must refuse the first of them.
-    # The cap keeps a dropped re-check from enumerating all 13^9 fillings:
-    # it ends in BudgetExceeded, whose message does not match.
+    # coronas; the enumerator's own re-check must refuse the first of them,
+    # and patch_valid names the fault.  The cap keeps a dropped re-check
+    # from enumerating all 13^9 fillings: it ends in BudgetExceeded, whose
+    # message does not match.
     import tileatlas.search
     monkeypatch.setattr(tileatlas.search, "rule_test",
                         lambda rule: lambda xs, ys: True)
     with pytest.raises(RuntimeError,
-                       match="incremental checks admitted an invalid corona"):
+                       match="^incremental checks admitted an invalid corona: "
+                             "facet rule fails between "):
         enumerate_source_coronas(load_bundled("wang13"), node_cap=1000)
+
+
+def test_refused_batch_raises_though_patch_valid_accepts_it(monkeypatch):
+    # a window check that refuses valid rows is a fault too: no row is
+    # admitted, and the message names the batch patch_valid accepts
+    monkeypatch.setattr(tileatlas.atlas, "_rows_ok", lambda check, rows: False)
+    with pytest.raises(RuntimeError, match=re.escape(
+            "incremental checks admitted an invalid corona: the window "
+            "check refuses SQUARE windows 0 to 1072, which patch_valid "
+            "accepts")):
+        enumerate_source_coronas(load_bundled("wang13"))
 
 
 def test_derive_atlas_rechecks_every_corona(monkeypatch):
@@ -682,12 +701,15 @@ def test_derive_atlas_rechecks_every_corona(monkeypatch):
 
 def test_admit_recheck_catches_illegal_labels(monkeypatch):
     # an engine that offers every tile on every cell kind yields up
-    # triangles on down cells; the re-check's own legality tables refuse it
+    # triangles on down cells; the re-check's own legality tables refuse
+    # it, and patch_valid names the placement
     import tileatlas.search
     legal = tileatlas.search.placement_orientations
     monkeypatch.setattr(tileatlas.search, "placement_orientations",
                         lambda allowed, kind, target: legal(allowed, kind, kind))
-    with pytest.raises(RuntimeError, match="is no legal placement"):
+    with pytest.raises(RuntimeError, match=re.escape(
+            "incremental checks admitted an invalid corona: orientation "
+            "'t0' not allowed for tile u1 at (0, 0, 1) in ")):
         enumerate_source_coronas(load_bundled("triangles6"))
 
 
@@ -717,11 +739,14 @@ def test_window_check_tables_match_per_cell_placements():
                     if placement_ok(ts, region, pl) is None:
                         facets[-1][chr(k)] = effective_facets(ts, pl)
             assert check.legal == [set(eff) for eff in facets], ts.name
+            # colour characters are chr(h) for the h-th sorted colour
+            colours = sorted({c for eff in facets for cs in eff.values()
+                              for c in cs})
             assert len(check.paints) == len(pairs), ts.name
             for (i, a, j, b), (pi, f, pj, nf) in zip(check.paints, pairs):
                 assert (i, j) == (pi, pj), ts.name
                 for c, paint, facet in ((i, a, f), (j, b, nf)):
-                    assert {chr(k): check.hues[ord(h)]
+                    assert {chr(k): colours[ord(h)]
                             for k, h in paint.items()} == {
                         ch: eff[facet] for ch, eff in facets[c].items()
                     }, (ts.name, cells[c], facet)
@@ -754,10 +779,11 @@ def with_facet_variants(ts, rule):
     return TileSet(ts.name, ts.prototiles + tuple(variants), rule, ts.allowed)
 
 
-def test_column_recheck_matches_window_fault():
-    # a batch passes the column check exactly when patch_valid accepts the
-    # window of every row, and a failing batch names, as _window_fault
-    # does, the fault of the first row that patch_valid refuses
+def test_column_recheck_matches_window_valid():
+    # a row passes the row check, and a batch the column check, exactly
+    # when patch_valid accepts the window of the row, or of every row; a
+    # refused batch is named by patch_valid's first violation on the first
+    # row that it refuses
     rng = random.Random(2210)
     seen = Counter()
     for name, kinds in WINDOW_KINDS:
@@ -782,7 +808,7 @@ def test_column_recheck_matches_window_fault():
                 # every one-cell change of a few valid windows to a tile of
                 # the set, the unknown label or a variant of the tile there,
                 # among valid rows and sometimes before a second changed row
-                cells = range(len(check.cells))
+                cells = range(len(check.legal))
                 for row, c in itertools.product(valid[:3], cells):
                     tile = ord(row[c])
                     for k in (*range(n), len(labels) - 1,
@@ -798,13 +824,17 @@ def test_column_recheck_matches_window_fault():
                         verdicts = [window_valid(ts, kind,
                                                  [tiles[ord(x)] for x in r])
                                     for r in rows]
-                        fault = _rows_fault(ts, check, labels, rows)
-                        assert (fault is None) == all(verdicts)
-                        if fault is not None:
+                        assert [_row_ok(check, r) for r in rows] == verdicts
+                        ok = _rows_ok(check, rows)
+                        assert ok == all(verdicts)
+                        if not ok:
                             first = rows[verdicts.index(False)]
-                            assert fault == _window_fault(ts, check, first,
-                                                          labels)
-                        seen[kind, rule.kind, fault is None] += 1
+                            faults = window_faults(
+                                ts, kind, [tiles[ord(x)] for x in first])
+                            window = [labels[ord(x)] for x in first]
+                            assert _refusal(ts, kind, labels, rows, 0) == \
+                                f"{faults[0]} in {window}"
+                        seen[kind, rule.kind, ok] += 1
     # every window kind and rule kind met batches that pass and that fail
     for _, kinds in WINDOW_KINDS:
         for kind in kinds:

@@ -5,13 +5,20 @@ orientation of a placed representative is visually distinct) and that output
 bytes are a pure function of the patch.
 """
 
+import dataclasses
 import hashlib
+import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from pathlib import Path
+from xml.sax.saxutils import escape
 
 import pytest
 
+import tileatlas
 from tileatlas.geometry import (
     KIND_SPACE,
     ShapeKind,
@@ -330,6 +337,66 @@ def test_every_drawn_point_lies_inside_its_cell_outline():
                 for x, y in pts:
                     assert lo_x < x - r and x + r < hi_x, (name, tag, at, box)
                     assert lo_y < y - r and y + r < hi_y, (name, tag, at, box)
+
+
+def test_glyph_points_stay_within_their_outline_past_2_53():
+    # square and cube outlines are rounded by the glyphs' own route, so at
+    # any base every drawn glyph number and cube label anchor lies within
+    # its cell's outline box; it may meet it, where both round to one float
+    for name in ("wang13", "cubes21"):
+        for mode in ("c1", "c2"):
+            rs = reduce_set(load_bundled(name), mode)
+            for base in (0, 2 ** 53 + 1, 3 ** 40):
+                svg = render_reduced_patch(rs, every_label(rs, base))
+                for tag, at in svg_elements(svg):
+                    if tag == "polygon":
+                        box = lo_x, hi_x, lo_y, hi_y = outline_box(at)
+                        continue
+                    if tag == "polyline":
+                        pts = [tuple(map(float, pt.split(",")))
+                               for pt in at["points"].split()]
+                    elif tag == "circle":
+                        pts = [(float(at["cx"]), float(at["cy"]))]
+                    else:  # a cube label's anchor
+                        pts = [(float(at["x"]), float(at["y"]))]
+                    for x, y in pts:
+                        assert lo_x <= x <= hi_x and lo_y <= y <= hi_y, (
+                            name, mode, base, tag, at, box)
+
+
+def test_cube_label_is_escaped_as_saxutils_escapes_it():
+    rs = reduce_set(load_bundled("cubes21"), "c1")
+    rep = dataclasses.replace(rs.reps[0], id="a&<b>")
+    rs = dataclasses.replace(rs, reps=(rep,) + rs.reps[1:])
+    cell, code = (0, 0, 0), space_codes("cube3d")[0]
+    patch = Patch("p", RegionSpec("cube3d", (1, 1, 1), False),
+                  {cell: Placement(cell, rep.id, code)})
+    svg = render_reduced_patch(rs, patch)
+    assert f'>{escape(f"a&<b> {code}")}</text>' in svg
+    (text,) = [el for el in ET.fromstring(svg) if el.tag.endswith("text")]
+    assert text.text == f"a&<b> {code}"
+
+
+def test_cube_render_does_not_import_urllib():
+    # xml.sax.saxutils would pull in urllib: about 7 MB of peak RSS that
+    # no render needs
+    src = str(Path(tileatlas.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = (
+        "import sys\n"
+        "from tileatlas.reduction import encode_patch, reduce_set\n"
+        "from tileatlas.render import render_reduced_patch\n"
+        "from tileatlas.solver import random_patch\n"
+        "from tileatlas.tileset import load_bundled\n"
+        "ts = load_bundled('cubes21')\n"
+        "rs = reduce_set(ts, 'c1')\n"
+        "patch = random_patch(ts, (2, 2, 2), seed=0).patch\n"
+        "svg = render_reduced_patch(rs, encode_patch(rs, patch))\n"
+        "print('<text' in svg, 'urllib.request' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False"]
 
 
 def test_palette():
