@@ -15,13 +15,13 @@ source tiles and checking the facet rule directly; the two routes agree.
 Both the enumerator's re-check and the implicit route read one window
 check, compiled once per source set and centre kind and kept on the set.  A
 window is packed as a row, one character per cell, chr(k) for the k-th
-prototile.  Per cell the check holds the characters legal there
-(`placement_ok`); per pair of the window from `facet_pairs`, the pair walk
-of `patch_valid`, it holds a table from a character to the colour that each
-end's facet shows, interned as a character.  It is built from the
-prototiles, not the engine's candidate lists; the engine's schedule,
-`patch_valid` and this check read one pair list, which the tests check
-against an oracle of coinciding facet midpoints.
+prototile.  Per cell the check holds the characters legal there; per pair
+of the window from `facet_pairs`, the pair walk of `patch_valid`, it holds
+a table from a character to the colour that each end's facet shows,
+interned as a character.  It is built from the set's placement table,
+`TileSet.legal`.  The engine and `patch_valid` read that table too, and all
+three read one pair list, which the tests check against an oracle of
+coinciding facet midpoints.
 
 The implicit route packs the decoded corona and reads the row across the
 tables, testing the pairs' two colour sequences at once by the rule.  The
@@ -76,11 +76,9 @@ from .tileset import (
     _code,
     _content_lines,
     _token,
-    effective_facets,
     facet_pairs,
     identity_code,
     patch_valid,
-    placement_ok,
     region_cells,
     rule_test,
 )
@@ -321,43 +319,33 @@ class _WindowCheck(NamedTuple):
 
 def _window_check(ts: TileSet, kind: ShapeKind) -> _WindowCheck:
     """The corona window's check for `ts` over packed rows, chr(k) for the
-    k-th prototile: each tile's character, per window cell the characters
-    placement_ok accepts there, per facet_pairs pair and end a str.translate
-    table from those characters to the end's facet colour as a character
-    (chr(h) for the h-th of the sorted colours), and the rule's test of two
-    sequences of such colours.
+    k-th prototile: each tile's character, per window cell the characters of
+    the tiles `ts.legal` holds for its kind, per facet_pairs pair and end a
+    str.translate table from those characters to the colour `ts.legal` gives
+    the end's facet, as a character (chr(h) for the h-th of the sorted
+    colours), and the rule's test of two sequences of such colours.
 
-    It is compiled from the prototiles, not from the engine's candidate
-    lists, once per set and kind, and kept on the set.  placement_ok and
-    effective_facets run once per (tile, cell kind): every window cell lies
-    in the window's region, so its kind decides both.
+    It is compiled once per set and kind, and kept on the set.  Every window
+    cell lies in the window's region, so its kind decides what is legal
+    there.
     """
     check = ts.window_checks.get(kind)
     if check is None:
         region, cells, _, pairs = _corona_window(kind)
-        space = region.space
-        ident = identity_code(space)
-        kinds = [cell_kind(space, cell) for cell in cells]
-        facets = {}  # cell kind -> legal tile -> its facet colours
-        for cell, k in zip(cells, kinds):
-            if k not in facets:
-                table = facets[k] = {}
-                for p in ts.prototiles:
-                    pl = Placement(cell, p.id, ident)
-                    if placement_ok(ts, region, pl) is None:
-                        table[p.id] = effective_facets(ts, pl)
+        # a translation-placed set has one (tile, code) per legal tile
+        legal = [ts.legal[cell_kind(region.space, cell)] for cell in cells]
         chars = {p.id: chr(k) for k, p in enumerate(ts.prototiles)}
         hue = {c: chr(h) for h, c in enumerate(sorted(
-            {c for table in facets.values() for eff in table.values()
+            {c for table in ts.legal.values() for eff in table.values()
              for c in eff}))}
 
         def paint(c, f):  # row char -> the colour char of facet f on cell c
             return {ord(chars[t]): hue[eff[f]]
-                    for t, eff in facets[kinds[c]].items()}
+                    for (t, _), eff in legal[c].items()}
 
         check = ts.window_checks[kind] = _WindowCheck(
             chars,
-            [frozenset(map(chars.__getitem__, facets[k])) for k in kinds],
+            [frozenset([chars[t] for t, _ in table]) for table in legal],
             [(i, paint(i, f), j, paint(j, nf)) for i, f, j, nf in pairs],
             _hue_test(ts.rule, hue))
     return check
@@ -453,9 +441,10 @@ def enumerate_source_coronas(ts: TileSet,
 
     `node_cap` bounds the nodes summed over the centre kinds.  Every complete
     assignment is re-verified by the set's window check before it is
-    admitted: each label must be a placement that placement_ok accepts on
-    its window cell, and every pair that facet_pairs lists for the window is
-    tested against the rule on the facet colours read there.
+    admitted: each label must be one that the set's placement table,
+    `ts.legal`, holds for its window cell's kind, and every pair that
+    facet_pairs lists for the window is tested against the rule on the
+    facet colours read there.
     """
     return set(Atlas._packed(ts.name, *_enumerate(ts, node_cap)).coronas)
 
@@ -507,7 +496,8 @@ def corona_in_atlas_implicit(rs: ReducedSet, corona: Corona) -> bool:
 # ---------------------------------------------------------------------------
 
 def serialize_atlas(atlas: Atlas) -> str:
-    # every code is of the lattice of the first label's code
+    # every code is of the lattice of the first label's code, and every ring
+    # has that lattice's touching count of entries
     lattice = atlas.labels and _lattice_of_code().get(atlas.labels[0][1])
     codes = space_codes(lattice[0]) if lattice else ()
     # a centre tile named ":" would read as the separator
@@ -515,6 +505,10 @@ def serialize_atlas(atlas: Atlas) -> str:
             for (t, code), ch in atlas._chars.items()}
     out = [f"atlas {_token(atlas.name, 'atlas name')}"]
     for row in sorted(atlas.rows):
+        if len(row) - 1 != lattice[1]:
+            raise FormatError(f"cannot write a ring of {len(row) - 1} "
+                              f"entries: {lattice[0]} coronas have "
+                              f"{lattice[1]}")
         center, *ring = map(text.__getitem__, row)
         out.append(f"{center} : {' '.join(ring)}")
     out.append("")  # the final newline, joined in without a copy

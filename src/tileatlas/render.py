@@ -17,8 +17,9 @@ per number (and, for a reduced set, the label's lifted glyph).  A cell
 computes only its numbers and fills its template in one step.  The canvas
 bounds are folded from the cell outlines alone: a strip lies within its
 outline, and each glyph point, marker with its radius and cube label inside
-it.  Square and cube outlines round by the glyphs' own route, (2x -+ 1) / 2,
-so at any coordinate a rounded point can at most meet its rounded outline.
+it.  Outlines round by the glyphs' own route, (2x -+ 1) / 2 on squares and
+cubes and a triangle's exact x + y/2 rounded once, so at any coordinate a
+rounded point can at most meet its rounded outline.
 
 All geometry is computed in exact lattice arithmetic.  A lifted glyph
 point is kept as integer (numerator, denominator) pairs and carried onto its
@@ -105,9 +106,9 @@ def _polygon(n: int, attrs: str) -> str:
 def _outline(space: str, cell, shift):
     """The cell's outline vertices on the canvas, as an x list and a y list;
     `shift` sets a cube layer beside the layers below it."""
-    if space == "tri2d":
-        vs = [(float(a), float(b)) for a, b in tri_vertices(cell)]
-        return ([a + 0.5 * b for a, b in vs],
+    if space == "tri2d":  # x = a + b/2, rounded once as the glyphs' is
+        vs = tri_vertices(cell)
+        return ([(2 * a + b) / 2 for a, b in vs],
                 [(SQRT3 / 2.0) * b for _, b in vs])
     # the glyphs' integer route, (2x -+ 1) / 2, then the layer's shift
     x0, x1 = (2 * cell[0] - 1) / 2 + shift, (2 * cell[0] + 1) / 2 + shift
@@ -275,8 +276,9 @@ def render_reduced_patch(rs: ReducedSet, patch: Patch) -> str:
         out = _ring(xs, ys)
         for (n, d), (m, e) in points:
             x, y = (n + a * d) / d, (m + b * e) / e
-            if tri:
-                x, y = x + 0.5 * y, (SQRT3 / 2.0) * y
+            if tri:  # the exact x + y/2, rounded once
+                x = (2 * e * (n + a * d) + d * (m + b * e)) / (2 * d * e)
+                y *= SQRT3 / 2.0
             out += (x, -y)
         if cube:
             out[-2] += shift

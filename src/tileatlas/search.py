@@ -1,12 +1,13 @@
 """The search engine shared by the region solver and the corona enumerator.
 
-`region_search` is its one entry point: it builds each cell kind's candidate
-list, (tile, code, facet colours), once, and runs one explicit-stack
-depth-first search over the region's cells, so the number of cells is not
-bounded by Python's recursion limit.  Every facet-sharing pair of listed
-cells that `facet_pairs` lists (torus wrap pairs included) is checked
-exactly once, when the later cell of the pair is placed; neighbours outside
-the list are unconstrained.
+`region_search` is its one entry point: it reads each cell kind's candidate
+list, (tile, code, facet colours), off the set's compiled placement table,
+`TileSet.legal`, which `patch_valid` and the corona window check read too,
+and runs one explicit-stack depth-first search over the region's cells, so
+the number of cells is not bounded by Python's recursion limit.  Every
+facet-sharing pair of listed cells that `facet_pairs` lists (torus wrap
+pairs included) is checked exactly once, when the later cell of the pair is
+placed; neighbours outside the list are unconstrained.
 The engine re-checks nothing it finds; its callers do.
 
 Each cell keeps a colour index: a memo from the colours its earlier
@@ -65,15 +66,12 @@ from __future__ import annotations
 import random
 from operator import itemgetter
 
-from .geometry import FACET_COUNT, cell_kind, origin_cell
+from .geometry import FACET_COUNT, cell_kind
 from .tileset import (
     FormatError,
-    Placement,
     RegionSpec,
     TileSet,
-    effective_facets,
     facet_pairs,
-    placement_orientations,
     region_cells,
     rule_test,
 )
@@ -102,15 +100,9 @@ def region_search(ts: TileSet, region: RegionSpec, limit=None, seed=None,
     if cells is None:
         cells = region_cells(region)
     space = region.space
-    per_kind = {}  # kind -> (tile, code, facet colours)
-    for c in cells:
-        kind = cell_kind(space, c)
-        if kind not in per_kind:
-            per_kind[kind] = [
-                (p.id, code, effective_facets(
-                    ts, Placement(origin_cell(kind), p.id, code)))
-                for p in ts.prototiles
-                for code in placement_orientations(ts.allowed, p.kind, kind)]
+    # kind -> (tile, code, facet colours), one list shared by its cells
+    per_kind = {kind: [(*label, e) for label, e in table.items()]
+                for kind, table in ts.legal.items()}
     rng = random.Random(seed) if seed is not None else None
     per_cell = []
     for c in cells:

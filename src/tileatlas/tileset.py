@@ -23,6 +23,7 @@ from .geometry import (
     facet_action_code,
     facet_neighbor,
     image_kind,
+    origin_cell,
     space_codes,
     space_dim,
 )
@@ -102,6 +103,10 @@ class TileSet:
     allowed: str  # "translations" | "all"
     space: str = field(init=False, repr=False, compare=False)
     by_id: dict = field(init=False, repr=False, compare=False)
+    # cell kind -> (tile, code) -> facet colours, for every code allowed on
+    # the kind, in prototile then code order; read by the engine, patch_valid
+    # and the window check
+    legal: dict = field(init=False, repr=False, compare=False)
     # corona kind -> the atlas module's compiled window check, built on first
     # use; it lives and dies with this set
     window_checks: dict = field(init=False, repr=False, compare=False)
@@ -118,6 +123,13 @@ class TileSet:
                               f"{sorted(spaces)}")
         object.__setattr__(self, "space", spaces.pop())
         object.__setattr__(self, "by_id", {p.id: p for p in self.prototiles})
+        object.__setattr__(self, "legal", {
+            kind: {(p.id, code): effective_facets(
+                       self, Placement(origin_cell(kind), p.id, code))
+                   for p in self.prototiles
+                   for code in placement_orientations(self.allowed, p.kind,
+                                                      kind)}
+            for kind in SPACE_KINDS[self.space]})
         object.__setattr__(self, "window_checks", {})
 
 
@@ -253,25 +265,24 @@ def patch_valid(ts: TileSet, patch: Patch) -> tuple[bool, tuple[str, ...]]:
     Returns (ok, violations): placement messages first, then facet failures
     in sorted cell, facet order.  Boundary facets of free patches and absent
     neighbours are unconstrained; corner/edge point contacts are always legal
-    (lower-dimensional boundary points are uncoloured).  placement_ok and
-    effective_facets run once per accepted (tile, code, cell kind).
+    (lower-dimensional boundary points are uncoloured).  Each placement is
+    looked up in `ts.legal` under its cell's kind; placement_ok words only
+    the placements that the table refuses.
     """
     region = patch.region
     violations = []
     eff = {}
-    accepted = {}  # (tile, code, cell kind) -> its facets, once accepted
     for cell, pl in patch.placements.items():
-        # False for a cell outside the region, whose placement_ok fails
-        key = cell_in_region(region, cell) and (
-            pl.tile, pl.orientation, cell_kind(region.space, cell))
-        facets = accepted.get(key)
+        facets = None
+        # cell_kind reads lattice cells only; another lattice's kind has no
+        # table in ts.legal
+        if cell_in_region(region, cell):
+            facets = ts.legal.get(cell_kind(region.space, cell), {}).get(
+                (pl.tile, pl.orientation))
         if facets is None:
-            msg = placement_ok(ts, region, pl)
-            if msg is not None:
-                violations.append(msg)
-                continue
-            facets = accepted[key] = effective_facets(ts, pl)
-        eff[cell] = facets
+            violations.append(placement_ok(ts, region, pl))
+        else:
+            eff[cell] = facets
     cells = tuple(sorted(eff))
     pairs = facet_pairs(region, cells)
     cols = [eff[c] for c in cells]

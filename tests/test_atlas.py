@@ -43,6 +43,7 @@ from tileatlas.atlas import (
 )
 from tileatlas.geometry import (
     KIND_SPACE,
+    SPACE_KINDS,
     ShapeKind,
     cell_kind,
     origin_cell,
@@ -526,6 +527,19 @@ def test_atlas_writer_refuses_what_the_reader_cannot_return():
         for atlas in changed:
             with pytest.raises(FormatError, match=re.escape(repr(bad))):
                 serialize_atlas(atlas)
+    # a ring of another length than the lattice's touching count, beside
+    # rows the reader would take
+    for atlas, entries, space, count in (
+            (Atlas("a", [Corona(("x0", "r0"), ring[:3])]), 3, "square2d", 8),
+            (Atlas("a", [Corona(("x0", "r0"), ring),
+                         Corona(("x1", "r0"), ring + ring[:1])]),
+             9, "square2d", 8),
+            (Atlas("a", [Corona(("x0", "t0"), (("x1", "t0"),) * 8)]),
+             8, "tri2d", 12)):
+        with pytest.raises(FormatError, match=re.escape(
+                f"cannot write a ring of {entries} entries: {space} coronas "
+                f"have {count}")):
+            serialize_atlas(atlas)
 
 
 def test_parse_atlas_errors():
@@ -700,13 +714,12 @@ def test_derive_atlas_rechecks_every_corona(monkeypatch):
 
 
 def test_admit_recheck_catches_illegal_labels(monkeypatch):
-    # an engine that offers every tile on every cell kind yields up
+    # an engine that reads every cell as its lattice's first kind offers up
     # triangles on down cells; the re-check's own legality tables refuse
     # it, and patch_valid names the placement
     import tileatlas.search
-    legal = tileatlas.search.placement_orientations
-    monkeypatch.setattr(tileatlas.search, "placement_orientations",
-                        lambda allowed, kind, target: legal(allowed, kind, kind))
+    monkeypatch.setattr(tileatlas.search, "cell_kind",
+                        lambda space, cell: SPACE_KINDS[space][0])
     with pytest.raises(RuntimeError, match=re.escape(
             "incremental checks admitted an invalid corona: orientation "
             "'t0' not allowed for tile u1 at (0, 0, 1) in ")):
@@ -719,9 +732,9 @@ WINDOW_KINDS = (("wang13", (ShapeKind.SQUARE,)),
 
 
 def test_window_check_tables_match_per_cell_placements():
-    # the check runs placement_ok and effective_facets once per (tile, cell
-    # kind); its legal characters and each pair's colour tables must be
-    # those they give cell by cell
+    # the check reads the set's placement table; its legal characters and
+    # each pair's colour tables must be those placement_ok and
+    # effective_facets give cell by cell
     rng = random.Random(7)
     sets = [(load_bundled(name), kinds) for name, kinds in WINDOW_KINDS]
     sets.append((random_tileset(rng, "tri2d", 7, name="mixed"),

@@ -250,7 +250,8 @@ def exact_glyph_numbers(rs, patch):
     """Exact route: each cell's stroke ends and decoration point, in drawing
     order, as the SVG should write them.  Each lattice coordinate is the
     Fraction plus the cell's base, rounded to a float once; only then is it
-    embedded in the plane (triangles) or shifted to its layer (cubes)."""
+    shifted to its layer (cubes) or its y scaled (triangles).  A triangle's
+    canvas x is the exact x + y/2, rounded once."""
     kinds = {r.id: r.kind for r in rs.reps}
     space = patch.region.space
     out = []
@@ -260,7 +261,8 @@ def exact_glyph_numbers(rs, patch):
         for p in [p for stroke in strokes for p in stroke] + [mark]:
             x, y = float(p[0] + cell[0]), float(p[1] + cell[1])
             if space == "tri2d":
-                x, y = x + 0.5 * y, (3 ** 0.5 / 2.0) * y
+                x = float(p[0] + cell[0] + (p[1] + cell[1]) / 2)
+                y *= 3 ** 0.5 / 2.0
             elif space == "cube3d":
                 x += cell[2] * (patch.region.extents[0] + 1)
             out += [three_decimals(x), three_decimals(-y)]
@@ -340,10 +342,11 @@ def test_every_drawn_point_lies_inside_its_cell_outline():
 
 
 def test_glyph_points_stay_within_their_outline_past_2_53():
-    # square and cube outlines are rounded by the glyphs' own route, so at
-    # any base every drawn glyph number and cube label anchor lies within
-    # its cell's outline box; it may meet it, where both round to one float
-    for name in ("wang13", "cubes21"):
+    # outlines are rounded by the glyphs' own route (a triangle's canvas x
+    # is its exact x + y/2 rounded once), so at any base every drawn glyph
+    # number and cube label anchor lies within its cell's outline box; it
+    # may meet it, where both round to one float
+    for name in ("wang13", "cubes21", "triangles6"):
         for mode in ("c1", "c2"):
             rs = reduce_set(load_bundled(name), mode)
             for base in (0, 2 ** 53 + 1, 3 ** 40):

@@ -14,10 +14,12 @@ import pytest
 from conftest import UNREADABLE, random_tileset
 from tileatlas.geometry import (
     FACET_COUNT,
+    SPACE_KINDS,
     ShapeKind,
     cell_kind,
     facet_midpoint2,
     space_codes,
+    space_dim,
 )
 from tileatlas.tileset import (
     FacetRule,
@@ -29,6 +31,7 @@ from tileatlas.tileset import (
     TileSet,
     effective_facets,
     identity_code,
+    load_bundled,
     parse_patch,
     parse_tileset,
     cell_in_region,
@@ -365,7 +368,7 @@ def test_patch_valid_reports_on_extent_one_tori():
 
 
 def test_patch_valid_repeated_labels_match_oracle():
-    # patch_valid checks a (tile, code, cell kind) once: one legal label
+    # patch_valid reads each (tile, code, cell kind) off one table: a label
     # placed in and out of the region, and an unknown id and an illegal
     # orientation each on several cells, in shuffled order, must be
     # reported as the oracle reports them
@@ -545,6 +548,91 @@ def test_cells_off_the_lattice_are_no_cells_of_a_region():
                                (tri, (3, -2, 1), "t0")):
         patch = Patch("s", region, {cell: Placement(cell, "p0", code)})
         assert parse_patch(serialize_patch(patch), region.space) == patch
+
+
+def test_patch_valid_messages_and_their_order_are_pinned():
+    # patch_valid looks each placement up in the set's table and words a
+    # refusal by placement_ok: cells off the lattice (another arity, a
+    # triangle bit past 1) never reach cell_kind, a tile of another lattice
+    # finds no table for the region's kinds, and unknown tiles and codes
+    # the cell's kind does not allow are named in placement order, before
+    # the facet failures
+    tri, wang, cubes = map(load_bundled, ("triangles6", "wang13", "cubes21"))
+    cube = "sXYZ:+++/XYZ"
+    cases = [
+        (tri, RegionSpec("tri2d", (2, 2), False),
+         [((1,), "u1", "t0"), ((0, 0, 0), "u1", "t0"),
+          ((0, 0, 7), "d1", "t0"), ((0, 0, 1), "d2", "t0"),
+          ((0, 0, 5), "u1", "t0"), ((1, 0, 0), "zz", "t0"),
+          ((1, 0, 1), "u1", "t0"), ((0, 1, 0), "u2", "ut0"),
+          ((0, 1, 1), "d1", "r0"), ((1, 1, 0), "u3", "t0")],
+         ("cell (1,) outside region (2, 2)",
+          "cell (0, 0, 7) outside region (2, 2)",
+          "cell (0, 0, 5) outside region (2, 2)",
+          "unknown tile id 'zz' at (1, 0, 0)",
+          "orientation 't0' not allowed for tile u1 at (1, 0, 1)",
+          "orientation 'ut0' not allowed for tile u2 at (0, 1, 0)",
+          "orientation 'r0' not allowed for tile d1 at (0, 1, 1)",
+          "facet rule fails between (0, 0, 0) facet 0 (colour 1) and "
+          "(0, 0, 1) facet 0 (colour 2)")),
+        (wang, RegionSpec("tri2d", (2, 2), False),
+         [((0, 0, 0), "a1", "r0"), ((1,), "a2", "r0"),
+          ((0, 0, 7), "zz", "r0"), ((1, 1, 1), "a3", "t0")],
+         ("tile a1 does not live on the tri2d lattice",
+          "tile a2 does not live on the tri2d lattice",
+          "unknown tile id 'zz' at (0, 0, 7)",
+          "tile a3 does not live on the tri2d lattice")),
+        (wang, RegionSpec("square2d", (2, 2), True),
+         [((0, 0), "a1", "r0"), ((1,), "a3", "r0"), ((0, 1), "a3", "r1"),
+          ((1, 1), "zz", "r0"), ((0, 0, 7), "a4", "r0"),
+          ((5, 5), "b1", "r0"), ((1, 0), "a4", "r0")],
+         ("cell (1,) outside region (2, 2)",
+          "orientation 'r1' not allowed for tile a3 at (0, 1)",
+          "unknown tile id 'zz' at (1, 1)",
+          "cell (0, 0, 7) outside region (2, 2)",
+          "cell (5, 5) outside region (2, 2)",
+          "facet rule fails between (0, 0) facet 1 (colour 1) and (1, 0) "
+          "facet 3 (colour 2)")),
+        (cubes, RegionSpec("cube3d", (2, 1, 1), False),
+         [((0, 0, 0), "a1p0", cube), ((1, 0, 0), "a1p1", "r0"),
+          ((0, 0), "a1p1", cube), ((0, 0, 0, 0), "zz", cube)],
+         ("orientation 'r0' not allowed for tile a1p1 at (1, 0, 0)",
+          "cell (0, 0) outside region (2, 1, 1)",
+          "unknown tile id 'zz' at (0, 0, 0, 0)")),
+    ]
+    for ts, region, placed, expected in cases:
+        patch = Patch(ts.name, region, {c: Placement(c, t, code)
+                                        for c, t, code in placed})
+        assert patch_valid(ts, patch) == (False, expected), (ts.name, region)
+
+
+def test_legal_table_is_placement_ok_and_effective_facets():
+    # per cell kind of the set's lattice, every (tile, code) placement_ok
+    # accepts on a cell of that kind, in prototile then code order, with
+    # the colours effective_facets reads there; the table is invisible to
+    # equality, hashing and repr
+    rng = random.Random(27)
+    for trial in range(24):
+        space = ("square2d", "tri2d", "cube3d")[trial % 3]
+        allowed = ("translations", "all")[trial // 3 % 2]
+        base = random_tileset(rng, space, rng.randint(1, 5), 4)
+        ts = TileSet(base.name, base.prototiles, base.rule, allowed)
+        region = RegionSpec(space, (2,) * space_dim(space), False)
+        assert list(ts.legal) == list(SPACE_KINDS[space])
+        for kind, table in ts.legal.items():
+            cell = next(c for c in region_cells(region)
+                        if cell_kind(space, c) is kind)
+            oracle = []
+            for p in ts.prototiles:
+                for code in space_codes(space):
+                    pl = Placement(cell, p.id, code)
+                    if placement_ok(ts, region, pl) is None:
+                        oracle.append(((p.id, code), effective_facets(ts, pl)))
+            assert list(table.items()) == oracle, (space, allowed, kind)
+        twin = TileSet(ts.name, ts.prototiles, ts.rule, ts.allowed)
+        assert ts == twin and hash(ts) == hash(twin)
+        assert repr(ts) == repr(twin) and "legal" not in repr(ts)
+        assert ts.legal is not twin.legal
 
 
 # ---------------------------------------------------------------------------
