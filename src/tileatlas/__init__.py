@@ -46,6 +46,7 @@ from .atlas import (
     Atlas,
     BudgetExceeded,
     Corona,
+    atlas_lines,
     corona_in_atlas_implicit,
     corona_of,
     derive_atlas,
@@ -81,7 +82,8 @@ __all__ = [
     "encode_patch", "parse_reduced", "reduce_set", "reduced_cardinality",
     "serialize_reduced",
     # coronas and atlases
-    "Atlas", "BudgetExceeded", "Corona", "corona_in_atlas_implicit",
+    "Atlas", "BudgetExceeded", "Corona", "atlas_lines",
+    "corona_in_atlas_implicit",
     "corona_of", "derive_atlas", "enumerate_source_coronas", "parse_atlas",
     "serialize_atlas",
     # solving

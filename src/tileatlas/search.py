@@ -1,7 +1,7 @@
 """The search engine shared by the region solver and the corona enumerator.
 
 `region_search` is its one entry point: it reads each cell kind's candidate
-list, (tile, code, facet colours), off the set's compiled placement table,
+list, (label, facet colours), off the set's compiled placement table,
 `TileSet.legal`, which `patch_valid` and the corona window check read too,
 and runs one explicit-stack depth-first search over the region's cells, so
 the number of cells is not bounded by Python's recursion limit.  Every
@@ -85,14 +85,17 @@ MEMO_SIZE = 1 << 16
 
 
 def region_search(ts: TileSet, region: RegionSpec, limit=None, seed=None,
-                  each=None, cells=None):
+                  each=None, cells=None, pack=None):
     """Search the region's cells (all of them, in scan order, unless `cells`
     lists them) for placements of `ts` under its facet rule.
 
-    With a seed, each cell's candidate list is shuffled up front, so the
-    first solution is a reproducible pseudo-random one.  `limit` bounds the
-    nodes; `each` is as in `_search`, whose result this returns.  A region
-    off the set's lattice is refused, not searched.
+    A solution's labels are (tile, code) pairs, or given `pack`, a mapping
+    from such pairs, their values there: the corona enumerator's row
+    characters, which it joins into rows.  With a seed, each cell's
+    candidate list is shuffled up front, so the first solution is a
+    reproducible pseudo-random one.  `limit` bounds the nodes; `each` is as
+    in `_search`, whose result this returns.  A region off the set's lattice
+    is refused, not searched.
     """
     if region.space != ts.space:
         raise FormatError(f"{ts.name} is a {ts.space} set; the region is "
@@ -100,8 +103,9 @@ def region_search(ts: TileSet, region: RegionSpec, limit=None, seed=None,
     if cells is None:
         cells = region_cells(region)
     space = region.space
-    # kind -> (tile, code, facet colours), one list shared by its cells
-    per_kind = {kind: [(*label, e) for label, e in table.items()]
+    # kind -> (label, facet colours), one list shared by its cells
+    per_kind = {kind: [(label if pack is None else pack[label], e)
+                       for label, e in table.items()]
                 for kind, table in ts.legal.items()}
     rng = random.Random(seed) if seed is not None else None
     per_cell = []
@@ -167,12 +171,12 @@ def _records(checks, width):
 def _search(per_cell, checks, width, rule, limit, each=None):
     """Depth-first search over the cells with an explicit stack.
 
-    `per_cell[i]` lists cell i's candidates as (tile, code, facet colours);
-    `width` is the facet count of every cell.  Without `each` the search
-    stops at the first solution; with it, `each(labels)` is called on every
-    solution (a list of (tile, code) pairs that the search goes on to
-    change) and the search runs to exhaustion; a count the limit cuts ends
-    in LIMIT, its first solution kept.  Returns (status, first solution's
+    `per_cell[i]` lists cell i's candidates as (label, facet colours), the
+    label opaque to the search; `width` is the facet count of every cell.
+    Without `each` the search stops at the first solution; with it,
+    `each(labels)` is called on every solution (a list of the cells' labels
+    that the search goes on to change) and the search runs to exhaustion; a
+    count the limit cuts ends in LIMIT, its first solution kept.  Returns (status, first solution's
     labels or None, nodes, solutions seen, nodes replayed).
     """
     n = len(per_cell)
@@ -187,7 +191,7 @@ def _search(per_cell, checks, width, rule, limit, each=None):
             # extent-1 wraps: the candidate meets itself, whatever is around
             mine = _getter([f for f, _ in own])
             theirs = _getter([nf for _, nf in own])
-            base = [(p, (t, c), e) for p, (t, c, e) in enumerate(lst)
+            base = [(p, label, e) for p, (label, e) in enumerate(lst)
                     if test(mine(e), theirs(e))]
             # the table's getter reads a candidate's colours on the facets
             # that the key's colours face, in the key's order

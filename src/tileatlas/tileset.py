@@ -301,23 +301,42 @@ def patch_valid(ts: TileSet, patch: Patch) -> tuple[bool, tuple[str, ...]]:
 # Text formats
 # ---------------------------------------------------------------------------
 
-def _lines(text: str):
-    """text.splitlines(), one slice of about _CHUNK characters at a time, so
-    no list of every line is held.  Each slice ends just after a "\\n",
-    which always ends a line."""
+def _lines(text):
+    """The lines that str.splitlines() gives for `text`, a str or an
+    iterable of str pieces that join to it (a text file's lines, or blocks
+    read from it), so no list of every line is held.  Each piece is split
+    up to just after its last "\\n", which always ends a line; what follows
+    waits for the next piece, so a break such as "\\r\\n" cut between two
+    pieces stays one break."""
+    held = []  # the pieces since the last "\n"
+    for piece in _slices(text) if isinstance(text, str) else text:
+        cut = piece.rfind("\n") + 1
+        if cut:
+            held.append(piece[:cut])
+            yield from "".join(held).splitlines()
+            # a piece that ends a line is split without a copy
+            held = [piece[cut:]] if cut < len(piece) else []
+        else:
+            held.append(piece)
+    yield from "".join(held).splitlines()
+
+
+def _slices(text: str):
+    """`text` in slices of about _CHUNK characters, each ending just after a
+    "\\n" where the text has one."""
     pos = 0
     while pos < len(text):
         cut = text.rfind("\n", pos, pos + _CHUNK)
         if cut < 0:
             cut = text.find("\n", pos + _CHUNK)
         cut = len(text) if cut < 0 else cut + 1
-        yield from text[pos:cut].splitlines()
+        yield text[pos:cut]
         pos = cut
 
 
-def _content_lines(text: str):
+def _content_lines(text):
     """Each line's number and tokens, where it has any before a `#`; a line
-    without `#` is split once."""
+    without `#` is split once.  `text` is as _lines takes it."""
     for ln, raw in enumerate(_lines(text), start=1):
         if "#" in raw:
             raw = raw.split("#", 1)[0]

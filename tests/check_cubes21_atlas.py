@@ -11,38 +11,46 @@ Six checks, each printed with its figure; the exit code is 0 when all hold:
 - every complete corona of a free cubes21 4x4x4 patch (the solver's first,
   in the default candidate order), encoded with c2, is in the atlas by both
   membership routes: `corona in atlas` and `corona_in_atlas_implicit`;
-- the atlas text has the pinned sha256;
-- reading that text back gives the same atlas;
-- the process's peak RSS after that round trip is at most 1,000 MB.
+- the atlas text, written line by line into sha256 and a temporary file,
+  has the pinned sha256;
+- reading that file back, in blocks of the readers' `_CHUNK` characters,
+  gives the same atlas;
+- the process's peak RSS after that round trip is at most 500 MB.
 
-The derivation time is printed beside the 20 s target, and the serialize
-and parse times apart and summed, for the 15 s round-trip target; no time
+The derivation time is printed beside the 20 s target, and the write and
+parse times apart and summed, for the 15 s round-trip target; no time
 is checked.
 
 Run from the repository root:
 
     PYTHONPATH=src python tests/check_cubes21_atlas.py
 
-It takes 20-22 s on a 2-core machine: the derivation 5.4-6.1 s,
-serializing 3.8-4.1 s and parsing 9.6-11.1 s.  Serializing and parsing the
-352.7 MB text raise the peak to about 860 MB, so the derivation's RSS is
-read before them.  The file name does not match pytest's `test_*.py`, so
-the suite does not run it.
+It takes 14-18 s on a 2-core machine: the derivation 2.0-3.4 s, writing
+the text through sha256 and the file 3.1-4.5 s, and parsing it back from
+the file 7.7-10.9 s.  The 352.7 MB text is never held whole, so the round
+trip peaks at about 370 MB (about 860 MB through serialize_atlas and
+parse_atlas on one str); the derivation's RSS is read before it.  The
+file name does not match pytest's `test_*.py`, so the suite does not run
+it.
 """
 
 import hashlib
 import resource
 import sys
+import tempfile
 import time
+from functools import partial
 
-from tileatlas import (BudgetExceeded, RegionSpec, corona_in_atlas_implicit,
-                       corona_of, derive_atlas, encode_patch, load_bundled,
-                       parse_atlas, reduce_set, serialize_atlas, solve)
+from tileatlas import (BudgetExceeded, RegionSpec, atlas_lines,
+                       corona_in_atlas_implicit, corona_of, derive_atlas,
+                       encode_patch, load_bundled, parse_atlas, reduce_set,
+                       solve)
 from tileatlas.atlas import DEFAULT_NODE_CAP
+from tileatlas.tileset import _CHUNK
 
 DIGEST = "733d3fd5913f93179d608a15fb7195f5031baee7deb679e1121849e611ca8d1a"
 DERIVE_RSS_MB = 250
-ROUND_TRIP_RSS_MB = 1000
+ROUND_TRIP_RSS_MB = 500
 DERIVE_TARGET_S = 20
 NODE_CAP = 110_651_268  # the enumeration's exact charge
 
@@ -88,19 +96,26 @@ def main() -> int:
           f"(target {DERIVE_TARGET_S} s), peak RSS {rss:.0f} MB (limit "
           f"{DERIVE_RSS_MB})")
     in_atlas = patch_coronas(rs, atlas)
-    before = time.perf_counter()
-    text = serialize_atlas(atlas)
-    written = time.perf_counter()
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    print(f"text: {len(text)} characters in {written - before:.1f} s, "
-          f"sha256 {digest}")
-    hashed = time.perf_counter()
-    back = parse_atlas(text)
-    read = time.perf_counter()
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as f:
+        before = time.perf_counter()
+        sha, size = hashlib.sha256(), 0
+        for line in atlas_lines(atlas):
+            sha.update(line.encode())
+            f.write(line)
+            size += len(line)
+        written = time.perf_counter()
+        digest = sha.hexdigest()
+        print(f"text: {size} characters written in {written - before:.1f} s, "
+              f"sha256 {digest}")
+        f.seek(0)
+        rewound = time.perf_counter()
+        back = parse_atlas(iter(partial(f.read, _CHUNK), ""))
+        read = time.perf_counter()
     same = back == atlas
     trip_rss = peak_rss_mb()
-    print(f"parse: {'equal' if same else 'DIFFERENT'} in {read - hashed:.1f} s "
-          f"(serialize plus parse {written - before + read - hashed:.1f} s); "
+    print(f"parse: {'equal' if same else 'DIFFERENT'} in "
+          f"{read - rewound:.1f} s "
+          f"(write plus parse {written - before + read - rewound:.1f} s); "
           f"peak RSS {trip_rss:.0f} MB (limit {ROUND_TRIP_RSS_MB}) after "
           f"{time.perf_counter() - start:.1f} s")
     ok = (NODE_CAP <= DEFAULT_NODE_CAP and rss <= DERIVE_RSS_MB and in_atlas

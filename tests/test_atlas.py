@@ -13,6 +13,7 @@ window of crafted batches.
 
 import gc
 import hashlib
+import io
 import itertools
 import random
 import re
@@ -33,6 +34,7 @@ from tileatlas.atlas import (
     _row_ok,
     _rows_ok,
     _window_check,
+    atlas_lines,
     corona_in_atlas_implicit,
     corona_of,
     derive_atlas,
@@ -632,6 +634,55 @@ def test_parse_atlas_names_the_line_of_a_bad_ring_label():
         parse_atlas(short)
     with pytest.raises(FormatError, match="^line 3: x1 m3 encodes no tile"):
         parse_atlas(short, rs)
+
+
+def _parse_outcome(text, rs):
+    """parse_atlas's atlas, or its FormatError's message."""
+    try:
+        return tileatlas.atlas.parse_atlas(text, rs)
+    except FormatError as e:
+        return str(e)
+
+
+def _parse_in_every_form(text, rs=None):
+    """parse_atlas(text, rs), once every other form of the text has given
+    the same atlas or the same error: the text with its "\\n" breaks
+    replaced by other splitlines breaks, each read as a str, as a file's
+    lines (which end at "\\n" alone) and as two reads cut anywhere, so a
+    line, and a "\\r\\n", can be split across them."""
+    want = _parse_outcome(text, rs)
+    for sep in ("\n", "\r\n", "\x0c", "\u2028"):
+        form = text.replace("\n", sep)
+        # a long text is cut at a sample of positions
+        cuts = range(0, len(form) + 1, 1 if len(form) < 1000 else 997)
+        for lines in (form, io.StringIO(form),
+                      *([form[:k], form[k:]] for k in cuts)):
+            assert _parse_outcome(lines, rs) == want, (sep, lines)
+    return tileatlas.atlas.parse_atlas(text, rs)
+
+
+def test_line_reader_gives_the_text_readers_results(monkeypatch):
+    # every case of the two error tests, read in every form
+    monkeypatch.setattr(sys.modules[__name__], "parse_atlas",
+                        _parse_in_every_form)
+    test_parse_atlas_errors()
+    test_parse_atlas_names_the_line_of_a_bad_ring_label()
+    text = serialize_atlas(derive_atlas(reduce_set(load_bundled("triangles6"),
+                                                   "c2")))
+    assert tileatlas.atlas.parse_atlas(io.StringIO(text)) == \
+        tileatlas.atlas.parse_atlas(text)
+
+
+@pytest.mark.parametrize("name", ["wang13", "triangles6"])
+def test_streamed_lines_join_to_the_atlas_text(name):
+    # cubes21's 352.7 MB text is streamed by tests/check_cubes21_atlas.py,
+    # which pins the digest of serialize_atlas's text
+    for mode in ("c1", "c2"):
+        atlas = derive_atlas(reduce_set(load_bundled(name), mode))
+        lines = list(atlas_lines(atlas))
+        assert all(line.endswith("\n") and line.count("\n") == 1
+                   for line in lines)
+        assert "".join(lines) == serialize_atlas(atlas)
 
 
 def test_corona_window_is_searched_in_scan_order():

@@ -239,6 +239,13 @@ def test_lazy_lines_equal_splitlines(text, chunk):
     assert list(_lines(text)) == text.splitlines()
 
 
+@FUZZ
+@given(st.lists(line_texts, max_size=6))
+def test_lines_of_pieces_equal_splitlines_of_their_join(pieces):
+    # a file's reads cut the text anywhere, between "\r" and "\n" too
+    assert list(_lines(iter(pieces))) == "".join(pieces).splitlines()
+
+
 def test_errors_keep_line_numbers_across_every_boundary():
     # the fourth content line is bad; "\n\r" is two boundaries, so an
     # empty line follows each content line there

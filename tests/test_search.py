@@ -47,7 +47,7 @@ def _plain_search(per_cell, checks, width, rule, limit, each=None, at=None):
         sig = (id(lst), own, tuple(f for f, _, _ in earlier))
         if sig not in tables:
             # extent-1 wraps: the candidate meets itself, whatever is around
-            base = [(p, (t, c), e) for p, (t, c, e) in enumerate(lst)
+            base = [(p, label, e) for p, (label, e) in enumerate(lst)
                     if all(rule_eval(rule, e[f], e[nf]) for f, nf in own)]
             tables[sig] = (base, sig[2], len(lst), {})
         table.append(tables[sig])
