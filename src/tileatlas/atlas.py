@@ -92,7 +92,7 @@ from .tileset import (
     rule_test,
 )
 from .reduction import ReducedSet
-from .search import region_search
+from .search import check_count, region_search
 
 
 class BudgetExceeded(RuntimeError):
@@ -422,7 +422,9 @@ def _enumerate(ts: TileSet, node_cap: int) -> tuple[list, list]:
     centre first.  Each centre kind's rows pass the window check before
     they are admitted, and before the cap raises BudgetExceeded.  The
     engine's labels are the row characters (`pack`), so a solution is
-    packed by reordering and joining them."""
+    packed by reordering and joining them.  A cap that is not a node count
+    is refused."""
+    check_count(node_cap, "node cap")
     if ts.allowed != "translations":
         raise FormatError("corona enumeration expects a translation-placed set")
     ident = identity_code(ts.space)

@@ -22,7 +22,13 @@ memo; without a seed, the cells of one kind have the same list.
 A node is a candidate tried in list order.  The index skips candidates that
 the earlier neighbours rule out, but each still counts as a node, as if it
 had been tried and rejected, so node counts and the node limit do not depend
-on the index.
+on the index.  A survivor list is a list of steps, one per survivor: the
+nodes it charges, its skipped predecessors and itself, with its label and
+colours; a last step charges the candidates after the last survivor and
+ends the list.  Each loop step charges one step of the current cell and then
+places its survivor, or goes back.  Before it enters the next cell it looks
+that cell's survivors up: a cell without survivors is charged its whole list
+there and is not entered, nor is a record cell whose memo holds its walk.
 
 Below cell i the search depends only on i's frontier: the colours of earlier
 cells that cells from i on check.  Cells whose frontier is narrower than the
@@ -39,8 +45,9 @@ narrowest of them, the last cell to check one of those slots; so a lookup
 computes each distinct key once, and a hit passes that narrowest reach on,
 which reads the same slots for every enclosing record cell too.  A
 solution-free subtree stores the nodes it charged at its reach: the end of
-the deepest segment it entered, counting the reaches of the entries it was
-charged from.  On a torus only the last row reads row 0's bottom colours, so
+the deepest segment it entered, a record cell charged without survivors
+counting as entered, and counting the reaches of the entries it was charged
+from.  On a torus only the last row reads row 0's bottom colours, so
 a subtree that dies before it is searched under one row 0 and charged under
 the others.  The last record cell, tip, has one group, and there a subtree
 with solutions stores its transcript in the same slot: the nodes charged
@@ -57,13 +64,16 @@ and `each` call is the plain depth-first search's.
 
 Transcripts pay where frontiers with solutions below them come back.  On a
 2-core machine the cubes21 c2 corona-window search replays 107,502,255 of
-its 110,651,268 nodes from them: 0.65-0.8 s, 4.3-4.4 s without.  The free
-wang13 8x4 count takes 1.5-2.1 s, 3.1-3.6 s without (32 MB peak, not 18).
+its 110,651,268 nodes from them: 0.5-0.95 s, 2.9-4.1 s without.  The free
+wang13 8x4 count takes 0.65-1.25 s, 1.25-1.45 s without (32 MB peak, not
+18).
 """
 
 from __future__ import annotations
 
 import random
+from functools import lru_cache
+from math import prod
 from operator import itemgetter
 
 from .geometry import FACET_COUNT, cell_kind
@@ -94,9 +104,11 @@ def region_search(ts: TileSet, region: RegionSpec, limit=None, seed=None,
     characters, which it joins into rows.  With a seed, each cell's
     candidate list is shuffled up front, so the first solution is a
     reproducible pseudo-random one.  `limit` bounds the nodes; `each` is as
-    in `_search`, whose result this returns.  A region off the set's lattice
-    is refused, not searched.
+    in `_search`, whose result this returns.  A region off the set's lattice,
+    or a limit that is not None or a node count, is refused, not searched.
     """
+    if limit is not None:
+        check_count(limit, "node limit")
     if region.space != ts.space:
         raise FormatError(f"{ts.name} is a {ts.space} set; the region is "
                           f"on {region.space}")
@@ -119,6 +131,13 @@ def region_search(ts: TileSet, region: RegionSpec, limit=None, seed=None,
     width = max(FACET_COUNT[kind] for kind in per_kind)
     return _search(per_cell, _schedule(region, cells), width, ts.rule, limit,
                    each)
+
+
+def check_count(value, what):
+    """Refuse `value` unless it is a non-negative int (a bool is not)."""
+    if value.__class__ is bool or not isinstance(value, int) or value < 0:
+        raise FormatError(f"{what} must be a non-negative integer, not "
+                          f"{value!r}")
 
 
 def _schedule(region: RegionSpec, cells):
@@ -176,28 +195,49 @@ def _search(per_cell, checks, width, rule, limit, each=None):
     Without `each` the search stops at the first solution; with it,
     `each(labels)` is called on every solution (a list of the cells' labels
     that the search goes on to change) and the search runs to exhaustion; a
-    count the limit cuts ends in LIMIT, its first solution kept.  Returns (status, first solution's
-    labels or None, nodes, solutions seen, nodes replayed).
+    count the limit cuts ends in LIMIT, its first solution kept.  Returns
+    (status, first solution's labels or None, nodes, solutions seen, nodes
+    replayed).
+
+    Each loop step charges the current cell's next step and places its
+    survivor, or goes back; the next cell is entered only if it has
+    survivors and no record holds its walk, and is charged otherwise.
     """
     n = len(per_cell)
     test = rule_test(rule)
-    tables = {}  # (candidate list, own checks, earlier facets) -> table
-    table, keys = [], []
+    getter = lru_cache(None)(_getter)  # one getter per facet tuple
+    # (candidate list, own checks, earlier facets) -> the list, the positions
+    # on it that pass the own checks (extent-1 wraps: the candidate meets
+    # itself, whatever is around), the getter of a candidate's colours on the
+    # facets that the key's colours face, in the key's order, and the memo
+    tables = {}
+    table, memos, keys = [], [], []
     for i, lst in enumerate(per_cell):
-        own = tuple((f, nf) for f, nf, j in checks[i] if j == i)
+        own = tuple([(f, nf) for f, nf, j in checks[i] if j == i])
         earlier = [(f, nf, j) for f, nf, j in checks[i] if j != i]
-        sig = (id(lst), own, tuple(f for f, _, _ in earlier))
+        sig = (id(lst), own, tuple([f for f, _, _ in earlier]))
         if sig not in tables:
-            # extent-1 wraps: the candidate meets itself, whatever is around
-            mine = _getter([f for f, _ in own])
-            theirs = _getter([nf for _, nf in own])
-            base = [(p, label, e) for p, (label, e) in enumerate(lst)
-                    if test(mine(e), theirs(e))]
-            # the table's getter reads a candidate's colours on the facets
-            # that the key's colours face, in the key's order
-            tables[sig] = (base, _getter(sig[2]), len(lst), {})
+            ok = range(len(lst))
+            if own:
+                mine, theirs = map(getter, zip(*own))
+                ok = [p for p in ok
+                      if test(mine(lst[p][1]), theirs(lst[p][1]))]
+            tables[sig] = (lst, ok, getter(sig[2]), {})
         table.append(tables[sig])
+        memos.append(tables[sig][3])
         keys.append(_getter([j * width + nf for _, nf, j in earlier]))
+
+    def survivors(i, key):
+        # cell i's steps under `key`, as the module docstring describes them
+        lst, ok, proj, _ = table[i]
+        steps, done = [], 0
+        for p in ok:
+            label, e = lst[p]
+            if test(proj(e), key):
+                steps.append((p + 1 - done, label, e))
+                done = p + 1
+        steps.append((len(lst) - done, None, None))
+        return steps
 
     last, records, tail = _records(checks, width)
     # the last record cell, whose walks keep transcripts: the charge before
@@ -207,45 +247,44 @@ def _search(per_cell, checks, width, rule, limit, each=None):
     step = n - tip + 1
     script, mark = None, 0  # the transcript being kept, and its last charge
     size = 0  # entries the memo holds, at most MEMO_SIZE
-    # the reach of the subtree being searched, and per record cell the reach
-    # of the one around it when it was entered
-    deep, outer = 0, [0] * n
+    # the reach of the subtree being searched, and per record cell, when it
+    # was entered, the reach of the one around it and the nodes and
+    # solutions counted
+    deep, entered = 0, [None] * n
     # (record cell, reach) -> the group of the narrowest reach whose cells
     # check the same frontier slots
     groups = {}
 
-    limit = float("inf") if limit is None else limit
+    if limit is None:  # more nodes than the whole tree holds
+        limit = prod(len(lst) + 1 for lst in per_cell)
     colours = [None] * (n * width)  # cell i's facets at i * width
+    at = [slice(i * width, (i + 1) * width) for i in range(n)]
     labels = [None] * n
-    # per earlier cell: its surv, k and spent (below), then the nodes and
-    # solutions counted when the search went on
+    # per entered cell but the current one: its survivors and the next one
+    # to try
     stack = []
     # the current cell: its survivors under the colours of its earlier
-    # neighbours, the next one to try and its candidates charged so far
-    i, surv, k, spent = 0, table[0][0], 0, 0  # cell 0 has no earlier cells
+    # neighbours and the next one to try; cell 0 has no earlier cells
+    i, surv, k = 0, survivors(0, ()), 0
     nodes = count = replayed = 0
     first = None
     while True:
-        if k < len(surv):
-            p, label, e = surv[k]
-            k += 1
-            # every candidate up to p counts: the ones skipped would fail
-            nodes += p + 1 - spent
-            spent = p + 1
-            if nodes > limit:
-                break
-            colours[i * width:(i + 1) * width] = e
-            labels[i] = label
-        else:
-            nodes += table[i][2] - spent
-            if nodes > limit or i == 0:
+        charge, label, e = surv[k]
+        k += 1
+        nodes += charge
+        if nodes > limit:
+            break
+        if e is None:
+            # the list is spent: back to the earlier cell
+            if i == 0:
                 break
             h = i
             i -= 1
-            surv, k, spent, before, seen = stack.pop()
+            surv, k = stack.pop()
             record = records[h]
             if record is not None:
-                reach, deep = deep, max(deep, outer[h])
+                around, before, seen = entered[h]
+                reach, deep = deep, max(deep, around)
                 if seen != count:
                     # solutions below: only tip keeps them, a transcript on
                     # a frontier's second walk and () on its first
@@ -254,7 +293,7 @@ def _search(per_cell, checks, width, rule, limit, each=None):
                     if script is not None:
                         script.append(nodes - mark)
                     stored = () if script is None else script
-                elif nodes - before > table[h][2]:
+                elif nodes - before > len(per_cell[h]):
                     stored = nodes - before
                 else:
                     # a subtree that never left its start costs no more to
@@ -279,7 +318,9 @@ def _search(per_cell, checks, width, rule, limit, each=None):
                     size += 1
                 entries[key] = stored
             continue
-        if i + 1 == n:
+        colours[at[i]] = e
+        labels[i] = label
+        if i == n - 1:
             if script is not None:
                 script.append(nodes - mark)
                 script += labels[tip:]
@@ -291,55 +332,56 @@ def _search(per_cell, checks, width, rule, limit, each=None):
                 return FOUND, first, nodes, count, replayed
             each(labels)
             continue
-        stack.append((surv, k, spent, nodes, count))
-        i += 1
-        base, proj, _, memo = table[i]
-        key = keys[i](colours)
-        surv = memo.get(key)
-        if surv is None:
-            surv = memo[key] = [c for c in base if test(proj(c[2]), key)]
-        k = spent = 0
-        record = records[i]
+        j = i + 1
+        key = keys[j](colours)
+        nxt = memos[j].get(key)
+        if nxt is None:
+            nxt = memos[j][key] = survivors(j, key)
+        record = records[j]
+        if nxt[0][2] is None:
+            # no survivors: j is charged its whole list, as if entered and
+            # left, and a record cell's walk reaches its segment's end; a
+            # charge that crosses the limit ends the search at the next step
+            nodes += nxt[0][0]
+            if record is not None:
+                deep = max(deep, tail[j])
+            continue
         if record is not None:
-            # a walk from i reaches its segment's end, and a hit as far as
-            # its record
-            outer[i], deep = deep, tail[i]
-            # a start without survivors costs no more to exhaust than to
-            # look up
-            if not surv:
-                continue
             got = None
             for reach, (front, entries) in record.items():
                 got = entries.get(front(colours))
                 if got is not None:
                     break
-            if not got:
-                # searched; at tip a frontier walked once keeps its transcript
-                if i == tip:
-                    script, mark = (None if got is None else []), nodes
+            if got:
+                if got.__class__ is list:
+                    # a transcript: each solution's charge, then its labels
+                    for s in range(0, len(got) - 1, step):
+                        charge = min(got[s], limit + 1 - nodes)
+                        nodes += charge
+                        replayed += charge
+                        if nodes > limit:
+                            break
+                        labels[tip:] = got[s + 1:s + step]
+                        count += 1
+                        if first is None:
+                            first = list(labels)
+                        each(labels)
+                    got = got[-1]
+                # charged up to the limit at most, as above, and a hit
+                # reaches as far as its record
+                charge = min(got, limit + 1 - nodes)
+                nodes += charge
+                replayed += charge
+                deep = max(deep, reach)
                 continue
-            if got.__class__ is list:
-                # a transcript: each solution's charge, then its labels
-                for s in range(0, len(got) - 1, step):
-                    charge = min(got[s], limit + 1 - nodes)
-                    nodes += charge
-                    replayed += charge
-                    if nodes > limit:
-                        break
-                    labels[tip:] = got[s + 1:s + step]
-                    count += 1
-                    if first is None:
-                        first = list(labels)
-                    each(labels)
-                got = got[-1]
-            # charged up to the limit at most; a crossing ends the search at
-            # the earlier cell's next step
-            charge = min(got, limit + 1 - nodes)
-            nodes += charge
-            replayed += charge
-            deep = max(reach, outer[i])
-            i -= 1
-            surv, k, spent, _, _ = stack.pop()
+            # a walk from j reaches its segment's end; at tip a frontier
+            # walked once keeps its transcript
+            entered[j] = deep, nodes, count
+            deep = tail[j]
+            if j == tip:
+                script, mark = (None if got is None else []), nodes
+        stack.append((surv, k))
+        i, surv, k = j, nxt, 0
     if nodes > limit:  # LIMIT even with solutions seen: the count is cut
         return LIMIT, first, limit + 1, count, replayed
     return (EXHAUSTED if first is None else FOUND), first, nodes, count, replayed

@@ -8,6 +8,7 @@ calls in the same order.
 """
 
 import random
+import re
 from contextlib import contextmanager
 from dataclasses import replace
 from functools import partial
@@ -16,6 +17,7 @@ import pytest
 
 from conftest import random_tileset
 from tileatlas import search
+from tileatlas.atlas import derive_atlas, enumerate_source_coronas
 from tileatlas.search import EXHAUSTED, FOUND, LIMIT, _getter, region_search
 from tileatlas.reduction import reduce_set
 from tileatlas.solver import (
@@ -36,8 +38,10 @@ from tileatlas.tileset import (
 ENGINE = search._search
 
 
-def _plain_search(per_cell, checks, width, rule, limit, each=None, at=None):
-    # `at`, if given, gets the node count at each solution
+def _plain_search(per_cell, checks, width, rule, limit, each=None, at=None,
+                  dead=None):
+    # `at`, if given, gets the node count at each solution, and `dead` the
+    # list length of each cell entered without survivors
     n = len(per_cell)
     tables = {}  # (candidate list, own checks, earlier facets) -> table
     table, keys = [], []
@@ -93,6 +97,8 @@ def _plain_search(per_cell, checks, width, rule, limit, each=None, at=None):
                     cand for cand in base
                     if all(rule_eval(rule, cand[2][f], v)
                            for f, v in zip(facets, key))]
+            if dead is not None and not surv:
+                dead.append(table[i][2])
             k = spent = 0
         else:
             nodes += table[i][2] - spent
@@ -227,6 +233,35 @@ def test_engine_matches_plain_search_on_longer_rows_under_table_rules():
     assert replaying >= 10
 
 
+def test_engine_matches_plain_search_at_every_limit():
+    # seeded counting searches on 3x3 tori of random sets, cut at every limit
+    # up to their full charge: some limits fall inside the charge of a cell
+    # without survivors, which the engine charges without entering it, and
+    # some inside a replayed record's charge
+    for space, set_seed, size in (("square2d", 30, (1014, 24)),
+                                  ("tri2d", 272, (354, 8))):
+        rng = random.Random(set_seed)
+        ts = random_tileset(rng, space, rng.randint(4, 7), colours=2)
+        region = RegionSpec(space, (3, 3), True)
+        dead = []
+        full, _, _ = _run(partial(_plain_search, dead=dead), ts, region, None,
+                          5, True)
+        assert full[2:] == size
+        # dead ends whose lists are longer than one candidate, so that some
+        # limits fall strictly inside their charge
+        assert dead and max(dead) > 1, region
+        replayed = 0
+        for limit in range(full[2] + 1):
+            want, want_calls, _ = _run(_plain_search, ts, region, limit, 5,
+                                       True)
+            got, got_calls, rep = _run(ENGINE, ts, region, limit, 5, True)
+            assert got == want and got_calls == want_calls, (region, limit)
+            assert rep <= got[2], (region, limit)
+            replayed = max(replayed, rep)
+        # replays need record cells
+        assert replayed > 0, region
+
+
 def test_limit_inside_a_replayed_charge():
     # with a limit falling inside a replayed charge, the engine answers
     # limit + 1, as the plain search does when it crosses the limit inside
@@ -282,6 +317,57 @@ def test_replayed_nodes_are_pinned():
     # the subtree records replay exactly these nodes of an exhausted torus
     r = exhaust_torus(load_bundled("wang13"), (6, 6))
     assert (r.status, r.nodes, r.replayed) == (EXHAUSTED, 631189, 421590)
+
+
+# (nodes, replayed) of the benchmark's torus sweep: wang13 k = 1..7 and
+# cubes21 k = 1..3 exhausted, then the triangles6 12x12 torus counted
+SWEEP = ([(13, 0), (559, 0), (6461, 676), (56940, 24219), (192062, 114933),
+          (631189, 421590), (2360176, 2038933)],
+         [(21, 0), (3045, 1113), (1676409, 1597050)],
+         (3, 2586, 0))
+
+
+@pytest.mark.parametrize("seed", [None, 3, 12345])
+def test_torus_sweep_counts_are_pinned(seed):
+    # an exhaustive search walks the same tree in any candidate order, and
+    # its records replay the same nodes
+    config = SolveConfig(seed=seed)
+    got = []
+    for name, dim, kmax in (("wang13", 2, 7), ("cubes21", 3, 3)):
+        ts = load_bundled(name)
+        runs = [exhaust_torus(ts, (k,) * dim, config)
+                for k in range(1, kmax + 1)]
+        assert {r.status for r in runs} == {EXHAUSTED}
+        got.append([(r.nodes, r.replayed) for r in runs])
+    tri = count_solutions(load_bundled("triangles6"),
+                          RegionSpec("tri2d", (12, 12), True), config)
+    got.append((tri.count, tri.nodes, tri.replayed))
+    assert tuple(got) == SWEEP
+
+
+def _refusal(what, value):
+    return pytest.raises(FormatError, match=(
+        f"^{what} must be a non-negative integer, not "
+        f"{re.escape(repr(value))}$"))
+
+
+@pytest.mark.parametrize("limit", [-5, 2.5, True, False, "10"])
+def test_invalid_node_limits_are_refused(limit):
+    # refused before any search runs, naming the value
+    wang = load_bundled("wang13")
+    region = RegionSpec("square2d", (3, 3), True)
+    for run in (solve, count_solutions):
+        with _refusal("node limit", limit):
+            run(wang, region, SolveConfig(node_limit=limit))
+
+
+@pytest.mark.parametrize("cap", [None, -1, 10.0, True])
+def test_invalid_node_caps_are_refused(cap):
+    tri = load_bundled("triangles6")
+    with _refusal("node cap", cap):
+        enumerate_source_coronas(tri, node_cap=cap)
+    with _refusal("node cap", cap):
+        derive_atlas(reduce_set(tri, "c2"), node_cap=cap)
 
 
 @contextmanager
