@@ -176,8 +176,9 @@ def _render(patch: Patch, kinds: dict, compile_label, numbers) -> str:
     head = ('<svg xmlns="http://www.w3.org/2000/svg" width="%.3f" '
             'height="%.3f" viewBox="%.3f %.3f %.3f %.3f">' % (
                 w * SCALE, h * SCALE, min_x - pad, -max_y - pad, w, h))
-    body = "\n".join(parts)
-    return f'{head.replace("-0.000", "0.000")}\n{body}\n</svg>\n'
+    # one join: the empty patch keeps its blank body line
+    return "\n".join([head.replace("-0.000", "0.000"), *(parts or [""]),
+                      "</svg>", ""])
 
 
 def render_source_patch(ts: TileSet, patch: Patch) -> str:

@@ -10,6 +10,14 @@ pairs included) is checked exactly once, when the later cell of the pair is
 placed; neighbours outside the list are unconstrained.
 The engine re-checks nothing it finds; its callers do.
 
+What depends only on the region and its listed cells is compiled once into
+a plan, kept for the last 16 regions as `facet_pairs` keeps its pairs: the
+cells' kinds, checks and key getters, the record skeleton below and colour
+slots.  Searches that repeat a region, such as the seeded patches of
+`tileatlas roundtrip --count`, build it once; only a region's first
+search pays for it.  Candidate tables, colour indexes, the memo and stack
+are per search.
+
 Each cell keeps a colour index: a memo from the colours its earlier
 neighbours show on the checked facets to the candidates that match them all.
 A miss fills it by filtering the cell's candidate list with the facet rule,
@@ -17,7 +25,10 @@ compiled once per search into one test of each candidate's colour tuple on
 those facets against the key; extent-1 wraps, where a candidate meets
 itself, are filtered once up front by the same test.
 Cells with the same candidate list and the same checked facets share one
-memo; without a seed, the cells of one kind have the same list.
+memo; without a seed, the cells of one kind have the same list.  With one,
+shuffling each cell's positions draws what shuffling its list would, and
+cells of one kind whose orders come out equal share a list: triangles6's
+800-cell torus has at most 12 (two kinds, 3! orders of three candidates).
 
 A node is a candidate tried in list order.  The index skips candidates that
 the earlier neighbours rule out, but each still counts as a node, as if it
@@ -72,11 +83,11 @@ wang13 8x4 count takes 0.65-1.25 s, 1.25-1.45 s without (32 MB peak, not
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from functools import lru_cache
-from math import prod
 from operator import itemgetter
 
-from .geometry import FACET_COUNT, cell_kind
+from .geometry import FACET_COUNT, SPACE_KINDS, cell_kind
 from .tileset import (
     FormatError,
     RegionSpec,
@@ -112,25 +123,27 @@ def region_search(ts: TileSet, region: RegionSpec, limit=None, seed=None,
     if region.space != ts.space:
         raise FormatError(f"{ts.name} is a {ts.space} set; the region is "
                           f"on {region.space}")
-    if cells is None:
-        cells = region_cells(region)
-    space = region.space
+    plan = _plan(region, None if cells is None else tuple(cells))
     # kind -> (label, facet colours), one list shared by its cells
     per_kind = {kind: [(label if pack is None else pack[label], e)
                        for label, e in table.items()]
                 for kind, table in ts.legal.items()}
-    rng = random.Random(seed) if seed is not None else None
-    per_cell = []
-    for c in cells:
-        lst = per_kind[cell_kind(space, c)]
-        if rng is not None:
-            lst = list(lst)
-            rng.shuffle(lst)
-        per_cell.append(lst)
-    # the kinds of one lattice all have the same facet count
-    width = max(FACET_COUNT[kind] for kind in per_kind)
-    return _search(per_cell, _schedule(region, cells), width, ts.rule, limit,
-                   each)
+    if seed is None:
+        per_cell = [per_kind[kind] for kind in plan.kinds]
+    else:
+        # shuffling a cell's positions draws what shuffling its list would;
+        # the cells of one kind whose orders come out equal share one list
+        shuffle = random.Random(seed).shuffle
+        orders, per_cell = {}, []
+        for kind in plan.kinds:
+            order = list(range(len(per_kind[kind])))
+            shuffle(order)
+            key = (kind, *order)
+            lst = orders.get(key)
+            if lst is None:
+                lst = orders[key] = [per_kind[kind][p] for p in order]
+            per_cell.append(lst)
+    return _search(per_cell, plan, ts.rule, limit, each)
 
 
 def check_count(value, what):
@@ -155,6 +168,38 @@ def _schedule(region: RegionSpec, cells):
     return [sorted(cs) for cs in checks]
 
 
+# what a search needs of its region and cells alone; see _plan
+_Plan = namedtuple("_Plan", "kinds shapes sigs keys width last records tail "
+                   "tip at")
+
+
+@lru_cache(maxsize=16)
+def _plan(region: RegionSpec, cells):
+    """The search plan of the region's cells (all of them, in scan order, if
+    `cells` is None), read off their check schedule: per cell its kind, the
+    index in `sigs` of its (own-wrap checks, earlier facets) and its key
+    getter; `width`; _records' skeleton and `tip`, the last record cell;
+    per cell its colour slots.  Nothing of a tile set or a search.  The
+    last 16 plans are kept."""
+    if cells is None:
+        cells = region_cells(region)
+    checks = _schedule(region, cells)
+    # the kinds of one lattice all have the same facet count
+    width = max(FACET_COUNT[kind] for kind in SPACE_KINDS[region.space])
+    sigs, shapes, keys = {}, [], []
+    for i, cs in enumerate(checks):
+        own = tuple([(f, nf) for f, nf, j in cs if j == i])
+        earlier = [(f, nf, j) for f, nf, j in cs if j != i]
+        sig = (own, tuple([f for f, _, _ in earlier]))
+        shapes.append(sigs.setdefault(sig, len(sigs)))
+        keys.append(_getter([j * width + nf for _, nf, j in earlier]))
+    last, records, tail = _records(checks, width)
+    return _Plan([cell_kind(region.space, c) for c in cells], shapes,
+                 list(sigs), keys, width, last, records, tail,
+                 max((i for i, r in enumerate(records) if r), default=0),
+                 [slice(i * width, (i + 1) * width) for i in range(len(cells))])
+
+
 def _getter(idx):
     """itemgetter over idx that always returns a tuple, the memo key."""
     if len(idx) == 1:
@@ -165,10 +210,9 @@ def _getter(idx):
 
 def _records(checks, width):
     """The last cell that checks each facet slot (cell * width + facet; -1
-    if none does); per cell an empty memo (reach -> frontier getter and
-    entries) where its frontier is narrower than the next cell's, else None;
-    and per cell the last cell of its segment, the cells before the next
-    record cell."""
+    if none does); per cell whether its frontier is narrower than the next
+    cell's, a record cell; and per cell the last cell of its segment, the
+    cells before the next record cell."""
     n = len(checks)
     last = [-1] * (n * width)
     for i, cs in enumerate(checks):
@@ -180,24 +224,23 @@ def _records(checks, width):
         if i >= 0:
             grow[s // width] += 1
             grow[i] -= 1
-    records = [{} if g > 0 else None for g in grow]
+    records = [g > 0 for g in grow]
     tail = [n - 1] * n
     for i in range(n - 1, 0, -1):
-        tail[i - 1] = i - 1 if records[i] is not None else tail[i]
+        tail[i - 1] = i - 1 if records[i] else tail[i]
     return last, records, tail
 
 
-def _search(per_cell, checks, width, rule, limit, each=None):
+def _search(per_cell, plan, rule, limit, each=None):
     """Depth-first search over the cells with an explicit stack.
 
     `per_cell[i]` lists cell i's candidates as (label, facet colours), the
-    label opaque to the search; `width` is the facet count of every cell.
-    Without `each` the search stops at the first solution; with it,
-    `each(labels)` is called on every solution (a list of the cells' labels
-    that the search goes on to change) and the search runs to exhaustion; a
-    count the limit cuts ends in LIMIT, its first solution kept.  Returns
-    (status, first solution's labels or None, nodes, solutions seen, nodes
-    replayed).
+    label opaque to the search; `plan` is the cells' _plan.  Without `each`
+    the search stops at the first solution; with it, `each(labels)` is
+    called on every solution (a list of the cells' labels that the search
+    goes on to change) and the search runs to exhaustion; a count the limit
+    cuts ends in LIMIT, its first solution kept.  Returns (status, first
+    solution's labels or None, nodes, solutions seen, nodes replayed).
 
     Each loop step charges the current cell's next step and places its
     survivor, or goes back; the next cell is entered only if it has
@@ -206,26 +249,23 @@ def _search(per_cell, checks, width, rule, limit, each=None):
     n = len(per_cell)
     test = rule_test(rule)
     getter = lru_cache(None)(_getter)  # one getter per facet tuple
-    # (candidate list, own checks, earlier facets) -> the list, the positions
-    # on it that pass the own checks (extent-1 wraps: the candidate meets
-    # itself, whatever is around), the getter of a candidate's colours on the
-    # facets that the key's colours face, in the key's order, and the memo
+    # (candidate list, signature) -> the list, the positions on it that pass
+    # the own checks (extent-1 wraps: the candidate meets itself, whatever is
+    # around), the getter of a candidate's colours on the facets that the
+    # key's colours face, in the key's order, and the memo
+    sig_at = list(zip(map(id, per_cell), plan.shapes))
     tables = {}
-    table, memos, keys = [], [], []
-    for i, lst in enumerate(per_cell):
-        own = tuple([(f, nf) for f, nf, j in checks[i] if j == i])
-        earlier = [(f, nf, j) for f, nf, j in checks[i] if j != i]
-        sig = (id(lst), own, tuple([f for f, _, _ in earlier]))
-        if sig not in tables:
-            ok = range(len(lst))
-            if own:
-                mine, theirs = map(getter, zip(*own))
-                ok = [p for p in ok
-                      if test(mine(lst[p][1]), theirs(lst[p][1]))]
-            tables[sig] = (lst, ok, getter(sig[2]), {})
-        table.append(tables[sig])
-        memos.append(tables[sig][3])
-        keys.append(_getter([j * width + nf for _, nf, j in earlier]))
+    for sig, lst in dict(zip(sig_at, per_cell)).items():
+        own, facets = plan.sigs[sig[1]]
+        ok = range(len(lst))
+        if own:
+            mine, theirs = map(getter, zip(*own))
+            ok = [p for p in ok if test(mine(lst[p][1]), theirs(lst[p][1]))]
+        tables[sig] = (lst, ok, getter(facets), {})
+    table = list(map(tables.__getitem__, sig_at))
+    memos = [got[3] for got in table]
+    keys, width, last, tail, tip, at = (
+        plan.keys, plan.width, plan.last, plan.tail, plan.tip, plan.at)
 
     def survivors(i, key):
         # cell i's steps under `key`, as the module docstring describes them
@@ -239,11 +279,11 @@ def _search(per_cell, checks, width, rule, limit, each=None):
         steps.append((len(lst) - done, None, None))
         return steps
 
-    last, records, tail = _records(checks, width)
-    # the last record cell, whose walks keep transcripts: the charge before
-    # each solution and its labels from tip on (`step` entries a solution),
-    # then the charge after the last solution
-    tip = max((i for i, r in enumerate(records) if r is not None), default=0)
+    # per record cell an empty memo: reach -> frontier getter and entries
+    records = [{} if r else None for r in plan.records]
+    # tip, the last record cell, keeps transcripts of its walks: the charge
+    # before each solution and its labels from tip on (`step` entries a
+    # solution), then the charge after the last solution
     step = n - tip + 1
     script, mark = None, 0  # the transcript being kept, and its last charge
     size = 0  # entries the memo holds, at most MEMO_SIZE
@@ -256,9 +296,8 @@ def _search(per_cell, checks, width, rule, limit, each=None):
     groups = {}
 
     if limit is None:  # more nodes than the whole tree holds
-        limit = prod(len(lst) + 1 for lst in per_cell)
+        limit = (max(map(len, per_cell)) + 1) ** n
     colours = [None] * (n * width)  # cell i's facets at i * width
-    at = [slice(i * width, (i + 1) * width) for i in range(n)]
     labels = [None] * n
     # per entered cell but the current one: its survivors and the next one
     # to try

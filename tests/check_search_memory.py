@@ -1,5 +1,6 @@
 """Run two wang13 searches whose memo must stay inside its bound, and check
-each one's counts, the nodes it replayed included, and peak RSS.
+each one's counts, the nodes it replayed included, and peak RSS; then one
+triangles6 search whose kept plan must stay inside its own bound.
 
 - torus: the 11x11 torus exhausted, 612,610,024 nodes, 574,918,565 of them
   replayed, at most 36 MB.  It takes 1.9-2.5 s.  The search's memo holds at
@@ -8,48 +9,88 @@ each one's counts, the nodes it replayed included, and peak RSS.
   59,807,852 of them replayed, at most 40 MB.  It takes 0.8-1.2 s, with 88 %
   of the nodes charged from the memo, the last row's transcripts included.
   The process peaks near 32 MB, and the bound leaves 25 % over that.
+- plan: the search plan that region_search keeps for the 20x20 triangle
+  torus, the one patch-pipeline's triangles6 patch is found on, at most
+  PLAN_BYTES as tracemalloc counts it, beyond the facet pairs that
+  facet_pairs keeps; the seeded triangles6 search that makes it finds its
+  first patch at node 1,564.  A plan that kept more per cell, its check
+  lists say, would raise the benchmark's peak RSS; here it fails first.
+  The size, 378,752 bytes, was measured on Python 3.11 only.  Most of it
+  is 800 slices, 799 itemgetters, 400 closures and their 399 cells, and
+  8 lists.  Object sizes can differ between Python versions; a machine
+  word more on each of these 2,406 objects would add 19 KB, and the bound
+  leaves 121 KB over the measured size.
 
-Each search runs in a process of its own, so each peak is its own search's.
+Each check runs in a process of its own, so each peak is its own search's.
 Run from the repository root:
 
-    PYTHONPATH=src python tests/check_search_memory.py [torus|free]
+    PYTHONPATH=src python tests/check_search_memory.py [torus|free|plan]
 
-With no argument both run; the exit code is 0 when every check holds.  The
-file name does not match pytest's `test_*.py`, so the suite does not run it.
+With no argument all three run; the exit code is 0 when every check holds.
+The file name does not match pytest's `test_*.py`, so the suite does not
+run it.
 """
 
+import gc
 import resource
 import subprocess
 import sys
+import tracemalloc
+
+# bytes the 20x20 triangle torus plan may hold: its size on Python 3.11 and
+# about a third over it
+PLAN_BYTES = 500_000
+
+
+def _peak_mb():
+    # ru_maxrss is in KiB on Linux
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def torus():
     from tileatlas import exhaust_torus, load_bundled
     r = exhaust_torus(load_bundled("wang13"), (11, 11))
-    return ((r.status, r.nodes, r.replayed),
-            ("exhausted", 612610024, 574918565), 36)
+    return ("wang13 torus", (r.status, r.nodes, r.replayed),
+            ("exhausted", 612610024, 574918565), _peak_mb(), 36,
+            "MB peak RSS")
 
 
 def free():
     from tileatlas import RegionSpec, count_solutions, load_bundled
     r = count_solutions(load_bundled("wang13"),
                         RegionSpec("square2d", (8, 4), False))
-    return ((r.status, r.count, r.nodes, r.replayed),
-            ("found", 653036, 68345953, 59807852), 40)
+    return ("wang13 free", (r.status, r.count, r.nodes, r.replayed),
+            ("found", 653036, 68345953, 59807852), _peak_mb(), 40,
+            "MB peak RSS")
 
 
-CHECKS = {"torus": torus, "free": free}
+def plan():
+    from tileatlas import RegionSpec, load_bundled, search
+    from tileatlas.tileset import facet_pairs, region_cells
+    tri = load_bundled("triangles6")
+    region = RegionSpec("tri2d", (20, 20), True)
+    facet_pairs(region, tuple(sorted(region_cells(region))))
+    gc.collect()
+    tracemalloc.start()
+    status, _, nodes, _, _ = search.region_search(tri, region, seed=7)
+    gc.collect()
+    # what the search left behind: its plan, and nothing of the search
+    size = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    return ("20x20 triangle torus plan", (status, nodes), ("found", 1564),
+            size, PLAN_BYTES, "bytes kept")
+
+
+CHECKS = {"torus": torus, "free": free, "plan": plan}
 
 
 def main(argv) -> int:
     if argv:
         (name,) = argv
-        got, want, bound_mb = CHECKS[name]()
-        # ru_maxrss is in KiB on Linux
-        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-        ok = got == want and peak <= bound_mb
-        print(f"{'ok' if ok else 'FAIL'} wang13 {name}: {got}, expected "
-              f"{want}; peak RSS {peak:.1f} MB, bound {bound_mb} MB")
+        what, got, want, size, bound, unit = CHECKS[name]()
+        ok = got == want and size <= bound
+        print(f"{'ok' if ok else 'FAIL'} {what}: {got}, expected {want}; "
+              f"{size:,.6g} {unit}, bound {bound:,}")
         return 0 if ok else 1
     codes = [subprocess.run([sys.executable, __file__, name]).returncode
              for name in CHECKS]

@@ -11,13 +11,14 @@ import random
 import re
 from contextlib import contextmanager
 from dataclasses import replace
-from functools import partial
+from functools import lru_cache, partial
 
 import pytest
 
 from conftest import random_tileset
 from tileatlas import search
 from tileatlas.atlas import derive_atlas, enumerate_source_coronas
+from tileatlas.geometry import cell_kind
 from tileatlas.search import EXHAUSTED, FOUND, LIMIT, _getter, region_search
 from tileatlas.reduction import reduce_set
 from tileatlas.solver import (
@@ -32,6 +33,7 @@ from tileatlas.tileset import (
     FormatError,
     RegionSpec,
     load_bundled,
+    region_cells,
     rule_eval,
 )
 
@@ -111,11 +113,19 @@ def _plain_search(per_cell, checks, width, rule, limit, each=None, at=None,
     return (EXHAUSTED if first is None else FOUND), first, nodes, count
 
 
+def _with_checks(oracle, checks, per_cell, plan, rule, limit, each=None):
+    return oracle(per_cell, checks, plan.width, rule, limit, each)
+
+
 def _run(engine, ts, region, limit, seed, counting):
     """(status, labels, nodes, count), the `each` calls and the nodes
     replayed (None for the oracle) of one search under `engine`."""
     calls = []
     each = (lambda labels: calls.append(tuple(labels))) if counting else None
+    if engine is not ENGINE:
+        # the oracle reads the check schedule that the plan is made from
+        checks = search._schedule(region, region_cells(region))
+        engine = partial(_with_checks, engine, checks)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(search, "_search", engine)
         status, labels, nodes, count, *replayed = region_search(
@@ -383,6 +393,9 @@ def _frontier_keyed(frontier=True):
     with pytest.MonkeyPatch.context() as m:
         if frontier:
             m.setattr(search, "_records", whole)
+            # plans made with it go into a cache of their own
+            m.setattr(search, "_plan",
+                      lru_cache(maxsize=16)(search._plan.__wrapped__))
         yield
 
 
@@ -468,3 +481,65 @@ def test_limit_inside_a_replayed_transcript():
                 reps.append(rep)
             on_replayed += reps[1] - reps[0] == 1
         assert on_replayed >= 5, (region, on_replayed)
+
+
+def test_cached_plans_search_as_fresh_ones():
+    # searches of two sets on one region, seeded and not, first hit and
+    # counting, interleaved on one plan, each equal to the same search on
+    # a plan made afresh
+    rng = random.Random(17)
+    for name, region in (("wang13", RegionSpec("square2d", (4, 4), True)),
+                         ("triangles6", RegionSpec("tri2d", (6, 6), True))):
+        other = replace(random_tileset(rng, region.space, 5, colours=2),
+                        allowed="all")
+        runs = [(ts, seed, counting)
+                for seed in (None, 5) for counting in (False, True)
+                for ts in (load_bundled(name), other)]
+        search._plan.cache_clear()
+        shared = [_run(ENGINE, ts, region, CAP, seed, counting)
+                  for ts, seed, counting in runs]
+        assert search._plan.cache_info().hits == len(runs) - 1
+        for run, got in zip(runs, shared):
+            search._plan.cache_clear()
+            assert _run(ENGINE, run[0], region, CAP, *run[1:]) == got, run
+        # the comparisons mean something only where nodes were charged and
+        # replayed, and solutions found
+        assert any(got[2] for got in shared), region
+        assert any(got[0][3] > 1 for got in shared), region
+
+
+def _per_cell(ts, region, seed):
+    """The candidate lists that region_search hands the engine."""
+    seen = []
+
+    def engine(per_cell, plan, rule, limit, each=None):
+        seen.append(per_cell)
+        return EXHAUSTED, None, 0, 0, 0
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(search, "_search", engine)
+        region_search(ts, region, seed=seed)
+    return seen[0]
+
+
+@pytest.mark.parametrize("name, region, length", [
+    ("triangles6", RegionSpec("tri2d", (20, 20), True), 3),
+    ("wang13", RegionSpec("square2d", (5, 4), False), 13),
+    ("cubes21", RegionSpec("cube3d", (2, 3, 2), True), 21)])
+def test_seeded_orders_are_shuffled_lists(name, region, length):
+    # each cell's list is what shuffling a copy of its kind's list draws,
+    # cell by cell in search order; cells with equal orders share one list
+    ts = load_bundled(name)
+    for seed in (0, 7, 12345):
+        rng = random.Random(seed)
+        want = []
+        for cell in region_cells(region):
+            lst = list(ts.legal[cell_kind(region.space, cell)].items())
+            assert len(lst) == length
+            rng.shuffle(lst)
+            want.append(lst)
+        got = _per_cell(ts, region, seed)
+        assert got == want, seed
+        orders = {tuple(map(tuple, lst)) for lst in got}
+        assert len({id(lst) for lst in got}) == len(orders), seed
+
