@@ -48,7 +48,7 @@ Rows are packed without a lookup per label: the enumerator's search labels
 are the prototiles' row characters, so a window's row is its solution
 reordered and joined, and rows are renumbered a batch, or a whole atlas, at
 a time by one translate over their joined text.  On a 2-core machine the
-cubes21 c2 atlas (812,673 rows) derives in 2.0-3.4 s.
+cubes21 c2 atlas (812,673 rows) derives in 4-7 s.
 
 The atlas text format is specified in docs/FORMATS.md.  `atlas_lines`
 yields it a line at a time, and `parse_atlas` reads it from a str or from

@@ -60,24 +60,16 @@ the deepest segment it entered, a record cell charged without survivors
 counting as entered, and counting the reaches of the entries it was charged
 from.  On a torus only the last row reads row 0's bottom colours, so
 a subtree that dies before it is searched under one row 0 and charged under
-the others.  The last record cell, tip, has one group, and there a subtree
-with solutions stores its transcript in the same slot: the nodes charged
-before each solution and that solution's labels from tip on, then the nodes
-charged after the last one.  A frontier's first walk with solutions stores
-only that it was walked, so a tip whose frontiers never repeat keeps no
-transcripts.  A lookup tries each group narrowest first, and a hit is
-charged again (`replayed`) instead of searched: a transcript's charges at
-most up to the limit, each solution's labels written and counted between
-them.  No later cell reads the colours of a replayed solution, so none are
-written.  One search's memo holds at most MEMO_SIZE entries, and the entry
-that would pass that clears them all first.  Every count, limit, solution
-and `each` call is the plain depth-first search's.
+the others.  A subtree with solutions below it is not recorded.  A lookup
+tries each group narrowest first, and a hit is charged again (`replayed`),
+at most up to the limit, instead of searched.  One search's memo holds at
+most MEMO_SIZE entries, and the entry that would pass that clears them all
+first.  Every count, limit, solution and `each` call is the plain
+depth-first search's.
 
-Transcripts pay where frontiers with solutions below them come back.  On a
-2-core machine the cubes21 c2 corona-window search replays 107,502,255 of
-its 110,651,268 nodes from them: 0.5-0.95 s, 2.9-4.1 s without.  The free
-wang13 8x4 count takes 0.65-1.25 s, 1.25-1.45 s without (32 MB peak, not
-18).
+So solution subtrees are searched again, not replayed: on a 2-core machine
+cubes21's c2 derive takes 4-7 s, not 1.9-2.7, the free wang13 8x4 count
+1.3-2.0 s, not 0.8-1.3 (18 MB peak, not 32); triangles6 does not move.
 """
 
 from __future__ import annotations
@@ -169,8 +161,8 @@ def _schedule(region: RegionSpec, cells):
 
 
 # what a search needs of its region and cells alone; see _plan
-_Plan = namedtuple("_Plan", "kinds shapes sigs keys width last records tail "
-                   "tip at")
+_Plan = namedtuple("_Plan",
+                   "kinds shapes sigs keys width last records tail at")
 
 
 @lru_cache(maxsize=16)
@@ -178,9 +170,8 @@ def _plan(region: RegionSpec, cells):
     """The search plan of the region's cells (all of them, in scan order, if
     `cells` is None), read off their check schedule: per cell its kind, the
     index in `sigs` of its (own-wrap checks, earlier facets) and its key
-    getter; `width`; _records' skeleton and `tip`, the last record cell;
-    per cell its colour slots.  Nothing of a tile set or a search.  The
-    last 16 plans are kept."""
+    getter; `width`; _records' skeleton; per cell its colour slots.
+    Nothing of a tile set or a search.  The last 16 plans are kept."""
     if cells is None:
         cells = region_cells(region)
     checks = _schedule(region, cells)
@@ -196,7 +187,6 @@ def _plan(region: RegionSpec, cells):
     last, records, tail = _records(checks, width)
     return _Plan([cell_kind(region.space, c) for c in cells], shapes,
                  list(sigs), keys, width, last, records, tail,
-                 max((i for i, r in enumerate(records) if r), default=0),
                  [slice(i * width, (i + 1) * width) for i in range(len(cells))])
 
 
@@ -264,8 +254,8 @@ def _search(per_cell, plan, rule, limit, each=None):
         tables[sig] = (lst, ok, getter(facets), {})
     table = list(map(tables.__getitem__, sig_at))
     memos = [got[3] for got in table]
-    keys, width, last, tail, tip, at = (
-        plan.keys, plan.width, plan.last, plan.tail, plan.tip, plan.at)
+    keys, width, last, tail, at = (
+        plan.keys, plan.width, plan.last, plan.tail, plan.at)
 
     def survivors(i, key):
         # cell i's steps under `key`, as the module docstring describes them
@@ -281,11 +271,6 @@ def _search(per_cell, plan, rule, limit, each=None):
 
     # per record cell an empty memo: reach -> frontier getter and entries
     records = [{} if r else None for r in plan.records]
-    # tip, the last record cell, keeps transcripts of its walks: the charge
-    # before each solution and its labels from tip on (`step` entries a
-    # solution), then the charge after the last solution
-    step = n - tip + 1
-    script, mark = None, 0  # the transcript being kept, and its last charge
     size = 0  # entries the memo holds, at most MEMO_SIZE
     # the reach of the subtree being searched, and per record cell, when it
     # was entered, the reach of the one around it and the nodes and
@@ -324,19 +309,11 @@ def _search(per_cell, plan, rule, limit, each=None):
             if record is not None:
                 around, before, seen = entered[h]
                 reach, deep = deep, max(deep, around)
-                if seen != count:
-                    # solutions below: only tip keeps them, a transcript on
-                    # a frontier's second walk and () on its first
-                    if h != tip:
-                        continue
-                    if script is not None:
-                        script.append(nodes - mark)
-                    stored = () if script is None else script
-                elif nodes - before > len(per_cell[h]):
-                    stored = nodes - before
-                else:
-                    # a subtree that never left its start costs no more to
-                    # search than to look up, so it is not recorded
+                stored = nodes - before
+                if seen != count or stored <= len(per_cell[h]):
+                    # solutions below are searched again; a subtree that
+                    # never left its start costs no more to search than to
+                    # look up: neither is recorded
                     continue
                 got = groups.get((h, reach))
                 if got is None:
@@ -360,10 +337,6 @@ def _search(per_cell, plan, rule, limit, each=None):
         colours[at[i]] = e
         labels[i] = label
         if i == n - 1:
-            if script is not None:
-                script.append(nodes - mark)
-                script += labels[tip:]
-                mark = nodes
             count += 1
             if first is None:
                 first = list(labels)
@@ -391,34 +364,17 @@ def _search(per_cell, plan, rule, limit, each=None):
                 got = entries.get(front(colours))
                 if got is not None:
                     break
-            if got:
-                if got.__class__ is list:
-                    # a transcript: each solution's charge, then its labels
-                    for s in range(0, len(got) - 1, step):
-                        charge = min(got[s], limit + 1 - nodes)
-                        nodes += charge
-                        replayed += charge
-                        if nodes > limit:
-                            break
-                        labels[tip:] = got[s + 1:s + step]
-                        count += 1
-                        if first is None:
-                            first = list(labels)
-                        each(labels)
-                    got = got[-1]
-                # charged up to the limit at most, as above, and a hit
-                # reaches as far as its record
+            if got is not None:
+                # charged up to the limit at most, and a hit reaches as
+                # far as its record
                 charge = min(got, limit + 1 - nodes)
                 nodes += charge
                 replayed += charge
                 deep = max(deep, reach)
                 continue
-            # a walk from j reaches its segment's end; at tip a frontier
-            # walked once keeps its transcript
+            # a walk from j reaches its segment's end
             entered[j] = deep, nodes, count
             deep = tail[j]
-            if j == tip:
-                script, mark = (None if got is None else []), nodes
         stack.append((surv, k))
         i, surv, k = j, nxt, 0
     if nodes > limit:  # LIMIT even with solutions seen: the count is cut

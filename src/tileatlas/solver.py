@@ -53,7 +53,7 @@ class SolveResult:
     patch: Patch | None
     nodes: int
     count: int = 0  # solutions seen (only counting searches set this > 1)
-    replayed: int = 0  # nodes charged from records and replayed transcripts
+    replayed: int = 0  # nodes charged from the memo's subtree records
 
 
 def _checked_search(ts: TileSet, region: RegionSpec, config, each=None

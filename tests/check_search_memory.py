@@ -6,9 +6,10 @@ triangles6 search whose kept plan must stay inside its own bound.
   replayed, at most 36 MB.  It takes 1.9-2.5 s.  The search's memo holds at
   most MEMO_SIZE entries; without that bound the process peaks near 46 MB.
 - free: the free 8x4 region counted, 653,036 solutions in 68,345,953 nodes,
-  59,807,852 of them replayed, at most 40 MB.  It takes 0.8-1.2 s, with 88 %
-  of the nodes charged from the memo, the last row's transcripts included.
-  The process peaks near 32 MB, and the bound leaves 25 % over that.
+  39,721,188 of them replayed, at most 24 MB.  It takes 1.3-2.0 s, with 58 %
+  of the nodes charged from the memo; subtrees with solutions below them
+  are searched again, not recorded.  The process peaks near 19 MB, and the
+  bound leaves about a quarter over that.
 - plan: the search plan that region_search keeps for the 20x20 triangle
   torus, the one patch-pipeline's triangles6 patch is found on, at most
   PLAN_BYTES as tracemalloc counts it, beyond the facet pairs that
@@ -60,7 +61,7 @@ def free():
     r = count_solutions(load_bundled("wang13"),
                         RegionSpec("square2d", (8, 4), False))
     return ("wang13 free", (r.status, r.count, r.nodes, r.replayed),
-            ("found", 653036, 68345953, 59807852), _peak_mb(), 40,
+            ("found", 653036, 68345953, 39721188), _peak_mb(), 24,
             "MB peak RSS")
 
 

@@ -325,8 +325,15 @@ def test_region_on_another_lattice_is_refused():
 
 def test_replayed_nodes_are_pinned():
     # the subtree records replay exactly these nodes of an exhausted torus
-    r = exhaust_torus(load_bundled("wang13"), (6, 6))
+    wang = load_bundled("wang13")
+    r = exhaust_torus(wang, (6, 6))
     assert (r.status, r.nodes, r.replayed) == (EXHAUSTED, 631189, 421590)
+    # and of free counts, where subtrees with solutions are searched again:
+    # 3x3 is the tree of the c2 corona window
+    for extents, want in (((3, 3), (FOUND, 1073, 41626, 2028)),
+                          ((5, 3), (FOUND, 10933, 537121, 126945))):
+        r = count_solutions(wang, RegionSpec("square2d", extents, False))
+        assert (r.status, r.count, r.nodes, r.replayed) == want, extents
 
 
 # (nodes, replayed) of the benchmark's torus sweep: wang13 k = 1..7 and
@@ -442,11 +449,10 @@ def test_limit_inside_a_reach_keyed_charge():
         assert reach_only >= 5, (seed, reach_only)
 
 
-def test_limit_inside_a_replayed_transcript():
+def test_limit_at_a_solution_node():
     # counting searches on free wang13 regions and on small random square
     # sets: a limit just before or at the node that completes a solution
-    # ends where the plain search ends, and some of those nodes are
-    # replayed, which only a transcript does for a solution
+    # ends where the plain search ends
     wang = load_bundled("wang13")
     searches = [(wang, RegionSpec("square2d", extents, False), None)
                 for extents in ((5, 3), (4, 4))]
@@ -467,9 +473,7 @@ def test_limit_inside_a_replayed_transcript():
         assert full[0] == FOUND and len(at) == full[3]
         if ts is wang:
             assert full[2:] in ((537121, 10933), (482391, 7168))
-        on_replayed = 0  # solutions completed on a replayed node
         for end in sorted(rng.sample(at, 20)):
-            reps = []
             for limit in (end - 1, end):
                 case = (region, seed, limit)
                 want, want_calls, _ = _run(_plain_search, ts, region, limit,
@@ -478,9 +482,6 @@ def test_limit_inside_a_replayed_transcript():
                                            True)
                 assert got == want and got_calls == want_calls, case
                 assert rep <= got[2], case
-                reps.append(rep)
-            on_replayed += reps[1] - reps[0] == 1
-        assert on_replayed >= 5, (region, on_replayed)
 
 
 def test_cached_plans_search_as_fresh_ones():
