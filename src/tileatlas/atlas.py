@@ -41,8 +41,11 @@ keeps such a string at one byte per character while every index is below
 256 and widens it by itself beyond.  A table holds at most `LABEL_LIMIT`
 labels, the range of chr.  Strings sort by code point, so sorted rows are in
 `Corona.sort_key` order.  `Corona` stays the public type: `atlas.coronas`
-decodes rows on demand, and `corona in atlas` encodes the query;
-`missing_coronas` joins a patch's rows from its labels' characters.
+decodes rows on demand, and `corona in atlas` encodes the query.
+
+`missing_coronas` joins a patch's rows from its labels' characters; on a
+torus that its patch fills, it reads every row at once from the string of
+those characters in sorted cell order, turned along each axis.
 
 Rows are packed without a lookup per label: the enumerator's search labels
 are the prototiles' row characters, so a window's row is its solution
@@ -62,7 +65,8 @@ from collections.abc import Callable, Set
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, chain
-from operator import itemgetter
+from math import prod
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 from .geometry import (
@@ -82,9 +86,11 @@ from .tileset import (
     Placement,
     RegionSpec,
     TileSet,
+    _bounds,
     _code,
     _content_lines,
     _token,
+    cells_in_region,
     facet_pairs,
     identity_code,
     patch_valid,
@@ -278,17 +284,64 @@ def corona_of(placements: dict, region: RegionSpec, cell) -> Corona | None:
     return Corona((pl.tile, pl.orientation), tuple(ring))
 
 
+def _torus_rows(region: RegionSpec, text: str):
+    """The rows of a torus patch that fills its region, whose cells' row
+    characters, in sorted cell order, are `text`: per kind of cell, the
+    indices of its cells in that order and their rows.
+
+    Sorted cell order steps along each axis by a fixed stride, so the cells
+    at one touching offset from every cell are read at once: `text` turned,
+    along each axis, within each run of that axis's extent times its
+    stride.  A triangle's neighbours of one orientation bit are every
+    second character of that."""
+    step = 2 if region.space == "tri2d" else 1
+    axes = len(region.extents)
+    # from the last axis, runs[i] is an axis's stride, runs[i + 1] its
+    # extent times that
+    runs = list(accumulate(reversed(region.extents), mul, initial=step))
+    for kind, offsets in enumerate(_TOUCHING[region.space]):
+        columns = []
+        for offset in offsets:
+            turned = text
+            for d, stride, size in zip(offset[axes - 1::-1], runs, runs[1:]):
+                k = d * stride % size
+                if k:
+                    turned = "".join([turned[j + k:j + size] + turned[j:j + k]
+                                      for j in range(0, len(text), size)])
+            columns.append(turned[offset[-1] % step::step])
+        yield (range(kind, len(text), step),
+               map("".join, zip(text[kind::step], *columns)))
+
+
 def missing_coronas(atlas: Atlas, patch: Patch) -> tuple[list, int]:
     """The sorted cells whose complete corona (as corona_of reads it) is not
     in the atlas, and the number of complete coronas in the patch.  Rows
     are joined from each label's character ("" if the table lacks it, which
-    leaves the row short: missing), so no Corona is built."""
+    leaves the row short: missing), so no Corona is built.  A torus patch
+    that fills its region, every label in the table, has its rows read all
+    at once (_torus_rows)."""
+    placements = patch.placements
+    region = patch.region
     chars = atlas._chars
+    cells = sorted(placements)
+    if (region.torus and len(cells) == prod(_bounds(region))
+            and cells_in_region(region, cells)):
+        try:
+            text = "".join([chars[pl.tile, pl.orientation]
+                            for pl in map(placements.__getitem__, cells)])
+        except KeyError:  # a label the table lacks: read cell by cell
+            pass
+        else:
+            missing = []
+            for index, rows in _torus_rows(region, text):
+                missing += [cells[i] for i, row in zip(index, rows)
+                            if row not in atlas.rows]
+            return sorted(missing), len(cells)
     char = {cell: chars.get((pl.tile, pl.orientation), "")
-            for cell, pl in patch.placements.items()}
-    ring_cells = _ring_cells(patch.region)
+            for cell, pl in placements.items()}
+    ring_cells = _ring_cells(region)
     missing, complete = [], 0
-    for cell in sorted(char):
+    for cell in cells:
         ring = ring_cells(cell)
         try:
             row = char[cell] + "".join(map(char.__getitem__, ring))

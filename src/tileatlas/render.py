@@ -10,10 +10,12 @@ patches are laid out as one slice per layer, left to right; out-of-plane
 facet colours appear as two corner dots, and reduced cube placements print
 their orientation code beside the decoration marker.
 
-Both renderers make one pass over the placed cells in sorted order.  Each
-(tile, code) label is compiled once per render into a template: the fixed
-text of every element its cell draws, colours included, with a `%.3f` slot
-per number (and, for a reduced set, the label's lifted glyph).  A cell
+Both renderers make one pass over the placed cells in sorted order, after
+one check that they all lie in the region (cell by cell only when one does
+not, to name the first outside).  Each (tile, code) label is compiled once
+per render into a template: the fixed text of every element its cell
+draws, colours included, with a `%.3f` slot per number (and, for a reduced
+set, the label's lifted glyph).  A cell
 computes only its numbers and fills its template in one step.  The canvas
 bounds are folded from the cell outlines alone: a strip lies within its
 outline, and each glyph point, marker with its radius and cube label inside
@@ -39,7 +41,8 @@ from functools import lru_cache
 from .geometry import ShapeKind, cell_kind, orientation_lift, tri_vertices
 from .reduction import DECORATION_POINT, ReducedSet
 from .tileset import (FormatError, Patch, TileSet, cell_in_region,
-                      effective_facets, placement_orientations)
+                      cells_in_region, effective_facets,
+                      placement_orientations)
 
 SQRT3 = 3 ** 0.5
 SCALE = 40.0  # SVG width and height per lattice unit
@@ -139,8 +142,9 @@ def _render(patch: Patch, kinds: dict, compile_label, numbers) -> str:
     parts = []
     min_x = min_y = float("inf")
     max_x = max_y = float("-inf")
+    inside = cells_in_region(region, patch.placements)
     for cell in sorted(patch.placements):
-        if not cell_in_region(region, cell):
+        if not inside and not cell_in_region(region, cell):
             extents = "x".join(map(str, region.extents))
             raise FormatError(f"cell {cell} lies outside the {extents} region")
         pl = patch.placements[cell]

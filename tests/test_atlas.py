@@ -430,9 +430,17 @@ def mutated_patches(rng, patch, labels):
         yield what, Patch(patch.set_name, patch.region, placements)
 
 
-def test_missing_coronas_matches_per_cell_oracle():
+def test_missing_coronas_matches_per_cell_oracle(monkeypatch):
     rng = random.Random(20261019)
     seen = Counter()
+    # count the patches whose rows are read all at once
+    whole_torus = tileatlas.atlas._torus_rows
+
+    def counted(region, text):
+        seen["torus rows"] += 1
+        return whole_torus(region, text)
+
+    monkeypatch.setattr(tileatlas.atlas, "_torus_rows", counted)
 
     def check(atlas, patch, labels):
         for what, case in mutated_patches(rng, patch, labels):
@@ -457,24 +465,49 @@ def test_missing_coronas_matches_per_cell_oracle():
                                   SolveConfig(seed=seed)).patch
                     check(atlas, encode_patch(rs, found), atlas.labels)
     # every lattice, free and torus: atlases of half the coronas of a
-    # random patch over a few labels
+    # random patch over a few labels; on tori of extent 1 and 2 a ring
+    # repeats its cells or holds its centre
+    def random_case(region):
+        labels = [(t, code) for t in ("a", "b")
+                  for code in space_codes(region.space)[:2]]
+        patch = Patch("p", region, {c: Placement(c, *rng.choice(labels))
+                                    for c in region_cells(region)})
+        coronas = [corona_of(patch.placements, region, cell)
+                   for cell in region_cells(region)]
+        coronas = [c for c in coronas if c is not None]
+        atlas = Atlas("half", rng.sample(coronas, len(coronas) // 2))
+        return atlas, patch, labels
+
     for space, extents in (("square2d", (5, 4)), ("tri2d", (4, 3)),
                            ("cube3d", (4, 3, 3))):
-        labels = [(t, code) for t in ("a", "b") for code in space_codes(space)[:2]]
         for torus in (False, True):
-            region = RegionSpec(space, extents, torus)
             for _ in range(4):
-                patch = Patch("p", region, {
-                    c: Placement(c, *rng.choice(labels))
-                    for c in region_cells(region)})
-                coronas = [corona_of(patch.placements, region, cell)
-                           for cell in region_cells(region)]
-                coronas = [c for c in coronas if c is not None]
-                atlas = Atlas("half", rng.sample(coronas, len(coronas) // 2))
-                check(atlas, patch, labels)
+                check(*random_case(RegionSpec(space, extents, torus)))
+    for space in ("square2d", "tri2d", "cube3d"):
+        dim = space_dim(space)
+        for extents in ((1,) * dim, (2,) * dim, (1,) + (2,) * (dim - 1)):
+            for _ in range(3):
+                check(*random_case(RegionSpec(space, extents, True)))
     for what in ("whole", "hole", "unknown", "wrong"):
         assert seen[what, "member"] > 20 and seen[what, "missing"] > 5, seen
     assert seen["whole", "missing"] > 50
+    # whole tori with every label known, the extent-1 and -2 tori among them
+    assert seen["torus rows"] > 40, seen
+
+    # the same cells read under a free region, then tori of three shapes,
+    # one of them as many cells as the patch but not its cells, and the free
+    # region again: each reads the cells under its own region
+    for space, extents, wider in (("square2d", (3, 4), (3, 5)),
+                                  ("tri2d", (3, 2), (4, 2)),
+                                  ("cube3d", (3, 3, 4), (3, 4, 4))):
+        atlas, patch, _ = random_case(RegionSpec(space, extents, True))
+        for region in (RegionSpec(space, extents, False), patch.region,
+                       RegionSpec(space, wider, True),
+                       RegionSpec(space, extents[::-1], True),
+                       RegionSpec(space, extents, False)):
+            case = Patch("p", region, patch.placements)
+            assert (missing_coronas(atlas, case)
+                    == oracle_missing_coronas(atlas, case)), region
 
 
 def test_missing_coronas_counts_a_short_row_missing():

@@ -440,6 +440,34 @@ def test_render_refuses_placements_that_do_not_fit_their_cell():
     good = Patch("p", RegionSpec("tri2d", (1, 1), False),
                  {(0, 0, 1): Placement((0, 0, 1), "x0", "ut4")})
     assert "<polyline" in render_reduced_patch(rs, good)
+    # the region is checked once per patch, and cell by cell only when that
+    # check fails: a found patch with one cell outside, of another arity,
+    # negative, at the extent or with triangle bit 2, refuses that cell or
+    # an unknown tile, whichever comes first in sorted order
+    for ts, extents, torus in ((ts, (3, 2), False),
+                               (rs.source, (3, 2), True),
+                               (load_bundled("cubes21"), (2, 2, 3), False)):
+        dim = len(extents)
+        tri_bit = (0,) * (ts.space == "tri2d")
+        found = random_patch(ts, extents, 5, torus).patch
+        text = "x".join(map(str, extents))
+        for cell in [(0,) * (dim + len(tri_bit) + 1), (0,) * (dim - 1),
+                     (-1,) + (0,) * (dim - 1) + tri_bit,
+                     (extents[0],) + (0,) * (dim - 1) + tri_bit,
+                     (0,) * (dim - 1) + extents[-1:] + tri_bit,
+                     *[(1, 1, 2)] * bool(tri_bit)]:
+            pl = next(iter(found.placements.values()))
+            for unknown in (min(found.placements), max(found.placements)):
+                placements = dict(found.placements)
+                placements[unknown] = Placement(unknown, "zz", pl.orientation)
+                placements[cell] = Placement(cell, pl.tile, pl.orientation)
+                faults = {
+                    cell: f"cell {cell} lies outside the {text} region",
+                    unknown: f"unknown tile id 'zz' at {unknown}"}
+                with pytest.raises(FormatError, match=re.escape(
+                        faults[min(faults)])):
+                    render_source_patch(
+                        ts, Patch("p", found.region, placements))
 
 
 def test_render_refuses_coordinates_out_of_float_range():

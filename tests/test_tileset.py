@@ -35,6 +35,7 @@ from tileatlas.tileset import (
     parse_patch,
     parse_tileset,
     cell_in_region,
+    cells_in_region,
     patch_valid,
     placement_ok,
     placement_orientations,
@@ -523,6 +524,8 @@ def test_cells_off_the_lattice_are_no_cells_of_a_region():
             (cube, [(0, 0, 0), (1, 1, 1)], [(0, 0), (0, 0, 0, 0)])):
         assert all(cell_in_region(region, c) for c in inside), region
         assert not any(cell_in_region(region, c) for c in off), region
+        assert cells_in_region(region, inside), region
+        assert not any(cells_in_region(region, [*inside, c]) for c in off)
     # cell_kind still reads any non-zero bit as a down cell
     assert cell_kind("tri2d", (0, 0, 5)) is ShapeKind.TRI_DOWN
     ts = square_set([(1, 1, 1, 1)], allowed="translations")
@@ -604,6 +607,39 @@ def test_patch_valid_messages_and_their_order_are_pinned():
         patch = Patch(ts.name, region, {c: Placement(c, t, code)
                                         for c, t, code in placed})
         assert patch_valid(ts, patch) == (False, expected), (ts.name, region)
+
+
+def test_patch_valid_words_the_one_cell_outside_in_its_place():
+    # patch_valid checks the region once per patch and cell by cell only
+    # when that check fails: in a patch all inside but one cell, of another
+    # arity, negative, at the extent or with triangle bit 2, that cell is
+    # worded as the per-cell oracle words it, in placement order, among an
+    # unknown tile before or after it and the facet failures
+    rng = random.Random(32)
+    tri, wang, cubes = map(load_bundled, ("triangles6", "wang13", "cubes21"))
+    for ts, region in ((wang, RegionSpec("square2d", (3, 2), False)),
+                       (tri, RegionSpec("tri2d", (3, 2), True)),
+                       (cubes, RegionSpec("cube3d", (2, 2, 3), True))):
+        dim = len(region.extents)
+        tri_bit = (0,) * (region.space == "tri2d")
+        bad = [(0,) * (dim + len(tri_bit) + 1), (0,) * (dim - 1),
+               (-1,) + (0,) * (dim - 1) + tri_bit,
+               (0,) * (dim - 1) + (-1,) + tri_bit,
+               (region.extents[0],) + (0,) * (dim - 1) + tri_bit,
+               (0,) * (dim - 1) + region.extents[-1:] + tri_bit]
+        if tri_bit:
+            bad.append((1, 1, 2))
+        for cell in bad:
+            base = random_patch_in(rng, ts, region, density=1.0)
+            placed = list(base.placements.values())
+            outside = replace(placed[0], cell=cell)
+            k = rng.randrange(len(placed))
+            placed[k] = replace(placed[k], tile="zz")
+            placed.insert(rng.randrange(len(placed) + 1), outside)
+            patch = Patch(ts.name, region, {pl.cell: pl for pl in placed})
+            ok, violations = patch_valid(ts, patch)
+            assert violations == oracle_patch_valid(ts, patch), patch
+            assert f"cell {cell} outside region {region.extents}" in violations
 
 
 def test_legal_table_is_placement_ok_and_effective_facets():
