@@ -43,9 +43,11 @@ labels, the range of chr.  Strings sort by code point, so sorted rows are in
 `Corona.sort_key` order.  `Corona` stays the public type: `atlas.coronas`
 decodes rows on demand, and `corona in atlas` encodes the query.
 
-`missing_coronas` joins a patch's rows from its labels' characters; on a
-torus that its patch fills, it reads every row at once from the string of
-those characters in sorted cell order, turned along each axis.
+`corona_of` reads a free region as its box: the torus one cell wider on
+each axis, whose extra layer holds no cell.  `missing_coronas` reads every
+row of a patch's box at once, from one string turned along each axis, when
+the patch lies in its region and fills at least 1/2^dim of the box; any
+other patch, through `corona_of` and `in atlas`.
 
 Rows are packed without a lookup per label: the enumerator's search labels
 are the prototiles' row characters, so a window's row is its solution
@@ -64,7 +66,7 @@ import sys
 from collections.abc import Callable, Set
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice, product
 from math import prod
 from operator import itemgetter, mul
 from typing import NamedTuple
@@ -78,6 +80,7 @@ from .geometry import (
     origin_cell,
     space_codes,
     space_dim,
+    touching_cell,
     touching_offsets,
 )
 from .tileset import (
@@ -232,39 +235,13 @@ _TOUCHING = {space: tuple(map(touching_offsets, kinds))
              for space, kinds in SPACE_KINDS.items()}
 
 
-def _ring_cells(region: RegionSpec):
-    """A function from a cell of the region to the cells touching it, in
-    the touching-offset order of the cell's kind; on a torus they wrap."""
-    space = region.space
-    # touching_cell and wrap_cell, inlined per lattice; a triangle offset's
-    # third entry is the neighbour's orientation
-    if space == "tri2d":
-        up, down = _TOUCHING[space]
-        if region.torus:
-            w, h = region.extents
-            return lambda c: [((c[0] + da) % w, (c[1] + db) % h, o)
-                              for da, db, o in (down if c[2] else up)]
-        return lambda c: [(c[0] + da, c[1] + db, o)
-                          for da, db, o in (down if c[2] else up)]
-    (offs,) = _TOUCHING[space]
-    if space == "square2d":
-        if region.torus:
-            w, h = region.extents
-            return lambda c: [((c[0] + dx) % w, (c[1] + dy) % h)
-                              for dx, dy in offs]
-        return lambda c: [(c[0] + dx, c[1] + dy) for dx, dy in offs]
-    if region.torus:
-        w, h, d = region.extents
-        return lambda c: [((c[0] + dx) % w, (c[1] + dy) % h, (c[2] + dz) % d)
-                          for dx, dy, dz in offs]
-    return lambda c: [(c[0] + dx, c[1] + dy, c[2] + dz) for dx, dy, dz in offs]
-
-
 def corona_of(placements: dict, region: RegionSpec, cell) -> Corona | None:
     """The corona at `cell`, or None when a touching cell is unfilled.
 
-    On torus regions touching cells wrap, so every filled cell of a fully
-    placed torus patch has a corona.
+    On a torus touching cells wrap, so every filled cell of a fully placed
+    torus patch has a corona.  A free region reads as the torus one cell
+    wider on each axis whose extra layer holds no cell (_box): only a cell
+    whose ring lies in the region has a corona.
 
     The ring order follows the cell's kind, which matches the atlas
     convention (ring order of the centre's decoded kind) only when the
@@ -273,21 +250,42 @@ def corona_of(placements: dict, region: RegionSpec, cell) -> Corona | None:
     validity before asking for atlas membership, which is the order the
     solver and the verifier use.
     """
-    pl = placements.get(cell)
-    if pl is None:
+    pl, ext, offsets = (placements.get(cell), region.extents,
+                        _TOUCHING[region.space])
+    if pl is None or not (region.torus or all(
+            0 < c < e - 1 for c, e in zip(cell, ext))):
         return None
+    # touching_cell, wrapped; a triangle offset ends in the neighbour's bit
+    if region.space == "tri2d":
+        (w, h), (up, down) = ext, offsets
+        ring = [((cell[0] + da) % w, (cell[1] + db) % h, o)
+                for da, db, o in (down if cell[2] else up)]
+    elif region.space == "square2d":
+        (w, h), (offs,) = ext, offsets
+        ring = [((cell[0] + dx) % w, (cell[1] + dy) % h) for dx, dy in offs]
+    else:
+        (w, h, d), (offs,) = ext, offsets
+        ring = [((cell[0] + dx) % w, (cell[1] + dy) % h, (cell[2] + dz) % d)
+                for dx, dy, dz in offs]
     try:
         ring = [(npl.tile, npl.orientation)
-                for npl in map(placements.get, _ring_cells(region)(cell))]
+                for npl in map(placements.get, ring)]
     except AttributeError:  # None: a touching cell is unfilled
         return None
     return Corona((pl.tile, pl.orientation), tuple(ring))
 
 
+def _box(region: RegionSpec) -> RegionSpec:
+    """The torus that corona_of reads `region` as: the region itself, or
+    for a free region the torus one cell wider on each axis."""
+    return region if region.torus else RegionSpec(
+        region.space, tuple(e + 1 for e in region.extents), True)
+
+
 def _torus_rows(region: RegionSpec, text: str):
-    """The rows of a torus patch that fills its region, whose cells' row
-    characters, in sorted cell order, are `text`: per kind of cell, the
-    indices of its cells in that order and their rows.
+    """The rows of every cell of a torus, whose cells' row characters, in
+    sorted cell order, are `text`: per kind of cell, its cells in that
+    order and their rows.
 
     Sorted cell order steps along each axis by a fixed stride, so the cells
     at one touching offset from every cell are read at once: `text` turned,
@@ -309,48 +307,44 @@ def _torus_rows(region: RegionSpec, text: str):
                     turned = "".join([turned[j + k:j + size] + turned[j:j + k]
                                       for j in range(0, len(text), size)])
             columns.append(turned[offset[-1] % step::step])
-        yield (range(kind, len(text), step),
+        cells = product(*map(range, _bounds(region)))
+        yield (islice(cells, kind, None, step),
                map("".join, zip(text[kind::step], *columns)))
 
 
 def missing_coronas(atlas: Atlas, patch: Patch) -> tuple[list, int]:
     """The sorted cells whose complete corona (as corona_of reads it) is not
-    in the atlas, and the number of complete coronas in the patch.  Rows
-    are joined from each label's character ("" if the table lacks it, which
-    leaves the row short: missing), so no Corona is built.  A torus patch
-    that fills its region, every label in the table, has its rows read all
-    at once (_torus_rows)."""
-    placements = patch.placements
-    region = patch.region
-    chars = atlas._chars
-    cells = sorted(placements)
-    if (region.torus and len(cells) == prod(_bounds(region))
-            and cells_in_region(region, cells)):
-        try:
-            text = "".join([chars[pl.tile, pl.orientation]
-                            for pl in map(placements.__getitem__, cells)])
-        except KeyError:  # a label the table lacks: read cell by cell
-            pass
-        else:
-            missing = []
-            for index, rows in _torus_rows(region, text):
-                missing += [cells[i] for i, row in zip(index, rows)
-                            if row not in atlas.rows]
-            return sorted(missing), len(cells)
-    char = {cell: chars.get((pl.tile, pl.orientation), "")
-            for cell, pl in placements.items()}
-    ring_cells = _ring_cells(region)
+    in the atlas, and the number of complete coronas in the patch.
+
+    A patch that lies in its region and fills at least 1/2^dim of its box,
+    as a full patch does, has every row of the box read at once
+    (_torus_rows): a cell's character is its label's, a spare one if the
+    table lacks the label, or another, the hole, if the cell is empty.  A
+    row with a hole is not complete.  Any other patch is read cell by cell
+    through corona_of and `in atlas`."""
+    placements, region, chars = patch.placements, patch.region, atlas._chars
+    box = _box(region)
+    bounds = _bounds(box)
+    if (len(chars) + 2 > LABEL_LIMIT  # no spare characters
+            or len(placements) << space_dim(region.space) < prod(bounds)
+            or not cells_in_region(region, placements)):
+        coronas = [(cell, corona_of(placements, region, cell))
+                   for cell in sorted(placements)]
+        coronas = [(cell, c) for cell, c in coronas if c is not None]
+        return [cell for cell, c in coronas if c not in atlas], len(coronas)
+    hole, unknown = chr(len(chars)), chr(len(chars) + 1)
+    text = "".join([hole if pl is None
+                    else chars.get((pl.tile, pl.orientation), unknown)
+                    for pl in map(placements.get,
+                                  product(*map(range, bounds)))])
     missing, complete = [], 0
-    for cell in cells:
-        ring = ring_cells(cell)
-        try:
-            row = char[cell] + "".join(map(char.__getitem__, ring))
-        except KeyError:  # a touching cell is unfilled
-            continue
-        complete += 1
-        if len(row) <= len(ring) or row not in atlas.rows:
-            missing.append(cell)
-    return missing, complete
+    for cells, rows in _torus_rows(box, text):
+        for cell, row in zip(cells, rows):
+            if hole not in row:
+                complete += 1
+                if row not in atlas.rows:
+                    missing.append(cell)
+    return sorted(missing), complete
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +365,8 @@ def _corona_window(kind: ShapeKind):
     region = RegionSpec(space, (3,) * dim, False)
     # a triangle's orientation bit is not a coordinate
     center = (1,) * dim + origin_cell(kind)[dim:]
-    cells = (center, *_ring_cells(region)(center))
+    cells = (center, *[touching_cell(kind, center, offset)
+                       for offset in touching_offsets(kind)])
     order = tuple(filter(set(cells).__contains__, region_cells(region)))
     return region, cells, order, facet_pairs(region, cells)
 

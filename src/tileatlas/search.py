@@ -68,8 +68,8 @@ first.  Every count, limit, solution and `each` call is the plain
 depth-first search's.
 
 So solution subtrees are searched again, not replayed: on a 2-core machine
-cubes21's c2 derive takes 4-7 s, not 1.9-2.7, the free wang13 8x4 count
-1.3-2.0 s, not 0.8-1.3 (18 MB peak, not 32); triangles6 does not move.
+cubes21's c2 derive takes 4-7 s, and the free wang13 8x4 count 1.3-2.0 s at
+an 18 MB peak.
 """
 
 from __future__ import annotations

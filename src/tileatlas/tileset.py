@@ -150,6 +150,8 @@ class RegionSpec:
     torus: bool
 
     def __post_init__(self):
+        if self.space not in SPACE_KINDS:
+            raise FormatError(f"unknown space {self.space!r}")
         if len(self.extents) != space_dim(self.space):
             raise FormatError("region extents do not match the lattice dimension")
         if any(e < 1 for e in self.extents):
@@ -533,7 +535,7 @@ def identity_code(space: str) -> str:
     return space_codes(space)[0]
 
 
-BUNDLED = ("wang13", "cubes21", "triangles6")
+BUNDLED = ("wang13", "cubes21", "triangles6", "kari14")
 
 
 def load_bundled(name: str) -> TileSet:

@@ -15,11 +15,13 @@ import gc
 import hashlib
 import io
 import itertools
+import math
 import random
 import re
 import sys
 import weakref
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -57,7 +59,7 @@ from tileatlas.geometry import (
 )
 from tileatlas.reduction import encode_patch, reduce_set
 from tileatlas.search import region_search
-from tileatlas.solver import SolveConfig, count_solutions, solve
+from tileatlas.solver import EXHAUSTED, SolveConfig, count_solutions, solve
 from tileatlas.tileset import (
     FacetRule,
     FormatError,
@@ -66,6 +68,7 @@ from tileatlas.tileset import (
     Prototile,
     RegionSpec,
     TileSet,
+    cell_in_region,
     effective_facets,
     identity_code,
     load_bundled,
@@ -361,32 +364,44 @@ def test_corona_of_torus_patch_wraps():
 
 
 def test_corona_of_matches_touching_cell_walk():
-    # oracle: the ring read through touching_cell and wrap_cell, on free and
-    # torus regions of every lattice with unequal extents
+    # oracle: the ring read through touching_cell, and wrap_cell on a
+    # torus, on free and torus regions of every lattice with unequal
+    # extents; a few cells outside the region are placed too.  On a free
+    # region a cell outside it reads as unfilled, so a cell outside has no
+    # corona; on a torus such a cell's ring wraps into the region
     rng = random.Random(7)
-    complete = 0
+    complete = Counter()
     for space, extents in (("square2d", (4, 6)), ("square2d", (1, 2)),
                            ("tri2d", (5, 4)), ("tri2d", (1, 3)),
                            ("cube3d", (4, 5, 6)), ("cube3d", (1, 2, 3))):
         for torus in (False, True):
             region = RegionSpec(space, extents, torus)
             cells = region_cells(region)
+            near = sorted({touching_cell(cell_kind(space, c), c, off)
+                           for c in cells
+                           for off in touching_offsets(cell_kind(space, c))}
+                          - set(cells))
+            outside = rng.sample(near, 6) + [(9,) * len(cells[0])]
             placements = {c: Placement(c, f"t{rng.randrange(5)}",
                                        rng.choice(space_codes(space)))
-                          for c in cells if rng.random() < 0.97}
-            for cell in cells:
+                          for c in cells + outside if rng.random() < 0.97}
+            for cell in cells + outside:
                 kind = cell_kind(space, cell)
                 ring = []
                 for off in touching_offsets(kind):
                     n = touching_cell(kind, cell, off)
-                    pl = placements.get(wrap_cell(region, n) if torus else n)
+                    if torus:
+                        n = wrap_cell(region, n)
+                    pl = (placements.get(n) if cell_in_region(region, n)
+                          else None)
                     ring.append(None if pl is None else (pl.tile, pl.orientation))
                 pl = placements.get(cell)
                 expected = None if pl is None or None in ring else Corona(
                     (pl.tile, pl.orientation), tuple(ring))
                 assert corona_of(placements, region, cell) == expected
-                complete += expected is not None
-    assert complete > 100
+                complete[torus, cell in outside] += expected is not None
+    assert complete[False, False] > 20 and complete[True, False] > 100
+    assert complete[True, True] > 5 and complete[False, True] == 0, complete
 
 
 def test_corona_of_free_patch_boundary_is_none():
@@ -433,25 +448,52 @@ def mutated_patches(rng, patch, labels):
 def test_missing_coronas_matches_per_cell_oracle(monkeypatch):
     rng = random.Random(20261019)
     seen = Counter()
-    # count the patches whose rows are read all at once
-    whole_torus = tileatlas.atlas._torus_rows
+    # count the calls that read every row of a patch's box at once
+    box_rows = tileatlas.atlas._torus_rows
 
     def counted(region, text):
-        seen["torus rows"] += 1
-        return whole_torus(region, text)
+        seen["box reads"] += 1
+        return box_rows(region, text)
 
     monkeypatch.setattr(tileatlas.atlas, "_torus_rows", counted)
 
+    def read(atlas, case):
+        """missing_coronas, checked against the oracle, and the route it
+        took: "box" or "oracle"."""
+        before = seen["box reads"]
+        got = missing_coronas(atlas, case)
+        assert got == oracle_missing_coronas(atlas, case), case
+        return got, ("oracle", "box")[seen["box reads"] - before]
+
     def check(atlas, patch, labels):
+        # every case lies in its region, so it takes the box read when it
+        # fills at least 1/2^dim of the box: all but holed extent-1 regions
+        region = patch.region
+        box = math.prod(e + (not region.torus) for e in region.extents) << (
+            region.space == "tri2d")
         for what, case in mutated_patches(rng, patch, labels):
-            got = missing_coronas(atlas, case)
-            assert got == oracle_missing_coronas(atlas, case), (what, case)
-            missing, complete = got
+            (missing, complete), route = read(atlas, case)
+            dense = len(case.placements) << space_dim(region.space) >= box
+            assert route == ("oracle", "box")[dense], what
             seen[what, "member"] += complete - len(missing)
             seen[what, "missing"] += len(missing)
+            seen[what, case.region.torus, route] += 1
 
-    # derived atlases, c1 and c2, on the encodings of found patches; wang13
-    # has no torus patches
+    def check_sparse(atlas, patch, labels):
+        # the same cells in the middle of a free 1000x1000 region: too
+        # sparse for the box, read cell by cell
+        region = RegionSpec(patch.region.space, (1000, 1000), False)
+        for what, case in mutated_patches(rng, patch, labels):
+            moved = [(c[0] + 500, c[1] + 500) for c in case.placements]
+            (missing, complete), route = read(atlas, Patch("p", region, {
+                c: Placement(c, pl.tile, pl.orientation)
+                for c, pl in zip(moved, case.placements.values())}))
+            assert route == "oracle" and len(moved) <= 20
+            seen["sparse", "member"] += complete - len(missing)
+            seen["sparse", "missing"] += len(missing)
+
+    # derived atlases, c1 and c2, on the encodings of found patches, and the
+    # wang13 ones in a sparse region too; wang13 has no torus patches
     for name, space, extents, tori in (("wang13", "square2d", (5, 4), (False,)),
                                        ("triangles6", "tri2d", (4, 3),
                                         (False, True))):
@@ -463,10 +505,14 @@ def test_missing_coronas_matches_per_cell_oracle(monkeypatch):
                 for seed in range(3):
                     found = solve(ts, RegionSpec(space, extents, torus),
                                   SolveConfig(seed=seed)).patch
-                    check(atlas, encode_patch(rs, found), atlas.labels)
+                    patch = encode_patch(rs, found)
+                    check(atlas, patch, atlas.labels)
+                    if space == "square2d":
+                        check_sparse(atlas, patch, atlas.labels)
     # every lattice, free and torus: atlases of half the coronas of a
     # random patch over a few labels; on tori of extent 1 and 2 a ring
-    # repeats its cells or holds its centre
+    # repeats its cells or holds its centre, and a free region of extent 1
+    # fills exactly 1/2^dim of its box
     def random_case(region):
         labels = [(t, code) for t in ("a", "b")
                   for code in space_codes(region.space)[:2]]
@@ -488,11 +534,29 @@ def test_missing_coronas_matches_per_cell_oracle(monkeypatch):
         for extents in ((1,) * dim, (2,) * dim, (1,) + (2,) * (dim - 1)):
             for _ in range(3):
                 check(*random_case(RegionSpec(space, extents, True)))
-    for what in ("whole", "hole", "unknown", "wrong"):
+        for _ in range(3):
+            check(*random_case(RegionSpec(space, (1,) * dim, False)))
+    for what in ("whole", "hole", "unknown", "wrong", "sparse"):
         assert seen[what, "member"] > 20 and seen[what, "missing"] > 5, seen
     assert seen["whole", "missing"] > 50
-    # whole tori with every label known, the extent-1 and -2 tori among them
-    assert seen["torus rows"] > 40, seen
+    # whole, holed and foreign-label patches on free regions and on tori
+    for what in ("whole", "hole", "unknown"):
+        for torus in (False, True):
+            assert seen[what, torus, "box"] > 15, seen
+
+    # a cell outside its free region, next to it or far off, sends the
+    # patch cell by cell; the cells inside keep their coronas
+    for space, extents in (("square2d", (5, 4)), ("tri2d", (4, 3)),
+                           ("cube3d", (4, 3, 3))):
+        atlas, patch, labels = random_case(RegionSpec(space, extents, False))
+        inside = oracle_missing_coronas(atlas, patch)
+        for cell in ((extents[0],) + (1,) * (len(patch.region.extents) - 1)
+                     + (0,) * (space == "tri2d"),
+                     (-1,) * len(next(iter(patch.placements)))):
+            placements = dict(patch.placements)
+            placements[cell] = Placement(cell, *rng.choice(labels))
+            got, route = read(atlas, Patch("p", patch.region, placements))
+            assert route == "oracle" and got == inside
 
     # the same cells read under a free region, then tori of three shapes,
     # one of them as many cells as the patch but not its cells, and the free
@@ -505,14 +569,12 @@ def test_missing_coronas_matches_per_cell_oracle(monkeypatch):
                        RegionSpec(space, wider, True),
                        RegionSpec(space, extents[::-1], True),
                        RegionSpec(space, extents, False)):
-            case = Patch("p", region, patch.placements)
-            assert (missing_coronas(atlas, case)
-                    == oracle_missing_coronas(atlas, case)), region
+            read(atlas, Patch("p", region, patch.placements))
 
 
 def test_missing_coronas_counts_a_short_row_missing():
-    # a label the table lacks shortens the joined row; a hand-built atlas
-    # with a shorter ring must not take it for its own
+    # a corona with a label the table lacks is missing, even from a
+    # hand-built atlas that holds the same corona without that entry
     region = RegionSpec("square2d", (3, 3), True)
     placements = {c: Placement(c, "a", "r0") for c in region_cells(region)}
     placements[(0, 0)] = Placement((0, 0), "zz", "r0")
@@ -524,6 +586,72 @@ def test_missing_coronas_counts_a_short_row_missing():
     expected = oracle_missing_coronas(atlas, patch)
     assert expected == (sorted(placements), 9)
     assert missing_coronas(atlas, patch) == expected
+
+
+# ---------------------------------------------------------------------------
+# Kari's fourteen tiles: the paper's pair of square tiles
+# ---------------------------------------------------------------------------
+
+# M_2's carries -1, 0 and M_{2/3}'s -1/3 to 2/3, as kari14.tiles colours them
+KARI_CARRIES = {(2, -1): 1, (2, 0): 2,
+                **{(Fraction(2, 3), Fraction(k, 3)): 4 + k
+                   for k in range(-1, 3)}}
+
+
+def kari_tile(x: Fraction, k: int) -> tuple:
+    """The colours (N, E, S, W) of Kari's tile for x in [1/2, 2] at column
+    k: machine M_2 (ratio 2) up to 1, M_{2/3} beyond; digits 0, 1, 2 are
+    colours 7, 8, 9."""
+    r, fl = (2 if x <= 1 else Fraction(2, 3)), math.floor
+
+    def carry(j):
+        return KARI_CARRIES[r, r * fl(j * x) - fl(j * r * x)]
+
+    return (7 + fl(k * x) - fl((k - 1) * x), carry(k),
+            7 + fl(k * r * x) - fl((k - 1) * r * x), carry(k - 1))
+
+
+def kari_tiles(denominators: int, k_max: int) -> set:
+    """(whether M_2 made it, its colours) for every tile of every x = p/q in
+    [1/2, 2], q below `denominators`, at every column |k| <= `k_max`."""
+    return {(x <= 1, kari_tile(x, k))
+            for q in range(1, denominators)
+            for x in (Fraction(p, q) for p in range(-(-q // 2), 2 * q + 1))
+            for k in range(-k_max, k_max + 1)}
+
+
+def test_kari14_is_regenerated_and_tiles():
+    ts = load_bundled("kari14")
+    tiles = kari_tiles(6, 6)
+    assert kari_tiles(16, 6) == tiles
+    assert len(tiles) == 14 and sum(m2 for m2, _ in tiles) == 4
+    assert [p.colours for p in ts.prototiles] == sorted(t for _, t in tiles)
+    assert [p.id for p in ts.prototiles] == (
+        [f"a{i}" for i in range(1, 5)] + [f"b{i}" for i in range(1, 11)])
+    assert (ts.space, ts.allowed, ts.rule.kind) == (
+        "square2d", "translations", "identical")
+    rs = {mode: reduce_set(ts, mode) for mode in ("c1", "c2")}
+    assert [len(rs[mode].reps) for mode in rs] == [2, 2]
+    for k in range(1, 10):
+        assert solve(ts, RegionSpec("square2d", (k, k), True)).status \
+            == EXHAUSTED, k
+    # row r, counted from the top, holds f^r(5/7): f doubles x up to 1 and
+    # takes two thirds of it beyond
+    by_colours = {p.colours: p.id for p in ts.prototiles}
+    placements, x = {}, Fraction(5, 7)
+    for y in reversed(range(60)):
+        for k in range(60):
+            placements[k, y] = Placement((k, y), by_colours[kari_tile(x, k)],
+                                         "r0")
+        x *= 2 if x <= 1 else Fraction(2, 3)
+    patch = Patch("kari14", RegionSpec("square2d", (60, 60), False),
+                  placements)
+    assert patch_valid(ts, patch) == (True, ())
+    atlas = derive_atlas(rs["c2"])
+    assert len(atlas.rows) == 3052
+    encoded = encode_patch(rs["c2"], patch)
+    assert (missing_coronas(atlas, encoded)
+            == oracle_missing_coronas(atlas, encoded) == ([], 3364))
 
 
 # ---------------------------------------------------------------------------
@@ -1043,6 +1171,15 @@ def test_label_limit(monkeypatch):
     with pytest.raises(FormatError, match="at most 4 labels"):
         Atlas("a", [Corona((f"x{i}", "r0"), (("x0", "r0"),) * 8)
                     for i in range(5)])
+    # missing_coronas needs two characters past the table's; without them
+    # it reads even a whole torus cell by cell
+    monkeypatch.setattr(tileatlas.atlas, "_torus_rows", None)
+    region = RegionSpec("square2d", (3, 3), True)
+    patch = Patch("p", region, {c: Placement(c, f"x{sum(c) % 4}", "r0")
+                                for c in region_cells(region)})
+    atlas = parse_atlas(four)
+    assert missing_coronas(atlas, patch) == oracle_missing_coronas(
+        atlas, patch) == (sorted(patch.placements), 9)
 
 
 def test_packed_rows_follow_sort_key_order():

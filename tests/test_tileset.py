@@ -494,6 +494,20 @@ def test_tri_patch_validity():
     assert not ok2 and len(violations2) == 2
 
 
+def test_region_on_an_unknown_lattice_is_refused():
+    # "hex2d" has a lattice's dimension but is no lattice: the region, the
+    # patch text naming it and a patch to check on it are refused with
+    # FormatError, not a KeyError from a per-lattice table
+    with pytest.raises(FormatError, match="unknown space 'hex2d'"):
+        RegionSpec("hex2d", (2, 2), False)
+    with pytest.raises(FormatError, match="unknown space 'hex2d'"):
+        parse_patch("patch s 2 2 free\n0 0 a r0\n", "hex2d")
+    ts = load_bundled("wang13")
+    with pytest.raises(FormatError, match="unknown space 'hex2d'"):
+        patch_valid(ts, Patch(ts.name, RegionSpec("hex2d", (2, 2), False),
+                              {}))
+
+
 def test_region_cells_scan_order():
     r = RegionSpec("square2d", (2, 2), False)
     assert region_cells(r) == [(0, 0), (1, 0), (0, 1), (1, 1)]
