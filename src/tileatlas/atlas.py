@@ -47,7 +47,8 @@ decodes rows on demand, and `corona in atlas` encodes the query.
 each axis, whose extra layer holds no cell.  `missing_coronas` reads every
 row of a patch's box at once, from one string turned along each axis, when
 the patch lies in its region and fills at least 1/2^dim of the box; any
-other patch, through `corona_of` and `in atlas`.
+other patch, a cell at a time: corona_of's walk of the corona's labels,
+packed straight into a row by the atlas's table.
 
 Rows are packed without a lookup per label: the enumerator's search labels
 are the prototiles' row characters, so a window's row is its solution
@@ -96,6 +97,7 @@ from .tileset import (
     cells_in_region,
     facet_pairs,
     identity_code,
+    label_of,
     patch_valid,
     region_cells,
     rule_test,
@@ -180,19 +182,17 @@ class Atlas:
     def coronas(self) -> _Coronas:
         return _Coronas(self)
 
-    def _key(self, corona: Corona) -> str:
-        """The corona's row; KeyError when a label is not in the table."""
-        chars = self._chars
-        return "".join([chars[corona.center],
-                        *map(chars.__getitem__, corona.ring)])
-
-    def __contains__(self, corona) -> bool:
-        if not isinstance(corona, Corona):
-            return False
+    def _has(self, labels) -> bool:
+        """Whether the row of `labels`, (tile, code) pairs centre first, is
+        one of the atlas's; a label that the table lacks is in none."""
         try:
-            return self._key(corona) in self.rows
+            return "".join(map(self._chars.__getitem__, labels)) in self.rows
         except KeyError:
             return False
+
+    def __contains__(self, corona) -> bool:
+        return isinstance(corona, Corona) and self._has(
+            (corona.center, *corona.ring))
 
 
 def _translate(rows, to: dict) -> list:
@@ -250,10 +250,16 @@ def corona_of(placements: dict, region: RegionSpec, cell) -> Corona | None:
     validity before asking for atlas membership, which is the order the
     solver and the verifier use.
     """
-    pl, ext, offsets = (placements.get(cell), region.extents,
-                        _TOUCHING[region.space])
-    if pl is None or not (region.torus or all(
-            0 < c < e - 1 for c, e in zip(cell, ext))):
+    labels = _corona_labels(placements, region, cell)
+    return None if labels is None else Corona(labels[0], tuple(labels[1:]))
+
+
+def _corona_labels(placements: dict, region: RegionSpec, cell):
+    """The (tile, code) labels of the corona at `cell`, centre first and
+    then the ring in touching-offset order, as corona_of reads it; None
+    where it has none."""
+    ext, offsets = region.extents, _TOUCHING[region.space]
+    if not (region.torus or all(0 < c < e - 1 for c, e in zip(cell, ext))):
         return None
     # touching_cell, wrapped; a triangle offset ends in the neighbour's bit
     if region.space == "tri2d":
@@ -268,11 +274,11 @@ def corona_of(placements: dict, region: RegionSpec, cell) -> Corona | None:
         ring = [((cell[0] + dx) % w, (cell[1] + dy) % h, (cell[2] + dz) % d)
                 for dx, dy, dz in offs]
     try:
-        ring = [(npl.tile, npl.orientation)
-                for npl in map(placements.get, ring)]
-    except AttributeError:  # None: a touching cell is unfilled
+        # a list: tuple(map(...)) here raised the benchmark's
+        # patch-pipeline peak RSS by about 0.7 MB
+        return [*map(label_of, map(placements.get, (cell, *ring)))]
+    except TypeError:  # label_of(None): a cell of the corona is unfilled
         return None
-    return Corona((pl.tile, pl.orientation), tuple(ring))
 
 
 def _box(region: RegionSpec) -> RegionSpec:
@@ -320,18 +326,20 @@ def missing_coronas(atlas: Atlas, patch: Patch) -> tuple[list, int]:
     as a full patch does, has every row of the box read at once
     (_torus_rows): a cell's character is its label's, a spare one if the
     table lacks the label, or another, the hole, if the cell is empty.  A
-    row with a hole is not complete.  Any other patch is read cell by cell
-    through corona_of and `in atlas`."""
+    row with a hole is not complete.  Any other patch is read cell by cell:
+    corona_of's walk of each corona's labels (_corona_labels), packed as a
+    row by the atlas's table (Atlas._has)."""
     placements, region, chars = patch.placements, patch.region, atlas._chars
     box = _box(region)
     bounds = _bounds(box)
     if (len(chars) + 2 > LABEL_LIMIT  # no spare characters
             or len(placements) << space_dim(region.space) < prod(bounds)
             or not cells_in_region(region, placements)):
-        coronas = [(cell, corona_of(placements, region, cell))
+        coronas = [(cell, _corona_labels(placements, region, cell))
                    for cell in sorted(placements)]
         coronas = [(cell, c) for cell, c in coronas if c is not None]
-        return [cell for cell, c in coronas if c not in atlas], len(coronas)
+        return ([cell for cell, c in coronas if not atlas._has(c)],
+                len(coronas))
     hole, unknown = chr(len(chars)), chr(len(chars) + 1)
     text = "".join([hole if pl is None
                     else chars.get((pl.tile, pl.orientation), unknown)

@@ -26,6 +26,8 @@ The reduced-set text format is specified in docs/FORMATS.md.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import itemgetter
 
 from .geometry import (
     KIND_SPACE,
@@ -39,12 +41,13 @@ from .geometry import (
 from .tileset import (
     FormatError,
     Patch,
-    Placement,
     TileSet,
     _code,
     _content_lines,
     _token,
     identity_code,
+    label_of,
+    placement_map,
 )
 
 # Marked interior point of each shape, as (numerators, denominator) in cell
@@ -179,35 +182,38 @@ def encode_patch(rs: ReducedSet, patch: Patch) -> Patch:
 
     Every source placement is translation-only; the encoded placement puts
     the tile's representative at the same cell with the tile's stored
-    orientation code.
+    orientation code.  The placements are read and built in bulk; a patch
+    that fails is read again placement by placement, to name the first
+    offender.
     """
-    placements = {}
     ident = identity_code(patch.region.space)
-    for cell, pl in patch.placements.items():
-        if pl.orientation != ident:
-            raise DecodeError(
-                f"source placements must be translations, got {pl.orientation!r}"
-            )
-        if pl.tile not in rs.forward:
-            raise DecodeError(f"tile {pl.tile!r} is not in the encoded set")
-        rep_id, code = rs.forward[pl.tile]
-        placements[cell] = Placement(cell, rep_id, code)
-    return Patch(rs.name, patch.region, placements)
+    found = patch.placements.values()
+    labels = list(map(rs.forward.get, map(itemgetter(1), found)))
+    if None in labels or not {ident}.issuperset(map(itemgetter(2), found)):
+        for pl in found:
+            if pl.orientation != ident:
+                raise DecodeError("source placements must be translations, "
+                                  f"got {pl.orientation!r}")
+            if pl.tile not in rs.forward:
+                raise DecodeError(
+                    f"tile {pl.tile!r} is not in the encoded set")
+    return Patch(rs.name, patch.region, placement_map(
+        patch.placements, map(itemgetter(0), labels),
+        map(itemgetter(1), labels)))
 
 
 def decode_patch(rs: ReducedSet, patch: Patch) -> Patch:
-    """Invert encode_patch; fails on pairs outside the encoding's image."""
-    placements = {}
-    ident = identity_code(patch.region.space)
-    for cell, pl in patch.placements.items():
-        key = (pl.tile, pl.orientation)
-        if key not in rs.inverse:
-            raise DecodeError(
-                f"placement {pl.tile} {pl.orientation} at {cell} does not "
-                f"decode to any source tile"
-            )
-        placements[cell] = Placement(cell, rs.inverse[key], ident)
-    return Patch(rs.source.name, patch.region, placements)
+    """Invert encode_patch; fails on pairs outside the encoding's image,
+    naming the first in the patch's order."""
+    tiles = list(map(rs.inverse.get, map(label_of, patch.placements.values())))
+    if None in tiles:
+        for cell, pl in patch.placements.items():
+            if (pl.tile, pl.orientation) not in rs.inverse:
+                raise DecodeError(
+                    f"placement {pl.tile} {pl.orientation} at {cell} does "
+                    f"not decode to any source tile")
+    return Patch(rs.source.name, patch.region, placement_map(
+        patch.placements, tiles, repeat(identity_code(patch.region.space))))
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,20 @@ one check that they all lie in the region (cell by cell only when one does
 not, to name the first outside).  Each (tile, code) label is compiled once
 per render into a template: the fixed text of every element its cell
 draws, colours included, with a `%.3f` slot per number (and, for a reduced
-set, the label's lifted glyph).  A cell
-computes only its numbers and fills its template in one step.  The canvas
-bounds are folded from the cell outlines alone: a strip lies within its
-outline, and each glyph point, marker with its radius and cube label inside
-it.  Outlines round by the glyphs' own route, (2x -+ 1) / 2 on squares and
-cubes and a triangle's exact x + y/2 rounded once, so at any coordinate a
-rounded point can at most meet its rounded outline.
+set, the label's lifted glyph).  Every x a label draws depends only on the
+cell's column (2a + b on triangles, a and the layer shift on squares and
+cubes) and every y only on its row, b, so each label keeps a table per
+column and per row.  The first cell of a column or row computes its
+numbers and fills the template as a whole; the column's second cell fills
+its x slots once, leaving a `%s` per y slot, and the row's second cell
+formats its y numbers once.  Every later cell of both costs one `%`.  Each
+lattice's `numbers` function is the only place its geometry is
+computed.  The canvas bounds are folded from the cell outlines alone, at
+the cells drawn in full, whose columns and rows hold every outline: a strip
+lies within its outline, and each glyph point, marker with its radius and
+cube label inside it.  Outlines round by the glyphs' own route, (2x -+ 1) /
+2 on squares and cubes and a triangle's exact x + y/2 rounded once, so at
+any coordinate a rounded point can at most meet its rounded outline.
 
 All geometry is computed in exact lattice arithmetic.  A lifted glyph
 point is kept as integer (numerator, denominator) pairs and carried onto its
@@ -37,6 +44,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 from .geometry import ShapeKind, cell_kind, orientation_lift, tri_vertices
 from .reduction import DECORATION_POINT, ReducedSet
@@ -129,16 +137,23 @@ def _render(patch: Patch, kinds: dict, compile_label, numbers) -> str:
 
     compile_label(placement) gives the label's (template, data, tail) once
     per (tile, code) label; numbers(cell, shift, xs, ys, data) gives the
-    cell's numbers for its template, xs and ys being the outline.  A cell
-    that cannot be drawn is a FormatError, raised before it is: one outside
-    the patch's region, one whose canvas x (cube layers included) or y
-    reaches _FAR, and one whose placement does not fit it: a tile id that
-    `kinds` (id -> shape kind) lacks, or a code whose image kind is not the
-    cell's, checked once per label and cell kind."""
+    cell's numbers for its template as a list, alternately an x and a y,
+    xs and ys being the outline.  A cell that cannot be drawn is a
+    FormatError, raised before it is: one outside the patch's region, one
+    whose canvas x (cube layers included) or y reaches _FAR, and one whose
+    placement does not fit it: a tile id that `kinds` (id -> shape kind)
+    lacks, or a code whose image kind is not the cell's, checked once per
+    label and cell kind.
+
+    Each label keeps the numbers of each column and row that a cell drew in
+    full (see the module docstring); on triangles the column is 2a + b, as a
+    point's exact x is (2en + dm + de(2a + b)) / 2de."""
     region = patch.region
     space = region.space
+    tri = space == "tri2d"
     layer = region.extents[0] + 1 if space == "cube3d" else 0
     labels = {}
+    halves = {}
     parts = []
     min_x = min_y = float("inf")
     max_x = max_y = float("-inf")
@@ -148,8 +163,9 @@ def _render(patch: Patch, kinds: dict, compile_label, numbers) -> str:
             extents = "x".join(map(str, region.extents))
             raise FormatError(f"cell {cell} lies outside the {extents} region")
         pl = patch.placements[cell]
+        a, b = cell[0], cell[1]
         shift = cell[2] * layer if layer else 0
-        if max(cell[0] + shift, cell[1]) >= _FAR:
+        if max(a + shift, b) >= _FAR:
             raise FormatError(f"cell {cell} lies at 2**1000 or beyond on the "
                               "canvas, out of a float's range")
         key = (pl.tile, pl.orientation, cell_kind(space, cell))
@@ -161,17 +177,38 @@ def _render(patch: Patch, kinds: dict, compile_label, numbers) -> str:
                     "all", kinds[pl.tile], key[2]):
                 raise FormatError(f"orientation {pl.orientation!r} does not "
                                   f"fit tile {pl.tile} at {cell}")
-            label = labels[key] = compile_label(pl)
-        xs, ys = _outline(space, cell, shift)
-        # on ties min and max keep the earlier value; only a zero's sign,
-        # which no output number shows, could tell them apart
-        min_x, max_x = min(min_x, *xs), max(max_x, *xs)
-        min_y, max_y = min(min_y, *ys), max(max_y, *ys)
-        template, data, tail = label
+            label = labels[key] = (*compile_label(pl), {}, {})
+        template, data, tail, columns, rows = label
+        column = 2 * a + b if tri else (a, shift)
+        xs, ys = columns.get(column), rows.get(b)
         # every number has three decimals, so "-0.000" is only ever a whole
         # number, and no fixed text of a template holds it
-        parts.append((template % numbers(cell, shift, xs, ys, data))
-                     .replace("-0.000", "0.000") + tail)
+        if xs is None or ys is None:
+            # every outline is a column's and a row's, so the bounds fold
+            # here alone; on ties min and max keep the earlier value, which
+            # only a zero's sign, never output, could tell apart
+            outline = _outline(space, cell, shift)
+            min_x, max_x = min(min_x, *outline[0]), max(max_x, *outline[0])
+            min_y, max_y = min(min_y, *outline[1]), max(max_y, *outline[1])
+            nums = numbers(cell, shift, *outline, data)
+            columns.setdefault(column, nums[::2])
+            rows.setdefault(b, nums[1::2])
+            parts.append((template % tuple(nums)).replace("-0.000", "0.000")
+                         + tail)
+            continue
+        if type(xs) is list:  # the column's second cell
+            half = halves.get(key)
+            if half is None:  # the template, a %s per y slot
+                pieces = template.split("%.3f")
+                half = halves[key] = "".join(map(
+                    add, pieces, ["%.3f", "%%s"] * len(xs) + [""]))
+            # the tail is text, any "%" in it escaped for the row's %
+            xs = columns[column] = ((half % tuple(xs)).replace(
+                "-0.000", "0.000") + tail.replace("%", "%%"))
+        if type(ys) is list:  # the row's second cell
+            ys = rows[b] = tuple((" ".join(["%.3f"] * len(ys)) % tuple(ys))
+                                 .replace("-0.000", "0.000").split())
+        parts.append(xs % ys)
     if not parts:
         min_x = min_y = 0.0
         max_x = max_y = 1.0
@@ -218,7 +255,7 @@ def render_source_patch(ts: TileSet, patch: Patch) -> str:
                     x1 + 0.3 * (cx - x1), -(y1 + 0.3 * (cy - y1)))
         if cube:  # Z+ upper-left dot, Z- lower-right dot
             out += (cx - 0.2, -(cy + 0.2), cx + 0.2, -(cy - 0.2))
-        return tuple(out + ring)
+        return out + ring
 
     return _render(patch, {p.id: p.kind for p in ts.prototiles},
                    compile_label, numbers)
@@ -288,6 +325,6 @@ def render_reduced_patch(rs: ReducedSet, patch: Patch) -> str:
         if cube:
             out[-2] += shift
             out += (float(a) + shift, -(b - 0.32))
-        return tuple(out)
+        return out
 
     return _render(patch, rep_kind, compile_label, numbers)

@@ -26,6 +26,7 @@ solution found is a reproducible pseudo-random patch.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import itemgetter
 
 from .atlas import Atlas, missing_coronas
 from .reduction import ReducedSet, encode_patch
@@ -33,10 +34,10 @@ from .reduction import ReducedSet, encode_patch
 from .search import EXHAUSTED, FOUND, LIMIT, region_search
 from .tileset import (
     Patch,
-    Placement,
     RegionSpec,
     TileSet,
     patch_valid,
+    placement_map,
     region_cells,
 )
 
@@ -64,9 +65,9 @@ def _checked_search(ts: TileSet, region: RegionSpec, config, each=None
         ts, region, config.node_limit, config.seed, each)
     patch = None
     if labels is not None:
-        patch = Patch(ts.name, region, {
-            cell: Placement(cell, tid, code)
-            for cell, (tid, code) in zip(region_cells(region), labels)})
+        patch = Patch(ts.name, region, placement_map(
+            region_cells(region), map(itemgetter(0), labels),
+            map(itemgetter(1), labels)))
         ok, report = patch_valid(ts, patch)
         if not ok:
             raise RuntimeError(f"solver produced an invalid patch: {report}")

@@ -9,9 +9,10 @@ are the geometry module's canonical element codes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
-from operator import eq, itemgetter
+from operator import eq, itemgetter, ne
+from typing import NamedTuple
 
 from .geometry import (
     FACET_COUNT,
@@ -133,14 +134,27 @@ class TileSet:
         object.__setattr__(self, "window_checks", {})
 
 
-@dataclass(frozen=True)
-class Placement:
+class Placement(NamedTuple):
     """One tile instance: `tile` is a prototile (or representative) id and
-    `orientation` an element code of the lattice's point group quotient."""
+    `orientation` an element code of the lattice's point group quotient.
+
+    A named tuple, so a patch's placements are built in bulk (placement_map)
+    and `pl._replace(...)` takes the place of dataclasses.replace."""
 
     cell: Cell
     tile: str
     orientation: str
+
+
+# a placement's (tile, orientation) label, read without a Python step
+label_of = itemgetter(1, 2)
+
+
+def placement_map(cells, tiles, codes) -> dict:
+    """{cell: Placement(cell, tile, code)} over the three sequences, zipped;
+    `cells` is read twice.  Built by C-level maps: no Python step a cell."""
+    return dict(zip(cells, map(partial(tuple.__new__, Placement),
+                               zip(cells, tiles, codes))))
 
 
 @dataclass(frozen=True)
@@ -165,9 +179,13 @@ class Patch:
     placements: dict  # Cell -> Placement
 
     def __post_init__(self):
-        for cell, pl in self.placements.items():
-            if cell != pl.cell:
-                raise FormatError(f"placement keyed by {cell} but placed at {pl.cell}")
+        # checked in bulk; the loop names the first offender
+        if any(map(ne, self.placements, map(itemgetter(0),
+                                            self.placements.values()))):
+            for cell, pl in self.placements.items():
+                if cell != pl.cell:
+                    raise FormatError(
+                        f"placement keyed by {cell} but placed at {pl.cell}")
 
 
 def region_cells(region: RegionSpec) -> list[Cell]:

@@ -481,9 +481,15 @@ def test_missing_coronas_matches_per_cell_oracle(monkeypatch):
 
     def check_sparse(atlas, patch, labels):
         # the same cells in the middle of a free 1000x1000 region: too
-        # sparse for the box, read cell by cell
+        # sparse for the box, read cell by cell; last, each cell of the
+        # table's first label, chr(0), given a label the table lacks
         region = RegionSpec(patch.region.space, (1000, 1000), False)
-        for what, case in mutated_patches(rng, patch, labels):
+        foreign = {c: pl._replace(tile="zz") for c, pl in
+                   patch.placements.items()
+                   if (pl.tile, pl.orientation) == labels[0]}
+        for what, case in [*mutated_patches(rng, patch, labels), (
+                "unknown", Patch(patch.set_name, patch.region,
+                                 {**patch.placements, **foreign}))]:
             moved = [(c[0] + 500, c[1] + 500) for c in case.placements]
             (missing, complete), route = read(atlas, Patch("p", region, {
                 c: Placement(c, pl.tile, pl.orientation)

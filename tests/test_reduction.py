@@ -50,6 +50,7 @@ from tileatlas.tileset import (
     parse_tileset,
     region_cells,
 )
+from tileatlas.solver import random_patch
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +374,52 @@ def test_encode_rejects_oriented_sources_and_unknown_tiles():
     with pytest.raises(DecodeError):
         encode_patch(rs, Patch("wang13", region,
                                {(0, 0): Placement((0, 0), "zz", "r0")}))
+
+
+def test_codec_names_the_first_offender_in_dict_order():
+    # encode_patch and decode_patch read a patch in bulk; a patch they refuse
+    # is read again placement by placement, so the message names the first
+    # offender in the patch's own order (shuffled here, so not sorted
+    # order), worded as before.  An encode offender's orientation is
+    # checked before its tile
+    rng = random.Random(35)
+    ts = load_bundled("wang13")
+    rs = reduce_set(ts, "c2")
+    found = random_patch(ts, (5, 5), seed=2).patch
+    items = list(found.placements.items())
+    rng.shuffle(items)
+    source = Patch(ts.name, found.region, dict(items))
+    encoded = encode_patch(rs, source)
+    n = len(items)
+    for picks in ([0], [n // 2], [n - 1], [n // 2, n - 1], [n - 1, 0]):
+        first = min(picks)
+        bad = dict(encoded.placements)
+        for k, cell in enumerate(bad):
+            if k in picks:
+                bad[cell] = bad[cell]._replace(tile="x9")
+        cell = items[first][0]
+        with pytest.raises(DecodeError) as refused:
+            decode_patch(rs, Patch(rs.name, found.region, bad))
+        assert str(refused.value) == (
+            f"placement x9 {bad[cell].orientation} at {cell} does not "
+            "decode to any source tile")
+        for change, fault in (
+                ({"orientation": "r1"},
+                 "source placements must be translations, got 'r1'"),
+                ({"tile": "zz"}, "tile 'zz' is not in the encoded set"),
+                ({"tile": "zz", "orientation": "r2"},
+                 "source placements must be translations, got 'r2'")):
+            bad = dict(source.placements)
+            for k, cell in enumerate(bad):
+                if k == first:
+                    bad[cell] = bad[cell]._replace(**change)
+                elif k in picks:  # a later offender of the other kind
+                    bad[cell] = bad[cell]._replace(
+                        **({"tile": "zy"} if "orientation" in change
+                           else {"orientation": "r3"}))
+            with pytest.raises(DecodeError) as refused:
+                encode_patch(rs, Patch(ts.name, found.region, bad))
+            assert str(refused.value) == fault
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from tileatlas.render import (
     render_source_patch,
 )
 from tileatlas.reduction import encode_patch, reduce_set
-from tileatlas.solver import random_patch, solve_atlas, SolveConfig
+from tileatlas.solver import random_patch, solve, solve_atlas, SolveConfig
 from tileatlas.tileset import (
     FormatError,
     Patch,
@@ -281,19 +281,95 @@ def drawn_glyph_numbers(svg):
     return out
 
 
+def dense_patch(name):
+    """The set and a found full patch on it, of the sizes the benchmark's
+    patch pipeline draws: the triangles6 20x20 torus (800 cells over 116
+    label columns), wang13 7x7 free (49 over 37), cubes21 4x4x4 free (64
+    over 32), where the render tables reuse columns and rows."""
+    ts = load_bundled(name)
+    if name == "cubes21":
+        return ts, solve(ts, RegionSpec("cube3d", (4, 4, 4), False)).patch
+    if name == "wang13":
+        return ts, random_patch(ts, (7, 7), seed=3).patch
+    return ts, random_patch(ts, (20, 20), seed=7, torus=True).patch
+
+
+def moved(patch, base):
+    """The patch with every cell moved by `base` along its first two axes,
+    in a free region that holds them."""
+    placements = {}
+    for cell, pl in patch.placements.items():
+        cell = (cell[0] + base, cell[1] + base, *cell[2:])
+        placements[cell] = pl._replace(cell=cell)
+    ext = patch.region.extents
+    region = RegionSpec(patch.region.space,
+                        (ext[0] + base, ext[1] + base, *ext[2:]), False)
+    return Patch(patch.set_name, region, placements)
+
+
 def test_reduced_render_matches_exact_fraction_route():
     # every representative under every code, near and far from the origin,
     # also past 2**53 where a float sum of the cell and the point would round
-    # twice: each glyph number in the SVG is the exact route's
+    # twice, and found full patches, whose cells reuse their label's column
+    # and row tables: each glyph number in the SVG is the exact route's
     for name in ("wang13", "triangles6", "cubes21"):
-        ts = load_bundled(name)
+        ts, found = dense_patch(name)
         for mode in ("c1", "c2"):
             rs = reduce_set(ts, mode)
-            for base in (0, 10 ** 6, 2 ** 53 + 1, 3 ** 40):
-                patch = every_label(rs, base)
+            dense = encode_patch(rs, found)
+            patches = [every_label(rs, base)
+                       for base in (0, 10 ** 6, 2 ** 53 + 1, 3 ** 40)]
+            for patch in patches + [dense, moved(dense, 2 ** 53 + 1)]:
                 svg = render_reduced_patch(rs, patch)
                 assert drawn_glyph_numbers(svg) == \
-                    exact_glyph_numbers(rs, patch), (name, mode, base)
+                    exact_glyph_numbers(rs, patch), (name, mode, patch.region)
+
+
+def svg_body(svg):
+    """The lines between the SVG's head and its closing tag."""
+    return svg.split("\n")[1:-2]
+
+
+@pytest.mark.parametrize("name", ["triangles6", "wang13", "cubes21"])
+def test_every_cell_draws_as_it_does_alone(name):
+    # each label keeps its columns' x texts and its rows' y texts; a key too
+    # coarse for its lattice (a triangle's x keyed on a alone, a cube's
+    # without its layer shift) would hand a cell another cell's numbers.
+    # Every cell of a found full patch, also past 2**53, must draw as it
+    # draws alone in the same region.  The cube representatives' ids hold
+    # "%", which a cube's label prints after the slots
+    ts, source = dense_patch(name)
+    rs = reduce_set(ts, "c2")
+    encoded = encode_patch(rs, source)
+    if name == "cubes21":
+        ids = {r.id: f"{r.id}%s%%" for r in rs.reps}
+        rs = dataclasses.replace(rs, reps=tuple(
+            dataclasses.replace(r, id=ids[r.id]) for r in rs.reps))
+        encoded = Patch(encoded.set_name, encoded.region, {
+            cell: pl._replace(tile=ids[pl.tile])
+            for cell, pl in encoded.placements.items()})
+    for render, tiles, patch in ((render_source_patch, ts, source),
+                                 (render_reduced_patch, rs, encoded)):
+        for drawn in (patch, moved(patch, 2 ** 53 + 1)):
+            alone = [svg_body(render(tiles, Patch(
+                         drawn.set_name, drawn.region, {cell: pl})))
+                     for cell, pl in sorted(drawn.placements.items())]
+            assert svg_body(render(tiles, drawn)) == \
+                [line for lines in alone for line in lines], (render, name)
+
+
+def test_empty_patch_draws_a_blank_body_on_the_unit_canvas():
+    # no cell folds the bounds: the canvas is 0..1, and the body one blank
+    # line
+    empty = ('<svg xmlns="http://www.w3.org/2000/svg" width="56.000" '
+             'height="56.000" viewBox="-0.200 -1.200 1.400 1.400">\n\n</svg>\n')
+    for name in ("wang13", "triangles6", "cubes21"):
+        ts = load_bundled(name)
+        for torus in (False, True):
+            patch = Patch("p", RegionSpec(ts.space, (2,) * space_dim(ts.space),
+                                          torus), {})
+            assert render_source_patch(ts, patch) == empty
+            assert render_reduced_patch(reduce_set(ts, "c2"), patch) == empty
 
 
 def outline_box(at):

@@ -508,6 +508,26 @@ def test_region_on_an_unknown_lattice_is_refused():
                               {}))
 
 
+def test_patch_names_the_first_misplaced_placement_in_dict_order():
+    # Patch checks every key against its placement's cell at once; a patch
+    # it refuses is read again to name the first offender in dict order,
+    # which here is not sorted order
+    rng = random.Random(35)
+    region = RegionSpec("square2d", (4, 4), False)
+    cells = region_cells(region)
+    rng.shuffle(cells)
+    n = len(cells)
+    for picks in ([0], [n // 2], [n - 1], [n // 2, n - 1], [n - 1, 0]):
+        placements = {cell: Placement(cell, "a", "r0") for cell in cells}
+        for k in picks:
+            placements[cells[k]] = Placement((9, k), "a", "r0")
+        first = min(picks)
+        with pytest.raises(FormatError) as refused:
+            Patch("p", region, placements)
+        assert str(refused.value) == \
+            f"placement keyed by {cells[first]} but placed at {(9, first)}"
+
+
 def test_region_cells_scan_order():
     r = RegionSpec("square2d", (2, 2), False)
     assert region_cells(r) == [(0, 0), (1, 0), (0, 1), (1, 1)]
@@ -646,9 +666,9 @@ def test_patch_valid_words_the_one_cell_outside_in_its_place():
         for cell in bad:
             base = random_patch_in(rng, ts, region, density=1.0)
             placed = list(base.placements.values())
-            outside = replace(placed[0], cell=cell)
+            outside = placed[0]._replace(cell=cell)
             k = rng.randrange(len(placed))
-            placed[k] = replace(placed[k], tile="zz")
+            placed[k] = placed[k]._replace(tile="zz")
             placed.insert(rng.randrange(len(placed) + 1), outside)
             patch = Patch(ts.name, region, {pl.cell: pl for pl in placed})
             ok, violations = patch_valid(ts, patch)
@@ -797,7 +817,7 @@ def test_patch_writer_refuses_what_the_reader_cannot_return():
     p = parse_patch(PATCH_TEXT, "square2d", {"a", "b"})
     for bad in UNREADABLE:
         placements = dict(p.placements)
-        placements[(1, 0)] = replace(placements[(1, 0)], tile=bad)
+        placements[(1, 0)] = placements[(1, 0)]._replace(tile=bad)
         for changed in (replace(p, set_name=bad),
                         replace(p, placements=placements)):
             with pytest.raises(FormatError, match=re.escape(repr(bad))):
@@ -808,7 +828,7 @@ def test_patch_writer_refuses_what_the_reader_cannot_return():
     for patch, bad in ((p, "t0"), (p, "zz"), (p, "r 0"), (tri, "u")):
         cell = min(patch.placements)
         placements = {**patch.placements,
-                      cell: replace(patch.placements[cell], orientation=bad)}
+                      cell: patch.placements[cell]._replace(orientation=bad)}
         with pytest.raises(FormatError, match=re.escape(repr(bad))):
             serialize_patch(replace(patch, placements=placements))
 
