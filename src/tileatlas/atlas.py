@@ -45,10 +45,11 @@ decodes rows on demand, and `corona in atlas` encodes the query.
 
 `corona_of` reads a free region as its box: the torus one cell wider on
 each axis, whose extra layer holds no cell.  `missing_coronas` reads every
-row of a patch's box at once, from one string turned along each axis, when
-the patch lies in its region and fills at least 1/2^dim of the box; any
-other patch, a cell at a time: corona_of's walk of the corona's labels,
-packed straight into a row by the atlas's table.
+row of a patch's box at once, through the box module's reader, which
+`patch_valid` shares: one string turned along each axis, when the patch
+lies in its region and fills at least 1/2^dim of the box.  Any other patch
+is read a cell at a time: corona_of's walk of the corona's labels, packed
+straight into a row by the atlas's table.
 
 Rows are packed without a lookup per label: the enumerator's search labels
 are the prototiles' row characters, so a window's row is its solution
@@ -67,9 +68,9 @@ import sys
 from collections.abc import Callable, Set
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate, chain, islice, product
+from itertools import accumulate, chain, product
 from math import prod
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import NamedTuple
 
 from .geometry import (
@@ -84,23 +85,26 @@ from .geometry import (
     touching_cell,
     touching_offsets,
 )
+from .box import (
+    TOUCHING,
+    bounds,
+    box,
+    cells_in_region,
+    corona_rows,
+    hue_test,
+    hues,
+    label_of,
+)
+from .text import FormatError, _code, _content_lines, _token
 from .tileset import (
-    FormatError,
     Patch,
     Placement,
     RegionSpec,
     TileSet,
-    _bounds,
-    _code,
-    _content_lines,
-    _token,
-    cells_in_region,
     facet_pairs,
     identity_code,
-    label_of,
     patch_valid,
     region_cells,
-    rule_test,
 )
 from .reduction import ReducedSet
 from .search import check_count, region_search
@@ -230,17 +234,12 @@ class _Coronas(Set):
         return frozenset(it)
 
 
-# per lattice, the touching offsets of each of its kinds
-_TOUCHING = {space: tuple(map(touching_offsets, kinds))
-             for space, kinds in SPACE_KINDS.items()}
-
-
 def corona_of(placements: dict, region: RegionSpec, cell) -> Corona | None:
     """The corona at `cell`, or None when a touching cell is unfilled.
 
     On a torus touching cells wrap, so every filled cell of a fully placed
     torus patch has a corona.  A free region reads as the torus one cell
-    wider on each axis whose extra layer holds no cell (_box): only a cell
+    wider on each axis whose extra layer holds no cell (box.box): only a cell
     whose ring lies in the region has a corona.
 
     The ring order follows the cell's kind, which matches the atlas
@@ -258,7 +257,7 @@ def _corona_labels(placements: dict, region: RegionSpec, cell):
     """The (tile, code) labels of the corona at `cell`, centre first and
     then the ring in touching-offset order, as corona_of reads it; None
     where it has none."""
-    ext, offsets = region.extents, _TOUCHING[region.space]
+    ext, offsets = region.extents, TOUCHING[region.space]
     if not (region.torus or all(0 < c < e - 1 for c, e in zip(cell, ext))):
         return None
     # touching_cell, wrapped; a triangle offset ends in the neighbour's bit
@@ -281,59 +280,21 @@ def _corona_labels(placements: dict, region: RegionSpec, cell):
         return None
 
 
-def _box(region: RegionSpec) -> RegionSpec:
-    """The torus that corona_of reads `region` as: the region itself, or
-    for a free region the torus one cell wider on each axis."""
-    return region if region.torus else RegionSpec(
-        region.space, tuple(e + 1 for e in region.extents), True)
-
-
-def _torus_rows(region: RegionSpec, text: str):
-    """The rows of every cell of a torus, whose cells' row characters, in
-    sorted cell order, are `text`: per kind of cell, its cells in that
-    order and their rows.
-
-    Sorted cell order steps along each axis by a fixed stride, so the cells
-    at one touching offset from every cell are read at once: `text` turned,
-    along each axis, within each run of that axis's extent times its
-    stride.  A triangle's neighbours of one orientation bit are every
-    second character of that."""
-    step = 2 if region.space == "tri2d" else 1
-    axes = len(region.extents)
-    # from the last axis, runs[i] is an axis's stride, runs[i + 1] its
-    # extent times that
-    runs = list(accumulate(reversed(region.extents), mul, initial=step))
-    for kind, offsets in enumerate(_TOUCHING[region.space]):
-        columns = []
-        for offset in offsets:
-            turned = text
-            for d, stride, size in zip(offset[axes - 1::-1], runs, runs[1:]):
-                k = d * stride % size
-                if k:
-                    turned = "".join([turned[j + k:j + size] + turned[j:j + k]
-                                      for j in range(0, len(text), size)])
-            columns.append(turned[offset[-1] % step::step])
-        cells = product(*map(range, _bounds(region)))
-        yield (islice(cells, kind, None, step),
-               map("".join, zip(text[kind::step], *columns)))
-
-
 def missing_coronas(atlas: Atlas, patch: Patch) -> tuple[list, int]:
     """The sorted cells whose complete corona (as corona_of reads it) is not
     in the atlas, and the number of complete coronas in the patch.
 
     A patch that lies in its region and fills at least 1/2^dim of its box,
     as a full patch does, has every row of the box read at once
-    (_torus_rows): a cell's character is its label's, a spare one if the
+    (box.corona_rows): a cell's character is its label's, a spare one if the
     table lacks the label, or another, the hole, if the cell is empty.  A
     row with a hole is not complete.  Any other patch is read cell by cell:
     corona_of's walk of each corona's labels (_corona_labels), packed as a
     row by the atlas's table (Atlas._has)."""
     placements, region, chars = patch.placements, patch.region, atlas._chars
-    box = _box(region)
-    bounds = _bounds(box)
+    torus = box(region)
     if (len(chars) + 2 > LABEL_LIMIT  # no spare characters
-            or len(placements) << space_dim(region.space) < prod(bounds)
+            or len(placements) << space_dim(region.space) < prod(bounds(torus))
             or not cells_in_region(region, placements)):
         coronas = [(cell, _corona_labels(placements, region, cell))
                    for cell in sorted(placements)]
@@ -344,9 +305,9 @@ def missing_coronas(atlas: Atlas, patch: Patch) -> tuple[list, int]:
     text = "".join([hole if pl is None
                     else chars.get((pl.tile, pl.orientation), unknown)
                     for pl in map(placements.get,
-                                  product(*map(range, bounds)))])
+                                  product(*map(range, bounds(torus))))])
     missing, complete = [], 0
-    for cells, rows in _torus_rows(box, text):
+    for cells, rows in corona_rows(torus, text):
         for cell, row in zip(cells, rows):
             if hole not in row:
                 complete += 1
@@ -407,9 +368,7 @@ def _window_check(ts: TileSet, kind: ShapeKind) -> _WindowCheck:
         # a translation-placed set has one (tile, code) per legal tile
         legal = [ts.legal[cell_kind(region.space, cell)] for cell in cells]
         chars = {p.id: chr(k) for k, p in enumerate(ts.prototiles)}
-        hue = {c: chr(h) for h, c in enumerate(sorted(
-            {c for table in ts.legal.values() for eff in table.values()
-             for c in eff}))}
+        hue = hues(ts)
 
         def paint(c, f):  # row char -> the colour char of facet f on cell c
             return {ord(chars[t]): hue[eff[f]]
@@ -419,16 +378,8 @@ def _window_check(ts: TileSet, kind: ShapeKind) -> _WindowCheck:
             chars,
             [frozenset([chars[t] for t, _ in table]) for table in legal],
             [(i, paint(i, f), j, paint(j, nf)) for i, f, j, nf in pairs],
-            _hue_test(ts.rule, hue))
+            hue_test(ts.rule, hue))
     return check
-
-
-def _hue_test(rule, hue: dict):
-    """rule_test for colours interned as characters, `hue` the map."""
-    if rule.kind == "identical":
-        return rule_test(rule)
-    pairs = {(hue[a], hue[b]) for a, b in rule.pairs if a in hue and b in hue}
-    return lambda xs, ys: pairs.issuperset(zip(xs, ys))
 
 
 def _row_ok(check: _WindowCheck, row: str) -> bool:

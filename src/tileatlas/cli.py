@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 
 from .atlas import (
     DEFAULT_NODE_CAP,
@@ -343,10 +344,16 @@ def build_parser() -> _Parser:
     return p
 
 
+@lru_cache(maxsize=None)
+def _parser() -> _Parser:
+    """build_parser's parser, built on first use and kept: parse_args reads
+    it without changing it, and gives each call a fresh namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     try:

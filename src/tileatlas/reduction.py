@@ -38,17 +38,9 @@ from .geometry import (
     point_group,
     space_codes,
 )
-from .tileset import (
-    FormatError,
-    Patch,
-    TileSet,
-    _code,
-    _content_lines,
-    _token,
-    identity_code,
-    label_of,
-    placement_map,
-)
+from .box import label_of
+from .text import FormatError, _code, _content_lines, _token
+from .tileset import Patch, TileSet, identity_code, placement_map
 
 # Marked interior point of each shape, as (numerators, denominator) in cell
 # coordinates (squares and cubes are centred on their lattice point; triangle

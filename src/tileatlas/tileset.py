@@ -4,6 +4,14 @@ The tile-set and patch text formats are specified in docs/FORMATS.md.
 Colours are non-negative integers in canonical facet order; 0 is the
 uncoloured value and every rule accepts the pair (0, 0).  Orientation codes
 are the geometry module's canonical element codes.
+
+`patch_valid` reads a patch that lies in its region and fills it through
+the box module's dense route: one pass over its labels, packed as strings,
+and per facet step one translate and one comparison.  That route only
+accepts; any other patch, or one it refuses, goes through the pair walk,
+which words every violation in order.  `parse_patch` reads a text by
+columns, and leaves what that cannot decide to its line reader, which
+names the first offending line.
 """
 
 from __future__ import annotations
@@ -14,6 +22,8 @@ from itertools import product
 from operator import eq, itemgetter, ne
 from typing import NamedTuple
 
+from .box import bounds, cells_in_region, dense_valid, label_of
+from .text import FormatError, _code, _columns, _content_lines, _token
 from .geometry import (
     FACET_COUNT,
     KIND_SPACE,
@@ -30,11 +40,6 @@ from .geometry import (
 )
 
 Colour = int
-_CHUNK = 1 << 16  # characters of text split into lines at a time
-
-
-class FormatError(ValueError):
-    """Raised on malformed tileset/patch/reduction/atlas text."""
 
 
 @dataclass(frozen=True)
@@ -111,6 +116,8 @@ class TileSet:
     # corona kind -> the atlas module's compiled window check, built on first
     # use; it lives and dies with this set
     window_checks: dict = field(init=False, repr=False, compare=False)
+    # the box module's compiled facet check, likewise: a list of at most one
+    dense_check: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.allowed not in ("translations", "all"):
@@ -132,6 +139,7 @@ class TileSet:
                                                       kind)}
             for kind in SPACE_KINDS[self.space]})
         object.__setattr__(self, "window_checks", {})
+        object.__setattr__(self, "dense_check", [])
 
 
 class Placement(NamedTuple):
@@ -144,10 +152,6 @@ class Placement(NamedTuple):
     cell: Cell
     tile: str
     orientation: str
-
-
-# a placement's (tile, orientation) label, read without a Python step
-label_of = itemgetter(1, 2)
 
 
 def placement_map(cells, tiles, codes) -> dict:
@@ -204,30 +208,10 @@ def wrap_cell(region: RegionSpec, cell: Cell) -> Cell:
     return tuple(c % e for c, e in zip(cell, w)) + cell[len(w):]
 
 
-def _bounds(region: RegionSpec) -> tuple[int, ...]:
-    """Per entry of a cell of the region, the bound it lies below; a
-    triangle's orientation bit lies below 2."""
-    return region.extents + (2,) * (region.space == "tri2d")
-
-
 def cell_in_region(region: RegionSpec, cell: Cell) -> bool:
     """Whether `cell` is a lattice cell (tri2d: bit 0 or 1) in the region."""
-    ext = _bounds(region)
+    ext = bounds(region)
     return len(cell) == len(ext) and all(0 <= c < e for c, e in zip(cell, ext))
-
-
-def cells_in_region(region: RegionSpec, cells) -> bool:
-    """Whether every one of `cells` is a lattice cell in the region, as
-    cell_in_region says: checked once for them all, their lengths first and
-    then each entry's least and greatest value.  The entries are read in
-    place, one position at a time: zip(*cells) would copy them, which
-    raised the benchmark's patch-pipeline peak RSS by about 0.1 MB."""
-    ext = _bounds(region)
-    return (all(map(len(ext).__eq__, map(len, cells)))
-            and all(min(map(entry, cells), default=0) >= 0
-                    and max(map(entry, cells), default=0) < e
-                    for entry, e in zip(map(itemgetter, range(len(ext))),
-                                        ext)))
 
 
 def effective_facets(ts: TileSet, pl: Placement) -> tuple[Colour, ...]:
@@ -305,15 +289,21 @@ def patch_valid(ts: TileSet, patch: Patch) -> tuple[bool, tuple[str, ...]]:
     Returns (ok, violations): placement messages first, then facet failures
     in sorted cell, facet order.  Boundary facets of free patches and absent
     neighbours are unconstrained; corner/edge point contacts are always legal
-    (lower-dimensional boundary points are uncoloured).  Each placement is
-    looked up in `ts.legal` under its cell's kind; placement_ok words only
-    the placements that the table refuses.  The region is checked once for
-    all placed cells, and cell by cell only when some cell lies outside.
+    (lower-dimensional boundary points are uncoloured).
+
+    The region is checked once for all placed cells.  A patch that lies in
+    it and fills it is first read in one pass by the box module's dense
+    route, which only accepts.  Otherwise, the pair walk: each placement is
+    looked up in `ts.legal` under its cell's kind, and placement_ok words
+    only the placements that the table refuses; each cell is checked
+    against the region only when some cell lies outside.
     """
     region = patch.region
     violations = []
     eff = {}
     inside = cells_in_region(region, patch.placements)
+    if inside and dense_valid(ts, patch):
+        return True, ()
     for cell, pl in patch.placements.items():
         facets = None
         # cell_kind reads lattice cells only; another lattice's kind has no
@@ -342,69 +332,6 @@ def patch_valid(ts: TileSet, patch: Patch) -> tuple[bool, tuple[str, ...]]:
 # ---------------------------------------------------------------------------
 # Text formats
 # ---------------------------------------------------------------------------
-
-def _lines(text):
-    """The lines that str.splitlines() gives for `text`, a str or an
-    iterable of str pieces that join to it (a text file's lines, or blocks
-    read from it), so no list of every line is held.  Each piece is split
-    up to just after its last "\\n", which always ends a line; what follows
-    waits for the next piece, so a break such as "\\r\\n" cut between two
-    pieces stays one break."""
-    held = []  # the pieces since the last "\n"
-    for piece in _slices(text) if isinstance(text, str) else text:
-        cut = piece.rfind("\n") + 1
-        if cut:
-            held.append(piece[:cut])
-            yield from "".join(held).splitlines()
-            # a piece that ends a line is split without a copy
-            held = [piece[cut:]] if cut < len(piece) else []
-        else:
-            held.append(piece)
-    yield from "".join(held).splitlines()
-
-
-def _slices(text: str):
-    """`text` in slices of about _CHUNK characters, each ending just after a
-    "\\n" where the text has one."""
-    pos = 0
-    while pos < len(text):
-        cut = text.rfind("\n", pos, pos + _CHUNK)
-        if cut < 0:
-            cut = text.find("\n", pos + _CHUNK)
-        cut = len(text) if cut < 0 else cut + 1
-        yield text[pos:cut]
-        pos = cut
-
-
-def _content_lines(text):
-    """Each line's number and tokens, where it has any before a `#`; a line
-    without `#` is split once.  `text` is as _lines takes it."""
-    for ln, raw in enumerate(_lines(text), start=1):
-        if "#" in raw:
-            raw = raw.split("#", 1)[0]
-        toks = raw.split()
-        if toks:
-            yield ln, toks
-
-
-def _token(value: str, what: str, *reserved: str) -> str:
-    """`value`, which a writer is about to emit as one token; a value the
-    readers would not read back as that token (empty, holding whitespace or
-    `#`, or one of the format's `reserved` tokens) raises FormatError."""
-    if value.split() != [value] or "#" in value or value in reserved:
-        raise FormatError(f"cannot write {what} {value!r}: it is not one "
-                          "token, or it holds '#', or it is reserved here")
-    return value
-
-
-def _code(value: str, codes) -> str:
-    """`value`, which a writer is about to emit as an orientation code; a
-    value outside `codes`, those of the text's lattice, raises FormatError."""
-    if value not in codes:
-        raise FormatError(f"cannot write orientation code {value!r}: it is "
-                          "no code of the text's lattice")
-    return value
-
 
 _HEADER_KEYS = ("tileset", "space", "isometries", "rule")
 
@@ -476,6 +403,46 @@ _PLACEMENT_FIELDS = {"square2d": "x y tile code", "cube3d": "x y z tile code",
 
 
 def parse_patch(text: str, space: str, ids: set[str] | None = None) -> Patch:
+    """The patch of `text` on the `space` lattice, its tile ids among `ids`
+    when given.  A str is read a column at a time (_by_columns); text that
+    route cannot decide is read line by line, which raises FormatError
+    naming the first offending line."""
+    patch = _by_columns(text, space, ids)
+    return _by_lines(text, space, ids) if patch is None else patch
+
+
+def _by_columns(text, space: str, ids) -> Patch | None:
+    """The patch of `text` read by columns (text._columns), its header by
+    the line reader.  Per column one map: the coordinates by int, a
+    triangle's u|d bits, and the ids and codes, each looked up in a table
+    of the known ones, which also shares their strings.  None for what this
+    route cannot decide: a comment, an unknown space, a bad header or
+    field, an unknown id or code, or a duplicate cell."""
+    read = space in _PLACEMENT_FIELDS and _columns(
+        text, len(_PLACEMENT_FIELDS[space].split()))
+    if not read:
+        return None
+    head, (*coords, tids, codes) = read
+    canon = dict(zip(space_codes(space), space_codes(space)))
+    if space == "tri2d":
+        canon["u"] = "ut0"
+        coords[2] = map({"u": 0, "d": 1}.__getitem__, coords[2])
+    try:
+        head = _by_lines(" ".join(head), space, ids)
+        cells = list(zip(*[map(int, column) for column in coords]))
+        codes = list(map(canon.__getitem__, codes))
+        if ids is not None:
+            tids = list(map(dict(zip(ids, ids)).__getitem__, tids))
+    except (ValueError, KeyError):
+        return None
+    placements = placement_map(cells, tids, codes)
+    return (Patch(head.set_name, head.region, placements)
+            if len(placements) == len(cells) else None)
+
+
+def _by_lines(text, space: str, ids) -> Patch:
+    """The patch of `text` read a line at a time, which names the first
+    offending line."""
     header = None
     placements = {}
     region = None
@@ -527,25 +494,32 @@ def parse_patch(text: str, space: str, ids: set[str] | None = None) -> Patch:
 
 
 def serialize_patch(patch: Patch) -> str:
+    """The patch text, a line per cell in sorted order.  The placements are
+    read once by map, the labels checked once each and the cells at once,
+    and the lines joined once."""
     region = patch.region
     boundary = "torus" if region.torus else "free"
     ext = " ".join(str(e) for e in region.extents)
-    out = [f"patch {_token(patch.set_name, 'set name')} {ext} {boundary}"]
-    for tid, code in {(pl.tile, pl.orientation)
-                      for pl in patch.placements.values()}:
+    head = f"patch {_token(patch.set_name, 'set name')} {ext} {boundary}"
+    cells = sorted(patch.placements)
+    placed = list(map(patch.placements.__getitem__, cells))
+    for tid, code in set(map(label_of, placed)):
         _token(tid, "tile id")
         _code(code, space_codes(region.space))
     tri = region.space == "tri2d"
     arity = len(region.extents) + tri  # a triangle's orientation bit
-    for cell in sorted(patch.placements):
-        pl = patch.placements[cell]
-        if len(cell) != arity or tri and cell[2] not in (0, 1):
-            raise FormatError(f"cannot write cell {cell}: it is no "
-                              f"{region.space} cell")
-        at = (f"{cell[0]} {cell[1]} {'ud'[cell[2]]}" if tri
-              else " ".join(map(str, cell)))
-        out.append(f"{at} {pl.tile} {pl.orientation}")
-    return "\n".join(out) + "\n"
+    if not all(map(arity.__eq__, map(len, cells))) or tri and not {
+            0, 1}.issuperset(map(itemgetter(2), cells)):
+        cell = next(c for c in cells
+                    if len(c) != arity or tri and c[2] not in (0, 1))
+        raise FormatError(f"cannot write cell {cell}: it is no {region.space} "
+                          "cell")
+    if tri:
+        lines = [f"{a} {b} {'ud'[o]} {t} {c}" for (a, b, o), t, c in placed]
+    else:
+        line = " ".join(["%s"] * (arity + 2))
+        lines = [line % (*cell, t, c) for cell, t, c in placed]
+    return "\n".join([head, *lines]) + "\n"
 
 
 @lru_cache(maxsize=None)

@@ -46,7 +46,7 @@ from tileatlas import (BudgetExceeded, RegionSpec, atlas_lines,
                        encode_patch, load_bundled, parse_atlas, reduce_set,
                        solve)
 from tileatlas.atlas import DEFAULT_NODE_CAP
-from tileatlas.tileset import _CHUNK
+from tileatlas.text import _CHUNK
 
 DIGEST = "733d3fd5913f93179d608a15fb7195f5031baee7deb679e1121849e611ca8d1a"
 DERIVE_RSS_MB = 250

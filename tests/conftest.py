@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from itertools import repeat
 
 from tileatlas.atlas import Corona
 from tileatlas.geometry import (
@@ -20,6 +21,7 @@ from tileatlas.tileset import (
     TileSet,
     identity_code,
     patch_valid,
+    placement_map,
 )
 
 
@@ -58,3 +60,39 @@ def brute_square_coronas(ts: TileSet) -> set:
                 out.add(Corona((ctile, ident),
                                tuple((t, ident) for t in combo)))
     return out
+
+
+# Kari's fourteen tiles.  x = p/q in [1/2, 2] is read with integers only:
+# floor(k x) is k * p // q.  A carry r floor(j x) - floor(j r x), times the
+# ratio's denominator, is coloured as kari14.tiles colours M_2's carries -1
+# and 0 and M_{2/3}'s -1/3 to 2/3
+KARI_CARRIES = {(1, -1): 1, (1, 0): 2, **{(3, k): 4 + k for k in range(-1, 3)}}
+
+
+def kari_tile(p: int, q: int, k: int) -> tuple:
+    """The colours (N, E, S, W) of Kari's tile for x = p/q in [1/2, 2] at
+    column k: machine M_2 (ratio 2) up to 1, M_{2/3} beyond; digits 0, 1, 2
+    are colours 7, 8, 9."""
+    rp, rq = (2, 1) if p <= q else (2, 3)  # the ratio r = rp/rq
+
+    def carry(j):
+        return KARI_CARRIES[rq, rp * (j * p // q) - rq * (j * rp * p
+                                                        // (rq * q))]
+
+    rx = (rp * p, rq * q)  # r x
+    return (7 + k * p // q - (k - 1) * p // q, carry(k),
+            7 + k * rx[0] // rx[1] - (k - 1) * rx[0] // rx[1], carry(k - 1))
+
+
+def kari_orbit_patch(ts: TileSet, n: int) -> Patch:
+    """A free n x n patch of Kari's tiles (`ts` is kari14) whose row r,
+    counted from the top, holds f^r(5/7): f doubles x up to 1 and takes two
+    thirds of it beyond."""
+    by_colours = {p.colours: p.id for p in ts.prototiles}
+    cells, tiles, (p, q) = [], [], (5, 7)
+    for y in reversed(range(n)):
+        cells += [(k, y) for k in range(n)]
+        tiles += [by_colours[kari_tile(p, q, k)] for k in range(n)]
+        p, q = (2 * p, q) if p <= q else (2 * p, 3 * q)
+    return Patch(ts.name, RegionSpec("square2d", (n, n), False),
+                 placement_map(cells, tiles, repeat(identity_code("square2d"))))

@@ -21,12 +21,12 @@ import re
 import sys
 import weakref
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
-from conftest import UNREADABLE, brute_square_coronas, random_tileset
+from conftest import (UNREADABLE, brute_square_coronas, kari_orbit_patch,
+                      kari_tile, random_tileset)
 import tileatlas.atlas
 from tileatlas.atlas import (
     LABEL_LIMIT,
@@ -449,13 +449,13 @@ def test_missing_coronas_matches_per_cell_oracle(monkeypatch):
     rng = random.Random(20261019)
     seen = Counter()
     # count the calls that read every row of a patch's box at once
-    box_rows = tileatlas.atlas._torus_rows
+    box_rows = tileatlas.atlas.corona_rows
 
     def counted(region, text):
         seen["box reads"] += 1
         return box_rows(region, text)
 
-    monkeypatch.setattr(tileatlas.atlas, "_torus_rows", counted)
+    monkeypatch.setattr(tileatlas.atlas, "corona_rows", counted)
 
     def read(atlas, case):
         """missing_coronas, checked against the oracle, and the route it
@@ -598,31 +598,12 @@ def test_missing_coronas_counts_a_short_row_missing():
 # Kari's fourteen tiles: the paper's pair of square tiles
 # ---------------------------------------------------------------------------
 
-# M_2's carries -1, 0 and M_{2/3}'s -1/3 to 2/3, as kari14.tiles colours them
-KARI_CARRIES = {(2, -1): 1, (2, 0): 2,
-                **{(Fraction(2, 3), Fraction(k, 3)): 4 + k
-                   for k in range(-1, 3)}}
-
-
-def kari_tile(x: Fraction, k: int) -> tuple:
-    """The colours (N, E, S, W) of Kari's tile for x in [1/2, 2] at column
-    k: machine M_2 (ratio 2) up to 1, M_{2/3} beyond; digits 0, 1, 2 are
-    colours 7, 8, 9."""
-    r, fl = (2 if x <= 1 else Fraction(2, 3)), math.floor
-
-    def carry(j):
-        return KARI_CARRIES[r, r * fl(j * x) - fl(j * r * x)]
-
-    return (7 + fl(k * x) - fl((k - 1) * x), carry(k),
-            7 + fl(k * r * x) - fl((k - 1) * r * x), carry(k - 1))
-
-
 def kari_tiles(denominators: int, k_max: int) -> set:
     """(whether M_2 made it, its colours) for every tile of every x = p/q in
     [1/2, 2], q below `denominators`, at every column |k| <= `k_max`."""
-    return {(x <= 1, kari_tile(x, k))
+    return {(p <= q, kari_tile(p, q, k))
             for q in range(1, denominators)
-            for x in (Fraction(p, q) for p in range(-(-q // 2), 2 * q + 1))
+            for p in range(-(-q // 2), 2 * q + 1)
             for k in range(-k_max, k_max + 1)}
 
 
@@ -641,17 +622,7 @@ def test_kari14_is_regenerated_and_tiles():
     for k in range(1, 10):
         assert solve(ts, RegionSpec("square2d", (k, k), True)).status \
             == EXHAUSTED, k
-    # row r, counted from the top, holds f^r(5/7): f doubles x up to 1 and
-    # takes two thirds of it beyond
-    by_colours = {p.colours: p.id for p in ts.prototiles}
-    placements, x = {}, Fraction(5, 7)
-    for y in reversed(range(60)):
-        for k in range(60):
-            placements[k, y] = Placement((k, y), by_colours[kari_tile(x, k)],
-                                         "r0")
-        x *= 2 if x <= 1 else Fraction(2, 3)
-    patch = Patch("kari14", RegionSpec("square2d", (60, 60), False),
-                  placements)
+    patch = kari_orbit_patch(ts, 60)
     assert patch_valid(ts, patch) == (True, ())
     atlas = derive_atlas(rs["c2"])
     assert len(atlas.rows) == 3052
@@ -1179,7 +1150,7 @@ def test_label_limit(monkeypatch):
                     for i in range(5)])
     # missing_coronas needs two characters past the table's; without them
     # it reads even a whole torus cell by cell
-    monkeypatch.setattr(tileatlas.atlas, "_torus_rows", None)
+    monkeypatch.setattr(tileatlas.atlas, "corona_rows", None)
     region = RegionSpec("square2d", (3, 3), True)
     patch = Patch("p", region, {c: Placement(c, f"x{sum(c) % 4}", "r0")
                                 for c in region_cells(region)})

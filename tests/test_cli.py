@@ -15,6 +15,7 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import tileatlas
+import tileatlas.cli
 from tileatlas.atlas import DEFAULT_NODE_CAP, derive_atlas, enumerate_source_coronas
 from tileatlas.cli import build_parser, main
 from tileatlas.geometry import ShapeKind
@@ -478,6 +479,41 @@ def test_usage_errors(capsys):
         code = main(argv)
         capsys.readouterr()
         assert code == 3, argv
+
+
+def test_main_reuses_one_parser_with_a_fresh_parsers_results(tmp_path,
+                                                              capsys,
+                                                              monkeypatch):
+    # main builds its parser once; each call must still give what a parser
+    # built for it alone gives, and no flag of one call may reach the next
+    patch, svg = tmp_path / "p.patch", tmp_path / "p.svg"
+    calls = [
+        ["tile", "--in", "@wang13", "--width", "3", "--height", "3",
+         "--seed", "2", "--out", str(patch)],
+        ["verify", "--in", "@wang13", "--patch", str(patch)],
+        ["tile", "--in", "@wang13", "--width", "2", "--height", "2",
+         "--node-limit", "-5"],  # a usage error
+        ["render", "--in", "@wang13", "--patch", str(patch), "--svg",
+         str(svg)],
+        # no --seed and no --out: the first call's values must not stay
+        ["tile", "--in", "@wang13", "--width", "3", "--height", "3"],
+        ["verify", "--in", "@wang13", "--patch", str(patch), "--with-atlas"],
+        ["exhaust", "--in", "@wang13", "--kmax", "2"],
+    ]
+
+    def session():
+        results = [run(capsys, *argv) for argv in calls]
+        return results, svg.read_bytes()
+
+    tileatlas.cli._parser.cache_clear()
+    kept = session()
+    info = tileatlas.cli._parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(calls) - 1)
+    monkeypatch.setattr(tileatlas.cli, "_parser", build_parser)
+    assert session() == kept
+    codes = [code for code, _, _ in kept[0]]
+    assert codes == [0, 0, 3, 0, 0, 3, 1]
+    assert kept[0][4][1].startswith("patch wang13 3 3 free\n")
 
 
 def test_missing_file_is_input_error(capsys):

@@ -30,6 +30,7 @@ from tileatlas.reduction import (  # noqa: E402
     reduce_set,
     serialize_reduced,
 )
+from tileatlas.text import _lines  # noqa: E402
 from tileatlas.tileset import (  # noqa: E402
     FacetRule,
     FormatError,
@@ -38,7 +39,6 @@ from tileatlas.tileset import (  # noqa: E402
     Prototile,
     RegionSpec,
     TileSet,
-    _lines,
     load_bundled,
     parse_patch,
     parse_tileset,
@@ -234,7 +234,7 @@ line_texts = st.lists(
 @given(line_texts, st.integers(1, 12))
 def test_lazy_lines_equal_splitlines(text, chunk):
     # small slices put slice ends between every pair of boundaries
-    with mock.patch.object(tileatlas.tileset, "_CHUNK", chunk):
+    with mock.patch.object(tileatlas.text, "_CHUNK", chunk):
         assert list(_lines(text)) == text.splitlines()
     assert list(_lines(text)) == text.splitlines()
 
