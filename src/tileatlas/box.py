@@ -1,36 +1,30 @@
 """A dense patch read as strings, one character per cell, turned along its
 axes: the box reader that `patch_valid` and `missing_coronas` share.
 
-Sorted cell order steps along each axis by a fixed stride; the last entry
-of a cell, a triangle's orientation bit on tri2d, varies fastest.  So the
-cells at one offset from every cell of a torus are read at once: the cells'
-string turned, along each axis, within each run of that axis's extent times
-its stride (`turned`).  On a free region the cells whose neighbour one step
-along an axis lies in the region are one slice of each run, and those
-neighbours another (`_met`).
+Sorted cell order steps along each axis by a fixed stride (the last entry,
+a triangle's orientation bit, varies fastest).  So the cells at one offset
+from every cell of a torus are read at once, the cells' string turned
+within each run of an axis's extent times its stride (`turned`); on a free
+region, the cells whose neighbour one step along an axis lies in the region
+are one slice of each run, and those neighbours another (`_met`).
 
-`missing_coronas` reads every corona row of a patch's box (`box`: a free
-region read as the torus one cell wider, whose extra layer holds no cell)
-from one string of label characters, turned once per touching offset
+`missing_coronas` reads every corona row of a patch's box (`box`) from one
+string of label characters, turned once per touching offset
 (`corona_rows`).
 
-`patch_valid` takes the dense route (`dense_valid`) when a patch lies in
-its region and fills it.  The labels are read once in sorted cell order and
-packed, per cell kind, by a table from each label that `TileSet.legal`
-holds for the kind to a character; the table is compiled once per set and
-kept on it.  Each facet-sharing pair is met from one side, a facet step
-(`facet_steps`): a facet of one kind, the facet of the kind it meets and the
-offset between their cells; on tri2d the up cells are the even characters,
-the down cells the odd ones, and facet i of an up cell meets facet i of the
-down cell at offset (0, 0), (-1, 0) or (0, -1).  Per step both kinds'
-strings are translated to the colours those facets show, interned as
-characters, and compared: the neighbour's string turned by the offset on a
-torus, per-run slices on a free region.  Under `identical` a comparison is
-one string test; a table rule tests the pairs of characters.
+`patch_valid` reads a patch that lies in its region and fills it by the
+dense route (`dense_valid`): its labels, in sorted cell order, are packed
+per cell kind by a table compiled once per set from `TileSet.legal`.  Each
+facet-sharing pair is met from one side (`facet_steps`): per step, both
+kinds' strings are translated to the colours their facets show and
+compared, the neighbour's turned by the step on a torus and sliced on a
+free region; under `identical` that is one string comparison, and a table
+rule tests the pairs of characters.  On tri2d the up cells are the even
+characters and the down cells the odd ones.
 
-The route only accepts.  A cell the patch lacks, a label the table lacks
-(an illegal placement) or any failed comparison returns False, and
-`patch_valid` runs its pair walk, which words every violation in order.
+The route only accepts.  An unplaced cell, a label the table lacks (an
+illegal placement) or a failed comparison returns False, and `patch_valid`
+runs its pair walk, which words every violation in order.
 """
 
 from __future__ import annotations

@@ -5,13 +5,10 @@ Colours are non-negative integers in canonical facet order; 0 is the
 uncoloured value and every rule accepts the pair (0, 0).  Orientation codes
 are the geometry module's canonical element codes.
 
-`patch_valid` reads a patch that lies in its region and fills it through
-the box module's dense route: one pass over its labels, packed as strings,
-and per facet step one translate and one comparison.  That route only
-accepts; any other patch, or one it refuses, goes through the pair walk,
-which words every violation in order.  `parse_patch` reads a text by
-columns, and leaves what that cannot decide to its line reader, which
-names the first offending line.
+`patch_valid` decides a patch that fills its region by the box module's
+dense route, which only accepts; any other patch goes through the pair
+walk, which words every violation.  `parse_patch` reads by columns and
+leaves what that cannot decide to its line reader.
 """
 
 from __future__ import annotations
@@ -515,10 +512,11 @@ def serialize_patch(patch: Patch) -> str:
         raise FormatError(f"cannot write cell {cell}: it is no {region.space} "
                           "cell")
     if tri:
-        lines = [f"{a} {b} {'ud'[o]} {t} {c}" for (a, b, o), t, c in placed]
+        lines = [f"{a} {b} {'ud'[o]} {t} {c}"
+                 for (a, b, o), (_, t, c) in zip(cells, placed)]
     else:
         line = " ".join(["%s"] * (arity + 2))
-        lines = [line % (*cell, t, c) for cell, t, c in placed]
+        lines = [line % (*cell, t, c) for cell, (_, t, c) in zip(cells, placed)]
     return "\n".join([head, *lines]) + "\n"
 
 
