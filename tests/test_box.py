@@ -221,13 +221,6 @@ def test_column_reader_gives_the_line_readers_results(space):
             assert columns is None or columns == got, what
 
 
-def test_column_reader_refuses_an_unknown_lattice():
-    # the line reader names the space, as RegionSpec does
-    with pytest.raises(FormatError, match="unknown space 'hex2d'"):
-        parse_patch("patch s 2 2 free\n0 0 a r0\n", "hex2d")
-    assert _by_columns("patch s 2 2 free\n0 0 a r0\n", "hex2d", None) is None
-
-
 def test_column_reader_reads_what_the_writer_writes():
     # found patches of each bundled set, written and read back by columns
     for name, region in (("wang13", RegionSpec("square2d", (4, 4), False)),
