@@ -13,26 +13,8 @@ against the materialized atlas, or implicitly by decoding the corona back to
 source tiles and checking the facet rule directly; the two routes agree.
 
 Both the enumerator's re-check and the implicit route read one window
-check, compiled once per source set and centre kind and kept on the set.  A
-window is packed as a row, one character per cell, chr(k) for the k-th
-prototile.  Per cell the check holds the characters legal there; per pair
-of the window from `facet_pairs`, the pair walk of `patch_valid`, it holds
-a table from a character to the colour that each end's facet shows,
-interned as a character.  It is built from the set's placement table,
-`TileSet.legal`.  The engine and `patch_valid` read that table too, and all
-three read one pair list, which the tests check against an oracle of
-coinciding facet midpoints.
-
-The implicit route packs the decoded corona and reads the row across the
-tables, testing the pairs' two colour sequences at once by the rule.  The
-enumerator, one `region_search` per centre kind over the corona window
-(in scan order; a node is a candidate tried at any window cell), reads its
-rows down the same tables, a few thousand at a time: each cell's column, a
-slice of the joined rows, may hold only that cell's legal characters, and
-each pair's two columns, translated to colours, are tested by the rule
-once.  A batch passes exactly when every row would.  The check only
-decides: a batch it refuses, which only a faulty engine yields, is named by
-`patch_valid` on each row's window in turn.
+check, compiled once per source set and centre kind and kept on the set
+(the window module).
 
 An `Atlas` is stored packed: a sorted table of the (tile, code) labels its
 coronas use, and one `str` row per corona whose characters are label
@@ -57,57 +39,45 @@ reordered and joined, and rows are renumbered a batch, or a whole atlas, at
 a time by one translate over their joined text.  On a 2-core machine the
 cubes21 c2 atlas (812,673 rows) derives in 4-7 s.
 
-The atlas text format is specified in docs/FORMATS.md.  `atlas_lines`
-yields it a line at a time, and `parse_atlas` reads it from a str or from
-an iterable of its pieces, such as a file.
+The atlas text format is specified in docs/FORMATS.md.  The writer makes
+it a block of 1024 sorted rows at a time: each label's text is built once
+as a centre and once as a ring entry, a block's joined rows are mapped
+through the ring table, each row's first slot is overwritten through the
+centre table, and the block is joined once.  `serialize_atlas` joins the
+blocks, and `atlas_lines` yields their lines one at a time.  `parse_atlas`
+reads a str or an iterable of its pieces, such as a file.  Text in the
+writer's form is read 48 rows at a time by columns: each label through its
+tile's code table, without a tuple a label.  What that route cannot
+decide, such as a comment, another spacing, an unknown code or a repeated
+row, goes to the line reader, which words every fault with its line
+number; both routes share one interner and one repeat table.
 """
 
 from __future__ import annotations
 
 import sys
-from collections.abc import Callable, Set
+from collections.abc import Set
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate, chain, product
+from itertools import accumulate, chain, compress, count, product
 from math import prod
-from operator import itemgetter
-from typing import NamedTuple
+from operator import getitem, itemgetter
 
 from .geometry import (
-    KIND_SPACE,
     SPACE_KINDS,
     SPACES,
-    ShapeKind,
-    cell_kind,
-    origin_cell,
     space_codes,
     space_dim,
-    touching_cell,
     touching_offsets,
 )
-from .box import (
-    TOUCHING,
-    bounds,
-    box,
-    cells_in_region,
-    corona_rows,
-    hue_test,
-    hues,
-    label_of,
-)
-from .text import FormatError, _code, _content_lines, _token
-from .tileset import (
-    Patch,
-    Placement,
-    RegionSpec,
-    TileSet,
-    facet_pairs,
-    identity_code,
-    patch_valid,
-    region_cells,
-)
+from .box import TOUCHING, bounds, box, cells_in_region, corona_rows, label_of
+from .text import (FormatError, _code, _corona_columns, _line_lists,
+                   _token, _tokens)
+from .tileset import Patch, RegionSpec, TileSet, identity_code
 from .reduction import ReducedSet
 from .search import check_count, region_search
+from .window import (_corona_window, _refusal, _row_ok, _rows_ok,
+                     _window_check)
 
 
 class BudgetExceeded(RuntimeError):
@@ -204,7 +174,7 @@ def _translate(rows, to: dict) -> list:
     rows, sliced back: one call instead of one a row."""
     joined = "".join(rows).translate(to)
     ends = list(accumulate(map(len, rows)))
-    return [joined[a:b] for a, b in zip(chain((0,), ends), ends)]
+    return [*map(joined.__getitem__, map(slice, chain((0,), ends), ends))]
 
 
 class _Coronas(Set):
@@ -320,104 +290,6 @@ def missing_coronas(atlas: Atlas, patch: Patch) -> tuple[list, int]:
 # Locally valid source coronas
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _corona_window(kind: ShapeKind):
-    """The corona window's free region, its cells (centre first, then the
-    ring in touching-offset order), the order the search assigns them in,
-    the region's scan order, and their facet-sharing pairs (facet_pairs).
-
-    Cells are shifted so the window fits the region with non-negative
-    coordinates; the centre sits at the lattice point (1,1[,1]).  A square
-    or cube window is the whole region, so its search is count_solutions'."""
-    space = KIND_SPACE[kind]
-    dim = space_dim(space)
-    region = RegionSpec(space, (3,) * dim, False)
-    # a triangle's orientation bit is not a coordinate
-    center = (1,) * dim + origin_cell(kind)[dim:]
-    cells = (center, *[touching_cell(kind, center, offset)
-                       for offset in touching_offsets(kind)])
-    order = tuple(filter(set(cells).__contains__, region_cells(region)))
-    return region, cells, order, facet_pairs(region, cells)
-
-
-class _WindowCheck(NamedTuple):
-    """A corona window's compiled check for one source set; see
-    _window_check."""
-
-    chars: dict  # tile id -> its row character, chr(k) for the k-th
-    legal: list  # per cell: the row characters of its legal labels
-    paints: list  # per pair: (i, row char -> colour char, j, the same)
-    test: Callable  # the rule's test of two colour-character sequences
-
-
-def _window_check(ts: TileSet, kind: ShapeKind) -> _WindowCheck:
-    """The corona window's check for `ts` over packed rows, chr(k) for the
-    k-th prototile: each tile's character, per window cell the characters of
-    the tiles `ts.legal` holds for its kind, per facet_pairs pair and end a
-    str.translate table from those characters to the colour `ts.legal` gives
-    the end's facet, as a character (chr(h) for the h-th of the sorted
-    colours), and the rule's test of two sequences of such colours.
-
-    It is compiled once per set and kind, and kept on the set.  Every window
-    cell lies in the window's region, so its kind decides what is legal
-    there.
-    """
-    check = ts.window_checks.get(kind)
-    if check is None:
-        region, cells, _, pairs = _corona_window(kind)
-        # a translation-placed set has one (tile, code) per legal tile
-        legal = [ts.legal[cell_kind(region.space, cell)] for cell in cells]
-        chars = {p.id: chr(k) for k, p in enumerate(ts.prototiles)}
-        hue = hues(ts)
-
-        def paint(c, f):  # row char -> the colour char of facet f on cell c
-            return {ord(chars[t]): hue[eff[f]]
-                    for (t, _), eff in legal[c].items()}
-
-        check = ts.window_checks[kind] = _WindowCheck(
-            chars,
-            [frozenset([chars[t] for t, _ in table]) for table in legal],
-            [(i, paint(i, f), j, paint(j, nf)) for i, f, j, nf in pairs],
-            hue_test(ts.rule, hue))
-    return check
-
-
-def _row_ok(check: _WindowCheck, row: str) -> bool:
-    """Whether the window packed as `row`, one character per cell, passes
-    the compiled check."""
-    if not all(map(frozenset.__contains__, check.legal, row)):
-        return False
-    codes = list(map(ord, row))
-    return check.test([a[codes[i]] for i, a, _, _ in check.paints],
-                      [b[codes[j]] for _, _, j, b in check.paints])
-
-
-def _rows_ok(check: _WindowCheck, rows) -> bool:
-    """Whether every row passes _row_ok, read down the check's tables a
-    column at a time."""
-    joined, n = "".join(rows), len(check.legal)
-    columns = [joined[c::n] for c in range(n)]
-    return (all(map(frozenset.issuperset, check.legal, columns))
-            and all(check.test(columns[i].translate(a),
-                               columns[j].translate(b))
-                    for i, a, j, b in check.paints))
-
-
-def _refusal(ts: TileSet, kind: ShapeKind, labels, rows, first: int) -> str:
-    """Why the window check refuses `rows`, the `kind` centre's windows
-    `first` on, packed with chr(k) for labels[k]: patch_valid's first
-    violation on the first row it refuses, with that row's labels."""
-    region, cells, _, _ = _corona_window(kind)
-    for row in rows:
-        window = [labels[ord(ch)] for ch in row]
-        ok, faults = patch_valid(ts, Patch(ts.name, region, {
-            c: Placement(c, t, code) for c, (t, code) in zip(cells, window)}))
-        if not ok:
-            return f"{faults[0]} in {window}"
-    return (f"the window check refuses {kind.name} windows {first} to "
-            f"{first + len(rows) - 1}, which patch_valid accepts")
-
-
 # rows re-checked at once: their joined text and columns stay blocks that the
 # allocator reuses, instead of large ones it maps and unmaps
 _BATCH = 4096
@@ -522,30 +394,56 @@ def corona_in_atlas_implicit(rs: ReducedSet, corona: Corona) -> bool:
 # ---------------------------------------------------------------------------
 
 def serialize_atlas(atlas: Atlas) -> str:
-    """The atlas text: atlas_lines joined."""
-    return "".join(atlas_lines(atlas))
+    """The atlas text: _text_blocks joined."""
+    return "".join(_text_blocks(atlas))
 
 
 def atlas_lines(atlas: Atlas):
     """The atlas text one line at a time, each ending in "\\n", so that a
-    caller can write it to a file without holding it.  What the writer
-    refuses raises FormatError when its line is reached, after the lines
-    before it."""
+    caller can write it to a file without holding it: _text_blocks split.
+    What the writer refuses raises FormatError when its line is reached,
+    after the lines before it."""
+    for block in _text_blocks(atlas):
+        yield from block.splitlines(True)
+
+
+# sorted rows written at a time
+_LINES = 1024
+
+
+def _text_blocks(atlas: Atlas):
+    """The atlas text in blocks of whole lines: the header, then the lines
+    of _LINES sorted rows at a time.  Each label's text is built and checked
+    once, into two tables: as a centre, "\\n<tile> <code> :", and in a ring,
+    " <tile> <code>".  A block's joined rows are mapped through the ring
+    table, every row's first slot is overwritten by a stride slice mapped
+    through the centre table, and the pieces are joined once."""
     # every code is of the lattice of the first label's code, and every ring
     # has that lattice's touching count of entries
     lattice = atlas.labels and _lattice_of_code().get(atlas.labels[0][1])
     codes = space_codes(lattice[0]) if lattice else ()
     # a centre tile named ":" would read as the separator
-    text = {ch: f"{_token(t, 'tile id', ':')} {_code(code, codes)}"
-            for (t, code), ch in atlas._chars.items()}
+    centre = {ch: f"\n{_token(t, 'tile id', ':')} {_code(code, codes)} :"
+              for (t, code), ch in atlas._chars.items()}
+    ring = {ch: " " + text[1:-2] for ch, text in centre.items()}
     yield f"atlas {_token(atlas.name, 'atlas name')}\n"
-    for row in sorted(atlas.rows):
-        if len(row) - 1 != lattice[1]:
-            raise FormatError(f"cannot write a ring of {len(row) - 1} "
+    rows = sorted(atlas.rows)
+    n = lattice[1] + 1 if lattice else 0
+    for k in range(0, len(rows), _LINES):
+        batch = rows[k:k + _LINES]
+        bad = next(compress(count(), map(n.__ne__, map(len, batch))), None)
+        joined = "".join(batch[:bad])
+        if joined:
+            pieces = [*map(ring.__getitem__, joined)]
+            pieces[::n] = map(centre.__getitem__, joined[::n])
+            # no break before the block's first line; one after its last
+            pieces[0] = pieces[0][1:]
+            pieces.append("\n")
+            yield "".join(pieces)
+        if bad is not None:
+            raise FormatError(f"cannot write a ring of {len(batch[bad]) - 1} "
                               f"entries: {lattice[0]} coronas have "
                               f"{lattice[1]}")
-        center, *ring = map(text.__getitem__, row)
-        yield f"{center} : {' '.join(ring)}\n"
 
 
 @lru_cache(maxsize=None)
@@ -554,6 +452,111 @@ def _lattice_of_code() -> dict:
     are disjoint, so a code names its lattice."""
     return {code: (space, len(touching_offsets(SPACE_KINDS[space][0])))
             for space in SPACES for code in space_codes(space)}
+
+
+# corona lines read by columns at a time, whose fields are held at once: on
+# the wang13 c2 text 48 read about as fast as 96, and parse_atlas peaks no
+# higher than the line reader, which 64 already passes
+_ROWS = 48
+
+
+class _Reader(_Interner):
+    """parse_atlas's state: the interner, whose labels are checked when
+    first met, each tile's code -> row character table that the column
+    route reads, the repeat table (row -> the line it was first read on),
+    the name, the lattice and the number of lines read."""
+
+    def __init__(self, rs: ReducedSet | None):
+        self.rs, self.name, self.lattice, self.ln = rs, None, None, 0
+        self.codes, self.rows = {}, {}
+
+    def fault(self, label) -> str | None:
+        """Why `label` cannot be interned; the first code sets the
+        lattice."""
+        code, rs = label[1], self.rs
+        lattice = _lattice_of_code().get(code)
+        if lattice is None:
+            return f"unknown orientation code {code!r}"
+        if self.lattice is None:
+            self.lattice = lattice
+        elif lattice != self.lattice:
+            return f"code {code!r} is not a {self.lattice[0]} code"
+        if rs is not None and label not in rs.inverse:
+            return f"{label[0]} {code} encodes no tile of {rs.name}"
+        return None
+
+    def __missing__(self, label):
+        why = self.fault(label)
+        if why:
+            raise FormatError(f"line {self.ln}: {why}")
+        return _Interner.__missing__(self, label)
+
+    def lines(self, lines):
+        """Read `lines` one at a time: the header, then corona lines."""
+        end = self.ln + len(lines)
+        for ln, toks in _tokens(lines, self.ln + 1):
+            self.ln = ln  # the line that a label's fault names
+            if self.name is None:
+                if toks[0] != "atlas" or len(toks) != 2:
+                    raise FormatError(f"line {ln}: expected atlas header")
+                self.name = toks[1]
+                continue
+            # a (tile, code) pair, ":" and the ring's pairs; no ":" before it
+            if (len(toks) % 2 == 0 or len(toks) < 3 or toks[2] != ":"
+                    or ":" in toks[:2]):
+                raise FormatError(f"line {ln}: bad corona line")
+            del toks[2]
+            labels = iter(toks)
+            row = "".join(map(self.__getitem__, zip(labels, labels)))
+            if len(row) - 1 != self.lattice[1]:
+                raise FormatError(
+                    f"line {ln}: ring of {len(row) - 1} entries; "
+                    f"{self.lattice[0]} coronas have {self.lattice[1]}")
+            first = self.rows.setdefault(row, ln)
+            if first != ln:
+                raise FormatError(f"line {ln}: repeats the corona of line "
+                                  f"{first}")
+        self.ln = end
+
+    def columns(self, lines) -> bool:
+        """Read `lines`, corona lines in writer form, by columns: the tile
+        and code fields of every row (text._corona_columns), each label
+        read through its tile's code table, with no tuple built.  A block
+        with a label the tables lack is read again once _learn has added
+        its labels.  False, having added no row, where this route cannot
+        decide: the line reader then reads the block."""
+        n = self.lattice[1] + 1
+        cut = _corona_columns(lines, 2 * n + 1)
+        if cut is None:
+            return False
+        tiles, codes = cut
+        try:
+            packed = "".join(map(getitem, map(self.codes.__getitem__, tiles),
+                                 codes))
+        except KeyError:  # a label the tables lack
+            return self._learn(zip(tiles, codes)) and self.columns(lines)
+        rows = [*map(packed.__getitem__, map(
+            slice, range(0, len(packed), n), range(n, len(packed) + n, n)))]
+        if len(set(rows)) < len(rows) or not self.rows.keys().isdisjoint(rows):
+            return False
+        self.rows.update(zip(rows, count(self.ln + 1)))
+        self.ln += len(rows)
+        return True
+
+    def _learn(self, labels) -> bool:
+        """Intern the labels that the code tables lack, in order of first
+        use, and add them to the tables; False, having added none, if one
+        is refused, names the tile ":" or an empty one, or would pass
+        LABEL_LIMIT."""
+        new = [label for label in dict.fromkeys(labels)
+               if label[1] not in self.codes.get(label[0], ())]
+        if len(self) + len(new) > LABEL_LIMIT or any(
+                t in ("", ":") or ((t, c) not in self and self.fault((t, c)))
+                for t, c in new):
+            return False
+        for t, c in new:
+            self.codes.setdefault(t, {})[c] = self[t, c]
+        return True
 
 
 def parse_atlas(text, rs: ReducedSet | None = None) -> Atlas:
@@ -566,56 +569,21 @@ def parse_atlas(text, rs: ReducedSet | None = None) -> Atlas:
     twice.  Given the reduced set, every (tile, code) label must also be
     one of its encodings.
 
-    Labels are interned in order of first use, and checked when first met;
-    each line is packed as it is read.  The table is sorted, and the rows
-    renumbered to it by one translate over them all, at the end."""
-    known = None if rs is None else rs.inverse
-    lattice_of = _lattice_of_code()
-    lattice = None  # that of the first code: (lattice, ring length)
-
-    class Index(_Interner):
-        def __missing__(self, label):
-            nonlocal lattice
-            code = label[1]
-            if code not in lattice_of:
-                raise FormatError(
-                    f"line {ln}: unknown orientation code {code!r}")
-            if lattice is None:
-                lattice = lattice_of[code]
-            elif lattice_of[code] != lattice:
-                raise FormatError(
-                    f"line {ln}: code {code!r} is not a {lattice[0]} code")
-            if known is not None and label not in known:
-                raise FormatError(f"line {ln}: {label[0]} {code} encodes no "
-                                  f"tile of {rs.name}")
-            return _Interner.__missing__(self, label)
-
-    index = Index()
-    rows = {}  # row -> the number of the line it was first read on
-    lines = _content_lines(text)
-    for ln, toks in lines:  # the first content line
-        if toks[0] != "atlas" or len(toks) != 2:
-            raise FormatError(f"line {ln}: expected atlas header")
-        name = toks[1]
-        break
-    else:
+    The header and the first corona line, which sets the lattice, are read
+    a line at a time; after them, _ROWS lines at a time by columns
+    (_Reader.columns), and a block that route cannot decide line by line
+    (_Reader.lines).  Both routes intern into one table, in order of first
+    use, and check a label when it is first met.  The table is sorted, and
+    the rows renumbered to it by one translate over them all, at the end."""
+    read = _Reader(rs)
+    for lines in _line_lists(text):
+        while lines:  # each block is let go once read
+            block = lines[:_ROWS if read.lattice else 1]
+            del lines[:len(block)]
+            if not (read.lattice and read.columns(block)):
+                read.lines(block)
+    if read.name is None:
         raise FormatError("missing atlas header")
-    for ln, toks in lines:
-        # a (tile, code) pair, ":" and the ring's pairs; no ":" before it
-        if (len(toks) % 2 == 0 or len(toks) < 3 or toks[2] != ":"
-                or ":" in toks[:2]):
-            raise FormatError(f"line {ln}: bad corona line")
-        del toks[2]
-        labels = iter(toks)
-        row = "".join(map(index.__getitem__, zip(labels, labels)))
-        if len(row) - 1 != lattice[1]:
-            raise FormatError(
-                f"line {ln}: ring of {len(row) - 1} entries; {lattice[0]} "
-                f"coronas have {lattice[1]}")
-        first = rows.setdefault(row, ln)
-        if first != ln:
-            raise FormatError(f"line {ln}: repeats the corona of line "
-                              f"{first}")
-    if any(t == ":" for t, _ in index):  # a ring entry; writers refuse it
+    if any(t == ":" for t, _ in read):  # a ring entry; writers refuse it
         raise FormatError("':' is no atlas tile id")
-    return Atlas._packed(name, list(index), rows)
+    return Atlas._packed(read.name, list(read), read.rows)

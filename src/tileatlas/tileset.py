@@ -13,6 +13,7 @@ leaves what that cannot decide to its line reader.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import product
@@ -153,9 +154,18 @@ class Placement(NamedTuple):
 
 def placement_map(cells, tiles, codes) -> dict:
     """{cell: Placement(cell, tile, code)} over the three sequences, zipped;
-    `cells` is read twice.  Built by C-level maps: no Python step a cell."""
-    return dict(zip(cells, map(partial(tuple.__new__, Placement),
-                               zip(cells, tiles, codes))))
+    `cells` is read twice.  Built by C-level maps: no Python step a cell.
+    The cyclic collector is paused meanwhile, and left as it was, also if
+    the build raises: the new tuples hold no cycle, and each few hundred of
+    them would wake a collection that walks every tracked object."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return dict(zip(cells, map(partial(tuple.__new__, Placement),
+                                   zip(cells, tiles, codes))))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @dataclass(frozen=True)

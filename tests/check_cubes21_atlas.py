@@ -25,9 +25,9 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/check_cubes21_atlas.py
 
-It takes 15-20 s on a 2-core machine: the derivation 4-7 s, writing the
-text through sha256 and the file 2.4-4.5 s, and parsing it back from the
-file 7.7-10.9 s.  The 352.7 MB text is never held whole, so the round
+It takes 15-21 s on a 2-core machine: the derivation 4-7 s, writing the
+text through sha256 and the file 3.2-4.0 s, and parsing it back from the
+file 6.3-9.9 s.  The 352.7 MB text is never held whole, so the round
 trip peaks at about 370 MB (about 860 MB through serialize_atlas and
 parse_atlas on one str); the derivation's RSS is read before it.  The
 file name does not match pytest's `test_*.py`, so the suite does not run

@@ -824,6 +824,157 @@ def test_streamed_lines_join_to_the_atlas_text(name):
         assert "".join(lines) == serialize_atlas(atlas)
 
 
+def test_atlas_lines_stop_at_a_bad_row_mid_batch(monkeypatch):
+    # a ring of 3 entries sorts between rings of 8: the writer yields every
+    # line that sorts before it, each holding one "\n", then refuses it,
+    # whether it falls inside the first block of rows or a later one
+    ring = (("x1", "r0"),) * 8
+    good = [Corona((f"x{i}", "r0"), ring) for i in (0, 1, 2, 3, 5, 6, 7)]
+    bad = Corona(("x4", "r0"), ring[:3])
+    atlas = Atlas("a", [*good, bad])
+    want = serialize_atlas(Atlas("a", good[:4])).splitlines(True)
+    message = "cannot write a ring of 3 entries: square2d coronas have 8"
+    for rows in (None, 3):
+        if rows:
+            monkeypatch.setattr(tileatlas.atlas, "_LINES", rows)
+        lines = []
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            lines.extend(atlas_lines(atlas))
+        assert lines == want
+        assert all(line.count("\n") == 1 and line.endswith("\n")
+                   for line in lines)
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            serialize_atlas(atlas)
+
+
+def _random_atlas(rng, labels, space, count):
+    """An atlas of `count` random coronas over `labels` on `space`."""
+    ring = len(touching_offsets(SPACE_KINDS[space][0]))
+    return Atlas("r", {Corona(rng.choice(labels),
+                              tuple(rng.choices(labels, k=ring)))
+                       for _ in range(count)})
+
+
+def _mutants(rng, text, space):
+    """(what, text) for each mutation of writer-form atlas text, each at a
+    random corona line: forms that the column route must leave to the line
+    reader, and faults that both routes must name alike.  Some keep every
+    line's count of spaces, so that only the route's other checks see
+    them."""
+    head, *lines = text.splitlines()
+    foreign = next(space_codes(s)[0] for s in SPACE_KINDS if s != space)
+    code = space_codes(space)[0]
+
+    def at(change, first=1):
+        k = rng.randrange(first, len(lines))
+        changed = lines[:k] + change(lines[k], lines) + lines[k + 1:]
+        return "\n".join([head, *changed]) + "\n"
+
+    def token(k, value):  # the line with its k-th token replaced
+        def change(line, _):
+            toks = line.split(" ")
+            toks[k] = value(toks[k])
+            return [" ".join(toks)]
+        return change
+
+    def kept(form):  # a ring code merged with the next tile, then `form`
+        def change(line, _):
+            toks = line.split(" ")
+            k = rng.randrange(4, len(toks) - 2, 2)
+            toks[k:k + 2] = [toks[k] + toks[k + 1]]
+            return [form(" ".join(toks))]
+        return change
+
+    mutants = [
+        ("double space", at(lambda l, _: [l.replace(" ", "  ", 1)], 0)),
+        ("double space, spaces kept", at(kept(
+            lambda l: l.replace(" : ", " :  ", 1)))),
+        ("leading space, spaces kept", at(kept(lambda l: " " + l))),
+        ("trailing space, spaces kept", at(kept(lambda l: l + " "))),
+        ("trailing space", at(lambda l, _: [l + " "])),
+        ("CR LF line", at(lambda l, _: [l + "\r"])),
+        ("CR LF text", text.replace("\n", "\r\n")),
+        ("blank line", at(lambda l, _: ["", l])),
+        ("comment line", at(lambda l, _: ["# a comment", l])),
+        ("comment", at(lambda l, _: [l + " # a comment"])),
+        ("comment, spaces kept", at(token(5, lambda t: "#"))),
+        ("':' ring tile", at(token(5, lambda t: ":"))),
+        ("':' centre tile", at(token(0, lambda t: ":"))),
+        ("':' code", at(token(4, lambda t: ":"))),
+        ("no ':'", at(token(2, lambda t: code))),
+        ("unknown code", at(token(6, lambda t: "q9"))),
+        ("foreign code", at(token(1, lambda t: foreign))),
+        ("repeated row", at(lambda l, ls: [l, rng.choice(ls)])),
+        ("repeated line", at(lambda l, _: [l, l])),
+        ("short ring", at(lambda l, _: [l.rsplit(" ", 2)[0]])),
+        ("long ring", at(lambda l, _: [l + " " + l.split(" ", 2)[0] + " "
+                                       + l.split(" ", 2)[1]])),
+        # a long ring, and a line that starts with its ring's ":": the
+        # two lines' tokens would read as two rows of the lattice's width
+        ("shifted rows", at(lambda l, _: [l + " " + " ".join(
+            l.split(" ")[3:5]), ": " + " ".join(l.split(" ")[5:]) + " "
+            + " ".join(l.split(" ")[3:5])])),
+        # the centre tile moved to the end of the line before
+        ("moved field", at(lambda l, _: [l + " " + l.split(" ")[0],
+                                         l.split(" ", 1)[1]])),
+        ("stranger label", at(token(3, lambda t: "z9"))),
+        ("header again", at(lambda l, _: [head, l])),
+    ]
+    # whitespace that str.split splits at, and the line breaks, in a token
+    for ch in "\t\x1f\xa0\u3000\r\x0b\u2028":
+        mutants.append((f"{ch!r} in a token",
+                        at(token(rng.randrange(9), lambda t: t + ch))))
+    return mutants
+
+
+@pytest.mark.parametrize("name, mode, seed", [
+    ("wang13", "c1", 1), ("triangles6", "c2", 2), ("cubes21", "c2", 3)])
+def test_column_route_reads_as_the_line_reader(monkeypatch, name, mode, seed):
+    # writer-form text of a random atlas is read by the column route, all
+    # but its header and first corona line; each mutant gives the line
+    # reader's atlas or its exact error, with and without the reduced set,
+    # read as a str and as pieces cut anywhere.  The second atlas's tiles
+    # are named as codes, so that a misread token can still read as a label
+    rng = random.Random(seed)
+    rs = reduce_set(load_bundled(name), mode)
+    space, codes = rs.source.space, space_codes(rs.source.space)
+    reader = tileatlas.atlas._Reader
+    columns, lines = reader.columns, reader.lines
+    taken, by_lines = [], []
+
+    def counted_columns(self, block):
+        taken.append(columns(self, block))
+        return taken[-1]
+
+    def counted_lines(self, block):
+        by_lines.extend(block)
+        return lines(self, block)
+
+    monkeypatch.setattr(reader, "lines", counted_lines)
+    for labels, given in ((sorted(rs.inverse), rs),
+                          ([(a, b) for a in codes[:4] for b in codes], None)):
+        atlas = _random_atlas(rng, labels, space, 150)
+        text = serialize_atlas(atlas)
+        monkeypatch.setattr(reader, "columns", counted_columns)
+        taken.clear(), by_lines.clear()
+        assert parse_atlas(text) == parse_atlas(text, given) == atlas
+        assert len(taken) >= 2 * math.ceil((len(atlas.rows) - 1)
+                                           / tileatlas.atlas._ROWS)
+        assert all(taken)
+        assert by_lines == text.splitlines()[:2] * 2
+        for what, mutant in _mutants(rng, text, space):
+            for rs_given in (None, given) if given else (None,):
+                monkeypatch.setattr(reader, "columns", counted_columns)
+                cut = rng.randrange(len(mutant) + 1)
+                got = [_parse_outcome(form, rs_given)
+                       for form in (mutant, [mutant[:cut], mutant[cut:]])]
+                monkeypatch.setattr(reader, "columns",
+                                    lambda self, block: False)
+                want = _parse_outcome(mutant, rs_given)
+                assert got == [want, want], (what, rs_given)
+        assert not all(taken)  # some mutant left a block to the line reader
+
+
 def test_corona_window_is_searched_in_scan_order():
     # each kind's window is assigned in the scan order of its region,
     # restricted to the window; a square or cube window is the whole region
@@ -1157,6 +1308,23 @@ def test_label_limit(monkeypatch):
     atlas = parse_atlas(four)
     assert missing_coronas(atlas, patch) == oracle_missing_coronas(
         atlas, patch) == (sorted(patch.placements), 9)
+
+
+def test_column_route_leaves_the_label_limit_to_the_line_reader(monkeypatch):
+    # a block whose new labels would pass the limit is read line by line,
+    # so a fault on an earlier line of it is still the one named
+    monkeypatch.setattr(tileatlas.atlas, "LABEL_LIMIT", 4)
+
+    def line(centre, *ring):
+        return " ".join([centre, "r0", ":", *(f"{t} r0" for t in ring)])
+
+    lines = ["atlas a", line("x0", *["x1"] * 8), line("x1", *["x0"] * 8)]
+    last = line("x2", "x3", *["x4"] * 7)
+    with pytest.raises(FormatError,
+                       match="^line 4: repeats the corona of line 3$"):
+        parse_atlas("\n".join([*lines, lines[-1], last, ""]))
+    with pytest.raises(FormatError, match="^an atlas holds at most 4 labels$"):
+        parse_atlas("\n".join([*lines, last, ""]))
 
 
 def test_packed_rows_follow_sort_key_order():

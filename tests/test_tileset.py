@@ -5,6 +5,7 @@ placement's coloured facets as (shared-facet-midpoint -> colour) claims and
 requires each midpoint to carry a rule-compatible colour pair.
 """
 
+import gc
 import random
 import re
 from dataclasses import replace
@@ -37,6 +38,7 @@ from tileatlas.tileset import (
     cell_in_region,
     cells_in_region,
     patch_valid,
+    placement_map,
     placement_ok,
     placement_orientations,
     region_cells,
@@ -506,6 +508,32 @@ def test_region_on_an_unknown_lattice_is_refused():
     with pytest.raises(FormatError, match="unknown space 'hex2d'"):
         patch_valid(ts, Patch(ts.name, RegionSpec("hex2d", (2, 2), False),
                               {}))
+
+
+def test_placement_map_leaves_the_collector_as_it_was():
+    # paused while the placements are built, then restored, also when the
+    # build raises
+    paused = []
+
+    def cells():
+        yield (0, 0)
+        paused.append(not gc.isenabled())
+        raise KeyError("cell")
+
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert placement_map([(0, 0), (1, 0)], "ab", "rr") == {
+                (0, 0): Placement((0, 0), "a", "r"),
+                (1, 0): Placement((1, 0), "b", "r")}
+            assert gc.isenabled() is enabled
+            with pytest.raises(KeyError, match="cell"):
+                placement_map(cells(), "ab", "rr")
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert paused == [True, True]
 
 
 def test_patch_names_the_first_misplaced_placement_in_dict_order():
