@@ -12,9 +12,9 @@ all facet-sharing pairs satisfy the facet rule.  Membership can be tested
 against the materialized atlas, or implicitly by decoding the corona back to
 source tiles and checking the facet rule directly; the two routes agree.
 
-Both the enumerator's re-check and the implicit route read one window
-check, compiled once per source set and centre kind and kept on the set
-(the window module).
+Both the enumerator's re-check and the implicit route read rows packed
+by the source set's one character table, `box.paint`, across the corona
+window of their centre kind (the window module).
 
 An `Atlas` is stored packed: a sorted table of the (tile, code) labels its
 coronas use, and one `str` row per corona whose characters are label
@@ -34,7 +34,7 @@ is read a cell at a time: corona_of's walk of the corona's labels, packed
 straight into a row by the atlas's table.
 
 Rows are packed without a lookup per label: the enumerator's search labels
-are the prototiles' row characters, so a window's row is its solution
+are the characters of the set's table, so a window's row is its solution
 reordered and joined, and rows are renumbered a batch, or a whole atlas, at
 a time by one translate over their joined text.  On a 2-core machine the
 cubes21 c2 atlas (812,673 rows) derives in 4-7 s.
@@ -70,14 +70,14 @@ from .geometry import (
     space_dim,
     touching_offsets,
 )
-from .box import TOUCHING, bounds, box, cells_in_region, corona_rows, label_of
+from .box import (TOUCHING, bounds, box, cells_in_region, corona_rows,
+                  label_of, paint)
 from .text import (FormatError, _code, _corona_columns, _line_lists,
                    _token, _tokens)
 from .tileset import Patch, RegionSpec, TileSet, identity_code
 from .reduction import ReducedSet
 from .search import check_count, region_search
-from .window import (_corona_window, _refusal, _row_ok, _rows_ok,
-                     _window_check)
+from .window import _corona_window, _refusal, _row_ok, _rows_ok
 
 
 class BudgetExceeded(RuntimeError):
@@ -296,33 +296,30 @@ _BATCH = 4096
 
 
 def _enumerate(ts: TileSet, node_cap: int) -> tuple[list, list]:
-    """Every locally valid corona window of `ts`, packed: the prototiles'
-    (tile, code) labels and one row per window, chr(k) for the k-th label,
-    centre first.  Each centre kind's rows pass the window check before
-    they are admitted, and before the cap raises BudgetExceeded.  The
-    engine's labels are the row characters (`pack`), so a solution is
-    packed by reordering and joining them.  A cap that is not a node count
-    is refused."""
+    """Every locally valid corona window of `ts`, packed: the labels of
+    the set's character table (box.paint) and one row per window, chr(k)
+    for the k-th label, centre first.  Each centre kind's rows pass the
+    window check before they are admitted, and before the cap raises
+    BudgetExceeded.  The engine's labels are the row characters (`pack`),
+    so a solution is packed by reordering and joining them.  A cap that is
+    not a node count is refused."""
     check_count(node_cap, "node cap")
     if ts.allowed != "translations":
         raise FormatError("corona enumeration expects a translation-placed set")
-    ident = identity_code(ts.space)
-    index = _Interner()  # chr(k) for the k-th prototile, as in the checks
-    for p in ts.prototiles:
-        index[p.id, ident]
-    rows, nodes = [], 0
+    table = paint(ts)
+    labels, rows, nodes = list(table.chars), [], 0
     for kind in SPACE_KINDS[ts.space]:
-        region, cells, order, _ = _corona_window(kind)
+        window = _corona_window(kind)
         # search labels -> window labels
-        pick = itemgetter(*[order.index(c) for c in cells])
+        pick = itemgetter(*map(window.order.index, window.cells))
         start = len(rows)
         _, _, spent, _, _ = region_search(
-            ts, region, node_cap - nodes, cells=order, pack=index,
-            each=lambda labels: rows.append("".join(pick(labels))))
-        check, labels = _window_check(ts, kind), list(index)
+            ts, window.region, node_cap - nodes, cells=window.order,
+            pack=table.chars,
+            each=lambda found: rows.append("".join(pick(found))))
         for k in range(start, len(rows), _BATCH):
             batch = rows[k:k + _BATCH]
-            if not _rows_ok(check, batch):
+            if not _rows_ok(table, window, batch):
                 raise RuntimeError(
                     "incremental checks admitted an invalid corona: "
                     + _refusal(ts, kind, labels, batch, k - start))
@@ -330,7 +327,7 @@ def _enumerate(ts: TileSet, node_cap: int) -> tuple[list, list]:
         if nodes > node_cap:
             raise BudgetExceeded(
                 f"corona enumeration exceeded {node_cap} nodes")
-    return list(index), rows
+    return labels, rows
 
 
 def enumerate_source_coronas(ts: TileSet,
@@ -340,9 +337,9 @@ def enumerate_source_coronas(ts: TileSet,
     `node_cap` bounds the nodes summed over the centre kinds.  Every complete
     assignment is re-verified by the set's window check before it is
     admitted: each label must be one that the set's placement table,
-    `ts.legal`, holds for its window cell's kind, and every pair that
-    facet_pairs lists for the window is tested against the rule on the
-    facet colours read there.
+    `ts.legal`, holds for its window cell's kind (read through box.paint),
+    and every pair that facet_pairs lists for the window is tested against
+    the rule on the facet colours read there.
     """
     return set(Atlas._packed(ts.name, *_enumerate(ts, node_cap)).coronas)
 
@@ -368,25 +365,19 @@ def derive_atlas(rs: ReducedSet, node_cap: int = DEFAULT_NODE_CAP) -> Atlas:
 
 def corona_in_atlas_implicit(rs: ReducedSet, corona: Corona) -> bool:
     """Decide membership without the materialized atlas: decode every
-    placement, pack the source tiles as a row and read it across the source
-    set's window check, the tables the enumerator's re-check reads by
-    column."""
-    inverse = rs.inverse
-    center = inverse.get(corona.center)
-    if center is None:
-        return False
-    ts = rs.source
-    kind = ts.by_id[center].kind
-    if len(corona.ring) != len(touching_offsets(kind)):
-        return False
-    check = _window_check(ts, kind)
-    chars = check.chars
+    placement, pack the source labels as a row by the source set's
+    character table (box.paint) and check it across the window of the
+    centre's kind, as the enumerator's re-check reads its rows by column;
+    a ring of another length reads as the wrong kinds."""
+    ts, inverse = rs.source, rs.inverse
+    table, ident = paint(ts), identity_code(ts.space)
     try:
-        row = chars[center] + "".join([chars[inverse[entry]]
-                                       for entry in corona.ring])
-    except KeyError:  # a ring entry encodes no source tile
+        row = "".join([table.chars[inverse[label], ident]
+                       for label in (corona.center, *corona.ring)])
+    except KeyError:  # an entry encodes no source tile
         return False
-    return _row_ok(check, row)
+    return _row_ok(table, _corona_window(
+        ts.by_id[inverse[corona.center]].kind), row)
 
 
 # ---------------------------------------------------------------------------

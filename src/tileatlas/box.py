@@ -12,19 +12,25 @@ are one slice of each run, and those neighbours another (`_met`).
 string of label characters, turned once per touching offset
 (`corona_rows`).
 
+A set's labels are characters of one table (`paint`), compiled once from
+`TileSet.legal` and kept on the set: a label is legal on one cell kind, and
+str.translate tables take a character to its kind and, per facet, to the
+colour it shows there.  The corona window's checks (the window module)
+read it too.
+
 `patch_valid` reads a patch that lies in its region and fills it by the
 dense route (`dense_valid`): its labels, in sorted cell order, are packed
-per cell kind by a table compiled once per set from `TileSet.legal`.  Each
-facet-sharing pair is met from one side (`facet_steps`): per step, both
-kinds' strings are translated to the colours their facets show and
-compared, the neighbour's turned by the step on a torus and sliced on a
-free region; under `identical` that is one string comparison, and a table
-rule tests the pairs of characters.  On tri2d the up cells are the even
-characters and the down cells the odd ones.
+into one string, which translated to kinds must be the region's kind
+string (on tri2d the up cells are the even characters and the down cells
+the odd ones).  Each facet-sharing pair is met from one side
+(`facet_steps`): per step, both kinds' strings are translated to the
+colours their facets show and compared, the neighbour's turned by the step
+on a torus and sliced on a free region; under `identical` that is one
+string comparison, and a table rule tests the pairs of characters.
 
-The route only accepts.  An unplaced cell, a label the table lacks (an
-illegal placement) or a failed comparison returns False, and `patch_valid`
-runs its pair walk, which words every violation in order.
+The route only accepts.  An unplaced cell, a label the table lacks, one on
+a cell of another kind or a failed comparison returns False, and
+`patch_valid` runs its pair walk, which words every violation in order.
 """
 
 from __future__ import annotations
@@ -150,54 +156,47 @@ def facet_steps(space: str) -> tuple:
     return tuple(steps)
 
 
-def hues(ts) -> dict:
-    """Colour -> character, chr(h) for the h-th of the sorted colours that
-    `ts.legal` shows."""
-    return {c: chr(h) for h, c in enumerate(sorted(
-        {c for table in ts.legal.values() for eff in table.values()
-         for c in eff}))}
+class _Deleting(dict):
+    """A str.translate table that deletes the characters it lacks, where a
+    plain one would keep them: a character outside a set's alphabet reads
+    as no kind."""
+
+    def __missing__(self, key):
+        return None
 
 
-def hue_test(rule, hue: dict) -> Callable:
-    """The rule's test of two equal-length strings of colours interned by
-    `hue`: true when it accepts every position's pair."""
-    if rule.kind == "identical":
-        return eq
-    pairs = {(hue[a], hue[b]) for a, b in rule.pairs if a in hue and b in hue}
-    return lambda xs, ys: pairs.issuperset(zip(xs, ys))
+class Paint(NamedTuple):
+    """A set's labels as characters; see paint."""
+
+    chars: dict  # label -> its character, kind by kind
+    kinds: dict  # character -> chr(k) for its kind's index k
+    colours: list  # per facet: character -> the colour it shows there
+    test: Callable  # the rule's test of two equal-length colour strings
 
 
-class _DenseCheck(NamedTuple):
-    """A set's compiled facet check over packed cell strings; see
-    _dense_check."""
-
-    chars: list  # per cell kind: label -> its character
-    # per facet step: kind, character -> colour table, kind met, its table,
-    # and the offset of the cell met
-    steps: list
-    test: Callable  # the rule's test of two colour strings
-
-
-def _dense_check(ts) -> _DenseCheck:
-    """Per cell kind of the set's lattice a character for each label that
-    `ts.legal` holds for it, per facet step two str.translate tables from
-    those characters to the colour each end's facet shows (interned by
-    `hues`), and the rule's test.  Compiled once per set and kept on it."""
-    if not ts.dense_check:
-        kinds = SPACE_KINDS[ts.space]
-        chars = [{label: chr(i) for i, label in enumerate(ts.legal[kind])}
-                 for kind in kinds]
-        hue = hues(ts)
-
-        def paint(k, f):  # label char -> the colour char of facet f on kind k
-            return {ord(ch): hue[ts.legal[kinds[k]][label][f]]
-                    for label, ch in chars[k].items()}
-
-        ts.dense_check.append(_DenseCheck(
-            chars, [(k, paint(k, f), j, paint(j, nf), offset)
-                    for k, f, j, nf, offset in facet_steps(ts.space)],
-            hue_test(ts.rule, hue)))
-    return ts.dense_check[0]
+def paint(ts) -> Paint:
+    """The one character table of `ts`, compiled from `ts.legal` once and
+    kept on the set: chr(i) for the i-th label of the set's lattice's kinds
+    in turn (a label is legal on one kind), a str.translate table from each
+    character to its kind and, per facet, one to the colour it shows there,
+    chr(h) for the h-th of the sorted colours, and the rule's test of two
+    strings of such colours."""
+    if not ts.painted:
+        legal = [(chr(k), label, eff)
+                 for k, kind in enumerate(SPACE_KINDS[ts.space])
+                 for label, eff in ts.legal[kind].items()]
+        hue = {c: chr(h) for h, c in enumerate(
+            sorted({c for *_, eff in legal for c in eff}))}
+        pairs = {(hue[a], hue[b]) for a, b in ts.rule.pairs
+                 if a in hue and b in hue}
+        ts.painted.append(Paint(
+            {label: chr(i) for i, (_, label, _) in enumerate(legal)},
+            _Deleting({i: k for i, (k, _, _) in enumerate(legal)}),
+            [{i: hue[eff[f]] for i, (_, _, eff) in enumerate(legal)}
+             for f in range(FACET_COUNT[SPACE_KINDS[ts.space][0]])],
+            eq if ts.rule.kind == "identical"
+            else lambda xs, ys: pairs.issuperset(zip(xs, ys))))
+    return ts.painted[0]
 
 
 def dense_valid(ts, patch) -> bool:
@@ -209,22 +208,23 @@ def dense_valid(ts, patch) -> bool:
     ext = bounds(region)
     if ts.space != region.space or len(placements) != prod(ext):
         return False
-    check = _dense_check(ts)
-    step = len(check.chars)  # tri2d's two kinds alternate
+    table, step = paint(ts), len(SPACE_KINDS[ts.space])
     try:
-        labels = list(map(label_of, map(placements.__getitem__,
-                                        product(*map(range, ext)))))
-        texts = ["".join(map(table.__getitem__,
-                             islice(labels, k, None, step)))
-                 for k, table in enumerate(check.chars)]
-    except KeyError:  # a cell of the region unplaced, or an illegal label
+        text = "".join(map(table.chars.__getitem__, map(label_of, map(
+            placements.__getitem__, product(*map(range, ext))))))
+    except KeyError:  # a cell of the region unplaced, or an unknown label
         return False
-    for k, paint, j, meet, offset in check.steps:
-        xs, ys = texts[k].translate(paint), texts[j].translate(meet)
+    # tri2d's two kinds alternate
+    if text.translate(table.kinds) != "\0\1"[:step] * (len(text) // step):
+        return False
+    texts = [text[k::step] for k in range(step)]
+    for k, f, j, nf, offset in facet_steps(ts.space):
+        xs = texts[k].translate(table.colours[f])
+        ys = texts[j].translate(table.colours[nf])
         if region.torus:
             ys = turned(ys, region.extents, offset)
         else:
             xs, ys = _met(xs, ys, region.extents, offset)
-        if not check.test(xs, ys):
+        if not table.test(xs, ys):
             return False
     return True

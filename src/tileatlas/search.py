@@ -2,9 +2,10 @@
 
 `region_search` is its one entry point: it reads each cell kind's candidate
 list, (label, facet colours), off the set's compiled placement table,
-`TileSet.legal`, which `patch_valid` and the corona window check read too,
-and runs one explicit-stack depth-first search over the region's cells, so
-the number of cells is not bounded by Python's recursion limit.  Every
+`TileSet.legal`, which `patch_valid`'s pair walk reads too and from which
+the set's character table (`box.paint`) is compiled, and runs one
+explicit-stack depth-first search over the region's cells, so the number
+of cells is not bounded by Python's recursion limit.  Every
 facet-sharing pair of listed cells that `facet_pairs` lists (torus wrap
 pairs included) is checked exactly once, when the later cell of the pair is
 placed; neighbours outside the list are unconstrained.

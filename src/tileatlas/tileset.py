@@ -16,7 +16,7 @@ from __future__ import annotations
 import gc
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import product
+from itertools import product, tee
 from operator import eq, itemgetter, ne
 from typing import NamedTuple
 
@@ -108,14 +108,12 @@ class TileSet:
     space: str = field(init=False, repr=False, compare=False)
     by_id: dict = field(init=False, repr=False, compare=False)
     # cell kind -> (tile, code) -> facet colours, for every code allowed on
-    # the kind, in prototile then code order; read by the engine, patch_valid
-    # and the window check
+    # the kind, in prototile then code order; read by the engine and the
+    # pair walk of patch_valid, and compiled into box.paint's characters
     legal: dict = field(init=False, repr=False, compare=False)
-    # corona kind -> the atlas module's compiled window check, built on first
-    # use; it lives and dies with this set
-    window_checks: dict = field(init=False, repr=False, compare=False)
-    # the box module's compiled facet check, likewise: a list of at most one
-    dense_check: list = field(init=False, repr=False, compare=False)
+    # box.paint's character table, built on first use: a list of at most
+    # one, which lives and dies with this set
+    painted: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.allowed not in ("translations", "all"):
@@ -136,8 +134,7 @@ class TileSet:
                    for code in placement_orientations(self.allowed, p.kind,
                                                       kind)}
             for kind in SPACE_KINDS[self.space]})
-        object.__setattr__(self, "window_checks", {})
-        object.__setattr__(self, "dense_check", [])
+        object.__setattr__(self, "painted", [])
 
 
 class Placement(NamedTuple):
@@ -153,16 +150,18 @@ class Placement(NamedTuple):
 
 
 def placement_map(cells, tiles, codes) -> dict:
-    """{cell: Placement(cell, tile, code)} over the three sequences, zipped;
-    `cells` is read twice.  Built by C-level maps: no Python step a cell.
-    The cyclic collector is paused meanwhile, and left as it was, also if
-    the build raises: the new tuples hold no cycle, and each few hundred of
-    them would wake a collection that walks every tracked object."""
+    """{cell: Placement(cell, tile, code)} over the three iterables, zipped;
+    `cells` is read once, through a tee, so it may build its cells as it
+    goes.  Built by C-level maps: no Python step a cell.  The cyclic
+    collector is paused meanwhile, and left as it was, also if the build
+    raises: the new tuples hold no cycle, and each few hundred of them
+    would wake a collection that walks every tracked object."""
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return dict(zip(cells, map(partial(tuple.__new__, Placement),
-                                   zip(cells, tiles, codes))))
+        keys, cells = tee(cells)
+        return dict(zip(keys, map(partial(tuple.__new__, Placement),
+                                  zip(cells, tiles, codes))))
     finally:
         if enabled:
             gc.enable()
@@ -436,15 +435,16 @@ def _by_columns(text, space: str, ids) -> Patch | None:
         coords[2] = map({"u": 0, "d": 1}.__getitem__, coords[2])
     try:
         head = _by_lines(" ".join(head), space, ids)
-        cells = list(zip(*[map(int, column) for column in coords]))
         codes = list(map(canon.__getitem__, codes))
         if ids is not None:
             tids = list(map(dict(zip(ids, ids)).__getitem__, tids))
+        # the cells are built as placement_map reads them
+        placements = placement_map(zip(*[map(int, column)
+                                         for column in coords]), tids, codes)
     except (ValueError, KeyError):
         return None
-    placements = placement_map(cells, tids, codes)
     return (Patch(head.set_name, head.region, placements)
-            if len(placements) == len(cells) else None)
+            if len(placements) == len(codes) else None)
 
 
 def _by_lines(text, space: str, ids) -> Patch:

@@ -5,10 +5,11 @@ assignment (center times 3^8 ring fillings) through patch_valid; on small
 triangle sets, grow every filling of the 13-cell window through patch_valid;
 and compare the resulting corona sets.  Membership is checked along two routes
 (materialized atlas vs decode-and-check) that must always agree, and the
-implicit route's compiled window check is compared with decoding the corona
-and running patch_valid on the whole window.  The enumerator's re-check by
-column reads the same tables; it is compared with patch_valid on each
-window of crafted batches.
+implicit route's row check, which reads the source set's one character
+table (box.paint), is compared with decoding the corona and running
+patch_valid on the whole window.  The enumerator's re-check by column reads
+the same table; it is compared with patch_valid on each window of crafted
+batches.
 """
 
 import gc
@@ -22,6 +23,7 @@ import sys
 import weakref
 from collections import Counter
 from functools import lru_cache
+from operator import itemgetter
 
 import pytest
 
@@ -36,7 +38,6 @@ from tileatlas.atlas import (
     _refusal,
     _row_ok,
     _rows_ok,
-    _window_check,
     atlas_lines,
     corona_in_atlas_implicit,
     corona_of,
@@ -46,7 +47,9 @@ from tileatlas.atlas import (
     parse_atlas,
     serialize_atlas,
 )
+from tileatlas.box import paint
 from tileatlas.geometry import (
+    FACET_COUNT,
     KIND_SPACE,
     SPACE_KINDS,
     ShapeKind,
@@ -323,7 +326,9 @@ def test_implicit_route_matches_decode_oracle():
     assert sets["square2d"] >= 20 and sets["tri2d"] >= 10
 
 
-def test_window_check_dies_with_its_set():
+def test_one_character_table_per_set_dies_with_it():
+    # the enumerator, the implicit route and patch_valid's dense route read
+    # one table, kept in the set's one cache field
     base = load_bundled("wang13")
     rng = random.Random(5)
     args = (base.name, tuple(rng.sample(base.prototiles, len(base.prototiles))),
@@ -333,12 +338,16 @@ def test_window_check_dies_with_its_set():
     atlas = derive_atlas(rs)
     some = next(iter(atlas.coronas))
     assert corona_in_atlas_implicit(rs, some)
-    assert ts.window_checks and not twin.window_checks
+    patch = solve(ts, RegionSpec("square2d", (4, 4), False)).patch
+    assert patch_valid(ts, patch) == (True, ())
+    assert set(vars(ts)) == {"name", "prototiles", "rule", "allowed",
+                             "space", "by_id", "legal", "painted"}
+    assert ts.painted == [paint(ts)] and not twin.painted
     # the cache is invisible to equality, hashing and repr
     assert ts == twin and hash(ts) == hash(twin) and repr(ts) == repr(twin)
-    assert "window_checks" not in repr(ts)
+    assert "painted" not in repr(ts)
     ref = weakref.ref(ts)
-    del ts, rs
+    del ts, rs, patch
     gc.collect()
     assert ref() is None
 
@@ -977,9 +986,14 @@ def test_column_route_reads_as_the_line_reader(monkeypatch, name, mode, seed):
 
 def test_corona_window_is_searched_in_scan_order():
     # each kind's window is assigned in the scan order of its region,
-    # restricted to the window; a square or cube window is the whole region
+    # restricted to the window; a square or cube window is the whole region.
+    # Its kind string names each cell's kind by its index
     for kind in ShapeKind:
-        region, cells, order, _ = tileatlas.atlas._corona_window(kind)
+        window = tileatlas.atlas._corona_window(kind)
+        region, cells, order = window.region, window.cells, window.order
+        kinds = SPACE_KINDS[region.space]
+        assert window.kinds == "".join(
+            chr(kinds.index(cell_kind(region.space, c))) for c in cells)
         assert order == tuple(c for c in region_cells(region) if c in cells)
         assert sorted(order) == sorted(cells), kind
         if kind in (ShapeKind.SQUARE, ShapeKind.CUBE):
@@ -1036,7 +1050,8 @@ def test_admit_recheck_catches_engine_faults(monkeypatch):
 def test_refused_batch_raises_though_patch_valid_accepts_it(monkeypatch):
     # a window check that refuses valid rows is a fault too: no row is
     # admitted, and the message names the batch patch_valid accepts
-    monkeypatch.setattr(tileatlas.atlas, "_rows_ok", lambda check, rows: False)
+    monkeypatch.setattr(tileatlas.atlas, "_rows_ok",
+                        lambda table, window, rows: False)
     with pytest.raises(RuntimeError, match=re.escape(
             "incremental checks admitted an invalid corona: the window "
             "check refuses SQUARE windows 0 to 1072, which patch_valid "
@@ -1076,53 +1091,100 @@ WINDOW_KINDS = (("wang13", (ShapeKind.SQUARE,)),
                 ("cubes21", (ShapeKind.CUBE,)))
 
 
-def test_window_check_tables_match_per_cell_placements():
-    # the check reads the set's placement table; its legal characters and
-    # each pair's colour tables must be those placement_ok and
-    # effective_facets give cell by cell
+def test_paint_matches_per_cell_placements():
+    # a set's one character table: every label that placement_ok accepts
+    # on a cell of some kind, kind by kind in prototile then code order, is
+    # chr(i) for the i-th of them, legal on exactly one kind, and its colour
+    # per facet is the one effective_facets reads there, chr(h) for the
+    # h-th sorted colour; on the three lattices, placed by translations and
+    # by all isometries, and on tri2d sets with up triangles only
     rng = random.Random(7)
-    sets = [(load_bundled(name), kinds) for name, kinds in WINDOW_KINDS]
-    sets.append((random_tileset(rng, "tri2d", 7, name="mixed"),
-                 WINDOW_KINDS[1][1]))
-    for ts, kinds in sets:
-        ident = identity_code(ts.space)
+    sets = [load_bundled(name) for name, _ in WINDOW_KINDS]
+    sets += [random_tileset(rng, space, rng.randint(1, 5), 4)
+             for space in ("square2d", "tri2d", "cube3d") for _ in range(3)]
+    for n in (1, 3):
+        ts = random_tileset(rng, "tri2d", n, 4, name="up")
+        sets.append(TileSet(ts.name, tuple(
+            Prototile(p.id, ShapeKind.TRI_UP, p.colours)
+            for p in ts.prototiles), ts.rule, ts.allowed))
+    short = 0
+    for base in sets:
+        for allowed in ("translations", "all"):
+            ts = TileSet(base.name, base.prototiles, base.rule, allowed)
+            space, table = ts.space, paint(ts)
+            kinds = SPACE_KINDS[space]
+            region = RegionSpec(space, (2,) * space_dim(space), False)
+            found = {}  # label -> (kind index, facets), per kind accepting it
+            for k, kind in enumerate(kinds):
+                cell = next(c for c in region_cells(region)
+                            if cell_kind(space, c) is kind)
+                for p in ts.prototiles:
+                    for code in space_codes(space):
+                        pl = Placement(cell, p.id, code)
+                        if placement_ok(ts, region, pl) is None:
+                            found.setdefault((p.id, code), []).append(
+                                (k, effective_facets(ts, pl)))
+            assert list(table.chars.items()) == [
+                (label, chr(i)) for i, label in enumerate(found)]
+            assert all(len(hits) == 1 for hits in found.values())
+            colours = sorted({c for ((_, eff),) in found.values()
+                              for c in eff})
+            assert len(table.colours) == FACET_COUNT[kinds[0]]
+            for label, ((k, eff),) in found.items():
+                i = ord(table.chars[label])
+                assert table.kinds[i] == chr(k), (ts.name, allowed, label)
+                assert [colours[ord(to[i])] for to in table.colours] == \
+                    list(eff), (ts.name, allowed, label)
+            assert len(table.kinds) == len(found)
+            assert all(len(to) == len(found) for to in table.colours)
+            # a character outside the table reads as no kind
+            for ch in (chr(len(found)), chr(len(found) + 1), "\uffff"):
+                assert ch.translate(table.kinds) == ""
+            short += len(found) < len(kinds)
+    assert short
+
+
+def test_row_checks_refuse_characters_outside_the_table():
+    # str.translate keeps a character that its table lacks; the kind table
+    # deletes it, so a row holding one is refused.  Up triangles alone
+    # under a rule that would accept a down cell's character chr(1), the
+    # down kind's own, if it read as its kind and colour
+    up = TileSet("up", (Prototile("u", ShapeKind.TRI_UP, (1, 2, 1)),),
+                 FacetRule("table", frozenset({(1, 2), (2, 2)})),
+                 "translations")
+    table = paint(up)
+    assert len(table.chars) == 1
+    window = tileatlas.atlas._corona_window(ShapeKind.TRI_UP)
+    row = window.kinds  # chr(0) on up cells, chr(1) on down ones
+    assert not _row_ok(table, window, row)
+    assert not _rows_ok(table, window, [row])
+    seen = 0
+    for name, kinds in WINDOW_KINDS:
+        ts = load_bundled(name)
+        table = paint(ts)
         for kind in kinds:
-            region, cells, _, pairs = tileatlas.atlas._corona_window(kind)
-            check = _window_check(ts, kind)
-            facets = []  # per cell: legal row character -> facet colours
-            for cell in cells:
-                facets.append({})
-                for k, p in enumerate(ts.prototiles):
-                    pl = Placement(cell, p.id, ident)
-                    if placement_ok(ts, region, pl) is None:
-                        facets[-1][chr(k)] = effective_facets(ts, pl)
-            assert check.legal == [set(eff) for eff in facets], ts.name
-            # colour characters are chr(h) for the h-th sorted colour
-            colours = sorted({c for eff in facets for cs in eff.values()
-                              for c in cs})
-            assert len(check.paints) == len(pairs), ts.name
-            for (i, a, j, b), (pi, f, pj, nf) in zip(check.paints, pairs):
-                assert (i, j) == (pi, pj), ts.name
-                for c, paint, facet in ((i, a, f), (j, b, nf)):
-                    assert {chr(k): colours[ord(h)]
-                            for k, h in paint.items()} == {
-                        ch: eff[facet] for ch, eff in facets[c].items()
-                    }, (ts.name, cells[c], facet)
-            if ts.space == "tri2d":  # both kinds on every window
-                assert len(set(check.legal)) == 2
+            window = tileatlas.atlas._corona_window(kind)
+            valid = window_rows(ts, kind, 20000, table.chars)[:3]
+            assert valid and all(_row_ok(table, window, r) for r in valid)
+            for row, c in itertools.product(valid, range(len(window.cells))):
+                for ch in (chr(len(table.chars)), window.kinds[c], "\uffff"):
+                    if ch in table.chars.values():
+                        continue
+                    bad = row[:c] + ch + row[c + 1:]
+                    assert not _row_ok(table, window, bad)
+                    assert not _rows_ok(table, window, [*valid, bad])
+                    seen += 1
+    assert seen
 
 
-def window_rows(ts, kind, limit):
+def window_rows(ts, kind, limit, chars):
     """Valid windows of `ts` that the engine yields within `limit` nodes,
-    packed as the enumerator packs them: chr(k) for the k-th prototile."""
-    region, cells, order, _ = tileatlas.atlas._corona_window(kind)
-    ident = identity_code(ts.space)
-    char = {(p.id, ident): chr(k) for k, p in enumerate(ts.prototiles)}
-    at = [order.index(c) for c in cells]
+    packed as the enumerator packs them, by `chars` (box.paint's)."""
+    window = tileatlas.atlas._corona_window(kind)
+    pick = itemgetter(*map(window.order.index, window.cells))
     rows = []
-    region_search(ts, region, limit, cells=order,
-                  each=lambda labels: rows.append(
-                      "".join(char[labels[k]] for k in at)))
+    region_search(ts, window.region, limit, cells=window.order, pack=chars,
+                  each=lambda labels: rows.append("".join(pick(labels))))
     return rows
 
 
@@ -1150,31 +1212,33 @@ def test_column_recheck_matches_window_valid():
         extra = {tuple(rng.sample(colours, 2)) for _ in range(3)}
         table = FacetRule("table", frozenset({(c, c) for c in colours}
                                              | extra))
-        n, facets = len(base.prototiles), len(base.prototiles[0].colours)
+        facets = len(base.prototiles[0].colours)
         for rule in (base.rule, table):
             ts = with_facet_variants(base, rule)
             ident = identity_code(ts.space)
+            chars = paint(ts).chars
             # the last label is none of the set's, as a faulty engine's
-            labels = [(p.id, ident) for p in ts.prototiles] + [("zz", ident)]
+            labels = [*chars, ("zz", ident)]
             tiles = [t for t, _ in labels]
             for kind in kinds:
-                check = _window_check(ts, kind)
+                window = tileatlas.atlas._corona_window(kind)
                 # rows of the set without variants are rows of ts
                 valid = window_rows(TileSet(name, base.prototiles, rule,
-                                            base.allowed), kind, 20000)
+                                            base.allowed), kind, 20000, chars)
                 assert len(valid) >= 3, (name, kind)
                 # every one-cell change of a few valid windows to a tile of
                 # the set, the unknown label or a variant of the tile there,
                 # among valid rows and sometimes before a second changed row
-                cells = range(len(check.legal))
+                cells = range(len(window.cells))
                 for row, c in itertools.product(valid[:3], cells):
-                    tile = ord(row[c])
-                    for k in (*range(n), len(labels) - 1,
-                              *range(n + tile * facets,
-                                     n + (tile + 1) * facets)):
+                    tile = tiles[ord(row[c])]
+                    for k in (*[chars[p.id, ident] for p in base.prototiles],
+                              chr(len(chars)),
+                              *[chars[f"{tile}~{f}", ident]
+                                for f in range(facets)]):
                         rows = rng.choices(valid, k=3)
                         rows.insert(rng.randrange(4),
-                                    row[:c] + chr(k) + row[c + 1:])
+                                    row[:c] + k + row[c + 1:])
                         if rng.random() < 0.3:
                             other, d = rng.choice(valid), rng.choice(cells)
                             rows.append(other[:d] + rng.choice(valid)[d]
@@ -1182,16 +1246,17 @@ def test_column_recheck_matches_window_valid():
                         verdicts = [window_valid(ts, kind,
                                                  [tiles[ord(x)] for x in r])
                                     for r in rows]
-                        assert [_row_ok(check, r) for r in rows] == verdicts
-                        ok = _rows_ok(check, rows)
+                        assert [_row_ok(paint(ts), window, r)
+                                for r in rows] == verdicts
+                        ok = _rows_ok(paint(ts), window, rows)
                         assert ok == all(verdicts)
                         if not ok:
                             first = rows[verdicts.index(False)]
                             faults = window_faults(
                                 ts, kind, [tiles[ord(x)] for x in first])
-                            window = [labels[ord(x)] for x in first]
+                            named = [labels[ord(x)] for x in first]
                             assert _refusal(ts, kind, labels, rows, 0) == \
-                                f"{faults[0]} in {window}"
+                                f"{faults[0]} in {named}"
                         seen[kind, rule.kind, ok] += 1
     # every window kind and rule kind met batches that pass and that fail
     for _, kinds in WINDOW_KINDS:

@@ -536,6 +536,31 @@ def test_placement_map_leaves_the_collector_as_it_was():
     assert paused == [True, True]
 
 
+def test_parse_patch_builds_its_cells_with_the_collector_paused():
+    # the column route builds every cell tuple, as well as every placement,
+    # inside placement_map's pause: reading 20,000 lines wakes at most the
+    # one collection that the pause defers, where each few hundred new
+    # tuples would wake one
+    text = "patch s 200 100 free\n" + "".join(
+        f"{x} {y} a r0\n" for y in range(100) for x in range(200))
+    woken = []
+
+    def count(phase, info):
+        if phase == "start":
+            woken.append(info["generation"])
+
+    was = gc.isenabled()
+    gc.enable()
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        patch = parse_patch(text, "square2d")
+    finally:
+        gc.callbacks.remove(count)
+        (gc.enable if was else gc.disable)()
+    assert len(patch.placements) == 20000 and len(woken) <= 1
+
+
 def test_patch_names_the_first_misplaced_placement_in_dict_order():
     # Patch checks every key against its placement's cell at once; a patch
     # it refuses is read again to name the first offender in dict order,
