@@ -35,9 +35,12 @@ straight into a row by the atlas's table.
 
 Rows are packed without a lookup per label: the enumerator's search labels
 are the characters of the set's table, so a window's row is its solution
-reordered and joined, and rows are renumbered a batch, or a whole atlas, at
-a time by one translate over their joined text.  On a 2-core machine the
-cubes21 c2 atlas (812,673 rows) derives in 4-7 s.
+reordered and joined.  Each constructor gives `Atlas._set` a table of just
+the labels that its rows use (the enumerator's are looked for in the joined
+rows), which it sorts; the rows are renumbered in place, a batch at a time
+by one translate over the batch's joined text, only where sorting moves a
+character.  On a 2-core machine the cubes21 c2 atlas (812,673 rows) derives
+in 4-5 s.
 
 The atlas text format is specified in docs/FORMATS.md.  The writer makes
 it a block of 1024 sorted rows at a time: each label's text is built once
@@ -50,7 +53,10 @@ writer's form is read 48 rows at a time by columns: each label through its
 tile's code table, without a tuple a label.  What that route cannot
 decide, such as a comment, another spacing, an unknown code or a repeated
 row, goes to the line reader, which words every fault with its line
-number; both routes share one interner and one repeat table.
+number.  Both routes share one interner, one list of the rows in reading
+order and one set of them for the repeat check; a repeat's first line is
+worked out from the list only when a repeat is found, and the set is let
+go before the rows are renumbered.
 """
 
 from __future__ import annotations
@@ -132,22 +138,25 @@ class Atlas:
         index = _Interner()
         rows = ["".join(map(index.__getitem__, (c.center, *c.ring)))
                 for c in coronas]
-        self._set(name, list(index), rows)
+        self._set(name, index, rows)
 
-    def _set(self, name, labels, rows):
-        """Store `rows`, strings in which chr(i) stands for labels[i], over
-        the sorted table of the labels they use; the rows are renumbered
-        (_translate) only when that table moves an index."""
-        used = sorted(map(ord, set().union(*rows)), key=labels.__getitem__)
-        if used != list(range(len(used))):
-            rows = _translate(rows, dict(zip(used, range(len(used)))))
-        chars = {labels[i]: chr(k) for k, i in enumerate(used)}
-        for key, value in (("name", name), ("labels", tuple(chars)),
-                           ("rows", frozenset(rows)), ("_chars", chars)):
+    def _set(self, name, labels: dict, rows: list):
+        """Store `rows`, strings in which labels[label] stands for label,
+        over the sorted table of the labels, each of which some row must
+        use.  The rows are renumbered in place, a batch at a time
+        (_translate), only when sorting moves a character."""
+        table = sorted(labels)
+        to = {ord(labels[label]): k for k, label in enumerate(table)}
+        if any(k != v for k, v in to.items()):
+            for k in range(0, len(rows), _BATCH):
+                rows[k:k + _BATCH] = _translate(rows[k:k + _BATCH], to)
+        for key, value in (("name", name), ("labels", tuple(table)),
+                           ("rows", frozenset(rows)),
+                           ("_chars", dict(zip(table, map(chr, count()))))):
             object.__setattr__(self, key, value)
 
     @classmethod
-    def _packed(cls, name: str, labels, rows) -> Atlas:
+    def _packed(cls, name: str, labels: dict, rows: list) -> Atlas:
         atlas = cls.__new__(cls)
         atlas._set(name, labels, rows)
         return atlas
@@ -295,19 +304,19 @@ def missing_coronas(atlas: Atlas, patch: Patch) -> tuple[list, int]:
 _BATCH = 4096
 
 
-def _enumerate(ts: TileSet, node_cap: int) -> tuple[list, list]:
-    """Every locally valid corona window of `ts`, packed: the labels of
-    the set's character table (box.paint) and one row per window, chr(k)
-    for the k-th label, centre first.  Each centre kind's rows pass the
-    window check before they are admitted, and before the cap raises
-    BudgetExceeded.  The engine's labels are the row characters (`pack`),
-    so a solution is packed by reordering and joining them.  A cap that is
-    not a node count is refused."""
+def _enumerate(ts: TileSet, node_cap: int) -> tuple[dict, list]:
+    """Every locally valid corona window of `ts`, packed: the set's
+    character table (box.paint's, label -> character) and one row per
+    window, centre first.  Each centre kind's rows pass the window check
+    before they are admitted, and before the cap raises BudgetExceeded.
+    The engine's labels are the row characters (`pack`), so a solution is
+    packed by reordering and joining them.  A cap that is not a node count
+    is refused."""
     check_count(node_cap, "node cap")
     if ts.allowed != "translations":
         raise FormatError("corona enumeration expects a translation-placed set")
     table = paint(ts)
-    labels, rows, nodes = list(table.chars), [], 0
+    rows, nodes = [], 0
     for kind in SPACE_KINDS[ts.space]:
         window = _corona_window(kind)
         # search labels -> window labels
@@ -322,12 +331,25 @@ def _enumerate(ts: TileSet, node_cap: int) -> tuple[list, list]:
             if not _rows_ok(table, window, batch):
                 raise RuntimeError(
                     "incremental checks admitted an invalid corona: "
-                    + _refusal(ts, kind, labels, batch, k - start))
+                    + _refusal(ts, kind, list(table.chars), batch, k - start))
         nodes += spent  # node_cap + 1 once the cap is crossed
         if nodes > node_cap:
             raise BudgetExceeded(
                 f"corona enumeration exceeded {node_cap} nodes")
-    return labels, rows
+    return table.chars, rows
+
+
+def _in_use(chars: dict, rows: list) -> dict:
+    """The items of `chars`, label -> character, whose character some row
+    holds: each character looked for in the joined rows, a batch at a time,
+    until every one is found."""
+    left = set(chars.values())
+    for k in range(0, len(rows), _BATCH):
+        if not left:
+            break
+        joined = "".join(rows[k:k + _BATCH])
+        left -= {ch for ch in left if ch in joined}
+    return {label: ch for label, ch in chars.items() if ch not in left}
 
 
 def enumerate_source_coronas(ts: TileSet,
@@ -341,22 +363,19 @@ def enumerate_source_coronas(ts: TileSet,
     and every pair that facet_pairs lists for the window is tested against
     the rule on the facet colours read there.
     """
-    return set(Atlas._packed(ts.name, *_enumerate(ts, node_cap)).coronas)
+    chars, rows = _enumerate(ts, node_cap)
+    return set(Atlas._packed(ts.name, _in_use(chars, rows), rows).coronas)
 
 
 def derive_atlas(rs: ReducedSet, node_cap: int = DEFAULT_NODE_CAP) -> Atlas:
     """The reduced set's atlas: encodings of all locally valid source coronas.
 
-    The enumerator's rows are mapped to the characters of the sorted
-    encoded labels by one translate per batch of _BATCH rows."""
-    labels, rows = _enumerate(rs.source, node_cap)
-    index = _Interner()  # interned in sorted order, so nothing renumbers
-    for label in sorted(rs.forward.values()):
-        index[label]
-    to = {k: index[rs.forward[tid]] for k, (tid, _) in enumerate(labels)}
-    for k in range(0, len(rows), _BATCH):  # in place: one list of rows
-        rows[k:k + _BATCH] = _translate(rows[k:k + _BATCH], to)
-    return Atlas._packed(rs.name, list(index), rows)
+    Each source label that some row uses (_in_use) is encoded, and the rows
+    are renumbered to the sorted encoded labels by one translate per batch
+    of _BATCH rows (Atlas._set)."""
+    chars, rows = _enumerate(rs.source, node_cap)
+    return Atlas._packed(rs.name, {rs.forward[tid]: ch for (tid, _), ch
+                                   in _in_use(chars, rows).items()}, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -364,20 +383,31 @@ def derive_atlas(rs: ReducedSet, node_cap: int = DEFAULT_NODE_CAP) -> Atlas:
 # ---------------------------------------------------------------------------
 
 def corona_in_atlas_implicit(rs: ReducedSet, corona: Corona) -> bool:
-    """Decide membership without the materialized atlas: decode every
-    placement, pack the source labels as a row by the source set's
-    character table (box.paint) and check it across the window of the
-    centre's kind, as the enumerator's re-check reads its rows by column;
-    a ring of another length reads as the wrong kinds."""
-    ts, inverse = rs.source, rs.inverse
-    table, ident = paint(ts), identity_code(ts.space)
+    """Decide membership without the materialized atlas: pack the corona
+    as a row of the source set's character table (box.paint), through
+    each encoded label's character (_encoded_chars), and check it across
+    the window of the centre's kind, as the enumerator's re-check reads its
+    rows by column; a ring of another length reads as the wrong kinds."""
     try:
-        row = "".join([table.chars[inverse[label], ident]
-                       for label in (corona.center, *corona.ring)])
+        row = "".join(map(_encoded_chars(rs).__getitem__,
+                          (corona.center, *corona.ring)))
     except KeyError:  # an entry encodes no source tile
         return False
-    return _row_ok(table, _corona_window(
-        ts.by_id[inverse[corona.center]].kind), row)
+    ts = rs.source
+    return _row_ok(paint(ts), _corona_window(
+        ts.by_id[rs.inverse[corona.center]].kind), row)
+
+
+def _encoded_chars(rs: ReducedSet) -> dict:
+    """Encoded label -> the character of the source tile it encodes in
+    box.paint's table: rs.inverse composed with the table once, and kept in
+    rs.painted."""
+    if not rs.painted:
+        chars, ident = paint(rs.source).chars, identity_code(rs.source.space)
+        rs.painted.append({label: chars[tid, ident]
+                           for label, tid in rs.inverse.items()
+                           if (tid, ident) in chars})
+    return rs.painted[0]
 
 
 # ---------------------------------------------------------------------------
@@ -454,12 +484,27 @@ _ROWS = 48
 class _Reader(_Interner):
     """parse_atlas's state: the interner, whose labels are checked when
     first met, each tile's code -> row character table that the column
-    route reads, the repeat table (row -> the line it was first read on),
-    the name, the lattice and the number of lines read."""
+    route reads, the rows in reading order and the repeat set of them, the
+    name, the lattice and the number of lines read.  A row's line is its
+    index plus the last offset in `shifts`, (first row, line - index), at
+    or before it."""
 
     def __init__(self, rs: ReducedSet | None):
         self.rs, self.name, self.lattice, self.ln = rs, None, None, 0
-        self.codes, self.rows = {}, {}
+        self.codes, self.rows, self.seen, self.shifts = {}, [], set(), []
+
+    def add(self, rows, ln):
+        """Keep `rows`, read from line `ln` on, one a line."""
+        shift = ln - len(self.rows)
+        if not self.shifts or self.shifts[-1][1] != shift:
+            self.shifts.append((len(self.rows), shift))
+        self.rows += rows
+        self.seen.update(rows)
+
+    def first(self, row) -> int:
+        """The line that `row` was first read on."""
+        k = self.rows.index(row)
+        return k + next(s for i, s in reversed(self.shifts) if i <= k)
 
     def fault(self, label) -> str | None:
         """Why `label` cannot be interned; the first code sets the
@@ -503,10 +548,10 @@ class _Reader(_Interner):
                 raise FormatError(
                     f"line {ln}: ring of {len(row) - 1} entries; "
                     f"{self.lattice[0]} coronas have {self.lattice[1]}")
-            first = self.rows.setdefault(row, ln)
-            if first != ln:
+            if row in self.seen:
                 raise FormatError(f"line {ln}: repeats the corona of line "
-                                  f"{first}")
+                                  f"{self.first(row)}")
+            self.add([row], ln)
         self.ln = end
 
     def columns(self, lines) -> bool:
@@ -528,9 +573,9 @@ class _Reader(_Interner):
             return self._learn(zip(tiles, codes)) and self.columns(lines)
         rows = [*map(packed.__getitem__, map(
             slice, range(0, len(packed), n), range(n, len(packed) + n, n)))]
-        if len(set(rows)) < len(rows) or not self.rows.keys().isdisjoint(rows):
+        if len(set(rows)) < len(rows) or not self.seen.isdisjoint(rows):
             return False
-        self.rows.update(zip(rows, count(self.ln + 1)))
+        self.add(rows, self.ln + 1)
         self.ln += len(rows)
         return True
 
@@ -564,8 +609,10 @@ def parse_atlas(text, rs: ReducedSet | None = None) -> Atlas:
     a line at a time; after them, _ROWS lines at a time by columns
     (_Reader.columns), and a block that route cannot decide line by line
     (_Reader.lines).  Both routes intern into one table, in order of first
-    use, and check a label when it is first met.  The table is sorted, and
-    the rows renumbered to it by one translate over them all, at the end."""
+    use, and check a label when it is first met, and keep the rows in one
+    list, with a set of them for the repeat check.  At the end the set is
+    let go, the table sorted, and the list renumbered to it in place a
+    batch at a time (Atlas._set)."""
     read = _Reader(rs)
     for lines in _line_lists(text):
         while lines:  # each block is let go once read
@@ -577,4 +624,5 @@ def parse_atlas(text, rs: ReducedSet | None = None) -> Atlas:
         raise FormatError("missing atlas header")
     if any(t == ":" for t, _ in read):  # a ring entry; writers refuse it
         raise FormatError("':' is no atlas tile id")
-    return Atlas._packed(read.name, list(read), read.rows)
+    rows, read.seen = read.rows, None  # renumbered without the repeat set
+    return Atlas._packed(read.name, read, rows)

@@ -340,6 +340,7 @@ def orientation_lift(kind: ShapeKind, code: str) -> Isometry:
     return Isometry(m, tuple(-x for x in img[:len(m)]))
 
 
+@lru_cache(maxsize=None)
 def image_kind(kind: ShapeKind, code: str) -> ShapeKind:
     """Shape kind of the image of a `kind` cell under this orientation."""
     space = KIND_SPACE[kind]

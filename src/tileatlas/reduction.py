@@ -73,6 +73,10 @@ class ReducedSet:
     reps: tuple[DecoratedPrototile, ...]
     forward: dict  # source tile id -> (rep id, orientation code)
     inverse: dict = field(init=False, repr=False, compare=False)
+    # each encoded label's character in the source set's box.paint table,
+    # built on first use by the atlas's implicit route: a list of at most
+    # one, which lives and dies with this set
+    painted: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         inv = {}
@@ -83,6 +87,7 @@ class ReducedSet:
                 )
             inv[key] = tid
         object.__setattr__(self, "inverse", inv)
+        object.__setattr__(self, "painted", [])
 
     @property
     def rep_ids(self):

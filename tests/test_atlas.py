@@ -115,19 +115,37 @@ def small_square_set(seed, n, colours):
     return random_tileset(rng, "square2d", n, colours, name=f"s{seed}")
 
 
+def _encoded_atlas(rs, coronas) -> Atlas:
+    """Atlas() of the source `coronas` encoded by `rs`."""
+    def encode(label):
+        return rs.forward[label[0]]
+    return Atlas(rs.name, {Corona(encode(c.center), tuple(map(encode, c.ring)))
+                           for c in coronas})
+
+
 def test_enumerator_matches_brute_force_on_small_sets():
+    # derive_atlas's table holds just the labels that its rows use, as
+    # Atlas()'s does, also on sets with a tile in no corona
+    unused = 0
     for seed, n, colours in ((1, 2, 2), (2, 3, 2), (3, 3, 3), (4, 1, 1)):
         ts = small_square_set(seed, n, colours)
-        assert enumerate_source_coronas(ts) == brute_square_coronas(ts)
+        brute = brute_square_coronas(ts)
+        assert enumerate_source_coronas(ts) == brute
+        rs = reduce_set(ts, "c2")
+        assert derive_atlas(rs) == _encoded_atlas(rs, brute)
+        unused += len(derive_atlas(rs).labels) < len(ts.prototiles)
     both_kinds = 0
     for seed, n, colours in ((11, 3, 1), (7, 4, 1), (14, 4, 1), (2, 3, 2),
                              (12, 2, 1)):
         ts = random_tileset(random.Random(seed), "tri2d", n, colours)
         coronas = enumerate_source_coronas(ts)
         assert coronas == brute_tri_coronas(ts)
+        rs = reduce_set(ts, "c2")
+        assert derive_atlas(rs) == _encoded_atlas(rs, coronas)
+        unused += len(derive_atlas(rs).labels) < len(ts.prototiles)
         centre_kinds = {ts.by_id[c.center[0]].kind for c in coronas}
         both_kinds += len(centre_kinds) == 2
-    assert both_kinds > 0
+    assert both_kinds > 0 and unused > 0
 
 
 def test_triangles6_atlas_is_one_corona_per_tile():
@@ -348,6 +366,31 @@ def test_one_character_table_per_set_dies_with_it():
     assert "painted" not in repr(ts)
     ref = weakref.ref(ts)
     del ts, rs, patch
+    gc.collect()
+    assert ref() is None
+
+
+def test_encoded_characters_die_with_their_reduced_set():
+    # the implicit route reads each encoded label's source character from
+    # one table, composed once and kept in the reduced set's cache field
+    base = load_bundled("triangles6")
+    ts = TileSet(base.name, base.prototiles[::-1], base.rule, base.allowed)
+    rs, twin = reduce_set(ts, "c2"), reduce_set(ts, "c2")
+    atlas = derive_atlas(rs)
+    assert all(corona_in_atlas_implicit(rs, c) for c in atlas.coronas)
+    some = next(iter(atlas.coronas))
+    assert not corona_in_atlas_implicit(rs, Corona(("zz", "t0"), some.ring))
+    chars, ident = paint(ts).chars, identity_code(ts.space)
+    assert rs.painted == [{label: chars[tid, ident]
+                           for label, tid in rs.inverse.items()}]
+    assert not twin.painted
+    assert set(vars(rs)) == {"name", "mode", "source", "reps", "forward",
+                             "inverse", "painted"}
+    # the cache is invisible to equality and repr
+    assert rs == twin and repr(rs) == repr(twin)
+    assert "painted" not in repr(rs)
+    ref = weakref.ref(rs)
+    del rs
     gc.collect()
     assert ref() is None
 
@@ -936,6 +979,55 @@ def _mutants(rng, text, space):
     return mutants
 
 
+def _unsorted_atlases(rng, labels, space):
+    """(what, atlas) for two random atlases over `labels` whose writer-form
+    text meets its labels out of sort order: the first label in sort order
+    only in the ring of the last rows, which sort last, and a first line
+    whose ring lists its labels in reverse sort order."""
+    ring = len(touching_offsets(SPACE_KINDS[space][0]))
+    labels = sorted(labels)
+    low, rest = labels[0], labels[1:]
+    late = {Corona(rng.choice(rest[:-1]), tuple(rng.choices(rest, k=ring)))
+            for _ in range(150)}
+    for k in range(3):
+        around = rng.choices(rest, k=ring - 1)
+        late.add(Corona(rest[-1], tuple(around[:k] + [low] + around[k:])))
+    backwards = {Corona(rng.choice(rest), tuple(rng.choices(labels, k=ring)))
+                 for _ in range(150)}
+    backwards.add(Corona(low, tuple(sorted(rng.choices(labels, k=ring),
+                                           reverse=True))))
+    late, backwards = Atlas("r", late), Atlas("r", backwards)
+    order = sorted(late.rows)
+    assert [k for k, row in enumerate(order) if chr(0) in row] == \
+        [len(order) - 3, len(order) - 2, len(order) - 1]
+    ring = min(backwards.rows)[1:]
+    assert list(ring) == sorted(ring, reverse=True) and len(set(ring)) > 1
+    return [("first label in the last block only", late),
+            ("first ring in reverse sort order", backwards)]
+
+
+def _far_repeats(rng, text):
+    """(text, message) for writer-form `text` with a line of its first
+    block of _ROWS after the first corona line listed again two or more
+    blocks later: as it is, with a comment in the first listing's block and
+    with one in the repeat's block."""
+    rows = tileatlas.atlas._ROWS
+    lines = text.splitlines()
+    first = rng.randrange(2, rows + 1)
+    again = rng.randrange(2 + 2 * rows, len(lines) + 1)
+    out = []
+    for comment in (None, rng.randrange(2, first + 1),
+                    rng.randrange(2 + 2 * rows, again + 1)):
+        changed = lines[:again] + [lines[first]] + lines[again:]
+        if comment is not None:
+            changed[comment + (comment > again):comment] = ["# a comment"]
+        k = changed.index(lines[first])
+        out.append(("\n".join(changed) + "\n",
+                    f"line {changed.index(lines[first], k + 1) + 1}: "
+                    f"repeats the corona of line {k + 1}"))
+    return out
+
+
 @pytest.mark.parametrize("name, mode, seed", [
     ("wang13", "c1", 1), ("triangles6", "c2", 2), ("cubes21", "c2", 3)])
 def test_column_route_reads_as_the_line_reader(monkeypatch, name, mode, seed):
@@ -982,6 +1074,23 @@ def test_column_route_reads_as_the_line_reader(monkeypatch, name, mode, seed):
                 want = _parse_outcome(mutant, rs_given)
                 assert got == [want, want], (what, rs_given)
         assert not all(taken)  # some mutant left a block to the line reader
+        # labels met out of sort order: the rows read before the first
+        # label in sort order is met are renumbered with the others
+        for what, atlas in _unsorted_atlases(rng, labels, space):
+            text = serialize_atlas(atlas)
+            monkeypatch.setattr(reader, "columns", counted_columns)
+            taken.clear(), by_lines.clear()
+            assert parse_atlas(text, given) == atlas, what
+            assert all(taken) and by_lines == text.splitlines()[:2], what
+            assert _parse_in_every_form(text) == atlas, what
+        # a repeat names both lines, also where its first listing was read
+        # two or more blocks before, and by either route
+        for text, message in _far_repeats(rng, serialize_atlas(atlas)):
+            for route in (counted_columns, lambda self, block: False):
+                monkeypatch.setattr(reader, "columns", route)
+                cut = rng.randrange(len(text) + 1)
+                for form in (text, [text[:cut], text[cut:]]):
+                    assert _parse_outcome(form, None) == message
 
 
 def test_corona_window_is_searched_in_scan_order():
