@@ -13,7 +13,7 @@ against the materialized atlas, or implicitly by decoding the corona back to
 source tiles and checking the facet rule directly; the two routes agree.
 
 Both the enumerator's re-check and the implicit route read rows packed
-by the source set's one character table, `box.paint`, across the corona
+by the source set's one tile table, `TileSet.table`, across the corona
 window of their centre kind (the window module).
 
 An `Atlas` is stored packed: a sorted table of the (tile, code) labels its
@@ -33,8 +33,8 @@ lies in its region and fills at least 1/2^dim of the box.  Any other patch
 is read a cell at a time: corona_of's walk of the corona's labels, packed
 straight into a row by the atlas's table.
 
-Rows are packed without a lookup per label: the enumerator's search labels
-are the characters of the set's table, so a window's row is its solution
+Rows are packed without a lookup per label: the engine's labels are the
+characters of the set's table, so a window's row is its solution
 reordered and joined.  Each constructor gives `Atlas._set` a table of just
 the labels that its rows use (the enumerator's are looked for in the joined
 rows), which it sorts; the rows are renumbered in place, a batch at a time
@@ -77,10 +77,10 @@ from .geometry import (
     touching_offsets,
 )
 from .box import (TOUCHING, bounds, box, cells_in_region, corona_rows,
-                  label_of, paint)
+                  label_of)
 from .text import (FormatError, _code, _corona_columns, _line_lists,
                    _token, _tokens)
-from .tileset import Patch, RegionSpec, TileSet, identity_code
+from .tileset import Patch, RegionSpec, TileSet
 from .reduction import ReducedSet
 from .search import check_count, region_search
 from .window import _corona_window, _refusal, _row_ok, _rows_ok
@@ -305,17 +305,17 @@ _BATCH = 4096
 
 
 def _enumerate(ts: TileSet, node_cap: int) -> tuple[dict, list]:
-    """Every locally valid corona window of `ts`, packed: the set's
-    character table (box.paint's, label -> character) and one row per
-    window, centre first.  Each centre kind's rows pass the window check
-    before they are admitted, and before the cap raises BudgetExceeded.
-    The engine's labels are the row characters (`pack`), so a solution is
-    packed by reordering and joining them.  A cap that is not a node count
-    is refused."""
+    """Every locally valid corona window of `ts`, packed: the alphabet of
+    the set's tile table (label -> character) and one row per window,
+    centre first.  Each centre kind's rows pass the window check before
+    they are admitted, and before the cap raises BudgetExceeded.  The
+    engine's labels are the row characters, so a solution is packed by
+    reordering and joining them.  A cap that is not a node count is
+    refused."""
     check_count(node_cap, "node cap")
     if ts.allowed != "translations":
         raise FormatError("corona enumeration expects a translation-placed set")
-    table = paint(ts)
+    table = ts.table
     rows, nodes = [], 0
     for kind in SPACE_KINDS[ts.space]:
         window = _corona_window(kind)
@@ -324,7 +324,6 @@ def _enumerate(ts: TileSet, node_cap: int) -> tuple[dict, list]:
         start = len(rows)
         _, _, spent, _, _ = region_search(
             ts, window.region, node_cap - nodes, cells=window.order,
-            pack=table.chars,
             each=lambda found: rows.append("".join(pick(found))))
         for k in range(start, len(rows), _BATCH):
             batch = rows[k:k + _BATCH]
@@ -358,10 +357,10 @@ def enumerate_source_coronas(ts: TileSet,
 
     `node_cap` bounds the nodes summed over the centre kinds.  Every complete
     assignment is re-verified by the set's window check before it is
-    admitted: each label must be one that the set's placement table,
-    `ts.legal`, holds for its window cell's kind (read through box.paint),
-    and every pair that facet_pairs lists for the window is tested against
-    the rule on the facet colours read there.
+    admitted: each label must be one that the set's tile table,
+    `ts.table`, holds for its window cell's kind, and every pair that
+    facet_pairs lists for the window is tested against the rule on the
+    facet colours read there.
     """
     chars, rows = _enumerate(ts, node_cap)
     return set(Atlas._packed(ts.name, _in_use(chars, rows), rows).coronas)
@@ -384,30 +383,17 @@ def derive_atlas(rs: ReducedSet, node_cap: int = DEFAULT_NODE_CAP) -> Atlas:
 
 def corona_in_atlas_implicit(rs: ReducedSet, corona: Corona) -> bool:
     """Decide membership without the materialized atlas: pack the corona
-    as a row of the source set's character table (box.paint), through
-    each encoded label's character (_encoded_chars), and check it across
-    the window of the centre's kind, as the enumerator's re-check reads its
-    rows by column; a ring of another length reads as the wrong kinds."""
+    as a row of the source set's tile table, through each encoded label's
+    character (rs.chars), and check it across the window of the centre's
+    kind, as the enumerator's re-check reads its rows by column; a ring of
+    another length reads as the wrong kinds."""
     try:
-        row = "".join(map(_encoded_chars(rs).__getitem__,
-                          (corona.center, *corona.ring)))
+        row = "".join(map(rs.chars.__getitem__, (corona.center, *corona.ring)))
     except KeyError:  # an entry encodes no source tile
         return False
     ts = rs.source
-    return _row_ok(paint(ts), _corona_window(
+    return _row_ok(ts.table, _corona_window(
         ts.by_id[rs.inverse[corona.center]].kind), row)
-
-
-def _encoded_chars(rs: ReducedSet) -> dict:
-    """Encoded label -> the character of the source tile it encodes in
-    box.paint's table: rs.inverse composed with the table once, and kept in
-    rs.painted."""
-    if not rs.painted:
-        chars, ident = paint(rs.source).chars, identity_code(rs.source.space)
-        rs.painted.append({label: chars[tid, ident]
-                           for label, tid in rs.inverse.items()
-                           if (tid, ident) in chars})
-    return rs.painted[0]
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,12 @@ are one slice of each run, and those neighbours another (`_met`).
 string of label characters, turned once per touching offset
 (`corona_rows`).
 
-A set's labels are characters of one table (`paint`), compiled once from
-`TileSet.legal` and kept on the set: a label is legal on one cell kind, and
-str.translate tables take a character to its kind and, per facet, to the
-colour it shows there.  The corona window's checks (the window module)
-read it too.
+A set's labels are characters of its one tile table (`tile_table`),
+compiled when the set is made and kept on it as `TileSet.table`: a label is
+legal on one cell kind, and str.translate tables take a character to its
+kind and, per facet, to the hue it shows there, a character for its colour.
+The search engine, `patch_valid`'s pair walk and the corona window's checks
+(the window module) read the same table.
 
 `patch_valid` reads a patch that lies in its region and fills it by the
 dense route (`dense_valid`): its labels, in sorted cell order, are packed
@@ -24,7 +25,7 @@ into one string, which translated to kinds must be the region's kind
 string (on tri2d the up cells are the even characters and the down cells
 the odd ones).  Each facet-sharing pair is met from one side
 (`facet_steps`): per step, both kinds' strings are translated to the
-colours their facets show and compared, the neighbour's turned by the step
+hues their facets show and compared, the neighbour's turned by the step
 on a torus and sliced on a free region; under `identical` that is one
 string comparison, and a table rule tests the pairs of characters.
 
@@ -165,50 +166,53 @@ class _Deleting(dict):
         return None
 
 
-class Paint(NamedTuple):
-    """A set's labels as characters; see paint."""
+class TileTable(NamedTuple):
+    """A set's one compiled tile table; see tile_table."""
 
-    chars: dict  # label -> its character, kind by kind
+    chars: dict  # label -> its character, the alphabet kind by kind
+    hues: dict  # cell kind -> {character: the hues it shows, per facet}
     kinds: dict  # character -> chr(k) for its kind's index k
-    colours: list  # per facet: character -> the colour it shows there
-    test: Callable  # the rule's test of two equal-length colour strings
+    colours: list  # per facet: character -> the hue it shows there
+    ints: list  # the sorted colours: hue chr(h) stands for ints[h]
+    test: Callable  # the rule's test of two equal-length hue sequences
 
 
-def paint(ts) -> Paint:
-    """The one character table of `ts`, compiled from `ts.legal` once and
-    kept on the set: chr(i) for the i-th label of the set's lattice's kinds
-    in turn (a label is legal on one kind), a str.translate table from each
-    character to its kind and, per facet, one to the colour it shows there,
-    chr(h) for the h-th of the sorted colours, and the rule's test of two
-    strings of such colours."""
-    if not ts.painted:
-        legal = [(chr(k), label, eff)
-                 for k, kind in enumerate(SPACE_KINDS[ts.space])
-                 for label, eff in ts.legal[kind].items()]
-        hue = {c: chr(h) for h, c in enumerate(
-            sorted({c for *_, eff in legal for c in eff}))}
-        pairs = {(hue[a], hue[b]) for a, b in ts.rule.pairs
-                 if a in hue and b in hue}
-        ts.painted.append(Paint(
-            {label: chr(i) for i, (_, label, _) in enumerate(legal)},
-            _Deleting({i: k for i, (k, _, _) in enumerate(legal)}),
-            [{i: hue[eff[f]] for i, (_, _, eff) in enumerate(legal)}
-             for f in range(FACET_COUNT[SPACE_KINDS[ts.space][0]])],
-            eq if ts.rule.kind == "identical"
-            else lambda xs, ys: pairs.issuperset(zip(xs, ys))))
-    return ts.painted[0]
+def tile_table(space: str, legal, rule) -> TileTable:
+    """The tile table of a set on `space` under `rule`, compiled from
+    `legal`, its (kind, label, facet colours) triples for each kind of the
+    lattice in turn (a label is legal on one kind): chr(i) for the i-th
+    label, chr(h) for the h-th of the sorted colours, per kind its labels'
+    characters and their hue tuples, a str.translate table from each
+    character to its kind and, per facet, one to the hue it shows there,
+    and the rule's test of two sequences of hues."""
+    kinds = SPACE_KINDS[space]
+    ints = sorted({c for *_, eff in legal for c in eff})
+    hue = {c: chr(h) for h, c in enumerate(ints)}
+    tuples = [tuple(map(hue.__getitem__, eff)) for *_, eff in legal]
+    hues = {kind: {} for kind in kinds}
+    for i, (kind, _, _) in enumerate(legal):
+        hues[kind][chr(i)] = tuples[i]
+    pairs = {(hue[a], hue[b]) for a, b in rule.pairs
+             if a in hue and b in hue}
+    return TileTable(
+        {label: chr(i) for i, (_, label, _) in enumerate(legal)}, hues,
+        _Deleting({i: chr(kinds.index(kind))
+                   for i, (kind, _, _) in enumerate(legal)}),
+        [dict(enumerate(column)) for column in zip(*tuples)], ints,
+        eq if rule.kind == "identical"
+        else lambda xs, ys: pairs.issuperset(zip(xs, ys)))
 
 
 def dense_valid(ts, patch) -> bool:
     """Whether `patch`, whose cells lie in its region, fills the region with
-    placements that `ts.legal` holds for their cells' kinds and meets the
+    placements that `ts.table` holds for their cells' kinds and meets the
     facet rule on every facet-sharing pair.  False where it does not or the
     patch is sparse: patch_valid then runs its pair walk."""
     region, placements = patch.region, patch.placements
     ext = bounds(region)
     if ts.space != region.space or len(placements) != prod(ext):
         return False
-    table, step = paint(ts), len(SPACE_KINDS[ts.space])
+    table, step = ts.table, len(SPACE_KINDS[ts.space])
     try:
         text = "".join(map(table.chars.__getitem__, map(label_of, map(
             placements.__getitem__, product(*map(range, ext))))))

@@ -73,10 +73,10 @@ class ReducedSet:
     reps: tuple[DecoratedPrototile, ...]
     forward: dict  # source tile id -> (rep id, orientation code)
     inverse: dict = field(init=False, repr=False, compare=False)
-    # each encoded label's character in the source set's box.paint table,
-    # built on first use by the atlas's implicit route: a list of at most
-    # one, which lives and dies with this set
-    painted: list = field(init=False, repr=False, compare=False)
+    # encoded label -> the character of the source tile it encodes in the
+    # source set's tile table: `inverse` composed with its alphabet, which
+    # the atlas's implicit route packs a corona by
+    chars: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         inv = {}
@@ -87,7 +87,11 @@ class ReducedSet:
                 )
             inv[key] = tid
         object.__setattr__(self, "inverse", inv)
-        object.__setattr__(self, "painted", [])
+        alphabet = self.source.table.chars
+        ident = identity_code(self.source.space)
+        object.__setattr__(self, "chars", {
+            label: alphabet[tid, ident] for label, tid in inv.items()
+            if (tid, ident) in alphabet})
 
     @property
     def rep_ids(self):

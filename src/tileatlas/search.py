@@ -1,14 +1,16 @@
 """The search engine shared by the region solver and the corona enumerator.
 
 `region_search` is its one entry point: it reads each cell kind's candidate
-list, (label, facet colours), off the set's compiled placement table,
-`TileSet.legal`, which `patch_valid`'s pair walk reads too and from which
-the set's character table (`box.paint`) is compiled, and runs one
-explicit-stack depth-first search over the region's cells, so the number
-of cells is not bounded by Python's recursion limit.  Every
-facet-sharing pair of listed cells that `facet_pairs` lists (torus wrap
-pairs included) is checked exactly once, when the later cell of the pair is
-placed; neighbours outside the list are unconstrained.
+list, (character, hue tuple), off the set's one compiled tile table,
+`TileSet.table`, which `patch_valid` and the window checks read too, and
+runs one explicit-stack depth-first search over the region's cells, so the
+number of cells is not bounded by Python's recursion limit.  It tests the
+rule by the table's test.  A solution is the cells' characters: the solver
+maps them back to (tile, code) labels, and the corona enumerator joins
+them into rows.  Every facet-sharing pair of listed cells that
+`facet_pairs` lists (torus wrap pairs included) is checked exactly once,
+when the later cell of the pair is placed; neighbours outside the list are
+unconstrained.
 The engine re-checks nothing it finds; its callers do.
 
 What depends only on the region and its listed cells is compiled once into
@@ -21,10 +23,10 @@ are per search.
 
 Each cell keeps a colour index: a memo from the colours its earlier
 neighbours show on the checked facets to the candidates that match them all.
-A miss fills it by filtering the cell's candidate list with the facet rule,
-compiled once per search into one test of each candidate's colour tuple on
-those facets against the key; extent-1 wraps, where a candidate meets
-itself, are filtered once up front by the same test.
+A miss fills it by filtering the cell's candidate list with the table's
+test of each candidate's hue tuple on those facets against the key;
+extent-1 wraps, where a candidate meets itself, are filtered once up front
+by the same test.
 Cells with the same candidate list and the same checked facets share one
 memo; without a seed, the cells of one kind have the same list.  With one,
 shuffling each cell's positions draws what shuffling its list would, and
@@ -87,7 +89,6 @@ from .tileset import (
     TileSet,
     facet_pairs,
     region_cells,
-    rule_test,
 )
 
 FOUND = "found"
@@ -99,17 +100,16 @@ MEMO_SIZE = 1 << 16
 
 
 def region_search(ts: TileSet, region: RegionSpec, limit=None, seed=None,
-                  each=None, cells=None, pack=None):
+                  each=None, cells=None):
     """Search the region's cells (all of them, in scan order, unless `cells`
     lists them) for placements of `ts` under its facet rule.
 
-    A solution's labels are (tile, code) pairs, or given `pack`, a mapping
-    from such pairs, their values there: the corona enumerator's row
-    characters, which it joins into rows.  With a seed, each cell's
-    candidate list is shuffled up front, so the first solution is a
-    reproducible pseudo-random one.  `limit` bounds the nodes; `each` is as
-    in `_search`, whose result this returns.  A region off the set's lattice,
-    or a limit that is not None or a node count, is refused, not searched.
+    A solution's labels are the characters of `ts.table`, one per cell.
+    With a seed, each cell's candidate list is shuffled up front, so the
+    first solution is a reproducible pseudo-random one.  `limit` bounds the
+    nodes; `each` is as in `_search`, whose result this returns.  A region
+    off the set's lattice, or a limit that is not None or a node count, is
+    refused, not searched.
     """
     if limit is not None:
         check_count(limit, "node limit")
@@ -117,10 +117,9 @@ def region_search(ts: TileSet, region: RegionSpec, limit=None, seed=None,
         raise FormatError(f"{ts.name} is a {ts.space} set; the region is "
                           f"on {region.space}")
     plan = _plan(region, None if cells is None else tuple(cells))
-    # kind -> (label, facet colours), one list shared by its cells
-    per_kind = {kind: [(label if pack is None else pack[label], e)
-                       for label, e in table.items()]
-                for kind, table in ts.legal.items()}
+    # kind -> (character, hue tuple), one list shared by its cells
+    per_kind = {kind: list(hues.items())
+                for kind, hues in ts.table.hues.items()}
     if seed is None:
         per_cell = [per_kind[kind] for kind in plan.kinds]
     else:
@@ -136,7 +135,7 @@ def region_search(ts: TileSet, region: RegionSpec, limit=None, seed=None,
             if lst is None:
                 lst = orders[key] = [per_kind[kind][p] for p in order]
             per_cell.append(lst)
-    return _search(per_cell, plan, ts.rule, limit, each)
+    return _search(per_cell, plan, ts.table.test, limit, each)
 
 
 def check_count(value, what):
@@ -222,11 +221,12 @@ def _records(checks, width):
     return last, records, tail
 
 
-def _search(per_cell, plan, rule, limit, each=None):
+def _search(per_cell, plan, test, limit, each=None):
     """Depth-first search over the cells with an explicit stack.
 
     `per_cell[i]` lists cell i's candidates as (label, facet colours), the
-    label opaque to the search; `plan` is the cells' _plan.  Without `each`
+    label opaque to the search; `plan` is the cells' _plan, and `test` the
+    rule's test of two equal-length sequences of colours.  Without `each`
     the search stops at the first solution; with it, `each(labels)` is
     called on every solution (a list of the cells' labels that the search
     goes on to change) and the search runs to exhaustion; a count the limit
@@ -238,7 +238,6 @@ def _search(per_cell, plan, rule, limit, each=None):
     survivors and no record holds its walk, and is charged otherwise.
     """
     n = len(per_cell)
-    test = rule_test(rule)
     getter = lru_cache(None)(_getter)  # one getter per facet tuple
     # (candidate list, signature) -> the list, the positions on it that pass
     # the own checks (extent-1 wraps: the candidate meets itself, whatever is

@@ -59,12 +59,16 @@ class SolveResult:
 
 def _checked_search(ts: TileSet, region: RegionSpec, config, each=None
                     ) -> SolveResult:
-    """Run the engine and re-check the first patch it finds."""
+    """Run the engine, map the first solution it finds back to (tile, code)
+    labels and re-check that patch."""
     config = config or SolveConfig()
-    status, labels, nodes, count, replayed = region_search(
+    status, found, nodes, count, replayed = region_search(
         ts, region, config.node_limit, config.seed, each)
     patch = None
-    if labels is not None:
+    if found is not None:
+        # the engine's labels are characters of ts.table: chr(i) for the
+        # i-th label of its alphabet
+        labels = list(map(list(ts.table.chars).__getitem__, map(ord, found)))
         patch = Patch(ts.name, region, placement_map(
             region_cells(region), map(itemgetter(0), labels),
             map(itemgetter(1), labels)))

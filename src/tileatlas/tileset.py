@@ -17,10 +17,11 @@ import gc
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import product, tee
-from operator import eq, itemgetter, ne
+from operator import itemgetter, ne
 from typing import NamedTuple
 
-from .box import bounds, cells_in_region, dense_valid, label_of
+from .box import (TileTable, bounds, cells_in_region, dense_valid,
+                  label_of, tile_table)
 from .text import FormatError, _code, _columns, _content_lines, _token
 from .geometry import (
     FACET_COUNT,
@@ -70,15 +71,6 @@ def rule_eval(rule: FacetRule, a: Colour, b: Colour) -> bool:
     return (a, b) in rule.pairs
 
 
-def rule_test(rule: FacetRule):
-    """The rule as one test of two equal-length colour tuples: true when
-    rule_eval accepts every position's pair."""
-    if rule.kind == "identical":
-        return eq
-    pairs = rule.pairs
-    return lambda xs, ys: pairs.issuperset(zip(xs, ys))
-
-
 @dataclass(frozen=True)
 class Prototile:
     id: str
@@ -107,13 +99,11 @@ class TileSet:
     allowed: str  # "translations" | "all"
     space: str = field(init=False, repr=False, compare=False)
     by_id: dict = field(init=False, repr=False, compare=False)
-    # cell kind -> (tile, code) -> facet colours, for every code allowed on
-    # the kind, in prototile then code order; read by the engine and the
-    # pair walk of patch_valid, and compiled into box.paint's characters
-    legal: dict = field(init=False, repr=False, compare=False)
-    # box.paint's character table, built on first use: a list of at most
-    # one, which lives and dies with this set
-    painted: list = field(init=False, repr=False, compare=False)
+    # the one compiled tile table (box.tile_table) of every (tile, code)
+    # allowed on each cell kind, in prototile then code order, with the
+    # colours it shows there; read by the engine, both routes of
+    # patch_valid and the window checks
+    table: TileTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.allowed not in ("translations", "all"):
@@ -127,14 +117,12 @@ class TileSet:
                               f"{sorted(spaces)}")
         object.__setattr__(self, "space", spaces.pop())
         object.__setattr__(self, "by_id", {p.id: p for p in self.prototiles})
-        object.__setattr__(self, "legal", {
-            kind: {(p.id, code): effective_facets(
-                       self, Placement(origin_cell(kind), p.id, code))
-                   for p in self.prototiles
-                   for code in placement_orientations(self.allowed, p.kind,
-                                                      kind)}
-            for kind in SPACE_KINDS[self.space]})
-        object.__setattr__(self, "painted", [])
+        object.__setattr__(self, "table", tile_table(self.space, [
+            (kind, (p.id, code),
+             effective_facets(self, Placement(origin_cell(kind), p.id, code)))
+            for kind in SPACE_KINDS[self.space] for p in self.prototiles
+            for code in placement_orientations(self.allowed, p.kind, kind)],
+            self.rule))
 
 
 class Placement(NamedTuple):
@@ -299,12 +287,14 @@ def patch_valid(ts: TileSet, patch: Patch) -> tuple[bool, tuple[str, ...]]:
 
     The region is checked once for all placed cells.  A patch that lies in
     it and fills it is first read in one pass by the box module's dense
-    route, which only accepts.  Otherwise, the pair walk: each placement is
-    looked up in `ts.legal` under its cell's kind, and placement_ok words
-    only the placements that the table refuses; each cell is checked
-    against the region only when some cell lies outside.
+    route, which only accepts.  Otherwise, the pair walk: each placement's
+    character in `ts.table` is looked up among its cell kind's, and
+    placement_ok words only the placements that the table refuses; each
+    cell is checked against the region only when some cell lies outside.
+    The hues that the pairs' two ends show are tested at once by the
+    table's test, and a failure is worded with the integer colours.
     """
-    region = patch.region
+    region, table = patch.region, ts.table
     violations = []
     eff = {}
     inside = cells_in_region(region, patch.placements)
@@ -313,10 +303,10 @@ def patch_valid(ts: TileSet, patch: Patch) -> tuple[bool, tuple[str, ...]]:
     for cell, pl in patch.placements.items():
         facets = None
         # cell_kind reads lattice cells only; another lattice's kind has no
-        # table in ts.legal
+        # hues in ts.table
         if inside or cell_in_region(region, cell):
-            facets = ts.legal.get(cell_kind(region.space, cell), {}).get(
-                (pl.tile, pl.orientation))
+            facets = table.hues.get(cell_kind(region.space, cell), {}).get(
+                table.chars.get((pl.tile, pl.orientation)))
         if facets is None:
             violations.append(placement_ok(ts, region, pl))
         else:
@@ -326,7 +316,8 @@ def patch_valid(ts: TileSet, patch: Patch) -> tuple[bool, tuple[str, ...]]:
     cols = [eff[c] for c in cells]
     xs = tuple([cols[i][f] for i, f, _, _ in pairs])
     ys = tuple([cols[j][nf] for _, _, j, nf in pairs])
-    if not rule_test(ts.rule)(xs, ys):
+    if not table.test(xs, ys):
+        xs, ys = ([table.ints[ord(h)] for h in hs] for hs in (xs, ys))
         violations += [
             f"facet rule fails between {cells[i]} facet {facet} (colour {a}) "
             f"and {cells[j]} facet {nfacet} (colour {b})"

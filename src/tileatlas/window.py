@@ -1,25 +1,23 @@
 """The corona window of each cell kind and the checks that read it with
-a source set's character table: what the atlas enumerator re-checks its
-rows with, and what the implicit membership route reads.
+a source set's tile table: what the atlas enumerator re-checks its rows
+with, and what the implicit membership route reads.
 
-A window is packed as a row, one character per cell: the character that
-the set's one table, `box.paint`, gives the cell's (tile, code) label.
-That table is compiled once per set from its placement table,
-`TileSet.legal`, which the engine and `patch_valid` read too; the dense
-route of `patch_valid` reads the same characters.  What depends only on
-the window, its cells' kind string and the positions of the pairs that
-`facet_pairs` lists for it (the pair list of `patch_valid`'s walk, which
-the tests check against an oracle of coinciding facet midpoints), is kept
-with the window.
+A window is packed as a row, one character per cell: the character that the
+set's one tile table, `TileSet.table`, gives the cell's (tile, code) label.
+The engine, which yields those characters, and both routes of `patch_valid`
+read the same table.  What depends only on the window, its cells' kind
+string and the positions of the pairs that `facet_pairs` lists for it (the
+pair list of `patch_valid`'s walk, which the tests check against an oracle
+of coinciding facet midpoints), is kept with the window.
 
 The implicit route packs the decoded corona and translates the row once
-to kinds, which must be the window's, and once per facet to colours, and
-tests the pairs' two colour sequences at once by the rule.  The
+to kinds, which must be the window's, and once per facet to hues, and
+tests the pairs' two hue sequences at once by the table's test.  The
 enumerator, one `region_search` per centre kind over the corona window
 (in scan order; a node is a candidate tried at any window cell), reads its
 rows the same way a few thousand at a time: their joined text is
 translated once to kinds and once per facet, and each pair's two columns,
-slices of those colour strings, are tested by the rule once.  A batch
+slices of those hue strings, are tested by the rule once.  A batch
 passes exactly when every row would.  The check only decides: a batch it
 refuses, which only a faulty engine yields, is named by `patch_valid` on
 each row's window in turn.
@@ -32,7 +30,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import NamedTuple
 
-from .box import Paint
+from .box import TileTable
 from .geometry import (
     KIND_SPACE,
     SPACE_KINDS,
@@ -62,7 +60,7 @@ class Window(NamedTuple):
     order: tuple  # the cells in the region's scan order
     pairs: tuple  # facet_pairs of the cells
     kinds: str  # per cell, chr(k) for its kind's index k
-    # the pairs' two ends, read off the row's colour strings joined
+    # the pairs' two ends, read off the row's hue strings joined
     xs: Callable
     ys: Callable
 
@@ -94,23 +92,23 @@ def _corona_window(kind: ShapeKind) -> Window:
         itemgetter(*[nf * n + j for _, _, j, nf in pairs]))
 
 
-def _row_ok(table: Paint, window: Window, row: str) -> bool:
+def _row_ok(table: TileTable, window: Window, row: str) -> bool:
     """Whether the window packed as `row`, one character of `table` per
     cell, is legal on every cell and meets the rule on every pair."""
     if row.translate(table.kinds) != window.kinds:
         return False
-    colours = "".join([row.translate(t) for t in table.colours])
-    return table.test(window.xs(colours), window.ys(colours))
+    hues = "".join([row.translate(t) for t in table.colours])
+    return table.test(window.xs(hues), window.ys(hues))
 
 
-def _rows_ok(table: Paint, window: Window, rows) -> bool:
+def _rows_ok(table: TileTable, window: Window, rows) -> bool:
     """Whether every row passes _row_ok, read a column at a time: each
     cell's column is every n-th character of the joined rows."""
     joined, n = "".join(rows), len(window.cells)
     if joined.translate(table.kinds) != window.kinds * len(rows):
         return False
-    colours = [joined.translate(t) for t in table.colours]
-    return all(table.test(colours[f][i::n], colours[nf][j::n])
+    hues = [joined.translate(t) for t in table.colours]
+    return all(table.test(hues[f][i::n], hues[nf][j::n])
                for i, f, j, nf in window.pairs)
 
 

@@ -4,6 +4,7 @@ import itertools
 import random
 from itertools import repeat
 
+from tileatlas import search
 from tileatlas.atlas import Corona
 from tileatlas.geometry import (
     FACET_COUNT,
@@ -39,6 +40,17 @@ def random_tileset(rng: random.Random, space: str, n: int, colours: int = 5,
         cols = tuple(rng.randint(0, colours) for _ in range(FACET_COUNT[kind]))
         tiles.append(Prototile(f"p{i}", kind, cols))
     return TileSet(name, tuple(tiles), FacetRule("identical"), "translations")
+
+
+def engine_accepting_every_pair(monkeypatch):
+    """Hand the search engine a facet test that accepts every pair, in
+    place of the set's table test; the re-checks of the engine's callers
+    read the table's own test, which stays as it is."""
+    engine = search._search
+    monkeypatch.setattr(search, "_search",
+                        lambda per_cell, plan, test, limit, each=None:
+                        engine(per_cell, plan, lambda xs, ys: True, limit,
+                               each))
 
 
 def brute_square_coronas(ts: TileSet) -> set:

@@ -5,8 +5,8 @@ assignment (center times 3^8 ring fillings) through patch_valid; on small
 triangle sets, grow every filling of the 13-cell window through patch_valid;
 and compare the resulting corona sets.  Membership is checked along two routes
 (materialized atlas vs decode-and-check) that must always agree, and the
-implicit route's row check, which reads the source set's one character
-table (box.paint), is compared with decoding the corona and running
+implicit route's row check, which reads the source set's one tile table
+(TileSet.table), is compared with decoding the corona and running
 patch_valid on the whole window.  The enumerator's re-check by column reads
 the same table; it is compared with patch_valid on each window of crafted
 batches.
@@ -27,7 +27,8 @@ from operator import itemgetter
 
 import pytest
 
-from conftest import (UNREADABLE, brute_square_coronas, kari_orbit_patch,
+from conftest import (UNREADABLE, brute_square_coronas,
+                      engine_accepting_every_pair, kari_orbit_patch,
                       kari_tile, random_tileset)
 import tileatlas.atlas
 from tileatlas.atlas import (
@@ -47,7 +48,6 @@ from tileatlas.atlas import (
     parse_atlas,
     serialize_atlas,
 )
-from tileatlas.box import paint
 from tileatlas.geometry import (
     FACET_COUNT,
     KIND_SPACE,
@@ -345,8 +345,9 @@ def test_implicit_route_matches_decode_oracle():
 
 
 def test_one_character_table_per_set_dies_with_it():
-    # the enumerator, the implicit route and patch_valid's dense route read
-    # one table, kept in the set's one cache field
+    # the engine, the enumerator, the implicit route and both routes of
+    # patch_valid read one table, compiled when the set is made and kept in
+    # its one table field
     base = load_bundled("wang13")
     rng = random.Random(5)
     args = (base.name, tuple(rng.sample(base.prototiles, len(base.prototiles))),
@@ -359,11 +360,11 @@ def test_one_character_table_per_set_dies_with_it():
     patch = solve(ts, RegionSpec("square2d", (4, 4), False)).patch
     assert patch_valid(ts, patch) == (True, ())
     assert set(vars(ts)) == {"name", "prototiles", "rule", "allowed",
-                             "space", "by_id", "legal", "painted"}
-    assert ts.painted == [paint(ts)] and not twin.painted
-    # the cache is invisible to equality, hashing and repr
+                             "space", "by_id", "table"}
+    assert ts.table is not twin.table and ts.table == twin.table
+    # the table is invisible to equality, hashing and repr
     assert ts == twin and hash(ts) == hash(twin) and repr(ts) == repr(twin)
-    assert "painted" not in repr(ts)
+    assert "table=" not in repr(ts)
     ref = weakref.ref(ts)
     del ts, rs, patch
     gc.collect()
@@ -372,7 +373,7 @@ def test_one_character_table_per_set_dies_with_it():
 
 def test_encoded_characters_die_with_their_reduced_set():
     # the implicit route reads each encoded label's source character from
-    # one table, composed once and kept in the reduced set's cache field
+    # one table, composed when the reduced set is made and kept on it
     base = load_bundled("triangles6")
     ts = TileSet(base.name, base.prototiles[::-1], base.rule, base.allowed)
     rs, twin = reduce_set(ts, "c2"), reduce_set(ts, "c2")
@@ -380,15 +381,15 @@ def test_encoded_characters_die_with_their_reduced_set():
     assert all(corona_in_atlas_implicit(rs, c) for c in atlas.coronas)
     some = next(iter(atlas.coronas))
     assert not corona_in_atlas_implicit(rs, Corona(("zz", "t0"), some.ring))
-    chars, ident = paint(ts).chars, identity_code(ts.space)
-    assert rs.painted == [{label: chars[tid, ident]
-                           for label, tid in rs.inverse.items()}]
-    assert not twin.painted
+    chars, ident = ts.table.chars, identity_code(ts.space)
+    assert rs.chars == {label: chars[tid, ident]
+                        for label, tid in rs.inverse.items()}
+    assert rs.chars is not twin.chars and rs.chars == twin.chars
     assert set(vars(rs)) == {"name", "mode", "source", "reps", "forward",
-                             "inverse", "painted"}
-    # the cache is invisible to equality and repr
+                             "inverse", "chars"}
+    # the table is invisible to equality and repr
     assert rs == twin and repr(rs) == repr(twin)
-    assert "painted" not in repr(rs)
+    assert "chars=" not in repr(rs)
     ref = weakref.ref(rs)
     del rs
     gc.collect()
@@ -601,6 +602,24 @@ def test_missing_coronas_matches_per_cell_oracle(monkeypatch):
     for what in ("whole", "hole", "unknown"):
         for torus in (False, True):
             assert seen[what, torus, "box"] > 15, seen
+
+    # a hole and a label the atlas lacks in one patch, each read as its
+    # own spare character in one box read, on each lattice, free and torus
+    for space, extents in (("square2d", (5, 4)), ("tri2d", (4, 3)),
+                           ("cube3d", (4, 3, 3))):
+        for torus in (False, True):
+            atlas, patch, _ = random_case(RegionSpec(space, extents, torus))
+            placements = dict(patch.placements)
+            hole, foreign = rng.sample(sorted(placements), 2)
+            del placements[hole]
+            placements[foreign] = placements[foreign]._replace(tile="zz")
+            (missing, complete), route = read(
+                atlas, Patch("p", patch.region, placements))
+            assert route == "box"
+            _, whole = oracle_missing_coronas(atlas, patch)
+            seen["both", "holed"] += whole - complete
+            seen["both", "foreign"] += foreign in missing
+    assert seen["both", "holed"] > 5 and seen["both", "foreign"] > 1, seen
 
     # a cell outside its free region, next to it or far off, sends the
     # patch cell by cell; the cells inside keep their coronas
@@ -1143,13 +1162,11 @@ def test_parse_atlas_accepts_each_lattice():
 
 def test_admit_recheck_catches_engine_faults(monkeypatch):
     # an engine whose facet test accepts every tuple yields invalid
-    # coronas; the enumerator's own re-check must refuse the first of them,
-    # and patch_valid names the fault.  The cap keeps a dropped re-check
-    # from enumerating all 13^9 fillings: it ends in BudgetExceeded, whose
-    # message does not match.
-    import tileatlas.search
-    monkeypatch.setattr(tileatlas.search, "rule_test",
-                        lambda rule: lambda xs, ys: True)
+    # coronas; the enumerator's own re-check, which reads the set's table
+    # test, must refuse the first of them, and patch_valid names the fault.
+    # The cap keeps a dropped re-check from enumerating all 13^9 fillings:
+    # it ends in BudgetExceeded, whose message does not match.
+    engine_accepting_every_pair(monkeypatch)
     with pytest.raises(RuntimeError,
                        match="^incremental checks admitted an invalid corona: "
                              "facet rule fails between "):
@@ -1170,9 +1187,7 @@ def test_refused_batch_raises_though_patch_valid_accepts_it(monkeypatch):
 
 def test_derive_atlas_rechecks_every_corona(monkeypatch):
     # derive_atlas packs what the same re-check admits
-    import tileatlas.search
-    monkeypatch.setattr(tileatlas.search, "rule_test",
-                        lambda rule: lambda xs, ys: True)
+    engine_accepting_every_pair(monkeypatch)
     with pytest.raises(RuntimeError,
                        match="incremental checks admitted an invalid corona"):
         derive_atlas(reduce_set(load_bundled("wang13"), "c2"), node_cap=1000)
@@ -1201,12 +1216,15 @@ WINDOW_KINDS = (("wang13", (ShapeKind.SQUARE,)),
 
 
 def test_paint_matches_per_cell_placements():
-    # a set's one character table: every label that placement_ok accepts
-    # on a cell of some kind, kind by kind in prototile then code order, is
-    # chr(i) for the i-th of them, legal on exactly one kind, and its colour
-    # per facet is the one effective_facets reads there, chr(h) for the
-    # h-th sorted colour; on the three lattices, placed by translations and
-    # by all isometries, and on tri2d sets with up triangles only
+    # a set's one tile table: every label that placement_ok accepts on a
+    # cell of some kind, kind by kind in prototile then code order, is
+    # chr(i) for the i-th of them, legal on exactly one kind, and its hue
+    # per facet, in its hue tuple under its kind and in that facet's
+    # translate table, stands for the colour effective_facets reads there:
+    # chr(h) for the h-th of the sorted integer colours.  On the three
+    # lattices, placed by translations and by all isometries, and on tri2d
+    # sets with up triangles only; the table is invisible to equality,
+    # hashing and repr
     rng = random.Random(7)
     sets = [load_bundled(name) for name, _ in WINDOW_KINDS]
     sets += [random_tileset(rng, space, rng.randint(1, 5), 4)
@@ -1220,7 +1238,7 @@ def test_paint_matches_per_cell_placements():
     for base in sets:
         for allowed in ("translations", "all"):
             ts = TileSet(base.name, base.prototiles, base.rule, allowed)
-            space, table = ts.space, paint(ts)
+            space, table = ts.space, ts.table
             kinds = SPACE_KINDS[space]
             region = RegionSpec(space, (2,) * space_dim(space), False)
             found = {}  # label -> (kind index, facets), per kind accepting it
@@ -1238,18 +1256,31 @@ def test_paint_matches_per_cell_placements():
             assert all(len(hits) == 1 for hits in found.values())
             colours = sorted({c for ((_, eff),) in found.values()
                               for c in eff})
+            assert table.ints == colours
             assert len(table.colours) == FACET_COUNT[kinds[0]]
+            assert list(table.hues) == list(kinds)
+            for k, kind in enumerate(kinds):
+                assert list(table.hues[kind]) == [
+                    table.chars[label] for label, ((j, _),) in found.items()
+                    if j == k], (ts.name, allowed, kind)
             for label, ((k, eff),) in found.items():
-                i = ord(table.chars[label])
+                ch = table.chars[label]
+                i = ord(ch)
                 assert table.kinds[i] == chr(k), (ts.name, allowed, label)
-                assert [colours[ord(to[i])] for to in table.colours] == \
-                    list(eff), (ts.name, allowed, label)
+                hues = table.hues[kinds[k]][ch]
+                assert [to[i] for to in table.colours] == list(hues)
+                assert [colours[ord(h)] for h in hues] == list(eff), \
+                    (ts.name, allowed, label)
             assert len(table.kinds) == len(found)
             assert all(len(to) == len(found) for to in table.colours)
             # a character outside the table reads as no kind
             for ch in (chr(len(found)), chr(len(found) + 1), "\uffff"):
                 assert ch.translate(table.kinds) == ""
             short += len(found) < len(kinds)
+            twin = TileSet(ts.name, ts.prototiles, ts.rule, ts.allowed)
+            assert ts == twin and hash(ts) == hash(twin)
+            assert repr(ts) == repr(twin) and "table=" not in repr(ts)
+            assert ts.table is not twin.table
     assert short
 
 
@@ -1261,7 +1292,7 @@ def test_row_checks_refuse_characters_outside_the_table():
     up = TileSet("up", (Prototile("u", ShapeKind.TRI_UP, (1, 2, 1)),),
                  FacetRule("table", frozenset({(1, 2), (2, 2)})),
                  "translations")
-    table = paint(up)
+    table = up.table
     assert len(table.chars) == 1
     window = tileatlas.atlas._corona_window(ShapeKind.TRI_UP)
     row = window.kinds  # chr(0) on up cells, chr(1) on down ones
@@ -1270,7 +1301,7 @@ def test_row_checks_refuse_characters_outside_the_table():
     seen = 0
     for name, kinds in WINDOW_KINDS:
         ts = load_bundled(name)
-        table = paint(ts)
+        table = ts.table
         for kind in kinds:
             window = tileatlas.atlas._corona_window(kind)
             valid = window_rows(ts, kind, 20000, table.chars)[:3]
@@ -1288,13 +1319,15 @@ def test_row_checks_refuse_characters_outside_the_table():
 
 def window_rows(ts, kind, limit, chars):
     """Valid windows of `ts` that the engine yields within `limit` nodes,
-    packed as the enumerator packs them, by `chars` (box.paint's)."""
+    packed as the enumerator packs them, and then each character of
+    `ts.table` taken to the one that `chars` gives its label."""
     window = tileatlas.atlas._corona_window(kind)
     pick = itemgetter(*map(window.order.index, window.cells))
     rows = []
-    region_search(ts, window.region, limit, cells=window.order, pack=chars,
-                  each=lambda labels: rows.append("".join(pick(labels))))
-    return rows
+    region_search(ts, window.region, limit, cells=window.order,
+                  each=lambda found: rows.append("".join(pick(found))))
+    to = {ord(ch): chars[label] for label, ch in ts.table.chars.items()}
+    return [row.translate(to) for row in rows]
 
 
 def with_facet_variants(ts, rule):
@@ -1325,7 +1358,7 @@ def test_column_recheck_matches_window_valid():
         for rule in (base.rule, table):
             ts = with_facet_variants(base, rule)
             ident = identity_code(ts.space)
-            chars = paint(ts).chars
+            chars = ts.table.chars
             # the last label is none of the set's, as a faulty engine's
             labels = [*chars, ("zz", ident)]
             tiles = [t for t, _ in labels]
@@ -1355,9 +1388,9 @@ def test_column_recheck_matches_window_valid():
                         verdicts = [window_valid(ts, kind,
                                                  [tiles[ord(x)] for x in r])
                                     for r in rows]
-                        assert [_row_ok(paint(ts), window, r)
+                        assert [_row_ok(ts.table, window, r)
                                 for r in rows] == verdicts
-                        ok = _rows_ok(paint(ts), window, rows)
+                        ok = _rows_ok(ts.table, window, rows)
                         assert ok == all(verdicts)
                         if not ok:
                             first = rows[verdicts.index(False)]

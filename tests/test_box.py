@@ -75,8 +75,9 @@ def table_set(rng, space, allowed):
 def labels(ts, kind):
     """The labels legal on a cell of `kind`, or else one that is not: a
     random tri2d set may lack tiles of one orientation."""
-    return list(ts.legal[kind]) or [(ts.prototiles[0].id,
-                                     space_codes(ts.space)[0])]
+    hues = ts.table.hues[kind]
+    return [label for label, ch in ts.table.chars.items() if ch in hues] or [
+        (ts.prototiles[0].id, space_codes(ts.space)[0])]
 
 
 def full_patch(rng, ts, region):
@@ -102,7 +103,8 @@ def mutants(rng, ts, patch):
         kind = cell_kind(space, cell)
         tile, code = rng.choice(labels(ts, kind))
         bad_code = next((c for c in space_codes(space)
-                         if (tile, c) not in ts.legal[kind]), code)
+                         if ts.table.chars.get((tile, c))
+                         not in ts.table.hues[kind]), code)
         far = (2 ** 53 + 1,) + cell[1:]
         for change in ({cell: Placement(cell, tile, code)},
                        {cell: Placement(cell, "zz", code)},

@@ -4,7 +4,8 @@ Oracle: the plain depth-first search, a copy of the engine's loop before it
 kept records of solution-free subtrees.  Both run on the same candidate
 lists and check schedule (each through `region_search`), and must agree on
 status, first solution, nodes and solutions seen, and make the same `each`
-calls in the same order.
+calls in the same order.  The engine tests the set table's hues by its
+test; the oracle reads the same candidates' integer colours by rule_eval.
 """
 
 import random
@@ -113,8 +114,17 @@ def _plain_search(per_cell, checks, width, rule, limit, each=None, at=None,
     return (EXHAUSTED if first is None else FOUND), first, nodes, count
 
 
-def _with_checks(oracle, checks, per_cell, plan, rule, limit, each=None):
-    return oracle(per_cell, checks, plan.width, rule, limit, each)
+def _with_checks(oracle, checks, ts, per_cell, plan, test, limit, each=None):
+    # the oracle reads integer colours under the rule, not the table's hues
+    # under its test: each shared candidate list is read back once, and
+    # stays shared
+    ints, lists = ts.table.ints, {}
+    for lst in per_cell:
+        if id(lst) not in lists:
+            lists[id(lst)] = [(label, tuple([ints[ord(h)] for h in e]))
+                              for label, e in lst]
+    return oracle([lists[id(lst)] for lst in per_cell], checks, plan.width,
+                  ts.rule, limit, each)
 
 
 def _run(engine, ts, region, limit, seed, counting):
@@ -125,7 +135,7 @@ def _run(engine, ts, region, limit, seed, counting):
     if engine is not ENGINE:
         # the oracle reads the check schedule that the plan is made from
         checks = search._schedule(region, region_cells(region))
-        engine = partial(_with_checks, engine, checks)
+        engine = partial(_with_checks, engine, checks, ts)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(search, "_search", engine)
         status, labels, nodes, count, *replayed = region_search(
@@ -513,7 +523,7 @@ def _per_cell(ts, region, seed):
     """The candidate lists that region_search hands the engine."""
     seen = []
 
-    def engine(per_cell, plan, rule, limit, each=None):
+    def engine(per_cell, plan, test, limit, each=None):
         seen.append(per_cell)
         return EXHAUSTED, None, 0, 0, 0
 
@@ -535,7 +545,7 @@ def test_seeded_orders_are_shuffled_lists(name, region, length):
         rng = random.Random(seed)
         want = []
         for cell in region_cells(region):
-            lst = list(ts.legal[cell_kind(region.space, cell)].items())
+            lst = list(ts.table.hues[cell_kind(region.space, cell)].items())
             assert len(lst) == length
             rng.shuffle(lst)
             want.append(lst)

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from conftest import random_tileset
+from conftest import engine_accepting_every_pair, random_tileset
 from tileatlas.atlas import Atlas, corona_of, derive_atlas
 from tileatlas.geometry import ShapeKind, cell_kind
 from tileatlas.reduction import decode_patch, reduce_set
@@ -336,8 +336,7 @@ def test_large_regions_do_not_recurse():
 def test_counting_rechecks_its_first_patch(monkeypatch):
     # with the engine's facet test accepting every tuple, both entry points
     # refuse the patch it finds, as patch_valid still applies the rule
-    monkeypatch.setattr("tileatlas.search.rule_test",
-                        lambda rule: lambda xs, ys: True)
+    engine_accepting_every_pair(monkeypatch)
     wang = load_bundled("wang13")
     region = RegionSpec("square2d", (2, 1), False)
     for search in (solve, count_solutions):
