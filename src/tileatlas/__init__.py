@@ -15,6 +15,7 @@ from .geometry import (
     point_group,
     space_codes,
 )
+from .patchtext import parse_patch, serialize_patch
 from .tileset import (
     BUNDLED,
     FacetRule,
@@ -25,10 +26,8 @@ from .tileset import (
     RegionSpec,
     TileSet,
     load_bundled,
-    parse_patch,
     parse_tileset,
     patch_valid,
-    serialize_patch,
     serialize_tileset,
 )
 from .reduction import (

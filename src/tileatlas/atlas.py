@@ -28,7 +28,8 @@ decodes rows on demand, and `corona in atlas` encodes the query.
 `corona_of` reads a free region as its box: the torus one cell wider on
 each axis, whose extra layer holds no cell.  `missing_coronas` reads every
 row of a patch's box at once, through the box module's reader, which
-`patch_valid` shares: one string turned along each axis, when the patch
+`patch_valid` shares: the patch's one string of labels, translated once to
+the atlas's and padded to the box, turned along each axis, when the patch
 lies in its region and fills at least 1/2^dim of the box.  Any other patch
 is read a cell at a time: corona_of's walk of the corona's labels, packed
 straight into a row by the atlas's table.
@@ -65,7 +66,7 @@ import sys
 from collections.abc import Set
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate, chain, compress, count, product
+from itertools import accumulate, chain, compress, count
 from math import prod
 from operator import getitem, itemgetter
 
@@ -77,7 +78,7 @@ from .geometry import (
     touching_offsets,
 )
 from .box import (TOUCHING, bounds, box, cells_in_region, corona_rows,
-                  label_of)
+                  label_of, padded, patch_text)
 from .text import (FormatError, _code, _corona_columns, _line_lists,
                    _token, _tokens)
 from .tileset import Patch, RegionSpec, TileSet
@@ -265,26 +266,34 @@ def missing_coronas(atlas: Atlas, patch: Patch) -> tuple[list, int]:
 
     A patch that lies in its region and fills at least 1/2^dim of its box,
     as a full patch does, has every row of the box read at once
-    (box.corona_rows): a cell's character is its label's, a spare one if the
-    table lacks the label, or another, the hole, if the cell is empty.  A
-    row with a hole is not complete.  Any other patch is read cell by cell:
-    corona_of's walk of each corona's labels (_corona_labels), packed as a
-    row by the atlas's table (Atlas._has)."""
-    placements, region, chars = patch.placements, patch.region, atlas._chars
-    torus = box(region)
-    if (len(chars) + 2 > LABEL_LIMIT  # no spare characters
-            or len(placements) << space_dim(region.space) < prod(bounds(torus))
-            or not cells_in_region(region, placements)):
+    (box.corona_rows) from its string over the atlas's labels
+    (box.patch_text), padded with holes to the box on a free region: a
+    cell's character is its label's, a spare one if the table lacks the
+    label, or another, the hole, if the cell is empty.  A row with a hole
+    is not complete.  Any other patch is read cell by cell: corona_of's
+    walk of each corona's labels (_corona_labels), packed as a row by the
+    atlas's table (Atlas._has)."""
+    region, labels = patch.region, atlas.labels
+    torus, hole = box(region), chr(len(labels))
+    if patch.packed is None:
+        filled = len(patch.placements)
+    else:  # less its empty cells
+        filled = len(patch.packed[0]) - patch.packed[0].count(
+            chr(len(patch.packed[1])))
+    if (len(labels) + 2 > LABEL_LIMIT  # no spare characters
+            or filled << space_dim(region.space) < prod(bounds(torus))
+            or patch.packed is None
+            and not cells_in_region(region, patch.placements)):
+        placements = patch.placements
         coronas = [(cell, _corona_labels(placements, region, cell))
                    for cell in sorted(placements)]
         coronas = [(cell, c) for cell, c in coronas if c is not None]
         return ([cell for cell, c in coronas if not atlas._has(c)],
                 len(coronas))
-    hole, unknown = chr(len(chars)), chr(len(chars) + 1)
-    text = "".join([hole if pl is None
-                    else chars.get((pl.tile, pl.orientation), unknown)
-                    for pl in map(placements.get,
-                                  product(*map(range, bounds(torus))))])
+    text = patch_text(patch, labels)
+    if not region.torus:
+        text = padded(text, region.extents, len(SPACE_KINDS[region.space]),
+                      hole)
     missing, complete = [], 0
     for cells, rows in corona_rows(torus, text):
         for cell, row in zip(cells, rows):

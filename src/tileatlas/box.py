@@ -9,8 +9,8 @@ region, the cells whose neighbour one step along an axis lies in the region
 are one slice of each run, and those neighbours another (`_met`).
 
 `missing_coronas` reads every corona row of a patch's box (`box`) from one
-string of label characters, turned once per touching offset
-(`corona_rows`).
+string of label characters, padded to the box on a free region (`padded`)
+and turned once per touching offset (`corona_rows`).
 
 A set's labels are characters of its one tile table (`tile_table`),
 compiled when the set is made and kept on it as `TileSet.table`: a label is
@@ -19,9 +19,12 @@ kind and, per facet, to the hue it shows there, a character for its colour.
 The search engine, `patch_valid`'s pair walk and the corona window's checks
 (the window module) read the same table.
 
-`patch_valid` reads a patch that lies in its region and fills it by the
-dense route (`dense_valid`): its labels, in sorted cell order, are packed
-into one string, which translated to kinds must be the region's kind
+A patch's labels, one character a cell of its region in sorted order, are
+read by `patch_text`: a packed patch's string, translated once where its
+alphabet is not the reader's, or a dict patch's placements packed, one
+placements.get a cell.  `patch_valid` reads a patch that lies in its
+region and fills it by the dense route (`dense_valid`): its string over
+the set's alphabet, translated to kinds, must be the region's kind
 string (on tri2d the up cells are the even characters and the down cells
 the odd ones).  Each facet-sharing pair is met from one side
 (`facet_steps`): per step, both kinds' strings are translated to the
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from functools import lru_cache
-from itertools import accumulate, islice, product
+from itertools import accumulate, count, islice, product, repeat
 from math import prod
 from operator import eq, itemgetter, mul
 from typing import Callable, NamedTuple
@@ -169,7 +172,8 @@ class _Deleting(dict):
 class TileTable(NamedTuple):
     """A set's one compiled tile table; see tile_table."""
 
-    chars: dict  # label -> its character, the alphabet kind by kind
+    labels: tuple  # the alphabet kind by kind: labels[i] is chr(i)'s label
+    chars: dict  # label -> its character
     hues: dict  # cell kind -> {character: the hues it shows, per facet}
     kinds: dict  # character -> chr(k) for its kind's index k
     colours: list  # per facet: character -> the hue it shows there
@@ -194,8 +198,9 @@ def tile_table(space: str, legal, rule) -> TileTable:
         hues[kind][chr(i)] = tuples[i]
     pairs = {(hue[a], hue[b]) for a, b in rule.pairs
              if a in hue and b in hue}
+    labels = tuple(label for _, label, _ in legal)
     return TileTable(
-        {label: chr(i) for i, (_, label, _) in enumerate(legal)}, hues,
+        labels, dict(zip(labels, map(chr, count()))), hues,
         _Deleting({i: chr(kinds.index(kind))
                    for i, (kind, _, _) in enumerate(legal)}),
         [dict(enumerate(column)) for column in zip(*tuples)], ints,
@@ -208,16 +213,14 @@ def dense_valid(ts, patch) -> bool:
     placements that `ts.table` holds for their cells' kinds and meets the
     facet rule on every facet-sharing pair.  False where it does not or the
     patch is sparse: patch_valid then runs its pair walk."""
-    region, placements = patch.region, patch.placements
-    ext = bounds(region)
-    if ts.space != region.space or len(placements) != prod(ext):
+    region = patch.region
+    if ts.space != region.space or (patch.packed is None and len(
+            patch.placements) != prod(bounds(region))):
         return False
     table, step = ts.table, len(SPACE_KINDS[ts.space])
-    try:
-        text = "".join(map(table.chars.__getitem__, map(label_of, map(
-            placements.__getitem__, product(*map(range, ext))))))
-    except KeyError:  # a cell of the region unplaced, or an unknown label
-        return False
+    # an empty cell and a label the table lacks have no kind, so they fail
+    # the kind string
+    text = patch_text(patch, table.labels)
     # tri2d's two kinds alternate
     if text.translate(table.kinds) != "\0\1"[:step] * (len(text) // step):
         return False
@@ -232,3 +235,62 @@ def dense_valid(ts, patch) -> bool:
         if not table.test(xs, ys):
             return False
     return True
+
+
+# what an empty cell reads as when a patch's placements are packed: a
+# placement whose label no patch holds
+_HOLE = object()
+_EMPTY = (None, _HOLE, _HOLE)
+
+
+def patch_text(patch, labels: tuple) -> str:
+    """The labels of `patch`, whose cells lie in its region, as characters
+    of the alphabet `labels` (chr(i) for labels[i]), one per cell of the
+    region in sorted order: chr(len(labels)) where a cell is empty and
+    chr(len(labels) + 1) where its label is not among `labels`.  A patch
+    kept as a string (Patch.packed) is translated once, unless `labels` is
+    its own alphabet; one built from placements is packed here, one
+    placements.get a cell."""
+    if patch.packed is None:
+        spare = chr(len(labels) + 1)
+        return "".join(map(_packing(labels).get, map(label_of, map(
+            patch.placements.get, product(*map(range, bounds(patch.region))),
+            repeat(_EMPTY))), repeat(spare)))
+    text, own = patch.packed
+    return text if own is labels else text.translate(_recode(own, labels))
+
+
+@lru_cache(maxsize=16)
+def _packing(labels: tuple) -> dict:
+    """label -> chr(i) for labels[i], and the empty cell's label -> the
+    hole, chr(len(labels))."""
+    return {**dict(zip(labels, map(chr, count()))),
+            label_of(_EMPTY): chr(len(labels))}
+
+
+@lru_cache(maxsize=16)
+def _recode(own: tuple, labels: tuple) -> dict:
+    """The str.translate table from the alphabet `own` to `labels`, as
+    patch_text reads it: each character of `own` to that of its label among
+    `labels`, or to chr(len(labels) + 1) where `labels` lacks it, and the
+    hole of `own` to that of `labels`.  `labels` may hold None where a
+    character stands for no label."""
+    index = dict(zip(labels, map(chr, count())))
+    spare = chr(len(labels) + 1)
+    table = {i: index.get(label, spare) for i, label in enumerate(own)
+             if label is not None}
+    table[len(own)] = chr(len(labels))
+    return table
+
+
+def padded(text: str, extents, step: int, fill: str) -> str:
+    """`text`, `step` characters per point of the region of `extents` in
+    sorted order, as the text of the torus one point wider on each axis
+    (box): its new points hold `fill`."""
+    size = step
+    for e in reversed(extents):
+        run, pad = e * size, fill * size
+        text = "".join([text[j:j + run] + pad
+                        for j in range(0, len(text), run)])
+        size *= e + 1
+    return text

@@ -12,8 +12,8 @@ Subcommands:
     roundtrip  seeded random patches, encoded and decoded back, compared
     render     write an SVG picture of a patch
 
-Exit codes: 0 success/found, 1 exhausted/invalid input, 2 node-limit
-reached, 3 usage errors.
+Exit codes: 0 success/found, 1 exhausted/invalid input, 2 node or memory
+limit reached, 3 usage errors.
 """
 
 from __future__ import annotations
@@ -50,14 +50,13 @@ from .solver import (
     solve,
     solve_atlas,
 )
+from .patchtext import parse_patch, serialize_patch
 from .tileset import (
     FormatError,
     RegionSpec,
     load_bundled,
-    parse_patch,
     parse_tileset,
     patch_valid,
-    serialize_patch,
 )
 
 EXIT_OK = 0
@@ -174,7 +173,8 @@ def cmd_exhaust(args) -> int:
     cfg = _config(args)
     if args.kmax is not None:
         dims = space_dim(ts.space)
-        regions = [(f"k={k}: ", (k,) * dims) for k in range(1, args.kmax + 1)]
+        # one torus at a time, as each line is printed
+        regions = ((f"k={k}: ", (k,) * dims) for k in range(1, args.kmax + 1))
     elif args.width is None or args.height is None:
         raise UsageError("exhaust needs --kmax or --width/--height")
     else:
@@ -363,6 +363,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except BudgetExceeded as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_LIMIT
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_LIMIT
     except (FormatError, DecodeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -21,6 +21,12 @@ the coset that maps the host shape onto the member's.  The pair
 Each representative is decorated with a marked interior point with trivial
 stabilizer, so a placed representative's orientation is always readable.
 The reduced-set text format is specified in docs/FORMATS.md.
+
+A packed patch (one string of label characters, `Patch.packed`) is encoded
+and decoded without a step a cell: an encoded patch keeps the source
+patch's string, over the source set's alphabet, each character standing
+for the label that encodes its tile (`ReducedSet.labels`); decoding a patch
+read from text translates its string once to that alphabet.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from .geometry import (
     point_group,
     space_codes,
 )
-from .box import label_of
+from .box import label_of, patch_text
 from .text import FormatError, _code, _content_lines, _token
 from .tileset import Patch, TileSet, identity_code, placement_map
 
@@ -77,6 +83,9 @@ class ReducedSet:
     # source set's tile table: `inverse` composed with its alphabet, which
     # the atlas's implicit route packs a corona by
     chars: dict = field(init=False, repr=False, compare=False)
+    # its inverse, the alphabet of an encoded packed patch: per character
+    # of the source alphabet, the label that encodes it, None for none
+    labels: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         inv = {}
@@ -92,6 +101,10 @@ class ReducedSet:
         object.__setattr__(self, "chars", {
             label: alphabet[tid, ident] for label, tid in inv.items()
             if (tid, ident) in alphabet})
+        labels = [None] * len(alphabet)
+        for label, ch in self.chars.items():
+            labels[ord(ch)] = label
+        object.__setattr__(self, "labels", tuple(labels))
 
     @property
     def rep_ids(self):
@@ -183,10 +196,15 @@ def encode_patch(rs: ReducedSet, patch: Patch) -> Patch:
 
     Every source placement is translation-only; the encoded placement puts
     the tile's representative at the same cell with the tile's stored
-    orientation code.  The placements are read and built in bulk; a patch
-    that fails is read again placement by placement, to name the first
-    offender.
+    orientation code.  A packed patch keeps its string, over the source
+    set's alphabet, with `rs.labels` as its alphabet.  Any other patch's
+    placements are read and built in bulk; a patch that fails is read again
+    placement by placement, to name the first offender.
     """
+    source = rs.source.table.labels
+    text = _recoded(patch, source, rs.labels)
+    if text is not None:
+        return Patch.of_text(rs.name, patch.region, text, rs.labels)
     ident = identity_code(patch.region.space)
     found = patch.placements.values()
     labels = list(map(rs.forward.get, map(itemgetter(1), found)))
@@ -205,7 +223,12 @@ def encode_patch(rs: ReducedSet, patch: Patch) -> Patch:
 
 def decode_patch(rs: ReducedSet, patch: Patch) -> Patch:
     """Invert encode_patch; fails on pairs outside the encoding's image,
-    naming the first in the patch's order."""
+    naming the first in the patch's order.  A packed patch keeps its
+    string, read over the source set's alphabet."""
+    source = rs.source.table.labels
+    text = _recoded(patch, rs.labels, source)
+    if text is not None:
+        return Patch.of_text(rs.source.name, patch.region, text, source)
     tiles = list(map(rs.inverse.get, map(label_of, patch.placements.values())))
     if None in tiles:
         for cell, pl in patch.placements.items():
@@ -215,6 +238,20 @@ def decode_patch(rs: ReducedSet, patch: Patch) -> Patch:
                     f"not decode to any source tile")
     return Patch(rs.source.name, patch.region, placement_map(
         patch.placements, tiles, repeat(identity_code(patch.region.space))))
+
+
+def _recoded(patch: Patch, into: tuple, other: tuple) -> str | None:
+    """The string of a packed patch read over `into`, where `into` and
+    `other`, the codec's two alphabets, give each character the labels it
+    stands for on either side; None for a patch built from placements, or
+    one with a label outside `into` or without a label in `other`, which
+    the placements' route words."""
+    if patch.packed is None:
+        return None
+    text = patch_text(patch, into)
+    bad = [chr(len(into) + 1), *(chr(i) for i, pair in enumerate(zip(
+        into, other)) if None in pair)]
+    return None if any(map(text.__contains__, bad)) else text
 
 
 # ---------------------------------------------------------------------------

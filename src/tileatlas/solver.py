@@ -1,7 +1,9 @@
 """Backtracking search for valid patches and torus tilings.
 
-Cells are filled in scan order.  Found patches are re-verified
-independently, with `patch_valid`, before being returned.
+Cells are filled in scan order.  A found patch is one string of the set's
+label characters in sorted cell order (`Patch.packed`), the engine's
+characters put in that order through an index kept per region; it is
+re-verified independently, with `patch_valid`, before being returned.
 
 Two search targets:
 
@@ -26,20 +28,15 @@ solution found is a reproducible pseudo-random patch.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from operator import itemgetter
+from functools import lru_cache
+from itertools import accumulate
+from operator import mul
 
 from .atlas import Atlas, missing_coronas
 from .reduction import ReducedSet, encode_patch
 # the status constants are re-exported as part of the solver's API
 from .search import EXHAUSTED, FOUND, LIMIT, region_search
-from .tileset import (
-    Patch,
-    RegionSpec,
-    TileSet,
-    patch_valid,
-    placement_map,
-    region_cells,
-)
+from .tileset import Patch, RegionSpec, TileSet, patch_valid
 
 
 @dataclass(frozen=True)
@@ -59,23 +56,36 @@ class SolveResult:
 
 def _checked_search(ts: TileSet, region: RegionSpec, config, each=None
                     ) -> SolveResult:
-    """Run the engine, map the first solution it finds back to (tile, code)
-    labels and re-check that patch."""
+    """Run the engine, put the first solution it finds in sorted cell order
+    as a packed patch over the set's alphabet, and re-check that patch."""
     config = config or SolveConfig()
     status, found, nodes, count, replayed = region_search(
         ts, region, config.node_limit, config.seed, each)
     patch = None
     if found is not None:
-        # the engine's labels are characters of ts.table: chr(i) for the
-        # i-th label of its alphabet
-        labels = list(map(list(ts.table.chars).__getitem__, map(ord, found)))
-        patch = Patch(ts.name, region, placement_map(
-            region_cells(region), map(itemgetter(0), labels),
-            map(itemgetter(1), labels)))
+        # the engine's labels are characters of ts.table, in scan order
+        patch = Patch.of_text(ts.name, region, "".join(map(
+            found.__getitem__, _scan_positions(region))), ts.table.labels)
         ok, report = patch_valid(ts, patch)
         if not ok:
             raise RuntimeError(f"solver produced an invalid patch: {report}")
     return SolveResult(status, patch, nodes, count, replayed)
+
+
+@lru_cache(maxsize=16)
+def _scan_positions(region: RegionSpec) -> tuple:
+    """Per cell of the region in sorted order, its position in scan order
+    (region_cells): the first axis steps by one cell there, each later one
+    by the cells of the axes before it, a triangle's bit by one and its
+    axes by two."""
+    tri = region.space == "tri2d"
+    strides = accumulate(region.extents, mul, initial=1 + tri)
+    positions = [0]
+    for e, stride in zip(region.extents + (2,) * tri,
+                         [*strides][:len(region.extents)] + [1] * tri):
+        positions = [p + k for p in positions
+                     for k in range(0, e * stride, stride)]
+    return tuple(positions)
 
 
 def solve(ts: TileSet, region: RegionSpec, config: SolveConfig | None = None

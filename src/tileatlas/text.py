@@ -3,18 +3,18 @@
 Readers take a str, or an iterable of str pieces that join to it (a text
 file's lines, or blocks read from it), and split it into lines as
 str.splitlines splits the whole text, without holding a list of every line
-(_lines), or a list a piece (_line_lists); a line's tokens are what
-str.split gives for it before any `#` (_content_lines, _tokens).  A reader
-that can read its text a column at a time starts from _columns (patches,
-the whole text) or _corona_columns (atlases, a block of lines), and leaves
-what that cannot decide to its line reader.  Writers check each value they
-emit as a token (_token) or an orientation code (_code), so that the
-readers read back what was written.
+(_lines), or a list a piece (_line_lists), or a str in slices that end
+lines (_slices); a line's tokens are what str.split gives for it before
+any `#` (_content_lines, _tokens).  A reader that can read its text a
+block of lines at a time (patches, by _slices; atlases, by
+_corona_columns) leaves what that cannot decide to its line reader.
+Writers check each value they emit as a token (_token) or an orientation
+code (_code), so that the readers read back what was written.
 """
 
 from __future__ import annotations
 
-from itertools import chain, islice
+from itertools import chain
 
 _CHUNK = 1 << 16  # characters of text split into lines at a time
 
@@ -94,23 +94,6 @@ def _code(value: str, codes) -> str:
         raise FormatError(f"cannot write orientation code {value!r}: it is "
                           "no code of the text's lattice")
     return value
-
-
-def _columns(text, width: int):
-    """The tokens of the first content line of `text`, a str without `#`,
-    and the columns of the lines after it, each of which must hold `width`
-    tokens: every line's tokens counted at once, and each column one slice
-    of the text's tokens, split once.  No list a line is kept, so the
-    cyclic collector is not woken once per few hundred lines.  None for any
-    other text."""
-    if not isinstance(text, str) or "#" in text:
-        return None
-    counts = list(filter(None, map(len, map(str.split, text.splitlines()))))
-    if not counts or not all(map(width.__eq__, islice(counts, 1, None))):
-        return None
-    flat = text.split()  # the lines' tokens: each line break is whitespace
-    return flat[:counts[0]], [flat[c::width]
-                              for c in range(counts[0], counts[0] + width)]
 
 
 def _corona_columns(lines, width: int):

@@ -5,24 +5,28 @@ Colours are non-negative integers in canonical facet order; 0 is the
 uncoloured value and every rule accepts the pair (0, 0).  Orientation codes
 are the geometry module's canonical element codes.
 
-`patch_valid` decides a patch that fills its region by the box module's
-dense route, which only accepts; any other patch goes through the pair
-walk, which words every violation.  `parse_patch` reads by columns and
-leaves what that cannot decide to its line reader.
+A patch that the solver, parse_patch or the codec makes is one string of
+label characters, one a cell of its region in sorted order (`Patch.packed`);
+its placement dict is built when it is first read.  `Patch(set_name,
+region, placements)` keeps its dict.  `patch_valid` decides a patch that
+fills its region by the box module's dense route, which reads that string,
+or the placements packed into one, and only accepts; any other patch goes
+through the pair walk, which words every violation.  The patch text format
+is read and written by the patchtext module.
 """
 
 from __future__ import annotations
 
 import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import product, tee
+from itertools import compress, product, tee
 from operator import itemgetter, ne
 from typing import NamedTuple
 
-from .box import (TileTable, bounds, cells_in_region, dense_valid,
-                  label_of, tile_table)
-from .text import FormatError, _code, _columns, _content_lines, _token
+from .box import TileTable, bounds, cells_in_region, dense_valid, tile_table
+from .text import FormatError, _content_lines, _token
 from .geometry import (
     FACET_COUNT,
     KIND_SPACE,
@@ -137,22 +141,30 @@ class Placement(NamedTuple):
     orientation: str
 
 
-def placement_map(cells, tiles, codes) -> dict:
-    """{cell: Placement(cell, tile, code)} over the three iterables, zipped;
-    `cells` is read once, through a tee, so it may build its cells as it
-    goes.  Built by C-level maps: no Python step a cell.  The cyclic
-    collector is paused meanwhile, and left as it was, also if the build
-    raises: the new tuples hold no cycle, and each few hundred of them
-    would wake a collection that walks every tracked object."""
+@contextmanager
+def collector_paused():
+    """Pause the cyclic collector, and leave it as it was, also on an
+    error: for building many tuples that hold no cycle, each few hundred of
+    which would wake a collection that walks every tracked object.  Also a
+    decorator."""
     enabled = gc.isenabled()
     gc.disable()
     try:
-        keys, cells = tee(cells)
-        return dict(zip(keys, map(partial(tuple.__new__, Placement),
-                                  zip(cells, tiles, codes))))
+        yield
     finally:
         if enabled:
             gc.enable()
+
+
+@collector_paused()
+def placement_map(cells, tiles, codes) -> dict:
+    """{cell: Placement(cell, tile, code)} over the three iterables, zipped;
+    `cells` is read once, through a tee, so it may build its cells as it
+    goes.  Built by C-level maps, no Python step a cell, with the collector
+    paused."""
+    keys, cells = tee(cells)
+    return dict(zip(keys, map(partial(tuple.__new__, Placement),
+                              zip(cells, tiles, codes))))
 
 
 @dataclass(frozen=True)
@@ -172,6 +184,12 @@ class RegionSpec:
 
 @dataclass(frozen=True)
 class Patch:
+    """A set's placements over a region.  `Patch(set_name, region,
+    placements)` keeps its placements; one that the solver, parse_patch or
+    the codec makes (`Patch.of_text`) keeps `packed`, one string of label
+    characters for the cells of its region, and builds `placements` from it
+    when it is first read."""
+
     set_name: str
     region: RegionSpec
     placements: dict  # Cell -> Placement
@@ -184,6 +202,35 @@ class Patch:
                 if cell != pl.cell:
                     raise FormatError(
                         f"placement keyed by {cell} but placed at {pl.cell}")
+        object.__setattr__(self, "packed", None)
+
+    @classmethod
+    def of_text(cls, set_name: str, region: RegionSpec, text: str,
+                labels: tuple) -> Patch:
+        """The patch whose `packed` form is (text, labels): one character a
+        cell of the region in sorted order, chr(i) for labels[i] and
+        chr(len(labels)) for an empty cell."""
+        patch = cls.__new__(cls)
+        for key, value in (("set_name", set_name), ("region", region),
+                           ("packed", (text, labels))):
+            object.__setattr__(patch, key, value)
+        return patch
+
+    def __getattr__(self, name):
+        # a packed patch's placements, built on first use and kept
+        if name != "placements" or "packed" not in self.__dict__:
+            raise AttributeError(name)
+        text, labels = self.packed
+        hole = chr(len(labels))
+        cells = product(*map(range, bounds(self.region)))
+        if hole in text:
+            cells = compress(cells, map(hole.__ne__, text))
+            text = text.replace(hole, "")
+        found = [*map(labels.__getitem__, map(ord, text))]
+        placements = placement_map(cells, map(itemgetter(0), found),
+                                   map(itemgetter(1), found))
+        object.__setattr__(self, "placements", placements)
+        return placements
 
 
 def region_cells(region: RegionSpec) -> list[Cell]:
@@ -297,7 +344,8 @@ def patch_valid(ts: TileSet, patch: Patch) -> tuple[bool, tuple[str, ...]]:
     region, table = patch.region, ts.table
     violations = []
     eff = {}
-    inside = cells_in_region(region, patch.placements)
+    inside = patch.packed is not None or cells_in_region(region,
+                                                        patch.placements)
     if inside and dense_valid(ts, patch):
         return True, ()
     for cell, pl in patch.placements.items():
@@ -392,133 +440,6 @@ def serialize_tileset(ts: TileSet) -> str:
         else:
             out.append(f"tile {tid} {cols}")
     return "\n".join(out) + "\n"
-
-
-# the fields of a placement line, per lattice, as a refusal names them
-_PLACEMENT_FIELDS = {"square2d": "x y tile code", "cube3d": "x y z tile code",
-                     "tri2d": "a b u|d tile code"}
-
-
-def parse_patch(text: str, space: str, ids: set[str] | None = None) -> Patch:
-    """The patch of `text` on the `space` lattice, its tile ids among `ids`
-    when given.  A str is read a column at a time (_by_columns); text that
-    route cannot decide is read line by line, which raises FormatError
-    naming the first offending line."""
-    patch = _by_columns(text, space, ids)
-    return _by_lines(text, space, ids) if patch is None else patch
-
-
-def _by_columns(text, space: str, ids) -> Patch | None:
-    """The patch of `text` read by columns (text._columns), its header by
-    the line reader.  Per column one map: the coordinates by int, a
-    triangle's u|d bits, and the ids and codes, each looked up in a table
-    of the known ones, which also shares their strings.  None for what this
-    route cannot decide: a comment, an unknown space, a bad header or
-    field, an unknown id or code, or a duplicate cell."""
-    read = space in _PLACEMENT_FIELDS and _columns(
-        text, len(_PLACEMENT_FIELDS[space].split()))
-    if not read:
-        return None
-    head, (*coords, tids, codes) = read
-    canon = dict(zip(space_codes(space), space_codes(space)))
-    if space == "tri2d":
-        canon["u"] = "ut0"
-        coords[2] = map({"u": 0, "d": 1}.__getitem__, coords[2])
-    try:
-        head = _by_lines(" ".join(head), space, ids)
-        codes = list(map(canon.__getitem__, codes))
-        if ids is not None:
-            tids = list(map(dict(zip(ids, ids)).__getitem__, tids))
-        # the cells are built as placement_map reads them
-        placements = placement_map(zip(*[map(int, column)
-                                         for column in coords]), tids, codes)
-    except (ValueError, KeyError):
-        return None
-    return (Patch(head.set_name, head.region, placements)
-            if len(placements) == len(codes) else None)
-
-
-def _by_lines(text, space: str, ids) -> Patch:
-    """The patch of `text` read a line at a time, which names the first
-    offending line."""
-    header = None
-    placements = {}
-    region = None
-    for ln, toks in _content_lines(text):
-        try:
-            if header is None:
-                if toks[0] != "patch":
-                    raise FormatError(f"line {ln}: expected patch header")
-                dims = space_dim(space)
-                if len(toks) != 3 + dims:
-                    raise FormatError(f"line {ln}: bad patch header for {space}")
-                header = toks[1]
-                extents = tuple(int(t) for t in toks[2:2 + dims])
-                boundary = toks[2 + dims]
-                if boundary not in ("free", "torus"):
-                    raise FormatError(f"line {ln}: expected free|torus")
-                region = RegionSpec(space, extents, boundary == "torus")
-                # what depends on the lattice alone, worked out once
-                fields = _PLACEMENT_FIELDS[space]
-                width = len(fields.split())
-                codes = set(space_codes(space))
-                if space == "tri2d":
-                    codes.add("u")  # read as ut0
-                continue
-            if len(toks) != width:
-                raise FormatError(f"line {ln}: expected {fields}")
-            *coords, tid, code = toks
-            if space == "tri2d":
-                if coords[2] not in ("u", "d"):
-                    raise FormatError(f"line {ln}: expected u|d")
-                coords[2] = "ud".index(coords[2])
-            cell: Cell = tuple(map(int, coords))
-        except ValueError as e:
-            if isinstance(e, FormatError):
-                raise
-            raise FormatError(f"line {ln}: {e}") from None
-        if ids is not None and tid not in ids:
-            raise FormatError(f"line {ln}: unknown tile id {tid!r}")
-        if code not in codes:
-            raise FormatError(f"line {ln}: unknown orientation code {code!r}")
-        if code == "u":
-            code = "ut0"
-        if cell in placements:
-            raise FormatError(f"line {ln}: duplicate placement at {cell}")
-        placements[cell] = Placement(cell, tid, code)
-    if region is None:
-        raise FormatError("missing patch header")
-    return Patch(header, region, placements)
-
-
-def serialize_patch(patch: Patch) -> str:
-    """The patch text, a line per cell in sorted order.  The placements are
-    read once by map, the labels checked once each and the cells at once,
-    and the lines joined once."""
-    region = patch.region
-    boundary = "torus" if region.torus else "free"
-    ext = " ".join(str(e) for e in region.extents)
-    head = f"patch {_token(patch.set_name, 'set name')} {ext} {boundary}"
-    cells = sorted(patch.placements)
-    placed = list(map(patch.placements.__getitem__, cells))
-    for tid, code in set(map(label_of, placed)):
-        _token(tid, "tile id")
-        _code(code, space_codes(region.space))
-    tri = region.space == "tri2d"
-    arity = len(region.extents) + tri  # a triangle's orientation bit
-    if not all(map(arity.__eq__, map(len, cells))) or tri and not {
-            0, 1}.issuperset(map(itemgetter(2), cells)):
-        cell = next(c for c in cells
-                    if len(c) != arity or tri and c[2] not in (0, 1))
-        raise FormatError(f"cannot write cell {cell}: it is no {region.space} "
-                          "cell")
-    if tri:
-        lines = [f"{a} {b} {'ud'[o]} {t} {c}"
-                 for (a, b, o), (_, t, c) in zip(cells, placed)]
-    else:
-        line = " ".join(["%s"] * (arity + 2))
-        lines = [line % (*cell, t, c) for cell, (_, t, c) in zip(cells, placed)]
-    return "\n".join([head, *lines]) + "\n"
 
 
 @lru_cache(maxsize=None)

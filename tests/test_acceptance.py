@@ -58,6 +58,7 @@ from tileatlas.solver import (
     solve,
     solve_atlas,
 )
+from tileatlas.patchtext import serialize_patch
 from tileatlas.tileset import (
     FacetRule,
     Patch,
@@ -69,7 +70,6 @@ from tileatlas.tileset import (
     patch_valid,
     placement_orientations,
     region_cells,
-    serialize_patch,
 )
 
 STABILIZER_ORDER = {

@@ -385,11 +385,13 @@ def test_encoded_characters_die_with_their_reduced_set():
     assert rs.chars == {label: chars[tid, ident]
                         for label, tid in rs.inverse.items()}
     assert rs.chars is not twin.chars and rs.chars == twin.chars
+    # and its inverse, the alphabet of an encoded packed patch
+    assert rs.labels == tuple(sorted(rs.chars, key=rs.chars.get))
     assert set(vars(rs)) == {"name", "mode", "source", "reps", "forward",
-                             "inverse", "chars"}
-    # the table is invisible to equality and repr
+                             "inverse", "chars", "labels"}
+    # the tables are invisible to equality and repr
     assert rs == twin and repr(rs) == repr(twin)
-    assert "chars=" not in repr(rs)
+    assert "chars=" not in repr(rs) and "labels=" not in repr(rs)
     ref = weakref.ref(rs)
     del rs
     gc.collect()

@@ -2,13 +2,15 @@
 
 Every subcommand is driven through ``main(argv)`` in process; stdout,
 stderr and exit codes are checked against the documented contract
-(0 success/found, 1 exhausted/invalid input, 2 node limit, 3 usage).
-One test runs the real ``python -m tileatlas.cli`` entry point.
+(0 success/found, 1 exhausted/invalid input, 2 node or memory limit,
+3 usage).  Two tests run the real ``python -m tileatlas.cli`` entry point,
+one of them under an address-space limit set in its own process alone.
 """
 
 import inspect
 import os
 import re
+import resource
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -21,6 +23,7 @@ from tileatlas.cli import build_parser, main
 from tileatlas.geometry import ShapeKind
 from tileatlas.reduction import decode_patch, parse_reduced, reduce_set, serialize_reduced
 from tileatlas.solver import SolveConfig, solve
+from tileatlas.patchtext import parse_patch, serialize_patch
 from tileatlas.tileset import (
     FacetRule,
     Patch,
@@ -28,9 +31,7 @@ from tileatlas.tileset import (
     RegionSpec,
     TileSet,
     load_bundled,
-    parse_patch,
     patch_valid,
-    serialize_patch,
     serialize_tileset,
 )
 
@@ -171,6 +172,38 @@ def test_exhaust_kmax_found_stops_early(tmp_path, capsys):
                         set(ts.by_id))
     assert patch.region.torus and patch.region.extents == (1, 1)
     assert patch_valid(ts, patch)[0]
+
+
+def test_exhaust_kmax_streams_its_tori(tmp_path):
+    # one tile with every facet 0 tiles every torus: the sweep finds one at
+    # k=1 and stops, without building the tori up to kmax first; it runs as
+    # its own process, under an address-space limit set in that child alone
+    tiles = tmp_path / "one.tiles"
+    tiles.write_text("tileset one\nspace square2d\nisometries translations\n"
+                     "rule identical\ntile a 0 0 0 0\n", encoding="utf-8")
+    limit = 1 << 30
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(tileatlas.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "tileatlas.cli", "exhaust", "--in", str(tiles),
+         "--kmax", "1" + "0" * 20], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, preexec_fn=cap, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "k=1: found nodes=1\n", "")
+
+
+def test_memory_error_is_one_line_and_exit_2(capsys, monkeypatch):
+    # a MemoryError that escapes a command reads as a limit reached; the
+    # command is made to raise it, so nothing large is allocated
+    def exhausted(ts):
+        raise MemoryError
+
+    monkeypatch.setattr(tileatlas.cli, "partition_translation", exhausted)
+    code, out, err = run(capsys, "counts", "--in", "@wang13")
+    assert (code, out, err) == (2, "", "error: out of memory\n")
 
 
 def test_exhaust_explicit_region(capsys):

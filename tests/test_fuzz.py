@@ -30,6 +30,7 @@ from tileatlas.reduction import (  # noqa: E402
     reduce_set,
     serialize_reduced,
 )
+from tileatlas.patchtext import parse_patch, serialize_patch  # noqa: E402
 from tileatlas.text import _lines  # noqa: E402
 from tileatlas.tileset import (  # noqa: E402
     FacetRule,
@@ -40,10 +41,8 @@ from tileatlas.tileset import (  # noqa: E402
     RegionSpec,
     TileSet,
     load_bundled,
-    parse_patch,
     parse_tileset,
     region_cells,
-    serialize_patch,
     serialize_tileset,
 )
 

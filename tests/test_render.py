@@ -37,13 +37,13 @@ from tileatlas.render import (
 )
 from tileatlas.reduction import encode_patch, reduce_set
 from tileatlas.solver import random_patch, solve, solve_atlas, SolveConfig
+from tileatlas.patchtext import parse_patch
 from tileatlas.tileset import (
     FormatError,
     Patch,
     Placement,
     RegionSpec,
     load_bundled,
-    parse_patch,
 )
 
 

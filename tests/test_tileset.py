@@ -20,6 +20,7 @@ from tileatlas.geometry import (
     facet_midpoint2,
     space_codes,
 )
+from tileatlas.patchtext import parse_patch, serialize_patch
 from tileatlas.tileset import (
     FacetRule,
     FormatError,
@@ -31,7 +32,6 @@ from tileatlas.tileset import (
     effective_facets,
     identity_code,
     load_bundled,
-    parse_patch,
     parse_tileset,
     cell_in_region,
     cells_in_region,
@@ -41,7 +41,6 @@ from tileatlas.tileset import (
     placement_orientations,
     region_cells,
     rule_eval,
-    serialize_patch,
     serialize_tileset,
     wrap_cell,
 )
@@ -557,28 +556,35 @@ def test_placement_map_leaves_the_collector_as_it_was():
 
 
 def test_parse_patch_builds_its_cells_with_the_collector_paused():
-    # the column route builds every cell tuple, as well as every placement,
-    # inside placement_map's pause: reading 20,000 lines wakes at most the
-    # one collection that the pause defers, where each few hundred new
-    # tuples would wake one
-    text = "patch s 200 100 free\n" + "".join(
-        f"{x} {y} a r0\n" for y in range(100) for x in range(200))
-    woken = []
+    # the line reader (lines out of sorted order) builds every cell tuple,
+    # as well as every placement, with the collector paused, and the block
+    # reader (the writer's form) builds them through placement_map when they
+    # are first read: reading 20,000 lines wakes at most the one collection
+    # that the pause defers, where each few hundred new tuples would wake one
+    for order in ("y x", "x y"):
+        text = "patch s 200 100 free\n" + "".join(
+            f"{x} {y} a r0\n" for x in range(200) for y in range(100)
+            if order == "x y") + "".join(
+            f"{x} {y} a r0\n" for y in range(100) for x in range(200)
+            if order == "y x")
+        woken = []
 
-    def count(phase, info):
-        if phase == "start":
-            woken.append(info["generation"])
+        def count(phase, info):
+            if phase == "start":
+                woken.append(info["generation"])
 
-    was = gc.isenabled()
-    gc.enable()
-    gc.collect()
-    gc.callbacks.append(count)
-    try:
-        patch = parse_patch(text, "square2d")
-    finally:
-        gc.callbacks.remove(count)
-        (gc.enable if was else gc.disable)()
-    assert len(patch.placements) == 20000 and len(woken) <= 1
+        was = gc.isenabled()
+        gc.enable()
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            patch = parse_patch(text, "square2d")
+            assert len(patch.placements) == 20000
+        finally:
+            gc.callbacks.remove(count)
+            (gc.enable if was else gc.disable)()
+        assert (patch.packed is None) == (order == "y x")
+        assert len(woken) <= 1
 
 
 def test_patch_names_the_first_misplaced_placement_in_dict_order():
