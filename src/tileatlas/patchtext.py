@@ -6,10 +6,9 @@ writes a packed patch (`Patch.packed`, one character a cell of its region
 in sorted order) without a Python step a cell: each line is its cell's
 prefix, its coordinates each followed by a space, joined to its
 character's label text, "tile code" and the line break, which is built
-once a label.  A region's prefixes are built once for each run of its cells
-that differ only in their last axis (and a triangle's u|d), from the ends
-that those share, kept per region (`_tails`).  A patch built from placements is written
-from its sorted cells.
+once a label.  The prefixes come from one walk over the region
+(`_prefixes`), the product of each axis's coordinate strings.  A patch
+built from placements is written from its sorted cells.
 
 `parse_patch` reads the writer's form a block of lines at a time
 (`_by_columns`): each block is split once, each (tile, code) pair of its
@@ -26,7 +25,7 @@ from __future__ import annotations
 
 import sys
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, islice, product
 from math import prod
 from operator import add, itemgetter
 
@@ -92,7 +91,7 @@ def _by_columns(text, space: str, ids) -> Patch | None:
     if text.count("\n") != size + 1 or not text.endswith("\n"):
         return None
     index = _Labels(frozenset(space_codes(space)), ids)
-    parts, done = [], 0
+    parts, prefixes = [], _prefixes(region)
     for piece in chain((first[cut:],), pieces):
         n = piece.count("\n")
         tokens = piece.split()
@@ -103,11 +102,10 @@ def _by_columns(text, space: str, ids) -> Patch | None:
                 tokens[width - 2::width], tokens[width - 1::width])))
         except KeyError:
             return None
-        if "".join(map(add, _prefixes(region, done, done + n),
+        if "".join(map(add, islice(prefixes, n),
                        map(index.lines.__getitem__, chars))) != piece:
             return None
         parts.append(chars)
-        done += n
     return Patch.of_text(head.set_name, region, "".join(parts), tuple(index))
 
 
@@ -170,8 +168,9 @@ def serialize_patch(patch: Patch) -> str:
     without empty cells is written from its string (_label_lines,
     _prefixes) when every label it uses can be written; any other from its
     sorted placements, which are read once by map, the labels checked once
-    each (the first that cannot be written raises FormatError) and the
-    cells at once, and the lines joined once."""
+    each, in the order of the cells that first use them (the first that
+    cannot be written raises FormatError), and the cells at once, and the
+    lines joined once."""
     region = patch.region
     head = _head(patch)
     if patch.packed is not None and chr(len(patch.packed[1])) not in (
@@ -179,13 +178,13 @@ def serialize_patch(patch: Patch) -> str:
         text, labels = patch.packed
         lines = _label_lines(labels, region.space)
         try:
-            return head + "".join(map(add, _prefixes(region, 0, len(text)),
+            return head + "".join(map(add, _prefixes(region),
                                       map(lines.__getitem__, text)))
         except KeyError:  # a label that cannot be written, worded below
             pass
     cells = sorted(patch.placements)
     placed = list(map(patch.placements.__getitem__, cells))
-    for tid, code in set(map(label_of, placed)):
+    for tid, code in dict.fromkeys(map(label_of, placed)):
         _token(tid, "tile id")
         _code(code, space_codes(region.space))
     tri = region.space == "tri2d"
@@ -228,32 +227,13 @@ def _label_lines(labels: tuple, space: str) -> dict:
     return lines
 
 
-@lru_cache(maxsize=16)
-def _tails(region: RegionSpec) -> list:
-    """The ends of the line prefixes of the region's cells: its last
-    axis's coordinates (and a triangle's u|d), each followed by a space, in
-    sorted order."""
-    last = region.extents[-1]
+def _prefixes(region: RegionSpec):
+    """The line prefixes of the region's cells in sorted order: their
+    coordinates, each followed by a space.  Each prefix of the leading axes'
+    coordinates is joined to each of the last axis's (and a triangle's
+    u|d) in turn."""
+    *lead, last = ([f"{v} " for v in range(e)] for e in region.extents)
     if region.space == "tri2d":
-        return [f"{v} {o} " for v in range(last) for o in "ud"]
-    return [f"{v} " for v in range(last)]
-
-
-def _prefixes(region: RegionSpec, start: int, stop: int):
-    """The line prefixes, coordinates each followed by a space, of the
-    start-th to the stop-th cell of the region in sorted order: per run of
-    cells that differ only in their last axis (and a triangle's u|d), its
-    other coordinates joined to each of _tails in turn."""
-    tails, inner = _tails(region), region.extents[1:-1]
-    n = len(tails)
-
-    def lead(g):  # the other coordinates of the g-th run
-        digits = []
-        for e in reversed(inner):
-            g, d = divmod(g, e)
-            digits.append(d)
-        return " ".join(map(str, (g, *reversed(digits)))) + " "
-
-    return chain.from_iterable(
-        map(lead(g).__add__, tails[max(start - g * n, 0):stop - g * n])
-        for g in range(start // n, -(-stop // n)))
+        last = [v + o for v in last for o in ("u ", "d ")]
+    return chain.from_iterable(map(head.__add__, last)
+                               for head in map("".join, product(*lead)))

@@ -5,21 +5,21 @@ list, (character, hue tuple), off the set's one compiled tile table,
 `TileSet.table`, which `patch_valid` and the window checks read too, and
 runs one explicit-stack depth-first search over the region's cells, so the
 number of cells is not bounded by Python's recursion limit.  It tests the
-rule by the table's test.  A solution is the cells' characters: the solver
-maps them back to (tile, code) labels, and the corona enumerator joins
-them into rows.  Every facet-sharing pair of listed cells that
-`facet_pairs` lists (torus wrap pairs included) is checked exactly once,
-when the later cell of the pair is placed; neighbours outside the list are
-unconstrained.
+rule by the table's test.  A solution is the cells' characters: the first
+is returned in sorted cell order, which the solver joins into a packed
+patch, and the corona enumerator joins each into a row.  Every
+facet-sharing pair of listed cells that `facet_pairs` lists (torus wrap
+pairs included) is checked exactly once, when the later cell of the pair
+is placed; neighbours outside the list are unconstrained.
 The engine re-checks nothing it finds; its callers do.
 
 What depends only on the region and its listed cells is compiled once into
 a plan, kept for the last 16 regions as `facet_pairs` keeps its pairs: the
-cells' kinds, checks and key getters, the record skeleton below and colour
-slots.  Searches that repeat a region, such as the seeded patches of
-`tileatlas roundtrip --count`, build it once; only a region's first
-search pays for it.  Candidate tables, colour indexes, the memo and stack
-are per search.
+cells' kinds, checks and key getters, the record skeleton below, colour
+slots and the cells' sorted order.  Searches that repeat a region, such as
+the seeded patches of `tileatlas roundtrip --count`, build it once; only a
+region's first search pays for it.  Candidate tables, colour indexes, the
+memo and stack are per search.
 
 Each cell keeps a colour index: a memo from the colours its earlier
 neighbours show on the checked facets to the candidates that match them all.
@@ -107,9 +107,10 @@ def region_search(ts: TileSet, region: RegionSpec, limit=None, seed=None,
     A solution's labels are the characters of `ts.table`, one per cell.
     With a seed, each cell's candidate list is shuffled up front, so the
     first solution is a reproducible pseudo-random one.  `limit` bounds the
-    nodes; `each` is as in `_search`, whose result this returns.  A region
-    off the set's lattice, or a limit that is not None or a node count, is
-    refused, not searched.
+    nodes; `each` is as in `_search`, whose result this returns, with the
+    first solution's labels put in sorted cell order.  A region off the
+    set's lattice, or a limit that is not None or a node count, is refused,
+    not searched.
     """
     if limit is not None:
         check_count(limit, "node limit")
@@ -135,7 +136,11 @@ def region_search(ts: TileSet, region: RegionSpec, limit=None, seed=None,
             if lst is None:
                 lst = orders[key] = [per_kind[kind][p] for p in order]
             per_cell.append(lst)
-    return _search(per_cell, plan, ts.table.test, limit, each)
+    status, first, *counts = _search(per_cell, plan, ts.table.test, limit,
+                                     each)
+    if first is not None:
+        first = list(map(first.__getitem__, plan.order))
+    return status, first, *counts
 
 
 def check_count(value, what):
@@ -146,10 +151,11 @@ def check_count(value, what):
 
 
 def _schedule(region: RegionSpec, cells):
-    """checks[i] = (facet, neighbour facet, earlier cell index) triples, in
-    facet order: each facet_pairs quad goes to the later of its two cells.
-    The pairs are keyed on the sorted cells, patch_valid's key for a full
-    patch, so the re-check of a found patch reads the same walk."""
+    """(order, checks): order[k] is the index of the k-th cell in sorted
+    order, and checks[i] = (facet, neighbour facet, earlier cell index)
+    triples, in facet order: each facet_pairs quad goes to the later of its
+    two cells.  The pairs are walked over the sorted cells, so the one sort
+    also puts a found solution in sorted cell order (_Plan.order)."""
     order = sorted(range(len(cells)), key=cells.__getitem__)
     checks = [[] for _ in cells]
     for a, f, b, nf in facet_pairs(region, tuple([cells[k] for k in order])):
@@ -157,12 +163,12 @@ def _schedule(region: RegionSpec, cells):
         if i < j:
             i, j, f, nf = j, i, nf, f
         checks[i].append((f, nf, j))
-    return [sorted(cs) for cs in checks]
+    return order, [sorted(cs) for cs in checks]
 
 
 # what a search needs of its region and cells alone; see _plan
 _Plan = namedtuple("_Plan",
-                   "kinds shapes sigs keys width last records tail at")
+                   "kinds shapes sigs keys width last records tail at order")
 
 
 @lru_cache(maxsize=16)
@@ -170,11 +176,12 @@ def _plan(region: RegionSpec, cells):
     """The search plan of the region's cells (all of them, in scan order, if
     `cells` is None), read off their check schedule: per cell its kind, the
     index in `sigs` of its (own-wrap checks, earlier facets) and its key
-    getter; `width`; _records' skeleton; per cell its colour slots.
-    Nothing of a tile set or a search.  The last 16 plans are kept."""
+    getter; `width`; _records' skeleton; per cell its colour slots; the
+    cells' sorted order.  Nothing of a tile set or a search.  The last 16
+    plans are kept."""
     if cells is None:
         cells = region_cells(region)
-    checks = _schedule(region, cells)
+    order, checks = _schedule(region, cells)
     # the kinds of one lattice all have the same facet count
     width = max(FACET_COUNT[kind] for kind in SPACE_KINDS[region.space])
     sigs, shapes, keys = {}, [], []
@@ -187,7 +194,8 @@ def _plan(region: RegionSpec, cells):
     last, records, tail = _records(checks, width)
     return _Plan([cell_kind(region.space, c) for c in cells], shapes,
                  list(sigs), keys, width, last, records, tail,
-                 [slice(i * width, (i + 1) * width) for i in range(len(cells))])
+                 [slice(i * width, (i + 1) * width) for i in range(len(cells))],
+                 order)
 
 
 def _getter(idx):

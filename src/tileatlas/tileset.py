@@ -188,7 +188,9 @@ class Patch:
     placements)` keeps its placements; one that the solver, parse_patch or
     the codec makes (`Patch.of_text`) keeps `packed`, one string of label
     characters for the cells of its region, and builds `placements` from it
-    when it is first read."""
+    when it is first read.  A patch is a value: changing its placements
+    after it is made is not supported, as a packed patch's checks, text and
+    atlas reads never read them again."""
 
     set_name: str
     region: RegionSpec
@@ -302,9 +304,10 @@ def facet_pairs(region: RegionSpec,
                 cells: tuple) -> tuple[tuple[int, int, int, int], ...]:
     """Each facet-sharing pair of the listed cells once, as (i, facet, j,
     nfacet) index quads in the order of `cells`; the last 16 regions and
-    cell tuples are kept, so a sweep over tori of several sizes and sets
-    hits on its second pass.  The engine's schedule and patch_valid pass
-    sorted cells, so a found patch's re-check reads its search's walk.
+    cell tuples are kept, for repeated pair walks over one cell tuple, such
+    as patch_valid's over the coronas of one window.  The engine's schedule
+    passes the sorted cells, so the one sort it makes also gives its plan's
+    sorted-order index.
 
     Torus regions wrap.  A pair is listed from the side whose (cell, facet)
     is smaller, so a facet that meets itself (an extent-1 wrap) is no pair;

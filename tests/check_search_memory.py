@@ -17,11 +17,12 @@ read of its patch's coronas that must keep next to nothing.
   facet_pairs keeps; the seeded triangles6 search that makes it finds its
   first patch at node 1,564.  A plan that kept more per cell, its check
   lists say, would raise the benchmark's peak RSS; here it fails first.
-  The size, 378,752 bytes, was measured on Python 3.11 only.  Most of it
-  is 800 slices, 799 itemgetters, 400 closures and their 399 cells, and
-  8 lists.  Object sizes can differ between Python versions; a machine
-  word more on each of these 2,406 objects would add 19 KB, and the bound
-  leaves 121 KB over the measured size.
+  The size, 402,556 bytes, was measured on Python 3.11 only.  Most of it
+  is 800 slices, 799 itemgetters, 400 closures and their 399 cells, the
+  543 ints above 256 of the cells' sorted order, and 9 lists.  Object
+  sizes can differ between Python versions; a machine word more on each
+  of these 2,950 objects would add 24 KB, and the bound leaves 97 KB over
+  the measured size.
 - read: what missing_coronas keeps once it has read the patch that the
   seeded solve_atlas finds on the 20x20 triangle torus at node 1,564 (800
   complete coronas), at most READ_BYTES as tracemalloc counts it.  It keeps
@@ -46,7 +47,7 @@ import sys
 import tracemalloc
 
 # bytes the 20x20 triangle torus plan may hold: its size on Python 3.11 and
-# about a third over it
+# about a quarter over it
 PLAN_BYTES = 500_000
 # bytes a read of that torus patch's coronas may keep
 READ_BYTES = 1_000

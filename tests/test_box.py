@@ -225,12 +225,25 @@ def test_column_reader_gives_the_line_readers_results(space):
 
 
 def test_column_reader_reads_what_the_writer_writes():
-    # found patches of each bundled set, written and read back by columns
+    # found patches of each bundled set, written and read back by columns;
+    # the tri 10x11 torus and the free cube 10x11x12 reach multi-digit
+    # coordinates on every axis, the cube's a string over cubes21's
+    # alphabet, as no solve of it is quick
+    rng = random.Random(42)
+    cube = RegionSpec("cube3d", (10, 11, 12), False)
     for name, region in (("wang13", RegionSpec("square2d", (4, 4), False)),
                          ("triangles6", RegionSpec("tri2d", (4, 4), True)),
-                         ("cubes21", RegionSpec("cube3d", (2, 2, 2), False))):
+                         ("cubes21", RegionSpec("cube3d", (2, 2, 2), False)),
+                         ("triangles6", RegionSpec("tri2d", (10, 11), True)),
+                         ("cubes21", cube)):
         ts = load_bundled(name)
-        patch = solve(ts, region).patch
+        if region == cube:
+            labels = ts.table.labels
+            patch = Patch.of_text(name, region, "".join(
+                chr(rng.randrange(len(labels))) for _ in range(10 * 11 * 12)),
+                labels)
+        else:
+            patch = solve(ts, region).patch
         text = serialize_patch(patch)
         read = _by_columns(text, region.space, set(ts.by_id))
         assert read == patch == _by_lines(text, region.space, None)

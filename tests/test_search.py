@@ -134,7 +134,7 @@ def _run(engine, ts, region, limit, seed, counting):
     each = (lambda labels: calls.append(tuple(labels))) if counting else None
     if engine is not ENGINE:
         # the oracle reads the check schedule that the plan is made from
-        checks = search._schedule(region, region_cells(region))
+        _, checks = search._schedule(region, region_cells(region))
         engine = partial(_with_checks, engine, checks, ts)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(search, "_search", engine)

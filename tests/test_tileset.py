@@ -883,6 +883,20 @@ def test_patch_writer_refuses_what_the_reader_cannot_return():
             serialize_patch(replace(patch, placements=placements))
 
 
+def test_patch_writer_names_the_first_cells_label():
+    # several labels that cannot be written: the refusal names the one of
+    # the first sorted cell, whatever the hash seed
+    bad = [("c#d", "r0", "'c#d'"), ("a", "zz", "'zz'"),
+           ("a b", "r0", "'a b'")]
+    region = RegionSpec("square2d", (3, 1), False)
+    for shift in range(len(bad)):
+        labels = bad[shift:] + bad[:shift]
+        placements = {(x, 0): Placement((x, 0), tid, code)
+                      for x, (tid, code, _) in enumerate(labels)}
+        with pytest.raises(FormatError, match=re.escape(labels[0][2])):
+            serialize_patch(Patch("s", region, placements))
+
+
 def test_parse_patch_tri_and_bare_u_alias():
     text = "patch t 2 1 torus\n0 0 u u1 t0\n0 0 d d1 u\n"
     p = parse_patch(text, "tri2d", {"u1", "d1"})
