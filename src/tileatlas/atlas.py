@@ -17,13 +17,14 @@ by the source set's one tile table, `TileSet.table`, across the corona
 window of their centre kind (the window module).
 
 An `Atlas` is stored packed: a sorted table of the (tile, code) labels its
-coronas use, and one `str` row per corona whose characters are label
-indices, chr(i) for the i-th label, centre first and then the ring.  Python
-keeps such a string at one byte per character while every index is below
-256 and widens it by itself beyond.  A table holds at most `LABEL_LIMIT`
-labels, the range of chr.  Strings sort by code point, so sorted rows are in
-`Corona.sort_key` order.  `Corona` stays the public type: `atlas.coronas`
-decodes rows on demand, and `corona in atlas` encodes the query.
+coronas use, and a sorted tuple of distinct `str` rows, one per corona,
+whose characters are label indices, chr(i) for the i-th label, centre first
+and then the ring.  Python keeps such a string at one byte per character
+while every index is below 256 and widens it by itself beyond.  A table
+holds at most `LABEL_LIMIT` labels, the range of chr.  Strings sort by code
+point, so the rows are in `Corona.sort_key` order.  `Corona` stays the
+public type: `atlas.coronas` decodes rows on demand, and `corona in atlas`
+encodes the query.
 
 `corona_of` reads a free region as its box: the torus one cell wider on
 each axis, whose extra layer holds no cell.  `missing_coronas` reads every
@@ -36,28 +37,20 @@ straight into a row by the atlas's table.
 
 Rows are packed without a lookup per label: the engine's labels are the
 characters of the set's table, so a window's row is its solution
-reordered and joined.  Each constructor gives `Atlas._set` a table of just
-the labels that its rows use (the enumerator's are looked for in the joined
-rows), which it sorts; the rows are renumbered in place, a batch at a time
-by one translate over the batch's joined text, only where sorting moves a
-character.  On a 2-core machine the cubes21 c2 atlas (812,673 rows) derives
-in 4-5 s.
+reordered and joined.  `Atlas._set` sorts each constructor's table of the
+labels its rows use, renumbers the rows in place only where that moves a
+character, and sorts them once.  On a 2-core machine the cubes21 c2 atlas
+(812,673 rows) derives in 4-5 s.
 
 The atlas text format is specified in docs/FORMATS.md.  The writer makes
-it a block of 1024 sorted rows at a time: each label's text is built once
-as a centre and once as a ring entry, a block's joined rows are mapped
-through the ring table, each row's first slot is overwritten through the
-centre table, and the block is joined once.  `serialize_atlas` joins the
-blocks, and `atlas_lines` yields their lines one at a time.  `parse_atlas`
-reads a str or an iterable of its pieces, such as a file.  Text in the
-writer's form is read 48 rows at a time by columns: each label through its
-tile's code table, without a tuple a label.  What that route cannot
-decide, such as a comment, another spacing, an unknown code or a repeated
-row, goes to the line reader, which words every fault with its line
-number.  Both routes share one interner, one list of the rows in reading
-order and one set of them for the repeat check; a repeat's first line is
-worked out from the list only when a repeat is found, and the set is let
-go before the rows are renumbered.
+it a block of 1024 rows at a time (_text_blocks); `serialize_atlas` joins
+the blocks, and `atlas_lines` yields their lines one at a time.
+`parse_atlas` reads a str or an iterable of its pieces, such as a file:
+text in the writer's form 48 rows at a time by columns, and what that
+route cannot decide, such as a comment, another spacing or an unknown
+code, by the line reader, which words every fault with its line number.
+A repeat is found side by side in the sorted rows, and only then named by
+a walk of the rows in reading order.
 """
 
 from __future__ import annotations
@@ -65,10 +58,10 @@ from __future__ import annotations
 import sys
 from collections.abc import Set
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import accumulate, chain, compress, count
+from functools import cached_property, lru_cache
+from itertools import accumulate, chain, compress, count, islice
 from math import prod
-from operator import getitem, itemgetter
+from operator import eq, getitem, itemgetter
 
 from .geometry import (
     SPACE_KINDS,
@@ -123,36 +116,37 @@ class _Interner(dict):
 @dataclass(frozen=True, init=False)
 class Atlas:
     """A named set of coronas, packed: `labels` is the sorted table of the
-    (tile, code) labels they use, `rows` one string per corona whose
-    characters are label indices, chr(i) for labels[i], centre first.
-
-    `Atlas(name, coronas)` packs Corona values; `coronas` is a read-only set
-    view that decodes rows as it is iterated.
-    """
+    (tile, code) labels they use, `rows` the sorted tuple of distinct
+    strings, one per corona, whose characters are label indices, chr(i) for
+    labels[i], centre first.  `Atlas(name, coronas)` packs Corona values,
+    each once; `coronas` is a read-only set view that decodes rows as it is
+    iterated.  Lookups read `_members`, a frozenset of the rows built at the
+    first and kept, which == and hash do not compare."""
 
     name: str
     labels: tuple = field(repr=False)
-    rows: frozenset = field(repr=False)
+    rows: tuple = field(repr=False)
     _chars: dict = field(repr=False, compare=False)
+    _members = cached_property(lambda self: frozenset(self.rows))
 
     def __init__(self, name: str, coronas):
         index = _Interner()
-        rows = ["".join(map(index.__getitem__, (c.center, *c.ring)))
-                for c in coronas]
-        self._set(name, index, rows)
+        rows = ("".join(map(index.__getitem__, (c.center, *c.ring)))
+                for c in coronas)
+        self._set(name, index, [*dict.fromkeys(rows)])
 
     def _set(self, name, labels: dict, rows: list):
-        """Store `rows`, strings in which labels[label] stands for label,
-        over the sorted table of the labels, each of which some row must
-        use.  The rows are renumbered in place, a batch at a time
-        (_translate), only when sorting moves a character."""
+        """Store `rows`, distinct strings in which labels[label] stands for
+        label, over the sorted table of the labels, each of which some row
+        must use: renumbered in place a batch at a time (_translate) only
+        when sorting moves a character, then sorted into a new tuple."""
         table = sorted(labels)
         to = {ord(labels[label]): k for k, label in enumerate(table)}
         if any(k != v for k, v in to.items()):
             for k in range(0, len(rows), _BATCH):
                 rows[k:k + _BATCH] = _translate(rows[k:k + _BATCH], to)
         for key, value in (("name", name), ("labels", tuple(table)),
-                           ("rows", frozenset(rows)),
+                           ("rows", tuple(sorted(rows))),
                            ("_chars", dict(zip(table, map(chr, count()))))):
             object.__setattr__(self, key, value)
 
@@ -170,9 +164,10 @@ class Atlas:
         """Whether the row of `labels`, (tile, code) pairs centre first, is
         one of the atlas's; a label that the table lacks is in none."""
         try:
-            return "".join(map(self._chars.__getitem__, labels)) in self.rows
+            row = "".join(map(self._chars.__getitem__, labels))
         except KeyError:
             return False
+        return row in self._members
 
     def __contains__(self, corona) -> bool:
         return isinstance(corona, Corona) and self._has(
@@ -299,7 +294,7 @@ def missing_coronas(atlas: Atlas, patch: Patch) -> tuple[list, int]:
         for cell, row in zip(cells, rows):
             if hole not in row:
                 complete += 1
-                if row not in atlas.rows:
+                if row not in atlas._members:
                     missing.append(cell)
     return sorted(missing), complete
 
@@ -417,19 +412,20 @@ def serialize_atlas(atlas: Atlas) -> str:
 def atlas_lines(atlas: Atlas):
     """The atlas text one line at a time, each ending in "\\n", so that a
     caller can write it to a file without holding it: _text_blocks split.
-    What the writer refuses raises FormatError when its line is reached,
-    after the lines before it."""
+    A ring the writer refuses raises FormatError when its line is reached,
+    after the lines before it; a label or a name it refuses raises before
+    the first line, as the label tables are built first."""
     for block in _text_blocks(atlas):
         yield from block.splitlines(True)
 
 
-# sorted rows written at a time
+# rows written at a time
 _LINES = 1024
 
 
 def _text_blocks(atlas: Atlas):
     """The atlas text in blocks of whole lines: the header, then the lines
-    of _LINES sorted rows at a time.  Each label's text is built and checked
+    of _LINES rows at a time.  Each label's text is built and checked
     once, into two tables: as a centre, "\\n<tile> <code> :", and in a ring,
     " <tile> <code>".  A block's joined rows are mapped through the ring
     table, every row's first slot is overwritten by a stride slice mapped
@@ -443,10 +439,9 @@ def _text_blocks(atlas: Atlas):
               for (t, code), ch in atlas._chars.items()}
     ring = {ch: " " + text[1:-2] for ch, text in centre.items()}
     yield f"atlas {_token(atlas.name, 'atlas name')}\n"
-    rows = sorted(atlas.rows)
     n = lattice[1] + 1 if lattice else 0
-    for k in range(0, len(rows), _LINES):
-        batch = rows[k:k + _LINES]
+    for k in range(0, len(atlas.rows), _LINES):
+        batch = atlas.rows[k:k + _LINES]
         bad = next(compress(count(), map(n.__ne__, map(len, batch))), None)
         joined = "".join(batch[:bad])
         if joined:
@@ -479,14 +474,12 @@ _ROWS = 48
 class _Reader(_Interner):
     """parse_atlas's state: the interner, whose labels are checked when
     first met, each tile's code -> row character table that the column
-    route reads, the rows in reading order and the repeat set of them, the
-    name, the lattice and the number of lines read.  A row's line is its
-    index plus the last offset in `shifts`, (first row, line - index), at
-    or before it."""
+    route reads, the rows in reading order, the name, the lattice, the
+    number of lines read and `shifts`, the (first row, line - index) pairs."""
 
     def __init__(self, rs: ReducedSet | None):
         self.rs, self.name, self.lattice, self.ln = rs, None, None, 0
-        self.codes, self.rows, self.seen, self.shifts = {}, [], set(), []
+        self.codes, self.rows, self.shifts = {}, [], []
 
     def add(self, rows, ln):
         """Keep `rows`, read from line `ln` on, one a line."""
@@ -494,12 +487,18 @@ class _Reader(_Interner):
         if not self.shifts or self.shifts[-1][1] != shift:
             self.shifts.append((len(self.rows), shift))
         self.rows += rows
-        self.seen.update(rows)
 
-    def first(self, row) -> int:
-        """The line that `row` was first read on."""
-        k = self.rows.index(row)
+    def line(self, k) -> int:
+        """Row k's line: k plus the last shift at or before it."""
         return k + next(s for i, s in reversed(self.shifts) if i <= k)
+
+    def repeats(self):
+        """Raise FormatError at the first row that repeats an earlier one."""
+        first = {}
+        for k, row in enumerate(self.rows):
+            if first.setdefault(row, k) != k:
+                raise FormatError(f"line {self.line(k)}: repeats the corona "
+                                  f"of line {self.line(first[row])}")
 
     def fault(self, label) -> str | None:
         """Why `label` cannot be interned; the first code sets the
@@ -543,9 +542,6 @@ class _Reader(_Interner):
                 raise FormatError(
                     f"line {ln}: ring of {len(row) - 1} entries; "
                     f"{self.lattice[0]} coronas have {self.lattice[1]}")
-            if row in self.seen:
-                raise FormatError(f"line {ln}: repeats the corona of line "
-                                  f"{self.first(row)}")
             self.add([row], ln)
         self.ln = end
 
@@ -568,8 +564,6 @@ class _Reader(_Interner):
             return self._learn(zip(tiles, codes)) and self.columns(lines)
         rows = [*map(packed.__getitem__, map(
             slice, range(0, len(packed), n), range(n, len(packed) + n, n)))]
-        if len(set(rows)) < len(rows) or not self.seen.isdisjoint(rows):
-            return False
         self.add(rows, self.ln + 1)
         self.ln += len(rows)
         return True
@@ -598,26 +592,32 @@ def parse_atlas(text, rs: ReducedSet | None = None) -> Atlas:
     code, all codes must come from the same lattice, every ring must have
     that lattice's touching count of entries, and no corona may be listed
     twice.  Given the reduced set, every (tile, code) label must also be
-    one of its encodings.
+    one of its encodings.  Of several faults, the first line's is named.
 
     The header and the first corona line, which sets the lattice, are read
     a line at a time; after them, _ROWS lines at a time by columns
     (_Reader.columns), and a block that route cannot decide line by line
     (_Reader.lines).  Both routes intern into one table, in order of first
     use, and check a label when it is first met, and keep the rows in one
-    list, with a set of them for the repeat check.  At the end the set is
-    let go, the table sorted, and the list renumbered to it in place a
-    batch at a time (Atlas._set)."""
+    list in reading order, which Atlas._set renumbers and sorts.  Only if
+    a sorted row equals the next, or a fault stops the read, does
+    _Reader.repeats walk the list for the first repeat."""
     read = _Reader(rs)
-    for lines in _line_lists(text):
-        while lines:  # each block is let go once read
-            block = lines[:_ROWS if read.lattice else 1]
-            del lines[:len(block)]
-            if not (read.lattice and read.columns(block)):
-                read.lines(block)
+    try:
+        for lines in _line_lists(text):
+            while lines:  # each block is let go once read
+                block = lines[:_ROWS if read.lattice else 1]
+                del lines[:len(block)]
+                if not (read.lattice and read.columns(block)):
+                    read.lines(block)
+    except FormatError:
+        read.repeats()  # a repeat on an earlier line is the first fault
+        raise
     if read.name is None:
         raise FormatError("missing atlas header")
+    atlas = Atlas._packed(read.name, read, read.rows)
+    if any(map(eq, atlas.rows, islice(atlas.rows, 1, None))):
+        read.repeats()
     if any(t == ":" for t, _ in read):  # a ring entry; writers refuse it
         raise FormatError("':' is no atlas tile id")
-    rows, read.seen = read.rows, None  # renumbered without the repeat set
-    return Atlas._packed(read.name, read, rows)
+    return atlas

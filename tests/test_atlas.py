@@ -918,6 +918,15 @@ def test_atlas_lines_stop_at_a_bad_row_mid_batch(monkeypatch):
                    for line in lines)
         with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
             serialize_atlas(atlas)
+    # a label the writer refuses, centred on a code of another lattice or
+    # on a tile holding a space, raises before the header: the label tables
+    # are built first
+    for label, bad in ((("zz", "t0"), "t0"), (("z z", "r0"), "z z")):
+        atlas = Atlas("a", [*good[:2], Corona(label, ring)])
+        lines = []
+        with pytest.raises(FormatError, match=re.escape(repr(bad))):
+            lines.extend(atlas_lines(atlas))
+        assert lines == []
 
 
 def _random_atlas(rng, labels, space, count):
@@ -1027,26 +1036,60 @@ def _unsorted_atlases(rng, labels, space):
             ("first ring in reverse sort order", backwards)]
 
 
-def _far_repeats(rng, text):
-    """(text, message) for writer-form `text` with a line of its first
-    block of _ROWS after the first corona line listed again two or more
-    blocks later: as it is, with a comment in the first listing's block and
-    with one in the repeat's block."""
+def _far_repeats(rng, text, space, rs):
+    """(text, [(reduced set, message)], for None and `rs`) for writer-form
+    `text` with a line of its first block of _ROWS after the first corona
+    line listed again two or more blocks later: as it is, with a comment in
+    the first listing's block and with one in the repeat's block, and with
+    a faulty line before the repeat or after it, of each kind; of the
+    repeat and the fault, the first in reading order is named.  Last, the
+    text with a line listed again in the same block of _ROWS."""
     rows = tileatlas.atlas._ROWS
     lines = text.splitlines()
     first = rng.randrange(2, rows + 1)
     again = rng.randrange(2 + 2 * rows, len(lines) + 1)
+    ring = len(touching_offsets(SPACE_KINDS[space][0]))
+    givens = (None, rs) if rs else (None,)
+
+    def repeat(changed, line=lines[first]):
+        k = changed.index(line)
+        return (f"line {changed.index(line, k + 1) + 1}: "
+                f"repeats the corona of line {k + 1}")
+
     out = []
     for comment in (None, rng.randrange(2, first + 1),
                     rng.randrange(2 + 2 * rows, again + 1)):
         changed = lines[:again] + [lines[first]] + lines[again:]
         if comment is not None:
             changed[comment + (comment > again):comment] = ["# a comment"]
-        k = changed.index(lines[first])
-        out.append(("\n".join(changed) + "\n",
-                    f"line {changed.index(lines[first], k + 1) + 1}: "
-                    f"repeats the corona of line {k + 1}"))
-    return out
+        out.append((changed, [(None, repeat(changed))]))
+    # a faulty line, with the fault it names without and with `rs`, or
+    # None where it names none; without `rs` a ring tile ":" is refused only
+    # once every line is read
+    toks = rng.choice(lines[1:]).split(" ")
+    short = f"ring of {ring - 1} entries; {space} coronas have {ring}"
+    faults = [
+        (toks[:-2], short, short),
+        (toks[:4] + ["q9"] + toks[5:], *["unknown orientation code 'q9'"] * 2),
+        (["z9"] + toks[1:], None,
+         rs and f"z9 {toks[1]} encodes no tile of {rs.name}"),
+        (toks[:3] + [":"] + toks[4:], None,
+         rs and f": {toks[4]} encodes no tile of {rs.name}")]
+    for bad, *named in faults:
+        for at in (rng.randrange(2, again + 1),
+                   rng.randrange(again + 1, len(lines) + 2)):
+            changed = lines[:again] + [lines[first]] + lines[again:]
+            changed[at:at] = [" ".join(bad)]
+            out.append((changed, [
+                (given, f"line {at + 1}: {fault}" if fault and at <= again
+                 else repeat(changed))
+                for given, fault in zip(givens, named)]))
+    # the same block of _ROWS, read by columns
+    at = rng.randrange(2, rows)
+    changed = lines[:at + 1] + [lines[at]] + lines[at + 1:]
+    out.append((changed, [(given, repeat(changed, lines[at]))
+                          for given in givens]))
+    return [("\n".join(changed) + "\n", want) for changed, want in out]
 
 
 @pytest.mark.parametrize("name, mode, seed", [
@@ -1105,13 +1148,21 @@ def test_column_route_reads_as_the_line_reader(monkeypatch, name, mode, seed):
             assert all(taken) and by_lines == text.splitlines()[:2], what
             assert _parse_in_every_form(text) == atlas, what
         # a repeat names both lines, also where its first listing was read
-        # two or more blocks before, and by either route
-        for text, message in _far_repeats(rng, serialize_atlas(atlas)):
+        # two or more blocks before, and by either route; of a repeat and a
+        # fault, the first in reading order is named
+        repeats = _far_repeats(rng, serialize_atlas(atlas), space, given)
+        for text, want in repeats:
             for route in (counted_columns, lambda self, block: False):
                 monkeypatch.setattr(reader, "columns", route)
                 cut = rng.randrange(len(text) + 1)
-                for form in (text, [text[:cut], text[cut:]]):
-                    assert _parse_outcome(form, None) == message
+                for rs_given, message in want:
+                    for form in (text, [text[:cut], text[cut:]]):
+                        assert _parse_outcome(form, rs_given) == message
+        # the column route reads a block holding a repeat itself
+        monkeypatch.setattr(reader, "columns", counted_columns)
+        taken.clear()
+        text, [(_, message), *_] = repeats[-1]
+        assert _parse_outcome(text, None) == message and all(taken)
 
 
 def test_corona_window_is_searched_in_scan_order():

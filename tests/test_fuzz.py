@@ -61,7 +61,8 @@ def atlases(draw):
     corona = st.builds(
         Corona, entry, st.lists(entry, min_size=RING[space],
                                 max_size=RING[space]).map(tuple))
-    return Atlas(draw(ids), frozenset(draw(st.lists(corona, max_size=4))))
+    # the drawn list may repeat a corona, which Atlas packs once
+    return Atlas(draw(ids), draw(st.lists(corona, max_size=4)))
 
 
 # near-miss text: loose tokens, and corona lines with any code and ring size
@@ -93,6 +94,15 @@ def test_atlas_text_round_trip_is_byte_identical(atlas):
     back = parse_atlas(text)
     assert back == atlas
     assert serialize_atlas(back) == text
+    # one sorted tuple of distinct rows, decoded in Corona.sort_key order;
+    # a corona given twice is packed once
+    assert type(atlas.rows) is tuple
+    assert list(atlas.rows) == sorted(set(atlas.rows))
+    coronas = list(atlas.coronas)
+    assert coronas == sorted(coronas, key=Corona.sort_key)
+    twice = Atlas(atlas.name, coronas + coronas[:1])
+    assert twice == Atlas(atlas.name, coronas) == atlas
+    assert hash(twice) == hash(Atlas(atlas.name, coronas)) == hash(atlas)
 
 
 def near_misses(tokens, heads=()):
