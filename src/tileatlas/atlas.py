@@ -31,9 +31,9 @@ each axis, whose extra layer holds no cell.  `missing_coronas` reads every
 row of a patch's box at once, through the box module's reader, which
 `patch_valid` shares: the patch's one string of labels, translated once to
 the atlas's and padded to the box, turned along each axis, when the patch
-lies in its region and fills at least 1/2^dim of the box.  Any other patch
-is read a cell at a time: corona_of's walk of the corona's labels, packed
-straight into a row by the atlas's table.
+is packed or lies in its region and fills at least 1/2^dim of the box.  Any
+other patch is read a cell at a time: corona_of's walk of the corona's
+labels, packed straight into a row by the atlas's table.
 
 Rows are packed without a lookup per label: the engine's labels are the
 characters of the set's table, so a window's row is its solution
@@ -259,26 +259,22 @@ def missing_coronas(atlas: Atlas, patch: Patch) -> tuple[list, int]:
     """The sorted cells whose complete corona (as corona_of reads it) is not
     in the atlas, and the number of complete coronas in the patch.
 
-    A patch that lies in its region and fills at least 1/2^dim of its box,
-    as a full patch does, has every row of the box read at once
-    (box.corona_rows) from its string over the atlas's labels
-    (box.patch_text), padded with holes to the box on a free region: a
-    cell's character is its label's, a spare one if the table lacks the
-    label, or another, the hole, if the cell is empty.  A row with a hole
-    is not complete.  Any other patch is read cell by cell: corona_of's
-    walk of each corona's labels (_corona_labels), packed as a row by the
-    atlas's table (Atlas._has)."""
+    A packed patch, which fills its region, or a dict patch that lies in
+    its region and fills at least 1/2^dim of its box has every row of the
+    box read at once (box.corona_rows) from its string over the atlas's
+    labels (box.patch_text), padded with holes to the box on a free region:
+    a cell's character is its label's, a spare one if the table lacks the
+    label, or another, the hole, if a dict patch leaves the cell empty.  A
+    row with a hole is not complete.  Any other patch is read cell by cell:
+    corona_of's walk of each corona's labels (_corona_labels), packed as a
+    row by the atlas's table (Atlas._has)."""
     region, labels = patch.region, atlas.labels
     torus, hole = box(region), chr(len(labels))
-    if patch.packed is None:
-        filled = len(patch.placements)
-    else:  # less its empty cells
-        filled = len(patch.packed[0]) - patch.packed[0].count(
-            chr(len(patch.packed[1])))
     if (len(labels) + 2 > LABEL_LIMIT  # no spare characters
-            or filled << space_dim(region.space) < prod(bounds(torus))
-            or patch.packed is None
-            and not cells_in_region(region, patch.placements)):
+            or patch.packed is None and (
+                len(patch.placements) << space_dim(region.space)
+                < prod(bounds(torus))
+                or not cells_in_region(region, patch.placements))):
         placements = patch.placements
         coronas = [(cell, _corona_labels(placements, region, cell))
                    for cell in sorted(placements)]

@@ -20,17 +20,18 @@ The search engine, `patch_valid`'s pair walk and the corona window's checks
 (the window module) read the same table.
 
 A patch's labels, one character a cell of its region in sorted order, are
-read by `patch_text`: a packed patch's string, translated once where its
-alphabet is not the reader's, or a dict patch's placements packed, one
-placements.get a cell.  `patch_valid` reads a patch that lies in its
-region and fills it by the dense route (`dense_valid`): its string over
-the set's alphabet, translated to kinds, must be the region's kind
-string (on tri2d the up cells are the even characters and the down cells
-the odd ones).  Each facet-sharing pair is met from one side
-(`facet_steps`): per step, both kinds' strings are translated to the
-hues their facets show and compared, the neighbour's turned by the step
-on a torus and sliced on a free region; under `identical` that is one
-string comparison, and a table rule tests the pairs of characters.
+read by `patch_text`: a packed patch's string, which fills its region,
+translated once where its alphabet is not the reader's, or a dict patch's
+placements packed, one placements.get a cell, with a hole for each empty
+cell.  `patch_valid` reads a patch that lies in its region and fills it by
+the dense route (`dense_valid`): its string over the set's alphabet,
+translated to kinds, must be the region's kind string (on tri2d the up
+cells are the even characters and the down cells the odd ones).  Each
+facet-sharing pair is met from one side (`facet_steps`): per step, both
+kinds' strings are translated to the hues their facets show and compared,
+the neighbour's turned by the step on a torus and sliced on a free region;
+under `identical` that is one string comparison, and a table rule tests the
+pairs of characters.
 
 The route only accepts.  An unplaced cell, a label the table lacks, one on
 a cell of another kind or a failed comparison returns False, and
@@ -218,8 +219,7 @@ def dense_valid(ts, patch) -> bool:
             patch.placements) != prod(bounds(region))):
         return False
     table, step = ts.table, len(SPACE_KINDS[ts.space])
-    # an empty cell and a label the table lacks have no kind, so they fail
-    # the kind string
+    # a label the table lacks has no kind, so it fails the kind string
     text = patch_text(patch, table.labels)
     # tri2d's two kinds alternate
     if text.translate(table.kinds) != "\0\1"[:step] * (len(text) // step):
@@ -246,11 +246,11 @@ _EMPTY = (None, _HOLE, _HOLE)
 def patch_text(patch, labels: tuple) -> str:
     """The labels of `patch`, whose cells lie in its region, as characters
     of the alphabet `labels` (chr(i) for labels[i]), one per cell of the
-    region in sorted order: chr(len(labels)) where a cell is empty and
-    chr(len(labels) + 1) where its label is not among `labels`.  A patch
-    kept as a string (Patch.packed) is translated once, unless `labels` is
-    its own alphabet; one built from placements is packed here, one
-    placements.get a cell."""
+    region in sorted order, chr(len(labels) + 1) where a label is not among
+    `labels`.  A patch kept as a string (Patch.packed) is translated once,
+    unless `labels` is its own alphabet; one built from placements is
+    packed here, one placements.get a cell, chr(len(labels)) where a cell
+    is empty."""
     if patch.packed is None:
         spare = chr(len(labels) + 1)
         return "".join(map(_packing(labels).get, map(label_of, map(
@@ -272,15 +272,10 @@ def _packing(labels: tuple) -> dict:
 def _recode(own: tuple, labels: tuple) -> dict:
     """The str.translate table from the alphabet `own` to `labels`, as
     patch_text reads it: each character of `own` to that of its label among
-    `labels`, or to chr(len(labels) + 1) where `labels` lacks it, and the
-    hole of `own` to that of `labels`.  `labels` may hold None where a
-    character stands for no label."""
+    `labels`, or to chr(len(labels) + 1) where `labels` lacks it."""
     index = dict(zip(labels, map(chr, count())))
     spare = chr(len(labels) + 1)
-    table = {i: index.get(label, spare) for i, label in enumerate(own)
-             if label is not None}
-    table[len(own)] = chr(len(labels))
-    return table
+    return {i: index.get(label, spare) for i, label in enumerate(own)}
 
 
 def padded(text: str, extents, step: int, fill: str) -> str:

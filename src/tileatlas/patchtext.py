@@ -2,13 +2,14 @@
 docs/FORMATS.md specifies.
 
 A patch text is a header line and one line a placed cell.  The writer
-writes a packed patch (`Patch.packed`, one character a cell of its region
-in sorted order) without a Python step a cell: each line is its cell's
-prefix, its coordinates each followed by a space, joined to its
+writes a packed patch (`Patch.packed`, one character for each cell of its
+region in sorted order) without a Python step a cell: each line is its
+cell's prefix, its coordinates each followed by a space, joined to its
 character's label text, "tile code" and the line break, which is built
 once a label.  The prefixes come from one walk over the region
 (`_prefixes`), the product of each axis's coordinate strings.  A patch
-built from placements is written from its sorted cells.
+built from placements, which may leave cells empty, is written from its
+sorted cells.
 
 `parse_patch` reads the writer's form a block of lines at a time
 (`_by_columns`): each block is split once, each (tile, code) pair of its
@@ -59,9 +60,8 @@ class _Labels(dict):
 
     def __missing__(self, label):
         tid, code = label
-        # the last character is left for an empty cell
         if (code not in self.codes or self.ids is not None
-                and tid not in self.ids or len(self) >= sys.maxunicode):
+                and tid not in self.ids or len(self) > sys.maxunicode):
             raise KeyError(label)
         ch = self[label] = chr(len(self))
         self.lines[ch] = f"{tid} {code}\n"
@@ -164,17 +164,15 @@ def _by_lines(text, space: str, ids) -> Patch:
 
 
 def serialize_patch(patch: Patch) -> str:
-    """The patch text, a line a cell in sorted order.  A packed patch
-    without empty cells is written from its string (_label_lines,
-    _prefixes) when every label it uses can be written; any other from its
-    sorted placements, which are read once by map, the labels checked once
-    each, in the order of the cells that first use them (the first that
-    cannot be written raises FormatError), and the cells at once, and the
-    lines joined once."""
+    """The patch text, a line a cell in sorted order.  A packed patch is
+    written from its string (_label_lines, _prefixes) when every label it
+    uses can be written; any other from its sorted placements, which are
+    read once by map, the labels checked once each, in the order of the
+    cells that first use them (the first that cannot be written raises
+    FormatError), and the cells at once, and the lines joined once."""
     region = patch.region
     head = _head(patch)
-    if patch.packed is not None and chr(len(patch.packed[1])) not in (
-            patch.packed[0]):
+    if patch.packed is not None:
         text, labels = patch.packed
         lines = _label_lines(labels, region.space)
         try:
@@ -222,7 +220,7 @@ def _label_lines(labels: tuple, space: str) -> dict:
         try:
             lines[chr(i)] = (f"{_token(label[0], 'tile id')} "
                              f"{_code(label[1], codes)}\n")
-        except (FormatError, TypeError):
+        except FormatError:
             pass
     return lines
 

@@ -25,14 +25,15 @@ The reduced-set text format is specified in docs/FORMATS.md.
 A packed patch (one string of label characters, `Patch.packed`) is encoded
 and decoded without a step a cell: an encoded patch keeps the source
 patch's string, over the source set's alphabet, each character standing
-for the label that encodes its tile (`ReducedSet.labels`); decoding a patch
-read from text translates its string once to that alphabet.
+for the label that encodes its tile (`ReducedSet.labels`, which has no
+gaps, since a reduced set maps every tile); decoding a patch read from
+text translates its string once to that alphabet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import count, repeat
 from operator import itemgetter
 
 from .geometry import (
@@ -73,21 +74,32 @@ class DecoratedPrototile:
 
 @dataclass(frozen=True)
 class ReducedSet:
+    """A translation-placed source set re-encoded over `reps`: `forward`
+    maps each source tile, every one, to its own (rep id, code) label, or
+    the set is refused (with parse_reduced's messages), so `labels` has a
+    label for each character of the source set's tile table."""
+
     name: str
     mode: str
     source: TileSet
     reps: tuple[DecoratedPrototile, ...]
     forward: dict  # source tile id -> (rep id, orientation code)
     inverse: dict = field(init=False, repr=False, compare=False)
-    # encoded label -> the character of the source tile it encodes in the
-    # source set's tile table: `inverse` composed with its alphabet, which
-    # the atlas's implicit route packs a corona by
-    chars: dict = field(init=False, repr=False, compare=False)
-    # its inverse, the alphabet of an encoded packed patch: per character
-    # of the source alphabet, the label that encodes it, None for none
+    # the alphabet of an encoded packed patch: per character of the source
+    # set's tile table, the label that encodes its tile
     labels: tuple = field(init=False, repr=False, compare=False)
+    # its index, encoded label -> the character of the source tile it
+    # encodes, which the atlas's implicit route packs a corona by
+    chars: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        source = self.source
+        if source.allowed != "translations":
+            raise FormatError(
+                "reduction is defined for translation-placed sets")
+        missing = set(source.by_id) - set(self.forward)
+        if missing:
+            raise FormatError(f"tiles without mapping: {sorted(missing)}")
         inv = {}
         for tid, key in self.forward.items():
             if key in inv:
@@ -96,15 +108,9 @@ class ReducedSet:
                 )
             inv[key] = tid
         object.__setattr__(self, "inverse", inv)
-        alphabet = self.source.table.chars
-        ident = identity_code(self.source.space)
-        object.__setattr__(self, "chars", {
-            label: alphabet[tid, ident] for label, tid in inv.items()
-            if (tid, ident) in alphabet})
-        labels = [None] * len(alphabet)
-        for label, ch in self.chars.items():
-            labels[ord(ch)] = label
-        object.__setattr__(self, "labels", tuple(labels))
+        labels = tuple(self.forward[tid] for tid, _ in source.table.labels)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "chars", dict(zip(labels, map(chr, count()))))
 
     @property
     def rep_ids(self):
@@ -201,8 +207,7 @@ def encode_patch(rs: ReducedSet, patch: Patch) -> Patch:
     placements are read and built in bulk; a patch that fails is read again
     placement by placement, to name the first offender.
     """
-    source = rs.source.table.labels
-    text = _recoded(patch, source, rs.labels)
+    text = _recoded(patch, rs.source.table.labels)
     if text is not None:
         return Patch.of_text(rs.name, patch.region, text, rs.labels)
     ident = identity_code(patch.region.space)
@@ -226,7 +231,7 @@ def decode_patch(rs: ReducedSet, patch: Patch) -> Patch:
     naming the first in the patch's order.  A packed patch keeps its
     string, read over the source set's alphabet."""
     source = rs.source.table.labels
-    text = _recoded(patch, rs.labels, source)
+    text = _recoded(patch, rs.labels)
     if text is not None:
         return Patch.of_text(rs.source.name, patch.region, text, source)
     tiles = list(map(rs.inverse.get, map(label_of, patch.placements.values())))
@@ -240,18 +245,15 @@ def decode_patch(rs: ReducedSet, patch: Patch) -> Patch:
         patch.placements, tiles, repeat(identity_code(patch.region.space))))
 
 
-def _recoded(patch: Patch, into: tuple, other: tuple) -> str | None:
-    """The string of a packed patch read over `into`, where `into` and
-    `other`, the codec's two alphabets, give each character the labels it
-    stands for on either side; None for a patch built from placements, or
-    one with a label outside `into` or without a label in `other`, which
+def _recoded(patch: Patch, into: tuple) -> str | None:
+    """The string of a packed patch read over `into`, one of the codec's
+    two alphabets, whose characters stand for the same tiles; None for a
+    patch built from placements, or one with a label outside `into`, which
     the placements' route words."""
     if patch.packed is None:
         return None
     text = patch_text(patch, into)
-    bad = [chr(len(into) + 1), *(chr(i) for i, pair in enumerate(zip(
-        into, other)) if None in pair)]
-    return None if any(map(text.__contains__, bad)) else text
+    return None if chr(len(into) + 1) in text else text
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +322,4 @@ def parse_reduced(text: str, source: TileSet) -> ReducedSet:
             forward[tid] = (rep_id, code)
     if name is None:
         raise FormatError("missing reduced header")
-    missing = set(source.by_id) - set(forward)
-    if missing:
-        raise FormatError(f"tiles without mapping: {sorted(missing)}")
     return ReducedSet(name, mode, source, tuple(reps), forward)

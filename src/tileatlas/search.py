@@ -14,12 +14,12 @@ is placed; neighbours outside the list are unconstrained.
 The engine re-checks nothing it finds; its callers do.
 
 What depends only on the region and its listed cells is compiled once into
-a plan, kept for the last 16 regions as `facet_pairs` keeps its pairs: the
-cells' kinds, checks and key getters, the record skeleton below, colour
-slots and the cells' sorted order.  Searches that repeat a region, such as
-the seeded patches of `tileatlas roundtrip --count`, build it once; only a
-region's first search pays for it.  Candidate tables, colour indexes, the
-memo and stack are per search.
+a plan, kept for the last 16 regions: the cells' kinds, checks and key
+getters, the record skeleton below, colour slots and the cells' sorted
+order.  Searches that repeat a region, such as the seeded patches of
+`tileatlas roundtrip --count`, build it once; only a region's first search
+pays for it.  Candidate tables, colour indexes, the memo and stack are per
+search.
 
 Each cell keeps a colour index: a memo from the colours its earlier
 neighbours show on the checked facets to the candidates that match them all.

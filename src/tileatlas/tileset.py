@@ -5,14 +5,15 @@ Colours are non-negative integers in canonical facet order; 0 is the
 uncoloured value and every rule accepts the pair (0, 0).  Orientation codes
 are the geometry module's canonical element codes.
 
-A patch that the solver, parse_patch or the codec makes is one string of
-label characters, one a cell of its region in sorted order (`Patch.packed`);
-its placement dict is built when it is first read.  `Patch(set_name,
-region, placements)` keeps its dict.  `patch_valid` decides a patch that
-fills its region by the box module's dense route, which reads that string,
-or the placements packed into one, and only accepts; any other patch goes
-through the pair walk, which words every violation.  The patch text format
-is read and written by the patchtext module.
+A patch that the solver, parse_patch or the codec makes fills its region:
+it is one string of label characters, one a cell of its region in sorted
+order (`Patch.packed`), whose placement dict is built when it is first
+read.  `Patch(set_name, region, placements)` keeps its dict, which may
+leave cells empty.  `patch_valid` decides a patch that fills its region by
+the box module's dense route, which reads that string, or the placements
+packed into one, and only accepts; any other patch goes through the pair
+walk, which words every violation.  The patch text format is read and
+written by the patchtext module.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import gc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import compress, product, tee
+from itertools import product, tee
 from operator import itemgetter, ne
 from typing import NamedTuple
 
@@ -185,12 +186,13 @@ class RegionSpec:
 @dataclass(frozen=True)
 class Patch:
     """A set's placements over a region.  `Patch(set_name, region,
-    placements)` keeps its placements; one that the solver, parse_patch or
-    the codec makes (`Patch.of_text`) keeps `packed`, one string of label
-    characters for the cells of its region, and builds `placements` from it
-    when it is first read.  A patch is a value: changing its placements
-    after it is made is not supported, as a packed patch's checks, text and
-    atlas reads never read them again."""
+    placements)` keeps its placements, which may leave cells empty; one
+    that the solver, parse_patch or the codec makes (`Patch.of_text`) fills
+    its region and keeps `packed`, one string of label characters, one for
+    each cell of its region, and builds `placements` from it when it is
+    first read.  A patch is a value: changing its placements after it is
+    made is not supported, as a packed patch's checks, text and atlas reads
+    never read them again."""
 
     set_name: str
     region: RegionSpec
@@ -209,9 +211,9 @@ class Patch:
     @classmethod
     def of_text(cls, set_name: str, region: RegionSpec, text: str,
                 labels: tuple) -> Patch:
-        """The patch whose `packed` form is (text, labels): one character a
-        cell of the region in sorted order, chr(i) for labels[i] and
-        chr(len(labels)) for an empty cell."""
+        """The patch whose `packed` form is (text, labels): one character
+        for each cell of the region in sorted order, chr(i) for labels[i].
+        A patch with an empty cell is built from its placements."""
         patch = cls.__new__(cls)
         for key, value in (("set_name", set_name), ("region", region),
                            ("packed", (text, labels))):
@@ -223,13 +225,9 @@ class Patch:
         if name != "placements" or "packed" not in self.__dict__:
             raise AttributeError(name)
         text, labels = self.packed
-        hole = chr(len(labels))
-        cells = product(*map(range, bounds(self.region)))
-        if hole in text:
-            cells = compress(cells, map(hole.__ne__, text))
-            text = text.replace(hole, "")
         found = [*map(labels.__getitem__, map(ord, text))]
-        placements = placement_map(cells, map(itemgetter(0), found),
+        placements = placement_map(product(*map(range, bounds(self.region))),
+                                   map(itemgetter(0), found),
                                    map(itemgetter(1), found))
         object.__setattr__(self, "placements", placements)
         return placements
@@ -299,13 +297,10 @@ def placement_ok(ts: TileSet, region: RegionSpec, pl: Placement) -> str | None:
     return None
 
 
-@lru_cache(maxsize=16)
 def facet_pairs(region: RegionSpec,
                 cells: tuple) -> tuple[tuple[int, int, int, int], ...]:
     """Each facet-sharing pair of the listed cells once, as (i, facet, j,
-    nfacet) index quads in the order of `cells`; the last 16 regions and
-    cell tuples are kept, for repeated pair walks over one cell tuple, such
-    as patch_valid's over the coronas of one window.  The engine's schedule
+    nfacet) index quads in the order of `cells`.  The engine's schedule
     passes the sorted cells, so the one sort it makes also gives its plan's
     sorted-order index.
 

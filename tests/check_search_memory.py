@@ -13,10 +13,10 @@ read of its patch's coronas that must keep next to nothing.
   bound leaves about a quarter over that.
 - plan: the search plan that region_search keeps for the 20x20 triangle
   torus, the one patch-pipeline's triangles6 patch is found on, at most
-  PLAN_BYTES as tracemalloc counts it, beyond the facet pairs that
-  facet_pairs keeps; the seeded triangles6 search that makes it finds its
-  first patch at node 1,564.  A plan that kept more per cell, its check
-  lists say, would raise the benchmark's peak RSS; here it fails first.
+  PLAN_BYTES as tracemalloc counts it; the seeded triangles6 search that
+  makes it finds its first patch at node 1,564.  A plan that kept more per
+  cell, its check lists say, would raise the benchmark's peak RSS; here it
+  fails first.
   The size, 402,556 bytes, was measured on Python 3.11 only.  Most of it
   is 800 slices, 799 itemgetters, 400 closures and their 399 cells, the
   543 ints above 256 of the cells' sorted order, and 9 lists.  Object
@@ -77,10 +77,8 @@ def free():
 
 def plan():
     from tileatlas import RegionSpec, load_bundled, search
-    from tileatlas.tileset import facet_pairs, region_cells
     tri = load_bundled("triangles6")
     region = RegionSpec("tri2d", (20, 20), True)
-    facet_pairs(region, tuple(sorted(region_cells(region))))
     gc.collect()
     tracemalloc.start()
     status, _, nodes, _, _ = search.region_search(tri, region, seed=7)

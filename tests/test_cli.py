@@ -18,7 +18,13 @@ from pathlib import Path
 
 import tileatlas
 import tileatlas.cli
-from tileatlas.atlas import DEFAULT_NODE_CAP, derive_atlas, enumerate_source_coronas
+from tileatlas.atlas import (
+    DEFAULT_NODE_CAP,
+    Atlas,
+    corona_of,
+    derive_atlas,
+    enumerate_source_coronas,
+)
 from tileatlas.cli import build_parser, main
 from tileatlas.geometry import ShapeKind
 from tileatlas.reduction import decode_patch, parse_reduced, reduce_set, serialize_reduced
@@ -159,6 +165,15 @@ def test_exhaust_kmax_negative(capsys):
         assert re.fullmatch(rf"k={k}: exhausted nodes=\d+", line)
 
 
+def test_exhaust_kmax_at_its_node_limit_exits_2(capsys):
+    # a torus cut off by the node limit is no answer: the sweep goes on,
+    # and the worst status it met sets the exit code
+    code, out, _ = run(capsys, "exhaust", "--in", "@wang13", "--kmax", "3",
+                       "--node-limit", "100")
+    assert (code, out) == (2, "k=1: exhausted nodes=13\n"
+                              "k=2: limit nodes=101\nk=3: limit nodes=101\n")
+
+
 def test_exhaust_kmax_found_stops_early(tmp_path, capsys):
     path = tmp_path / "k.patch"
     code, out, _ = run(capsys, "exhaust", "--in", "@triangles6", "--kmax", "3",
@@ -289,6 +304,34 @@ def test_verify_reduced_with_atlas(tmp_path, capsys):
     assert out.strip() == "ok (decoded facets valid)"
 
 
+def test_verify_reduced_with_atlas_names_each_missing_corona(
+        tmp_path, capsys, monkeypatch):
+    # the atlas that verify derives, less the row of the patch's first
+    # corona: every cell with that corona is named, in sorted order
+    red = tmp_path / "t.reduced"
+    run(capsys, "reduce", "--in", "@triangles6", "--mode", "c1",
+        "--out", str(red))
+    patch_path = tmp_path / "t.patch"
+    run(capsys, "tile", "--in", "@triangles6", "--reduced", str(red),
+        "--width", "3", "--height", "3", "--torus", "--seed", "0",
+        "--out", str(patch_path))
+    patch = parse_patch(patch_path.read_text(encoding="utf-8"), "tri2d")
+    cells = sorted(patch.placements)
+    coronas = [corona_of(patch.placements, patch.region, c) for c in cells]
+
+    def short(rs, node_cap):
+        atlas = derive_atlas(rs, node_cap=node_cap)
+        return Atlas(atlas.name, set(atlas.coronas) - {coronas[0]})
+
+    monkeypatch.setattr(tileatlas.cli, "derive_atlas", short)
+    code, out, _ = run(capsys, "verify", "--in", "@triangles6", "--reduced",
+                       str(red), "--patch", str(patch_path), "--with-atlas")
+    assert code == 1
+    assert out == "".join(f"invalid: corona at {cell} not in atlas\n"
+                          for cell, c in zip(cells, coronas)
+                          if c == coronas[0])
+
+
 def test_verify_atlas_budget_crossed_is_node_limit(tmp_path, capsys):
     red = tmp_path / "w.reduced"
     run(capsys, "reduce", "--in", "@wang13", "--mode", "c2", "--out", str(red))
@@ -325,6 +368,15 @@ def test_roundtrip_command(capsys):
     lines = out.strip().splitlines()
     assert lines == ["seed 7: ok", "seed 8: ok",
                      "2/2 patches round-tripped, 0 failures"]
+
+
+def test_roundtrip_at_its_node_limit_counts_failures(capsys):
+    # a seed cut off by the node limit is a failure, not a patch
+    code, out, _ = run(capsys, "roundtrip", "--in", "@wang13", "--mode", "c2",
+                       "--width", "4", "--height", "4", "--node-limit", "1",
+                       "--count", "2")
+    assert (code, out) == (1, "seed 0: limit\nseed 1: limit\n"
+                              "0/2 patches round-tripped, 2 failures\n")
 
 
 def test_roundtrip_without_patches_fails(tmp_path, capsys):

@@ -1,15 +1,19 @@
 """The packed patch against the placements route, its oracle.
 
 A patch that the solver, parse_patch or the codec makes keeps one string of
-label characters (`Patch.packed`); a patch built from the same placements
-(`Patch(set_name, region, placements)`) takes the placements route in
-every step.  Hypothesis draws patches on the square, cube and triangle
-lattices, each free, torus and holed: found ones, some cells relabelled,
+label characters (`Patch.packed`), one for each cell of its region, each
+standing for a label of its alphabet; a patch built from the same
+placements (`Patch(set_name, region, placements)`) takes the placements
+route in every step.  Hypothesis draws patches on the square, cube and
+triangle lattices, each free and torus: found ones, some cells relabelled,
 over the set's alphabet, over a longer one and over the reader's.  The two
 routes must agree on the patch text, byte for byte, through parse_patch;
 on encode, then decode; on patch_valid's verdict and messages; and on
 missing_coronas.  Writer-form text with one fault must read as the line
-reader reads it.  Examples are derandomized and bounded.
+reader reads it.  Examples are derandomized and bounded.  A patch with an
+empty cell is a dict patch: test_atlas's
+test_missing_coronas_matches_per_cell_oracle and test_tileset's sparse
+patches cover those.
 """
 
 import random
@@ -41,6 +45,7 @@ from tileatlas.tileset import (  # noqa: E402
     Patch,
     Placement,
     RegionSpec,
+    load_bundled,
     patch_valid,
 )
 
@@ -56,22 +61,21 @@ def cells_of(region):
 
 def placements_of(region, text, labels):
     """The placements that `text` stands for over `labels`, built cell by
-    cell: chr(len(labels)) is an empty cell."""
+    cell."""
     return {cell: Placement(cell, *labels[ord(ch)])
-            for cell, ch in zip(cells_of(region), text)
-            if ord(ch) < len(labels)}
+            for cell, ch in zip(cells_of(region), text)}
 
 
 @st.composite
 def cases(draw):
     """(set, packed patch, the same placements as a dict patch)."""
     space = draw(st.sampled_from(SPACES))
-    form = draw(st.sampled_from(["free", "torus", "holed"]))
+    torus = draw(st.booleans())
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     ts = random_tileset(rng, space, rng.randint(1, 4), colours=1)
     extents = tuple(rng.randint(1, 2 if space == "cube3d" else 4)
                     for _ in range(space_dim(space)))
-    region = RegionSpec(space, extents, form == "torus")
+    region = RegionSpec(space, extents, torus)
     size = len(cells_of(region))
     found = solve(ts, region, SolveConfig(node_limit=3000,
                                           seed=rng.randrange(100))).patch
@@ -79,25 +83,52 @@ def cases(draw):
     text = "".join(rng.choice([*map(chr, range(len(labels)))])
                    for _ in range(size)) if found is None else found.packed[0]
     changes = rng.randint(0, 2)
-    if changes or form == "holed":
+    if changes:
         # a tile no set holds and a code no translation set places
         labels += (("zz", space_codes(space)[0]),
                    (ts.prototiles[0].id, space_codes(space)[-1]))
-        fill = [*map(chr, range(len(labels) + (form == "holed")))]
+        fill = [*map(chr, range(len(labels)))]
         for k in rng.sample(range(size), min(size, changes)):
             text = text[:k] + rng.choice(fill) + text[k + 1:]
-        if form == "holed":  # one empty cell at least
-            k = rng.randrange(size)
-            text = text[:k] + chr(len(labels)) + text[k + 1:]
         packed = Patch.of_text(ts.name, region, text, labels)
     else:
         packed = found if found is not None else Patch.of_text(
             ts.name, region, text, labels)
     whole = Patch(ts.name, region, placements_of(region, text, labels))
-    if form != "holed" and rng.random() < 0.5:  # over the reader's alphabet
+    if rng.random() < 0.5:  # over the reader's alphabet
         packed = parse_patch(serialize_patch(whole), space)
         assert packed.packed is not None
     return ts, packed, whole
+
+
+def assert_full(patch):
+    """A packed patch: one character for each cell of its region, each
+    standing for a label of its alphabet."""
+    text, labels = patch.packed
+    assert len(text) == len(cells_of(patch.region))
+    assert max(map(ord, text)) < len(labels)
+
+
+@pytest.mark.parametrize("name, region", [
+    ("wang13", RegionSpec("square2d", (4, 3), False)),
+    ("kari14", RegionSpec("square2d", (5, 5), False)),
+    ("cubes21", RegionSpec("cube3d", (2, 2, 2), False)),
+    ("triangles6", RegionSpec("tri2d", (3, 3), False)),
+    ("triangles6", RegionSpec("tri2d", (4, 4), True))])
+def test_every_packed_patch_made_fills_its_region(name, region):
+    # the solver, parse_patch on the writer's form, encode_patch and
+    # decode_patch, from a packed patch and from one read from text
+    ts = load_bundled(name)
+    found = solve(ts, region).patch
+    made = [found, parse_patch(serialize_patch(found), region.space)]
+    for mode in ("c1", "c2"):
+        rs = reduce_set(ts, mode)
+        encoded = encode_patch(rs, found)
+        read = parse_patch(serialize_patch(encoded), region.space)
+        made += [encoded, decode_patch(rs, encoded), read,
+                 decode_patch(rs, read)]
+    for patch in made:
+        assert_full(patch)
 
 
 def outcome(fn, *args):
@@ -120,8 +151,7 @@ def test_packed_route_agrees_with_the_placements_route(case):
     assert text == serialize_patch(whole)
     read = parse_patch(text, region.space)
     assert read == whole and serialize_patch(read) == text
-    assert (read.packed is None) == (len(whole.placements) < len(
-        cells_of(region)))
+    assert read.packed is not None
     # the verdict and every message, in order
     assert patch_valid(ts, packed) == patch_valid(ts, whole)
     # encode, then decode, also through the encoded text
@@ -157,8 +187,6 @@ def test_one_fault_reads_as_the_line_reader_reads_it(case, fault, pick):
     except FormatError:
         return
     head, *lines = text.splitlines(keepends=True)
-    if not lines:  # a one-cell region, holed
-        return
     k = pick % len(lines)
     fields = lines[k].split()
     if fault == "swapped":  # two cells' coordinates, or one cell's own

@@ -504,3 +504,42 @@ def test_parse_reduced_errors():
     # the encoding is defined for translation-placed sources only
     with pytest.raises(FormatError):
         parse_reduced(good, TileSet(ts.name, ts.prototiles, ts.rule, "all"))
+
+
+def test_reduced_set_maps_every_tile_of_a_translation_placed_source():
+    # the constructor refuses what parse_reduced refuses after reading, with
+    # its messages and in its order: a missing tile before a repeated label
+    ts = load_bundled("triangles6")
+    rs = reduce_set(ts, "c1")
+    good = serialize_reduced(rs)
+    gap = {tid: key for tid, key in rs.forward.items() if tid != "u2"}
+    every = TileSet(ts.name, ts.prototiles, ts.rule, "all")
+    for source, forward, text, message in (
+            (ts, gap, good.replace("u2 -> x0 t1\n", ""),
+             "tiles without mapping: ['u2']"),
+            (ts, {**gap, "u3": ("x0", "t0")},
+             good.replace("u2 -> x0 t1\n", "").replace("u3 -> x0 t2",
+                                                       "u3 -> x0 t0"),
+             "tiles without mapping: ['u2']"),
+            (ts, {**rs.forward, "u3": ("x0", "t0")},
+             good.replace("u3 -> x0 t2", "u3 -> x0 t0"),
+             "encoding is not injective: ('x0', 't0') used by u1 and u3"),
+            (every, rs.forward, good,
+             "reduction is defined for translation-placed sets")):
+        for make in (lambda: ReducedSet(rs.name, rs.mode, source, rs.reps,
+                                        forward),
+                     lambda: parse_reduced(text, source)):
+            with pytest.raises(FormatError) as refused:
+                make()
+            assert str(refused.value) == message
+    # so the encoded alphabet has a label for each source character, in the
+    # order of the source set's tile table, and `chars` is its index
+    for name in ("wang13", "cubes21", "triangles6", "kari14"):
+        source = load_bundled(name)
+        for mode in ("c1", "c2"):
+            rs = reduce_set(source, mode)
+            assert rs.labels == tuple(rs.forward[tid]
+                                      for tid, _ in source.table.labels)
+            assert list(rs.chars) == list(rs.labels)
+            assert list(rs.chars.values()) == [
+                *map(chr, range(len(source.table.labels)))]

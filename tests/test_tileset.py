@@ -21,6 +21,7 @@ from tileatlas.geometry import (
     space_codes,
 )
 from tileatlas.patchtext import parse_patch, serialize_patch
+from tileatlas.solver import solve
 from tileatlas.tileset import (
     FacetRule,
     FormatError,
@@ -872,6 +873,17 @@ def test_patch_writer_refuses_what_the_reader_cannot_return():
                         replace(p, placements=placements)):
             with pytest.raises(FormatError, match=re.escape(repr(bad))):
                 serialize_patch(changed)
+        # a packed patch, which the solver makes, words it as its placements
+        one = TileSet("s", (Prototile(bad, SQ, (0, 0, 0, 0)),),
+                      FacetRule("identical"), "translations")
+        found = solve(one, RegionSpec("square2d", (2, 2), False)).patch
+        refusals = []
+        for patch in (found, Patch("s", found.region, found.placements)):
+            with pytest.raises(FormatError) as refused:
+                serialize_patch(patch)
+            refusals.append(str(refused.value))
+        assert found.packed is not None and refusals[0] == refusals[1]
+        assert refusals[0].startswith(f"cannot write tile id {bad!r}: ")
     # a code of another lattice, or none, and the triangle alias "u", which
     # reads back as ut0
     tri = parse_patch("patch t 1 1 free\n0 0 d d1 ut0\n", "tri2d")
