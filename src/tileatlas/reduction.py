@@ -94,9 +94,7 @@ class ReducedSet:
 
     def __post_init__(self):
         source = self.source
-        if source.allowed != "translations":
-            raise FormatError(
-                "reduction is defined for translation-placed sets")
+        _check_translations(source)
         missing = set(source.by_id) - set(self.forward)
         if missing:
             raise FormatError(f"tiles without mapping: {sorted(missing)}")
@@ -137,6 +135,12 @@ def _carrier_code(member: ShapeKind, rep: ShapeKind) -> str:
     raise FormatError(f"shapes {member} and {rep} are not isometric")
 
 
+def _check_translations(ts: TileSet) -> None:
+    """Refuse a set whose tiles may be placed by more than translations."""
+    if ts.allowed != "translations":
+        raise FormatError("reduction is defined for translation-placed sets")
+
+
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
@@ -149,8 +153,7 @@ def _groups(ts: TileSet, mode: str) -> list[tuple[list[str], ShapeKind]]:
     onto each other by the ut codes); its largest class (the first on ties)
     hosts it, and its members come first.
     """
-    if ts.allowed != "translations":
-        raise FormatError("reduction is defined for translation-placed sets")
+    _check_translations(ts)
     classes = partition_translation(ts)
     if mode == "c1":
         return [(cls, ts.by_id[cls[0]].kind) for cls in classes]
@@ -276,8 +279,7 @@ def serialize_reduced(rs: ReducedSet) -> str:
 
 
 def parse_reduced(text: str, source: TileSet) -> ReducedSet:
-    if source.allowed != "translations":
-        raise FormatError("reduction is defined for translation-placed sets")
+    _check_translations(source)
     name = None
     mode = None
     reps = []

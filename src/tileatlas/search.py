@@ -15,8 +15,8 @@ The engine re-checks nothing it finds; its callers do.
 
 What depends only on the region and its listed cells is compiled once into
 a plan, kept for the last 16 regions: the cells' kinds, checks and key
-getters, the record skeleton below, colour slots and the cells' sorted
-order.  Searches that repeat a region, such as the seeded patches of
+getters, the record skeleton and structure below, colour slots and the
+cells' sorted order.  Searches that repeat a region, such as the seeded patches of
 `tileatlas roundtrip --count`, build it once; only a region's first search
 pays for it.  Candidate tables, colour indexes, the memo and stack are per
 search.
@@ -50,24 +50,28 @@ next cell's are record cells: on a 7x7 square region cells 0-5, 7, 14, 21,
 28 and 35, every cell of the first row but its last and each later row start
 but the last row's; triangle and cube regions have them too (16 of the 32
 cells of a 4x4 triangle torus).  The cells from one record cell to the next
-form a segment (after the first row, a row of a square region).  Each record
-cell keeps one memo, grouped by reach, the last cell of a segment: what a
-walk from the cell stored at a reach depends only on the frontier colours
-that cells up to that reach check, so it is keyed on those alone.  Reaches
-whose cells check the same frontier slots share one group, under the
-narrowest of them, the last cell to check one of those slots; so a lookup
-computes each distinct key once, and a hit passes that narrowest reach on,
-which reads the same slots for every enclosing record cell too.  A
-solution-free subtree stores the nodes it charged at its reach: the end of
-the deepest segment it entered, a record cell charged without survivors
-counting as entered, and counting the reaches of the entries it was charged
-from.  On a torus only the last row reads row 0's bottom colours, so
-a subtree that dies before it is searched under one row 0 and charged under
-the others.  A subtree with solutions below it is not recorded.  A lookup
-tries each group narrowest first, and a hit is charged again (`replayed`),
-at most up to the limit, instead of searched.  One search's memo holds at
-most MEMO_SIZE entries, and the entry that would pass that clears them all
-first.  Every count, limit, solution and `each` call is the plain
+form a segment (after the first row, a row of a square region).  A
+solution-free subtree stores the nodes it charged under its class, the
+structure of its cells from its record cell to its reach: per cell one
+character of `struct`, for its kind, own-wrap checks and earlier checks
+relative to it.  The reach is the end of the deepest segment it entered, a
+record cell charged without survivors counting as entered, and counting the
+reaches of the entries it was charged from.  No cell after the reach was
+charged, and the count is keyed on the colours of the earlier slots that
+its cells check; it does not depend on candidate order, as seeded lists
+hold the same candidates.  So a class answers at every record cell where
+its structure starts: on a torus the rows below a row start are searched
+once wherever their colours come back, below any row start, and as only
+the last row reads row 0's bottom colours, a subtree that dies before it is
+searched under one row 0 and charged under the others.  A subtree with
+solutions below it is not recorded.  A lookup tries the classes that start
+at its record cell, narrowest first; the cell catches up with the classes
+stored since its last lookup.  A hit is charged again (`replayed`), at most
+up to the limit, instead of searched, and reaches its class's end.  Which
+shift of a class is searched first, and so `replayed`, depends on the
+candidate order; nodes do not.  One search's memo holds at most MEMO_SIZE
+entries over all classes, and the entry that would pass that clears them
+all first.  Every count, limit, solution and `each` call is the plain
 depth-first search's.
 
 So solution subtrees are searched again, not replayed: on a 2-core machine
@@ -168,7 +172,7 @@ def _schedule(region: RegionSpec, cells):
 
 # what a search needs of its region and cells alone; see _plan
 _Plan = namedtuple("_Plan",
-                   "kinds shapes sigs keys width last records tail at order")
+                   "kinds shapes sigs keys width records tail at order struct")
 
 
 @lru_cache(maxsize=16)
@@ -177,25 +181,29 @@ def _plan(region: RegionSpec, cells):
     `cells` is None), read off their check schedule: per cell its kind, the
     index in `sigs` of its (own-wrap checks, earlier facets) and its key
     getter; `width`; _records' skeleton; per cell its colour slots; the
-    cells' sorted order.  Nothing of a tile set or a search.  The last 16
-    plans are kept."""
+    cells' sorted order; and `struct`, one character per cell that stands
+    for its kind, own-wrap checks and earlier checks as (facet, neighbour
+    facet, earlier index - cell index).  Nothing of a tile set or a search.
+    The last 16 plans are kept."""
     if cells is None:
         cells = region_cells(region)
     order, checks = _schedule(region, cells)
+    kinds = [cell_kind(region.space, c) for c in cells]
     # the kinds of one lattice all have the same facet count
     width = max(FACET_COUNT[kind] for kind in SPACE_KINDS[region.space])
-    sigs, shapes, keys = {}, [], []
+    sigs, shapes, keys, codes, struct = {}, [], [], {}, []
     for i, cs in enumerate(checks):
         own = tuple([(f, nf) for f, nf, j in cs if j == i])
         earlier = [(f, nf, j) for f, nf, j in cs if j != i]
         sig = (own, tuple([f for f, _, _ in earlier]))
         shapes.append(sigs.setdefault(sig, len(sigs)))
         keys.append(_getter([j * width + nf for _, nf, j in earlier]))
-    last, records, tail = _records(checks, width)
-    return _Plan([cell_kind(region.space, c) for c in cells], shapes,
-                 list(sigs), keys, width, last, records, tail,
+        code = (kinds[i], own, tuple([(f, nf, j - i) for f, nf, j in earlier]))
+        struct.append(chr(codes.setdefault(code, len(codes))))
+    records, tail = _records(checks)
+    return _Plan(kinds, shapes, list(sigs), keys, width, records, tail,
                  [slice(i * width, (i + 1) * width) for i in range(len(cells))],
-                 order)
+                 order, "".join(struct))
 
 
 def _getter(idx):
@@ -206,27 +214,23 @@ def _getter(idx):
     return itemgetter(*idx) if idx else (lambda seq: ())
 
 
-def _records(checks, width):
-    """The last cell that checks each facet slot (cell * width + facet; -1
-    if none does); per cell whether its frontier is narrower than the next
-    cell's, a record cell; and per cell the last cell of its segment, the
-    cells before the next record cell."""
+def _records(checks):
+    """Per cell whether its frontier is narrower than the next cell's, a
+    record cell, and per cell the last cell of its segment, the cells
+    before the next record cell.  A facet meets one other facet, so each
+    earlier check reads a frontier slot of its own."""
     n = len(checks)
-    last = [-1] * (n * width)
-    for i, cs in enumerate(checks):
-        for _, nf, j in cs:
-            if j != i:
-                last[j * width + nf] = i
     grow = [0] * n  # frontier width at cell i + 1 minus at cell i
-    for s, i in enumerate(last):
-        if i >= 0:
-            grow[s // width] += 1
-            grow[i] -= 1
+    for i, cs in enumerate(checks):
+        for _, _, j in cs:
+            if j != i:
+                grow[j] += 1
+                grow[i] -= 1
     records = [g > 0 for g in grow]
     tail = [n - 1] * n
     for i in range(n - 1, 0, -1):
         tail[i - 1] = i - 1 if records[i] else tail[i]
-    return last, records, tail
+    return records, tail
 
 
 def _search(per_cell, plan, test, limit, each=None):
@@ -262,8 +266,7 @@ def _search(per_cell, plan, test, limit, each=None):
         tables[sig] = (lst, ok, getter(facets), {})
     table = list(map(tables.__getitem__, sig_at))
     memos = [got[3] for got in table]
-    keys, width, last, tail, at = (
-        plan.keys, plan.width, plan.last, plan.tail, plan.at)
+    keys, width, tail, at = plan.keys, plan.width, plan.tail, plan.at
 
     def survivors(i, key):
         # cell i's steps under `key`, as the module docstring describes them
@@ -277,16 +280,33 @@ def _search(per_cell, plan, test, limit, each=None):
         steps.append((len(lst) - done, None, None))
         return steps
 
-    # per record cell an empty memo: reach -> frontier getter and entries
-    records = [{} if r else None for r in plan.records]
-    size = 0  # entries the memo holds, at most MEMO_SIZE
+    # the classes stored, in order: a record cell's walk to its reach is
+    # stored under the structure of the cells it covers, the class, so it
+    # answers wherever that structure starts; per class the slots before
+    # its first cell that its cells check, relative to that cell's slots,
+    # and its entries, key -> nodes
+    classes, named = [], set()
+    size = 0  # entries the classes hold, at most MEMO_SIZE
+    # per record cell how many classes it has looked at, and those that
+    # start there, narrowest first: (last cell, entries, key getter)
+    views = [[0, []] if r else None for r in plan.records]
     # the reach of the subtree being searched, and per record cell, when it
     # was entered, the reach of the one around it and the nodes and
     # solutions counted
     deep, entered = 0, [None] * n
-    # (record cell, reach) -> the group of the narrowest reach whose cells
-    # check the same frontier slots
-    groups = {}
+    struct, slots = plan.struct, range(n * width)
+
+    def view(j):
+        # the classes that start at j, brought up to date
+        seen, mine = views[j]
+        if seen < len(classes):
+            for name, reads, entries in classes[seen:]:
+                if struct.startswith(name, j):
+                    mine.append((j + len(name) - 1, entries,
+                                 _getter([j * width + s for s in reads])))
+            mine.sort(key=itemgetter(0))
+            views[j][0] = len(classes)
+        return mine
 
     if limit is None:  # more nodes than the whole tree holds
         limit = (max(map(len, per_cell)) + 1) ** n
@@ -313,8 +333,7 @@ def _search(per_cell, plan, test, limit, each=None):
             h = i
             i -= 1
             surv, k = stack.pop()
-            record = records[h]
-            if record is not None:
+            if views[h] is not None:
                 around, before, seen = entered[h]
                 reach, deep = deep, max(deep, around)
                 stored = nodes - before
@@ -323,21 +342,21 @@ def _search(per_cell, plan, test, limit, each=None):
                     # never left its start costs no more to search than to
                     # look up: neither is recorded
                     continue
-                got = groups.get((h, reach))
-                if got is None:
-                    slots = [s for s, c in enumerate(last)
-                             if s // width < h <= c <= reach]
-                    got = groups[h, reach] = record.setdefault(
-                        max([h, *map(last.__getitem__, slots)]),
-                        (_getter(slots), {}))
-                    records[h] = record = dict(sorted(record.items()))
-                front, entries = got
+                name = struct[h:reach + 1]
+                if name not in named:
+                    # a key getter read on `slots` returns the slots it reads
+                    named.add(name)
+                    classes.append((name, sorted([
+                        s - h * width for c in range(h, reach + 1)
+                        for s in keys[c](slots) if s < h * width]), {}))
+                for end, entries, front in view(h):
+                    if end == reach:
+                        break
                 key = front(colours)
                 if key not in entries:
                     if size == MEMO_SIZE:
-                        for cell in filter(None, records):
-                            for _, held in cell.values():
-                                held.clear()
+                        for _, _, held in classes:
+                            held.clear()
                         size = 0
                     size += 1
                 entries[key] = stored
@@ -357,18 +376,18 @@ def _search(per_cell, plan, test, limit, each=None):
         nxt = memos[j].get(key)
         if nxt is None:
             nxt = memos[j][key] = survivors(j, key)
-        record = records[j]
+        record = views[j] is not None
         if nxt[0][2] is None:
             # no survivors: j is charged its whole list, as if entered and
             # left, and a record cell's walk reaches its segment's end; a
             # charge that crosses the limit ends the search at the next step
             nodes += nxt[0][0]
-            if record is not None:
+            if record:
                 deep = max(deep, tail[j])
             continue
-        if record is not None:
+        if record:
             got = None
-            for reach, (front, entries) in record.items():
+            for reach, entries, front in view(j):
                 got = entries.get(front(colours))
                 if got is not None:
                     break

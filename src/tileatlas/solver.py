@@ -20,7 +20,8 @@ Both call the engine's one entry point, `search.region_search`, as does the
 corona enumerator.  A node is a candidate tried in scan order; node counts
 and `node_limit` are the plain depth-first search's, whatever the engine's
 colour index and memo skip (see `search.py`).  `SolveResult.replayed` is
-the part of `nodes` charged from the memo.
+the part of `nodes` charged from the memo; unlike `nodes`, it can depend on
+the candidate order, which decides where a record is first searched.
 
 With a seed, each cell's candidate order is shuffled up front, so the first
 solution found is a reproducible pseudo-random patch.
@@ -49,7 +50,8 @@ class SolveResult:
     patch: Patch | None
     nodes: int
     count: int = 0  # solutions seen (only counting searches set this > 1)
-    replayed: int = 0  # nodes charged from the memo's subtree records
+    # nodes charged from the memo's subtree records; order-dependent
+    replayed: int = 0
 
 
 def _checked_search(ts: TileSet, region: RegionSpec, config, each=None

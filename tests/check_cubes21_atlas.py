@@ -11,8 +11,8 @@ Six checks, each printed with its figure; the exit code is 0 when all hold:
 - every complete corona of a free cubes21 4x4x4 patch (the solver's first,
   in the default candidate order), encoded with c2, is in the atlas by both
   membership routes: `corona in atlas` and `corona_in_atlas_implicit`;
-- the atlas text, written line by line into sha256 and a temporary file,
-  has the pinned sha256;
+- the atlas text, joined in blocks of BLOCK_LINES lines, each written once
+  into sha256 and a temporary file, has the pinned sha256;
 - reading that file back, in blocks of the readers' `_CHUNK` characters,
   gives the same atlas;
 - the process's peak RSS after that round trip is at most 500 MB.
@@ -26,9 +26,10 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/check_cubes21_atlas.py
 
-It takes 11-14 s on a 2-core machine: the derivation 4.0-5.8 s at a
-102 MB peak, writing the text through sha256 and the file 2.1-2.8 s, and
-parsing it back from the file 4.6-5.8 s.  The 352.7 MB text is never held
+It takes 11-16 s on a 2-core machine: the derivation 4.0-6.8 s at a
+102 MB peak, writing the text through sha256 and the file 1.9-2.2 s (of it
+1.3-1.6 s making the lines; line by line the loop took 2.3-2.4 s), and
+parsing it back from the file 4.6-7.2 s.  The 352.7 MB text is never held
 whole, so the round trip peaks at about 205 MB (about 790 MB through
 serialize_atlas and parse_atlas on one str); the derivation's RSS is read
 before it.  The
@@ -42,6 +43,7 @@ import sys
 import tempfile
 import time
 from functools import partial
+from itertools import islice
 
 from tileatlas import (BudgetExceeded, RegionSpec, atlas_lines,
                        corona_in_atlas_implicit, corona_of, derive_atlas,
@@ -57,6 +59,7 @@ DERIVE_TARGET_S = 20
 WRITE_TARGET_S = 2
 PARSE_TARGET = 1  # parse time over derivation time
 NODE_CAP = 110_651_268  # the enumeration's exact charge
+BLOCK_LINES = 1024  # atlas lines joined per sha256 update and file write
 
 
 def peak_rss_mb() -> float:
@@ -103,10 +106,12 @@ def main() -> int:
     with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as f:
         before = time.perf_counter()
         sha, size = hashlib.sha256(), 0
-        for line in atlas_lines(atlas):
-            sha.update(line.encode())
-            f.write(line)
-            size += len(line)
+        lines = atlas_lines(atlas)
+        # a block per write, so the time is the writer's and not this loop's
+        while block := "".join(islice(lines, BLOCK_LINES)):
+            sha.update(block.encode())
+            f.write(block)
+            size += len(block)
         written = time.perf_counter()
         digest = sha.hexdigest()
         print(f"text: {size} characters written in {written - before:.1f} s "

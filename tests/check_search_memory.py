@@ -3,11 +3,11 @@ each one's counts, the nodes it replayed included, and peak RSS; then one
 triangles6 search whose kept plan must stay inside its own bound, and one
 read of its patch's coronas that must keep next to nothing.
 
-- torus: the 11x11 torus exhausted, 612,610,024 nodes, 574,918,565 of them
-  replayed, at most 36 MB.  It takes 1.9-2.5 s.  The search's memo holds at
+- torus: the 11x11 torus exhausted, 612,610,024 nodes, 592,618,260 of them
+  replayed, at most 36 MB.  It takes 1.8-2.1 s.  The search's memo holds at
   most MEMO_SIZE entries; without that bound the process peaks near 46 MB.
 - free: the free 8x4 region counted, 653,036 solutions in 68,345,953 nodes,
-  39,721,188 of them replayed, at most 24 MB.  It takes 1.3-2.0 s, with 58 %
+  40,275,755 of them replayed, at most 24 MB.  It takes 1.4-1.6 s, with 59 %
   of the nodes charged from the memo; subtrees with solutions below them
   are searched again, not recorded.  The process peaks near 19 MB, and the
   bound leaves about a quarter over that.
@@ -17,16 +17,16 @@ read of its patch's coronas that must keep next to nothing.
   makes it finds its first patch at node 1,564.  A plan that kept more per
   cell, its check lists say, would raise the benchmark's peak RSS; here it
   fails first.
-  The size, 402,556 bytes, was measured on Python 3.11 only.  Most of it
+  The size, 368,945 bytes, was measured on Python 3.11 only.  Most of it
   is 800 slices, 799 itemgetters, 400 closures and their 399 cells, the
-  543 ints above 256 of the cells' sorted order, and 9 lists.  Object
-  sizes can differ between Python versions; a machine word more on each
-  of these 2,950 objects would add 24 KB, and the bound leaves 97 KB over
-  the measured size.
+  543 ints above 256 of the cells' sorted order, 8 lists and the cells'
+  800-character structure string.  Object sizes can differ between Python
+  versions; a machine word more on each of these 2,950 objects would add
+  24 KB, and the bound leaves 131 KB over the measured size.
 - read: what missing_coronas keeps once it has read the patch that the
   seeded solve_atlas finds on the 20x20 triangle torus at node 1,564 (800
   complete coronas), at most READ_BYTES as tracemalloc counts it.  It keeps
-  nothing per patch: 28 bytes measured on Python 3.11.  A table kept per
+  nothing per patch: 32 bytes measured on Python 3.11.7.  A table kept per
   patch, such as the 10,400 cells its coronas read as two-byte characters,
   would take it over the bound.
 
@@ -47,7 +47,7 @@ import sys
 import tracemalloc
 
 # bytes the 20x20 triangle torus plan may hold: its size on Python 3.11 and
-# about a quarter over it
+# about a third over it
 PLAN_BYTES = 500_000
 # bytes a read of that torus patch's coronas may keep
 READ_BYTES = 1_000
@@ -62,7 +62,7 @@ def torus():
     from tileatlas import exhaust_torus, load_bundled
     r = exhaust_torus(load_bundled("wang13"), (11, 11))
     return ("wang13 torus", (r.status, r.nodes, r.replayed),
-            ("exhausted", 612610024, 574918565), _peak_mb(), 36,
+            ("exhausted", 612610024, 592618260), _peak_mb(), 36,
             "MB peak RSS")
 
 
@@ -71,7 +71,7 @@ def free():
     r = count_solutions(load_bundled("wang13"),
                         RegionSpec("square2d", (8, 4), False))
     return ("wang13 free", (r.status, r.count, r.nodes, r.replayed),
-            ("found", 653036, 68345953, 39721188), _peak_mb(), 24,
+            ("found", 653036, 68345953, 40275755), _peak_mb(), 24,
             "MB peak RSS")
 
 

@@ -297,10 +297,12 @@ def test_rep_class_is_largest_then_first():
 def test_encoding_requires_translation_placed_sets():
     ts = TileSet("t", (Prototile("a", ShapeKind.SQUARE, (1, 1, 1, 1)),),
                  FacetRule("identical"), "all")
-    # both read the groups, which refuse the set before the mode is read
-    for fn in (build_encoding, reduced_cardinality):
+    # each reads the groups, which refuse the set before the mode is read,
+    # with the message that ReducedSet and parse_reduced give
+    for fn in (build_encoding, reduce_set, reduced_cardinality):
         for mode in ("c1", "c2", "c3"):
-            with pytest.raises(FormatError, match="translation-placed"):
+            with pytest.raises(FormatError, match=(
+                    "^reduction is defined for translation-placed sets$")):
                 fn(ts, mode)
     with pytest.raises(FormatError):
         reduced_cardinality(load_bundled("wang13"), "c3")

@@ -10,7 +10,7 @@ test; the oracle reads the same candidates' integer colours by rule_eval.
 
 import random
 import re
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from functools import lru_cache, partial
 
@@ -19,7 +19,7 @@ import pytest
 from conftest import random_tileset
 from tileatlas import search
 from tileatlas.atlas import derive_atlas, enumerate_source_coronas
-from tileatlas.geometry import cell_kind
+from tileatlas.geometry import KIND_SPACE, ShapeKind, cell_kind
 from tileatlas.search import EXHAUSTED, FOUND, LIMIT, _getter, region_search
 from tileatlas.reduction import reduce_set
 from tileatlas.solver import (
@@ -32,11 +32,14 @@ from tileatlas.solver import (
 from tileatlas.tileset import (
     FacetRule,
     FormatError,
+    Prototile,
     RegionSpec,
+    TileSet,
     load_bundled,
     region_cells,
     rule_eval,
 )
+from tileatlas.window import _corona_window
 
 ENGINE = search._search
 
@@ -127,19 +130,20 @@ def _with_checks(oracle, checks, ts, per_cell, plan, test, limit, each=None):
                   ts.rule, limit, each)
 
 
-def _run(engine, ts, region, limit, seed, counting):
+def _run(engine, ts, region, limit, seed, counting, cells=None):
     """(status, labels, nodes, count), the `each` calls and the nodes
-    replayed (None for the oracle) of one search under `engine`."""
+    replayed (None for the oracle) of one search under `engine`, over the
+    listed cells if `cells` lists them."""
     calls = []
     each = (lambda labels: calls.append(tuple(labels))) if counting else None
     if engine is not ENGINE:
         # the oracle reads the check schedule that the plan is made from
-        _, checks = search._schedule(region, region_cells(region))
+        _, checks = search._schedule(region, cells or region_cells(region))
         engine = partial(_with_checks, engine, checks, ts)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(search, "_search", engine)
         status, labels, nodes, count, *replayed = region_search(
-            ts, region, limit, seed, each)
+            ts, region, limit, seed, each, cells)
     return ((status, labels, nodes, count), calls,
             replayed[0] if replayed else None)
 
@@ -191,9 +195,10 @@ def test_engine_matches_plain_search():
 
 def test_engine_matches_plain_search_on_longer_rows():
     # square regions of 4 to 7 cells a side, whose rows meet the same
-    # frontier again; with a seed each row has its own candidate order, so
-    # a memo shared by two rows would replay one row's order in the other,
-    # which the solutions' order and count at the limit show
+    # frontier again; with a seed each row has its own candidate order.
+    # Rows may share records, which hold node counts, but never candidate
+    # lists: a list shared by two rows would replay one row's order in the
+    # other, which the solutions' order and count at the limit show
     rng = random.Random(1)
     cleared = 0  # searches that replayed with a memo of 3 entries
     for trial in range(24):
@@ -337,7 +342,7 @@ def test_replayed_nodes_are_pinned():
     # the subtree records replay exactly these nodes of an exhausted torus
     wang = load_bundled("wang13")
     r = exhaust_torus(wang, (6, 6))
-    assert (r.status, r.nodes, r.replayed) == (EXHAUSTED, 631189, 421590)
+    assert (r.status, r.nodes, r.replayed) == (EXHAUSTED, 631189, 488176)
     # and of free counts, where subtrees with solutions are searched again:
     # 3x3 is the tree of the c2 corona window
     for extents, want in (((3, 3), (FOUND, 1073, 41626, 2028)),
@@ -346,30 +351,38 @@ def test_replayed_nodes_are_pinned():
         assert (r.status, r.count, r.nodes, r.replayed) == want, extents
 
 
-# (nodes, replayed) of the benchmark's torus sweep: wang13 k = 1..7 and
-# cubes21 k = 1..3 exhausted, then the triangles6 12x12 torus counted
-SWEEP = ([(13, 0), (559, 0), (6461, 676), (56940, 24219), (192062, 114933),
-          (631189, 421590), (2360176, 2038933)],
-         [(21, 0), (3045, 1113), (1676409, 1597050)],
-         (3, 2586, 0))
+# nodes of the benchmark's torus sweep: wang13 k = 1..7 and cubes21 k = 1..3
+# exhausted, then the triangles6 12x12 torus counted (count, nodes)
+SWEEP = ([13, 559, 6461, 56940, 192062, 631189, 2360176],
+         [21, 3045, 1676409],
+         (3, 2586))
+# and per seed the nodes its records replay: which shift of a segment is
+# searched first, and replayed at the others, depends on candidate order
+REPLAYED = {
+    None: ([0, 0, 676, 24219, 167531, 488176, 2141906], [0, 1113, 1597050], 0),
+    3: ([0, 0, 676, 27209, 163644, 488176, 2141906], [0, 1113, 1597050], 0),
+    12345: ([0, 0, 676, 28171, 160290, 466544, 2141906], [0, 1113, 1597050],
+            0)}
 
 
 @pytest.mark.parametrize("seed", [None, 3, 12345])
 def test_torus_sweep_counts_are_pinned(seed):
-    # an exhaustive search walks the same tree in any candidate order, and
-    # its records replay the same nodes
+    # an exhaustive search walks the same tree in any candidate order
     config = SolveConfig(seed=seed)
-    got = []
+    nodes, replayed = [], []
     for name, dim, kmax in (("wang13", 2, 7), ("cubes21", 3, 3)):
         ts = load_bundled(name)
         runs = [exhaust_torus(ts, (k,) * dim, config)
                 for k in range(1, kmax + 1)]
         assert {r.status for r in runs} == {EXHAUSTED}
-        got.append([(r.nodes, r.replayed) for r in runs])
+        nodes.append([r.nodes for r in runs])
+        replayed.append([r.replayed for r in runs])
     tri = count_solutions(load_bundled("triangles6"),
                           RegionSpec("tri2d", (12, 12), True), config)
-    got.append((tri.count, tri.nodes, tri.replayed))
-    assert tuple(got) == SWEEP
+    nodes.append((tri.count, tri.nodes))
+    replayed.append(tri.replayed)
+    assert tuple(nodes) == SWEEP
+    assert tuple(replayed) == REPLAYED[seed]
 
 
 def _refusal(what, value):
@@ -403,9 +416,8 @@ def _frontier_keyed(frontier=True):
     the whole frontier, as if each subtree reached the last cell."""
     records = search._records
 
-    def whole(checks, width):
-        last, recs, _ = records(checks, width)
-        return last, recs, [len(checks) - 1] * len(checks)
+    def whole(checks):
+        return records(checks)[0], [len(checks) - 1] * len(checks)
 
     with pytest.MonkeyPatch.context() as m:
         if frontier:
@@ -427,7 +439,8 @@ def test_reach_keyed_records_replay_more():
             whole = _run(ENGINE, wang, region, None, seed, False)
         got = _run(ENGINE, wang, region, None, seed, False)
         assert got[0] == whole[0] == (EXHAUSTED, None, 631189, 0)
-        # frontier-keyed records replay 201,916 nodes, reach-keyed 421,590
+        # frontier-keyed records replay 201,916 nodes, reach-keyed ones
+        # 488,176 unseeded
         assert whole[2] < got[2] < got[0][2], seed
 
 
@@ -457,6 +470,151 @@ def test_limit_inside_a_reach_keyed_charge():
                     == replayed(limit - 1, seed, True)):
                 reach_only += 1
         assert reach_only >= 5, (seed, reach_only)
+
+
+@contextmanager
+def _unshared():
+    """A context in which a record answers only at the record cell that
+    stored it: every cell's structure character is its own."""
+    plan = search._plan.__wrapped__
+
+    def own(region, cells):
+        got = plan(region, cells)
+        return got._replace(struct="".join(map(chr, range(len(got.kinds)))))
+
+    with pytest.MonkeyPatch.context() as m:
+        # plans made with it go into a cache of their own
+        m.setattr(search, "_plan", lru_cache(maxsize=16)(own))
+        yield
+
+
+@pytest.mark.parametrize("name, k, nodes", [("wang13", 7, 2360176),
+                                            ("kari14", 8, 46082722)])
+def test_shifted_records_replay_more(name, k, nodes):
+    # a record stored below one row start answers below every later row
+    # start whose rows check the same way: the same nodes, more replayed
+    ts = load_bundled(name)
+    for seed in (None, 4):
+        config = SolveConfig(seed=seed)
+        with _unshared():
+            own = exhaust_torus(ts, (k, k), config)
+        got = exhaust_torus(ts, (k, k), config)
+        assert (got.status, got.nodes) == (own.status, own.nodes) == (
+            EXHAUSTED, nodes)
+        assert own.replayed < got.replayed, seed
+
+
+def test_engine_matches_plain_search_on_shifted_records():
+    # square tori 6 to 8 wide and 4 to 6 high, whose row before the last
+    # starts no segment (its segment runs on through the last row), so a
+    # record of rows stored at an earlier row start answers there at a
+    # cell that ends no segment; and triangle and cube tori.  Each search
+    # is one whose records replay more nodes, at least a tenth of its
+    # charge more, than they would answered only where they were stored;
+    # sampled limits, some of them inside a replay that only a shifted
+    # record makes, the usual memo and one of 3 entries
+    rng = random.Random(1)
+    extents = {
+        "square2d": lambda: (rng.randint(6, 8), rng.randint(4, 6)),
+        "tri2d": lambda: (rng.randint(3, 6), rng.randint(3, 6)),
+        "cube3d": lambda: rng.choice(((2, 2, 4), (3, 2, 4), (2, 3, 4),
+                                      (2, 4, 2)))}
+    cases = []
+    for space, total in (("square2d", 4), ("tri2d", 6), ("cube3d", 8)):
+        while len(cases) < total:
+            ts = random_tileset(rng, space, rng.randint(3, 8),
+                                colours=rng.randint(2, 3))
+            region = RegionSpec(space, extents[space](), True)
+            seed = rng.randrange(1000) if rng.random() < 0.5 else None
+            full, _, rep = _run(ENGINE, ts, region, CAP, seed, True)
+            with _unshared():
+                own = _run(ENGINE, ts, region, CAP, seed, True)[2]
+            if (full[0] != LIMIT and rep > own
+                    and 10 * (rep - own) >= full[2] >= 500):
+                cases.append((ts, region, seed, full))
+
+    def replayed(case, limit, shared=True):
+        with nullcontext() if shared else _unshared():
+            return _run(ENGINE, *case[:2], limit, case[2], True)[2]
+
+    inside = 0  # limits inside a replay that only shifted records make
+    for case in cases:
+        ts, region, seed, full = case
+        for limit in (None, *sorted(rng.sample(range(1, full[2]), 10))):
+            for counting in (False, True):
+                want = _run(_plain_search, ts, region, limit, seed, counting)
+                got = _run(ENGINE, ts, region, limit, seed, counting)
+                with pytest.MonkeyPatch.context() as m:
+                    m.setattr(search, "MEMO_SIZE", 3)
+                    small = _run(ENGINE, ts, region, limit, seed, counting)
+                assert got[:2] == small[:2] == want[:2], (case, limit)
+            # node limit + 1 is replayed, and searched by unshared records
+            if (limit and got[2] - replayed(case, limit - 1) == 1
+                    and replayed(case, limit, False)
+                    == replayed(case, limit - 1, False)):
+                inside += 1
+    assert inside >= 10
+
+
+def test_engine_matches_plain_search_on_listed_cells():
+    # searches over listed cells, as the corona enumerator runs its
+    # windows: the windows, and regions of each lattice with a few cells
+    # left out of their scan order, so that rows meet checks that reach
+    # back by distances that differ from row to row; records may be shared
+    # only where those distances match too
+    rng = random.Random(6)
+    windows = [_corona_window(kind) for kind in ShapeKind]
+    replaying = set()  # the lattices whose searches replayed nodes
+    for trial in range(90):
+        if trial % 2:
+            window = windows[trial // 2 % len(windows)]
+            region, cells = window.region, list(window.order)
+        else:
+            space = ("square2d", "tri2d", "cube3d")[trial // 2 % 3]
+            extents = ((rng.randint(2, 3) for _ in range(3))
+                       if space == "cube3d"
+                       else (rng.randint(3, 6) for _ in range(2)))
+            region = RegionSpec(space, tuple(extents), rng.random() < 0.5)
+            cells = list(region_cells(region))
+            for _ in range(rng.randint(1, 3)):
+                cells.remove(rng.choice(cells))
+        ts = random_tileset(rng, region.space, rng.randint(3, 6),
+                            colours=rng.randint(1, 3))
+        seed = rng.randrange(1000) if rng.random() < 0.5 else None
+        for counting in (False, True):
+            for limit in (CAP, rng.randrange(CAP)):
+                want, want_calls, _ = _run(_plain_search, ts, region, limit,
+                                           seed, counting, cells)
+                got, got_calls, rep = _run(ENGINE, ts, region, limit, seed,
+                                           counting, cells)
+                case = (trial, region, cells, seed, counting, limit)
+                assert (got, got_calls) == (want, want_calls), case
+                if rep:
+                    replaying.add(region.space)
+    assert replaying == {"square2d", "tri2d", "cube3d"}
+    # two such searches, whose records a structure without the distances
+    # would share wrongly: a 4x5 square region without cells 7 and 18,
+    # whose rows check the row above 3 or 4 cells back, and a triangle one
+    up, down = ShapeKind.TRI_UP, ShapeKind.TRI_DOWN
+    for extents, kinds, colours, left_out, seed in (
+            ((4, 5), [ShapeKind.SQUARE] * 5,
+             [(1, 1, 1, 1), (0, 2, 1, 1), (2, 1, 2, 2), (2, 0, 2, 0),
+              (1, 2, 1, 2)], (7, 18), 858),
+            ((5, 5), [up, up, down, down, down, down],
+             [(2, 0, 2), (0, 0, 0), (3, 0, 1), (2, 0, 0), (2, 2, 3),
+              (0, 0, 2)], (6, 23, 48), None)):
+        ts = TileSet("listed", tuple(
+            Prototile(f"p{t}", kind, c)
+            for t, (kind, c) in enumerate(zip(kinds, colours))),
+            FacetRule("identical"), "translations")
+        region = RegionSpec(KIND_SPACE[kinds[0]], extents, False)
+        cells = [c for i, c in enumerate(region_cells(region))
+                 if i not in left_out]
+        for counting in (False, True):
+            want = _run(_plain_search, ts, region, None, seed, counting,
+                        cells)
+            got = _run(ENGINE, ts, region, None, seed, counting, cells)
+            assert got[:2] == want[:2], (region, counting)
 
 
 def test_limit_at_a_solution_node():

@@ -254,6 +254,19 @@ def test_node_counts_are_pinned():
     assert (r.status, r.count, r.nodes) == (FOUND, 3, 2586)
 
 
+@pytest.mark.parametrize("seed", [None, 3])
+def test_kari14_has_no_torus_up_to_9(seed):
+    # README's claim: `exhaust --in @kari14` finds no k x k torus for any
+    # k up to 9, by these counts in any candidate order; about 0.06 s
+    kari = load_bundled("kari14")
+    want = [14, 910, 7182, 62174, 406462, 1263962, 10568950, 46082722,
+            109540466]
+    got = [exhaust_torus(kari, (k, k), SolveConfig(seed=seed))
+           for k in range(1, 10)]
+    assert [(r.status, r.nodes) for r in got] == [(EXHAUSTED, nodes)
+                                                  for nodes in want]
+
+
 def test_larger_node_counts_are_pinned():
     # cheap since the engine replays repeated solution-free subtrees; the
     # counts are the plain depth-first search's
