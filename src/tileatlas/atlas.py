@@ -40,7 +40,7 @@ characters of the set's table, so a window's row is its solution
 reordered and joined.  `Atlas._set` sorts each constructor's table of the
 labels its rows use, renumbers the rows in place only where that moves a
 character, and sorts them once.  On a 2-core machine the cubes21 c2 atlas
-(812,673 rows) derives in 4-5 s.
+(812,673 rows) derives in 1.2-1.8 s.
 
 The atlas text format is specified in docs/FORMATS.md.  The writer makes
 it a block of 1024 rows at a time (_text_blocks); `serialize_atlas` joins
@@ -309,9 +309,9 @@ def _enumerate(ts: TileSet, node_cap: int) -> tuple[dict, list]:
     the set's tile table (label -> character) and one row per window,
     centre first.  Each centre kind's rows pass the window check before
     they are admitted, and before the cap raises BudgetExceeded.  The
-    engine's labels are the row characters, so a solution is packed by
-    reordering and joining them.  A cap that is not a node count is
-    refused."""
+    engine's labels are the row characters, and it appends each solution
+    joined in search order, so a row is packed by reordering it.  A cap
+    that is not a node count is refused."""
     check_count(node_cap, "node cap")
     if ts.allowed != "translations":
         raise FormatError("corona enumeration expects a translation-placed set")
@@ -322,11 +322,11 @@ def _enumerate(ts: TileSet, node_cap: int) -> tuple[dict, list]:
         # search labels -> window labels
         pick = itemgetter(*map(window.order.index, window.cells))
         start = len(rows)
-        _, _, spent, _, _ = region_search(
-            ts, window.region, node_cap - nodes, cells=window.order,
-            each=lambda found: rows.append("".join(pick(found))))
+        _, _, spent, _, _ = region_search(ts, window.region, node_cap - nodes,
+                                          rows=rows, cells=window.order)
         for k in range(start, len(rows), _BATCH):
-            batch = rows[k:k + _BATCH]
+            rows[k:k + _BATCH] = batch = [
+                "".join(pick(row)) for row in rows[k:k + _BATCH]]
             if not _rows_ok(table, window, batch):
                 raise RuntimeError(
                     "incremental checks admitted an invalid corona: "

@@ -13,12 +13,14 @@ Subcommands:
     render     write an SVG picture of a patch
 
 Exit codes: 0 success/found, 1 exhausted/invalid input, 2 node or memory
-limit reached, 3 usage errors.
+limit reached, 3 usage errors.  Output cut off by its reader, as by
+`| head`, ends the run with 1 and no message.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import lru_cache
 
@@ -357,7 +359,19 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader gone is met here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of the output has gone: the rest of it, flushed when
+        # the interpreter exits, goes to the null device, and nothing is said
+        null = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(null, sys.stdout.fileno())
+        except (AttributeError, OSError, ValueError):  # no descriptor
+            sys.stdout = open(os.devnull, "w")
+        os.close(null)
+        return EXIT_NEGATIVE
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -7,11 +7,11 @@ runs one explicit-stack depth-first search over the region's cells, so the
 number of cells is not bounded by Python's recursion limit.  It tests the
 rule by the table's test.  A solution is the cells' characters: the first
 is returned in sorted cell order, which the solver joins into a packed
-patch, and the corona enumerator joins each into a row.  Every
-facet-sharing pair of listed cells that `facet_pairs` lists (torus wrap
-pairs included) is checked exactly once, when the later cell of the pair
-is placed; neighbours outside the list are unconstrained.
-The engine re-checks nothing it finds; its callers do.
+patch, and the corona enumerator gets each joined into a row in search
+order.  Every facet-sharing pair of listed cells that `facet_pairs` lists
+(torus wrap pairs included) is checked exactly once, when the later cell of
+the pair is placed; neighbours outside the list are unconstrained.  The
+engine re-checks nothing it finds; its callers do.
 
 What depends only on the region and its listed cells is compiled once into
 a plan, kept for the last 16 regions: the cells' kinds, checks and key
@@ -53,35 +53,48 @@ cells of a 4x4 triangle torus).  The cells from one record cell to the next
 form a segment (after the first row, a row of a square region).  A
 solution-free subtree stores the nodes it charged under its class, the
 structure of its cells from its record cell to its reach: per cell one
-character of `struct`, for its kind, own-wrap checks and earlier checks
-relative to it.  The reach is the end of the deepest segment it entered, a
-record cell charged without survivors counting as entered, and counting the
-reaches of the entries it was charged from.  No cell after the reach was
-charged, and the count is keyed on the colours of the earlier slots that
-its cells check; it does not depend on candidate order, as seeded lists
-hold the same candidates.  So a class answers at every record cell where
-its structure starts: on a torus the rows below a row start are searched
-once wherever their colours come back, below any row start, and as only
-the last row reads row 0's bottom colours, a subtree that dies before it is
-searched under one row 0 and charged under the others.  A subtree with
-solutions below it is not recorded.  A lookup tries the classes that start
-at its record cell, narrowest first; the cell catches up with the classes
-stored since its last lookup.  A hit is charged again (`replayed`), at most
-up to the limit, instead of searched, and reaches its class's end.  Which
-shift of a class is searched first, and so `replayed`, depends on the
-candidate order; nodes do not.  One search's memo holds at most MEMO_SIZE
-entries over all classes, and the entry that would pass that clears them
-all first.  Every count, limit, solution and `each` call is the plain
-depth-first search's.
+character of `struct`, for its kind and earlier checks relative to it.  The
+reach is the end of the deepest segment it entered, a record cell charged
+without survivors counting as entered, and counting the reaches of the
+entries it was charged from.  No cell after the reach was charged, and the
+count is keyed on the colours of the earlier slots that its cells check; it
+does not depend on candidate order, as seeded lists hold the same
+candidates.  So a class answers at every record cell where its structure
+starts: on a torus the rows below a row start are searched once wherever
+their colours come back, below any row start, and as only the last row
+reads row 0's bottom colours, a subtree that dies before it is searched
+under one row 0 and charged under the others.  A lookup tries the classes
+that start at its record cell, narrowest first; the cell catches up with
+the classes stored since its last lookup.
 
-So solution subtrees are searched again, not replayed: on a 2-core machine
-cubes21's c2 derive takes 4-7 s, and the free wang13 8x4 count 1.3-2.0 s at
-an 18 MB peak.
+A subtree with solutions reaches the last cell, which a shift of its
+structure would not, and its rows hold its own cells' labels: it answers
+only at its own record cell.  It is stored in that cell's memo, keyed on
+the cell's frontier, whose slots are found from the next record cell's when
+first needed, and a lookup that no class answers probes it once.  It holds
+the nodes charged and the solutions counted before and after: a counting
+search adds them, and an enumeration appends again the rows that the
+subtree appended, in order, each with the labels of the cells before the
+record cell in place of its own.  A subtree with one solution is not
+stored: it seldom pays for its key (none of the 429 on the triangles6 12x12
+torus is met again).
+
+A hit is charged again (`replayed`) instead of searched.  A class's hit
+reaches its class's end and is charged up to the limit at most.  A subtree
+with solutions that would cross the limit is searched, so that the count
+it cuts is exact; the walks around one that is replayed saw solutions, so
+their reach is not read.  Which shift of a class is searched first, and so
+`replayed`, depends on the candidate order; nodes do not.  One search's
+memo holds at most MEMO_SIZE entries in all, and the entry that would pass
+that clears them all first.  Every count, limit, solution and row, in
+order, is the plain depth-first search's.  On a 2-core machine
+cubes21's c2 derive takes 1.2-1.8 s, and the free wang13 8x4 count 0.3-0.5 s.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import namedtuple
 from functools import lru_cache
 from operator import itemgetter
@@ -98,20 +111,22 @@ from .tileset import (
 FOUND = "found"
 EXHAUSTED = "exhausted"
 LIMIT = "limit"
+# what region_search's `rows` is to count every solution and keep none
+COUNT = ()
 
 # entries one search's memo holds before they are all cleared
 MEMO_SIZE = 1 << 16
 
 
 def region_search(ts: TileSet, region: RegionSpec, limit=None, seed=None,
-                  each=None, cells=None):
+                  rows=None, cells=None):
     """Search the region's cells (all of them, in scan order, unless `cells`
     lists them) for placements of `ts` under its facet rule.
 
     A solution's labels are the characters of `ts.table`, one per cell.
     With a seed, each cell's candidate list is shuffled up front, so the
     first solution is a reproducible pseudo-random one.  `limit` bounds the
-    nodes; `each` is as in `_search`, whose result this returns, with the
+    nodes; `rows` is as in `_search`, whose result this returns, with the
     first solution's labels put in sorted cell order.  A region off the
     set's lattice, or a limit that is not None or a node count, is refused,
     not searched.
@@ -141,7 +156,7 @@ def region_search(ts: TileSet, region: RegionSpec, limit=None, seed=None,
                 lst = orders[key] = [per_kind[kind][p] for p in order]
             per_cell.append(lst)
     status, first, *counts = _search(per_cell, plan, ts.table.test, limit,
-                                     each)
+                                     rows)
     if first is not None:
         first = list(map(first.__getitem__, plan.order))
     return status, first, *counts
@@ -182,9 +197,12 @@ def _plan(region: RegionSpec, cells):
     index in `sigs` of its (own-wrap checks, earlier facets) and its key
     getter; `width`; _records' skeleton; per cell its colour slots; the
     cells' sorted order; and `struct`, one character per cell that stands
-    for its kind, own-wrap checks and earlier checks as (facet, neighbour
-    facet, earlier index - cell index).  Nothing of a tile set or a search.
-    The last 16 plans are kept."""
+    for its kind and earlier checks as (facet, neighbour facet, earlier
+    index - cell index).  Own-wrap checks need no place there: a cell meets
+    itself only across a torus axis of extent 1, and then every listed cell
+    of its kind does, on the same facets.  The kind does: listed out of
+    scan order, an up and a down triangle can check alike.  Nothing of a
+    tile set or a search.  The last 16 plans are kept."""
     if cells is None:
         cells = region_cells(region)
     order, checks = _schedule(region, cells)
@@ -198,7 +216,7 @@ def _plan(region: RegionSpec, cells):
         sig = (own, tuple([f for f, _, _ in earlier]))
         shapes.append(sigs.setdefault(sig, len(sigs)))
         keys.append(_getter([j * width + nf for _, nf, j in earlier]))
-        code = (kinds[i], own, tuple([(f, nf, j - i) for f, nf, j in earlier]))
+        code = (kinds[i], *[(f, nf, j - i) for f, nf, j in earlier])
         struct.append(chr(codes.setdefault(code, len(codes))))
     records, tail = _records(checks)
     return _Plan(kinds, shapes, list(sigs), keys, width, records, tail,
@@ -233,17 +251,41 @@ def _records(checks):
     return records, tail
 
 
-def _search(per_cell, plan, test, limit, each=None):
+def _frontier(plan, fronts, h):
+    """Record cell h's frontier getter, the slots before it that cells from
+    it on check, built from the next record cell's: the slots of that
+    frontier before h and those that h's segment checks.  `fronts` holds,
+    per record cell, its slots, sorted, and their getter, or None until
+    they are needed, and one more entry for the end."""
+    keys, tail, width = plan.keys, plan.tail, plan.width
+    slots = range((len(fronts) - 1) * width)
+    todo, c = [], h
+    while fronts[c] is None:
+        todo.append(c)
+        c = tail[c] + 1
+    for c in reversed(todo):
+        nxt, lo = tail[c] + 1, c * width
+        front = fronts[nxt][0]
+        front = front[:bisect_left(front, lo)]
+        for d in range(c, nxt):
+            # a key getter read on `slots` returns the slots it reads
+            front += [s for s in keys[d](slots) if s < lo]
+        front.sort()
+        fronts[c] = front, _getter(front)
+    return fronts[h][1]
+
+
+def _search(per_cell, plan, test, limit, rows=None):
     """Depth-first search over the cells with an explicit stack.
 
     `per_cell[i]` lists cell i's candidates as (label, facet colours), the
-    label opaque to the search; `plan` is the cells' _plan, and `test` the
-    rule's test of two equal-length sequences of colours.  Without `each`
-    the search stops at the first solution; with it, `each(labels)` is
-    called on every solution (a list of the cells' labels that the search
-    goes on to change) and the search runs to exhaustion; a count the limit
-    cuts ends in LIMIT, its first solution kept.  Returns (status, first
-    solution's labels or None, nodes, solutions seen, nodes replayed).
+    label a character; `plan` is the cells' _plan, and `test` the rule's
+    test of two equal-length sequences of colours.  Without `rows` the
+    search stops at the first solution.  With it, it runs to exhaustion, a
+    count the limit cuts ending in LIMIT with its first solution kept, and
+    `rows` is COUNT, to count the solutions, or a list, to which each
+    solution's labels are appended, joined in cell order.  Returns (status,
+    first solution's labels or None, nodes, solutions seen, nodes replayed).
 
     Each loop step charges the current cell's next step and places its
     survivor, or goes back; the next cell is entered only if it has
@@ -286,15 +328,25 @@ def _search(per_cell, plan, test, limit, each=None):
     # its first cell that its cells check, relative to that cell's slots,
     # and its entries, key -> nodes
     classes, named = [], set()
-    size = 0  # entries the classes hold, at most MEMO_SIZE
+    size = 0  # entries the memo holds, at most MEMO_SIZE
     # per record cell how many classes it has looked at, and those that
     # start there, narrowest first: (last cell, entries, key getter)
     views = [[0, []] if r else None for r in plan.records]
+    # per record cell that stored one, its walks that saw solutions, which
+    # answer there alone, keyed on its frontier: key -> (nodes, solutions
+    # seen before, after), the solutions being rows[base + before:base +
+    # after] when kept
+    held = {}
+    # per record cell, once a walk from it saw solutions, its frontier
+    # (_frontier)
+    fronts = [None] * n + [([], None)]
     # the reach of the subtree being searched, and per record cell, when it
     # was entered, the reach of the one around it and the nodes and
     # solutions counted
     deep, entered = 0, [None] * n
     struct, slots = plan.struct, range(n * width)
+    keep = isinstance(rows, list)
+    base = len(rows) if keep else 0
 
     def view(j):
         # the classes that start at j, brought up to date
@@ -337,26 +389,34 @@ def _search(per_cell, plan, test, limit, each=None):
                 around, before, seen = entered[h]
                 reach, deep = deep, max(deep, around)
                 stored = nodes - before
-                if seen != count or stored <= len(per_cell[h]):
-                    # solutions below are searched again; a subtree that
-                    # never left its start costs no more to search than to
-                    # look up: neither is recorded
+                if stored <= len(per_cell[h]) or count - seen == 1:
+                    # a subtree that never left its start costs no more to
+                    # search than to look up, and one with one solution is
+                    # seldom met again: neither is recorded
                     continue
-                name = struct[h:reach + 1]
-                if name not in named:
-                    # a key getter read on `slots` returns the slots it reads
-                    named.add(name)
-                    classes.append((name, sorted([
-                        s - h * width for c in range(h, reach + 1)
-                        for s in keys[c](slots) if s < h * width]), {}))
-                for end, entries, front in view(h):
-                    if end == reach:
-                        break
-                key = front(colours)
+                if seen == count:
+                    name = struct[h:reach + 1]
+                    if name not in named:
+                        # a key getter read on `slots` returns the slots it
+                        # reads
+                        named.add(name)
+                        classes.append((name, sorted([
+                            s - h * width for c in range(h, reach + 1)
+                            for s in keys[c](slots) if s < h * width]), {}))
+                    for end, entries, front in view(h):
+                        if end == reach:
+                            break
+                    key = front(colours)
+                else:
+                    entries = held.setdefault(h, {})
+                    key = _frontier(plan, fronts, h)(colours)
+                    stored = stored, seen, count
                 if key not in entries:
                     if size == MEMO_SIZE:
-                        for _, _, held in classes:
-                            held.clear()
+                        for _, _, dropped in classes:
+                            dropped.clear()
+                        for dropped in held.values():
+                            dropped.clear()
                         size = 0
                     size += 1
                 entries[key] = stored
@@ -367,9 +427,10 @@ def _search(per_cell, plan, test, limit, each=None):
             count += 1
             if first is None:
                 first = list(labels)
-            if each is None:
-                return FOUND, first, nodes, count, replayed
-            each(labels)
+                if rows is None:
+                    return FOUND, first, nodes, count, replayed
+            if keep:
+                rows.append("".join(labels))
             continue
         j = i + 1
         key = keys[j](colours)
@@ -399,6 +460,22 @@ def _search(per_cell, plan, test, limit, each=None):
                 replayed += charge
                 deep = max(deep, reach)
                 continue
+            if j in held:
+                got = held[j].get(fronts[j][1](colours))
+                # a walk with solutions that would cross the limit is
+                # searched, so that the count it cuts is exact
+                if got is not None and nodes + got[0] <= limit:
+                    charge, before, after = got
+                    nodes += charge
+                    replayed += charge
+                    count += after - before
+                    if keep:
+                        # its rows again, under this prefix (by map: a
+                        # comprehension would make j a cell variable)
+                        tails = map(itemgetter(slice(j, None)),
+                                    rows[base + before:base + after])
+                        rows.extend(map("".join(labels[:j]).__add__, tails))
+                    continue
             # a walk from j reaches its segment's end
             entered[j] = deep, nodes, count
             deep = tail[j]

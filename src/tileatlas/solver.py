@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 from .atlas import Atlas, missing_coronas
 from .reduction import ReducedSet, encode_patch
 # the status constants are re-exported as part of the solver's API
-from .search import EXHAUSTED, FOUND, LIMIT, region_search
+from .search import COUNT, EXHAUSTED, FOUND, LIMIT, region_search
 from .tileset import Patch, RegionSpec, TileSet, patch_valid
 
 
@@ -54,14 +54,14 @@ class SolveResult:
     replayed: int = 0
 
 
-def _checked_search(ts: TileSet, region: RegionSpec, config, each=None
+def _checked_search(ts: TileSet, region: RegionSpec, config, rows=None
                     ) -> SolveResult:
     """Run the engine, join the first solution it finds, in sorted cell
     order, into a packed patch over the set's alphabet, and re-check that
     patch."""
     config = config or SolveConfig()
     status, found, nodes, count, replayed = region_search(
-        ts, region, config.node_limit, config.seed, each)
+        ts, region, config.node_limit, config.seed, rows)
     patch = None
     if found is not None:
         # the engine's labels are characters of ts.table
@@ -84,7 +84,7 @@ def count_solutions(ts: TileSet, region: RegionSpec,
     """Count all valid full placements; FOUND or EXHAUSTED means the count
     is complete.  One the node limit cuts ends in LIMIT, with the solutions
     seen before the cut in `count` and the first, re-checked, as `patch`."""
-    return _checked_search(ts, region, config, each=lambda labels: None)
+    return _checked_search(ts, region, config, COUNT)
 
 
 def solve_atlas(rs: ReducedSet, region: RegionSpec,

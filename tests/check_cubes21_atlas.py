@@ -26,15 +26,14 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/check_cubes21_atlas.py
 
-It takes 11-16 s on a 2-core machine: the derivation 4.0-6.8 s at a
-102 MB peak, writing the text through sha256 and the file 1.9-2.2 s (of it
+It takes 8-12 s on a 2-core machine: the derivation 1.2-1.8 s at a
+103 MB peak, writing the text through sha256 and the file 1.8-2.2 s (of it
 1.3-1.6 s making the lines; line by line the loop took 2.3-2.4 s), and
 parsing it back from the file 4.6-7.2 s.  The 352.7 MB text is never held
 whole, so the round trip peaks at about 205 MB (about 790 MB through
 serialize_atlas and parse_atlas on one str); the derivation's RSS is read
-before it.  The
-file name does not match pytest's `test_*.py`, so the suite does not run
-it.
+before it.  The file name does not match pytest's `test_*.py`, so the suite
+does not run it.
 """
 
 import hashlib

@@ -1,16 +1,22 @@
-"""Run two wang13 searches whose memo must stay inside its bound, and check
-each one's counts, the nodes it replayed included, and peak RSS; then one
-triangles6 search whose kept plan must stay inside its own bound, and one
-read of its patch's coronas that must keep next to nothing.
+"""Run two wang13 searches and a kari14 count whose memo must stay inside its
+bound, and check each one's counts, the nodes it replayed included, and
+peak RSS; then one triangles6 search whose kept plan must stay inside its
+own bound, and one read of its patch's coronas that must keep next to
+nothing.
 
 - torus: the 11x11 torus exhausted, 612,610,024 nodes, 592,618,260 of them
   replayed, at most 36 MB.  It takes 1.8-2.1 s.  The search's memo holds at
   most MEMO_SIZE entries; without that bound the process peaks near 46 MB.
 - free: the free 8x4 region counted, 653,036 solutions in 68,345,953 nodes,
-  40,275,755 of them replayed, at most 24 MB.  It takes 1.4-1.6 s, with 59 %
-  of the nodes charged from the memo; subtrees with solutions below them
-  are searched again, not recorded.  The process peaks near 19 MB, and the
-  bound leaves about a quarter over that.
+  63,607,921 of them replayed, at most 24 MB.  Its time is printed beside
+  its 0.6 s target, not checked: 0.25-0.3 s, with 93 % of the nodes charged
+  from the memo, subtrees with solutions below them included.  The process
+  peaks near 19 MB, and the bound leaves about a quarter over that.
+- count: the free kari14 6x6 region counted, 39,214,580 solutions in
+  2,337,550,138 nodes, 2,337,134,030 of them replayed, at most 22 MB, its
+  time printed beside its 1 s target: about 0.04 s.  The memo holds counts,
+  not solutions: one tuple kept a solution would need gigabytes.  The
+  process peaks near 17 MB.
 - plan: the search plan that region_search keeps for the 20x20 triangle
   torus, the one patch-pipeline's triangles6 patch is found on, at most
   PLAN_BYTES as tracemalloc counts it; the seeded triangles6 search that
@@ -33,9 +39,9 @@ read of its patch's coronas that must keep next to nothing.
 Each check runs in a process of its own, so each peak is its own search's.
 Run from the repository root:
 
-    PYTHONPATH=src python tests/check_search_memory.py [torus|free|plan|read]
+    PYTHONPATH=src python tests/check_search_memory.py [torus|free|count|plan|read]
 
-With no argument all four run; the exit code is 0 when every check holds.
+With no argument all five run; the exit code is 0 when every check holds.
 The file name does not match pytest's `test_*.py`, so the suite does not
 run it.
 """
@@ -44,6 +50,7 @@ import gc
 import resource
 import subprocess
 import sys
+import time
 import tracemalloc
 
 # bytes the 20x20 triangle torus plan may hold: its size on Python 3.11 and
@@ -66,13 +73,28 @@ def torus():
             "MB peak RSS")
 
 
-def free():
+def _timed_count(name, extents, target):
+    """count_solutions on the free region, and its time beside `target`."""
     from tileatlas import RegionSpec, count_solutions, load_bundled
-    r = count_solutions(load_bundled("wang13"),
-                        RegionSpec("square2d", (8, 4), False))
+    ts = load_bundled(name)
+    start = time.perf_counter()
+    r = count_solutions(ts, RegionSpec("square2d", extents, False))
+    spent = time.perf_counter() - start
+    return r, f"; {spent:.2f} s (target {target} s)"
+
+
+def free():
+    r, took = _timed_count("wang13", (8, 4), 0.6)
     return ("wang13 free", (r.status, r.count, r.nodes, r.replayed),
-            ("found", 653036, 68345953, 40275755), _peak_mb(), 24,
-            "MB peak RSS")
+            ("found", 653036, 68345953, 63607921), _peak_mb(), 24,
+            "MB peak RSS", took)
+
+
+def count():
+    r, took = _timed_count("kari14", (6, 6), 1)
+    return ("kari14 free", (r.status, r.count, r.nodes, r.replayed),
+            ("found", 39214580, 2337550138, 2337134030), _peak_mb(), 22,
+            "MB peak RSS", took)
 
 
 def plan():
@@ -107,16 +129,17 @@ def read():
             ("found", 1564, 800), size, READ_BYTES, "bytes kept")
 
 
-CHECKS = {"torus": torus, "free": free, "plan": plan, "read": read}
+CHECKS = {"torus": torus, "free": free, "count": count, "plan": plan,
+          "read": read}
 
 
 def main(argv) -> int:
     if argv:
         (name,) = argv
-        what, got, want, size, bound, unit = CHECKS[name]()
+        what, got, want, size, bound, unit, *took = CHECKS[name]()
         ok = got == want and size <= bound
         print(f"{'ok' if ok else 'FAIL'} {what}: {got}, expected {want}; "
-              f"{size:,.6g} {unit}, bound {bound:,}")
+              f"{size:,.6g} {unit}, bound {bound:,}{''.join(took)}")
         return 0 if ok else 1
     codes = [subprocess.run([sys.executable, __file__, name]).returncode
              for name in CHECKS]

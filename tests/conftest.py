@@ -48,9 +48,9 @@ def engine_accepting_every_pair(monkeypatch):
     read the table's own test, which stays as it is."""
     engine = search._search
     monkeypatch.setattr(search, "_search",
-                        lambda per_cell, plan, test, limit, each=None:
+                        lambda per_cell, plan, test, limit, rows=None:
                         engine(per_cell, plan, lambda xs, ys: True, limit,
-                               each))
+                               rows))
 
 
 def brute_square_coronas(ts: TileSet) -> set:

@@ -1377,10 +1377,9 @@ def window_rows(ts, kind, limit, chars):
     window = tileatlas.atlas._corona_window(kind)
     pick = itemgetter(*map(window.order.index, window.cells))
     rows = []
-    region_search(ts, window.region, limit, cells=window.order,
-                  each=lambda found: rows.append("".join(pick(found))))
+    region_search(ts, window.region, limit, rows=rows, cells=window.order)
     to = {ord(ch): chars[label] for label, ch in ts.table.chars.items()}
-    return [row.translate(to) for row in rows]
+    return ["".join(pick(row)).translate(to) for row in rows]
 
 
 def with_facet_variants(ts, rule):

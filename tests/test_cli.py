@@ -221,6 +221,48 @@ def test_memory_error_is_one_line_and_exit_2(capsys, monkeypatch):
     assert (code, out, err) == (2, "", "error: out of memory\n")
 
 
+class _GoneReader:
+    """A stdout whose reader has gone: every write raises."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_broken_pipe_ends_quietly(capsys, monkeypatch):
+    # output cut off by its reader, as by `| head`, ends the run with exit
+    # 1 and no message, and what is printed after goes to the null device;
+    # other OSErrors keep their message
+    monkeypatch.setattr(sys, "stdout", _GoneReader())
+    code = main(["exhaust", "--in", "@wang13", "--kmax", "1" + "0" * 20])
+    assert (code, capsys.readouterr().err) == (1, "")
+    assert sys.stdout.name == os.devnull
+    sys.stdout.close()
+    monkeypatch.undo()
+    code, _, err = run(capsys, "counts", "--in", "/nonexistent/x.tiles")
+    assert code == 1 and err.startswith("error: [Errno 2]"), err
+
+
+def test_broken_pipe_at_exit_ends_quietly():
+    # the same in a process of its own whose output pipe is closed before
+    # it writes: the output buffered until exit is flushed inside the run,
+    # so the interpreter's shutdown has nothing left to report
+    src = str(Path(tileatlas.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tileatlas.cli", "counts", "--in",
+             "@wang13"], stdout=write, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
 def test_exhaust_explicit_region(capsys):
     code, out, _ = run(capsys, "exhaust", "--in", "@wang13", "--width", "2",
                        "--height", "3")

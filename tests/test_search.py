@@ -1,11 +1,14 @@
 """Search engine tests.
 
 Oracle: the plain depth-first search, a copy of the engine's loop before it
-kept records of solution-free subtrees.  Both run on the same candidate
-lists and check schedule (each through `region_search`), and must agree on
-status, first solution, nodes and solutions seen, and make the same `each`
-calls in the same order.  The engine tests the set table's hues by its
-test; the oracle reads the same candidates' integer colours by rule_eval.
+kept records of subtrees.  Both run on the same candidate lists and check
+schedule (each through `region_search`), and must agree on status, first
+solution, nodes and solutions seen, and give the same rows in the same
+order: the engine appends them, and the oracle calls `each` on every
+solution.  The engine tests the set table's hues by its test; the oracle
+reads the same candidates' integer colours by rule_eval.  Free square
+counts are also checked against a profile count, which shares nothing with
+either.
 """
 
 import random
@@ -20,7 +23,8 @@ from conftest import random_tileset
 from tileatlas import search
 from tileatlas.atlas import derive_atlas, enumerate_source_coronas
 from tileatlas.geometry import KIND_SPACE, ShapeKind, cell_kind
-from tileatlas.search import EXHAUSTED, FOUND, LIMIT, _getter, region_search
+from tileatlas.search import (COUNT, EXHAUSTED, FOUND, LIMIT, _getter,
+                              region_search)
 from tileatlas.reduction import reduce_set
 from tileatlas.solver import (
     SolveConfig,
@@ -117,34 +121,42 @@ def _plain_search(per_cell, checks, width, rule, limit, each=None, at=None,
     return (EXHAUSTED if first is None else FOUND), first, nodes, count
 
 
-def _with_checks(oracle, checks, ts, per_cell, plan, test, limit, each=None):
+def _with_checks(oracle, checks, ts, per_cell, plan, test, limit, rows=None):
     # the oracle reads integer colours under the rule, not the table's hues
     # under its test: each shared candidate list is read back once, and
-    # stays shared
+    # stays shared; it calls `each` on every solution, whose labels the
+    # engine's rows join
     ints, lists = ts.table.ints, {}
     for lst in per_cell:
         if id(lst) not in lists:
             lists[id(lst)] = [(label, tuple([ints[ord(h)] for h in e]))
                               for label, e in lst]
+    each = None
+    if rows is not None:
+        each = ((lambda labels: rows.append("".join(labels)))
+                if isinstance(rows, list) else (lambda labels: None))
     return oracle([lists[id(lst)] for lst in per_cell], checks, plan.width,
                   ts.rule, limit, each)
 
 
 def _run(engine, ts, region, limit, seed, counting, cells=None):
-    """(status, labels, nodes, count), the `each` calls and the nodes
-    replayed (None for the oracle) of one search under `engine`, over the
-    listed cells if `cells` lists them."""
-    calls = []
-    each = (lambda labels: calls.append(tuple(labels))) if counting else None
+    """(status, labels, nodes, count), the rows and the nodes replayed
+    (None for the oracle) of one search under `engine`, over the listed
+    cells if `cells` lists them.  A counting search keeps its rows; the
+    engine's is also run counting alone, and must come out the same."""
+    rows = [] if counting else None
     if engine is not ENGINE:
         # the oracle reads the check schedule that the plan is made from
         _, checks = search._schedule(region, cells or region_cells(region))
         engine = partial(_with_checks, engine, checks, ts)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(search, "_search", engine)
-        status, labels, nodes, count, *replayed = region_search(
-            ts, region, limit, seed, each, cells)
-    return ((status, labels, nodes, count), calls,
+        status, labels, nodes, count, *replayed = got = region_search(
+            ts, region, limit, seed, rows, cells)
+        if counting and engine is ENGINE:
+            assert region_search(ts, region, limit, seed, COUNT,
+                                 cells) == got
+    return ((status, labels, nodes, count), rows or [],
             replayed[0] if replayed else None)
 
 
@@ -343,10 +355,10 @@ def test_replayed_nodes_are_pinned():
     wang = load_bundled("wang13")
     r = exhaust_torus(wang, (6, 6))
     assert (r.status, r.nodes, r.replayed) == (EXHAUSTED, 631189, 488176)
-    # and of free counts, where subtrees with solutions are searched again:
+    # and of free counts, where subtrees with solutions are replayed too:
     # 3x3 is the tree of the c2 corona window
-    for extents, want in (((3, 3), (FOUND, 1073, 41626, 2028)),
-                          ((5, 3), (FOUND, 10933, 537121, 126945))):
+    for extents, want in (((3, 3), (FOUND, 1073, 41626, 28574)),
+                          ((5, 3), (FOUND, 10933, 537121, 388388))):
         r = count_solutions(wang, RegionSpec("square2d", extents, False))
         assert (r.status, r.count, r.nodes, r.replayed) == want, extents
 
@@ -357,7 +369,11 @@ SWEEP = ([13, 559, 6461, 56940, 192062, 631189, 2360176],
          [21, 3045, 1676409],
          (3, 2586))
 # and per seed the nodes its records replay: which shift of a segment is
-# searched first, and replayed at the others, depends on candidate order
+# searched first, and replayed at the others, depends on candidate order.
+# Seed 12345's 28,171 at k = 4 also pins the order in which a record cell
+# tries its classes, narrowest first: in the order they were stored, a hit
+# can reach further, and the walk around it is keyed on more colours, and
+# 27,469 are replayed
 REPLAYED = {
     None: ([0, 0, 676, 24219, 167531, 488176, 2141906], [0, 1113, 1597050], 0),
     3: ([0, 0, 676, 27209, 163644, 488176, 2141906], [0, 1113, 1597050], 0),
@@ -652,6 +668,134 @@ def test_limit_at_a_solution_node():
                 assert rep <= got[2], case
 
 
+def _profile_count(ts, width, height):
+    """Tilings of the free width x height square region by the translated
+    tiles of `ts`, counted a cell at a time in scan order over profiles:
+    each column's last top colour and the left neighbour's right colour."""
+    north, east, south, west = range(4)
+    tiles = [p.colours for p in ts.prototiles]
+
+    @lru_cache(maxsize=None)
+    def fits(below, left):
+        # (top, right) of each tile that meets the colours below and left
+        return [(c[north], c[east]) for c in tiles
+                if (below is None or rule_eval(ts.rule, c[south], below))
+                and (left is None or rule_eval(ts.rule, c[west], left))]
+
+    counts = {((None,) * width, None): 1}
+    for _ in range(height):
+        for x in range(width):
+            nxt = {}
+            for (tops, left), k in counts.items():
+                for top, right in fits(tops[x], left):
+                    key = (tops[:x] + (top,) + tops[x + 1:],
+                           None if x == width - 1 else right)
+                    nxt[key] = nxt.get(key, 0) + k
+            counts = nxt
+    return sum(counts.values())
+
+
+def test_free_square_counts_match_a_profile_count():
+    # counts whose subtrees with solutions the engine replays, against a
+    # count that shares nothing with the engine
+    for name, extents, want in (("wang13", (8, 4), 653036),
+                                ("kari14", (5, 5), 1213029),
+                                ("kari14", (6, 6), 39214580)):
+        ts = load_bundled(name)
+        assert _profile_count(ts, *extents) == want, name
+        r = count_solutions(ts, RegionSpec("square2d", extents, False))
+        assert (r.status, r.count) == (FOUND, want), name
+    rng = random.Random(46)
+    for trial in range(40):
+        colours = rng.randint(1, 3)
+        ts = random_tileset(rng, "square2d", rng.randint(2, 7),
+                            colours=colours)
+        if trial % 3 == 2:
+            pairs = {(rng.randint(0, colours), rng.randint(0, colours))
+                     for _ in range(rng.randint(2, 5))}
+            ts = replace(ts, rule=FacetRule("table", frozenset(pairs)))
+        extents = (rng.randint(1, 6), rng.randint(1, 5))
+        want = _profile_count(ts, *extents)
+        if want > 10 ** 6:
+            # the engine searches the solutions of the last two rows, below
+            # the last record cell, one by one at least once
+            continue
+        r = count_solutions(ts, RegionSpec("square2d", extents, False),
+                            SolveConfig(seed=rng.choice((None, trial))))
+        assert (r.status, r.count) == (FOUND if want else EXHAUSTED,
+                                       want), (trial, ts, extents)
+
+
+def test_engine_matches_plain_search_where_solutions_replay():
+    # free regions with many solutions, whose subtrees with solutions the
+    # engine replays, counting and keeping rows, cut at sampled limits:
+    # among them the node before and the node at some solutions, some of
+    # them inside a subtree replayed in full, which the engine must search
+    rng = random.Random(7)
+    cases = [(load_bundled("wang13"), RegionSpec("square2d", (4, 3), False),
+              None),
+             (load_bundled("kari14"), RegionSpec("square2d", (3, 4), False),
+              5)]
+    extents = {"square2d": lambda: (rng.randint(3, 5), rng.randint(3, 4)),
+               "tri2d": lambda: (rng.randint(2, 4), rng.randint(2, 3)),
+               "cube3d": lambda: (2, 2, rng.randint(2, 3))}
+    for space in ("square2d", "tri2d", "cube3d", "square2d"):
+        while True:
+            ts = random_tileset(rng, space, rng.randint(3, 6),
+                                colours=rng.randint(1, 2))
+            region = RegionSpec(space, extents[space](), False)
+            seed = rng.choice((None, 3))
+            full, _, rep = _run(ENGINE, ts, region, CAP, seed, True)
+            if full[0] == FOUND and full[3] >= 100 and 2 * rep > full[2]:
+                cases.append((ts, region, seed))
+                break
+    for ts, region, seed in cases:
+        at = []  # the node that completes each solution
+        full = _run(partial(_plain_search, at=at), ts, region, None, seed,
+                    True)[0]
+        assert full[0] == FOUND and full[3] >= 100, region
+        ends = sorted(rng.sample(at, 8))
+        limits = {end + d for end in ends for d in (-1, 0)}
+        limits.update(rng.sample(range(full[2]), 8))
+        for limit in sorted(limits):
+            for counting in (False, True):
+                want = _run(_plain_search, ts, region, limit, seed, counting)
+                got = _run(ENGINE, ts, region, limit, seed, counting)
+                assert got[:2] == want[:2], (region, seed, limit, counting)
+
+
+def test_a_class_answers_only_where_the_kinds_match():
+    # a free 3x3 triangle region with nine cells listed out of scan order,
+    # where up and down triangles check alike: a struct without the kind
+    # lets a class of one kind answer at the other, 54 nodes against the
+    # plain search's 58
+    up, down = ShapeKind.TRI_UP, ShapeKind.TRI_DOWN
+    ts = TileSet("kinds", (Prototile("p0", down, (1, 1, 1)),
+                           Prototile("p1", up, (2, 1, 1)),
+                           Prototile("p2", up, (1, 0, 0))),
+                 FacetRule("identical"), "translations")
+    region = RegionSpec("tri2d", (3, 3), False)
+    cells = [(1, 1, 0), (2, 0, 0), (2, 2, 0), (0, 2, 1), (1, 1, 1),
+             (0, 0, 0), (2, 2, 1), (1, 2, 0), (0, 0, 1)]
+    plan = search._plan.__wrapped__
+
+    def kindless(region, cells):
+        got = plan(region, cells)
+        checks = search._schedule(region, cells)[1]
+        codes = {}
+        return got._replace(struct="".join(
+            chr(codes.setdefault(tuple((f, nf, j - i) for f, nf, j in cs),
+                                 len(codes)))
+            for i, cs in enumerate(checks)))
+
+    want = _run(_plain_search, ts, region, None, None, True, cells)
+    assert want[0][2:] == (58, 2)
+    assert _run(ENGINE, ts, region, None, None, True, cells)[:2] == want[:2]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(search, "_plan", lru_cache(maxsize=16)(kindless))
+        assert _run(ENGINE, ts, region, None, None, True, cells)[0][2] == 54
+
+
 def test_cached_plans_search_as_fresh_ones():
     # searches of two sets on one region, seeded and not, first hit and
     # counting, interleaved on one plan, each equal to the same search on
@@ -667,7 +811,9 @@ def test_cached_plans_search_as_fresh_ones():
         search._plan.cache_clear()
         shared = [_run(ENGINE, ts, region, CAP, seed, counting)
                   for ts, seed, counting in runs]
-        assert search._plan.cache_info().hits == len(runs) - 1
+        # a counting run searches twice: keeping its rows, and counting
+        assert search._plan.cache_info().hits == len(runs) - 1 + sum(
+            counting for _, _, counting in runs)
         for run, got in zip(runs, shared):
             search._plan.cache_clear()
             assert _run(ENGINE, run[0], region, CAP, *run[1:]) == got, run
@@ -681,7 +827,7 @@ def _per_cell(ts, region, seed):
     """The candidate lists that region_search hands the engine."""
     seen = []
 
-    def engine(per_cell, plan, test, limit, each=None):
+    def engine(per_cell, plan, test, limit, rows=None):
         seen.append(per_cell)
         return EXHAUSTED, None, 0, 0, 0
 
