@@ -63,38 +63,42 @@ candidates.  So a class answers at every record cell where its structure
 starts: on a torus the rows below a row start are searched once wherever
 their colours come back, below any row start, and as only the last row
 reads row 0's bottom colours, a subtree that dies before it is searched
-under one row 0 and charged under the others.  A lookup tries the classes
-that start at its record cell, narrowest first; the cell catches up with
-the classes stored since its last lookup.
+under one row 0 and charged under the others.  When a class is first
+named, it is offered to every record cell where `struct` holds it, found
+by `str.find`; a lookup tries the classes offered at its record cell,
+narrowest first.
 
-A subtree with solutions reaches the last cell, which a shift of its
-structure would not, and its rows hold its own cells' labels: it answers
-only at its own record cell.  It is stored in that cell's memo, keyed on
-the cell's frontier, whose slots are found from the next record cell's when
-first needed, and a lookup that no class answers probes it once.  It holds
-the nodes charged and the solutions counted before and after: a counting
-search adds them, and an enumeration appends again the rows that the
-subtree appended, in order, each with the labels of the cells before the
-record cell in place of its own.  A subtree with one solution is not
-stored: it seldom pays for its key (none of the 429 on the triangles6 12x12
-torus is met again).
+A subtree with solutions is one more class, the structure of its cells
+from its record cell to the last cell, and its entry, keyed the same way
+on its record cell's frontier, holds the nodes charged and the solutions
+counted before and after: a counting search adds them, and an
+enumeration appends again the rows that the subtree appended, in order,
+each with the labels of the cells before the record cell in place of its
+own.  Its rows hold its own cells' labels, and a shift of its class ends
+short of the last cell, so it answers only where its class ends at the
+last cell, at its own record cell: on the cube corona window, cells 9
+and 18 are record cells that start layers alike, so a class from 18 is
+offered at 9 too.  A subtree with one solution is not stored: it seldom
+pays for its key (none of the 429 on the triangles6 12x12 torus is met
+again).
 
-A hit is charged again (`replayed`) instead of searched.  A class's hit
-reaches its class's end and is charged up to the limit at most.  A subtree
-with solutions that would cross the limit is searched, so that the count
-it cuts is exact; the walks around one that is replayed saw solutions, so
-their reach is not read.  Which shift of a class is searched first, and so
-`replayed`, depends on the candidate order; nodes do not.  One search's
-memo holds at most MEMO_SIZE entries in all, and the entry that would pass
-that clears them all first.  Every count, limit, solution and row, in
-order, is the plain depth-first search's.  On a 2-core machine
-cubes21's c2 derive takes 1.2-1.8 s, and the free wang13 8x4 count 0.3-0.5 s.
+A hit is charged again (`replayed`) instead of searched.  A solution-free
+hit reaches its class's last cell and is charged up to the limit at most.
+A subtree with solutions that would cross the limit is searched, so that
+the count it cuts is exact; the walks around one that is replayed saw
+solutions, so their reach is not read.  Which shift of a class is searched
+first, and so `replayed`, depends on the candidate order; nodes do not.
+One search's memo holds at most MEMO_SIZE entries in all, and the entry
+that would pass that clears them all first.  Every count, limit, solution
+and row, in order, is the plain depth-first search's.  On a 2-core machine
+cubes21's c2 derive takes 1.1-1.8 s, and the free wang13 8x4 count
+0.3-0.5 s.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
+from bisect import insort
 from collections import namedtuple
 from functools import lru_cache
 from operator import itemgetter
@@ -251,30 +255,6 @@ def _records(checks):
     return records, tail
 
 
-def _frontier(plan, fronts, h):
-    """Record cell h's frontier getter, the slots before it that cells from
-    it on check, built from the next record cell's: the slots of that
-    frontier before h and those that h's segment checks.  `fronts` holds,
-    per record cell, its slots, sorted, and their getter, or None until
-    they are needed, and one more entry for the end."""
-    keys, tail, width = plan.keys, plan.tail, plan.width
-    slots = range((len(fronts) - 1) * width)
-    todo, c = [], h
-    while fronts[c] is None:
-        todo.append(c)
-        c = tail[c] + 1
-    for c in reversed(todo):
-        nxt, lo = tail[c] + 1, c * width
-        front = fronts[nxt][0]
-        front = front[:bisect_left(front, lo)]
-        for d in range(c, nxt):
-            # a key getter read on `slots` returns the slots it reads
-            front += [s for s in keys[d](slots) if s < lo]
-        front.sort()
-        fronts[c] = front, _getter(front)
-    return fronts[h][1]
-
-
 def _search(per_cell, plan, test, limit, rows=None):
     """Depth-first search over the cells with an explicit stack.
 
@@ -322,43 +302,23 @@ def _search(per_cell, plan, test, limit, rows=None):
         steps.append((len(lst) - done, None, None))
         return steps
 
-    # the classes stored, in order: a record cell's walk to its reach is
-    # stored under the structure of the cells it covers, the class, so it
-    # answers wherever that structure starts; per class the slots before
-    # its first cell that its cells check, relative to that cell's slots,
-    # and its entries, key -> nodes
-    classes, named = [], set()
+    # the classes stored: a record cell's walk is stored under the structure
+    # of the cells it covers, the class, so it answers wherever that
+    # structure starts; per class its entries, key -> nodes, or, for a walk
+    # that saw solutions, (nodes, solutions seen before, after), the
+    # solutions being rows[base + before:base + after] when kept
+    classes = {}
     size = 0  # entries the memo holds, at most MEMO_SIZE
-    # per record cell how many classes it has looked at, and those that
-    # start there, narrowest first: (last cell, entries, key getter)
-    views = [[0, []] if r else None for r in plan.records]
-    # per record cell that stored one, its walks that saw solutions, which
-    # answer there alone, keyed on its frontier: key -> (nodes, solutions
-    # seen before, after), the solutions being rows[base + before:base +
-    # after] when kept
-    held = {}
-    # per record cell, once a walk from it saw solutions, its frontier
-    # (_frontier)
-    fronts = [None] * n + [([], None)]
+    # per record cell the classes offered there, narrowest first: (last
+    # cell, entries, key getter)
+    views = [[] if r else None for r in plan.records]
     # the reach of the subtree being searched, and per record cell, when it
     # was entered, the reach of the one around it and the nodes and
     # solutions counted
     deep, entered = 0, [None] * n
-    struct, slots = plan.struct, range(n * width)
+    struct, slots, last = plan.struct, range(n * width), n - 1
     keep = isinstance(rows, list)
     base = len(rows) if keep else 0
-
-    def view(j):
-        # the classes that start at j, brought up to date
-        seen, mine = views[j]
-        if seen < len(classes):
-            for name, reads, entries in classes[seen:]:
-                if struct.startswith(name, j):
-                    mine.append((j + len(name) - 1, entries,
-                                 _getter([j * width + s for s in reads])))
-            mine.sort(key=itemgetter(0))
-            views[j][0] = len(classes)
-        return mine
 
     if limit is None:  # more nodes than the whole tree holds
         limit = (max(map(len, per_cell)) + 1) ** n
@@ -396,26 +356,33 @@ def _search(per_cell, plan, test, limit, rows=None):
                     continue
                 if seen == count:
                     name = struct[h:reach + 1]
-                    if name not in named:
-                        # a key getter read on `slots` returns the slots it
-                        # reads
-                        named.add(name)
-                        classes.append((name, sorted([
-                            s - h * width for c in range(h, reach + 1)
-                            for s in keys[c](slots) if s < h * width]), {}))
-                    for end, entries, front in view(h):
-                        if end == reach:
-                            break
-                    key = front(colours)
                 else:
-                    entries = held.setdefault(h, {})
-                    key = _frontier(plan, fronts, h)(colours)
+                    # it reaches the last cell, which a shift would not
+                    name = struct[h:]
                     stored = stored, seen, count
+                entries = classes.get(name)
+                if entries is None:
+                    # offered at every record cell where it starts; a key
+                    # getter read on `slots` returns the slots it reads
+                    entries = classes[name] = {}
+                    reads = sorted([s - h * width
+                                    for c in range(h, h + len(name))
+                                    for s in keys[c](slots) if s < h * width])
+                    j = struct.find(name)
+                    while j >= 0:
+                        if views[j] is not None:
+                            insort(views[j], (j + len(name) - 1, entries,
+                                              _getter([j * width + s
+                                                       for s in reads])),
+                                   key=itemgetter(0))
+                        j = struct.find(name, j + 1)
+                for _, mine, front in views[h]:
+                    if mine is entries:
+                        break
+                key = front(colours)
                 if key not in entries:
                     if size == MEMO_SIZE:
-                        for _, _, dropped in classes:
-                            dropped.clear()
-                        for dropped in held.values():
+                        for dropped in classes.values():
                             dropped.clear()
                         size = 0
                     size += 1
@@ -447,27 +414,24 @@ def _search(per_cell, plan, test, limit, rows=None):
                 deep = max(deep, tail[j])
             continue
         if record:
-            got = None
-            for reach, entries, front in view(j):
+            # the classes offered at j, narrowest first: a walk that saw
+            # solutions answers only at its own record cell, and is searched
+            # if it would cross the limit, so that the count it cuts is exact
+            for end, entries, front in views[j]:
                 got = entries.get(front(colours))
-                if got is not None:
+                if got is not None and (got.__class__ is int or end == last
+                                        and nodes + got[0] <= limit):
                     break
+            else:
+                got = None
             if got is not None:
-                # charged up to the limit at most, and a hit reaches as
-                # far as its record
-                charge = min(got, limit + 1 - nodes)
-                nodes += charge
-                replayed += charge
-                deep = max(deep, reach)
-                continue
-            if j in held:
-                got = held[j].get(fronts[j][1](colours))
-                # a walk with solutions that would cross the limit is
-                # searched, so that the count it cuts is exact
-                if got is not None and nodes + got[0] <= limit:
+                if got.__class__ is int:
+                    # charged up to the limit at most, and a hit reaches its
+                    # class's last cell
+                    charge = min(got, limit + 1 - nodes)
+                    deep = max(deep, end)
+                else:
                     charge, before, after = got
-                    nodes += charge
-                    replayed += charge
                     count += after - before
                     if keep:
                         # its rows again, under this prefix (by map: a
@@ -475,7 +439,9 @@ def _search(per_cell, plan, test, limit, rows=None):
                         tails = map(itemgetter(slice(j, None)),
                                     rows[base + before:base + after])
                         rows.extend(map("".join(labels[:j]).__add__, tails))
-                    continue
+                nodes += charge
+                replayed += charge
+                continue
             # a walk from j reaches its segment's end
             entered[j] = deep, nodes, count
             deep = tail[j]

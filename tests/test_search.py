@@ -761,7 +761,38 @@ def test_engine_matches_plain_search_where_solutions_replay():
             for counting in (False, True):
                 want = _run(_plain_search, ts, region, limit, seed, counting)
                 got = _run(ENGINE, ts, region, limit, seed, counting)
-                assert got[:2] == want[:2], (region, seed, limit, counting)
+                # solution records are cleared with the classes
+                with pytest.MonkeyPatch.context() as m:
+                    m.setattr(search, "MEMO_SIZE", 3)
+                    small = _run(ENGINE, ts, region, limit, seed, counting)
+                assert got[:2] == small[:2] == want[:2], (region, seed, limit,
+                                                          counting)
+
+
+def test_a_solution_class_answers_only_at_its_own_record_cell():
+    # the cube corona window, whose record cells 9 and 18 start layers
+    # that check alike, so the class of a walk from 18 that saw solutions
+    # starts at 9 too; a hit there, whose class ends at cell 17, would
+    # count the solutions below 18 as those below 9: an engine that does
+    # not ask for the last cell counts 6 of 8 solutions for the first set
+    # and 62 of 80 for the second
+    window = _corona_window(ShapeKind.CUBE)
+    region, cells = window.region, window.order
+    struct = search._plan(region, cells).struct
+    assert struct.startswith(struct[18:], 9)
+    for colours, seed, solutions in (
+            ([(1, 0, 0, 1, 1, 1), (0, 0, 1, 1, 1, 1)], None, 8),
+            ([(1, 1, 1, 0, 0, 0), (0, 0, 0, 1, 1, 1), (0, 0, 0, 0, 0, 0)],
+             3, 80)):
+        ts = TileSet("cubes", tuple(
+            Prototile(f"p{t}", ShapeKind.CUBE, c)
+            for t, c in enumerate(colours)),
+            FacetRule("identical"), "translations")
+        want = _run(_plain_search, ts, region, None, seed, True, cells)
+        assert want[0][0::3] == (FOUND, solutions)
+        got = _run(ENGINE, ts, region, None, seed, True, cells)
+        assert got[:2] == want[:2]
+        assert got[2] > 0
 
 
 def test_a_class_answers_only_where_the_kinds_match():
