@@ -69,7 +69,8 @@ EXIT_USAGE = 3
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
+        # one line, worded as a UsageError is; --help is not an error
+        print(f"usage error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 

@@ -23,10 +23,15 @@ search.
 
 Each cell keeps a colour index: a memo from the colours its earlier
 neighbours show on the checked facets to the candidates that match them all.
-A miss fills it by filtering the cell's candidate list with the table's
-test of each candidate's hue tuple on those facets against the key;
-extent-1 wraps, where a candidate meets itself, are filtered once up front
-by the same test.
+The rule's test works facet by facet, so a search keeps, per cell kind and
+facet, a map from a neighbour's hue to a bitmask of the candidates whose
+hue there passes the test against it, made by the test when the hue is
+first met; a candidate's bit is its label's code point.  A miss ANDs the
+masks of its key's hues with its list's own mask, the candidates that pass
+the extent-1 wraps where a candidate meets itself, and walks the set bits
+to their positions on the list, without calling the test per candidate.  A
+list's own mask and positions are made at its first miss: a seeded search
+gives each cell its own list, and sets up only those it reaches.
 Cells with the same candidate list and the same checked facets share one
 memo; without a seed, the cells of one kind have the same list.  With one,
 shuffling each cell's positions draws what shuffling its list would, and
@@ -43,6 +48,10 @@ ends the list.  Each loop step charges one step of the current cell and then
 places its survivor, or goes back.  Before it enters the next cell it looks
 that cell's survivors up: a cell without survivors is charged its whole list
 there and is not entered, nor is a record cell whose memo holds its walk.
+A step forward reads one record of its cell: the cell's colour slots and the
+next cell's key getter, colour index and offered classes.  Each depth keeps
+its survivor list and, below the current one, its next position, so a step
+builds no tuple to push or pop.
 
 Below cell i the search depends only on i's frontier: the colours of earlier
 cells that cells from i on check.  Cells whose frontier is narrower than the
@@ -91,8 +100,9 @@ first, and so `replayed`, depends on the candidate order; nodes do not.
 One search's memo holds at most MEMO_SIZE entries in all, and the entry
 that would pass that clears them all first.  Every count, limit, solution
 and row, in order, is the plain depth-first search's.  On a 2-core machine
-cubes21's c2 derive takes 1.1-1.8 s, and the free wang13 8x4 count
-0.3-0.5 s.
+(Python 3.11) cubes21's c2 derive takes about 1.05 s, the free wang13 8x4
+count about 0.2 s, and the benchmark's torus-exhaust op (wang13 k <= 7,
+cubes21 k <= 3, triangles6 12x12 counted) about 31-32 ms.
 """
 
 from __future__ import annotations
@@ -151,8 +161,9 @@ def region_search(ts: TileSet, region: RegionSpec, limit=None, seed=None,
         # the cells of one kind whose orders come out equal share one list
         shuffle = random.Random(seed).shuffle
         orders, per_cell = {}, []
+        spans = {kind: range(len(lst)) for kind, lst in per_kind.items()}
         for kind in plan.kinds:
-            order = list(range(len(per_kind[kind])))
+            order = [*spans[kind]]
             shuffle(order)
             key = (kind, *order)
             lst = orders.get(key)
@@ -259,46 +270,77 @@ def _search(per_cell, plan, test, limit, rows=None):
     """Depth-first search over the cells with an explicit stack.
 
     `per_cell[i]` lists cell i's candidates as (label, facet colours), the
-    label a character; `plan` is the cells' _plan, and `test` the rule's
-    test of two equal-length sequences of colours.  Without `rows` the
-    search stops at the first solution.  With it, it runs to exhaustion, a
-    count the limit cuts ending in LIMIT with its first solution kept, and
-    `rows` is COUNT, to count the solutions, or a list, to which each
-    solution's labels are appended, joined in cell order.  Returns (status,
-    first solution's labels or None, nodes, solutions seen, nodes replayed).
+    label a character, and the cells of one kind list the same candidates,
+    in any order; `plan` is the cells' _plan, and `test` the rule's test of
+    two equal-length sequences of colours, facet by facet.  Without `rows`
+    the search stops at the first solution.  With it, it runs to
+    exhaustion, a count the limit cuts ending in LIMIT with its first
+    solution kept, and `rows` is COUNT, to count the solutions, or a list,
+    to which each solution's labels are appended, joined in cell order.
+    Returns (status, first solution's labels or None, nodes, solutions
+    seen, nodes replayed).
 
     Each loop step charges the current cell's next step and places its
-    survivor, or goes back; the next cell is entered only if it has
-    survivors and no record holds its walk, and is charged otherwise.
+    survivor, reading the cell's record, or goes back; the next cell is
+    entered only if it has survivors and no memo entry holds its walk, and
+    is charged otherwise.
     """
     n = len(per_cell)
-    getter = lru_cache(None)(_getter)  # one getter per facet tuple
-    # (candidate list, signature) -> the list, the positions on it that pass
-    # the own checks (extent-1 wraps: the candidate meets itself, whatever is
-    # around), the getter of a candidate's colours on the facets that the
-    # key's colours face, in the key's order, and the memo
+    # per cell its (candidate list, signature), whose colour index it shares
     sig_at = list(zip(map(id, per_cell), plan.shapes))
-    tables = {}
-    for sig, lst in dict(zip(sig_at, per_cell)).items():
-        own, facets = plan.sigs[sig[1]]
-        ok = range(len(lst))
-        if own:
-            mine, theirs = map(getter, zip(*own))
-            ok = [p for p in ok if test(mine(lst[p][1]), theirs(lst[p][1]))]
-        tables[sig] = (lst, ok, getter(facets), {})
-    table = list(map(tables.__getitem__, sig_at))
-    memos = [got[3] for got in table]
-    keys, width, tail, at = plan.keys, plan.width, plan.tail, plan.at
+    lists = dict(zip(sig_at, per_cell))
+    index = {sig: {} for sig in lists}
+    # per candidate list, made at its first miss: a candidate's bit, 1 << its
+    # label's code point, -> its position
+    places = {}
+    # per (candidate list, signature), made at its first miss: the list, the
+    # bits of its candidates that pass its own checks (extent-1 wraps: the
+    # candidate meets itself, whatever is around), its positions, the facets
+    # that the key's colours face, in the key's order, and their masks
+    made = {}
+    # cell kind -> per facet, hue -> the bits of the kind's candidates whose
+    # hue on the facet passes the rule's test against it, made when met
+    passing = {}
 
     def survivors(i, key):
         # cell i's steps under `key`, as the module docstring describes them
-        lst, ok, proj, _ = table[i]
+        got = made.get(sig_at[i])
+        if got is None:
+            lst, (own, facets) = per_cell[i], plan.sigs[plan.shapes[i]]
+            pos = places.get(id(lst))
+            if pos is None:
+                pos = places[id(lst)] = {1 << ord(label): p
+                                         for p, (label, _) in enumerate(lst)}
+            bits = sum(pos)
+            if own:
+                bits = sum([bit for bit, p in pos.items()
+                            if test([lst[p][1][f] for f, _ in own],
+                                    [lst[p][1][nf] for _, nf in own])])
+            per_facet = passing.get(plan.kinds[i])
+            if per_facet is None:
+                per_facet = passing[plan.kinds[i]] = [{} for _ in range(width)]
+            got = made[sig_at[i]] = (lst, bits, pos, facets,
+                                     [per_facet[f] for f in facets])
+        lst, bits, pos, facets, masks = got
+        for f, known, hue in zip(facets, masks, key):
+            mask = known.get(hue)
+            if mask is None:
+                # the cells of one kind have the same candidates, and a test
+                # of one facet decides each candidate's bit
+                mask = known[hue] = sum([1 << ord(label) for label, e in lst
+                                         if test((e[f],), (hue,))])
+            bits &= mask
+        found = []  # the survivors, by their set bits, then in list order
+        while bits:
+            low = bits & -bits
+            found.append(pos[low])
+            bits ^= low
+        found.sort()
         steps, done = [], 0
-        for p in ok:
+        for p in found:
             label, e = lst[p]
-            if test(proj(e), key):
-                steps.append((p + 1 - done, label, e))
-                done = p + 1
+            steps.append((p + 1 - done, label, e))
+            done = p + 1
         steps.append((len(lst) - done, None, None))
         return steps
 
@@ -312,6 +354,12 @@ def _search(per_cell, plan, test, limit, rows=None):
     # per record cell the classes offered there, narrowest first: (last
     # cell, entries, key getter)
     views = [[] if r else None for r in plan.records]
+    keys, width, tail = plan.keys, plan.width, plan.tail
+    # per cell its record: its colour slots, and the next cell's key getter,
+    # colour index and offered classes; the last cell has no next one
+    cell = list(zip(plan.at, keys[1:], map(index.__getitem__, sig_at[1:]),
+                    views[1:]))
+    cell.append((plan.at[-1], None, None, None))
     # the reach of the subtree being searched, and per record cell, when it
     # was entered, the reach of the one around it and the nodes and
     # solutions counted
@@ -321,15 +369,15 @@ def _search(per_cell, plan, test, limit, rows=None):
     base = len(rows) if keep else 0
 
     if limit is None:  # more nodes than the whole tree holds
-        limit = (max(map(len, per_cell)) + 1) ** n
+        limit = (max(map(len, lists.values())) + 1) ** n
     colours = [None] * (n * width)  # cell i's facets at i * width
     labels = [None] * n
-    # per entered cell but the current one: its survivors and the next one
-    # to try
-    stack = []
     # the current cell: its survivors under the colours of its earlier
     # neighbours and the next one to try; cell 0 has no earlier cells
     i, surv, k = 0, survivors(0, ()), 0
+    # per depth entered its survivors, and per depth entered but the current
+    # one the next one to try there
+    survs, stack = [surv] * n, [0] * n
     nodes = count = replayed = 0
     first = None
     while True:
@@ -344,10 +392,12 @@ def _search(per_cell, plan, test, limit, rows=None):
                 break
             h = i
             i -= 1
-            surv, k = stack.pop()
+            surv, k = survs[i], stack[i]
             if views[h] is not None:
                 around, before, seen = entered[h]
-                reach, deep = deep, max(deep, around)
+                reach = deep
+                if around > deep:
+                    deep = around
                 stored = nodes - before
                 if stored <= len(per_cell[h]) or count - seen == 1:
                     # a subtree that never left its start costs no more to
@@ -388,9 +438,11 @@ def _search(per_cell, plan, test, limit, rows=None):
                     size += 1
                 entries[key] = stored
             continue
-        colours[at[i]] = e
+        at, keyed, memo, view = cell[i]
+        colours[at] = e
         labels[i] = label
-        if i == n - 1:
+        if keyed is None:
+            # the last cell: a solution
             count += 1
             if first is None:
                 first = list(labels)
@@ -400,24 +452,25 @@ def _search(per_cell, plan, test, limit, rows=None):
                 rows.append("".join(labels))
             continue
         j = i + 1
-        key = keys[j](colours)
-        nxt = memos[j].get(key)
+        key = keyed(colours)
+        nxt = memo.get(key)
         if nxt is None:
-            nxt = memos[j][key] = survivors(j, key)
-        record = views[j] is not None
+            nxt = memo[key] = survivors(j, key)
         if nxt[0][2] is None:
             # no survivors: j is charged its whole list, as if entered and
             # left, and a record cell's walk reaches its segment's end; a
             # charge that crosses the limit ends the search at the next step
             nodes += nxt[0][0]
-            if record:
-                deep = max(deep, tail[j])
+            # (here and below a comparison, not max(): this is the loop's
+            # hot path, and a builtin call costs more)
+            if view is not None and tail[j] > deep:
+                deep = tail[j]
             continue
-        if record:
+        if view is not None:
             # the classes offered at j, narrowest first: a walk that saw
             # solutions answers only at its own record cell, and is searched
             # if it would cross the limit, so that the count it cuts is exact
-            for end, entries, front in views[j]:
+            for end, entries, front in view:
                 got = entries.get(front(colours))
                 if got is not None and (got.__class__ is int or end == last
                                         and nodes + got[0] <= limit):
@@ -428,8 +481,9 @@ def _search(per_cell, plan, test, limit, rows=None):
                 if got.__class__ is int:
                     # charged up to the limit at most, and a hit reaches its
                     # class's last cell
-                    charge = min(got, limit + 1 - nodes)
-                    deep = max(deep, end)
+                    charge = got if nodes + got <= limit else limit + 1 - nodes
+                    if end > deep:
+                        deep = end
                 else:
                     charge, before, after = got
                     count += after - before
@@ -445,8 +499,9 @@ def _search(per_cell, plan, test, limit, rows=None):
             # a walk from j reaches its segment's end
             entered[j] = deep, nodes, count
             deep = tail[j]
-        stack.append((surv, k))
-        i, surv, k = j, nxt, 0
+        stack[i] = k
+        i, k = j, 0
+        survs[j] = surv = nxt
     if nodes > limit:  # LIMIT even with solutions seen: the count is cut
         return LIMIT, first, limit + 1, count, replayed
     return (EXHAUSTED if first is None else FOUND), first, nodes, count, replayed

@@ -23,7 +23,7 @@ nothing.
   makes it finds its first patch at node 1,564.  A plan that kept more per
   cell, its check lists say, would raise the benchmark's peak RSS; here it
   fails first.
-  The size, 368,945 bytes, was measured on Python 3.11 only.  Most of it
+  The size, 368,873 bytes, was measured on Python 3.11 only.  Most of it
   is 800 slices, 799 itemgetters, 400 closures and their 399 cells, the
   543 ints above 256 of the cells' sorted order, 8 lists and the cells'
   800-character structure string.  Object sizes can differ between Python

@@ -569,43 +569,66 @@ def test_default_atlas_budget_is_one_constant():
 
 
 def test_usage_errors(capsys):
+    # each refusal says why on one stderr line, whether argparse or a
+    # command found it; argparse's own wording of an invalid choice differs
+    # between Python versions, so that case is matched by its start
+    req = "the following arguments are required: "
+    below = "argument --{}: {} is below {}"
+    sweep = "--kmax sweeps its own tori: give it no --width/--height/--depth"
     cases = [
-        [],
-        ["bogus"],
-        ["counts"],
-        ["reduce", "--in", "@wang13"],
-        ["exhaust", "--in", "@wang13"],
-        ["tile", "--in", "@cubes21", "--width", "2", "--height", "2"],
-        ["tile", "--in", "@wang13", "--width", "2", "--height", "2",
-         "--depth", "2"],
-        ["tile", "--in", "@wang13", "--width", "2", "--height", "2",
-         "--node-limit", "-5"],
-        ["exhaust", "--in", "@wang13", "--kmax", "0"],
+        ([], req + "command"),
+        (["bogus"], "argument command: invalid choice: "),
+        (["counts"], req + "--in"),
+        (["reduce", "--in", "@wang13"], req + "--mode"),
+        (["exhaust", "--in", "@wang13"],
+         "exhaust needs --kmax or --width/--height"),
+        (["tile", "--in", "@cubes21", "--width", "2", "--height", "2"],
+         "cube3d regions need --depth"),
+        (["tile", "--in", "@wang13", "--width", "2", "--height", "2",
+          "--depth", "2"], "--depth does not apply to square2d"),
+        (["tile", "--in", "@wang13", "--width", "2", "--height", "2",
+          "--node-limit", "-5"], below.format("node-limit", -5, 0)),
+        (["exhaust", "--in", "@wang13", "--kmax", "0"],
+         below.format("kmax", 0, 1)),
         # extents below 1, on every subcommand that takes them
-        ["tile", "--in", "@wang13", "--width", "0", "--height", "3"],
-        ["tile", "--in", "@wang13", "--width", "3", "--height", "-2"],
-        ["tile", "--in", "@cubes21", "--width", "2", "--height", "2",
-         "--depth", "0"],
-        ["exhaust", "--in", "@wang13", "--width", "0", "--height", "3"],
-        ["roundtrip", "--in", "@wang13", "--mode", "c1", "--width", "2",
-         "--height", "0"],
-        ["exhaust", "--in", "@wang13", "--kmax", "2", "--node-limit", "-1"],
+        (["tile", "--in", "@wang13", "--width", "0", "--height", "3"],
+         below.format("width", 0, 1)),
+        (["tile", "--in", "@wang13", "--width", "3", "--height", "-2"],
+         below.format("height", -2, 1)),
+        (["tile", "--in", "@cubes21", "--width", "2", "--height", "2",
+          "--depth", "0"], below.format("depth", 0, 1)),
+        (["exhaust", "--in", "@wang13", "--width", "0", "--height", "3"],
+         below.format("width", 0, 1)),
+        (["roundtrip", "--in", "@wang13", "--mode", "c1", "--width", "2",
+          "--height", "0"], below.format("height", 0, 1)),
+        (["exhaust", "--in", "@wang13", "--kmax", "2", "--node-limit", "-1"],
+         below.format("node-limit", -1, 0)),
         # a sweep chooses its own tori; extents beside it are refused,
         # also one that does not apply to the lattice
-        ["exhaust", "--in", "@wang13", "--kmax", "2", "--width", "5",
-         "--height", "5"],
-        ["exhaust", "--in", "@wang13", "--kmax", "2", "--depth", "5"],
-        ["verify", "--in", "@wang13", "--patch", "p", "--reduced", "r",
-         "--with-atlas", "--atlas-budget", "-1"],
-        ["roundtrip", "--in", "@wang13", "--mode", "c1", "--width", "2",
-         "--height", "2", "--count", "0"],
+        (["exhaust", "--in", "@wang13", "--kmax", "2", "--width", "5",
+          "--height", "5"], sweep),
+        (["exhaust", "--in", "@wang13", "--kmax", "2", "--depth", "5"],
+         sweep),
+        (["verify", "--in", "@wang13", "--patch", "p", "--reduced", "r",
+          "--with-atlas", "--atlas-budget", "-1"],
+         below.format("atlas-budget", -1, 0)),
+        (["roundtrip", "--in", "@wang13", "--mode", "c1", "--width", "2",
+          "--height", "2", "--count", "0"], below.format("count", 0, 1)),
         # the atlas check needs a reduced set; refused before any file is read
-        ["verify", "--in", "@wang13", "--patch", "p", "--with-atlas"],
+        (["verify", "--in", "@wang13", "--patch", "p", "--with-atlas"],
+         "--with-atlas needs --reduced"),
     ]
-    for argv in cases:
+    for argv, why in cases:
         code = main(argv)
-        capsys.readouterr()
+        out, err = capsys.readouterr()
         assert code == 3, argv
+        assert out == "", argv
+        line = f"usage error: {why}"
+        if argv == ["bogus"]:
+            assert err.startswith(line) and "bogus" in err, err
+            assert err.count("\n") == 1 and err.endswith("\n"), err
+        else:
+            assert err == line + "\n", argv
 
 
 def test_main_reuses_one_parser_with_a_fresh_parsers_results(tmp_path,

@@ -270,6 +270,50 @@ def test_engine_matches_plain_search_on_longer_rows_under_table_rules():
     assert replaying >= 10
 
 
+def test_engine_matches_plain_search_with_masks_wider_than_64_bits():
+    # square sets of 70 to 90 tiles: a candidate's bit in the colour
+    # index's masks is its label's code point, so the masks reach past 64
+    # bits.  Identical and table rules; tori with an extent-1 axis, where a
+    # candidate meets itself and its list's own mask drops those that fail,
+    # and wider ones; unseeded and seeded; first hit, COUNT and kept rows
+    # (each counting run is also run under COUNT, in _run); the usual memo
+    # and one of 3 entries
+    rng = random.Random(48)
+    high = replaying = cleared = ended = 0
+    for trial in range(16):
+        colours = rng.randint(3, 9)
+        ts = random_tileset(rng, "square2d", rng.randint(70, 90),
+                            colours=colours)
+        assert len(ts.table.labels) > 64
+        if trial % 2:
+            pairs = {(rng.randint(0, colours), rng.randint(0, colours))
+                     for _ in range(colours + 1)}
+            ts = replace(ts, rule=FacetRule("table", frozenset(pairs)))
+        k = rng.randint(3, 6)
+        extents = [(1, k), (k, 1),
+                   (rng.randint(3, 5), rng.randint(3, 5))][trial % 3]
+        region = RegionSpec("square2d", extents, True)
+        for seed in (None, rng.randrange(1000)):
+            for counting in (False, True):
+                want, want_rows, _ = _run(_plain_search, ts, region, 5 * CAP,
+                                          seed, counting)
+                got, got_rows, rep = _run(ENGINE, ts, region, 5 * CAP, seed,
+                                          counting)
+                with pytest.MonkeyPatch.context() as m:
+                    m.setattr(search, "MEMO_SIZE", 3)
+                    small = _run(ENGINE, ts, region, 5 * CAP, seed, counting)
+                case = (trial, ts.rule.kind, region, seed, counting)
+                assert (got, got_rows) == (want, want_rows), case
+                assert small[:2] == (want, want_rows), case
+                # rows holding a label past code point 63: its bit survived
+                # every mask of its cell's misses
+                high += any(max(map(ord, row)) > 63 for row in want_rows)
+                replaying += rep > 0
+                cleared += small[2] > 0
+                ended += want[0] != LIMIT
+    assert high >= 10 and replaying >= 4 and cleared >= 4 and ended >= 20
+
+
 def test_engine_matches_plain_search_at_every_limit():
     # seeded counting searches on 3x3 tori of random sets, cut at every limit
     # up to their full charge: some limits fall inside the charge of a cell
