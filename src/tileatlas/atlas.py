@@ -55,7 +55,6 @@ a walk of the rows in reading order.
 
 from __future__ import annotations
 
-import sys
 from collections.abc import Set
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -72,8 +71,8 @@ from .geometry import (
 )
 from .box import (TOUCHING, bounds, box, cells_in_region, corona_rows,
                   label_of, padded, patch_text)
-from .text import (FormatError, _code, _corona_columns, _line_lists,
-                   _token, _tokens)
+from .text import (LABEL_LIMIT, FormatError, _code, _corona_columns,
+                   _line_lists, _token, _tokens)
 from .tileset import Patch, RegionSpec, TileSet
 from .reduction import ReducedSet
 from .search import check_count, region_search
@@ -98,7 +97,6 @@ class Corona:
         return (self.center, self.ring)
 
 
-LABEL_LIMIT = sys.maxunicode + 1  # label indices are characters, chr(i)
 # covers the cubes21 c2 enumeration, which charges 110,651,268 nodes
 DEFAULT_NODE_CAP = 2 * 10 ** 8
 

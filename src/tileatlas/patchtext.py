@@ -24,7 +24,6 @@ names the first offending line.
 
 from __future__ import annotations
 
-import sys
 from functools import lru_cache
 from itertools import chain, islice, product
 from math import prod
@@ -32,7 +31,8 @@ from operator import add, itemgetter
 
 from .box import bounds, label_of
 from .geometry import Cell, space_codes, space_dim
-from .text import FormatError, _code, _content_lines, _slices, _token
+from .text import (LABEL_LIMIT, FormatError, _code, _content_lines, _slices,
+                   _token)
 from .tileset import Patch, Placement, RegionSpec, collector_paused
 
 # the fields of a placement line, per lattice, as a refusal names them
@@ -61,7 +61,7 @@ class _Labels(dict):
     def __missing__(self, label):
         tid, code = label
         if (code not in self.codes or self.ids is not None
-                and tid not in self.ids or len(self) > sys.maxunicode):
+                and tid not in self.ids or len(self) >= LABEL_LIMIT):
             raise KeyError(label)
         ch = self[label] = chr(len(self))
         self.lines[ch] = f"{tid} {code}\n"

@@ -14,21 +14,20 @@ Both renderers make one pass over the placed cells in sorted order, after
 one check that they all lie in the region (cell by cell only when one does
 not, to name the first outside).  Each (tile, code) label is compiled once
 per render into a template: the fixed text of every element its cell
-draws, colours included, with a `%.3f` slot per number (and, for a reduced
-set, the label's lifted glyph).  Every x a label draws depends only on the
-cell's column (2a + b on triangles, a and the layer shift on squares and
-cubes) and every y only on its row, b, so each label keeps a table per
-column and per row.  The first cell of a column or row computes its
-numbers and fills the template as a whole; the column's second cell fills
-its x slots once, leaving a `%s` per y slot, and the row's second cell
-formats its y numbers once.  Every later cell of both costs one `%`.  Each
-lattice's `numbers` function is the only place its geometry is
-computed.  The canvas bounds are folded from the cell outlines alone, at
-the cells drawn in full, whose columns and rows hold every outline: a strip
-lies within its outline, and each glyph point, marker with its radius and
-cube label inside it.  Outlines round by the glyphs' own route, (2x -+ 1) /
-2 on squares and cubes and a triangle's exact x + y/2 rounded once, so at
-any coordinate a rounded point can at most meet its rounded outline.
+draws, colours included, with a `%.3f` slot per x and a `%s` per y (and,
+for a reduced set, the label's lifted glyph).  Every x a label draws
+depends only on the cell's column (2a + b on triangles, a and the layer
+shift on squares and cubes) and every y only on its row, b, so each label
+keeps per column its template with the x slots filled and per row its y
+strings, each formatted at the first cell of its column or row; every
+cell costs one `%`.  Each lattice's `numbers` function is the only place
+its geometry is computed.  The canvas bounds are folded from the cell
+outlines alone, at the cells that open a column or a row, whose columns
+and rows hold every outline: a strip lies within its outline, and each
+glyph point, marker with its radius and cube label inside it.  Outlines
+round by the glyphs' own route, (2x -+ 1) / 2 on squares and cubes and a
+triangle's exact x + y/2 rounded once, so at any coordinate a rounded
+point can at most meet its rounded outline.
 
 All geometry is computed in exact lattice arithmetic.  A lifted glyph
 point is kept as integer (numerator, denominator) pairs and carried onto its
@@ -145,15 +144,14 @@ def _render(patch: Patch, kinds: dict, compile_label, numbers) -> str:
     lacks, or a code whose image kind is not the cell's, checked once per
     label and cell kind.
 
-    Each label keeps the numbers of each column and row that a cell drew in
-    full (see the module docstring); on triangles the column is 2a + b, as a
-    point's exact x is (2en + dm + de(2a + b)) / 2de."""
+    Each label keeps an x string per column and a y tuple per row (see the
+    module docstring); on triangles the column is 2a + b, as a point's exact
+    x is (2en + dm + de(2a + b)) / 2de."""
     region = patch.region
     space = region.space
     tri = space == "tri2d"
     layer = region.extents[0] + 1 if space == "cube3d" else 0
     labels = {}
-    halves = {}
     parts = []
     min_x = min_y = float("inf")
     max_x = max_y = float("-inf")
@@ -177,12 +175,16 @@ def _render(patch: Patch, kinds: dict, compile_label, numbers) -> str:
                     "all", kinds[pl.tile], key[2]):
                 raise FormatError(f"orientation {pl.orientation!r} does not "
                                   f"fit tile {pl.tile} at {cell}")
-            label = labels[key] = (*compile_label(pl), {}, {})
-        template, data, tail, columns, rows = label
+            template, data, tail = compile_label(pl)
+            # the x slots stay, each y slot becomes a %s for the row's %,
+            # and the tail's "%" is escaped for it
+            pieces = template.split("%.3f")
+            half = "".join(map(add, pieces, ["%.3f", "%%s"] * (
+                len(pieces) // 2) + [""]))
+            label = labels[key] = (half, data, tail.replace("%", "%%"), {}, {})
+        half, data, tail, columns, rows = label
         column = 2 * a + b if tri else (a, shift)
         xs, ys = columns.get(column), rows.get(b)
-        # every number has three decimals, so "-0.000" is only ever a whole
-        # number, and no fixed text of a template holds it
         if xs is None or ys is None:
             # every outline is a column's and a row's, so the bounds fold
             # here alone; on ties min and max keep the earlier value, which
@@ -191,23 +193,14 @@ def _render(patch: Patch, kinds: dict, compile_label, numbers) -> str:
             min_x, max_x = min(min_x, *outline[0]), max(max_x, *outline[0])
             min_y, max_y = min(min_y, *outline[1]), max(max_y, *outline[1])
             nums = numbers(cell, shift, *outline, data)
-            columns.setdefault(column, nums[::2])
-            rows.setdefault(b, nums[1::2])
-            parts.append((template % tuple(nums)).replace("-0.000", "0.000")
-                         + tail)
-            continue
-        if type(xs) is list:  # the column's second cell
-            half = halves.get(key)
-            if half is None:  # the template, a %s per y slot
-                pieces = template.split("%.3f")
-                half = halves[key] = "".join(map(
-                    add, pieces, ["%.3f", "%%s"] * len(xs) + [""]))
-            # the tail is text, any "%" in it escaped for the row's %
-            xs = columns[column] = ((half % tuple(xs)).replace(
-                "-0.000", "0.000") + tail.replace("%", "%%"))
-        if type(ys) is list:  # the row's second cell
-            ys = rows[b] = tuple((" ".join(["%.3f"] * len(ys)) % tuple(ys))
-                                 .replace("-0.000", "0.000").split())
+            # every number has three decimals, so "-0.000" is only ever a
+            # whole number, and no fixed text of a template holds it
+            if xs is None:
+                xs = columns[column] = (half % tuple(nums[::2])).replace(
+                    "-0.000", "0.000") + tail
+            if ys is None:
+                ys = rows[b] = tuple(("%.3f " * (len(nums) // 2) % tuple(
+                    nums[1::2])).replace("-0.000", "0.000").split())
         parts.append(xs % ys)
     if not parts:
         min_x = min_y = 0.0

@@ -14,9 +14,12 @@ code (_code), so that the readers read back what was written.
 
 from __future__ import annotations
 
+import sys
 from itertools import chain
 
 _CHUNK = 1 << 16  # characters of text split into lines at a time
+# labels, colours and label indices are characters, chr(i): the range of chr
+LABEL_LIMIT = sys.maxunicode + 1
 
 
 class FormatError(ValueError):

@@ -27,7 +27,7 @@ from operator import itemgetter, ne
 from typing import NamedTuple
 
 from .box import TileTable, bounds, cells_in_region, dense_valid, tile_table
-from .text import FormatError, _content_lines, _token
+from .text import LABEL_LIMIT, FormatError, _content_lines, _token
 from .geometry import (
     FACET_COUNT,
     KIND_SPACE,
@@ -122,6 +122,17 @@ class TileSet:
                               f"{sorted(spaces)}")
         object.__setattr__(self, "space", spaces.pop())
         object.__setattr__(self, "by_id", {p.id: p for p in self.prototiles})
+        # the table names each label and each colour by a character, and a
+        # patch's text needs two characters past its labels (box.patch_text)
+        labels = sum(len(placement_orientations(self.allowed, p.kind, kind))
+                     for kind in SPACE_KINDS[self.space]
+                     for p in self.prototiles)
+        colours = len({c for p in self.prototiles for c in p.colours})
+        if labels > LABEL_LIMIT - 2 or colours > LABEL_LIMIT:
+            raise FormatError(
+                f"a tile set has at most {LABEL_LIMIT - 2} (tile, code) "
+                f"labels and {LABEL_LIMIT} colours, not {labels} and "
+                f"{colours}")
         object.__setattr__(self, "table", tile_table(self.space, [
             (kind, (p.id, code),
              effective_facets(self, Placement(origin_cell(kind), p.id, code)))

@@ -13,18 +13,21 @@ hold:
   "ok (decoded facets valid; 996004 coronas in atlas)".
 
 The verify time and its process's peak RSS are printed; neither is
-checked.  The peak is the verify process's own high-water mark (VmHWM in
-/proc/self/status, which it prints last on stderr): the getrusage figures
-of a process forked from this one, which holds the patch, count this
-process's pages too.
+checked.  So are those of `tileatlas render --reduced R --patch P --svg S`
+on the free 400x400 orbit patch encoded with c2, a baseline for rendering
+the million-cell patch; its exit code is printed, not checked.  Each peak
+is the CLI process's own high-water mark (VmHWM in /proc/self/status,
+which it prints last on stderr): the getrusage figures of a process forked
+from this one, which holds the patch, count this process's pages too.
 
 Run from the repository root:
 
     PYTHONPATH=src python tests/check_large_patch.py
 
 It takes 10-15 s on a 2-core machine, most of it building and encoding
-the patch; the verify run takes 1-2 s and peaks near 45 MB.  The file name
-does not match pytest's `test_*.py`, so the suite does not run it.
+the patches; the verify run takes 1-2 s and peaks near 45 MB, the render
+about 1 s and near 335 MB.  The file name does not match pytest's
+`test_*.py`, so the suite does not run it.
 """
 
 import os
@@ -38,10 +41,11 @@ from tileatlas import (encode_patch, load_bundled, patch_valid, reduce_set,
                        serialize_patch, serialize_reduced)
 
 SIZE = 1000
+RENDER_SIZE = 400
 PATCH_VALID_S = 3.0
 EXPECTED = f"ok (decoded facets valid; {(SIZE - 2) ** 2} coronas in atlas)"
 # `python -m tileatlas.cli`, which then prints its peak RSS in kB on stderr
-VERIFY = """import sys
+CLI = """import sys
 from tileatlas.cli import main
 code = main(sys.argv[1:])
 with open("/proc/self/status") as fh:
@@ -49,6 +53,18 @@ with open("/proc/self/status") as fh:
           file=sys.stderr)
 sys.exit(code)
 """
+
+
+def run_cli(*argv):
+    """The CLI run on `argv` as its own process: the finished process, its
+    seconds, its stderr lines but the last, and its peak RSS."""
+    before = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", CLI, *argv],
+                          capture_output=True, text=True)
+    took = time.perf_counter() - before
+    *err, peak = proc.stderr.splitlines() or ["?"]
+    rss = f"{int(peak) / 1024:.0f} MB" if peak.isdigit() else repr(peak)
+    return proc, took, err, rss
 
 
 def main() -> int:
@@ -71,18 +87,22 @@ def main() -> int:
         with open(encoded, "w", encoding="utf-8") as fh:
             fh.write(serialize_patch(encode_patch(rs, patch)))
         del patch  # not held while the verify process runs
-        before = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-c", VERIFY, "verify", "--in", "@kari14",
-             "--reduced", reduced, "--patch", encoded, "--with-atlas"],
-            capture_output=True, text=True)
-        took = time.perf_counter() - before
-    *err, peak = proc.stderr.splitlines() or ["?"]
-    out = proc.stdout.strip()
-    verified = proc.returncode == 0 and out == EXPECTED and not err
-    rss = f"{int(peak) / 1024:.0f} MB" if peak.isdigit() else repr(peak)
-    print(f"verify --with-atlas: exit {proc.returncode}, {out!r} "
-          f"{' '.join(err)!r} in {took:.1f} s, peak RSS {rss}")
+        proc, took, err, rss = run_cli(
+            "verify", "--in", "@kari14", "--reduced", reduced, "--patch",
+            encoded, "--with-atlas")
+        out = proc.stdout.strip()
+        verified = proc.returncode == 0 and out == EXPECTED and not err
+        print(f"verify --with-atlas: exit {proc.returncode}, {out!r} "
+              f"{' '.join(err)!r} in {took:.1f} s, peak RSS {rss}")
+        with open(encoded, "w", encoding="utf-8") as fh:
+            fh.write(serialize_patch(encode_patch(
+                rs, kari_orbit_patch(ts, RENDER_SIZE))))
+        proc, took, err, rss = run_cli(
+            "render", "--in", "@kari14", "--reduced", reduced, "--patch",
+            encoded, "--svg", os.path.join(tmp, "orbit.svg"))
+    print(f"render --reduced: {RENDER_SIZE}x{RENDER_SIZE} orbit patch, exit "
+          f"{proc.returncode} {' '.join(err)!r} in {took:.1f} s, peak RSS "
+          f"{rss} (not checked)")
     ok = valid and verified
     print("ok" if ok else "FAILED")
     return 0 if ok else 1

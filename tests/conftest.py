@@ -30,6 +30,12 @@ from tileatlas.tileset import (
 # cuts the first, whitespace splits the next two, and the last is no token
 UNREADABLE = ("a#b", "a b", "a\u2028b", "")
 
+# a cube set of 23,211 tiles placed by all 48 isometries: 1,114,128 (tile,
+# code) labels, 16 more than chr can name
+OVERSIZED_TILESET = "".join([
+    "tileset big\nspace cube3d\nisometries all\nrule identical\n",
+    *(f"tile t{i} 1 1 1 1 1 1\n" for i in range(23211))])
+
 
 def random_tileset(rng: random.Random, space: str, n: int, colours: int = 5,
                    name: str = "rand") -> TileSet:

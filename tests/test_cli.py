@@ -18,6 +18,7 @@ from pathlib import Path
 
 import tileatlas
 import tileatlas.cli
+from conftest import OVERSIZED_TILESET
 from tileatlas.atlas import (
     DEFAULT_NODE_CAP,
     Atlas,
@@ -67,6 +68,14 @@ def test_counts_from_file(tmp_path, capsys):
     code, out, _ = run(capsys, "counts", "--in", str(path))
     assert code == 0
     assert out.strip() == COUNTS_LINES["wang13"]
+
+
+def test_a_set_past_the_label_limit_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "big.tiles"
+    path.write_text(OVERSIZED_TILESET, encoding="utf-8")
+    assert run(capsys, "counts", "--in", str(path)) == (1, "", (
+        "error: a tile set has at most 1114110 (tile, code) labels and "
+        "1114112 colours, not 1114128 and 1\n"))
 
 
 def test_counts_and_reduce_refuse_a_set_placed_by_every_isometry(tmp_path,

@@ -8,11 +8,13 @@ requires each midpoint to carry a rule-compatible colour pair.
 import gc
 import random
 import re
+import time
 from dataclasses import replace
 
 import pytest
 
-from conftest import UNREADABLE, random_tileset
+import tileatlas.tileset
+from conftest import OVERSIZED_TILESET, UNREADABLE, random_tileset
 from tileatlas.geometry import (
     FACET_COUNT,
     ShapeKind,
@@ -184,6 +186,30 @@ def test_tileset_space_inference():
         TileSet("m", (Prototile("a", SQ, (1, 1, 1, 1)),
                       Prototile("u", ShapeKind.TRI_UP, (1, 1, 1))),
                 FacetRule("identical"), "all")
+
+
+def test_tileset_past_the_label_limit_is_refused_before_its_table():
+    # a label is a character of the tile table, and a patch's text needs two
+    # past the labels; the set is refused before its table is built
+    start = time.perf_counter()
+    with pytest.raises(FormatError, match=r"^a tile set has at most 1114110 "
+                       r"\(tile, code\) labels and 1114112 colours, not "
+                       r"1114128 and 1$"):
+        parse_tileset(OVERSIZED_TILESET)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_tileset_label_and_colour_limits(monkeypatch):
+    monkeypatch.setattr(tileatlas.tileset, "LABEL_LIMIT", 6)
+    for rows in ([(1, 2, 3, 4)] * 4, [(1, 2, 3, 4), (3, 4, 5, 6)]):
+        assert square_set(rows, allowed="translations").table
+    with pytest.raises(FormatError, match="at most 4 .* and 6 colours, "
+                       "not 5 and 1$"):
+        square_set([(1, 1, 1, 1)] * 5, allowed="translations")
+    with pytest.raises(FormatError, match="not 2 and 7$"):
+        square_set([(1, 2, 3, 4), (4, 5, 6, 7)], allowed="translations")
+    with pytest.raises(FormatError, match="not 8 and 1$"):
+        square_set([(1, 1, 1, 1)])  # all 8 isometries
 
 
 # ---------------------------------------------------------------------------
