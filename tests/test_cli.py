@@ -421,6 +421,26 @@ def test_roundtrip_command(capsys):
                      "2/2 patches round-tripped, 0 failures"]
 
 
+def test_roundtrip_reports_a_wrong_packed_encoding(capsys, monkeypatch):
+    # two labels of the packed codec's alphabet swapped: a found patch is
+    # packed, and encoding and decoding it only swap its string's alphabet,
+    # so it round-trips anyway; the placements route, which reads
+    # rs.forward, encodes it otherwise
+    def swapped(ts, mode):
+        rs = reduce_set(ts, mode)
+        labels = list(rs.labels)
+        labels[0], labels[1] = labels[1], labels[0]
+        object.__setattr__(rs, "labels", tuple(labels))
+        return rs
+
+    monkeypatch.setattr(tileatlas.cli, "reduce_set", swapped)
+    code, out, _ = run(capsys, "roundtrip", "--in", "@wang13", "--mode", "c2",
+                       "--width", "5", "--height", "5", "--count", "3")
+    assert (code, out) == (1, "seed 0: MISMATCH\nseed 1: MISMATCH\n"
+                              "seed 2: MISMATCH\n"
+                              "3/3 patches round-tripped, 3 failures\n")
+
+
 def test_roundtrip_at_its_node_limit_counts_failures(capsys):
     # a seed cut off by the node limit is a failure, not a patch
     code, out, _ = run(capsys, "roundtrip", "--in", "@wang13", "--mode", "c2",

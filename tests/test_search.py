@@ -270,14 +270,13 @@ def test_engine_matches_plain_search_on_longer_rows_under_table_rules():
     assert replaying >= 10
 
 
-def test_engine_matches_plain_search_with_masks_wider_than_64_bits():
-    # square sets of 70 to 90 tiles: a candidate's bit in the colour
-    # index's masks is its label's code point, so the masks reach past 64
-    # bits.  Identical and table rules; tori with an extent-1 axis, where a
-    # candidate meets itself and its list's own mask drops those that fail,
-    # and wider ones; unseeded and seeded; first hit, COUNT and kept rows
-    # (each counting run is also run under COUNT, in _run); the usual memo
-    # and one of 3 entries
+def test_engine_matches_plain_search_on_sets_past_64_labels():
+    # square sets of 70 to 90 tiles, whose labels run past code point 63.
+    # Identical and table rules; tori with an extent-1 axis, where a
+    # candidate meets itself and a list's own checks drop those that fail
+    # before any miss tests the rest, and wider ones; unseeded and seeded;
+    # first hit, COUNT and kept rows (each counting run is also run under
+    # COUNT, in _run); the usual memo and one of 3 entries
     rng = random.Random(48)
     high = replaying = cleared = ended = 0
     for trial in range(16):
@@ -305,8 +304,8 @@ def test_engine_matches_plain_search_with_masks_wider_than_64_bits():
                 case = (trial, ts.rule.kind, region, seed, counting)
                 assert (got, got_rows) == (want, want_rows), case
                 assert small[:2] == (want, want_rows), case
-                # rows holding a label past code point 63: its bit survived
-                # every mask of its cell's misses
+                # rows holding a label past code point 63, which every miss
+                # of its cell's colour index kept
                 high += any(max(map(ord, row)) > 63 for row in want_rows)
                 replaying += rep > 0
                 cleared += small[2] > 0
