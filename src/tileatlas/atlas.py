@@ -24,7 +24,8 @@ while every index is below 256 and widens it by itself beyond.  A table
 holds at most `LABEL_LIMIT` labels, the range of chr.  Strings sort by code
 point, so the rows are in `Corona.sort_key` order.  `Corona` stays the
 public type: `atlas.coronas` decodes rows on demand, and `corona in atlas`
-encodes the query.
+encodes the query.  A `Corona` is a named tuple, so it equals the plain
+(center, ring) tuple.
 
 `corona_of` reads a free region as its box: the torus one cell wider on
 each axis, whose extra layer holds no cell.  `missing_coronas` reads every
@@ -33,14 +34,19 @@ row of a patch's box at once, through the box module's reader, which
 the atlas's and padded to the box, turned along each axis, when the patch
 is packed or lies in its region and fills at least 1/2^dim of the box.  Any
 other patch is read a cell at a time: corona_of's walk of the corona's
-labels, packed straight into a row by the atlas's table.
+labels, packed straight into a row by the atlas's table.  The walk reads
+each ring off the region's ring tables (box.rings), filled one coordinate
+at a time as it is first read, so a sparse patch in a huge free region
+costs only the cells read.  tests/check_large_patch.py prints the time of
+this route on a sparse patch.  The implicit route keeps one verdict per
+distinct row on its reduced set (`ReducedSet.verdicts`).
 
 Rows are packed without a lookup per label: the engine's labels are the
 characters of the set's table, so a window's row is its solution
 reordered and joined.  `Atlas._set` sorts each constructor's table of the
 labels its rows use, renumbers the rows in place only where that moves a
-character, and sorts them once.  On a 2-core machine the cubes21 c2 atlas
-(812,673 rows) derives in 1.2-1.8 s.
+character, and sorts them once.  tests/check_cubes21_atlas.py prints the
+time the cubes21 c2 atlas (812,673 rows) takes to derive.
 
 The atlas text format is specified in docs/FORMATS.md.  The writer makes
 it a block of 1024 rows at a time (_text_blocks); `serialize_atlas` joins
@@ -61,6 +67,7 @@ from functools import cached_property, lru_cache
 from itertools import accumulate, chain, compress, count, islice
 from math import prod
 from operator import eq, getitem, itemgetter
+from typing import NamedTuple
 
 from .geometry import (
     SPACE_KINDS,
@@ -69,13 +76,13 @@ from .geometry import (
     space_dim,
     touching_offsets,
 )
-from .box import (TOUCHING, bounds, box, cells_in_region, corona_rows,
-                  label_of, padded, patch_text)
+from .box import (bounds, box, cells_in_region, corona_rows, label_of,
+                  padded, patch_text, rings)
 from .text import (LABEL_LIMIT, FormatError, _code, _corona_columns,
                    _line_lists, _token, _tokens)
 from .tileset import Patch, RegionSpec, TileSet
 from .reduction import ReducedSet
-from .search import check_count, region_search
+from .search import MEMO_SIZE, check_count, region_search
 from .window import _corona_window, _refusal, _row_ok, _rows_ok
 
 
@@ -83,8 +90,7 @@ class BudgetExceeded(RuntimeError):
     """Enumeration exceeded its node budget."""
 
 
-@dataclass(frozen=True)
-class Corona:
+class Corona(NamedTuple):
     """Centre placement plus ring placements, both as (tile, code) pairs.
 
     The ring is aligned with touching_offsets of the centre's cell kind.
@@ -223,32 +229,25 @@ def corona_of(placements: dict, region: RegionSpec, cell) -> Corona | None:
     solver and the verifier use.
     """
     labels = _corona_labels(placements, region, cell)
-    return None if labels is None else Corona(labels[0], tuple(labels[1:]))
+    return None if labels is None else tuple.__new__(
+        Corona, (labels[0], tuple(labels[1:])))
 
 
 def _corona_labels(placements: dict, region: RegionSpec, cell):
     """The (tile, code) labels of the corona at `cell`, centre first and
     then the ring in touching-offset order, as corona_of reads it; None
-    where it has none."""
-    ext, offsets = region.extents, TOUCHING[region.space]
+    where it has none.  The ring is read off the region's ring tables
+    (box.rings); the centre is looked up as given."""
+    space, ext = region.space, region.extents
     if not (region.torus or all(0 < c < e - 1 for c, e in zip(cell, ext))):
         return None
-    # touching_cell, wrapped; a triangle offset ends in the neighbour's bit
-    if region.space == "tri2d":
-        (w, h), (up, down) = ext, offsets
-        ring = [((cell[0] + da) % w, (cell[1] + db) % h, o)
-                for da, db, o in (down if cell[2] else up)]
-    elif region.space == "square2d":
-        (w, h), (offs,) = ext, offsets
-        ring = [((cell[0] + dx) % w, (cell[1] + dy) % h) for dx, dy in offs]
-    else:
-        (w, h, d), (offs,) = ext, offsets
-        ring = [((cell[0] + dx) % w, (cell[1] + dy) % h, (cell[2] + dz) % d)
-                for dx, dy, dz in offs]
+    # a triangle whose orientation bit is not 0 is a down cell
+    axes, bits = rings(space, ext)[space == "tri2d" and cell[2] != 0]
     try:
         # a list: tuple(map(...)) here raised the benchmark's
         # patch-pipeline peak RSS by about 0.7 MB
-        return [*map(label_of, map(placements.get, (cell, *ring)))]
+        return [*map(label_of, map(placements.get, (
+            cell, *zip(*map(getitem, axes, cell), *bits))))]
     except TypeError:  # label_of(None): a cell of the corona is unfilled
         return None
 
@@ -384,14 +383,22 @@ def corona_in_atlas_implicit(rs: ReducedSet, corona: Corona) -> bool:
     as a row of the source set's tile table, through each encoded label's
     character (rs.chars), and check it across the window of the centre's
     kind, as the enumerator's re-check reads its rows by column; a ring of
-    another length reads as the wrong kinds."""
+    another length reads as the wrong kinds.  The row fixes the centre's
+    kind, so its verdict is kept in rs.verdicts, which is cleared when it
+    holds MEMO_SIZE rows."""
     try:
         row = "".join(map(rs.chars.__getitem__, (corona.center, *corona.ring)))
     except KeyError:  # an entry encodes no source tile
         return False
-    ts = rs.source
-    return _row_ok(ts.table, _corona_window(
-        ts.by_id[rs.inverse[corona.center]].kind), row)
+    verdicts = rs.verdicts
+    ok = verdicts.get(row)
+    if ok is None:
+        if len(verdicts) >= MEMO_SIZE:
+            verdicts.clear()
+        ts = rs.source
+        ok = verdicts[row] = _row_ok(ts.table, _corona_window(
+            ts.by_id[rs.inverse[corona.center]].kind), row)
+    return ok
 
 
 # ---------------------------------------------------------------------------

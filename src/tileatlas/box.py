@@ -11,6 +11,7 @@ are one slice of each run, and those neighbours another (`_met`).
 `missing_coronas` reads every corona row of a patch's box (`box`) from one
 string of label characters, padded to the box on a free region (`padded`)
 and turned once per touching offset (`corona_rows`).
+`corona_of` reads one cell's ring off its region's ring tables (`rings`).
 
 A set's labels are characters of its one tile table (`tile_table`),
 compiled when the set is made and kept on it as `TileSet.table`: a label is
@@ -63,6 +64,31 @@ label_of = itemgetter(1, 2)
 # per lattice, the touching offsets of each of its kinds
 TOUCHING = {space: tuple(map(touching_offsets, kinds))
             for space, kinds in SPACE_KINDS.items()}
+
+
+class _Wrapped(dict):
+    """coordinate -> the ring's coordinates along one axis, each wrapped to
+    its extent; an entry is made when its coordinate is first read."""
+
+    __slots__ = ("steps", "extent")
+
+    def __init__(self, steps, extent):
+        self.steps, self.extent = steps, extent
+
+    def __missing__(self, c):
+        ring = self[c] = tuple([(c + d) % self.extent for d in self.steps])
+        return ring
+
+
+@lru_cache(maxsize=16)
+def rings(space: str, extents: tuple) -> tuple:
+    """Per kind of the lattice's cells, what its ring of touching cells on
+    the torus of `extents` is read off: per axis a _Wrapped table, and the
+    ring's orientation bits on tri2d.  A cell's ring is
+    zip(*map(getitem, axes, cell), *bits)."""
+    return tuple((tuple(map(_Wrapped, steps, extents)), steps[len(extents):])
+                 for steps in (tuple(zip(*offsets))
+                               for offsets in TOUCHING[space]))
 
 
 def bounds(region) -> tuple[int, ...]:

@@ -91,6 +91,8 @@ class ReducedSet:
     # its index, encoded label -> the character of the source tile it
     # encodes, which the atlas's implicit route packs a corona by
     chars: dict = field(init=False, repr=False, compare=False)
+    # packed source row -> the implicit route's verdict on it
+    verdicts: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         source = self.source
@@ -109,6 +111,7 @@ class ReducedSet:
         labels = tuple(self.forward[tid] for tid, _ in source.table.labels)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "chars", dict(zip(labels, map(chr, count()))))
+        object.__setattr__(self, "verdicts", {})
 
     @property
     def rep_ids(self):

@@ -20,6 +20,8 @@ import math
 import random
 import re
 import sys
+import time
+import tracemalloc
 import weakref
 from collections import Counter
 from functools import lru_cache
@@ -31,11 +33,13 @@ from conftest import (UNREADABLE, brute_square_coronas,
                       engine_accepting_every_pair, kari_orbit_patch,
                       kari_tile, random_tileset)
 import tileatlas.atlas
+import tileatlas.box
 from tileatlas.atlas import (
     LABEL_LIMIT,
     Atlas,
     BudgetExceeded,
     Corona,
+    _corona_window,
     _refusal,
     _row_ok,
     _rows_ok,
@@ -388,10 +392,13 @@ def test_encoded_characters_die_with_their_reduced_set():
     # and its inverse, the alphabet of an encoded packed patch
     assert rs.labels == tuple(sorted(rs.chars, key=rs.chars.get))
     assert set(vars(rs)) == {"name", "mode", "source", "reps", "forward",
-                             "inverse", "chars", "labels"}
+                             "inverse", "chars", "labels", "verdicts"}
+    # and the implicit route's verdicts, one per distinct row read
+    assert rs.verdicts and not twin.verdicts
     # the tables are invisible to equality and repr
     assert rs == twin and repr(rs) == repr(twin)
     assert "chars=" not in repr(rs) and "labels=" not in repr(rs)
+    assert "verdicts=" not in repr(rs)
     ref = weakref.ref(rs)
     del rs
     gc.collect()
@@ -424,7 +431,7 @@ def test_corona_of_matches_touching_cell_walk():
     # extents; a few cells outside the region are placed too.  On a free
     # region a cell outside it reads as unfilled, so a cell outside has no
     # corona; on a torus such a cell's ring wraps into the region
-    rng = random.Random(7)
+    rng, odd_rng = random.Random(7), random.Random(8)
     complete = Counter()
     for space, extents in (("square2d", (4, 6)), ("square2d", (1, 2)),
                            ("tri2d", (5, 4)), ("tri2d", (1, 3)),
@@ -437,10 +444,21 @@ def test_corona_of_matches_touching_cell_walk():
                            for off in touching_offsets(cell_kind(space, c))}
                           - set(cells))
             outside = rng.sample(near, 6) + [(9,) * len(cells[0])]
+            # far off the region, below it and past it, and on tri2d with
+            # an orientation bit of 2, which reads as a down cell; each is
+            # placed apart from the cell it wraps to
+            dim = len(extents)
+            odd = [(-3,) * dim, (-1,) * (dim - 1) + (4 * extents[-1] + 1,)]
+            if space == "tri2d":
+                odd = [c + (b,) for c in odd for b in (1, 2)] + [
+                    (extents[0] // 2, 1, 2)]
             placements = {c: Placement(c, f"t{rng.randrange(5)}",
                                        rng.choice(space_codes(space)))
                           for c in cells + outside if rng.random() < 0.97}
-            for cell in cells + outside:
+            placements.update({c: Placement(c, f"t{odd_rng.randrange(5)}",
+                                            odd_rng.choice(space_codes(space)))
+                               for c in odd})
+            for cell in cells + outside + odd:
                 kind = cell_kind(space, cell)
                 ring = []
                 for off in touching_offsets(kind):
@@ -454,9 +472,86 @@ def test_corona_of_matches_touching_cell_walk():
                 expected = None if pl is None or None in ring else Corona(
                     (pl.tile, pl.orientation), tuple(ring))
                 assert corona_of(placements, region, cell) == expected
-                complete[torus, cell in outside] += expected is not None
+                complete[torus, "odd" if cell in odd else
+                         cell in outside] += expected is not None
     assert complete[False, False] > 20 and complete[True, False] > 100
     assert complete[True, True] > 5 and complete[False, True] == 0, complete
+    assert complete[True, "odd"] > 5, complete
+
+
+def test_sparse_reads_in_a_huge_free_region_keep_what_they_read():
+    # the ring tables fill a coordinate at a time, as it is first read, so
+    # a sparse patch far out in a free region 10^9 wide costs what its cells
+    # do; a table filled per extent would take the region's width.  The
+    # coronas read are those of the same patch in a small region
+    rng = random.Random(17)
+    for space in ("square2d", "tri2d", "cube3d"):
+        dim = space_dim(space)
+        small = RegionSpec(space, (6,) * dim, False)
+        huge = RegionSpec(space, (10 ** 9,) * dim, False)
+        shift = tuple(rng.randrange(10 ** 8, 9 * 10 ** 8) for _ in range(dim))
+        cells = region_cells(small)
+        tiles = {c: (f"t{rng.randrange(3)}", rng.choice(space_codes(space)))
+                 for c in cells}
+        moved = {c: tuple(map(sum, zip(c, shift))) + c[dim:] for c in cells}
+        near = {c: Placement(c, *tiles[c]) for c in cells}
+        far = {moved[c]: Placement(moved[c], *tiles[c]) for c in cells}
+        tileatlas.box.rings.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        start = time.perf_counter()
+        complete = sum(corona_of(far, huge, moved[c]) is not None
+                       for c in cells)
+        took = time.perf_counter() - start
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+        tracemalloc.stop()
+        assert complete == 4 ** dim * len(SPACE_KINDS[space])
+        assert took < 2 and kept < 500 * len(cells), (space, took, kept)
+        assert [corona_of(far, huge, moved[c]) for c in cells] == [
+            corona_of(near, small, c) for c in cells]
+
+
+def test_implicit_verdicts_are_the_row_checks(monkeypatch):
+    # each distinct row's verdict is kept on its reduced set; every one,
+    # first read or kept, is that of _row_ok on the packed row, also past
+    # the clear at MEMO_SIZE rows, here made small
+    monkeypatch.setattr(tileatlas.atlas, "MEMO_SIZE", 40)
+    rng = random.Random(20261021)
+    checked = Counter()
+    for seed, space in itertools.product(range(12), ("square2d", "tri2d",
+                                                     "cube3d")):
+        ts = random_tileset(random.Random(seed), space, 3 + seed % 4,
+                            1 + seed % 2, name=f"v{seed}")
+        rs = reduce_set(ts, ("c1", "c2")[seed % 2])
+        kinds = {label: ts.by_id[tid].kind
+                 for label, tid in rs.inverse.items()}
+        labels = sorted(kinds)
+        if space == "cube3d":  # its atlas may be large: a torus's coronas
+            found = solve(ts, RegionSpec(space, (3, 3, 3), True)).patch
+            patch = found and encode_patch(rs, found)
+            coronas = [corona_of(patch.placements, patch.region, c)
+                       for c in sorted(patch.placements)] if found else []
+        else:
+            coronas = sorted(derive_atlas(rs).coronas, key=Corona.sort_key)
+        n = len(touching_offsets(kinds[labels[0]]))
+        coronas += [Corona(rng.choice(labels),
+                           tuple(rng.choice(labels) for _ in range(n)))
+                    for _ in range(30)]
+        for base in list(coronas):
+            ring = list(base.ring)
+            ring[rng.randrange(len(ring))] = rng.choice(labels)
+            coronas.append(Corona(base.center, tuple(ring)))
+        for corona in coronas * 2:
+            row = "".join(rs.chars[label] for label in (corona.center,
+                                                        *corona.ring))
+            table = rs.source.table
+            want = _row_ok(table, _corona_window(kinds[corona.center]), row)
+            assert corona_in_atlas_implicit(rs, corona) is want, corona
+            assert rs.verdicts[row] is want
+            assert len(rs.verdicts) <= 40
+            checked[space, want] += 1
+    assert min(checked.values()) > 50 and len(checked) == 6, checked
 
 
 def test_corona_of_free_patch_boundary_is_none():

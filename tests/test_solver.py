@@ -255,20 +255,21 @@ def test_node_counts_are_pinned():
 
 
 @pytest.mark.parametrize("seed", [None, 3])
-def test_kari14_has_no_torus_up_to_9(seed):
+def test_kari14_has_no_torus_up_to_12(seed):
     # README's claim: `exhaust --in @kari14` finds no k x k torus for any
-    # k up to 9, by these counts in any candidate order; about 0.06 s.  The
-    # nodes replayed, which depend on the order, are pinned too: a class
-    # answers at every record cell where its structure starts, no fewer
+    # k up to 12, by these counts in any candidate order.  The nodes
+    # replayed, which depend on the order, are pinned too: a class answers
+    # at every record cell where its structure starts, no fewer
     kari = load_bundled("kari14")
     want = [14, 910, 7182, 62174, 406462, 1263962, 10568950, 46082722,
-            109540466]
+            109540466, 1050168756, 3316375762, 2521201158]
     replayed = {None: [0, 0, 2086, 54586, 337904, 1239840, 10511970,
-                       45962084, 109294318],
+                       45962084, 109294318, 1049630652, 3315265814,
+                       2518912732],
                 3: [0, 0, 2086, 37226, 394520, 1239840, 10511970, 45962084,
-                    109294318]}
+                    109294318, 1049630652, 3315265814, 2518912732]}
     got = [exhaust_torus(kari, (k, k), SolveConfig(seed=seed))
-           for k in range(1, 10)]
+           for k in range(1, 13)]
     assert [(r.status, r.nodes) for r in got] == [(EXHAUSTED, nodes)
                                                   for nodes in want]
     assert [r.replayed for r in got] == replayed[seed]
