@@ -545,8 +545,8 @@ def test_implicit_verdicts_are_the_row_checks(monkeypatch):
         for corona in coronas * 2:
             row = "".join(rs.chars[label] for label in (corona.center,
                                                         *corona.ring))
-            table = rs.source.table
-            want = _row_ok(table, _corona_window(kinds[corona.center]), row)
+            want = _row_ok(ts.table, _corona_window(kinds[corona.center]),
+                           row)
             assert corona_in_atlas_implicit(rs, corona) is want, corona
             assert rs.verdicts[row] is want
             assert len(rs.verdicts) <= 40
