@@ -7,56 +7,39 @@ centre translated to the origin cell of its kind.  Corona membership is
 checked up to translation only.
 
 An atlas for a reduced set is the set of encodings of every locally valid
-source corona: an assignment of source tiles to the corona window in which
-all facet-sharing pairs satisfy the facet rule.  Membership can be tested
-against the materialized atlas, or implicitly by decoding the corona back to
-source tiles and checking the facet rule directly; the two routes agree.
-
-Both the enumerator's re-check and the implicit route read rows packed
-by the source set's one tile table, `TileSet.table`, across the corona
-window of their centre kind (the window module).
+source corona: every filling of the corona window with source tiles that
+passes the window check (the window module), found by the search engine
+and re-checked a batch at a time.  Membership is tested against the
+materialized atlas, or implicitly (`corona_in_atlas_implicit`) by running
+the window check on the decoded corona; the two routes agree.
 
 An `Atlas` is stored packed: a sorted table of the (tile, code) labels its
 coronas use, and a sorted tuple of distinct `str` rows, one per corona,
 whose characters are label indices, chr(i) for the i-th label, centre first
 and then the ring.  Python keeps such a string at one byte per character
-while every index is below 256 and widens it by itself beyond.  A table
-holds at most `LABEL_LIMIT` labels, the range of chr.  Strings sort by code
-point, so the rows are in `Corona.sort_key` order.  `Corona` stays the
-public type: `atlas.coronas` decodes rows on demand, and `corona in atlas`
-encodes the query.  A `Corona` is a named tuple, so it equals the plain
-(center, ring) tuple.
+while every index is below 256.  A table holds at most `LABEL_LIMIT`
+labels, the range of chr.  Strings sort by code point, so the rows are in
+`Corona.sort_key` order.  `atlas.coronas` decodes rows on demand, and
+`corona in atlas` encodes the query.
 
-`corona_of` reads a free region as its box: the torus one cell wider on
-each axis, whose extra layer holds no cell.  `missing_coronas` reads every
-row of a patch's box at once, through the box module's reader, which
-`patch_valid` shares: the patch's one string of labels, translated once to
-the atlas's and padded to the box, turned along each axis, when the patch
-is packed or lies in its region and fills at least 1/2^dim of the box.  Any
-other patch is read a cell at a time: corona_of's walk of the corona's
-labels, packed straight into a row by the atlas's table.  The walk reads
-each ring off the region's ring tables (box.rings), filled one coordinate
-at a time as it is first read, so a sparse patch in a huge free region
-costs only the cells read.  tests/check_large_patch.py prints the time of
-this route on a sparse patch.  The implicit route keeps one verdict per
-distinct row on its reduced set (`ReducedSet.verdicts`).
+`missing_coronas` reads a free region as its box, the torus one cell wider
+on each axis whose extra layer holds no cell.  A packed patch, or one that
+lies in its region and fills at least 1/2^dim of the box, has every row of
+the box read at once (box.corona_rows).  Any other patch is read a cell at
+a time: corona_of's walk reads each ring off the region's ring tables
+(box.rings), so a sparse patch in a huge free region costs only the cells
+read.  tests/check_large_patch.py prints the time of both routes.
 
-Rows are packed without a lookup per label: the engine's labels are the
-characters of the set's table, so a window's row is its solution
-reordered and joined.  `Atlas._set` sorts each constructor's table of the
-labels its rows use, renumbers the rows in place only where that moves a
-character, and sorts them once.  tests/check_cubes21_atlas.py prints the
-time the cubes21 c2 atlas (812,673 rows) takes to derive.
-
-The atlas text format is specified in docs/FORMATS.md.  The writer makes
-it a block of 1024 rows at a time (_text_blocks); `serialize_atlas` joins
-the blocks, and `atlas_lines` yields their lines one at a time.
-`parse_atlas` reads a str or an iterable of its pieces, such as a file:
-text in the writer's form 48 rows at a time by columns, and what that
-route cannot decide, such as a comment, another spacing or an unknown
-code, by the line reader, which words every fault with its line number.
-A repeat is found side by side in the sorted rows, and only then named by
-a walk of the rows in reading order.
+The text format is specified in docs/FORMATS.md.  The writer makes it
+1024 rows at a time (_text_blocks); `atlas_lines` yields its lines one at
+a time.  `parse_atlas` reads a str or an iterable of its pieces, such as a
+file: text in the writer's form 48 rows at a time by columns, and what that
+route cannot decide, such as a comment, other spacing or an unknown code,
+by the line reader, which words every fault with its line number.  A
+repeat is found side by side in the sorted rows, and only then named by a
+walk of the rows in reading order.  tests/check_cubes21_atlas.py derives
+the cubes21 c2 atlas, streams its text through a file and back, checks the
+peak RSS of both, and prints each step's time.
 """
 
 from __future__ import annotations
@@ -83,7 +66,7 @@ from .text import (LABEL_LIMIT, FormatError, _code, _corona_columns,
 from .tileset import Patch, RegionSpec, TileSet
 from .reduction import ReducedSet
 from .search import MEMO_SIZE, check_count, region_search
-from .window import _corona_window, _refusal, _row_ok, _rows_ok
+from .window import _corona_window, _refusal, _rows_ok
 
 
 class BudgetExceeded(RuntimeError):
@@ -94,6 +77,7 @@ class Corona(NamedTuple):
     """Centre placement plus ring placements, both as (tile, code) pairs.
 
     The ring is aligned with touching_offsets of the centre's cell kind.
+    As a named tuple, a Corona equals the plain (center, ring) tuple.
     """
 
     center: tuple
@@ -254,17 +238,10 @@ def _corona_labels(placements: dict, region: RegionSpec, cell):
 
 def missing_coronas(atlas: Atlas, patch: Patch) -> tuple[list, int]:
     """The sorted cells whose complete corona (as corona_of reads it) is not
-    in the atlas, and the number of complete coronas in the patch.
-
-    A packed patch, which fills its region, or a dict patch that lies in
-    its region and fills at least 1/2^dim of its box has every row of the
-    box read at once (box.corona_rows) from its string over the atlas's
-    labels (box.patch_text), padded with holes to the box on a free region:
-    a cell's character is its label's, a spare one if the table lacks the
-    label, or another, the hole, if a dict patch leaves the cell empty.  A
-    row with a hole is not complete.  Any other patch is read cell by cell:
-    corona_of's walk of each corona's labels (_corona_labels), packed as a
-    row by the atlas's table (Atlas._has)."""
+    in the atlas, and the number of complete coronas in the patch.  On the
+    box route a cell's character is its label's, a spare one where the
+    table lacks the label, or the hole where the cell is empty or in the
+    box's extra layer; a row with a hole is not complete."""
     region, labels = patch.region, atlas.labels
     torus, hole = box(region), chr(len(labels))
     if (len(labels) + 2 > LABEL_LIMIT  # no spare characters
@@ -351,14 +328,8 @@ def _in_use(chars: dict, rows: list) -> dict:
 def enumerate_source_coronas(ts: TileSet,
                              node_cap: int = DEFAULT_NODE_CAP) -> set:
     """All locally valid coronas of a translation-placed source set.
-
-    `node_cap` bounds the nodes summed over the centre kinds.  Every complete
-    assignment is re-verified by the set's window check before it is
-    admitted: each label must be one that the set's tile table,
-    `ts.table`, holds for its window cell's kind, and every pair that
-    facet_pairs lists for the window is tested against the rule on the
-    facet colours read there.
-    """
+    `node_cap` bounds the nodes summed over the centre kinds; every corona
+    passes the window check before it is admitted."""
     chars, rows = _enumerate(ts, node_cap)
     return set(Atlas._packed(ts.name, _in_use(chars, rows), rows).coronas)
 
@@ -379,13 +350,12 @@ def derive_atlas(rs: ReducedSet, node_cap: int = DEFAULT_NODE_CAP) -> Atlas:
 # ---------------------------------------------------------------------------
 
 def corona_in_atlas_implicit(rs: ReducedSet, corona: Corona) -> bool:
-    """Decide membership without the materialized atlas: pack the corona
-    as a row of the source set's tile table, through each encoded label's
-    character (rs.chars), and check it across the window of the centre's
-    kind, as the enumerator's re-check reads its rows by column; a ring of
-    another length reads as the wrong kinds.  The row fixes the centre's
-    kind, so its verdict is kept in rs.verdicts, which is cleared when it
-    holds MEMO_SIZE rows."""
+    """Decide membership without the materialized atlas: whether the corona,
+    packed as a row of the source set's table through each encoded label's
+    character (rs.chars), passes the window check of its centre's kind; a
+    ring of another length reads as the wrong kinds.  The row fixes the
+    kind, so its verdict is kept in rs.verdicts, cleared at MEMO_SIZE
+    rows."""
     try:
         row = "".join(map(rs.chars.__getitem__, (corona.center, *corona.ring)))
     except KeyError:  # an entry encodes no source tile
@@ -396,8 +366,8 @@ def corona_in_atlas_implicit(rs: ReducedSet, corona: Corona) -> bool:
         if len(verdicts) >= MEMO_SIZE:
             verdicts.clear()
         ts = rs.source
-        ok = verdicts[row] = _row_ok(ts.table, _corona_window(
-            ts.by_id[rs.inverse[corona.center]].kind), row)
+        ok = verdicts[row] = _rows_ok(ts.table, _corona_window(
+            ts.by_id[rs.inverse[corona.center]].kind), (row,))
     return ok
 
 

@@ -1,42 +1,30 @@
-"""A dense patch read as strings, one character per cell, turned along its
-axes: the box reader that `patch_valid` and `missing_coronas` share.
+"""A set's tile table, and a dense patch read as strings, one character
+per cell, turned along its axes: the box reader that `patch_valid` and
+`missing_coronas` share.
 
-Sorted cell order steps along each axis by a fixed stride (the last entry,
-a triangle's orientation bit, varies fastest).  So the cells at one offset
-from every cell of a torus are read at once, the cells' string turned
-within each run of an axis's extent times its stride (`turned`); on a free
-region, the cells whose neighbour one step along an axis lies in the region
-are one slice of each run, and those neighbours another (`_met`).
+A set's labels are the characters of its one tile table (`tile_table`),
+built when the set is made and kept as `TileSet.table`.  A label is legal
+on one cell kind; str.translate tables take a character to its kind and,
+per facet, to the hue it shows there, a character for its colour.
 
-`missing_coronas` reads every corona row of a patch's box (`box`) from one
-string of label characters, padded to the box on a free region (`padded`)
-and turned once per touching offset (`corona_rows`).
-`corona_of` reads one cell's ring off its region's ring tables (`rings`).
+Sorted cell order steps along each axis by a fixed stride (a triangle's
+orientation bit varies fastest).  So on a torus the cells at one offset
+from every cell are the cells' string turned within each run of the axis
+(`turned`); on a free region, the cells whose neighbour one step along an
+axis lies in the region are one slice of each run, and those neighbours
+another (`_met`).  `patch_text` gives a patch's labels as such a string:
+a packed patch's own, translated once where its alphabet is another, or a
+dict patch's placements packed, with a hole for each empty cell.
 
-A set's labels are characters of its one tile table (`tile_table`),
-compiled when the set is made and kept on it as `TileSet.table`: a label is
-legal on one cell kind, and str.translate tables take a character to its
-kind and, per facet, to the hue it shows there, a character for its colour.
-The search engine, `patch_valid`'s pair walk and the corona window's checks
-(the window module) read the same table.
-
-A patch's labels, one character a cell of its region in sorted order, are
-read by `patch_text`: a packed patch's string, which fills its region,
-translated once where its alphabet is not the reader's, or a dict patch's
-placements packed, one placements.get a cell, with a hole for each empty
-cell.  `patch_valid` reads a patch that lies in its region and fills it by
-the dense route (`dense_valid`): its string over the set's alphabet,
-translated to kinds, must be the region's kind string (on tri2d the up
-cells are the even characters and the down cells the odd ones).  Each
-facet-sharing pair is met from one side (`facet_steps`): per step, both
-kinds' strings are translated to the hues their facets show and compared,
-the neighbour's turned by the step on a torus and sliced on a free region;
-under `identical` that is one string comparison, and a table rule tests the
-pairs of characters.
-
-The route only accepts.  An unplaced cell, a label the table lacks, one on
-a cell of another kind or a failed comparison returns False, and
-`patch_valid` runs its pair walk, which words every violation in order.
+`dense_valid` decides a patch that lies in its region and fills it: its
+string translated to kinds must be the region's kind string, and each
+facet-sharing pair is met from one side (`facet_steps`), both kinds'
+strings translated to the hues their facets show and tested by the rule
+at once.  It only accepts; on False `patch_valid` runs its pair walk,
+which words every violation.  `corona_rows` reads every corona row of a
+torus, the string turned once per touching offset; a free region is read
+as its box (`box`, `padded`).  `rings` gives one cell's ring, filled one
+coordinate at a time.
 """
 
 from __future__ import annotations
@@ -299,8 +287,7 @@ def _recode(own: tuple, labels: tuple) -> dict:
     """The str.translate table from the alphabet `own` to `labels`, as
     patch_text reads it: each character of `own` to that of its label among
     `labels`, or to chr(len(labels) + 1) where `labels` lacks it."""
-    index = dict(zip(labels, map(chr, count())))
-    spare = chr(len(labels) + 1)
+    index, spare = _packing(labels), chr(len(labels) + 1)
     return {i: index.get(label, spare) for i, label in enumerate(own)}
 
 

@@ -1,107 +1,65 @@
 """The search engine shared by the region solver and the corona enumerator.
 
-`region_search` is its one entry point: it reads each cell kind's candidate
-list, (character, hue tuple), off the set's one compiled tile table,
-`TileSet.table`, which `patch_valid` and the window checks read too, and
-runs one explicit-stack depth-first search over the region's cells, so the
-number of cells is not bounded by Python's recursion limit.  It tests the
-rule by the table's test.  A solution is the cells' characters: the first
-is returned in sorted cell order, which the solver joins into a packed
-patch, and the corona enumerator gets each joined into a row in search
-order.  Every facet-sharing pair of listed cells that `facet_pairs` lists
-(torus wrap pairs included) is checked exactly once, when the later cell of
-the pair is placed; neighbours outside the list are unconstrained.  The
-engine re-checks nothing it finds; its callers do.
+`region_search` is its one entry point.  It takes each cell kind's
+candidate list, (character, hue tuple), from the set's tile table
+(`TileSet.table`), tests the rule by the table's test, and runs one
+explicit-stack depth-first search over the region's cells, so the number
+of cells is not bounded by Python's recursion limit.  Every pair that
+`facet_pairs` lists for the cells (torus wraps included) is checked once,
+when its later cell is placed; neighbours outside the listed cells are
+unconstrained.  A solution is the cells' characters: the first is returned
+in sorted cell order, and with `rows` each is appended, joined in search
+order.  The engine re-checks nothing it finds; its callers do.
 
-What depends only on the region and its listed cells is compiled once into
-a plan, kept for the last 16 regions: the cells' kinds, checks and key
-getters, the record skeleton and structure below, colour slots and the
-cells' sorted order.  Searches that repeat a region, such as the seeded patches of
-`tileatlas roundtrip --count`, build it once; only a region's first search
-pays for it.  Candidate tables, colour indexes, the memo and stack are per
-search.
+What depends only on the region and its cells is compiled once into a
+plan (`_plan`), and the last 16 plans are kept: per cell its kind, checks,
+key getter and colour slots, the record cells below, `struct` and the
+cells' sorted order.  Candidate lists, colour indexes, the memo and the
+stack belong to one search.  With a seed, each cell's candidate positions
+are shuffled, and the cells of one kind whose orders come out equal share
+one list: triangles6's 800-cell torus has at most 12 (two kinds, 3! orders).
 
-Each cell keeps a colour index: a memo from the colours its earlier
-neighbours show on the checked facets to the candidates that match them all.
-A miss tests, in list order, the candidates that pass the cell's own checks
-(extent-1 wraps, where a candidate meets itself) by the rule's test of
-their colours on the key's facets against the key.  Those colour tuples are
-made once per cell kind and signature, own checks and earlier facets, and
-shared by the kind's lists: up and down triangles can share a signature.
-A list picks out the candidates that pass its own checks at its first miss:
-a seeded search gives each cell its own list, and sets up only those it
-reaches.
-Cells with the same candidate list and the same checked facets share one
-memo; without a seed, the cells of one kind have the same list.  With one,
-shuffling each cell's positions draws what shuffling its list would, and
-cells of one kind whose orders come out equal share a list: triangles6's
-800-cell torus has at most 12 (two kinds, 3! orders of three candidates).
+A node is a candidate tried in list order.  Cells with the same list and
+checked facets share a colour index, from the colours their earlier
+neighbours show to the survivors; the candidates it skips still count as
+nodes, so node counts and the node limit do not depend on it.  A miss
+tests, in list order, the candidates that pass the cell's own checks
+(where a torus axis of extent 1 makes a candidate meet itself) by the
+rule's test on their colours at the key's facets, made once per (cell
+kind, signature).  A survivor list is one step per survivor, the nodes it
+charges (its skipped predecessors and itself) with its label and colours,
+and a last step that charges the rest.  A loop step charges one step and
+places its survivor, reading one record of the cell (its colour slots and
+the next cell's key getter, colour index and offered classes), or goes
+back.  A next cell without survivors is charged its whole list and not
+entered.
 
-A node is a candidate tried in list order.  The index skips candidates that
-the earlier neighbours rule out, but each still counts as a node, as if it
-had been tried and rejected, so node counts and the node limit do not depend
-on the index.  A survivor list is a list of steps, one per survivor: the
-nodes it charges, its skipped predecessors and itself, with its label and
-colours; a last step charges the candidates after the last survivor and
-ends the list.  Each loop step charges one step of the current cell and then
-places its survivor, or goes back.  Before it enters the next cell it looks
-that cell's survivors up: a cell without survivors is charged its whole list
-there and is not entered, nor is a record cell whose memo holds its walk.
-A step forward reads one record of its cell: the cell's colour slots and the
-next cell's key getter, colour index and offered classes.  Each depth keeps
-its survivor list and, below the current one, its next position, so a step
-builds no tuple to push or pop.
+Below cell i the search depends only on i's frontier: the colours of
+earlier cells that cells from i on check.  A record cell's frontier is
+narrower than the next cell's: on a 7x7 square region cells 0-5, 7, 14,
+21, 28 and 35.  From one record cell to the next is a segment.  A
+solution-free subtree stores its nodes under its class, the structure of
+its cells from its record cell to its reach (`struct`, one character per
+cell for its kind and its checks relative to it), keyed on the earlier
+colours those cells check.  The reach is the end of the deepest segment
+it entered, a record cell charged without survivors included, or that an
+entry it was charged from reached.  A class is offered, found by
+`str.find`, at every record cell where its structure starts, narrowest
+first: on a torus a subtree below a row start is searched once wherever
+its colours come back.  A subtree with solutions is a class from its
+record cell to the last cell, holding its nodes and the solutions counted
+before and after it.  A shift of it would end short of the last cell, so
+it answers only at its own record cell: a count adds its solutions again,
+and an enumeration appends its rows again under the new prefix.  A subtree
+with one solution is not stored, as it is seldom met again.
 
-Below cell i the search depends only on i's frontier: the colours of earlier
-cells that cells from i on check.  Cells whose frontier is narrower than the
-next cell's are record cells: on a 7x7 square region cells 0-5, 7, 14, 21,
-28 and 35, every cell of the first row but its last and each later row start
-but the last row's; triangle and cube regions have them too (16 of the 32
-cells of a 4x4 triangle torus).  The cells from one record cell to the next
-form a segment (after the first row, a row of a square region).  A
-solution-free subtree stores the nodes it charged under its class, the
-structure of its cells from its record cell to its reach: per cell one
-character of `struct`, for its kind and earlier checks relative to it.  The
-reach is the end of the deepest segment it entered, a record cell charged
-without survivors counting as entered, and counting the reaches of the
-entries it was charged from.  No cell after the reach was charged, and the
-count is keyed on the colours of the earlier slots that its cells check; it
-does not depend on candidate order, as seeded lists hold the same
-candidates.  So a class answers at every record cell where its structure
-starts: on a torus the rows below a row start are searched once wherever
-their colours come back, below any row start, and as only the last row
-reads row 0's bottom colours, a subtree that dies before it is searched
-under one row 0 and charged under the others.  When a class is first
-named, it is offered to every record cell where `struct` holds it, found
-by `str.find`; a lookup tries the classes offered at its record cell,
-narrowest first.
-
-A subtree with solutions is one more class, the structure of its cells
-from its record cell to the last cell, and its entry, keyed the same way
-on its record cell's frontier, holds the nodes charged and the solutions
-counted before and after: a counting search adds them, and an
-enumeration appends again the rows that the subtree appended, in order,
-each with the labels of the cells before the record cell in place of its
-own.  Its rows hold its own cells' labels, and a shift of its class ends
-short of the last cell, so it answers only where its class ends at the
-last cell, at its own record cell: on the cube corona window, cells 9
-and 18 are record cells that start layers alike, so a class from 18 is
-offered at 9 too.  A subtree with one solution is not stored: it seldom
-pays for its key (none of the 429 on the triangles6 12x12 torus is met
-again).
-
-A hit is charged again (`replayed`) instead of searched.  A solution-free
-hit reaches its class's last cell and is charged up to the limit at most.
-A subtree with solutions that would cross the limit is searched, so that
-the count it cuts is exact; the walks around one that is replayed saw
-solutions, so their reach is not read.  Which shift of a class is searched
-first, and so `replayed`, depends on the candidate order; nodes do not.
-One search's memo holds at most MEMO_SIZE entries in all, and the entry
-that would pass that clears them all first.  Every count, limit, solution
-and row, in order, is the plain depth-first search's.  On a 2-core machine
-(Python 3.11) cubes21's c2 derive takes about 1.05 s, the free wang13 8x4
-count about 0.2 s, and the benchmark's torus-exhaust op (wang13 k <= 7,
-cubes21 k <= 3, triangles6 12x12 counted) about 31-32 ms.
+A hit is charged (`replayed`) instead of searched, up to the limit at
+most; a subtree with solutions that would cross the limit is searched, so
+that a cut count is exact.  Which shift of a class is searched first, and
+so `replayed`, depends on the candidate order; nodes do not.  One search's
+memo holds at most MEMO_SIZE entries and is cleared when full.  Every
+count, limit, solution and row, in order, is the plain depth-first
+search's.
 """
 
 from __future__ import annotations

@@ -1,12 +1,6 @@
 """Backtracking search for valid patches and torus tilings.
 
-Cells are filled in scan order.  A found patch is one string of the set's
-label characters in sorted cell order (`Patch.packed`): the engine returns
-its first solution in that order, by the sort its search plan makes; the
-patch is re-verified independently, with `patch_valid`, before being
-returned.
-
-Two search targets:
+Two search targets, both run by the engine (`search.region_search`):
 
 * facet mode (`solve`): placements of a coloured tile set under its facet
   rule;
@@ -16,15 +10,10 @@ Two search targets:
   When a materialized atlas is supplied, every complete corona of the
   encoded patch is also confirmed to be an atlas member.
 
-Both call the engine's one entry point, `search.region_search`, as does the
-corona enumerator.  A node is a candidate tried in scan order; node counts
-and `node_limit` are the plain depth-first search's, whatever the engine's
-colour index and memo skip (see `search.py`).  `SolveResult.replayed` is
-the part of `nodes` charged from the memo; unlike `nodes`, it can depend on
-the candidate order, which decides where a record is first searched.
-
-With a seed, each cell's candidate order is shuffled up front, so the first
-solution found is a reproducible pseudo-random patch.
+A found patch is one string of the set's label characters in sorted cell
+order (`Patch.packed`), re-verified with `patch_valid` before it is
+returned.  With a seed, the first solution is a reproducible
+pseudo-random patch.
 """
 
 from __future__ import annotations

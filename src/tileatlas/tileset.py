@@ -1,19 +1,10 @@
 """Coloured prototile sets, facet matching rules, placements and patches.
 
-The tile-set and patch text formats are specified in docs/FORMATS.md.
 Colours are non-negative integers in canonical facet order; 0 is the
 uncoloured value and every rule accepts the pair (0, 0).  Orientation codes
-are the geometry module's canonical element codes.
-
-A patch that the solver, parse_patch or the codec makes fills its region:
-it is one string of label characters, one a cell of its region in sorted
-order (`Patch.packed`), whose placement dict is built when it is first
-read.  `Patch(set_name, region, placements)` keeps its dict, which may
-leave cells empty.  `patch_valid` decides a patch that fills its region by
-the box module's dense route, which reads that string, or the placements
-packed into one, and only accepts; any other patch goes through the pair
-walk, which words every violation.  The patch text format is read and
-written by the patchtext module.
+are the geometry module's canonical element codes.  The tile-set text
+format is specified in docs/FORMATS.md; patch text is read and written by
+the patchtext module.
 """
 
 from __future__ import annotations

@@ -1,33 +1,22 @@
-"""The corona window of each cell kind and the checks that read it with
-a source set's tile table: what the atlas enumerator re-checks its rows
-with, and what the implicit membership route reads.
+"""The corona window of each cell kind, and the one check of the paper's
+rule on it: whether a window filled with source labels is legal.
 
-A window is packed as a row, one character per cell: the character that the
-set's one tile table, `TileSet.table`, gives the cell's (tile, code) label.
-The engine, which yields those characters, and both routes of `patch_valid`
-read the same table.  What depends only on the window, its cells' kind
-string and the positions of the pairs that `facet_pairs` lists for it (the
-pair list of `patch_valid`'s walk, which the tests check against an oracle
-of coinciding facet midpoints), is kept with the window.
-
-The implicit route packs the decoded corona and translates the row once
-to kinds, which must be the window's, and once per facet to hues, and
-tests the pairs' two hue sequences at once by the table's test.  The
-enumerator, one `region_search` per centre kind over the corona window
-(in scan order; a node is a candidate tried at any window cell), reads its
-rows the same way a few thousand at a time: their joined text is
-translated once to kinds and once per facet, and each pair's two columns,
-slices of those hue strings, are tested by the rule once.  A batch
-passes exactly when every row would.  The check only decides: a batch it
-refuses, which only a faulty engine yields, is named by `patch_valid` on
-each row's window in turn.
+A window is packed as a row, one character per cell of the set's tile
+table (`TileSet.table`), centre first.  What depends only on the window,
+its cells' kind string and its facet-sharing pairs (`facet_pairs`), is
+kept with it.  `_rows_ok` reads any number of rows at once: their joined
+text is translated once to kinds, which must be the window's, and once per
+facet to hues, and each pair's two columns, slices of those hue strings,
+are tested by the rule once.  The atlas enumerator re-checks its rows with
+it a few thousand at a time, and the implicit membership route one row at
+a time.  It only decides: a batch it refuses, which only a faulty engine
+yields, is named by `patch_valid` on each row's window in turn
+(`_refusal`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from functools import lru_cache
-from operator import itemgetter
 from typing import NamedTuple
 
 from .box import TileTable
@@ -60,17 +49,13 @@ class Window(NamedTuple):
     order: tuple  # the cells in the region's scan order
     pairs: tuple  # facet_pairs of the cells
     kinds: str  # per cell, chr(k) for its kind's index k
-    # the pairs' two ends, read off the row's hue strings joined
-    xs: Callable
-    ys: Callable
 
 
 @lru_cache(maxsize=None)
 def _corona_window(kind: ShapeKind) -> Window:
     """The corona window's free region, its cells (centre first, then the
     ring), the order the search assigns them in, the region's scan order,
-    their facet-sharing pairs (facet_pairs), the cells' kind string, and
-    per pair end (i, facet f) a getter of position f * len(cells) + i.
+    their facet-sharing pairs (facet_pairs) and the cells' kind string.
 
     Cells are shifted so the window fits the region with non-negative
     coordinates; the centre sits at the lattice point (1,1[,1]).  A square
@@ -83,27 +68,17 @@ def _corona_window(kind: ShapeKind) -> Window:
     cells = (center, *[touching_cell(kind, center, offset)
                        for offset in touching_offsets(kind)])
     order = tuple(filter(set(cells).__contains__, region_cells(region)))
-    pairs, n = facet_pairs(region, cells), len(cells)
     return Window(
-        region, cells, order, pairs,
+        region, cells, order, facet_pairs(region, cells),
         "".join([chr(SPACE_KINDS[space].index(cell_kind(space, c)))
-                 for c in cells]),
-        itemgetter(*[f * n + i for i, f, _, _ in pairs]),
-        itemgetter(*[nf * n + j for _, _, j, nf in pairs]))
-
-
-def _row_ok(table: TileTable, window: Window, row: str) -> bool:
-    """Whether the window packed as `row`, one character of `table` per
-    cell, is legal on every cell and meets the rule on every pair."""
-    if row.translate(table.kinds) != window.kinds:
-        return False
-    hues = "".join([row.translate(t) for t in table.colours])
-    return table.test(window.xs(hues), window.ys(hues))
+                 for c in cells]))
 
 
 def _rows_ok(table: TileTable, window: Window, rows) -> bool:
-    """Whether every row passes _row_ok, read a column at a time: each
-    cell's column is every n-th character of the joined rows."""
+    """Whether every one of `rows`, the window packed one character of
+    `table` per cell, is legal on every cell and meets the rule on every
+    pair, read a column at a time: each cell's column is every n-th
+    character of the joined rows."""
     joined, n = "".join(rows), len(window.cells)
     if joined.translate(table.kinds) != window.kinds * len(rows):
         return False

@@ -41,7 +41,6 @@ from tileatlas.atlas import (
     Corona,
     _corona_window,
     _refusal,
-    _row_ok,
     _rows_ok,
     atlas_lines,
     corona_in_atlas_implicit,
@@ -514,7 +513,7 @@ def test_sparse_reads_in_a_huge_free_region_keep_what_they_read():
 
 def test_implicit_verdicts_are_the_row_checks(monkeypatch):
     # each distinct row's verdict is kept on its reduced set; every one,
-    # first read or kept, is that of _row_ok on the packed row, also past
+    # first read or kept, is that of _rows_ok on the packed row, also past
     # the clear at MEMO_SIZE rows, here made small
     monkeypatch.setattr(tileatlas.atlas, "MEMO_SIZE", 40)
     rng = random.Random(20261021)
@@ -545,8 +544,8 @@ def test_implicit_verdicts_are_the_row_checks(monkeypatch):
         for corona in coronas * 2:
             row = "".join(rs.chars[label] for label in (corona.center,
                                                         *corona.ring))
-            want = _row_ok(ts.table, _corona_window(kinds[corona.center]),
-                           row)
+            want = _rows_ok(ts.table, _corona_window(kinds[corona.center]),
+                            [row])
             assert corona_in_atlas_implicit(rs, corona) is want, corona
             assert rs.verdicts[row] is want
             assert len(rs.verdicts) <= 40
@@ -1444,7 +1443,6 @@ def test_row_checks_refuse_characters_outside_the_table():
     assert len(table.chars) == 1
     window = tileatlas.atlas._corona_window(ShapeKind.TRI_UP)
     row = window.kinds  # chr(0) on up cells, chr(1) on down ones
-    assert not _row_ok(table, window, row)
     assert not _rows_ok(table, window, [row])
     seen = 0
     for name, kinds in WINDOW_KINDS:
@@ -1453,13 +1451,13 @@ def test_row_checks_refuse_characters_outside_the_table():
         for kind in kinds:
             window = tileatlas.atlas._corona_window(kind)
             valid = window_rows(ts, kind, 20000, table.chars)[:3]
-            assert valid and all(_row_ok(table, window, r) for r in valid)
+            assert valid and all(_rows_ok(table, window, [r]) for r in valid)
             for row, c in itertools.product(valid, range(len(window.cells))):
                 for ch in (chr(len(table.chars)), window.kinds[c], "\uffff"):
                     if ch in table.chars.values():
                         continue
                     bad = row[:c] + ch + row[c + 1:]
-                    assert not _row_ok(table, window, bad)
+                    assert not _rows_ok(table, window, [bad])
                     assert not _rows_ok(table, window, [*valid, bad])
                     seen += 1
     assert seen
@@ -1535,7 +1533,7 @@ def test_column_recheck_matches_window_valid():
                         verdicts = [window_valid(ts, kind,
                                                  [tiles[ord(x)] for x in r])
                                     for r in rows]
-                        assert [_row_ok(ts.table, window, r)
+                        assert [_rows_ok(ts.table, window, [r])
                                 for r in rows] == verdicts
                         ok = _rows_ok(ts.table, window, rows)
                         assert ok == all(verdicts)
