@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, compress, count, islice
 from math import prod
-from operator import eq, getitem, itemgetter
+from operator import eq, getitem
 from typing import NamedTuple
 
 from .geometry import (
@@ -158,8 +158,11 @@ class Atlas:
         return row in self._members
 
     def __contains__(self, corona) -> bool:
-        return isinstance(corona, Corona) and self._has(
-            (corona.center, *corona.ring))
+        try:  # a Corona, or any plain (center, ring) tuple
+            return (isinstance(corona, tuple) and len(corona) == 2
+                    and self._has((corona[0], *corona[1])))
+        except TypeError:  # a ring not iterable, or a label not hashable
+            return False
 
 
 def _translate(rows, to: dict) -> list:
@@ -279,28 +282,31 @@ _BATCH = 4096
 
 
 def _enumerate(ts: TileSet, node_cap: int) -> tuple[dict, list]:
-    """Every locally valid corona window of `ts`, packed: the alphabet of
-    the set's tile table (label -> character) and one row per window,
-    centre first.  Each centre kind's rows pass the window check before
-    they are admitted, and before the cap raises BudgetExceeded.  The
-    engine's labels are the row characters, and it appends each solution
-    joined in search order, so a row is packed by reordering it.  A cap
-    that is not a node count is refused."""
+    """Every locally valid corona window of `ts`, packed: the labels some
+    row uses, label -> character of the set's tile table, and one row per
+    window, centre first.  The engine appends each solution joined in
+    search order.  Each batch of its rows is joined once: that text gives
+    the characters in use, and every n-th character from a window cell's
+    search position is that cell's column.  Each centre kind's rows pass
+    the window check before they are admitted, and before the cap raises
+    BudgetExceeded.  A cap that is not a node count is refused."""
     check_count(node_cap, "node cap")
     if ts.allowed != "translations":
         raise FormatError("corona enumeration expects a translation-placed set")
     table = ts.table
-    rows, nodes = [], 0
+    rows, nodes, unused = [], 0, set(table.chars.values())
     for kind in SPACE_KINDS[ts.space]:
         window = _corona_window(kind)
-        # search labels -> window labels
-        pick = itemgetter(*map(window.order.index, window.cells))
+        n = len(window.cells)
+        picks = [*map(window.order.index, window.cells)]
         start = len(rows)
         _, _, spent, _, _ = region_search(ts, window.region, node_cap - nodes,
                                           rows=rows, cells=window.order)
         for k in range(start, len(rows), _BATCH):
+            text = "".join(rows[k:k + _BATCH])
+            unused -= {ch for ch in unused if ch in text}
             rows[k:k + _BATCH] = batch = [
-                "".join(pick(row)) for row in rows[k:k + _BATCH]]
+                *map("".join, zip(*[text[p::n] for p in picks]))]
             if not _rows_ok(table, window, batch):
                 raise RuntimeError(
                     "incremental checks admitted an invalid corona: "
@@ -309,20 +315,8 @@ def _enumerate(ts: TileSet, node_cap: int) -> tuple[dict, list]:
         if nodes > node_cap:
             raise BudgetExceeded(
                 f"corona enumeration exceeded {node_cap} nodes")
-    return table.chars, rows
-
-
-def _in_use(chars: dict, rows: list) -> dict:
-    """The items of `chars`, label -> character, whose character some row
-    holds: each character looked for in the joined rows, a batch at a time,
-    until every one is found."""
-    left = set(chars.values())
-    for k in range(0, len(rows), _BATCH):
-        if not left:
-            break
-        joined = "".join(rows[k:k + _BATCH])
-        left -= {ch for ch in left if ch in joined}
-    return {label: ch for label, ch in chars.items() if ch not in left}
+    return {label: ch for label, ch in table.chars.items()
+            if ch not in unused}, rows
 
 
 def enumerate_source_coronas(ts: TileSet,
@@ -330,19 +324,14 @@ def enumerate_source_coronas(ts: TileSet,
     """All locally valid coronas of a translation-placed source set.
     `node_cap` bounds the nodes summed over the centre kinds; every corona
     passes the window check before it is admitted."""
-    chars, rows = _enumerate(ts, node_cap)
-    return set(Atlas._packed(ts.name, _in_use(chars, rows), rows).coronas)
+    return set(Atlas._packed(ts.name, *_enumerate(ts, node_cap)).coronas)
 
 
 def derive_atlas(rs: ReducedSet, node_cap: int = DEFAULT_NODE_CAP) -> Atlas:
-    """The reduced set's atlas: encodings of all locally valid source coronas.
-
-    Each source label that some row uses (_in_use) is encoded, and the rows
-    are renumbered to the sorted encoded labels by one translate per batch
-    of _BATCH rows (Atlas._set)."""
+    """The reduced set's atlas: every locally valid source corona, encoded."""
     chars, rows = _enumerate(rs.source, node_cap)
     return Atlas._packed(rs.name, {rs.forward[tid]: ch for (tid, _), ch
-                                   in _in_use(chars, rows).items()}, rows)
+                                   in chars.items()}, rows)
 
 
 # ---------------------------------------------------------------------------

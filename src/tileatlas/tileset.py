@@ -177,11 +177,17 @@ class RegionSpec:
     torus: bool
 
     def __post_init__(self):
+        ext = self.extents
         if self.space not in SPACE_KINDS:
             raise FormatError(f"unknown space {self.space!r}")
-        if len(self.extents) != space_dim(self.space):
+        # a tuple, which the plan cache hashes, of ints; a bool is no extent
+        if not isinstance(ext, tuple) or any(
+                e.__class__ is bool or not isinstance(e, int) for e in ext):
+            raise FormatError(
+                f"region extents must be a tuple of integers, not {ext!r}")
+        if len(ext) != space_dim(self.space):
             raise FormatError("region extents do not match the lattice dimension")
-        if any(e < 1 for e in self.extents):
+        if any(e < 1 for e in ext):
             raise FormatError("region extents must be positive")
 
 

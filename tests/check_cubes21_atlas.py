@@ -17,7 +17,7 @@ Six checks, each printed with its figure; the exit code is 0 when all hold:
   gives the same atlas;
 - the process's peak RSS after that round trip is at most 500 MB.
 
-The derivation time is printed beside the 20 s target, the write time
+The derivation time is printed beside its 0.7 s target, the write time
 beside its 2 s target, the write and parse times apart and summed, for the
 15 s round-trip target, and the parse time over the derivation time beside
 its target of at most 1; no time is checked.
@@ -26,14 +26,10 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/check_cubes21_atlas.py
 
-It takes 8-12 s on a 2-core machine: the derivation 1.2-1.8 s at a
-103 MB peak, writing the text through sha256 and the file 1.8-2.2 s (of it
-1.3-1.6 s making the lines; line by line the loop took 2.3-2.4 s), and
-parsing it back from the file 4.6-7.2 s.  The 352.7 MB text is never held
-whole, so the round trip peaks at about 205 MB (about 790 MB through
-serialize_atlas and parse_atlas on one str); the derivation's RSS is read
-before it.  The file name does not match pytest's `test_*.py`, so the suite
-does not run it.
+The 352.7 MB text is never held whole, so the round trip peaks at about
+205 MB (about 790 MB through serialize_atlas and parse_atlas on one str);
+the derivation's RSS is read before it.  The file name does not match
+pytest's `test_*.py`, so the suite does not run it.
 """
 
 import hashlib
@@ -54,7 +50,7 @@ from tileatlas.text import _CHUNK
 DIGEST = "733d3fd5913f93179d608a15fb7195f5031baee7deb679e1121849e611ca8d1a"
 DERIVE_RSS_MB = 250
 ROUND_TRIP_RSS_MB = 500
-DERIVE_TARGET_S = 20
+DERIVE_TARGET_S = 0.7
 WRITE_TARGET_S = 2
 PARSE_TARGET = 1  # parse time over derivation time
 NODE_CAP = 110_651_268  # the enumeration's exact charge

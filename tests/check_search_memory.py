@@ -6,23 +6,23 @@ plan must stay inside its own bound, and one read of its patch's coronas
 that must keep next to nothing.
 
 - torus: the 11x11 torus exhausted, 612,610,024 nodes, 592,618,260 of them
-  replayed, at most 36 MB.  It takes 1.8-2.1 s.  The search's memo holds at
-  most MEMO_SIZE entries; without that bound the process peaks near 46 MB.
+  replayed, at most 36 MB.  The search's memo holds at most MEMO_SIZE
+  entries; without that bound the process peaks near 46 MB.
 - free: the free 8x4 region counted, 653,036 solutions in 68,345,953 nodes,
   63,607,921 of them replayed, at most 24 MB.  Its time is printed beside
-  its 0.6 s target, not checked: 0.25-0.3 s, with 93 % of the nodes charged
-  from the memo, subtrees with solutions below them included.  The process
-  peaks near 19 MB, and the bound leaves about a quarter over that.
+  its 0.6 s target, not checked; 93 % of the nodes are charged from the
+  memo, subtrees with solutions below them included.  The process peaks
+  near 19 MB, and the bound leaves about a quarter over that.
 - count: the free kari14 6x6 region counted, 39,214,580 solutions in
   2,337,550,138 nodes, 2,337,134,030 of them replayed, at most 22 MB, its
-  time printed beside its 1 s target: about 0.04 s.  The memo holds counts,
-  not solutions: one tuple kept a solution would need gigabytes.  The
-  process peaks near 17 MB.
+  time printed beside its 1 s target.  The memo holds counts, not
+  solutions: one tuple kept a solution would need gigabytes.  The process
+  peaks near 17 MB.
 - seeded: a seeded first-hit solve of a free 100x100 region by 13 square
-  tiles whose facets all show colour 1, at most 56 MB, its time printed
-  (0.3-0.5 s).  Every placement fits, so it finds its patch at node
-  10,000, and each cell draws its own candidate order: each of its 10,000
-  lists sets up its own colour index at its first miss.  The process peaks
+  tiles whose facets all show colour 1, at most 56 MB, its time printed.
+  Every placement fits, so it finds its patch at node 10,000, and each
+  cell draws its own candidate order: each of its 10,000 lists sets up its
+  own colour index at its first miss.  The process peaks
   near 52.5 MB, and the bound leaves about 7 % over that.
 - plan: the search plan that region_search keeps for the 20x20 triangle
   torus, the one patch-pipeline's triangles6 patch is found on, at most

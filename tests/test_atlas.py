@@ -151,6 +151,26 @@ def test_enumerator_matches_brute_force_on_small_sets():
     assert both_kinds > 0 and unused > 0
 
 
+def test_enumerator_reorders_labels_past_latin1():
+    # 256 fillers, each showing its own colour on all four facets, placed
+    # before kari14's tiles, so that kari14's labels are the characters from
+    # U+0100 on, which CPython stores in two bytes each: the enumerator
+    # reorders such rows as it does one-byte ones.  A filler's one corona is
+    # its own uniform window
+    kari = load_bundled("kari14")
+    fillers = tuple(Prototile(f"f{i}", ShapeKind.SQUARE, (100 + i,) * 4)
+                    for i in range(256))
+    ts = TileSet("wide", fillers + kari.prototiles, kari.rule, kari.allowed)
+    ident = identity_code(ts.space)
+    assert min(ts.table.chars[p.id, ident] for p in kari.prototiles) == "\u0100"
+    uniform = {Corona((f.id, ident), ((f.id, ident),) * 8) for f in fillers}
+    coronas = enumerate_source_coronas(ts)
+    assert coronas == enumerate_source_coronas(kari) | uniform
+    assert len(coronas) == 3052 + 256
+    rs = reduce_set(ts, "c2")
+    assert derive_atlas(rs) == _encoded_atlas(rs, coronas)
+
+
 def test_triangles6_atlas_is_one_corona_per_tile():
     ts = load_bundled("triangles6")
     coronas = enumerate_source_coronas(ts)
@@ -1553,12 +1573,28 @@ def test_column_recheck_matches_window_valid():
 
 
 def test_atlas_contains_dunder():
+    # a Corona equals the plain (center, ring) tuple, so the atlas and its
+    # set view hold both, and the view compares equal to, and both ways as
+    # a subset of, the frozenset of plain pairs; anything else, a ring that
+    # is not iterable included, is in neither and raises nothing
     ts = load_bundled("triangles6")
-    rs = reduce_set(ts, "c1")
-    atlas = derive_atlas(rs)
-    some = next(iter(atlas.coronas))
-    assert some in atlas
-    assert Corona(("x0", "t5"), some.ring) not in atlas
+    for mode in ("c1", "c2"):
+        atlas = derive_atlas(reduce_set(ts, mode))
+        some = next(iter(atlas.coronas))
+        assert some in atlas
+        assert Corona(("x0", "t5"), some.ring) not in atlas
+        assert all((c.center, c.ring) in atlas for c in atlas.coronas)
+        assert all((c.center, c.ring) in atlas.coronas for c in atlas.coronas)
+        plain = frozenset((c.center, c.ring) for c in atlas.coronas)
+        assert atlas.coronas == plain and plain == atlas.coronas
+        assert plain <= atlas.coronas and atlas.coronas <= plain
+        assert plain >= atlas.coronas and atlas.coronas >= plain
+        for stranger in ((some.center, 5), (some.center, None),
+                         (some.center, (["t5"],) * len(some.ring)),
+                         (some.center,), (*some, ()), [some.center, some.ring],
+                         None, 5, "ab"):
+            assert stranger not in atlas
+            assert stranger not in atlas.coronas
 
 
 def shuffled(ts, seed):

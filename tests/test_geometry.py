@@ -12,7 +12,6 @@ import random
 from tileatlas.geometry import (
     FACET_COUNT,
     KIND_SPACE,
-    SPACE_KINDS,
     SPACES,
     Isometry,
     ShapeKind,

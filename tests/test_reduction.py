@@ -15,7 +15,6 @@ import pytest
 
 from conftest import UNREADABLE, random_tileset
 from tileatlas.geometry import (
-    KIND_SPACE,
     SPACE_KINDS,
     ShapeKind,
     image_kind,
@@ -27,7 +26,6 @@ from tileatlas.reduction import (
     DECORATION_POINT,
     _groups,
     DecodeError,
-    DecoratedPrototile,
     ReducedSet,
     build_encoding,
     decode_patch,

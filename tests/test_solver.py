@@ -20,7 +20,6 @@ from tileatlas.solver import (
     FOUND,
     LIMIT,
     SolveConfig,
-    SolveResult,
     count_solutions,
     exhaust_torus,
     random_patch,

@@ -556,6 +556,16 @@ def test_region_on_an_unknown_lattice_is_refused():
                               {}))
 
 
+def test_region_extents_are_a_tuple_of_ints():
+    # the search's plan cache hashes the extents and its loops count with
+    # them: a list, floats, a str or a bool is refused with FormatError when
+    # the region is made, not with a TypeError from the search
+    for extents in ([3, 3], (3.0, 3.0), ("3", 3), (3, True), 3, None):
+        with pytest.raises(FormatError, match="must be a tuple of integers"):
+            RegionSpec("square2d", extents, False)
+    assert RegionSpec("square2d", (3, 1), False).extents == (3, 1)
+
+
 def test_placement_map_leaves_the_collector_as_it_was():
     # paused while the placements are built, then restored, also when the
     # build raises
